@@ -39,9 +39,7 @@ from .fields import (
     KahanMap,
     QuadraticVectorField,
     affine_pullback,
-    aroma_function,
     divergence,
-    elementary_differential,
     hamiltonian_field,
     jacobian,
     kahan_det_jacobian,

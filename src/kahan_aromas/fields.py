@@ -11,12 +11,21 @@ fixes the stored-vs-exposed convention.
 The aromatic function F sends an aroma (or multiset) to a scalar polynomial
 by Einstein summation: vertex v with predecessors p1..pm contributes the
 factor d^m f^{i_v} / dx_{i_p1} ... dx_{i_pm}, summed over all index
-assignments.  Bare cycles short-circuit to traces of Jacobian powers; the
-assignment evaluator stays available as the independent route.
+assignments.  An aroma is one cycle with rooted trees hanging off it, so the
+sum is evaluated by contraction instead of over the n^V assignments:
+
+- each hanging tree is its elementary differential, a vector memoized per
+  field by tree encoding;
+- cycle vertex i with trees t1..tm becomes the n x n polynomial matrix
+  M_i[a][b] = sum_js d^(m+1) f^a / dx_b dx_j1 ... dx_jm * prod_r F(t_r)^{j_r};
+- F(aroma) = tr(M_{k-1} ... M_1 M_0), the cycle edge running i -> i+1.
+
+A bare cycle of length k therefore gives tr(J^k).
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 
 from .graphs import Aroma, AromaMultiset, RootedTree, parse_any
@@ -59,8 +68,8 @@ class QuadraticVectorField:
         self._components: list[Polynomial] | None = None
         self._jacobian: list[list[Polynomial]] | None = None
         self._partials: dict = {}
+        self._elementary: dict[str, list[Polynomial]] = {}
         self._aroma_cache: dict[str, Polynomial] = {}
-        self._jac_powers: list | None = None
 
     def _check_index(self, *idx):
         for i in idx:
@@ -164,41 +173,44 @@ class QuadraticVectorField:
 
     # -- aromatic functions ------------------------------------------------
 
-    def _jacobian_power(self, k: int) -> list[list[Polynomial]]:
-        if self._jac_powers is None:
-            self._jac_powers = [None, self.jacobian()]
-        while len(self._jac_powers) <= k:
-            prev = self._jac_powers[-1]
-            jac = self.jacobian()
-            n = self.dim
-            nxt = [
-                [
-                    sum((prev[i][m] * jac[m][j] for m in range(n)), Polynomial.zero(self.nvars))
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            self._jac_powers.append(nxt)
-        return self._jac_powers[k]
-
-    def _aroma_by_assignments(self, aroma: Aroma) -> Polynomial:
-        preds, _, _ = aroma.structure()
-        nverts = len(preds)
-        n, nv = self.dim, self.nvars
-        total = Polynomial.zero(nv)
-        for assignment in product(range(n), repeat=nverts):
-            term = Polynomial.const(nv, 1)
-            for v in range(nverts):
-                factor = self.partial(
-                    assignment[v], tuple(sorted(assignment[u] for u in preds[v]))
-                )
-                if factor.is_zero():
-                    term = None
+    def _contract(self, i: int, lead: tuple[int, ...], vecs) -> Polynomial:
+        """sum over js of d f_i / dx_{lead + js} * prod_r vecs[r][js[r]]."""
+        acc = Polynomial.zero(self.nvars)
+        for js in product(range(self.dim), repeat=len(vecs)):
+            term = self.partial(i, tuple(sorted(lead + js)))
+            for vec, j in zip(vecs, js):
+                if term.is_zero():
                     break
-                term = term * factor
-            if term is not None:
-                total = total + term
-        return total
+                term = term * vec[j]
+            if not term.is_zero():
+                acc = acc + term
+        return acc
+
+    def elementary_differential(self, tree: RootedTree) -> list[Polynomial]:
+        """B-series elementary differential F(tree) as a vector of polynomials."""
+        got = self._elementary.get(tree.encoding)
+        if got is None:
+            vecs = [self.elementary_differential(c) for c in tree.children]
+            got = [self._contract(i, (), vecs) for i in range(self.dim)]
+            self._elementary[tree.encoding] = got
+        return list(got)
+
+    def _cycle_matrix(self, forest) -> list[list[Polynomial]]:
+        """M[a][b]: cycle vertex with index a, fed by b along the cycle and by
+        the forest's trees, contracted over the trees' indices."""
+        vecs = [self.elementary_differential(t) for t in forest.trees]
+        n = self.dim
+        return [[self._contract(a, (b,), vecs) for b in range(n)] for a in range(n)]
+
+    def _aroma(self, aroma: Aroma) -> Polynomial:
+        """tr(M_{k-1} ... M_1 M_0): cycle vertex i is fed by vertex i-1."""
+        mats = [self._cycle_matrix(f) for f in aroma.decorations]
+        n, zero = self.dim, Polynomial.zero(self.nvars)
+        first = mats[0]
+        if len(mats) == 1:
+            return sum((first[a][a] for a in range(n)), zero)
+        rest = reduce(poly_mat_mul, mats[:0:-1])
+        return sum((rest[a][b] * first[b][a] for a in range(n) for b in range(n)), zero)
 
     def aroma_function(self, arg) -> Polynomial:
         """F(arg) for an aroma or aroma multiset (encodings accepted)."""
@@ -215,37 +227,9 @@ class QuadraticVectorField:
             raise TypeError("aroma_function expects an Aroma or AromaMultiset")
         got = self._aroma_cache.get(arg.encoding)
         if got is None:
-            if arg.is_bare_cycle():
-                power = self._jacobian_power(arg.cycle_len)
-                got = sum(
-                    (power[i][i] for i in range(self.dim)), Polynomial.zero(self.nvars)
-                )
-            else:
-                got = self._aroma_by_assignments(arg)
+            got = self._aroma(arg)
             self._aroma_cache[arg.encoding] = got
         return got
-
-    def elementary_differential(self, tree: RootedTree) -> list[Polynomial]:
-        """B-series elementary differential F(tree) as a vector of polynomials."""
-        n, nv = self.dim, self.nvars
-        if not tree.children:
-            return list(self.components())
-        child_vecs = [self.elementary_differential(c) for c in tree.children]
-        m = len(child_vecs)
-        out = []
-        for i in range(n):
-            acc = Polynomial.zero(nv)
-            for js in product(range(n), repeat=m):
-                factor = self.partial(i, tuple(sorted(js)))
-                if factor.is_zero():
-                    continue
-                for vec, j in zip(child_vecs, js):
-                    factor = factor * vec[j]
-                    if factor.is_zero():
-                        break
-                acc = acc + factor
-            out.append(acc)
-        return out
 
     # -- serialization ------------------------------------------------------
 
@@ -288,6 +272,21 @@ class QuadraticVectorField:
 
 # ---------------------------------------------------------------------------
 # polynomial matrices
+
+
+def poly_mat_mul(a: list[list[Polynomial]], b: list[list[Polynomial]]) -> list[list[Polynomial]]:
+    n, nv = len(a), a[0][0].nvars
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = Polynomial.zero(nv)
+            for m in range(n):
+                if not (a[i][m].is_zero() or b[m][j].is_zero()):
+                    acc = acc + a[i][m] * b[m][j]
+            row.append(acc)
+        out.append(row)
+    return out
 
 
 def poly_mat_det(mat: list[list[Polynomial]]) -> Polynomial:
@@ -533,11 +532,3 @@ def jacobian(field: QuadraticVectorField) -> list[list[Polynomial]]:
 
 def divergence(field: QuadraticVectorField) -> Polynomial:
     return field.divergence()
-
-
-def aroma_function(field: QuadraticVectorField, arg) -> Polynomial:
-    return field.aroma_function(arg)
-
-
-def elementary_differential(field: QuadraticVectorField, tree: RootedTree):
-    return field.elementary_differential(tree)

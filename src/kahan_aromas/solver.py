@@ -77,6 +77,19 @@ def _reduce_against(vec: dict, rows: list[tuple[int, dict]]) -> dict:
     return vec
 
 
+def _insert_independent(vec: dict, rows: list[tuple[int, dict]]) -> bool:
+    """Reduce vec against the echelon rows; when a remainder is left, add it
+    as a new row (rows stay sorted by descending pivot) and return True."""
+    vec = _reduce_against(vec, rows)
+    if not vec:
+        return False
+    pivot = max(vec)
+    lead = vec[pivot]
+    rows.append((pivot, {k: v / lead for k, v in vec.items()}))
+    rows.sort(key=lambda pr: -pr[0])
+    return True
+
+
 def build_basis(
     field: QuadraticVectorField,
     max_order: int,
@@ -111,19 +124,12 @@ def build_basis(
         poly = field.aroma_function(mset)
         if aug is not None and not poly.is_zero():
             poly = poly * aug[1]
-        vec = dict(poly.terms)
-        vec = _reduce_against(vec, reduced_rows)
-        if not vec:
+        if _insert_independent(dict(poly.terms), reduced_rows):
+            elements.append(
+                BasisElement(key, mset, aug, poly, mset.order, mset.sigma())
+            )
+        else:
             dropped.append(key)
-            continue
-        pivot = max(vec)
-        lead = vec[pivot]
-        row = {k: v / lead for k, v in vec.items()}
-        reduced_rows.append((pivot, row))
-        reduced_rows.sort(key=lambda pr: -pr[0])
-        elements.append(
-            BasisElement(key, mset, aug, poly, mset.order, mset.sigma())
-        )
     return Basis(field, max_order, elements, dropped, augmenters)
 
 
@@ -165,7 +171,6 @@ class DarbouxSolution:
     gammas: list[dict[str, Rat]]
     densities: list[Polynomial]
     parities: list[str]  # per solution: even | odd | mixed
-    cofactor: RationalFunction
     verified: bool
     seed: int
     method: str
@@ -345,7 +350,6 @@ def solve_darboux(
         gammas=gammas,
         densities=densities,
         parities=parities,
-        cofactor=kmap.det_jacobian(),
         verified=True,
         seed=seed,
         method="+".join(sorted(set(methods))) if methods else "sampled",
@@ -392,6 +396,8 @@ def first_integrals(solution_or_densities, seed: int = 0):
     if len(densities) < 2:
         raise ValueError("first integrals need at least two densities")
     g1 = densities[0]
+    if g1.is_zero():
+        raise ValueError("the first density is zero: it cannot divide the others")
     others = densities[1:]
 
     def proportional(g):
@@ -526,6 +532,10 @@ class ParameterIndependentSolution:
         return in_span(self.space, list(vector), len(self.coords)) is not None
 
 
+def _sparse(vec: list[Rat]) -> dict:
+    return {j: c for j, c in enumerate(vec) if c != 0}
+
+
 def _weighted_coordinate_polys(field, multisets):
     nv = field.nvars
     h = Polynomial.variable(nv, field.dim)
@@ -593,16 +603,15 @@ def parameter_independent_solve(
     space = space or []
     kernel_space = kernel_space or []
 
+    # space modulo the common kernel: keep each vector that one incremental
+    # echelon form of the kernel and the vectors kept so far does not span
+    echelon: list[tuple[int, dict]] = []
+    for row in kernel_space:
+        _insert_independent(_sparse(row), echelon)
     representatives = []
-    accumulated = [row[:] for row in kernel_space]
-    base_rank = rank(accumulated, ncols) if accumulated else 0
     for vec in space:
-        trial = accumulated + [vec]
-        r = rank(trial, ncols)
-        if r > base_rank:
+        if _insert_independent(_sparse(vec), echelon):
             representatives.append(vec)
-            accumulated = trial
-            base_rank = r
     if not representatives:
         raise SolverError("empty intersection: no parameter-independent measure at this order")
 

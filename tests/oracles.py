@@ -2,12 +2,16 @@
 
 Functional graphs are raw endomaps g: {0..n-1} -> {0..n-1} (the edge set is
 v -> g[v]); isomorphism classes are computed by quotienting by all vertex
-permutations, never by the package's canonical forms.
+permutations, never by the package's canonical forms.  Aromatic functions
+are summed over every index assignment of the aroma's vertices, never by the
+package's contraction.
 """
 
 from __future__ import annotations
 
 from itertools import permutations, product
+
+from kahan_aromas.poly import Polynomial
 
 
 def is_connected(g: tuple[int, ...]) -> bool:
@@ -121,3 +125,20 @@ def multiset_to_endomap(mset) -> tuple[int, ...]:
         shift = len(g)
         g.extend(shift + w for w in aroma_to_endomap(aroma))
     return tuple(g)
+
+
+def aroma_by_assignments(field, aroma):
+    """F(aroma) as the plain sum over all n^V index assignments: vertex v with
+    predecessors p1..pm contributes d^m f^{i_v} / dx_{i_p1} ... dx_{i_pm}."""
+    preds, _, _ = aroma.structure()
+    nv = field.nvars
+    total = Polynomial.zero(nv)
+    for assignment in product(range(field.dim), repeat=len(preds)):
+        term = Polynomial.const(nv, 1)
+        for v, pv in enumerate(preds):
+            factor = field.partial(assignment[v], tuple(sorted(assignment[u] for u in pv)))
+            term = term * factor
+            if term.is_zero():
+                break
+        total = total + term
+    return total

@@ -46,6 +46,7 @@ from kahan_aromas.graphs import (
 )
 from kahan_aromas.poly import Polynomial, RationalFunction, rf_substitute
 from kahan_aromas.rationals import Rat
+from oracles import aroma_by_assignments
 
 
 def X(i, nv=5):
@@ -108,12 +109,21 @@ def test_tailed_two_cycle_has_three_factor_terms():
     assert f.aroma_function(TAILED_TWO_CYCLE) == (x * 2) * 2 * x**2
 
 
-def test_bare_cycle_fast_path_matches_assignments():
-    rng = random.Random(3)
-    f = random_quadratic_field(rng, 3)
-    for k in (1, 2, 3):
-        aroma = cyclic_aroma(k)
-        assert f.aroma_function(aroma) == f._aroma_by_assignments(aroma)
+@pytest.mark.parametrize("n, order", [(1, 6), (2, 6), (3, 5), (4, 4)])
+def test_contraction_matches_assignment_oracle(n, order):
+    # unfiltered: the indegree >= 3 aromas must contract to zero as well;
+    # n = 2 at order 6 reaches chiral aromas such as C3(;[];[[]])
+    f = random_quadratic_field(random.Random(200 + n), n)
+    assert f.quadratic and f.linear and f.constant
+    aromas = {a.encoding: a for m in enumerate_multisets(order) for a in m.aromas}
+    for aroma in aromas.values():
+        assert f.aroma_function(aroma) == aroma_by_assignments(f, aroma)
+    fresh = QuadraticVectorField(n, f.quadratic, f.linear, f.constant)
+    for k in range(1, order):
+        for tree in enumerate_trees(k):
+            memoized = f.elementary_differential(tree)
+            memoized.clear()  # the memo hands out copies
+            assert f.elementary_differential(tree) == fresh.elementary_differential(tree)
 
 
 def test_one_dimensional_degeneracy():

@@ -204,6 +204,8 @@ def test_first_integrals_errors():
         first_integrals([one])
     with pytest.raises(ValueError):
         first_integrals([one, one * 2])
+    with pytest.raises(ValueError, match="first density is zero"):
+        first_integrals([Polynomial.zero(5), X(0)])
 
 
 def test_first_integrals_lv_special():
