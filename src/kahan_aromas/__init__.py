@@ -39,11 +39,7 @@ from .fields import (
     KahanMap,
     QuadraticVectorField,
     affine_pullback,
-    divergence,
     hamiltonian_field,
-    jacobian,
-    kahan_det_jacobian,
-    kahan_map,
     kahan_series,
     modified_hamiltonian,
 )

@@ -330,7 +330,7 @@ def solver_report(field, sol, seed: int) -> dict:
             integrals = [
                 {"num": r.num.to_json(), "den": r.den.to_json()} for r in ratios
             ]
-        except ValueError:
+        except (ValueError, SolverError):
             integrals = []
     conditions = necessary_conditions(sol.field).to_json()
     return {
@@ -396,7 +396,11 @@ def cmd_darboux_verify(args) -> int:
         P = Polynomial.from_json(data, field.nvars)
     except (ValueError, TypeError) as exc:
         raise InputError(f"malformed density JSON: {exc}") from exc
-    result = verify_density(field, P, seed=args.seed)
+    try:
+        result = verify_density(field, P, seed=args.seed)
+    except SolverError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     payload = {"verified": result.verified}
     if result.witness:
         xs, h, residual = result.witness

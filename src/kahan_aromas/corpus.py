@@ -18,6 +18,8 @@ from .linalg import adjugate_rational_matrix, det_rational_matrix
 from .poly import Polynomial
 from .rationals import Rat, ZERO, parse_rat
 from .solver import (
+    SAMPLE_ATTEMPTS,
+    SolverError,
     density_span_solve,
     first_integrals,
     necessary_conditions,
@@ -232,10 +234,11 @@ def random_skew(rng, n):
 
 
 def random_invertible(rng, n):
-    while True:
+    for _ in range(SAMPLE_ATTEMPTS):
         M = [[rand_small(rng) for _ in range(n)] for _ in range(n)]
         if det_rational_matrix(M) != 0:
             return M
+    raise SolverError(f"no invertible {n} x {n} draw in {SAMPLE_ATTEMPTS} attempts")
 
 
 def random_quadratic_field(rng, n) -> QuadraticVectorField:
@@ -275,8 +278,7 @@ def random_divfree_homogeneous_r3_params(rng):
 
 
 def random_ishii_params(rng):
-    rerolls = 0
-    while True:
+    for rerolls in range(SAMPLE_ATTEMPTS):
         params = {name: rand_small(rng) for name in ("b2", "b3", "c1", "c2", "c3")}
         params["k"] = rand_small(rng)
         b2, b3, c1, c2, c3, k = (params[n] for n in ("b2", "b3", "c1", "c2", "c3", "k"))
@@ -285,7 +287,7 @@ def random_ishii_params(rng):
         A3 = -(b2 * c1 + c2 * c2)
         if k != 0 and A3 != 0 and (A1 * c3 - A2 * b3) != 0:
             return params, rerolls
-        rerolls += 1
+    raise SolverError(f"no nondegenerate Ishii parameters in {SAMPLE_ATTEMPTS} attempts")
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ from functools import reduce
 from itertools import product
 
 from .graphs import Aroma, AromaMultiset, RootedTree, parse_any
-from .linalg import invert_rational_matrix
-from .poly import Polynomial, RationalFunction, rf_substitute
+from .linalg import invert_rational_matrix, solve_linear_system
+from .poly import PointEvaluator, Polynomial, RationalFunction, rf_substitute
 from .rationals import Rat, ONE, ZERO, format_rat, parse_rat
 
 
@@ -372,19 +372,14 @@ class KahanMap:
         """Exact image of a rational point, or None when det(M) vanishes there."""
         field = self.field
         n = field.dim
-        point = [Rat(v) for v in xs] + [Rat(h), ZERO]
+        ev = PointEvaluator(field.nvars, [Rat(v) for v in xs] + [Rat(h), ZERO])
         jac = field.jacobian()
         half_h = Rat(h) / 2
         M = [
-            [
-                (ONE if i == j else ZERO) - half_h * jac[i][j].evaluate(point)
-                for j in range(n)
-            ]
+            [(ONE if i == j else ZERO) - half_h * ev(jac[i][j]) for j in range(n)]
             for i in range(n)
         ]
-        from .linalg import solve_linear_system
-
-        fval = [field.component(i).evaluate(point) for i in range(n)]
+        fval = [ev(field.component(i)) for i in range(n)]
         sol = solve_linear_system(M, fval)
         if sol is None:
             return None
@@ -425,14 +420,6 @@ class KahanMap:
             for i in range(n)
         ]
         return RationalFunction(poly_mat_det(G), self.den ** (2 * n))
-
-
-def kahan_map(field: QuadraticVectorField) -> KahanMap:
-    return KahanMap(field)
-
-
-def kahan_det_jacobian(field: QuadraticVectorField) -> RationalFunction:
-    return KahanMap(field).det_jacobian()
 
 
 def kahan_series(field: QuadraticVectorField, order: int) -> list[list[Polynomial]]:
@@ -524,11 +511,3 @@ def modified_hamiltonian(J, H: Polynomial) -> RationalFunction:
         acc = acc + grad[i] * adj_f
     num = H * kmap.den + h * acc * Rat(1, 3)
     return RationalFunction(num, kmap.den)
-
-
-def jacobian(field: QuadraticVectorField) -> list[list[Polynomial]]:
-    return field.jacobian()
-
-
-def divergence(field: QuadraticVectorField) -> Polynomial:
-    return field.divergence()

@@ -126,22 +126,15 @@ def in_span(basis, target, ncols: int) -> list[Rat] | None:
 
 
 def intersect_rowspaces(a, b, ncols: int) -> list[list[Rat]]:
-    """Canonical basis of the intersection of two row spaces."""
+    """Canonical basis of the intersection of two row spaces.
+
+    A vector lies in both spaces exactly when it is orthogonal to both
+    orthogonal complements, so the intersection is the nullspace of the
+    stacked complements; for large spaces these have few rows.
+    """
     if not a or not b:
         return []
-    ka, kb = len(a), len(b)
-    rows = []
-    for j in range(ncols):
-        rows.append([a[i][j] for i in range(ka)] + [-b[i][j] for i in range(kb)])
-    out = []
-    for vec in nullspace(rows, ka + kb):
-        combo = [ZERO] * ncols
-        for i in range(ka):
-            if vec[i] != 0:
-                combo = [x + vec[i] * y for x, y in zip(combo, a[i])]
-        if any(v != 0 for v in combo):
-            out.append(combo)
-    return rref(out, ncols)
+    return rref(nullspace(nullspace(a, ncols) + nullspace(b, ncols), ncols), ncols)
 
 
 def mat_mul_vec(matrix, vec):

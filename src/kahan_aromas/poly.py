@@ -6,13 +6,29 @@ u the auxiliary parameter of the determinant expansion; both are ordinary
 variables, so "polynomial in x and h" needs no special casing.
 
 Exponent vectors are packed into a single int (10 bits per variable) so that
-monomial multiplication is integer addition.  Terms are a dict packed-key ->
-rational; zero coefficients are never stored.
+monomial multiplication is integer addition.  Compared as ints, packed keys
+are a monomial order (lex, the last variable most significant) as long as no
+exponent leaves its slot; products check that none does and raise ValueError
+otherwise.
+
+A polynomial is one rational `content` times `terms`, a dict packed key ->
+primitive Python int: the gcd of the ints is 1 and the int of the largest key
+is positive; zero is content 0 with no terms.  The form is unique, so
+equality and hashing compare (content, terms).  This is the layout of
+FLINT's fmpq_mpoly, a content times an integer polynomial (see Monagan &
+Pearce, "Sparse polynomial multiplication and division in Maple 14", 2009):
+rational arithmetic happens once per operation, on the contents.  A product
+of primitive polynomials is primitive (Gauss's lemma) and its leading term
+is the product of the leading terms, so multiplication is an int convolution
+with no gcd pass; a sum brings both sides to a common content and takes one
+gcd.  `coefficient` and `sorted_terms` read rational coefficients.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache, reduce
+from operator import or_
 
 from .rationals import Rat, ZERO, ONE, format_rat, parse_rat
 
@@ -38,37 +54,86 @@ def var_names(nvars: int) -> list[str]:
     return [f"x{i + 1}" for i in range(nvars - 2)] + ["h", "u"]
 
 
+@lru_cache(maxsize=None)
+def _top_bits(nvars: int) -> int:
+    """The highest bit of every exponent slot."""
+    return sum(1 << (_BITS * i + _BITS - 1) for i in range(nvars))
+
+
+def _overflow(nvars: int, index: int, degree: int) -> ValueError:
+    name = var_names(nvars)[index]
+    return ValueError(f"degree {degree} in {name} exceeds the packable {_MASK}")
+
+
+def _check_product_degrees(a: dict, b: dict, nvars: int) -> None:
+    """Raise ValueError when a product of a and b would overflow a slot."""
+    oa, ob = reduce(or_, a), reduce(or_, b)
+    if not (oa | ob) & _top_bits(nvars):
+        return  # every exponent is below half the slot
+    for i in range(nvars):
+        s = _BITS * i
+        # the OR of a slot bounds its largest exponent from above
+        if ((oa >> s) & _MASK) + ((ob >> s) & _MASK) <= _MASK:
+            continue
+        da = max((k >> s) & _MASK for k in a)
+        db = max((k >> s) & _MASK for k in b)
+        if da + db > _MASK:
+            raise _overflow(nvars, i, da + db)
+
+
+def _make(nvars: int, content: Rat, terms: dict) -> "Polynomial":
+    """A polynomial from parts already in canonical form."""
+    p = object.__new__(Polynomial)
+    p.nvars = nvars
+    p.content = content
+    p.terms = terms
+    return p
+
+
+def _from_ints(nvars: int, ints: dict, num: int = 1, den: int = 1) -> "Polynomial":
+    """(num/den) * ints, for an int dict with no zero values, made canonical."""
+    if not ints:
+        return Polynomial.zero(nvars)
+    g = math.gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    if g != 1:
+        ints = {k: v // g for k, v in ints.items()}
+    return _make(nvars, Rat(num * g, den), ints)
+
+
 class Polynomial:
-    """Immutable sparse polynomial.  Arithmetic is exact; no zero terms stored."""
+    """Immutable sparse polynomial: content times primitive integer terms."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "content", "terms")
 
-    def __init__(self, nvars: int, terms: dict | None = None, _clean: bool = False):
-        self.nvars = nvars
-        if terms is None:
-            terms = {}
-        if not _clean:
-            terms = {k: Rat(v) for k, v in terms.items() if v != 0}
-        self.terms = terms
+    def __init__(self, nvars: int, terms: dict | None = None):
+        """From a dict packed key -> rational coefficient."""
+        coeffs = {k: Rat(v) for k, v in (terms or {}).items() if v != 0}
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        p = _from_ints(
+            nvars, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, 1, den
+        )
+        self.nvars, self.content, self.terms = nvars, p.content, p.terms
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero(nvars: int) -> "Polynomial":
-        return Polynomial(nvars, {}, _clean=True)
+        return _make(nvars, ZERO, {})
 
     @staticmethod
     def const(nvars: int, value) -> "Polynomial":
         value = Rat(value)
         if value == 0:
             return Polynomial.zero(nvars)
-        return Polynomial(nvars, {0: value}, _clean=True)
+        return _make(nvars, value, {0: 1})
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for nvars={nvars}")
-        return Polynomial(nvars, {1 << (_BITS * index): ONE}, _clean=True)
+        return _make(nvars, ONE, {1 << (_BITS * index): 1})
 
     @staticmethod
     def monomial(nvars: int, exps, coeff=ONE) -> "Polynomial":
@@ -77,7 +142,7 @@ class Polynomial:
             return Polynomial.zero(nvars)
         if len(exps) != nvars:
             raise ValueError("exponent vector arity does not match variable count")
-        return Polynomial(nvars, {pack_exponents(exps): coeff}, _clean=True)
+        return _make(nvars, coeff, {pack_exponents(exps): 1})
 
     # -- predicates and queries ----------------------------------------
 
@@ -87,8 +152,12 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
+    def coefficient(self, key: int) -> Rat:
+        """The rational coefficient of a packed monomial key."""
+        return self.content * self.terms.get(key, 0)
+
     def constant_value(self) -> Rat:
-        return self.terms.get(0, ZERO)
+        return self.coefficient(0)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -126,26 +195,35 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.const(self.nvars, other)
         self._check(other)
-        a, b = self.terms, other.terms
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        a, b, ca, cb = self.terms, other.terms, self.content, other.content
         if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
+            a, b, ca, cb = b, a, cb, ca
+        # common content g/den; a and b are scaled by the integers sa and sb
+        pa, qa, pb, qb = ca.numerator, ca.denominator, cb.numerator, cb.denominator
+        g = math.gcd(pa, pb)
+        if pa < 0 and pb < 0:
+            g = -g
+        den = qa // math.gcd(qa, qb) * qb
+        sa = pa // g * (den // qa)
+        sb = pb // g * (den // qb)
+        out = dict(a) if sa == 1 else {k: sa * v for k, v in a.items()}
+        get = out.get
         for k, v in b.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = v
+            s = get(k, 0) + sb * v
+            if s:
+                out[k] = s
             else:
-                s = s + v
-                if s == 0:
-                    del out[k]
-                else:
-                    out[k] = s
-        return Polynomial(self.nvars, out, _clean=True)
+                del out[k]
+        return _from_ints(self.nvars, out, g, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {k: -v for k, v in self.terms.items()}, _clean=True)
+        return _make(self.nvars, -self.content, self.terms)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -158,38 +236,40 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             other = Rat(other)
-            if other == 0:
+            if other == 0 or not self.terms:
                 return Polynomial.zero(self.nvars)
-            return Polynomial(
-                self.nvars, {k: v * other for k, v in self.terms.items()}, _clean=True
-            )
+            return _make(self.nvars, self.content * other, self.terms)
         self._check(other)
         a, b = self.terms, other.terms
+        if not a or not b:
+            return Polynomial.zero(self.nvars)
+        _check_product_degrees(a, b, self.nvars)
         if len(a) > len(b):
             a, b = b, a
-        out: dict = {}
-        get = out.get
-        bitems = list(b.items())
-        for ka, va in a.items():
-            for kb, vb in bitems:
-                k = ka + kb
-                cur = get(k)
-                if cur is None:
-                    out[k] = va * vb
-                else:
-                    out[k] = cur + va * vb
-        if len(out) > len(a) * len(b) // 2:
-            out = {k: v for k, v in out.items() if v != 0}
+        if len(a) == 1:
+            ((ka, va),) = a.items()
+            out = {ka + kb: va * vb for kb, vb in b.items()}
         else:
-            for k in [k for k, v in out.items() if v == 0]:
-                del out[k]
-        return Polynomial(self.nvars, out, _clean=True)
+            out = {}
+            get = out.get
+            bitems = list(b.items())
+            for ka, va in a.items():
+                for kb, vb in bitems:
+                    k = ka + kb
+                    out[k] = get(k, 0) + va * vb
+            out = {k: v for k, v in out.items() if v}
+        return _make(self.nvars, self.content * other.content, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
+        if exponent > 1:
+            for i in range(self.nvars):
+                degree = self.degree_in(i) * exponent
+                if degree > _MASK:
+                    raise _overflow(self.nvars, i, degree)
         result = Polynomial.const(self.nvars, 1)
         base = self
         e = exponent
@@ -202,11 +282,15 @@ class Polynomial:
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return (
+                self.nvars == other.nvars
+                and self.content == other.content
+                and self.terms == other.terms
+            )
         return self.is_constant() and self.constant_value() == Rat(other)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.content, frozenset(self.terms.items())))
 
     # -- calculus and substitution ---------------------------------------
 
@@ -217,7 +301,8 @@ class Polynomial:
             e = (k >> shift) & _MASK
             if e:
                 out[k - (1 << shift)] = v * e
-        return Polynomial(self.nvars, out, _clean=True)
+        c = self.content
+        return _from_ints(self.nvars, out, c.numerator, c.denominator)
 
     def substitute_polynomials(self, mapping: dict) -> "Polynomial":
         """Simultaneously substitute polynomials for variables (index -> poly)."""
@@ -245,47 +330,36 @@ class Polynomial:
                 else:
                     term = term * Polynomial.monomial(n, [e if j == i else 0 for j in range(n)])
             result = result + term
-        return result
+        return result * self.content
 
     def evaluate(self, values) -> Rat:
         """Full evaluation at a rational point (length nvars)."""
-        if len(values) != self.nvars:
-            raise ValueError("point arity does not match variable count")
-        vals = [Rat(v) for v in values]
-        total = ZERO
-        for k, c in self.terms.items():
-            m = c
-            key = k
-            i = 0
-            while key:
-                e = key & _MASK
-                if e:
-                    m = m * vals[i] ** e
-                key >>= _BITS
-                i += 1
-            total = total + m
-        return total
+        return PointEvaluator(self.nvars, values)(self)
 
     def eval_h(self, hvalue) -> "Polynomial":
         """Substitute a rational for h, keeping the x and u variables."""
-        hidx = self.nvars - 2
-        shift = _BITS * hidx
+        shift = _BITS * (self.nvars - 2)
         hvalue = Rat(hvalue)
+        top = self.degree_in(self.nvars - 2)
+        # h^e = p^e q^(top - e) / q^top
+        p_pow = [hvalue.numerator**e for e in range(top + 1)]
+        q_pow = [hvalue.denominator**e for e in range(top + 1)]
         out: dict = {}
         for k, v in self.terms.items():
             e = (k >> shift) & _MASK
-            if e:
-                v = v * hvalue**e
-                k = k - (e << shift)
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return Polynomial(self.nvars, out)
+            k -= e << shift
+            out[k] = out.get(k, 0) + v * p_pow[e] * q_pow[top - e]
+        c = self.content
+        out = {k: v for k, v in out.items() if v}
+        return _from_ints(self.nvars, out, c.numerator, c.denominator * q_pow[top])
 
     def subs_h_negated(self) -> "Polynomial":
         """h -> -h (negates coefficients of odd h-powers)."""
         shift = _BITS * (self.nvars - 2)
-        out = {k: (-v if ((k >> shift) & _MASK) & 1 else v) for k, v in self.terms.items()}
-        return Polynomial(self.nvars, out, _clean=True)
+        out = {k: (-v if (k >> shift) & 1 else v) for k, v in self.terms.items()}
+        if out and out[max(out)] < 0:
+            return _make(self.nvars, -self.content, {k: -v for k, v in out.items()})
+        return _make(self.nvars, self.content, out)
 
     def h_coefficients(self) -> dict[int, "Polynomial"]:
         """Split into h-homogeneous layers: {h-degree: poly with the h-power removed}."""
@@ -294,7 +368,11 @@ class Polynomial:
         for k, v in self.terms.items():
             e = (k >> shift) & _MASK
             layers.setdefault(e, {})[k - (e << shift)] = v
-        return {e: Polynomial(self.nvars, t, _clean=True) for e, t in sorted(layers.items())}
+        c = self.content
+        return {
+            e: _from_ints(self.nvars, t, c.numerator, c.denominator)
+            for e, t in sorted(layers.items())
+        }
 
     def coefficient_of_h(self, power: int) -> "Polynomial":
         return self.h_coefficients().get(power, Polynomial.zero(self.nvars))
@@ -306,8 +384,9 @@ class Polynomial:
     # -- serialization ----------------------------------------------------
 
     def sorted_terms(self):
-        n = self.nvars
-        return [(unpack_exponents(k, n), self.terms[k]) for k in sorted(self.terms)]
+        """(exponent tuple, rational coefficient) pairs in ascending key order."""
+        n, c = self.nvars, self.content
+        return [(unpack_exponents(k, n), c * self.terms[k]) for k in sorted(self.terms)]
 
     def to_json(self):
         return [[list(e), format_rat(c)] for e, c in self.sorted_terms()]
@@ -354,59 +433,51 @@ class Polynomial:
     __repr__ = __str__
 
 
-def poly_gcd_content(p: Polynomial) -> Rat:
-    """Positive rational content (for light normalization of rational functions)."""
-    if p.is_zero():
-        return ONE
-    nums = 0
-    dens = 1
-    for v in p.terms.values():
-        nums = math.gcd(nums, abs(int(v.numerator)))
-        dens = dens * int(v.denominator) // math.gcd(dens, int(v.denominator))
-    return Rat(nums, dens) if nums else ONE
-
-
 def divexact(p: Polynomial, d: Polynomial) -> Polynomial:
     """Exact polynomial division p / d; raises ValueError if not divisible.
 
     Uses single-divisor reduction under the packed-key monomial order, which
     is multiplication-compatible, so exact divisibility is decided correctly.
+    The exact quotient of primitive integer polynomials is a primitive integer
+    polynomial with a positive lead (Gauss's lemma), so the reduction runs in
+    ints and a leading coefficient that does not divide also means "not exact".
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if d.is_constant():
-        c = d.constant_value()
-        return Polynomial(p.nvars, {k: v / c for k, v in p.terms.items()}, _clean=True)
     n = p.nvars
+    content = p.content / d.content
+    if d.is_constant() or p.is_zero():
+        return _make(n, content, p.terms)
     lead_key = max(d.terms)
     lead_coeff = d.terms[lead_key]
-    lead_exx = unpack_exponents(lead_key, n)
+    lead_exps = unpack_exponents(lead_key, n)
+    dterms = list(d.terms.items())
     rem = dict(p.terms)
     quot: dict = {}
     while rem:
         k = max(rem)
-        exps = unpack_exponents(k, n)
-        if any(a < b for a, b in zip(exps, lead_exx)):
+        qc, r = divmod(rem[k], lead_coeff)
+        if r or any(a < b for a, b in zip(unpack_exponents(k, n), lead_exps)):
             raise ValueError("polynomial division is not exact")
         qk = k - lead_key
-        qc = rem[k] / lead_coeff
         quot[qk] = qc
-        for dk, dv in d.terms.items():
+        for dk, dv in dterms:
             t = qk + dk
-            cur = rem.get(t, ZERO) - qc * dv
-            if cur == 0:
-                rem.pop(t, None)
-            else:
+            cur = rem.get(t, 0) - qc * dv
+            if cur:
                 rem[t] = cur
-    return Polynomial(n, quot, _clean=True)
+            else:
+                rem.pop(t, None)
+    return _make(n, content, quot)
 
 
 class RationalFunction:
-    """Quotient of polynomials; equality by cross-multiplication.
+    """Quotient of polynomials.
 
     gcd-normalization is deliberately skipped (multivariate gcd is the
     bottleneck and never needed for correctness); only rational content and
-    constant denominators are reduced.
+    constant denominators are reduced.  Equality divides out a denominator
+    that exactly divides the other one, and cross-multiplies otherwise.
     """
 
     __slots__ = ("num", "den")
@@ -455,8 +526,14 @@ class RationalFunction:
         return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __eq__(self, other):
-        other = _as_rf(other, self.nvars)
-        return (self.num * other.den) == (other.num * self.den)
+        small, large = self, _as_rf(other, self.nvars)
+        if small.den.total_degree() > large.den.total_degree():
+            small, large = large, small
+        try:
+            q = divexact(large.den, small.den)
+        except ValueError:
+            return (small.num * large.den) == (large.num * small.den)
+        return small.num * q == large.num
 
     def __hash__(self):  # pragma: no cover - not used as dict keys
         return hash((self.num, self.den))
@@ -465,10 +542,11 @@ class RationalFunction:
         return RationalFunction(self.num.subs_h_negated(), self.den.subs_h_negated())
 
     def evaluate(self, values) -> Rat:
-        d = self.den.evaluate(values)
+        ev = PointEvaluator(self.nvars, values)
+        d = ev(self.den)
         if d == 0:
             raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return self.num.evaluate(values) / d
+        return ev(self.num) / d
 
     def series_in_h(self, order: int) -> list[Polynomial]:
         return series_in_h(self, order)
@@ -532,12 +610,12 @@ def rf_substitute(
         return result
 
     x_mask = (1 << (_BITS * nx)) - 1
-    # bucket p's terms by x-part, keeping the h/u part as a monomial factor
+    # bucket p's integer terms by x-part, keeping the h/u part as a monomial
+    # factor; p's content multiplies the result once at the end
     buckets: dict[int, dict] = {}
     for k, v in p.terms.items():
         xkey = k & x_mask
-        rest = k - xkey
-        buckets.setdefault(xkey, {})[rest] = v
+        buckets.setdefault(xkey, {})[k - xkey] = v
     by_degree: dict[int, Polynomial] = {}
     for xkey, rest_terms in buckets.items():
         d = 0
@@ -545,7 +623,7 @@ def rf_substitute(
         while key:
             d += key & _MASK
             key >>= _BITS
-        contrib = Polynomial(n, rest_terms, _clean=True) * power_product(xkey)
+        contrib = _from_ints(n, rest_terms) * power_product(xkey)
         acc = by_degree.get(d)
         by_degree[d] = contrib if acc is None else acc + contrib
     # Horner in the denominator: sum_d bucket[d] * den^(clear_power - d),
@@ -561,7 +639,7 @@ def rf_substitute(
                 result = result + bucket
         for _ in range(clear_power - top):
             result = result * denominator
-    return result
+    return result * p.content
 
 
 def rf_substitute_rfs(p: Polynomial, rfs: list[RationalFunction], clear_power: int) -> Polynomial:
@@ -601,16 +679,25 @@ def series_in_h(r: RationalFunction | Polynomial, order: int) -> list[Polynomial
 
 
 class PointEvaluator:
-    """Evaluate many polynomials at one rational point, sharing monomial values."""
+    """Evaluate many polynomials at one rational point, sharing monomial values.
+
+    The point is put over one common denominator, x_i = a_i / d, so a
+    monomial of total degree t is A / d^t with an integer A cached per key.
+    A polynomial of total degree T sums the integers c * A * d^(T - t) and
+    builds a single rational, its content times that sum over d^T.
+    """
 
     def __init__(self, nvars: int, values):
         if len(values) != nvars:
             raise ValueError("point arity does not match variable count")
+        vals = [Rat(v) for v in values]
         self.nvars = nvars
-        self.values = [Rat(v) for v in values]
-        self._cache: dict[int, Rat] = {0: ONE}
+        self.den = math.lcm(*(v.denominator for v in vals))
+        self.nums = [v.numerator * (self.den // v.denominator) for v in vals]
+        self._cache: dict[int, tuple[int, int]] = {0: (1, 0)}  # key -> (A, t)
 
-    def monomial(self, key: int) -> Rat:
+    def monomial(self, key: int) -> tuple[int, int]:
+        """(A, t) with the monomial's value A / d^t."""
         got = self._cache.get(key)
         if got is not None:
             return got
@@ -619,13 +706,23 @@ class PointEvaluator:
         while not (k & _MASK):
             k >>= _BITS
             i += 1
-        got = self.monomial(key - (1 << (_BITS * i))) * self.values[i]
+        a, t = self.monomial(key - (1 << (_BITS * i)))
+        got = (a * self.nums[i], t + 1)
         self._cache[key] = got
         return got
 
     def __call__(self, p: Polynomial) -> Rat:
-        total = ZERO
+        sums: dict[int, int] = {}  # total degree -> sum of integer numerators
         mono = self.monomial
         for k, c in p.terms.items():
-            total = total + c * mono(k)
-        return total
+            a, t = mono(k)
+            if a:
+                sums[t] = sums.get(t, 0) + c * a
+        if not sums:
+            return ZERO
+        top = max(sums)
+        total = 0
+        for t in range(top + 1):
+            total = total * self.den + sums.get(t, 0)
+        c = p.content
+        return Rat(c.numerator * total, c.denominator * self.den**top)

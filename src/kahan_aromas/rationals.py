@@ -1,20 +1,17 @@
 """Exact rational arithmetic substrate.
 
-All coefficients in this package are exact rationals.  gmpy2's mpq is used
-when available (it is roughly an order of magnitude faster on the large
-polynomial expansions done by the Darboux solver); stdlib Fraction is the
-drop-in fallback.  Both render as "p" / "p/q" strings, which is the wire
-format for coefficients everywhere.
+Rationals are the stdlib `fractions.Fraction`, exported as `Rat`.
+Polynomials keep Python-int coefficients times one rational content (see
+`poly`), so rational arithmetic is confined to one content per polynomial
+operation, to values at points and to the linear algebra.  Rationals render
+as "p" / "p/q" strings, which is the wire format for coefficients
+everywhere.
 """
 
 from __future__ import annotations
 
 import math
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Rat
+from fractions import Fraction as Rat
 
 ZERO = Rat(0)
 ONE = Rat(1)
@@ -38,20 +35,11 @@ def format_rat(value) -> str:
 
 def clear_denominators(row) -> list[int]:
     """Scale a rational row by the lcm of denominators; returns integer row."""
-    lcm = 1
-    for v in row:
-        d = Rat(v).denominator
-        lcm = lcm * d // math.gcd(lcm, int(d))
-    return [int(Rat(v) * lcm) for v in row]
+    row = [Rat(v) for v in row]
+    lcm = math.lcm(*(v.denominator for v in row))
+    return [v.numerator * (lcm // v.denominator) for v in row]
 
 
 def random_rational(rng, num_range=(-20, 20), den_range=(1, 7)) -> Rat:
     """Small random rational; the solver's sampling contract uses the defaults."""
     return Rat(rng.randint(*num_range), rng.randint(*den_range))
-
-
-def random_nonzero_rational(rng, num_range=(-20, 20), den_range=(1, 7)) -> Rat:
-    while True:
-        v = random_rational(rng, num_range, den_range)
-        if v != 0:
-            return v

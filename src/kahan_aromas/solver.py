@@ -36,6 +36,7 @@ from .poly import PointEvaluator, Polynomial, RationalFunction
 from .rationals import Rat, ONE, ZERO, random_rational
 
 QUADRATIC_MAX_INDEGREE = 2
+SAMPLE_ATTEMPTS = 100  # random points tried by each randomized search
 
 
 class SolverError(RuntimeError):
@@ -84,8 +85,8 @@ def _insert_independent(vec: dict, rows: list[tuple[int, dict]]) -> bool:
     if not vec:
         return False
     pivot = max(vec)
-    lead = vec[pivot]
-    rows.append((pivot, {k: v / lead for k, v in vec.items()}))
+    inv = ONE / vec[pivot]
+    rows.append((pivot, {k: v * inv for k, v in vec.items()}))
     rows.sort(key=lambda pr: -pr[0])
     return True
 
@@ -124,6 +125,7 @@ def build_basis(
         poly = field.aroma_function(mset)
         if aug is not None and not poly.is_zero():
             poly = poly * aug[1]
+        # integer terms: independence does not depend on the content
         if _insert_independent(dict(poly.terms), reduced_rows):
             elements.append(
                 BasisElement(key, mset, aug, poly, mset.order, mset.sigma())
@@ -155,9 +157,7 @@ def kernel_relations(field: QuadraticVectorField, max_order: int) -> KernelRelat
     multisets = enumerate_multisets(max_order)
     polys = [field.aroma_function(m) for m in multisets]
     monomials = sorted({k for p in polys for k in p.terms})
-    rows = [
-        [p.terms.get(mkey, ZERO) for p in polys] for mkey in monomials
-    ]
+    rows = [[p.coefficient(mkey) for p in polys] for mkey in monomials]
     rels = nullspace(rows, len(multisets))
     return KernelRelations(field, max_order, multisets, rels)
 
@@ -210,11 +210,12 @@ def _density_from_gamma(basis: Basis, gamma: list[Rat]) -> Polynomial:
 
 def _sample_point(rng, kmap: KahanMap):
     n = kmap.field.dim
-    while True:
+    for _ in range(SAMPLE_ATTEMPTS):
         xs = [random_rational(rng) for _ in range(n)]
         h = random_rational(rng)
         if kmap.det_m_at(xs, h) != 0:
             return xs, h, kmap.apply_point(xs, h)
+    raise SolverError(f"no sample point off det(M) = 0 in {SAMPLE_ATTEMPTS} attempts")
 
 
 def _discover(kmap: KahanMap, basis: Basis, seed: int) -> list[list[Rat]]:
@@ -230,18 +231,14 @@ def _discover(kmap: KahanMap, basis: Basis, seed: int) -> list[list[Rat]]:
     for _ in range(S):
         xs, h, phi = _sample_point(rng, kmap)
         nm = kmap.det_m_at(xs, h)  # N_{-h/2}(x) = det(I - (h/2) f'(x))
-        point_phi = list(phi) + [h, ZERO]
+        ev_x = PointEvaluator(field.nvars, list(xs) + [h, ZERO])
+        ev_phi = PointEvaluator(field.nvars, list(phi) + [h, ZERO])
         half_h = Rat(h) / 2
         mat = [
-            [
-                (ONE if i == j else ZERO) + half_h * jac[i][j].evaluate(point_phi)
-                for j in range(n)
-            ]
+            [(ONE if i == j else ZERO) + half_h * ev_phi(jac[i][j]) for j in range(n)]
             for i in range(n)
         ]
         np_val = det_rational_matrix(mat)  # N_{+h/2}(Phi(x))
-        ev_x = PointEvaluator(field.nvars, list(xs) + [h, ZERO])
-        ev_phi = PointEvaluator(field.nvars, point_phi)
         row = []
         for el in elements:
             w = Rat(h) ** el.order / el.sigma
@@ -267,7 +264,7 @@ def _solve_symbolic(kmap: KahanMap, basis: Basis) -> list[list[Rat]]:
         col = kmap.den * kmap.substitute(weighted, D) - weighted * n_plus_sub
         columns.append(col)
     monomials = sorted({k for c in columns for k in c.terms})
-    rows = [[c.terms.get(mk, ZERO) for c in columns] for mk in monomials]
+    rows = [[c.coefficient(mk) for c in columns] for mk in monomials]
     return nullspace(rows, len(elements))
 
 
@@ -370,16 +367,18 @@ def verify_density(field: QuadraticVectorField, P: Polynomial, seed: int = 0) ->
         return VerificationResult(True)
     rng = random.Random(seed)
     D = max(P.x_degree(), field.dim)
-    while True:
+    for _ in range(SAMPLE_ATTEMPTS):
         xs = [random_rational(rng) for _ in range(field.dim)]
         h = random_rational(rng)
-        point = [Rat(v) for v in xs] + [Rat(h), ZERO]
-        den_val = kmap.den.evaluate(point)
+        den_val = kmap.det_m_at(xs, h)
         if den_val == 0:
             continue
-        value = defect.evaluate(point)
+        value = defect.evaluate([Rat(v) for v in xs] + [Rat(h), ZERO])
         if value != 0:
             return VerificationResult(False, (xs, h, value / den_val**D))
+    raise SolverError(
+        f"no witness point for the nonzero defect in {SAMPLE_ATTEMPTS} attempts"
+    )
 
 
 def first_integrals(solution_or_densities, seed: int = 0):
@@ -400,21 +399,12 @@ def first_integrals(solution_or_densities, seed: int = 0):
         raise ValueError("the first density is zero: it cannot divide the others")
     others = densities[1:]
 
-    def proportional(g):
-        if g.is_zero():
-            return True
-        k = max(g1.terms)
-        c = g.terms.get(k)
-        if c is None:
-            return False
-        return g == g1 * (c / g1.terms[k])
-
-    if all(proportional(g) for g in others):
+    if all(g.is_zero() or g.terms == g1.terms for g in others):
         raise ValueError("all densities are proportional: no nontrivial integral")
     ratios = [RationalFunction(g, g1) for g in others]
     nx = nv - 2
     rng = random.Random(seed)
-    while True:
+    for _ in range(SAMPLE_ATTEMPTS):
         xs = [random_rational(rng) for _ in range(nx)]
         h = random_rational(rng)
         point = [Rat(v) for v in xs] + [Rat(h), ZERO]
@@ -431,6 +421,9 @@ def first_integrals(solution_or_densities, seed: int = 0):
                 ]
             )
         return ratios, rank(rows, nx)
+    raise SolverError(
+        f"no point where the first density is nonzero in {SAMPLE_ATTEMPTS} attempts"
+    )
 
 
 @dataclass
@@ -466,12 +459,8 @@ def _proportionality(numer: Polynomial, denom: Polynomial):
         return None
     if numer.is_zero():
         return ZERO
-    k = max(denom.terms)
-    c = numer.terms.get(k)
-    if c is None:
-        return None
-    c = c / denom.terms[k]
-    return c if numer == denom * c else None
+    # canonical forms: proportional exactly when the integer terms agree
+    return numer.content / denom.content if numer.terms == denom.terms else None
 
 
 def necessary_conditions(field: QuadraticVectorField) -> NecessaryConditionsReport:
@@ -498,8 +487,8 @@ def density_span_solve(densities: list[Polynomial], target: Polynomial):
     monomials = sorted(
         {k for p in densities for k in p.terms} | set(target.terms)
     )
-    basis_rows = [[p.terms.get(mk, ZERO) for mk in monomials] for p in densities]
-    target_row = [target.terms.get(mk, ZERO) for mk in monomials]
+    basis_rows = [[p.coefficient(mk) for mk in monomials] for p in densities]
+    target_row = [target.coefficient(mk) for mk in monomials]
     return in_span(basis_rows, target_row, len(monomials))
 
 
@@ -591,7 +580,7 @@ def parameter_independent_solve(
         lifted = gamma_space(sol, coords)
         polys = _weighted_coordinate_polys(f, multisets)
         monomials = sorted({k for p in polys for k in p.terms})
-        rows = [[p.terms.get(mk, ZERO) for p in polys] for mk in monomials]
+        rows = [[p.coefficient(mk) for p in polys] for mk in monomials]
         kern = nullspace(rows, ncols)
         s_i = rref(lifted + kern, ncols)
         space = s_i if space is None else intersect_rowspaces(space, s_i, ncols)
@@ -796,11 +785,11 @@ def _find_constrained_density(sol: DarbouxSolution, target_h2: Polynomial):
     rows = []
     rhs = []
     for mk in monomials:
-        rows.append([p.terms.get(mk, ZERO) for p in h0_parts])
+        rows.append([p.coefficient(mk) for p in h0_parts])
         rhs.append(ONE if mk == 0 else ZERO)
     for mk in monomials:
-        rows.append([p.terms.get(mk, ZERO) for p in h2_parts])
-        rhs.append(target_h2.terms.get(mk, ZERO))
+        rows.append([p.coefficient(mk) for p in h2_parts])
+        rhs.append(target_h2.coefficient(mk))
     # solve rows * c = rhs exactly via nullspace of [rows | -rhs]
     aug = [row + [-r] for row, r in zip(rows, rhs)]
     for vec in nullspace(aug, len(densities) + 1):

@@ -111,6 +111,13 @@ def test_darboux_verify_failure_exit_code(capsys, tmp_path):
     assert code == 1
     payload = json.loads(out)
     assert payload["verified"] is False and "witness" in payload
+    # x*u is no density either, but every sample point has u = 0, so no
+    # witness exists: the search gives up with its attempt count
+    density_file.write_text(json.dumps((bad * Polynomial.variable(5, 4)).to_json()))
+    code, out, err = run_cli(
+        capsys, "darboux", "verify", "--field", str(field_file), "--density", str(density_file)
+    )
+    assert code == 1 and out == "" and "attempts" in err
 
 
 def test_order_cap(capsys):

@@ -1,17 +1,22 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from kahan_aromas.poly import (
+    PointEvaluator,
     Polynomial,
     RationalFunction,
     divexact,
+    pack_exponents,
     rf_substitute,
     rf_substitute_rfs,
     series_in_h,
+    unpack_exponents,
 )
-from kahan_aromas.rationals import Rat
+from kahan_aromas.rationals import Rat, format_rat
 
 NV = 4  # two x-variables plus h, u
 
@@ -194,3 +199,99 @@ def test_mixed_variable_universes_rejected():
         Polynomial.monomial(3, (1, 0, 0, 0))
     with pytest.raises(ValueError):
         Polynomial.from_json([[[1, 0], "1"]], nvars=3)
+
+
+def test_exponent_overflow_raises():
+    # packed exponents must not carry into the next variable (x1^1200 is
+    # not x1^176*x2)
+    p = x(0) ** 600
+    with pytest.raises(ValueError):
+        p * p
+    with pytest.raises(ValueError):
+        x(0) ** 1100
+    with pytest.raises(ValueError):
+        (x(0) ** 500 + x(1)) ** 3
+    assert (x(0) ** 600 + x(1) ** 700) * x(0) ** 423 == x(0) ** 1023 + x(0) ** 423 * x(1) ** 700
+    # the bitwise OR of the exponents, 600 | 424 = 1016, overestimates the degree
+    assert (x(0) ** 600 + x(0) ** 424) * x(0) ** 300 == x(0) ** 900 + x(0) ** 724
+    nv = 3
+    xx, h = Polynomial.variable(nv, 0), Polynomial.variable(nv, 1)
+    with pytest.raises(ValueError):
+        rf_substitute(xx**600, [xx**2], Polynomial.const(nv, 1) - h * xx, 600)
+
+
+# -- the content x primitive-integer representation --------------------------
+
+
+@st.composite
+def rational_dicts(draw, nv=NV, max_terms=5, max_exp=3):
+    """A packed key -> rational dict, zero coefficients included."""
+    out = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = [draw(st.integers(0, max_exp)) for _ in range(nv)]
+        out[pack_exponents(exps)] = draw(rationals())
+    return out
+
+
+def assert_canonical(p):
+    assert all(isinstance(v, int) and v for v in p.terms.values())
+    if p.terms:
+        assert math.gcd(*p.terms.values()) == 1
+        assert p.terms[max(p.terms)] > 0
+        assert p.content != 0
+    else:
+        assert p.content == 0
+
+
+def rational_value(p):
+    return {k: p.coefficient(k) for k in p.terms}
+
+
+@given(polys(), polys(), rationals(), rationals())
+def test_every_result_is_canonical(a, b, c, hval):
+    results = [a + b, a - b, a * b, a * c, -a, a**2, a.subs_h_negated(), a.eval_h(hval)]
+    results += [a.partial_derivative(i) for i in range(NV)]
+    results += list(a.h_coefficients().values())
+    if not b.is_zero():
+        results.append(divexact(a * b, b))
+    for r in results:
+        assert_canonical(r)
+
+
+@given(rational_dicts())
+def test_rational_dict_round_trips_through_json(coeffs):
+    p = Polynomial(NV, coeffs)
+    expected = [
+        [list(unpack_exponents(k, NV)), format_rat(c)] for k, c in sorted(coeffs.items()) if c != 0
+    ]
+    assert p.to_json() == expected
+    assert Polynomial.from_json(p.to_json(), NV).to_json() == expected
+    assert rational_value(p) == {k: c for k, c in coeffs.items() if c != 0}
+
+
+@given(polys(), polys(), rationals())
+def test_equality_and_hash_follow_the_rational_value(a, b, c):
+    assert (a == b) == (rational_value(a) == rational_value(b))
+    same = Polynomial(NV, rational_value(a))
+    assert same == a and hash(same) == hash(a)
+    assume(c != 0)
+    scaled = (a * c) * (1 / c)
+    assert scaled == a and hash(scaled) == hash(a)
+
+
+@given(polys(), polys())
+def test_divexact_inverts_multiplication(a, b):
+    assume(not b.is_zero())
+    assert divexact(a * b, b) == a
+
+
+@given(polys(), st.lists(rationals(), min_size=NV, max_size=NV))
+def test_point_evaluator_matches_termwise_evaluation(p, point):
+    expected = Rat(0)
+    for exps, c in p.sorted_terms():
+        term = c
+        for v, e in zip(point, exps):
+            term *= v**e
+        expected += term
+    assert PointEvaluator(NV, point)(p) == expected
+    assert p.evaluate(point) == expected

@@ -345,3 +345,36 @@ def test_parameter_independent_empty_intersection():
     # order 0 nothing else is available
     with pytest.raises(SolverError):
         parameter_independent_solve([lv_special(), lv_special()], 2, 0, parity="even")
+
+
+def test_randomized_searches_are_bounded(monkeypatch):
+    # a map whose det(M) vanishes at every point: no sample point and no
+    # witness point exists, and each search must give up with its count
+    import kahan_aromas.solver as solver_mod
+
+    monkeypatch.setattr(KahanMap, "det_m_at", lambda self, xs, h: ZERO)
+    f = lv_divfree()
+    with pytest.raises(SolverError, match=f"{solver_mod.SAMPLE_ATTEMPTS} attempts"):
+        solver_mod._sample_point(random.Random(0), KahanMap(f))
+    with pytest.raises(SolverError, match="attempts"):
+        solve_darboux(f, 2, parity="even")
+    with pytest.raises(SolverError, match="witness"):
+        verify_density(f, Polynomial.const(f.nvars, 1) + X(0) * X(3) ** 2)
+
+
+def test_first_integrals_search_is_bounded():
+    # u vanishes at every sample point (u = 0 there), so no point can serve
+    u = X(4)
+    with pytest.raises(SolverError, match="attempts"):
+        first_integrals([u, u * X(0)])
+
+
+def test_corpus_draws_are_bounded(monkeypatch):
+    import kahan_aromas.corpus as corpus_mod
+
+    monkeypatch.setattr(corpus_mod, "det_rational_matrix", lambda m: ZERO)
+    with pytest.raises(SolverError, match="attempts"):
+        corpus_mod.random_invertible(random.Random(0), 3)
+    monkeypatch.setattr(corpus_mod, "rand_small", lambda rng: ZERO)
+    with pytest.raises(SolverError, match="attempts"):
+        random_ishii_params(random.Random(0))
