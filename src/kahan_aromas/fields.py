@@ -368,13 +368,14 @@ class KahanMap:
         """den**clear_power * p(Phi_h(x)) with the map's shared cache."""
         return rf_substitute(p, self.numerators, self.den, clear_power, self.subs_cache)
 
-    def apply_point(self, xs, h):
-        """Exact image of a rational point, or None when det(M) vanishes there."""
+    def apply_point(self, ev: PointEvaluator):
+        """Exact image of the evaluator's point (x, h), or None when det(M)
+        vanishes there."""
         field = self.field
         n = field.dim
-        ev = PointEvaluator(field.nvars, [Rat(v) for v in xs] + [Rat(h), ZERO])
+        xs, h = ev.point[:n], ev.point[n]
         jac = field.jacobian()
-        half_h = Rat(h) / 2
+        half_h = h / 2
         M = [
             [(ONE if i == j else ZERO) - half_h * ev(jac[i][j]) for j in range(n)]
             for i in range(n)
@@ -383,11 +384,11 @@ class KahanMap:
         sol = solve_linear_system(M, fval)
         if sol is None:
             return None
-        return [Rat(xs[i]) + Rat(h) * sol[i] for i in range(n)]
+        return [xs[i] + h * sol[i] for i in range(n)]
 
-    def det_m_at(self, xs, h) -> Rat:
-        point = [Rat(v) for v in xs] + [Rat(h), ZERO]
-        return self.den.evaluate(point)
+    def det_m_at(self, ev: PointEvaluator) -> Rat:
+        """det(M) = det(I - (h/2) f'(x)) at the evaluator's point."""
+        return ev(self.den)
 
     def darboux_defect_cleared(self, P: Polynomial) -> Polynomial:
         """den^(D+1) * [N_{-h/2}(x) P(Phi_h(x)) - P(x) N_{h/2}(Phi_h(x))] / den

@@ -1,45 +1,89 @@
 """Exact linear algebra over Q: nullspaces, rank, canonical subspace bases.
 
-The forward elimination is fraction-free (Bareiss) on integer-cleared rows,
-so intermediate entries stay integers; back-substitution produces rational
-basis vectors.  Pivoting is "first nonzero in fixed row order", which makes
-every output deterministic for a fixed row/column order.
+Every operation runs one kernel, `_reduce`: fraction-free Gauss-Jordan
+elimination (Bareiss) on rows cleared to Python ints.  Each division in it
+is exact, and at the end every pivot row has the same leading value d, so
+the reduced row echelon form, nullspace vectors, determinants and solutions
+are integers over d; rationals are built once, at the public return.
+Pivoting is "first nonzero in fixed row order", which makes every output
+deterministic for a fixed row/column order.
 """
 
 from __future__ import annotations
 
-from .rationals import Rat, ZERO, ONE, clear_denominators
+import math
+
+from .rationals import Rat, ZERO, ONE
 
 
-def _bareiss_echelon(rows: list[list[int]], ncols: int):
-    """In-place fraction-free echelon form; returns (pivot_cols, pivot_rows)."""
-    m = len(rows)
+def _int_rows(rows) -> list[list[int]]:
+    """Each rational row scaled to integers by the lcm of its denominators."""
+    out = []
+    for row in rows:
+        lcm = math.lcm(*[v.denominator for v in row])
+        out.append([v.numerator * (lcm // v.denominator) for v in row])
+    return out
+
+
+def _reduce(mat: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+    """Fraction-free reduced echelon form of integer rows, in place.
+
+    Only the first ncols columns are searched for pivots; every entry of a
+    row is updated.  Returns (pivot columns, d, sign).  Afterwards mat[k] is
+    the k-th pivot row, with d at its pivot column and 0 at every other
+    pivot column, and rows that reduced to zero are dropped.  The rref is
+    mat / d, and for a square matrix of full rank d times sign is its
+    determinant (sign is the parity of the row swaps).
+    """
     prev = 1
-    pr = 0
+    sign = 1
     pivots: list[int] = []
     for c in range(ncols):
-        pivot = None
-        for r in range(pr, m):
-            if rows[r][c]:
-                pivot = r
-                break
-        if pivot is None:
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
             continue
-        rows[pr], rows[pivot] = rows[pivot], rows[pr]
-        lead = rows[pr][c]
-        row_p = rows[pr]
-        for i in range(pr + 1, m):
-            row_i = rows[i]
-            factor = row_i[c]
-            for j in range(c + 1, ncols):
-                row_i[j] = (lead * row_i[j] - factor * row_p[j]) // prev
-            row_i[c] = 0
+        if p != r:
+            mat[r], mat[p] = mat[p], mat[r]
+            sign = -sign
+        row_p = mat[r]
+        lead = row_p[c]
+        for i, row in enumerate(mat):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                mat[i] = [(lead * a - f * b) // prev for a, b in zip(row, row_p)]
+            elif lead != prev:
+                mat[i] = [lead * a // prev for a in row]
+        mat[r + 1 :] = [row for row in mat[r + 1 :] if any(row)]
         prev = lead
         pivots.append(c)
-        pr += 1
-        if pr == m:
+        if r + 1 == len(mat):
             break
-    return pivots, pr
+    return pivots, prev, sign
+
+
+def _null_ints(mat: list[list[int]], ncols: int) -> list[list[int]]:
+    """Integer basis of the right nullspace of integer rows, one vector per
+    free column in ascending order (reduces mat in place)."""
+    pivots, d, _ = _reduce(mat, ncols)
+    pivot_cols = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        vec = [0] * ncols
+        vec[f] = d
+        for row, p in zip(mat, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis
+
+
+def _rref_rats(mat: list[list[int]], ncols: int) -> list[list[Rat]]:
+    pivots, d, _ = _reduce(mat, ncols)
+    return [[Rat(v, d) if v else ZERO for v in row] for row in mat[: len(pivots)]]
 
 
 def nullspace(rows, ncols: int) -> list[list[Rat]]:
@@ -48,59 +92,20 @@ def nullspace(rows, ncols: int) -> list[list[Rat]]:
     Basis vectors are indexed by the free columns in ascending order and
     normalized so the first nonzero entry equals 1.
     """
-    mat = [clear_denominators(row) for row in rows if any(v != 0 for v in row)]
-    pivots, nrows = _bareiss_echelon(mat, ncols)
-    free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for f in free_cols:
-        vec = [ZERO] * ncols
-        vec[f] = ONE
-        for r in range(nrows - 1, -1, -1):
-            p = pivots[r]
-            if p > f:
-                continue
-            acc = ZERO
-            row = mat[r]
-            for j in range(p + 1, ncols):
-                if vec[j] != 0 and row[j]:
-                    acc = acc + Rat(row[j]) * vec[j]
-            vec[p] = -acc / row[p]
-        first = next(v for v in vec if v != 0)
-        basis.append([v / first for v in vec])
+    for vec in _null_ints(_int_rows(rows), ncols):
+        first = next(v for v in vec if v)
+        basis.append([Rat(v, first) if v else ZERO for v in vec])
     return basis
 
 
 def rank(rows, ncols: int) -> int:
-    mat = [clear_denominators(row) for row in rows if any(v != 0 for v in row)]
-    pivots, _ = _bareiss_echelon(mat, ncols)
-    return len(pivots)
+    return len(_reduce(_int_rows(rows), ncols)[0])
 
 
 def rref(vectors, ncols: int) -> list[list[Rat]]:
     """Reduced row echelon form of the row space: the canonical subspace basis."""
-    mat = [[Rat(v) for v in row] for row in vectors if any(v != 0 for v in row)]
-    pr = 0
-    pivots = []
-    for c in range(ncols):
-        pivot = None
-        for r in range(pr, len(mat)):
-            if mat[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[pr], mat[pivot] = mat[pivot], mat[pr]
-        lead = mat[pr][c]
-        mat[pr] = [v / lead for v in mat[pr]]
-        for r in range(len(mat)):
-            if r != pr and mat[r][c] != 0:
-                factor = mat[r][c]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pr])]
-        pivots.append(c)
-        pr += 1
-        if pr == len(mat):
-            break
-    return [row for row in mat if any(v != 0 for v in row)]
+    return _rref_rats(_int_rows(vectors), ncols)
 
 
 def same_rowspace(a, b, ncols: int) -> bool:
@@ -113,15 +118,11 @@ def in_span(basis, target, ncols: int) -> list[Rat] | None:
         return [ZERO] * len(basis)
     if not basis:
         return None
-    # solve basis^T c = target via nullspace of [basis^T | -target]
-    cols = len(basis) + 1
-    rows = []
-    for j in range(ncols):
-        rows.append([basis[i][j] for i in range(len(basis))] + [Rat(target[j])])
-    for vec in nullspace(rows, cols):
-        if vec[-1] != 0:
-            scale = -ONE / vec[-1]
-            return [v * scale for v in vec[:-1]]
+    # solve basis^T c = target via nullspace of [basis^T | target]
+    rows = [[row[j] for row in basis] + [Rat(target[j])] for j in range(ncols)]
+    for vec in _null_ints(_int_rows(rows), len(basis) + 1):
+        if vec[-1]:
+            return [Rat(-v, vec[-1]) for v in vec[:-1]]
     return None
 
 
@@ -134,69 +135,37 @@ def intersect_rowspaces(a, b, ncols: int) -> list[list[Rat]]:
     """
     if not a or not b:
         return []
-    return rref(nullspace(nullspace(a, ncols) + nullspace(b, ncols), ncols), ncols)
+    perp = _null_ints(_int_rows(a), ncols) + _null_ints(_int_rows(b), ncols)
+    return _rref_rats(_null_ints(perp, ncols), ncols)
 
 
-def mat_mul_vec(matrix, vec):
-    return [sum((row[j] * vec[j] for j in range(len(vec))), ZERO) for row in matrix]
+def _solve_right(matrix, rhs_rows) -> list[list[Rat]] | None:
+    """X with matrix X = B for square rational matrix and B given by its
+    rows; None when the matrix is singular."""
+    n = len(matrix)
+    mat = _int_rows(list(row) + list(b) for row, b in zip(matrix, rhs_rows))
+    pivots, d, _ = _reduce(mat, n)
+    if len(pivots) < n:
+        return None
+    return [[Rat(v, d) for v in row[n:]] for row in mat[:n]]
 
 
 def solve_linear_system(matrix, rhs):
     """Solve square rational M x = rhs exactly; None when M is singular."""
-    n = len(matrix)
-    aug = [[Rat(v) for v in row] + [Rat(rhs[i])] for i, row in enumerate(matrix)]
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if aug[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None
-        aug[c], aug[pivot] = aug[pivot], aug[c]
-        lead = aug[c][c]
-        aug[c] = [v / lead for v in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                factor = aug[r][c]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[c])]
-    return [aug[i][n] for i in range(n)]
+    sol = _solve_right(matrix, [[v] for v in rhs])
+    return None if sol is None else [row[0] for row in sol]
 
 
 def invert_rational_matrix(matrix):
     n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [ONE if i == j else ZERO for i in range(n)]
-        col = solve_linear_system(matrix, e)
-        if col is None:
-            return None
-        cols.append(col)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return _solve_right(matrix, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
 
 def det_rational_matrix(matrix) -> Rat:
     n = len(matrix)
-    mat = [[Rat(v) for v in row] for row in matrix]
-    det = ONE
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if mat[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = -det
-        det = det * mat[c][c]
-        lead = mat[c][c]
-        for r in range(c + 1, n):
-            if mat[r][c] != 0:
-                factor = mat[r][c] / lead
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[c])]
-    return det
+    scale = math.prod(math.lcm(*(v.denominator for v in row)) for row in matrix)
+    pivots, d, sign = _reduce(_int_rows(matrix), n)
+    return Rat(sign * d, scale) if len(pivots) == n else ZERO
 
 
 def adjugate_rational_matrix(matrix):

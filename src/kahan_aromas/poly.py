@@ -690,10 +690,10 @@ class PointEvaluator:
     def __init__(self, nvars: int, values):
         if len(values) != nvars:
             raise ValueError("point arity does not match variable count")
-        vals = [Rat(v) for v in values]
+        self.point = [Rat(v) for v in values]
         self.nvars = nvars
-        self.den = math.lcm(*(v.denominator for v in vals))
-        self.nums = [v.numerator * (self.den // v.denominator) for v in vals]
+        self.den = math.lcm(*(v.denominator for v in self.point))
+        self.nums = [v.numerator * (self.den // v.denominator) for v in self.point]
         self._cache: dict[int, tuple[int, int]] = {0: (1, 0)}  # key -> (A, t)
 
     def monomial(self, key: int) -> tuple[int, int]:

@@ -10,7 +10,6 @@ everywhere.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction as Rat
 
 ZERO = Rat(0)
@@ -31,13 +30,6 @@ def parse_rat(text: str) -> Rat:
 
 def format_rat(value) -> str:
     return str(Rat(value))
-
-
-def clear_denominators(row) -> list[int]:
-    """Scale a rational row by the lcm of denominators; returns integer row."""
-    row = [Rat(v) for v in row]
-    lcm = math.lcm(*(v.denominator for v in row))
-    return [v.numerator * (lcm // v.denominator) for v in row]
 
 
 def random_rational(rng, num_range=(-20, 20), den_range=(1, 7)) -> Rat:

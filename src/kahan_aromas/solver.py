@@ -16,6 +16,7 @@ handled by reseeding once and finally by fully symbolic assembly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -31,7 +32,7 @@ from .graphs import (
     enumerate_multisets,
     parse_multiset,
 )
-from .linalg import det_rational_matrix, in_span, intersect_rowspaces, nullspace, rank, rref
+from .linalg import det_rational_matrix, in_span, nullspace, rank, rref
 from .poly import PointEvaluator, Polynomial, RationalFunction
 from .rationals import Rat, ONE, ZERO, random_rational
 
@@ -66,27 +67,36 @@ class Basis:
 
 
 def _reduce_against(vec: dict, rows: list[tuple[int, dict]]) -> dict:
+    """Integer vec with each row's pivot eliminated by cross-multiplication,
+    kept primitive (its entries divided by their gcd)."""
     for pivot, row in rows:
         c = vec.get(pivot)
-        if c is not None and c != 0:
-            for k, v in row.items():
-                cur = vec.get(k, ZERO) - c * v
-                if cur == 0:
-                    vec.pop(k, None)
-                else:
-                    vec[k] = cur
+        if not c:
+            continue
+        p = row[pivot]
+        g = math.gcd(p, c)
+        p, c = p // g, c // g
+        vec = {k: p * v for k, v in vec.items()}
+        for k, v in row.items():
+            cur = vec.get(k, 0) - c * v
+            if cur:
+                vec[k] = cur
+            else:
+                del vec[k]
+        g = math.gcd(*vec.values())
+        if g > 1:
+            vec = {k: v // g for k, v in vec.items()}
     return vec
 
 
 def _insert_independent(vec: dict, rows: list[tuple[int, dict]]) -> bool:
-    """Reduce vec against the echelon rows; when a remainder is left, add it
-    as a new row (rows stay sorted by descending pivot) and return True."""
+    """Reduce the integer vec against the echelon rows; when a remainder is
+    left, add it as a new row (rows stay sorted by descending pivot) and
+    return True."""
     vec = _reduce_against(vec, rows)
     if not vec:
         return False
-    pivot = max(vec)
-    inv = ONE / vec[pivot]
-    rows.append((pivot, {k: v * inv for k, v in vec.items()}))
+    rows.append((max(vec), vec))
     rows.sort(key=lambda pr: -pr[0])
     return True
 
@@ -126,7 +136,7 @@ def build_basis(
         if aug is not None and not poly.is_zero():
             poly = poly * aug[1]
         # integer terms: independence does not depend on the content
-        if _insert_independent(dict(poly.terms), reduced_rows):
+        if _insert_independent(poly.terms, reduced_rows):
             elements.append(
                 BasisElement(key, mset, aug, poly, mset.order, mset.sigma())
             )
@@ -209,12 +219,15 @@ def _density_from_gamma(basis: Basis, gamma: list[Rat]) -> Polynomial:
 
 
 def _sample_point(rng, kmap: KahanMap):
-    n = kmap.field.dim
+    """(evaluator at a random point (x, h) off det(M) = 0, det(M) there, Phi(x))."""
+    field = kmap.field
     for _ in range(SAMPLE_ATTEMPTS):
-        xs = [random_rational(rng) for _ in range(n)]
+        xs = [random_rational(rng) for _ in range(field.dim)]
         h = random_rational(rng)
-        if kmap.det_m_at(xs, h) != 0:
-            return xs, h, kmap.apply_point(xs, h)
+        ev = PointEvaluator(field.nvars, xs + [h, ZERO])
+        det_m = kmap.det_m_at(ev)
+        if det_m != 0:
+            return ev, det_m, kmap.apply_point(ev)
     raise SolverError(f"no sample point off det(M) = 0 in {SAMPLE_ATTEMPTS} attempts")
 
 
@@ -229,11 +242,11 @@ def _discover(kmap: KahanMap, basis: Basis, seed: int) -> list[list[Rat]]:
     jac = field.jacobian()
     rows = []
     for _ in range(S):
-        xs, h, phi = _sample_point(rng, kmap)
-        nm = kmap.det_m_at(xs, h)  # N_{-h/2}(x) = det(I - (h/2) f'(x))
-        ev_x = PointEvaluator(field.nvars, list(xs) + [h, ZERO])
-        ev_phi = PointEvaluator(field.nvars, list(phi) + [h, ZERO])
-        half_h = Rat(h) / 2
+        # nm = N_{-h/2}(x) = det(I - (h/2) f'(x))
+        ev_x, nm, phi = _sample_point(rng, kmap)
+        h = ev_x.point[n]
+        ev_phi = PointEvaluator(field.nvars, phi + [h, ZERO])
+        half_h = h / 2
         mat = [
             [(ONE if i == j else ZERO) + half_h * ev_phi(jac[i][j]) for j in range(n)]
             for i in range(n)
@@ -241,7 +254,7 @@ def _discover(kmap: KahanMap, basis: Basis, seed: int) -> list[list[Rat]]:
         np_val = det_rational_matrix(mat)  # N_{+h/2}(Phi(x))
         row = []
         for el in elements:
-            w = Rat(h) ** el.order / el.sigma
+            w = h**el.order / el.sigma
             row.append(nm * w * ev_phi(el.poly) - w * ev_x(el.poly) * np_val)
         rows.append(row)
     return nullspace(rows, K)
@@ -370,10 +383,11 @@ def verify_density(field: QuadraticVectorField, P: Polynomial, seed: int = 0) ->
     for _ in range(SAMPLE_ATTEMPTS):
         xs = [random_rational(rng) for _ in range(field.dim)]
         h = random_rational(rng)
-        den_val = kmap.det_m_at(xs, h)
+        ev = PointEvaluator(field.nvars, xs + [h, ZERO])
+        den_val = kmap.det_m_at(ev)
         if den_val == 0:
             continue
-        value = defect.evaluate([Rat(v) for v in xs] + [Rat(h), ZERO])
+        value = ev(defect)
         if value != 0:
             return VerificationResult(False, (xs, h, value / den_val**D))
     raise SolverError(
@@ -522,7 +536,9 @@ class ParameterIndependentSolution:
 
 
 def _sparse(vec: list[Rat]) -> dict:
-    return {j: c for j, c in enumerate(vec) if c != 0}
+    """Nonzero entries of a rational vector, scaled to integers."""
+    lcm = math.lcm(*(c.denominator for c in vec))
+    return {j: c.numerator * (lcm // c.denominator) for j, c in enumerate(vec) if c}
 
 
 def _weighted_coordinate_polys(field, multisets):
@@ -571,8 +587,12 @@ def parameter_independent_solve(
     coords = [m.encoding for m in multisets]
     ncols = len(coords)
 
-    space = None
-    kernel_space = None
+    # a subspace is the nullspace of its orthogonal complement, so stack the
+    # instances' complements and eliminate once: the kernel of F is the
+    # nullspace of the coefficient rows, and an instance's solution space
+    # (its gamma-space plus that kernel) has the complement nullspace(...)
+    space_perp = []
+    kernel_perp = []
     maps = []
     for idx, f in enumerate(fields):
         sol = solve_darboux(f, max_order, parity=parity, seed=seed + idx)
@@ -581,16 +601,10 @@ def parameter_independent_solve(
         polys = _weighted_coordinate_polys(f, multisets)
         monomials = sorted({k for p in polys for k in p.terms})
         rows = [[p.coefficient(mk) for p in polys] for mk in monomials]
-        kern = nullspace(rows, ncols)
-        s_i = rref(lifted + kern, ncols)
-        space = s_i if space is None else intersect_rowspaces(space, s_i, ncols)
-        kernel_space = (
-            rref(kern, ncols)
-            if kernel_space is None
-            else intersect_rowspaces(kernel_space, kern, ncols)
-        )
-    space = space or []
-    kernel_space = kernel_space or []
+        kernel_perp.extend(rows)
+        space_perp.extend(nullspace(lifted + nullspace(rows, ncols), ncols))
+    space = rref(nullspace(space_perp, ncols), ncols)
+    kernel_space = rref(nullspace(kernel_perp, ncols), ncols)
 
     # space modulo the common kernel: keep each vector that one incremental
     # echelon form of the kernel and the vectors kept so far does not span

@@ -4,11 +4,13 @@ Functional graphs are raw endomaps g: {0..n-1} -> {0..n-1} (the edge set is
 v -> g[v]); isomorphism classes are computed by quotienting by all vertex
 permutations, never by the package's canonical forms.  Aromatic functions
 are summed over every index assignment of the aroma's vertices, never by the
-package's contraction.
+package's contraction.  Linear algebra is Gauss-Jordan elimination in
+`Fraction` arithmetic, never the package's fraction-free kernel.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations, product
 
 from kahan_aromas.poly import Polynomial
@@ -142,3 +144,25 @@ def aroma_by_assignments(field, aroma):
                 break
         total = total + term
     return total
+
+
+def rref_by_fractions(rows, ncols: int) -> list[list[Fraction]]:
+    """Reduced row echelon form by Gauss-Jordan elimination on `Fraction`s,
+    pivoting on the first nonzero entry in row order."""
+    mat = [[Fraction(v) for v in row] for row in rows if any(v != 0 for v in row)]
+    pr = 0
+    for c in range(ncols):
+        pivot = next((r for r in range(pr, len(mat)) if mat[r][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[pr], mat[pivot] = mat[pivot], mat[pr]
+        lead = mat[pr][c]
+        mat[pr] = [v / lead for v in mat[pr]]
+        for r in range(len(mat)):
+            if r != pr and mat[r][c] != 0:
+                factor = mat[r][c]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[pr])]
+        pr += 1
+        if pr == len(mat):
+            break
+    return [row for row in mat if any(v != 0 for v in row)]

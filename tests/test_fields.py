@@ -44,7 +44,7 @@ from kahan_aromas.graphs import (
     parse_multiset,
     tall_tree,
 )
-from kahan_aromas.poly import Polynomial, RationalFunction, rf_substitute
+from kahan_aromas.poly import PointEvaluator, Polynomial, RationalFunction, rf_substitute
 from kahan_aromas.rationals import Rat
 from oracles import aroma_by_assignments
 
@@ -384,8 +384,8 @@ def test_apply_point_matches_symbolic_map():
     m = KahanMap(f)
     xs = [Rat(1, 2), Rat(-1, 3), Rat(2)]
     h = Rat(1, 5)
-    image = m.apply_point(xs, h)
     point = xs + [h, Rat(0)]
+    image = m.apply_point(PointEvaluator(f.nvars, point))
     den_val = m.den.evaluate(point)
     for i in range(3):
         assert image[i] == m.numerators[i].evaluate(point) / den_val

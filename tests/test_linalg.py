@@ -1,39 +1,136 @@
-"""Exact nullspace / rank against a plain rational-elimination oracle."""
+"""Exact linear algebra against plain `Fraction` Gauss-Jordan elimination."""
 
 import random
+from itertools import permutations
+from math import prod
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kahan_aromas.linalg import (
+    det_rational_matrix,
     in_span,
     intersect_rowspaces,
+    invert_rational_matrix,
     nullspace,
     rank,
     rref,
     same_rowspace,
+    solve_linear_system,
 )
 from kahan_aromas.rationals import Rat, ZERO, ONE
 
+from oracles import rref_by_fractions
 
-def rational_gauss_rank(rows, ncols):
-    """Independent oracle: fresh rational Gaussian elimination."""
-    mat = [[Rat(v) for v in row] for row in rows]
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
+
+def oracle_nullspace(rows, ncols):
+    """One vector per free column of the oracle rref, first nonzero entry 1."""
+    reduced = rref_by_fractions(rows, ncols)
+    pivots = [next(j for j, v in enumerate(row) if v) for row in reduced]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c] / mat[r][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-    return r
+        vec = [ZERO] * ncols
+        vec[f] = ONE
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        first = next(v for v in vec if v)
+        basis.append([v / first for v in vec])
+    return basis
+
+
+def oracle_in_span(basis, target, ncols):
+    if not any(target):
+        return [ZERO] * len(basis)
+    rows = [[row[j] for row in basis] + [target[j]] for j in range(ncols)]
+    for vec in oracle_nullspace(rows, len(basis) + 1):
+        if vec[-1]:
+            return [-v / vec[-1] for v in vec[:-1]]
+    return None
+
+
+def oracle_intersection(a, b, ncols):
+    """Zassenhaus: rows [a | a] and [b | 0]; the reduced rows whose left half
+    vanishes span the intersection in their right half."""
+    if not a or not b:
+        return []
+    stacked = [list(r) + list(r) for r in a] + [list(r) + [ZERO] * ncols for r in b]
+    reduced = rref_by_fractions(stacked, 2 * ncols)
+    return rref_by_fractions([row[ncols:] for row in reduced if not any(row[:ncols])], ncols)
+
+
+def oracle_det(square):
+    """Leibniz formula."""
+    n = len(square)
+    total = ZERO
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod((square[i][perm[i]] for i in range(n)), start=ONE)
+    return total
+
+
+def oracle_solve(square, rhs_rows):
+    """X with square X = B (B by rows), or None when square is singular."""
+    if oracle_det(square) == 0:
+        return None
+    n = len(square)
+    width = len(rhs_rows[0]) if rhs_rows else 0
+    aug = [list(row) + list(b) for row, b in zip(square, rhs_rows)]
+    return [row[n:] for row in rref_by_fractions(aug, n + width)]
+
+
+RATIONALS = st.builds(Rat, st.integers(-4, 4), st.integers(1, 3))
+SHAPES = ("product", "no_rows", "zero_column", "one_row", "square_singular")
+
+
+@st.composite
+def rank_deficient(draw, ncols=None):
+    """A product of random rational factors through an inner dimension no
+    larger than either side, so the rank is at most that inner size."""
+    shape = draw(st.sampled_from(SHAPES))
+    if ncols is None:
+        ncols = draw(st.integers(1, 6))
+    nrows = {"no_rows": 0, "one_row": 1, "square_singular": ncols}.get(shape)
+    if nrows is None:
+        nrows = draw(st.integers(0, 7))
+    inner = draw(st.integers(0, max(0, min(nrows, ncols) - (shape == "square_singular"))))
+    left = draw(st.lists(st.lists(RATIONALS, min_size=inner, max_size=inner), min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(RATIONALS, min_size=ncols, max_size=ncols), min_size=inner, max_size=inner))
+    matrix = [[sum((l[k] * right[k][j] for k in range(inner)), ZERO) for j in range(ncols)] for l in left]
+    if shape == "zero_column":
+        j = draw(st.integers(0, ncols - 1))
+        for row in matrix:
+            row[j] = ZERO
+    return matrix, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_deficient(), st.data())
+def test_kernel_matches_fraction_oracle(drawn, data):
+    matrix, ncols = drawn
+    reduced = rref_by_fractions(matrix, ncols)
+    assert rref(matrix, ncols) == reduced
+    assert rank(matrix, ncols) == len(reduced)
+    assert nullspace(matrix, ncols) == oracle_nullspace(matrix, ncols)
+
+    coeffs = data.draw(st.lists(RATIONALS, min_size=len(matrix), max_size=len(matrix)))
+    inside = [sum((c * row[j] for c, row in zip(coeffs, matrix)), ZERO) for j in range(ncols)]
+    outside = data.draw(st.lists(RATIONALS, min_size=ncols, max_size=ncols))
+    for target in (inside, outside):
+        if matrix:
+            assert in_span(matrix, target, ncols) == oracle_in_span(matrix, target, ncols)
+
+    other, _ = data.draw(rank_deficient(ncols))
+    assert intersect_rowspaces(matrix, other, ncols) == oracle_intersection(matrix, other, ncols)
+
+    k = min(len(matrix), ncols)
+    square = [row[:k] for row in matrix[:k]]
+    assert det_rational_matrix(square) == oracle_det(square)
+    rhs = data.draw(st.lists(RATIONALS, min_size=k, max_size=k))
+    expected = oracle_solve(square, [[v] for v in rhs])
+    assert solve_linear_system(square, rhs) == (None if expected is None else [row[0] for row in expected])
+    identity = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
+    assert invert_rational_matrix(square) == oracle_solve(square, identity)
 
 
 def test_nullspace_identity():
@@ -67,7 +164,7 @@ def test_nullspace_properties_random(seed):
         first = next(v for v in vec if v != 0)
         assert first == 1
     assert rank(rows, n) + len(basis) == n
-    assert rank(rows, n) == rational_gauss_rank(rows, n)
+    assert rank(rows, n) == len(rref_by_fractions(rows, n))
 
 
 def test_rref_canonical_and_rowspace_equality():

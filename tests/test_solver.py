@@ -24,7 +24,7 @@ from kahan_aromas.graphs import (
     enumerate_multisets,
     parse_multiset,
 )
-from kahan_aromas.linalg import rref
+from kahan_aromas.linalg import intersect_rowspaces, nullspace, rref
 from kahan_aromas.poly import Polynomial
 from kahan_aromas.rationals import Rat, ZERO
 from kahan_aromas.solver import (
@@ -260,6 +260,35 @@ def test_parameter_independent_single_field_matches_plain_solve():
         assert density_span_solve(sol.densities, d) is not None
 
 
+def test_parameter_independent_matches_pairwise_intersection():
+    # one elimination of the stacked complements gives the canonical bases
+    # of intersecting the instances' spaces one pair at a time; generic
+    # instances share one space at order 4, so instances with k = 0 and with
+    # c = 0, whose kernels of F are larger, sit on either side of a generic one
+    generic = ishii(**random_ishii_params(random.Random(3))[0])
+    fields = [ishii(1, 2, -1, 1, 3, 0), generic, ishii(1, 1, 0, 0, 0, 1)]
+    pis = parameter_independent_solve(fields, 3, 4, parity="even", seed=11)
+    ncols = len(pis.coords)
+    space = kernel = None
+    kernel_sizes = []
+    for idx, f in enumerate(fields):
+        lifted = gamma_space(solve_darboux(f, 4, parity="even", seed=11 + idx), pis.coords)
+        h = Polynomial.variable(f.nvars, f.dim)
+        polys = []
+        for enc in pis.coords:
+            m = parse_multiset(enc)
+            polys.append(f.aroma_function(m) * h**m.order * Rat(1, m.sigma()))
+        monomials = sorted({k for p in polys for k in p.terms})
+        kern = nullspace([[p.coefficient(mk) for p in polys] for mk in monomials], ncols)
+        s_i = rref(lifted + kern, ncols)
+        kernel_sizes.append(len(kern))
+        space = s_i if space is None else intersect_rowspaces(space, s_i, ncols)
+        kernel = rref(kern, ncols) if kernel is None else intersect_rowspaces(kernel, kern, ncols)
+    assert kernel_sizes[0] > len(kernel) < kernel_sizes[-1]
+    assert pis.space == space
+    assert pis.common_kernel == kernel
+
+
 def test_parameter_independent_requires_two_instances():
     with pytest.raises(ValueError):
         parameter_independent_solve([lv_divfree()], 1, 2)
@@ -352,7 +381,7 @@ def test_randomized_searches_are_bounded(monkeypatch):
     # witness point exists, and each search must give up with its count
     import kahan_aromas.solver as solver_mod
 
-    monkeypatch.setattr(KahanMap, "det_m_at", lambda self, xs, h: ZERO)
+    monkeypatch.setattr(KahanMap, "det_m_at", lambda self, ev: ZERO)
     f = lv_divfree()
     with pytest.raises(SolverError, match=f"{solver_mod.SAMPLE_ATTEMPTS} attempts"):
         solver_mod._sample_point(random.Random(0), KahanMap(f))
