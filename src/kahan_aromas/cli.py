@@ -53,8 +53,11 @@ def _load_field(args) -> QuadraticVectorField:
     if getattr(args, "field", None) and getattr(args, "system", None):
         raise InputError("give exactly one field source (--field or --system)")
     if getattr(args, "field", None):
+        data = _load_json(args.field)
+        if not isinstance(data, dict):
+            raise InputError("malformed field JSON: the top level must be an object")
         try:
-            return QuadraticVectorField.from_json(_load_json(args.field))
+            return QuadraticVectorField.from_json(data)
         except (ValueError, TypeError, KeyError) as exc:
             raise InputError(f"malformed field JSON: {exc}") from exc
     if getattr(args, "system", None):
@@ -295,15 +298,32 @@ def cmd_hopf_newton(args) -> int:
     return 0
 
 
-def _load_augmenters(path: str):
+def _load_augmenters(path: str, nvars: int):
+    """Labelled augmenters from a JSON object {label: polynomial} or a list of
+    [label, polynomial] pairs; each must be a nonzero polynomial in x alone
+    over the field's nvars variables (x, h, u)."""
     data = _load_json(path)
     if isinstance(data, dict):
         items = sorted(data.items())
+    elif isinstance(data, list) and all(
+        isinstance(item, list) and len(item) == 2 for item in data
+    ):
+        items = data
     else:
-        items = [(label, poly) for label, poly in data]
+        raise InputError(
+            "augmenter JSON must be an object or a list of [label, polynomial] pairs"
+        )
     out = []
     for label, poly_json in items:
-        out.append((str(label), Polynomial.from_json(poly_json)))
+        try:
+            p = Polynomial.from_json(poly_json, nvars)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise InputError(f"malformed augmenter {label!r}: {exc}") from exc
+        if p.is_zero():
+            raise InputError(f"augmenter {label!r} is the zero polynomial")
+        if p.degree_in(nvars - 2) or p.degree_in(nvars - 1):
+            raise InputError(f"augmenter {label!r} must not involve h or u")
+        out.append((str(label), p))
     return out
 
 
@@ -355,7 +375,7 @@ def _is_plain(key: str) -> bool:
 def cmd_darboux_solve(args) -> int:
     _check_order(args.order, args.order_cap)
     field = _load_field(args)
-    augmenters = _load_augmenters(args.augment) if args.augment else None
+    augmenters = _load_augmenters(args.augment, field.nvars) if args.augment else None
     try:
         sol = solve_darboux(
             field, args.order, parity=args.parity, augmenters=augmenters, seed=args.seed
@@ -394,7 +414,7 @@ def cmd_darboux_verify(args) -> int:
         data = data.get("terms", data.get("polynomial"))
     try:
         P = Polynomial.from_json(data, field.nvars)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"malformed density JSON: {exc}") from exc
     try:
         result = verify_density(field, P, seed=args.seed)

@@ -626,6 +626,10 @@ def rf_substitute(
         contrib = _from_ints(n, rest_terms) * power_product(xkey)
         acc = by_degree.get(d)
         by_degree[d] = contrib if acc is None else acc + contrib
+    # the recursive closure refers to itself; unbinding it breaks that cycle,
+    # so `cache` and the numerators are freed by reference counting instead
+    # of waiting for the cyclic garbage collector
+    del power_product
     # Horner in the denominator: sum_d bucket[d] * den^(clear_power - d),
     # i.e. higher x-degree buckets receive lower denominator powers
     result = Polynomial.zero(n)

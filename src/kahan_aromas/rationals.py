@@ -24,8 +24,14 @@ def rat(num, den=1) -> Rat:
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse "p" or "p/q" (spaces tolerated)."""
-    return Rat(text.strip())
+    """Parse "p" or "p/q" (spaces tolerated); anything else, a zero
+    denominator included, raises ValueError."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string 'p' or 'p/q', got {text!r}")
+    try:
+        return Rat(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rat(value) -> str:

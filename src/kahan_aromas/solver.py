@@ -218,8 +218,9 @@ def _density_from_gamma(basis: Basis, gamma: list[Rat]) -> Polynomial:
     return out
 
 
-def _sample_point(rng, kmap: KahanMap):
-    """(evaluator at a random point (x, h) off det(M) = 0, det(M) there, Phi(x))."""
+def _usable_points(rng, kmap: KahanMap):
+    """Seeded random points (x, h) off det(M) = 0 among SAMPLE_ATTEMPTS
+    draws, each as (evaluator at (x, h), det(M) there, Phi(x))."""
     field = kmap.field
     for _ in range(SAMPLE_ATTEMPTS):
         xs = [random_rational(rng) for _ in range(field.dim)]
@@ -227,7 +228,14 @@ def _sample_point(rng, kmap: KahanMap):
         ev = PointEvaluator(field.nvars, xs + [h, ZERO])
         det_m = kmap.det_m_at(ev)
         if det_m != 0:
-            return ev, det_m, kmap.apply_point(ev)
+            yield ev, det_m, kmap.apply_point(ev)
+
+
+def _sample_point(rng, kmap: KahanMap):
+    """The first usable point of `_usable_points`; SolverError when the
+    draws find none."""
+    for point in _usable_points(rng, kmap):
+        return point
     raise SolverError(f"no sample point off det(M) = 0 in {SAMPLE_ATTEMPTS} attempts")
 
 
@@ -373,23 +381,35 @@ class VerificationResult:
 
 
 def verify_density(field: QuadraticVectorField, P: Polynomial, seed: int = 0) -> VerificationResult:
-    """Exact check of P o Phi = det(DPhi) * P via the cleared identity."""
+    """Exact check of P o Phi = det(DPhi) * P: refute at points, then confirm.
+
+    At a rational point (x, h) off det(M) = 0 the Kahan step x' = Phi_h(x)
+    is exact, and the Darboux identity N_{-h/2}(x) P(x') = P(x) N_{h/2}(x')
+    holds there if P is a density.  A nonzero residual
+    N_{-h/2}(x) P(x') - P(x) N_{h/2}(x') is therefore a proof that P is not
+    one; it is returned as the witness and nothing is expanded.  A zero
+    residual proves nothing, so the cleared defect is then expanded once,
+    and only a literal zero polynomial is reported as verified.  The
+    residual is the cleared defect over den^D at the point, and the points
+    are drawn from `seed` in a fixed order, so the witness is the first
+    point where the cleared defect does not vanish.
+    """
     kmap = KahanMap(field)
-    defect = kmap.darboux_defect_cleared(P)
-    if defect.is_zero():
+    n_plus = kmap.n_plus()
+    n = field.dim
+    defect = None
+    for ev, den_val, phi in _usable_points(random.Random(seed), kmap):
+        h = ev.point[n]
+        ev_phi = PointEvaluator(field.nvars, phi + [h, ZERO])
+        residual = den_val * ev_phi(P) - ev(P) * ev_phi(n_plus)
+        if residual != 0:
+            return VerificationResult(False, (ev.point[:n], h, residual))
+        if defect is None:
+            defect = kmap.darboux_defect_cleared(P)
+            if defect.is_zero():
+                return VerificationResult(True)
+    if defect is None and kmap.darboux_defect_cleared(P).is_zero():
         return VerificationResult(True)
-    rng = random.Random(seed)
-    D = max(P.x_degree(), field.dim)
-    for _ in range(SAMPLE_ATTEMPTS):
-        xs = [random_rational(rng) for _ in range(field.dim)]
-        h = random_rational(rng)
-        ev = PointEvaluator(field.nvars, xs + [h, ZERO])
-        den_val = kmap.det_m_at(ev)
-        if den_val == 0:
-            continue
-        value = ev(defect)
-        if value != 0:
-            return VerificationResult(False, (xs, h, value / den_val**D))
     raise SolverError(
         f"no witness point for the nonzero defect in {SAMPLE_ATTEMPTS} attempts"
     )
@@ -594,11 +614,13 @@ def parameter_independent_solve(
     space_perp = []
     kernel_perp = []
     maps = []
+    coordinate_polys = []  # per instance, reused for the densities below
     for idx, f in enumerate(fields):
         sol = solve_darboux(f, max_order, parity=parity, seed=seed + idx)
         maps.append(KahanMap(f))
         lifted = gamma_space(sol, coords)
         polys = _weighted_coordinate_polys(f, multisets)
+        coordinate_polys.append(polys)
         monomials = sorted({k for p in polys for k in p.terms})
         rows = [[p.coefficient(mk) for p in polys] for mk in monomials]
         kernel_perp.extend(rows)
@@ -622,8 +644,7 @@ def parameter_independent_solve(
     verified = True
     for vec in representatives:
         per_instance = []
-        for f, kmap in zip(fields, maps):
-            polys = _weighted_coordinate_polys(f, multisets)
+        for f, kmap, polys in zip(fields, maps, coordinate_polys):
             density = Polynomial.zero(f.nvars)
             for c, p in zip(vec, polys):
                 if c != 0:

@@ -5,15 +5,21 @@ v -> g[v]); isomorphism classes are computed by quotienting by all vertex
 permutations, never by the package's canonical forms.  Aromatic functions
 are summed over every index assignment of the aroma's vertices, never by the
 package's contraction.  Linear algebra is Gauss-Jordan elimination in
-`Fraction` arithmetic, never the package's fraction-free kernel.
+`Fraction` arithmetic, never the package's fraction-free kernel.  Density
+verification expands the symbolic defect before it looks at any point,
+never the package's refute-at-points-first order.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import permutations, product
 
-from kahan_aromas.poly import Polynomial
+from kahan_aromas.fields import KahanMap
+from kahan_aromas.poly import PointEvaluator, Polynomial
+from kahan_aromas.rationals import ZERO, random_rational
+from kahan_aromas.solver import SAMPLE_ATTEMPTS, SolverError, VerificationResult
 
 
 def is_connected(g: tuple[int, ...]) -> bool:
@@ -166,3 +172,28 @@ def rref_by_fractions(rows, ncols: int) -> list[list[Fraction]]:
         if pr == len(mat):
             break
     return [row for row in mat if any(v != 0 for v in row)]
+
+
+def verify_density_by_expansion(field, P, seed: int = 0) -> VerificationResult:
+    """Expand the cleared defect den^D [den P(Phi) - P N_{h/2}(Phi)] first;
+    when it is not the zero polynomial, draw seeded points and return the
+    first one where it does not vanish, its value divided by den^D."""
+    kmap = KahanMap(field)
+    defect = kmap.darboux_defect_cleared(P)
+    if defect.is_zero():
+        return VerificationResult(True)
+    rng = random.Random(seed)
+    D = max(P.x_degree(), field.dim)
+    for _ in range(SAMPLE_ATTEMPTS):
+        xs = [random_rational(rng) for _ in range(field.dim)]
+        h = random_rational(rng)
+        ev = PointEvaluator(field.nvars, xs + [h, ZERO])
+        den_val = kmap.det_m_at(ev)
+        if den_val == 0:
+            continue
+        value = ev(defect)
+        if value != 0:
+            return VerificationResult(False, (xs, h, value / den_val**D))
+    raise SolverError(
+        f"no witness point for the nonzero defect in {SAMPLE_ATTEMPTS} attempts"
+    )

@@ -241,3 +241,60 @@ def test_darboux_solve_with_augmenter_file(capsys, tmp_path):
     payload = json.loads(out)
     assert any(s["augmenter_coeffs"] for s in payload["solutions"])
     assert any(key.startswith("I0*") for key in payload["basis"])
+
+
+_LV = lv_divfree().to_json()
+
+
+@pytest.mark.parametrize(
+    "field, density, augment, message",
+    [
+        (
+            {**_LV, "quadratic": [[1, 1, 2, "1/0"]]},
+            None,
+            None,
+            "zero denominator",
+        ),
+        ({**_LV, "quadratic": [[1, 1, 2, 1]]}, None, None, "rational string"),
+        (_LV, [[[0, 0, 0, 0, 0], "1/0"]], None, "zero denominator"),
+        (_LV, [[[0, 0, 0, 0, 0], float("inf")]], None, "malformed density JSON"),
+        (_LV, None, {"a": [[[1, 0, 0, 0, 0], "1/0"]]}, "zero denominator"),
+        ([_LV], None, None, "must be an object"),
+        (_LV, None, [["a"]], "[label, polynomial] pairs"),
+        (_LV, None, [1, 2], "[label, polynomial] pairs"),
+        (_LV, None, {"a": [[[1, 0, 0, 1, 0], "1"]]}, "must not involve h or u"),
+        (_LV, None, {"a": [[[1, 0, 0, 0, 1], "1"]]}, "must not involve h or u"),
+        (_LV, None, {"a": [[[1, 0, 0], "1"]]}, "arity"),
+        (_LV, None, {"a": []}, "zero polynomial"),
+    ],
+    ids=[
+        "field-zero-denominator",
+        "field-coefficient-not-a-string",
+        "density-zero-denominator",
+        "density-infinite-coefficient",
+        "augmenter-zero-denominator",
+        "field-not-an-object",
+        "augmenter-not-a-pair",
+        "augmenter-not-a-list-of-pairs",
+        "augmenter-with-h",
+        "augmenter-with-u",
+        "augmenter-wrong-arity",
+        "augmenter-empty",
+    ],
+)
+def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, message):
+    field_file = tmp_path / "field.json"
+    field_file.write_text(json.dumps(field))
+    if density is not None:
+        density_file = tmp_path / "density.json"
+        density_file.write_text(json.dumps(density))
+        argv = ["darboux", "verify", "--field", str(field_file), "--density", str(density_file)]
+    else:
+        argv = ["darboux", "solve", "--field", str(field_file), "--order", "2"]
+        if augment is not None:
+            aug_file = tmp_path / "aug.json"
+            aug_file.write_text(json.dumps(augment))
+            argv += ["--augment", str(aug_file)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and message in err

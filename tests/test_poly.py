@@ -1,6 +1,8 @@
 """Exact polynomial and rational-function arithmetic."""
 
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -93,6 +95,27 @@ def test_rf_substitute_requires_enough_clearing():
     den = Polynomial.const(nv, 1) - Polynomial.variable(nv, 1) * xx
     with pytest.raises(ValueError):
         rf_substitute(xx**2, [xx], den, 1)
+
+
+def test_rf_substitute_frees_its_cache_without_the_cycle_collector():
+    class Cache(dict):  # a dict subclass, so it can be weakly referenced
+        pass
+
+    h = x(2)
+    den = const(1) - h * x(0)
+    cache = Cache()
+    alive = weakref.ref(cache)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        got = rf_substitute(x(0) ** 2 * x(1), [x(0) + h, x(1) * den], den, 3, cache)
+        assert len(cache) > 1
+        del cache
+        assert alive() is None
+    finally:
+        if collecting:
+            gc.enable()
+    assert got == (x(0) + h) ** 2 * x(1) * den
 
 
 def test_rf_substitute_rfs_demands_shared_denominator():

@@ -1,6 +1,7 @@
 """Basis selection, kernel relations, and the Darboux solve/verify cycle."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,11 +12,17 @@ from kahan_aromas.corpus import (
     lv_divfree,
     lv_special,
     nambu_homogeneous,
+    random_cubic_polynomial,
     random_ishii_params,
     random_quadratic_field,
     random_symmetric,
 )
-from kahan_aromas.fields import KahanMap, QuadraticVectorField, affine_pullback
+from kahan_aromas.fields import (
+    KahanMap,
+    QuadraticVectorField,
+    affine_pullback,
+    hamiltonian_field,
+)
 from kahan_aromas.graphs import (
     AromaMultiset,
     LOOP,
@@ -25,7 +32,7 @@ from kahan_aromas.graphs import (
     parse_multiset,
 )
 from kahan_aromas.linalg import intersect_rowspaces, nullspace, rref
-from kahan_aromas.poly import Polynomial
+from kahan_aromas.poly import PointEvaluator, Polynomial
 from kahan_aromas.rationals import Rat, ZERO
 from kahan_aromas.solver import (
     SolverError,
@@ -41,6 +48,7 @@ from kahan_aromas.solver import (
     solve_darboux,
     verify_density,
 )
+from oracles import verify_density_by_expansion
 
 
 def X(i, nv=5):
@@ -196,6 +204,82 @@ def test_verify_density_examples():
     assert bad.witness is not None
     xs, h, residual = bad.witness
     assert residual != 0
+
+
+def _verification_cases():
+    """True corpus densities, each of them plus h^2 x1^2, and x1*u, whose
+    nonzero defect vanishes at every sample point (u = 0 there)."""
+    f_div = lv_divfree()
+    f_spec = lv_special()
+    f_ishii = ishii(**random_ishii_params(random.Random(5))[0])
+    f_ham = hamiltonian_field(
+        [[0, 1], [-1, 0]], random_cubic_polynomial(random.Random(19), 2)
+    )
+    h = X(3)
+    true = [
+        (f_div, Polynomial.const(5, 1) - f_div.aroma_function(TWO_CYCLE) * h**2 * Rat(1, 8)),
+        (f_spec, X(2) ** 2 * h**2 * Rat(-4)),
+        (f_ishii, Polynomial.const(5, 1)),
+        (f_ham, KahanMap(f_ham).den),
+    ]
+    perturbed = [
+        (f, P + X(f.dim, f.nvars) ** 2 * X(0, f.nvars) ** 2) for f, P in true
+    ]
+    return true, perturbed, (f_div, X(0) * X(4))
+
+
+def _verify_or_error(verify, field, P, seed):
+    try:
+        return verify(field, P, seed=seed)
+    except SolverError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_verify_density_matches_expansion_oracle(seed):
+    true, perturbed, (f_u, p_u) = _verification_cases()
+    for f, P in true + perturbed + [(f_u, p_u)]:
+        got = _verify_or_error(verify_density, f, P, seed)
+        assert got == _verify_or_error(verify_density_by_expansion, f, P, seed)
+    for f, P in true:
+        assert verify_density(f, P, seed=seed).verified
+    witnesses = []
+    for f, P in perturbed:
+        result = verify_density(f, P, seed=seed)
+        assert not result.verified and result.witness[2] != 0
+        assert all(type(v) is Fraction for v in result.witness[0] + [result.witness[1]])
+        witnesses.append(result.witness)
+    # a density that vanishes at the first usable point and at its Kahan
+    # image has a zero residual there: the witness is a later point
+    f, P = perturbed[0]
+    xs, h, _ = witnesses[0]
+    ev = PointEvaluator(f.nvars, xs + [h, ZERO])
+    image = KahanMap(f).apply_point(ev)
+    shifted = P * (X(0) - Polynomial.const(5, xs[0])) * (X(0) - Polynomial.const(5, image[0]))
+    got = verify_density(f, shifted, seed=seed)
+    assert got == verify_density_by_expansion(f, shifted, seed=seed)
+    assert not got.verified and got.witness[:2] != (xs, h)
+
+
+def test_verify_density_expands_only_to_confirm(monkeypatch):
+    calls = []
+    expand = KahanMap.darboux_defect_cleared
+
+    def counting(self, P):
+        calls.append(P)
+        return expand(self, P)
+
+    monkeypatch.setattr(KahanMap, "darboux_defect_cleared", counting)
+    true, perturbed, (f_u, p_u) = _verification_cases()
+    f, P = perturbed[0]
+    assert not verify_density(f, P).verified
+    assert calls == []  # refuted at its first usable point, never expanded
+    f, P = true[0]
+    assert verify_density(f, P).verified
+    assert len(calls) == 1
+    with pytest.raises(SolverError, match="witness"):
+        verify_density(f_u, p_u)
+    assert len(calls) == 2  # zero residual at every point, expanded once
 
 
 def test_first_integrals_errors():
