@@ -13,7 +13,7 @@ import sys
 from kahan_aromas.cli import render_series, solver_report
 from kahan_aromas.corpus import get_system
 from kahan_aromas.fields import QuadraticVectorField
-from kahan_aromas.solver import first_integrals, solve_darboux
+from kahan_aromas.solver import SolverError, first_integrals, solve_darboux
 
 
 def main() -> int:
@@ -45,7 +45,7 @@ def main() -> int:
         try:
             ratios, count = first_integrals(sol, seed=args.seed)
             print(f"first integrals: {len(ratios)} ratios, {count} independent")
-        except ValueError as exc:
+        except (ValueError, SolverError) as exc:
             print(f"first integrals: {exc}")
     return 0
 

@@ -11,11 +11,12 @@ result was required; 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import corpus
-from .coalgebra import eta, kahan_coeff, q_matrix
+from .coalgebra import q_matrix
 from .fields import KahanMap, QuadraticVectorField, kahan_series
 from .graphs import (
     enumerate_aromas,
@@ -595,9 +596,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

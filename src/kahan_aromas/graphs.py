@@ -260,10 +260,6 @@ def cyclic_aroma(k: int) -> Aroma:
     return Aroma(k)
 
 
-def singleton(aroma: Aroma) -> AromaMultiset:
-    return AromaMultiset((aroma,))
-
-
 def symmetry(obj) -> int:
     """|Aut(g)| for a tree, forest, aroma or aroma multiset."""
     return obj.sigma()

@@ -402,6 +402,11 @@ class Polynomial:
             if len(exps) != nvars:
                 raise ValueError("exponent vector arity mismatch in polynomial JSON")
             key = pack_exponents(exps)
+            if isinstance(coeff, bool) or not isinstance(coeff, (int, str)):
+                # a JSON number such as 0.1 has no exact rational meaning
+                raise ValueError(
+                    f"coefficient {coeff!r} is neither an integer nor a rational string 'p/q'"
+                )
             c = parse_rat(coeff) if isinstance(coeff, str) else Rat(coeff)
             if c != 0:
                 terms[key] = terms.get(key, ZERO) + c
@@ -644,18 +649,6 @@ def rf_substitute(
         for _ in range(clear_power - top):
             result = result * denominator
     return result * p.content
-
-
-def rf_substitute_rfs(p: Polynomial, rfs: list[RationalFunction], clear_power: int) -> Polynomial:
-    """Substitution wrapper taking rational functions; the maps must share
-    one denominator exactly."""
-    if not rfs:
-        raise ValueError("empty substitution map")
-    den = rfs[0].den
-    for r in rfs[1:]:
-        if r.den != den:
-            raise ValueError("substitution map entries must share the denominator exactly")
-    return rf_substitute(p, [r.num for r in rfs], den, clear_power)
 
 
 def series_in_h(r: RationalFunction | Polynomial, order: int) -> list[Polynomial]:

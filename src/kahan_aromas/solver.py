@@ -7,11 +7,18 @@ a fixed enumeration order, then solve the Darboux equation
 
     N_{-h/2}(x) P(Phi_h(x)) - P(x) N_{h/2}(Phi_h(x)) = 0,   cofactor det DPhi_h
 
-for P in the weighted span of the basis.  Discovery evaluates the cleared
-equation at seeded random rational points and takes an exact nullspace;
-every candidate is then verified symbolically (the cleared defect must be
-the literal zero polynomial) before it is reported.  Unlucky sampling is
-handled by reseeding once and finally by fully symbolic assembly.
+for P in the weighted span of the basis.  Everything rests on one exact
+Kahan step x' = Phi_h(x) at a seeded rational point, where the identity
+reads N_{-h/2}(x) P(x') = P(x) N_{h/2}(x'), and on one check of a
+candidate P: refute it by a nonzero residual at a step, or else confirm it
+by expanding the cleared defect to the literal zero polynomial.
+
+Discovery takes the residual of every weighted basis element at 2K + 16
+steps and an exact nullspace, which contains every true solution.  Each
+candidate of the nullspace is checked; a candidate refuted at a fresh step
+adds that step's row, which is nonzero on it, so the nullspace shrinks
+(method "refined") until every candidate is confirmed (method "sampled"
+when none was refuted).  The result is then the exact solution space.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .coalgebra import CoefficientFunctional
 from .fields import KahanMap, QuadraticVectorField
 from .graphs import (
     AromaMultiset,
@@ -32,7 +38,7 @@ from .graphs import (
     enumerate_multisets,
     parse_multiset,
 )
-from .linalg import det_rational_matrix, in_span, nullspace, rank, rref
+from .linalg import in_span, nullspace, rank, rref
 from .poly import PointEvaluator, Polynomial, RationalFunction
 from .rationals import Rat, ONE, ZERO, random_rational
 
@@ -199,36 +205,36 @@ class DarbouxSolution:
                 out.extend(self.bases[sector].dropped)
         return out
 
-    def gamma_functional(self, i: int, truncation: int | None = None) -> CoefficientFunctional:
-        support = {k: v for k, v in self.gammas[i].items() if _is_multiset_key(k)}
-        return CoefficientFunctional(support, truncation or self.max_order)
+
+def _weighted_polys(field: QuadraticVectorField, items) -> list[Polynomial]:
+    """F(alpha) h^|alpha| / sigma(alpha) for each (F(alpha), |alpha|,
+    sigma(alpha)): the polynomials that the coordinates of gamma multiply."""
+    h = Polynomial.variable(field.nvars, field.dim)
+    return [p * (h**order) * Rat(1, sigma) for p, order, sigma in items]
 
 
-def _is_multiset_key(key: str) -> bool:
-    return key == "1" or key.startswith("C")
-
-
-def _density_from_gamma(basis: Basis, gamma: list[Rat]) -> Polynomial:
-    nv = basis.field.nvars
-    h = Polynomial.variable(nv, basis.field.dim)
-    out = Polynomial.zero(nv)
-    for coeff, el in zip(gamma, basis.elements):
-        if coeff != 0:
-            out = out + el.poly * (h**el.order) * (coeff / el.sigma)
+def _combination(polys: list[Polynomial], coeffs: list[Rat]) -> Polynomial:
+    out = Polynomial.zero(polys[0].nvars)
+    for c, p in zip(coeffs, polys):
+        if c != 0:
+            out = out + p * c
     return out
 
 
 def _usable_points(rng, kmap: KahanMap):
-    """Seeded random points (x, h) off det(M) = 0 among SAMPLE_ATTEMPTS
-    draws, each as (evaluator at (x, h), det(M) there, Phi(x))."""
+    """Exact Kahan steps x' = Phi_h(x) from seeded random points (x, h) off
+    det(M) = 0 among SAMPLE_ATTEMPTS draws, each as (evaluator at (x, h),
+    N_{-h/2}(x), evaluator at (x', h), N_{h/2}(x'))."""
     field = kmap.field
+    n_plus = kmap.n_plus()
     for _ in range(SAMPLE_ATTEMPTS):
         xs = [random_rational(rng) for _ in range(field.dim)]
         h = random_rational(rng)
         ev = PointEvaluator(field.nvars, xs + [h, ZERO])
-        det_m = kmap.det_m_at(ev)
-        if det_m != 0:
-            yield ev, det_m, kmap.apply_point(ev)
+        n_minus = kmap.det_m_at(ev)  # det(M) = det(I - (h/2) f'(x))
+        if n_minus != 0:
+            ev_phi = PointEvaluator(field.nvars, kmap.apply_point(ev) + [h, ZERO])
+            yield ev, n_minus, ev_phi, ev_phi(n_plus)
 
 
 def _sample_point(rng, kmap: KahanMap):
@@ -239,54 +245,37 @@ def _sample_point(rng, kmap: KahanMap):
     raise SolverError(f"no sample point off det(M) = 0 in {SAMPLE_ATTEMPTS} attempts")
 
 
-def _discover(kmap: KahanMap, basis: Basis, seed: int) -> list[list[Rat]]:
-    """Candidate gamma-space from seeded rational sampling + exact nullspace."""
-    field = kmap.field
-    n = field.dim
-    elements = basis.elements
-    K = len(elements)
-    S = 2 * K + 16
-    rng = random.Random(seed)
-    jac = field.jacobian()
-    rows = []
-    for _ in range(S):
-        # nm = N_{-h/2}(x) = det(I - (h/2) f'(x))
-        ev_x, nm, phi = _sample_point(rng, kmap)
-        h = ev_x.point[n]
-        ev_phi = PointEvaluator(field.nvars, phi + [h, ZERO])
-        half_h = h / 2
-        mat = [
-            [(ONE if i == j else ZERO) + half_h * ev_phi(jac[i][j]) for j in range(n)]
-            for i in range(n)
-        ]
-        np_val = det_rational_matrix(mat)  # N_{+h/2}(Phi(x))
-        row = []
-        for el in elements:
-            w = h**el.order / el.sigma
-            row.append(nm * w * ev_phi(el.poly) - w * ev_x(el.poly) * np_val)
-        rows.append(row)
-    return nullspace(rows, K)
+def _residual(step, P: Polynomial) -> Rat:
+    """N_{-h/2}(x) P(x') - P(x) N_{h/2}(x') at one Kahan step: linear in P,
+    and zero at every step when P is a density."""
+    ev_x, n_minus, ev_phi, n_plus = step
+    return n_minus * ev_phi(P) - ev_x(P) * n_plus
 
 
-def _solve_symbolic(kmap: KahanMap, basis: Basis) -> list[list[Rat]]:
-    """Fully symbolic assembly of the Darboux system (fallback / oracle path)."""
-    field = kmap.field
-    n = field.dim
-    elements = basis.elements
-    if not elements:
-        return []
-    nv = field.nvars
-    h = Polynomial.variable(nv, n)
-    D = max(max(el.poly.x_degree() for el in elements), n)
-    n_plus_sub = kmap.substitute(kmap.n_plus(), D)
-    columns = []
-    for el in elements:
-        weighted = el.poly * (h**el.order) * (ONE / el.sigma)
-        col = kmap.den * kmap.substitute(weighted, D) - weighted * n_plus_sub
-        columns.append(col)
-    monomials = sorted({k for c in columns for k in c.terms})
-    rows = [[c.coefficient(mk) for c in columns] for mk in monomials]
-    return nullspace(rows, len(elements))
+def _refute_or_confirm(kmap: KahanMap, P: Polynomial, steps):
+    """The exact check of P o Phi = det(DPhi) * P.
+
+    Returns (step, residual) for the first of `steps` where the residual
+    of P is nonzero, a proof that P is no density; nothing is expanded
+    then.  A zero residual proves nothing, so the cleared defect is
+    expanded once, and None (P is a density) is returned only when it is
+    the literal zero polynomial.  When no step comes the defect is expanded
+    all the same; a nonzero defect that no step shows raises SolverError.
+    """
+    expanded = False
+    for step in steps:
+        residual = _residual(step, P)
+        if residual != 0:
+            return step, residual
+        if not expanded:
+            expanded = True
+            if kmap.darboux_defect_cleared(P).is_zero():
+                return None
+    if not expanded and kmap.darboux_defect_cleared(P).is_zero():
+        return None
+    raise SolverError(
+        f"no witness point for the nonzero defect in {SAMPLE_ATTEMPTS} attempts"
+    )
 
 
 def _solve_sector(
@@ -297,28 +286,43 @@ def _solve_sector(
     augmenters,
     seed: int,
 ):
+    """Basis, exact gamma-space, its densities and the method of one sector.
+
+    The first 2K + 16 steps of Random(seed) give the sampled rows; every
+    check draws fresh steps after them.  A confirmed candidate stays a
+    nullspace vector when rows are added (its free coordinate stays free),
+    so it is remembered and never expanded again.
+    """
     orders = set(range(0, max_order + 1, 2)) if sector == "even" else set(
         range(1, max_order + 1, 2)
     )
     basis = build_basis(field, max_order, augmenters, orders)
-    if not basis.elements:
-        return basis, [], "sampled"
-    for attempt, method in ((seed, "sampled"), (seed + 1000003, "sampled-reseeded")):
-        vectors = _discover(kmap, basis, attempt)
-        ok = True
+    weighted = _weighted_polys(
+        field, [(el.poly, el.order, el.sigma) for el in basis.elements]
+    )
+    K = len(weighted)
+    if not K:
+        return basis, [], [], "sampled"
+    S = 2 * K + 16
+    rng = random.Random(seed)
+    steps = [_sample_point(rng, kmap) for _ in range(S)]
+    rows: list[list[Rat]] = []
+    confirmed: dict[tuple, Polynomial] = {}  # candidate -> its density
+    while steps:
+        rows.extend([_residual(step, w) for w in weighted] for step in steps)
+        vectors = nullspace(rows, K)
+        steps = []
         for vec in vectors:
-            density = _density_from_gamma(basis, vec)
-            if not kmap.darboux_defect_cleared(density).is_zero():
-                ok = False
-                break
-        if ok:
-            return basis, vectors, method
-    vectors = _solve_symbolic(kmap, basis)
-    for vec in vectors:
-        density = _density_from_gamma(basis, vec)
-        if not kmap.darboux_defect_cleared(density).is_zero():
-            raise SolverError("symbolic Darboux assembly produced a non-solution")
-    return basis, vectors, "symbolic"
+            if tuple(vec) in confirmed:
+                continue
+            density = _combination(weighted, vec)
+            refuted = _refute_or_confirm(kmap, density, _usable_points(rng, kmap))
+            if refuted is None:
+                confirmed[tuple(vec)] = density
+            else:
+                steps.append(refuted[0])
+    densities = [confirmed[tuple(vec)] for vec in vectors]
+    return basis, vectors, densities, "sampled" if len(rows) == S else "refined"
 
 
 def solve_darboux(
@@ -341,13 +345,12 @@ def solve_darboux(
     parities: list[str] = []
     methods = []
     for sector in sectors:
-        basis, vectors, method = _solve_sector(
+        basis, vectors, sector_densities, method = _solve_sector(
             field, kmap, max_order, sector, augmenters, seed
         )
         bases[sector] = basis
         methods.append(method)
-        for vec in vectors:
-            density = _density_from_gamma(basis, vec)
+        for vec, density in zip(vectors, sector_densities):
             gammas.append(
                 {el.key: c for el, c in zip(basis.elements, vec) if c != 0}
             )
@@ -370,7 +373,7 @@ def solve_darboux(
         parities=parities,
         verified=True,
         seed=seed,
-        method="+".join(sorted(set(methods))) if methods else "sampled",
+        method="refined" if "refined" in methods else "sampled",
     )
 
 
@@ -385,34 +388,20 @@ def verify_density(field: QuadraticVectorField, P: Polynomial, seed: int = 0) ->
 
     At a rational point (x, h) off det(M) = 0 the Kahan step x' = Phi_h(x)
     is exact, and the Darboux identity N_{-h/2}(x) P(x') = P(x) N_{h/2}(x')
-    holds there if P is a density.  A nonzero residual
-    N_{-h/2}(x) P(x') - P(x) N_{h/2}(x') is therefore a proof that P is not
-    one; it is returned as the witness and nothing is expanded.  A zero
-    residual proves nothing, so the cleared defect is then expanded once,
-    and only a literal zero polynomial is reported as verified.  The
-    residual is the cleared defect over den^D at the point, and the points
-    are drawn from `seed` in a fixed order, so the witness is the first
-    point where the cleared defect does not vanish.
+    holds there if P is a density.  A nonzero residual is returned as the
+    witness; otherwise only a cleared defect that expands to the literal
+    zero polynomial is reported as verified.  The residual is the cleared
+    defect over den^D at the point, and the points are drawn from `seed` in
+    a fixed order, so the witness is the first point where the cleared
+    defect does not vanish.
     """
     kmap = KahanMap(field)
-    n_plus = kmap.n_plus()
-    n = field.dim
-    defect = None
-    for ev, den_val, phi in _usable_points(random.Random(seed), kmap):
-        h = ev.point[n]
-        ev_phi = PointEvaluator(field.nvars, phi + [h, ZERO])
-        residual = den_val * ev_phi(P) - ev(P) * ev_phi(n_plus)
-        if residual != 0:
-            return VerificationResult(False, (ev.point[:n], h, residual))
-        if defect is None:
-            defect = kmap.darboux_defect_cleared(P)
-            if defect.is_zero():
-                return VerificationResult(True)
-    if defect is None and kmap.darboux_defect_cleared(P).is_zero():
+    refuted = _refute_or_confirm(kmap, P, _usable_points(random.Random(seed), kmap))
+    if refuted is None:
         return VerificationResult(True)
-    raise SolverError(
-        f"no witness point for the nonzero defect in {SAMPLE_ATTEMPTS} attempts"
-    )
+    (ev, _, _, _), residual = refuted
+    n = field.dim
+    return VerificationResult(False, (ev.point[:n], ev.point[n], residual))
 
 
 def first_integrals(solution_or_densities, seed: int = 0):
@@ -561,15 +550,6 @@ def _sparse(vec: list[Rat]) -> dict:
     return {j: c.numerator * (lcm // c.denominator) for j, c in enumerate(vec) if c}
 
 
-def _weighted_coordinate_polys(field, multisets):
-    nv = field.nvars
-    h = Polynomial.variable(nv, field.dim)
-    out = []
-    for m in multisets:
-        out.append(field.aroma_function(m) * (h**m.order) * Rat(1, m.sigma()))
-    return out
-
-
 def parameter_independent_solve(
     family,
     instances: int,
@@ -619,7 +599,9 @@ def parameter_independent_solve(
         sol = solve_darboux(f, max_order, parity=parity, seed=seed + idx)
         maps.append(KahanMap(f))
         lifted = gamma_space(sol, coords)
-        polys = _weighted_coordinate_polys(f, multisets)
+        polys = _weighted_polys(
+            f, [(f.aroma_function(m), m.order, m.sigma()) for m in multisets]
+        )
         coordinate_polys.append(polys)
         monomials = sorted({k for p in polys for k in p.terms})
         rows = [[p.coefficient(mk) for p in polys] for mk in monomials]
@@ -641,20 +623,14 @@ def parameter_independent_solve(
         raise SolverError("empty intersection: no parameter-independent measure at this order")
 
     densities = []
-    verified = True
     for vec in representatives:
-        per_instance = []
-        for f, kmap, polys in zip(fields, maps, coordinate_polys):
-            density = Polynomial.zero(f.nvars)
-            for c, p in zip(vec, polys):
-                if c != 0:
-                    density = density + p * c
-            per_instance.append(density)
-            if not density.is_zero() and not kmap.darboux_defect_cleared(density).is_zero():
-                verified = False
+        per_instance = [_combination(polys, vec) for polys in coordinate_polys]
+        for kmap, density in zip(maps, per_instance):
+            if density.is_zero():
+                continue
+            if _refute_or_confirm(kmap, density, _usable_points(rng, kmap)) is not None:
+                raise SolverError("intersection vector failed symbolic verification")
         densities.append(per_instance)
-    if not verified:
-        raise SolverError("intersection vector failed symbolic verification")
     return ParameterIndependentSolution(
         fields=fields,
         coords=coords,
@@ -663,7 +639,7 @@ def parameter_independent_solve(
         representatives=representatives,
         densities=densities,
         dimension=len(representatives),
-        verified=verified,
+        verified=True,
     )
 
 

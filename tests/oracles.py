@@ -7,7 +7,8 @@ are summed over every index assignment of the aroma's vertices, never by the
 package's contraction.  Linear algebra is Gauss-Jordan elimination in
 `Fraction` arithmetic, never the package's fraction-free kernel.  Density
 verification expands the symbolic defect before it looks at any point,
-never the package's refute-at-points-first order.
+never the package's refute-at-points-first order, and Darboux solutions
+are read off the fully expanded symbolic system, never off sampled points.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from kahan_aromas.fields import KahanMap
+from kahan_aromas.linalg import nullspace
 from kahan_aromas.poly import PointEvaluator, Polynomial
-from kahan_aromas.rationals import ZERO, random_rational
+from kahan_aromas.rationals import ONE, ZERO, random_rational
 from kahan_aromas.solver import SAMPLE_ATTEMPTS, SolverError, VerificationResult
 
 
@@ -197,3 +199,24 @@ def verify_density_by_expansion(field, P, seed: int = 0) -> VerificationResult:
     raise SolverError(
         f"no witness point for the nonzero defect in {SAMPLE_ATTEMPTS} attempts"
     )
+
+
+def solve_by_symbolic_assembly(kmap, basis) -> list:
+    """Nullspace of the Darboux system assembled symbolically: one column per
+    weighted basis element, its cleared defect at the shared clearing power
+    D, and one row per monomial."""
+    field = kmap.field
+    n = field.dim
+    elements = basis.elements
+    if not elements:
+        return []
+    h = Polynomial.variable(field.nvars, n)
+    D = max(max(el.poly.x_degree() for el in elements), n)
+    n_plus_sub = kmap.substitute(kmap.n_plus(), D)
+    columns = []
+    for el in elements:
+        weighted = el.poly * (h**el.order) * (ONE / el.sigma)
+        columns.append(kmap.den * kmap.substitute(weighted, D) - weighted * n_plus_sub)
+    monomials = sorted({k for c in columns for k in c.terms})
+    rows = [[c.coefficient(mk) for c in columns] for mk in monomials]
+    return nullspace(rows, len(elements))

@@ -195,6 +195,47 @@ def test_text_and_latex_formats(capsys):
     assert code == 0 and out.startswith("\\begin{tabular}")
 
 
+_MIXED_CALLS = [
+    ["--format", "text", "aromas", "enumerate", "--order", "3"],
+    ["aromas", "sigma", "C3(;;)"],
+    ["--format", "latex", "hopf", "q-table", "--order", "2"],
+    ["aromas", "sigma", "C2("],
+    ["--format", "text", "darboux", "solve", "--system", "lv_divfree", "--order", "2"],
+    ["darboux", "solve", "--system", "lv_divfree", "--order", "2", "--parity", "even", "--seed", "3"],
+    ["--order-cap", "2", "darboux", "solve", "--system", "lv_divfree", "--order", "4"],
+    ["hopf", "newton", "--order", "2", "--dim", "2"],
+    ["aromas"],
+    ["--format", "text", "corpus", "list"],
+]
+
+
+def _call(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    import kahan_aromas.cli as cli_mod
+
+    # each call on a parser of its own
+    separate = []
+    for argv in _MIXED_CALLS:
+        cli_mod._parser.cache_clear()
+        separate.append(_call(capsys, argv))
+    built = []
+    real_build = cli_mod.build_parser
+    monkeypatch.setattr(cli_mod, "build_parser", lambda: built.append(1) or real_build())
+    cli_mod._parser.cache_clear()
+    # consecutive calls on one parser, forwards and backwards
+    assert [_call(capsys, argv) for argv in _MIXED_CALLS] == separate
+    assert [_call(capsys, argv) for argv in reversed(_MIXED_CALLS)] == separate[::-1]
+    assert len(built) == 1
+
+
 def test_render_series_shapes():
     assert render_series({"1": Rat(1), "C2(;)": Rat(-1, 4)}) == "1 - (1/8) h^2 F(C2(;))"
     assert render_series({}) == "0"
@@ -266,6 +307,9 @@ _LV = lv_divfree().to_json()
         (_LV, None, {"a": [[[1, 0, 0, 0, 1], "1"]]}, "must not involve h or u"),
         (_LV, None, {"a": [[[1, 0, 0], "1"]]}, "arity"),
         (_LV, None, {"a": []}, "zero polynomial"),
+        (_LV, [[[1, 0, 0, 0, 0], 0.1]], None, "malformed density JSON"),
+        (_LV, [[[1, 0, 0, 0, 0], True]], None, "malformed density JSON"),
+        (_LV, None, {"a": [[[1, 0, 0, 0, 0], 0.5]]}, "malformed augmenter"),
     ],
     ids=[
         "field-zero-denominator",
@@ -280,6 +324,9 @@ _LV = lv_divfree().to_json()
         "augmenter-with-u",
         "augmenter-wrong-arity",
         "augmenter-empty",
+        "density-float-coefficient",
+        "density-bool-coefficient",
+        "augmenter-float-coefficient",
     ],
 )
 def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, message):

@@ -14,7 +14,6 @@ from kahan_aromas.poly import (
     divexact,
     pack_exponents,
     rf_substitute,
-    rf_substitute_rfs,
     series_in_h,
     unpack_exponents,
 )
@@ -118,17 +117,6 @@ def test_rf_substitute_frees_its_cache_without_the_cycle_collector():
     assert got == (x(0) + h) ** 2 * x(1) * den
 
 
-def test_rf_substitute_rfs_demands_shared_denominator():
-    nv = 4
-    xx, yy = Polynomial.variable(nv, 0), Polynomial.variable(nv, 1)
-    one = Polynomial.const(nv, 1)
-    good = [RationalFunction(xx, one + xx), RationalFunction(yy, one + xx)]
-    assert rf_substitute_rfs(xx + yy, good, 1) == xx + yy
-    bad = [RationalFunction(xx, one + xx), RationalFunction(yy, one + yy)]
-    with pytest.raises(ValueError):
-        rf_substitute_rfs(xx + yy, bad, 1)
-
-
 @given(polys(), st.integers(0, 2))
 def test_rf_substitute_clearing_degree_shift(p, extra):
     h = x(2)
@@ -213,6 +201,13 @@ def test_polynomial_json_roundtrip():
     assert all(isinstance(c, str) for _, c in data)
     assert Polynomial.from_json(data) == p
     assert Polynomial.from_json([], nvars=NV).is_zero()
+    # ints keep their meaning; a JSON float or bool has no exact rational one
+    assert Polynomial.from_json([[[1, 0, 0, 0], 3], [[0, 0, 0, 0], "-1/2"]]) == (
+        x(0) * Rat(3) - const(1) * Rat(1, 2)
+    )
+    for bad in (0.1, 2.0, True, False, None):
+        with pytest.raises(ValueError, match="neither an integer nor a rational string"):
+            Polynomial.from_json([[[1, 0, 0, 0], bad]])
 
 
 def test_mixed_variable_universes_rejected():

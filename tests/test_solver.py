@@ -36,7 +36,6 @@ from kahan_aromas.poly import PointEvaluator, Polynomial
 from kahan_aromas.rationals import Rat, ZERO
 from kahan_aromas.solver import (
     SolverError,
-    _solve_symbolic,
     build_basis,
     conjecture_check,
     density_span_solve,
@@ -48,7 +47,7 @@ from kahan_aromas.solver import (
     solve_darboux,
     verify_density,
 )
-from oracles import verify_density_by_expansion
+from oracles import solve_by_symbolic_assembly, verify_density_by_expansion
 
 
 def X(i, nv=5):
@@ -172,7 +171,7 @@ def test_sampled_discovery_agrees_with_symbolic_assembly():
         kmap = KahanMap(f)
         sol = solve_darboux(f, 3, parity="both", seed=trial)
         for sector, basis in sol.bases.items():
-            sym_vectors = _solve_symbolic(kmap, basis)
+            sym_vectors = solve_by_symbolic_assembly(kmap, basis)
             sampled = [
                 [g.get(el.key, ZERO) for el in basis.elements]
                 for g, d in zip(sol.gammas, sol.densities)
@@ -429,28 +428,40 @@ def test_solution_report_round_trip():
         assert verify_density(f, P).verified
 
 
-def test_unlucky_discovery_falls_back_to_symbolic(monkeypatch):
-    # force bogus discovery vectors: verification must reject them and the
-    # solve must recover through the fully symbolic assembly
+@pytest.mark.parametrize("name, order", [("lv_divfree", 4), ("ishii", 4)])
+def test_unlucky_discovery_is_refined(monkeypatch, name, order):
+    # every discovery row at one Kahan step: the sampled nullspace is far too
+    # large, and refinement at fresh steps must cut it down to the exact
+    # solution space, expanding each returned density once and nothing else
     import kahan_aromas.solver as solver_mod
+    from kahan_aromas.corpus import get_system
 
-    def bogus_discover(kmap, basis, seed):
-        vec = [ZERO] * len(basis.elements)
-        if vec:
-            vec[0] = Rat(1)
-            if len(vec) > 1:
-                vec[1] = Rat(1, 3)
-        return [vec]
+    f = get_system(name, seed=0)
+    expected = solve_darboux(f, order, parity="both", seed=0)
+    assert expected.method == "sampled"
 
-    monkeypatch.setattr(solver_mod, "_discover", bogus_discover)
-    sol = solver_mod.solve_darboux(lv_divfree(), 2, parity="even", seed=0)
-    assert sol.method == "symbolic"
-    assert any(
-        g.get("1") == 1 and g.get("C2(;)") == Rat(-1, 4) for g in sol.gammas
-    )
-    kmap = KahanMap(lv_divfree())
-    for density in sol.densities:
-        assert kmap.darboux_defect_cleared(density).is_zero()
+    real_sample_point = solver_mod._sample_point
+    first = []
+
+    def one_step(rng, kmap):
+        if not first:
+            first.append(real_sample_point(rng, kmap))
+        return first[0]
+
+    expanded = []
+    real_defect = KahanMap.darboux_defect_cleared
+
+    def counting_defect(self, P):
+        expanded.append(P)
+        return real_defect(self, P)
+
+    monkeypatch.setattr(solver_mod, "_sample_point", one_step)
+    monkeypatch.setattr(KahanMap, "darboux_defect_cleared", counting_defect)
+    sol = solve_darboux(f, order, parity="both", seed=0)
+    assert sol.method == "refined"
+    assert sol.gammas == expected.gammas
+    assert sol.densities == expected.densities
+    assert sorted(map(str, expanded)) == sorted(map(str, sol.densities))
 
 
 def test_parameter_independent_empty_intersection():
