@@ -42,6 +42,14 @@ class InputError(ValueError):
     pass
 
 
+def _input_error(exc: Exception) -> InputError:
+    """An InputError with the message of exc; a KeyError's message is its
+    argument, not the quoted repr that str() gives."""
+    if isinstance(exc, KeyError) and exc.args:
+        return InputError(exc.args[0])
+    return InputError(str(exc))
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
@@ -71,7 +79,7 @@ def _load_field(args) -> QuadraticVectorField:
         try:
             return corpus.get_system(args.system, params, seed=getattr(args, "seed", 0))
         except (KeyError, ValueError, TypeError) as exc:
-            raise InputError(str(exc)) from exc
+            raise _input_error(exc) from exc
     raise InputError("a field source is required (--field F.json or --system NAME)")
 
 
@@ -475,7 +483,7 @@ def cmd_corpus_run(args) -> int:
     try:
         checks = corpus.golden_suite(args.name, seed=args.seed)
     except KeyError as exc:
-        raise InputError(str(exc)) from exc
+        raise _input_error(exc) from exc
     payload = {
         "system": args.name,
         "seed": args.seed,

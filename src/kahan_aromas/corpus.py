@@ -301,13 +301,14 @@ class SystemSpec:
     build: Callable[[dict], QuadraticVectorField]
     random_params: Callable[[random.Random], dict] | None
     schema: str
+    params: tuple[str, ...]  # the parameter names `build` reads
 
 
 SYSTEMS: dict[str, SystemSpec] = {}
 
 
-def _register(name, description, build, random_params, schema):
-    SYSTEMS[name] = SystemSpec(name, description, build, random_params, schema)
+def _register(name, description, build, random_params, schema, params=()):
+    SYSTEMS[name] = SystemSpec(name, description, build, random_params, schema, params)
 
 
 _register(
@@ -316,6 +317,7 @@ _register(
     lambda p: lv(p.get("alpha", 1), p.get("beta", 1), p.get("gamma", 1)),
     None,
     '{"alpha": "p/q", "beta": "p/q", "gamma": "p/q"}',
+    ("alpha", "beta", "gamma"),
 )
 _register(
     "lv_divfree",
@@ -337,6 +339,7 @@ _register(
     lambda p: dressing_chain(p.get("a", 0), p.get("b", 0), p.get("c", 0)),
     lambda rng: {"a": rand_small(rng), "b": rand_small(rng), "c": rand_small(rng)},
     '{"a": "p/q", "b": "p/q", "c": "p/q"}',
+    ("a", "b", "c"),
 )
 _register(
     "nambu_homogeneous",
@@ -344,6 +347,7 @@ _register(
     lambda p: nambu_homogeneous(p["A"], p["B"]),
     lambda rng: {"A": random_symmetric(rng), "B": random_symmetric(rng)},
     '{"A": 3x3 symmetric, "B": 3x3 symmetric}',
+    ("A", "B"),
 )
 _register(
     "nambu_inhomogeneous",
@@ -356,6 +360,7 @@ _register(
         "kvec": random_vector(rng),
     },
     '{"H": 3x3 sym, "hvec": [3], "K": 3x3 sym, "kvec": [3]}',
+    ("H", "hvec", "K", "kvec"),
 )
 _register(
     "ishii",
@@ -363,6 +368,7 @@ _register(
     lambda p: ishii(p["b2"], p["b3"], p["c1"], p["c2"], p["c3"], p["k"]),
     lambda rng: random_ishii_params(rng)[0],
     '{"b2","b3","c1","c2","c3","k": "p/q"}',
+    ("b2", "b3", "c1", "c2", "c3", "k"),
 )
 _register(
     "divfree_homogeneous_r3",
@@ -370,6 +376,7 @@ _register(
     lambda p: divfree_homogeneous_r3(p["A"], p["B"], p["C"]),
     random_divfree_homogeneous_r3_params,
     '{"A","B","C": 3x3 symmetric with A[0,:]+B[1,:]+C[2,:]=0}',
+    ("A", "B", "C"),
 )
 _register(
     "canonical_hamiltonian",
@@ -380,6 +387,7 @@ _register(
         "H": random_cubic_polynomial(rng, 2).to_json(),
     },
     '{"J": skew matrix, "H": polynomial JSON in n+2 vars}',
+    ("J", "H"),
 )
 
 
@@ -392,7 +400,22 @@ def get_system(name: str, params: dict | None = None, seed: int = 0) -> Quadrati
             params = {}
         else:
             params = spec.random_params(random.Random(seed))
-    return spec.build(params)
+    if not isinstance(params, dict):
+        raise ValueError(f"parameters of system {name!r} must be an object; schema: {spec.schema}")
+    unknown = sorted(set(params) - set(spec.params))
+    if unknown:
+        raise ValueError(
+            f"system {name!r} takes no parameter {', '.join(map(repr, unknown))}; schema: {spec.schema}"
+        )
+    try:
+        return spec.build(params)
+    except KeyError as exc:
+        missing = exc.args[0] if exc.args else None
+        if missing not in spec.params or missing in params:
+            raise
+        raise KeyError(
+            f"system {name!r} needs parameter {missing!r}; schema: {spec.schema}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------------

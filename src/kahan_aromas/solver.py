@@ -13,8 +13,10 @@ reads N_{-h/2}(x) P(x') = P(x) N_{h/2}(x'), and on one check of a
 candidate P: refute it by a nonzero residual at a step, or else confirm it
 by expanding the cleared defect to the literal zero polynomial.
 
-Discovery takes the residual of every weighted basis element at 2K + 16
-steps and an exact nullspace, which contains every true solution.  Each
+Discovery takes the residual of every weighted basis element at seeded
+steps, drawn until the rows reach rank K (then the nullspace is empty and
+the sector has no density) or, when the rank stalls, up to 2K + 16 steps,
+and an exact nullspace, which contains every true solution.  Each
 candidate of the nullspace is checked; a candidate refuted at a fresh step
 adds that step's row, which is nonzero on it, so the nullspace shrinks
 (method "refined") until every candidate is confirmed (method "sampled"
@@ -288,10 +290,14 @@ def _solve_sector(
 ):
     """Basis, exact gamma-space, its densities and the method of one sector.
 
-    The first 2K + 16 steps of Random(seed) give the sampled rows; every
-    check draws fresh steps after them.  A confirmed candidate stays a
-    nullspace vector when rows are added (its free coordinate stays free),
-    so it is remembered and never expanded again.
+    The sampled rows come from the steps of Random(seed), drawn lazily: K
+    steps, then while the rank grows only the K - rank rows still missing.
+    Rows of rank K have an empty nullspace, which no further row changes,
+    so such a sector has no density.  When the rank stalls below K, the
+    rest of the first 2K + 16 steps are drawn, and every check draws fresh
+    steps after them.  A confirmed candidate stays a nullspace vector when
+    rows are added (its free coordinate stays free), so it is remembered
+    and never expanded again.
     """
     orders = set(range(0, max_order + 1, 2)) if sector == "even" else set(
         range(1, max_order + 1, 2)
@@ -305,13 +311,26 @@ def _solve_sector(
         return basis, [], [], "sampled"
     S = 2 * K + 16
     rng = random.Random(seed)
-    steps = [_sample_point(rng, kmap) for _ in range(S)]
     rows: list[list[Rat]] = []
+
+    def add_row(step):
+        rows.append([_residual(step, w) for w in weighted])
+
+    for _ in range(K):
+        add_row(_sample_point(rng, kmap))
+    last = -1  # the rank at the previous check
+    while len(rows) < S:
+        have = rank(rows, K)
+        if have == K:
+            return basis, [], [], "sampled"
+        more = S - len(rows) if have == last else min(K - have, S - len(rows))
+        for _ in range(more):
+            add_row(_sample_point(rng, kmap))
+        last = have
     confirmed: dict[tuple, Polynomial] = {}  # candidate -> its density
-    while steps:
-        rows.extend([_residual(step, w) for w in weighted] for step in steps)
+    while True:
         vectors = nullspace(rows, K)
-        steps = []
+        drawn = len(rows)
         for vec in vectors:
             if tuple(vec) in confirmed:
                 continue
@@ -320,7 +339,9 @@ def _solve_sector(
             if refuted is None:
                 confirmed[tuple(vec)] = density
             else:
-                steps.append(refuted[0])
+                add_row(refuted[0])
+        if len(rows) == drawn:
+            break
     densities = [confirmed[tuple(vec)] for vec in vectors]
     return basis, vectors, densities, "sampled" if len(rows) == S else "refined"
 
@@ -411,10 +432,8 @@ def first_integrals(solution_or_densities, seed: int = 0):
     """
     if isinstance(solution_or_densities, DarbouxSolution):
         densities = solution_or_densities.densities
-        nv = solution_or_densities.field.nvars
     else:
         densities = list(solution_or_densities)
-        nv = densities[0].nvars if densities else 0
     if len(densities) < 2:
         raise ValueError("first integrals need at least two densities")
     g1 = densities[0]
@@ -425,24 +444,22 @@ def first_integrals(solution_or_densities, seed: int = 0):
     if all(g.is_zero() or g.terms == g1.terms for g in others):
         raise ValueError("all densities are proportional: no nontrivial integral")
     ratios = [RationalFunction(g, g1) for g in others]
-    nx = nv - 2
+    nx = g1.nvars - 2
+    # rows of the gradients g1 dg - g dg1, evaluated factor by factor
+    partials = [[g.partial_derivative(j) for j in range(nx)] for g in densities]
     rng = random.Random(seed)
     for _ in range(SAMPLE_ATTEMPTS):
         xs = [random_rational(rng) for _ in range(nx)]
         h = random_rational(rng)
-        point = [Rat(v) for v in xs] + [Rat(h), ZERO]
-        if g1.evaluate(point) == 0:
+        ev = PointEvaluator(g1.nvars, xs + [h, ZERO])
+        v1 = ev(g1)
+        if v1 == 0:
             continue
-        rows = []
-        for g in others:
-            rows.append(
-                [
-                    (g1 * g.partial_derivative(j) - g * g1.partial_derivative(j)).evaluate(
-                        point
-                    )
-                    for j in range(nx)
-                ]
-            )
+        d1 = [ev(d) for d in partials[0]]
+        rows = [
+            [v1 * ev(dg) - ev(g) * dg1 for dg, dg1 in zip(dgs, d1)]
+            for g, dgs in zip(others, partials[1:])
+        ]
         return ratios, rank(rows, nx)
     raise SolverError(
         f"no point where the first density is nonzero in {SAMPLE_ATTEMPTS} attempts"
@@ -506,7 +523,6 @@ def density_span_solve(densities: list[Polynomial], target: Polynomial):
     """Coordinates of target in the span of the density polynomials, or None."""
     if not densities:
         return None
-    nv = densities[0].nvars
     monomials = sorted(
         {k for p in densities for k in p.terms} | set(target.terms)
     )
@@ -761,9 +777,7 @@ def conjecture_check(field: QuadraticVectorField, seed: int = 0) -> ConjectureRe
 
 def _order4_proportional_pairs(field):
     """Detected exact proportionalities F(a) = c F(b) among order-4 multisets."""
-    from .graphs import enumerate_multisets as _enum
-
-    order4 = [m for m in _enum(4, QUADRATIC_MAX_INDEGREE) if m.order == 4]
+    order4 = [m for m in enumerate_multisets(4, QUADRATIC_MAX_INDEGREE) if m.order == 4]
     polys = [(m.encoding, field.aroma_function(m)) for m in order4]
     pairs = []
     for i in range(len(polys)):
@@ -785,7 +799,6 @@ def _find_constrained_density(sol: DarbouxSolution, target_h2: Polynomial):
     densities = sol.densities
     if not densities:
         return None
-    nv = densities[0].nvars
     h0_parts = [d.coefficient_of_h(0) for d in densities]
     h2_parts = [d.coefficient_of_h(2) for d in densities]
     monomials = sorted(

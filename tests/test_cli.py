@@ -310,6 +310,31 @@ _LV = lv_divfree().to_json()
         (_LV, [[[1, 0, 0, 0, 0], 0.1]], None, "malformed density JSON"),
         (_LV, [[[1, 0, 0, 0, 0], True]], None, "malformed density JSON"),
         (_LV, None, {"a": [[[1, 0, 0, 0, 0], 0.5]]}, "malformed augmenter"),
+        (
+            ("darboux", "solve", "--system", "ishii", "--params", '{"k": 0}', "--order", "2"),
+            None,
+            None,
+            "input error: system 'ishii' needs parameter 'b2'; schema: {\"b2\"",
+        ),
+        (
+            ("darboux", "solve", "--system", "lv", "--params", '{"alfa": 2}', "--order", "2"),
+            None,
+            None,
+            "input error: system 'lv' takes no parameter 'alfa'; schema: {\"alpha\"",
+        ),
+        (
+            ("darboux", "solve", "--system", "lv", "--params", "[2]", "--order", "2"),
+            None,
+            None,
+            "input error: parameters of system 'lv' must be an object",
+        ),
+        (
+            ("darboux", "solve", "--system", "nope", "--order", "2"),
+            None,
+            None,
+            "input error: unknown system 'nope'; known: [",
+        ),
+        (("corpus", "run", "nope"), None, None, "input error: no golden suite for 'nope'; known: ["),
     ],
     ids=[
         "field-zero-denominator",
@@ -327,12 +352,20 @@ _LV = lv_divfree().to_json()
         "density-float-coefficient",
         "density-bool-coefficient",
         "augmenter-float-coefficient",
+        "system-missing-parameter",
+        "system-unknown-parameter",
+        "system-parameters-not-an-object",
+        "unknown-system",
+        "unknown-suite",
     ],
 )
 def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, message):
+    # a tuple in place of a field is the whole command line
     field_file = tmp_path / "field.json"
     field_file.write_text(json.dumps(field))
-    if density is not None:
+    if isinstance(field, tuple):
+        argv = list(field)
+    elif density is not None:
         density_file = tmp_path / "density.json"
         density_file.write_text(json.dumps(density))
         argv = ["darboux", "verify", "--field", str(field_file), "--density", str(density_file)]

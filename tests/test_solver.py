@@ -464,6 +464,54 @@ def test_unlucky_discovery_is_refined(monkeypatch, name, order):
     assert sorted(map(str, expanded)) == sorted(map(str, sol.densities))
 
 
+def _discovery_draws(monkeypatch, f, order, sector, seed=0):
+    """The solution of one sector and the number of discovery steps it drew
+    (checks draw their steps elsewhere, not through _sample_point)."""
+    import kahan_aromas.solver as solver_mod
+
+    real_sample_point = solver_mod._sample_point
+    draws = []
+
+    def counting(rng, kmap):
+        draws.append(None)
+        return real_sample_point(rng, kmap)
+
+    monkeypatch.setattr(solver_mod, "_sample_point", counting)
+    sol = solve_darboux(f, order, parity=sector, seed=seed)
+    monkeypatch.undo()
+    return sol, len(draws)
+
+
+def test_sector_without_density_stops_at_full_rank(monkeypatch):
+    # a dense random field: the first K steps (at seed 19, one more) give
+    # rows of rank K, so no density exists and the other steps are not drawn
+    rng = random.Random(8)
+    nonzero = lambda: Rat(rng.choice([-2, -1, 1, 2]))
+    f = QuadraticVectorField(
+        3,
+        {(i, j, k): nonzero() for i in range(3) for j in range(3) for k in range(j, 3)},
+        {(i, j): nonzero() for i in range(3) for j in range(3)},
+        {i: nonzero() for i in range(3)},
+    )
+    for sector in ("even", "odd"):
+        for seed, extra in ((0, 0), (19, 1)):
+            sol, draws = _discovery_draws(monkeypatch, f, 4, sector, seed)
+            K = len(sol.bases[sector].elements)
+            assert K > 2
+            assert draws == K + extra
+            assert sol.densities == [] and sol.gammas == []
+            assert sol.method == "sampled"
+
+
+def test_sector_with_density_draws_every_discovery_step(monkeypatch):
+    # the rank stalls below K, so discovery ends with all 2K + 16 rows
+    sol, draws = _discovery_draws(monkeypatch, lv_divfree(), 4, "even")
+    K = len(sol.bases["even"].elements)
+    assert sol.densities
+    assert draws == 2 * K + 16
+    assert sol.method == "sampled"
+
+
 def test_parameter_independent_empty_intersection():
     # the constant 1 is not a density for lv_special (det DPhi != 1) and at
     # order 0 nothing else is available
