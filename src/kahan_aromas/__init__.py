@@ -21,8 +21,6 @@ from .graphs import (
     THREE_CYCLE,
     LOOP_WITH_TAIL,
     TAILED_TWO_CYCLE,
-    canonical_encode,
-    cyclic_aroma,
     enumerate_aromas,
     enumerate_forests,
     enumerate_multisets,
@@ -32,7 +30,6 @@ from .graphs import (
     parse_forest,
     parse_multiset,
     parse_tree,
-    symmetry,
     tall_tree,
 )
 from .fields import (
@@ -40,7 +37,6 @@ from .fields import (
     QuadraticVectorField,
     affine_pullback,
     hamiltonian_field,
-    kahan_series,
     modified_hamiltonian,
 )
 from .coalgebra import (

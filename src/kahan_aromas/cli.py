@@ -17,7 +17,7 @@ import sys
 
 from . import corpus
 from .coalgebra import q_matrix
-from .fields import KahanMap, QuadraticVectorField, kahan_series
+from .fields import KahanMap, QuadraticVectorField
 from .graphs import (
     enumerate_aromas,
     enumerate_multisets,
@@ -101,14 +101,13 @@ def _emit(args, payload: dict, text_renderer=None, latex_renderer=None) -> None:
         print(latex_renderer(payload) if latex_renderer else json.dumps(payload, indent=2))
 
 
-def render_series(gamma: dict, nv: int | None = None) -> str:
+def render_series(gamma: dict) -> str:
     """Human form of a density given by gamma coordinates (sigma folded in)."""
     entries = []
-    for key in sorted(gamma, key=lambda k: (parse_multiset(_multiset_part(k)).order, k)):
-        coeff = Rat(gamma[key]) if not isinstance(gamma[key], str) else Rat(gamma[key])
+    for key in gamma:
         mset = parse_multiset(_multiset_part(key))
-        value = coeff / mset.sigma()
-        entries.append((mset.order, key, value))
+        entries.append((mset.order, key, Rat(gamma[key]) / mset.sigma()))
+    entries.sort(key=lambda e: e[:2])
     pieces = []
     for order, key, value in entries:
         sign = "-" if value < 0 else "+"
@@ -134,12 +133,14 @@ def render_series(gamma: dict, nv: int | None = None) -> str:
     return out
 
 
+def _is_plain(key: str) -> bool:
+    """A multiset key ("1" or "Ck(...)"), not an augmented "label*..." key."""
+    return key == "1" or key.startswith("C")
+
+
 def _multiset_part(key: str) -> str:
     # augmented keys look like "label*Ck(...)"; the multiset part starts at C
-    if key == "1" or key.startswith("C"):
-        return key
-    idx = key.find("*")
-    return key[idx + 1 :]
+    return key if _is_plain(key) else key[key.find("*") + 1 :]
 
 
 def _poly_text(data) -> str:
@@ -222,7 +223,7 @@ def cmd_kahan(args) -> int:
         )
     else:
         _check_order(args.order, args.order_cap)
-        coeffs = kahan_series(field, args.order)
+        coeffs = kmap.series(args.order)
         payload = {
             "order": args.order,
             "coefficients": [[p.to_json() for p in vec] for vec in coeffs],
@@ -375,10 +376,6 @@ def solver_report(field, sol, seed: int) -> dict:
         "independence_count": independence,
         "conditions": conditions,
     }
-
-
-def _is_plain(key: str) -> bool:
-    return key == "1" or key.startswith("C")
 
 
 def cmd_darboux_solve(args) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .fields import QuadraticVectorField, KahanMap, hamiltonian_field, modified_hamiltonian
-from .graphs import TWO_CYCLE, cyclic_aroma
+from .graphs import TWO_CYCLE, Aroma
 from .linalg import adjugate_rational_matrix, det_rational_matrix
 from .poly import Polynomial
 from .rationals import Rat, ZERO, parse_rat
@@ -40,16 +40,30 @@ def _c(value, nv=NV3):
 
 
 def _rat(value):
+    """An exact rational from a "p/q" string, an integer or a rational; a
+    float or a bool has no exact meaning here and is refused."""
     if isinstance(value, str):
         return parse_rat(value)
+    if isinstance(value, bool) or not isinstance(value, (int, Rat)):
+        raise ValueError(f"expected an integer or a rational string 'p/q', got {value!r}")
     return Rat(value)
 
 
-def _rat_matrix(rows):
+def _rat_matrix(rows, name, size=3):
+    """A size x size parameter matrix of exact rationals; size None admits
+    any square one."""
+    seq = (list, tuple)
+    ok = isinstance(rows, seq) and rows and all(isinstance(r, seq) for r in rows)
+    n = len(rows) if ok and size is None else size
+    if not ok or len(rows) != n or any(len(r) != n for r in rows):
+        shape = "a square" if size is None else f"a {size} x {size}"
+        raise ValueError(f"parameter {name!r} must be {shape} matrix, got {rows!r}")
     return [[_rat(v) for v in row] for row in rows]
 
 
-def _rat_vector(vec):
+def _rat_vector(vec, name, size=3):
+    if not isinstance(vec, (list, tuple)) or len(vec) != size:
+        raise ValueError(f"parameter {name!r} must be a vector of length {size}, got {vec!r}")
     return [_rat(v) for v in vec]
 
 
@@ -123,7 +137,7 @@ def dressing_chain(a=0, b=0, c=0) -> QuadraticVectorField:
 
 def nambu_homogeneous(A, B) -> QuadraticVectorField:
     """f = grad(x^T A x) x grad(x^T B x) for symmetric A, B."""
-    A, B = _rat_matrix(A), _rat_matrix(B)
+    A, B = _rat_matrix(A, "A"), _rat_matrix(B, "B")
     _require_symmetric(A, "A")
     _require_symmetric(B, "B")
     gH = _gradient(_quadratic_form_poly(A), 3)
@@ -133,8 +147,8 @@ def nambu_homogeneous(A, B) -> QuadraticVectorField:
 
 def nambu_inhomogeneous(H, hvec, K, kvec) -> QuadraticVectorField:
     """f = grad(x^T H x + h.x) x grad(x^T K x + k.x)."""
-    H, K = _rat_matrix(H), _rat_matrix(K)
-    hvec, kvec = _rat_vector(hvec), _rat_vector(kvec)
+    H, K = _rat_matrix(H, "H"), _rat_matrix(K, "K")
+    hvec, kvec = _rat_vector(hvec, "hvec"), _rat_vector(kvec, "kvec")
     _require_symmetric(H, "H")
     _require_symmetric(K, "K")
     pH = _quadratic_form_poly(H) + sum(
@@ -179,7 +193,7 @@ def ishii_invariants(b2, b3, c1, c2, c3, k):
 
 def divfree_homogeneous_r3(A, B, C) -> QuadraticVectorField:
     """(x^T A x, x^T B x, x^T C x) with the divergence-free row constraints."""
-    A, B, C = _rat_matrix(A), _rat_matrix(B), _rat_matrix(C)
+    A, B, C = _rat_matrix(A, "A"), _rat_matrix(B, "B"), _rat_matrix(C, "C")
     for M, name in ((A, "A"), (B, "B"), (C, "C")):
         _require_symmetric(M, name)
     for j in range(3):
@@ -191,9 +205,10 @@ def divfree_homogeneous_r3(A, B, C) -> QuadraticVectorField:
 
 def canonical_hamiltonian(J, H) -> QuadraticVectorField:
     """f = J grad H for constant skew J and cubic H (polynomial or JSON)."""
+    J = _rat_matrix(J, "J", size=None)
     if not isinstance(H, Polynomial):
         H = Polynomial.from_json(H, len(J) + 2)
-    return hamiltonian_field(_rat_matrix(J), H)
+    return hamiltonian_field(J, H)
 
 
 def _require_symmetric(M, name):
@@ -409,6 +424,8 @@ def get_system(name: str, params: dict | None = None, seed: int = 0) -> Quadrati
         )
     try:
         return spec.build(params)
+    except ValueError as exc:
+        raise ValueError(f"system {name!r}: {exc}; schema: {spec.schema}") from exc
     except KeyError as exc:
         missing = exc.args[0] if exc.args else None
         if missing not in spec.params or missing in params:
@@ -529,7 +546,7 @@ def _golden_nambu_homogeneous(seed) -> list[GoldenCheck]:
             "F(2-cycle) = 32 x^T C x", fc2 == _quadratic_form_poly(C) * Rat(32)
         )
     )
-    fc4 = f.aroma_function(cyclic_aroma(4))
+    fc4 = f.aroma_function(Aroma(4))
     checks.append(GoldenCheck("F(4-cycle) = (1/2) F(2-cycle)^2", fc4 * 2 == fc2 * fc2))
     sol = solve_darboux(f, 4, parity="even", seed=seed)
     checks.append(
@@ -544,8 +561,8 @@ def _golden_nambu_homogeneous(seed) -> list[GoldenCheck]:
             and density_span_solve(sol.densities, gt) is not None,
         )
     )
-    h1 = _quadratic_form_poly(_rat_matrix(A))
-    h2 = _quadratic_form_poly(_rat_matrix(B))
+    h1 = _quadratic_form_poly(_rat_matrix(A, "A"))
+    h2 = _quadratic_form_poly(_rat_matrix(B, "B"))
     grads_ok = all(
         sum((h1.partial_derivative(i) * f.component(i) for i in range(3)), Polynomial.zero(NV3)).is_zero()
         and sum((h2.partial_derivative(i) * f.component(i) for i in range(3)), Polynomial.zero(NV3)).is_zero()

@@ -29,9 +29,9 @@ from functools import reduce
 from itertools import product
 
 from .graphs import Aroma, AromaMultiset, RootedTree, parse_any
-from .linalg import invert_rational_matrix, solve_linear_system
+from .linalg import invert_rational_matrix
 from .poly import PointEvaluator, Polynomial, RationalFunction, rf_substitute
-from .rationals import Rat, ONE, ZERO, format_rat, parse_rat
+from .rationals import Rat, ZERO, format_rat, parse_rat
 
 
 class QuadraticVectorField:
@@ -304,29 +304,18 @@ def poly_mat_det(mat: list[list[Polynomial]]) -> Polynomial:
     return det
 
 
-def poly_mat_adjugate(mat: list[list[Polynomial]]) -> list[list[Polynomial]]:
-    n = len(mat)
-    nv = mat[0][0].nvars
-    if n == 1:
-        return [[Polynomial.const(nv, 1)]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[mat[r][c] for c in range(n) if c != j] for r in range(n) if r != i]
-            cof = poly_mat_det(minor)
-            adj[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return adj
-
-
 # ---------------------------------------------------------------------------
 # the Kahan map
 
 
 class KahanMap:
-    """The Kahan update as an exact birational map.
+    """The Kahan update as an exact birational map, and its one definition.
 
-    Phi_h(x)_i = numerators[i] / den  with  den = det(I - (h/2) f'(x)),
-    numerators[i] = x_i * den + h * (adj(M) f(x))_i.  den at h = 0 equals 1.
+    Phi_h(x)_i = numerators[i] / den  with  M = I - (h/2) f'(x),
+    den = det(M) and, by Cramer's rule,
+    numerators[i] = x_i * den + h * det(M with column i replaced by f(x)).
+    den at h = 0 equals 1.  Point steps, the h-series and the modified
+    Hamiltonian all read these polynomials.
     """
 
     def __init__(self, field: QuadraticVectorField):
@@ -344,14 +333,12 @@ class KahanMap:
             for i in range(n)
         ]
         self.den = poly_mat_det(M)
-        self.adj = poly_mat_adjugate(M)
         comps = field.components()
-        self.numerators = []
-        for i in range(n):
-            adj_f = Polynomial.zero(nv)
-            for j in range(n):
-                adj_f = adj_f + self.adj[i][j] * comps[j]
-            self.numerators.append(Polynomial.variable(nv, i) * self.den + h * adj_f)
+        self.numerators = [
+            Polynomial.variable(nv, i) * self.den
+            + h * poly_mat_det([row[:i] + [fr] + row[i + 1 :] for row, fr in zip(M, comps)])
+            for i in range(n)
+        ]
         self._n_plus: Polynomial | None = None
         self.subs_cache: dict = {}
 
@@ -364,6 +351,13 @@ class KahanMap:
     def as_rational_functions(self) -> list[RationalFunction]:
         return [RationalFunction(num, self.den) for num in self.numerators]
 
+    def series(self, order: int) -> list[list[Polynomial]]:
+        """h-expansion of Phi_h: the coefficient vectors of h^0 .. h^order."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        per_component = [r.series_in_h(order) for r in self.as_rational_functions()]
+        return [list(layer) for layer in zip(*per_component)]
+
     def substitute(self, p: Polynomial, clear_power: int) -> Polynomial:
         """den**clear_power * p(Phi_h(x)) with the map's shared cache."""
         return rf_substitute(p, self.numerators, self.den, clear_power, self.subs_cache)
@@ -371,20 +365,10 @@ class KahanMap:
     def apply_point(self, ev: PointEvaluator):
         """Exact image of the evaluator's point (x, h), or None when det(M)
         vanishes there."""
-        field = self.field
-        n = field.dim
-        xs, h = ev.point[:n], ev.point[n]
-        jac = field.jacobian()
-        half_h = h / 2
-        M = [
-            [(ONE if i == j else ZERO) - half_h * ev(jac[i][j]) for j in range(n)]
-            for i in range(n)
-        ]
-        fval = [ev(field.component(i)) for i in range(n)]
-        sol = solve_linear_system(M, fval)
-        if sol is None:
+        den = ev(self.den)
+        if den == 0:
             return None
-        return [xs[i] + h * sol[i] for i in range(n)]
+        return [ev(num) / den for num in self.numerators]
 
     def det_m_at(self, ev: PointEvaluator) -> Rat:
         """det(M) = det(I - (h/2) f'(x)) at the evaluator's point."""
@@ -408,45 +392,6 @@ class KahanMap:
         n = self.field.dim
         cleared = self.substitute(self.n_plus(), n)
         return RationalFunction(cleared, self.den ** (n + 1))
-
-    def symbolic_jacobian_det(self) -> RationalFunction:
-        """det of the entrywise-differentiated map; cross-checks det_jacobian."""
-        n = self.field.dim
-        G = [
-            [
-                self.numerators[i].partial_derivative(j) * self.den
-                - self.numerators[i] * self.den.partial_derivative(j)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return RationalFunction(poly_mat_det(G), self.den ** (2 * n))
-
-
-def kahan_series(field: QuadraticVectorField, order: int) -> list[list[Polynomial]]:
-    """h-expansion of the Kahan update: [x, f, (1/2)f'f, (1/4)(f')^2 f, ...].
-
-    The h^k coefficient vector is 2^(1-k) (f')^(k-1) f for k >= 1.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    n, nv = field.dim, field.nvars
-    out = [[Polynomial.variable(nv, i) for i in range(n)]]
-    if order == 0:
-        return out
-    jac = field.jacobian()
-    current = list(field.components())
-    out.append(current)
-    for _ in range(2, order + 1):
-        nxt = []
-        for i in range(n):
-            acc = Polynomial.zero(nv)
-            for j in range(n):
-                acc = acc + jac[i][j] * current[j]
-            nxt.append(acc * Rat(1, 2))
-        out.append(nxt)
-        current = nxt
-    return out
 
 
 def affine_pullback(field: QuadraticVectorField, A, v=None) -> QuadraticVectorField:
@@ -501,14 +446,9 @@ def modified_hamiltonian(J, H: Polynomial) -> RationalFunction:
     field = hamiltonian_field(J, H)
     n, nv = field.dim, field.nvars
     kmap = KahanMap(field)
-    h = Polynomial.variable(nv, n)
-    grad = [H.partial_derivative(j) for j in range(n)]
-    comps = field.components()
+    # h (adj(M) f)_i = numerators[i] - x_i den
     acc = Polynomial.zero(nv)
     for i in range(n):
-        adj_f = Polynomial.zero(nv)
-        for j in range(n):
-            adj_f = adj_f + kmap.adj[i][j] * comps[j]
-        acc = acc + grad[i] * adj_f
-    num = H * kmap.den + h * acc * Rat(1, 3)
-    return RationalFunction(num, kmap.den)
+        step = kmap.numerators[i] - Polynomial.variable(nv, i) * kmap.den
+        acc = acc + H.partial_derivative(i) * step
+    return RationalFunction(H * kmap.den + acc * Rat(1, 3), kmap.den)

@@ -256,19 +256,6 @@ LOOP_WITH_TAIL = Aroma(1, (Forest((LEAF,)),))
 TAILED_TWO_CYCLE = Aroma(2, (EMPTY_FOREST, Forest((LEAF,))))
 
 
-def cyclic_aroma(k: int) -> Aroma:
-    return Aroma(k)
-
-
-def symmetry(obj) -> int:
-    """|Aut(g)| for a tree, forest, aroma or aroma multiset."""
-    return obj.sigma()
-
-
-def canonical_encode(obj) -> str:
-    return obj.encoding
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 

@@ -139,26 +139,15 @@ def intersect_rowspaces(a, b, ncols: int) -> list[list[Rat]]:
     return _rref_rats(_null_ints(perp, ncols), ncols)
 
 
-def _solve_right(matrix, rhs_rows) -> list[list[Rat]] | None:
-    """X with matrix X = B for square rational matrix and B given by its
-    rows; None when the matrix is singular."""
+def invert_rational_matrix(matrix) -> list[list[Rat]] | None:
+    """Exact inverse of a square rational matrix; None when it is singular."""
     n = len(matrix)
-    mat = _int_rows(list(row) + list(b) for row, b in zip(matrix, rhs_rows))
+    eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    mat = _int_rows(list(row) + e for row, e in zip(matrix, eye))
     pivots, d, _ = _reduce(mat, n)
     if len(pivots) < n:
         return None
     return [[Rat(v, d) for v in row[n:]] for row in mat[:n]]
-
-
-def solve_linear_system(matrix, rhs):
-    """Solve square rational M x = rhs exactly; None when M is singular."""
-    sol = _solve_right(matrix, [[v] for v in rhs])
-    return None if sol is None else [row[0] for row in sol]
-
-
-def invert_rational_matrix(matrix):
-    n = len(matrix)
-    return _solve_right(matrix, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
 
 def det_rational_matrix(matrix) -> Rat:

@@ -503,33 +503,6 @@ class RationalFunction:
     def nvars(self):
         return self.num.nvars
 
-    def __add__(self, other):
-        other = _as_rf(other, self.nvars)
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-_as_rf(other, self.nvars))
-
-    def __rsub__(self, other):
-        return _as_rf(other, self.nvars) - self
-
-    def __mul__(self, other):
-        other = _as_rf(other, self.nvars)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_rf(other, self.nvars)
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
     def __eq__(self, other):
         small, large = self, _as_rf(other, self.nvars)
         if small.den.total_degree() > large.den.total_degree():
@@ -542,16 +515,6 @@ class RationalFunction:
 
     def __hash__(self):  # pragma: no cover - not used as dict keys
         return hash((self.num, self.den))
-
-    def subs_h_negated(self):
-        return RationalFunction(self.num.subs_h_negated(), self.den.subs_h_negated())
-
-    def evaluate(self, values) -> Rat:
-        ev = PointEvaluator(self.nvars, values)
-        d = ev(self.den)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return ev(self.num) / d
 
     def series_in_h(self, order: int) -> list[Polynomial]:
         return series_in_h(self, order)

@@ -9,6 +9,11 @@ package's contraction.  Linear algebra is Gauss-Jordan elimination in
 verification expands the symbolic defect before it looks at any point,
 never the package's refute-at-points-first order, and Darboux solutions
 are read off the fully expanded symbolic system, never off sampled points.
+The Kahan map is rebuilt from its other definitions, never from the
+package's numerators over den: a point step solves the linear system
+(I - (h/2) f'(x)) k = f(x) by `Fraction` elimination, the h-series is the
+closed form 2^(1-k) (f')^(k-1) f, and det DPhi differentiates the map
+entrywise.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ import random
 from fractions import Fraction
 from itertools import permutations, product
 
-from kahan_aromas.fields import KahanMap
+from kahan_aromas.fields import KahanMap, poly_mat_det
 from kahan_aromas.linalg import nullspace
-from kahan_aromas.poly import PointEvaluator, Polynomial
+from kahan_aromas.poly import PointEvaluator, Polynomial, RationalFunction
 from kahan_aromas.rationals import ONE, ZERO, random_rational
 from kahan_aromas.solver import SAMPLE_ATTEMPTS, SolverError, VerificationResult
 
@@ -220,3 +225,51 @@ def solve_by_symbolic_assembly(kmap, basis) -> list:
     monomials = sorted({k for c in columns for k in c.terms})
     rows = [[c.coefficient(mk) for c in columns] for mk in monomials]
     return nullspace(rows, len(elements))
+
+
+def kahan_step_by_solve(field, xs, h):
+    """x + h k with (I - (h/2) f'(x)) k = f(x) solved by Gauss-Jordan
+    elimination on `Fraction`s; None when the matrix is singular."""
+    n = field.dim
+    point = [Fraction(v) for v in xs] + [Fraction(h), Fraction(0)]
+    jac = field.jacobian()
+    aug = [
+        [(1 if i == j else 0) - Fraction(h) / 2 * jac[i][j].evaluate(point) for j in range(n)]
+        + [field.component(i).evaluate(point)]
+        for i in range(n)
+    ]
+    reduced = rref_by_fractions(aug, n)
+    if len(reduced) < n or any(reduced[i][i] != 1 for i in range(n)):
+        return None
+    return [point[i] + point[n] * reduced[i][n] for i in range(n)]
+
+
+def kahan_series_closed_form(field, order: int) -> list[list[Polynomial]]:
+    """h-expansion of the Kahan step: [x, f, (1/2) f'f, (1/4) (f')^2 f, ...],
+    the h^k coefficient vector being 2^(1-k) (f')^(k-1) f for k >= 1."""
+    n, nv = field.dim, field.nvars
+    out = [[Polynomial.variable(nv, i) for i in range(n)]]
+    jac = field.jacobian()
+    current = list(field.components())
+    for _ in range(order):
+        out.append(current)
+        current = [
+            sum((jac[i][j] * current[j] for j in range(n)), Polynomial.zero(nv)) * Fraction(1, 2)
+            for i in range(n)
+        ]
+    return out
+
+
+def symbolic_jacobian_det(kmap) -> RationalFunction:
+    """det DPhi from the entrywise-differentiated map:
+    d(num_i / den) / dx_j = (den d num_i / dx_j - num_i d den / dx_j) / den^2."""
+    n = kmap.field.dim
+    G = [
+        [
+            kmap.numerators[i].partial_derivative(j) * kmap.den
+            - kmap.numerators[i] * kmap.den.partial_derivative(j)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return RationalFunction(poly_mat_det(G), kmap.den ** (2 * n))

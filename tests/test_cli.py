@@ -1,11 +1,12 @@
 """CLI behavior: schemas, determinism, exit codes, round trips."""
 
+import hashlib
 import json
 
 import pytest
 
 from kahan_aromas.cli import main, render_series
-from kahan_aromas.corpus import lv_divfree
+from kahan_aromas.corpus import SYSTEMS, lv_divfree
 from kahan_aromas.poly import Polynomial
 from kahan_aromas.rationals import Rat
 
@@ -285,6 +286,11 @@ def test_darboux_solve_with_augmenter_file(capsys, tmp_path):
 
 
 _LV = lv_divfree().to_json()
+_EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def _kahan_map(system, params):
+    return ("kahan", "map", "--system", system, "--params", json.dumps(params))
 
 
 @pytest.mark.parametrize(
@@ -335,6 +341,54 @@ _LV = lv_divfree().to_json()
             "input error: unknown system 'nope'; known: [",
         ),
         (("corpus", "run", "nope"), None, None, "input error: no golden suite for 'nope'; known: ["),
+        (
+            _kahan_map("lv", {"alpha": 0.1}),
+            None,
+            None,
+            "system 'lv': expected an integer or a rational string 'p/q', got 0.1",
+        ),
+        (
+            _kahan_map("lv", {"alpha": True}),
+            None,
+            None,
+            "system 'lv': expected an integer or a rational string 'p/q', got True",
+        ),
+        (
+            _kahan_map("nambu_homogeneous", {"A": [[1]], "B": [[1]]}),
+            None,
+            None,
+            "parameter 'A' must be a 3 x 3 matrix",
+        ),
+        (
+            _kahan_map("nambu_homogeneous", {"A": _EYE3, "B": [[1, 0], [0, 1]]}),
+            None,
+            None,
+            "parameter 'B' must be a 3 x 3 matrix",
+        ),
+        (
+            _kahan_map("nambu_inhomogeneous", {"H": _EYE3, "hvec": [1, 2, 3], "K": [[1]], "kvec": [1, 2, 3]}),
+            None,
+            None,
+            "parameter 'K' must be a 3 x 3 matrix",
+        ),
+        (
+            _kahan_map("nambu_inhomogeneous", {"H": _EYE3, "hvec": [1, 2], "K": _EYE3, "kvec": [1, 2, 3]}),
+            None,
+            None,
+            "parameter 'hvec' must be a vector of length 3",
+        ),
+        (
+            _kahan_map("divfree_homogeneous_r3", {"A": _EYE3, "B": _EYE3, "C": [[1, 0], [0, 1]]}),
+            None,
+            None,
+            "parameter 'C' must be a 3 x 3 matrix",
+        ),
+        (
+            _kahan_map("canonical_hamiltonian", {"J": [[0, 1]], "H": [[[3, 0, 0, 0], "1"]]}),
+            None,
+            None,
+            "parameter 'J' must be a square matrix",
+        ),
     ],
     ids=[
         "field-zero-denominator",
@@ -357,6 +411,14 @@ _LV = lv_divfree().to_json()
         "system-parameters-not-an-object",
         "unknown-system",
         "unknown-suite",
+        "system-float-parameter",
+        "system-bool-parameter",
+        "nambu-homogeneous-1x1-matrices",
+        "nambu-homogeneous-2x2-second-matrix",
+        "nambu-inhomogeneous-1x1-matrix",
+        "nambu-inhomogeneous-short-vector",
+        "divfree-r3-2x2-matrix",
+        "canonical-hamiltonian-non-square-j",
     ],
 )
 def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, message):
@@ -378,3 +440,48 @@ def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, me
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("input error: ") and message in err
+
+
+# SHA-256 of the stdout of `kahan map|det|series --order 5 --system NAME
+# --seed 0`, taken from the adjugate numerators and the closed-form series
+# (f')^(k-1) f / 2^(k-1), so the bytes do not rest on the map's own code
+KAHAN_STDOUT_SHA256 = {
+    ("canonical_hamiltonian", "det"): "c525bd279a4c9fb41a18603bd2a820c2c1de3607c415683863e6ab0d96418eb5",
+    ("canonical_hamiltonian", "map"): "d11e54f3cfeb7b9194845a8e8da8231256b815d98d531e4092246cae2c2adbf0",
+    ("canonical_hamiltonian", "series"): "5eeb32e1ee8f8b1fedfa77ace97e572251fc785f034121402ccb321c6e728f22",
+    ("divfree_homogeneous_r3", "det"): "9416e89379afcec8e10a8f21c89f0ab4c4c8676bb4c9bd66ce3a6c37c029ce6c",
+    ("divfree_homogeneous_r3", "map"): "1bb617760a41c5f20fda0ce6501e4fb9b0f1d082d9800caffa9e1b3a11c3c47a",
+    ("divfree_homogeneous_r3", "series"): "83578702ec385f116c3cf8afd31b1807a475429c5001b45be179daa89d33ed38",
+    ("dressing_chain", "det"): "973409a2bb8d6386ebaa55aee667b885fc2500f0b0b10a690e8798422578dcc4",
+    ("dressing_chain", "map"): "f158c68641784266a5bf6ed4dc570d5f5d56a660ac305fada010f1c51769abf9",
+    ("dressing_chain", "series"): "370a40f302091c6eb1ed75be273a675419486387f2e2f43d53f009d281b833de",
+    ("ishii", "det"): "3fb38bf0442b1ec09c43206a62d61030bbe89bbe78797a4e52a7dd978aa49945",
+    ("ishii", "map"): "edee62dd1d6ebff267f53005278a0f4b3766fb8dbf39480b546c8c12d6d8c853",
+    ("ishii", "series"): "5fea48b057f864c43fd1c24005152b6a1b417c68ae9f2c33d6dfcb498e6815d5",
+    ("lv", "det"): "f2de83cd1a249235c6502974dca6b6cce17992491c31bb40557a28c9506bf865",
+    ("lv", "map"): "41c9e052a1b838d6c370bff740ed8e4a5a328142d33f602bf16ad66a8e890f67",
+    ("lv", "series"): "dee16c914d0e56d0373f1dbe7276edf77b3bd833906e1379d71fe626e785e162",
+    ("lv_divfree", "det"): "f09606e1ee5ac0cee8ca1e2c85194fc7884d3b2fd4c614f77e6392bf9c16c3eb",
+    ("lv_divfree", "map"): "743790e7f12a5148bbf961043754dfe4bc2a91e470feedf883190a78f7b58075",
+    ("lv_divfree", "series"): "8ab52306a2b97f27bc1cf3ad9f9268aefe165d30f94b91c389fdea9338ad1805",
+    ("lv_special", "det"): "14d184f39f2da1eb807c9b8f1db84b28e8055d757936953b58238add6584b521",
+    ("lv_special", "map"): "d624baf1d4caaff84cf7088e9d11468fe50fe11c40e8b8558e82d674c300ca46",
+    ("lv_special", "series"): "3512f5fafded547566bd6421a812f3af017670b78e70e7acf28db75943b94753",
+    ("nambu_homogeneous", "det"): "46060b9c99f2d6c26fd571f1550836b37dfb673290d35dee71cf5aa4206d981a",
+    ("nambu_homogeneous", "map"): "d56a5b5c11ee85667f568df5036783d0775aa57da59fcbd5cdb7ec2127419cf4",
+    ("nambu_homogeneous", "series"): "fc5c09bb3e283f15b501d38fd75c9e4bb1f2b79bba50573a636045ec55d6e269",
+    ("nambu_inhomogeneous", "det"): "bfdb105f69d763476f056f2d163a61d4fd2102d79235eeeeaa5ca003781afd64",
+    ("nambu_inhomogeneous", "map"): "8ae7becc0edd4d4f0affe347cba5a27454bb98499dd1ed2d18040efd78f738ff",
+    ("nambu_inhomogeneous", "series"): "1c5b039dd1d69f921790cee477ca59da5b257ec64bbb519a5972c01c57fbe6c0",
+}
+
+
+@pytest.mark.parametrize("command", ["map", "det", "series"])
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_kahan_output_bytes_are_pinned(capsys, system, command):
+    argv = ["kahan", command, "--system", system, "--seed", "0"]
+    if command == "series":
+        argv += ["--order", "5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == KAHAN_STDOUT_SHA256[(system, command)]

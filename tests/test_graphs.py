@@ -20,7 +20,6 @@ from kahan_aromas.graphs import (
     enumerate_trees,
     parse_any,
     parse_multiset,
-    symmetry,
     tall_tree,
 )
 
@@ -81,10 +80,10 @@ def test_indegree_filter():
 
 
 def test_sigma_golden_values():
-    assert symmetry(UNIT) == 1
-    assert symmetry(THREE_CYCLE) == 3
-    assert symmetry(TAILED_TWO_CYCLE) == 1
-    assert symmetry(AromaMultiset((TWO_CYCLE, TWO_CYCLE))) == 8
+    assert UNIT.sigma() == 1
+    assert THREE_CYCLE.sigma() == 3
+    assert TAILED_TWO_CYCLE.sigma() == 1
+    assert AromaMultiset((TWO_CYCLE, TWO_CYCLE)).sigma() == 8
 
 
 def test_sigma_matches_bruteforce_automorphisms():

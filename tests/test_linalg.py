@@ -15,7 +15,6 @@ from kahan_aromas.linalg import (
     rank,
     rref,
     same_rowspace,
-    solve_linear_system,
 )
 from kahan_aromas.rationals import Rat, ZERO, ONE
 
@@ -126,9 +125,6 @@ def test_kernel_matches_fraction_oracle(drawn, data):
     k = min(len(matrix), ncols)
     square = [row[:k] for row in matrix[:k]]
     assert det_rational_matrix(square) == oracle_det(square)
-    rhs = data.draw(st.lists(RATIONALS, min_size=k, max_size=k))
-    expected = oracle_solve(square, [[v] for v in rhs])
-    assert solve_linear_system(square, rhs) == (None if expected is None else [row[0] for row in expected])
     identity = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
     assert invert_rational_matrix(square) == oracle_solve(square, identity)
 

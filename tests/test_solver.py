@@ -27,7 +27,6 @@ from kahan_aromas.graphs import (
     AromaMultiset,
     LOOP,
     TWO_CYCLE,
-    cyclic_aroma,
     enumerate_multisets,
     parse_multiset,
 )
