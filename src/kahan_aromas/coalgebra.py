@@ -96,9 +96,7 @@ def counit(truncation_order: int = 0) -> CoefficientFunctional:
 class ForestFunctional:
     """Multiplicative functional on rooted forests, given by a tree rule."""
 
-    def __init__(self, tree_rule, multiplicative: bool = True):
-        if not multiplicative:
-            raise ValueError("only multiplicative forest functionals are supported")
+    def __init__(self, tree_rule):
         self._tree_rule = tree_rule
         self._cache: dict[str, Rat] = {}
 
@@ -411,12 +409,7 @@ def q_matrix(order: int):
     return multisets, rows
 
 
-def series_evaluate(
-    gamma: CoefficientFunctional,
-    field,
-    truncation: int,
-    x_values=None,
-) -> Polynomial:
+def series_evaluate(gamma: CoefficientFunctional, field, truncation: int) -> Polynomial:
     """B(gamma) = sum over |alpha| <= truncation of h^|alpha| gamma(alpha)
     / sigma(alpha) * F(alpha), as an exact polynomial in (x, h)."""
     from .graphs import parse_multiset
@@ -434,9 +427,4 @@ def series_evaluate(
         if term.is_zero():
             continue
         out = out + term * (h ** alpha.order) * (coeff / alpha.sigma())
-    if x_values is not None:
-        mapping = {
-            i: Polynomial.const(nv, v) for i, v in enumerate(x_values)
-        }
-        out = out.substitute_polynomials(mapping)
     return out

@@ -8,18 +8,20 @@ integrals and compares exactly.  Golden failures are reported, not thrown.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass
 from typing import Callable
 
 from .fields import QuadraticVectorField, KahanMap, hamiltonian_field, modified_hamiltonian
 from .graphs import TWO_CYCLE, Aroma
-from .linalg import adjugate_rational_matrix, det_rational_matrix
+from .linalg import det_rational_matrix
 from .poly import Polynomial
 from .rationals import Rat, ZERO, parse_rat
 from .solver import (
     SAMPLE_ATTEMPTS,
     SolverError,
+    _find_constrained_density,
     density_span_solve,
     first_integrals,
     necessary_conditions,
@@ -84,6 +86,13 @@ def _cross(u, v):
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     ]
+
+
+def _adjugate(M):
+    """Adjugate of a 3 x 3 matrix: its rows are cross products of M's columns,
+    so adj(M) M = det(M) I."""
+    c0, c1, c2 = zip(*M)
+    return [_cross(c1, c2), _cross(c2, c0), _cross(c0, c1)]
 
 
 def _gradient(p: Polynomial, n: int):
@@ -313,61 +322,57 @@ def random_ishii_params(rng):
 class SystemSpec:
     name: str
     description: str
-    build: Callable[[dict], QuadraticVectorField]
+    build: Callable[..., QuadraticVectorField]  # takes the parameters as keywords
     random_params: Callable[[random.Random], dict] | None
     schema: str
-    params: tuple[str, ...]  # the parameter names `build` reads
 
 
 SYSTEMS: dict[str, SystemSpec] = {}
 
 
-def _register(name, description, build, random_params, schema, params=()):
-    SYSTEMS[name] = SystemSpec(name, description, build, random_params, schema, params)
+def _register(name, description, build, random_params, schema):
+    SYSTEMS[name] = SystemSpec(name, description, build, random_params, schema)
 
 
 _register(
     "lv",
     "generalized Lotka-Volterra (x(bz-gy), y(-az+gx), z(ay-bx))",
-    lambda p: lv(p.get("alpha", 1), p.get("beta", 1), p.get("gamma", 1)),
+    lv,
     None,
     '{"alpha": "p/q", "beta": "p/q", "gamma": "p/q"}',
-    ("alpha", "beta", "gamma"),
 )
 _register(
     "lv_divfree",
     "divergence-free Volterra chain (x(y-z), y(z-x), z(x-y))",
-    lambda p: lv_divfree(),
+    lv_divfree,
     None,
     "{}",
 )
 _register(
     "lv_special",
     "the h-independent-measure case (x(y+z), -y(x+z), z(y-x))",
-    lambda p: lv_special(),
+    lv_special,
     None,
     "{}",
 )
 _register(
     "dressing_chain",
     "dressing chain (-y^2+z^2-b+c, x^2-z^2+a-c, -x^2+y^2-a+b)",
-    lambda p: dressing_chain(p.get("a", 0), p.get("b", 0), p.get("c", 0)),
+    dressing_chain,
     lambda rng: {"a": rand_small(rng), "b": rand_small(rng), "c": rand_small(rng)},
     '{"a": "p/q", "b": "p/q", "c": "p/q"}',
-    ("a", "b", "c"),
 )
 _register(
     "nambu_homogeneous",
     "homogeneous Nambu flow grad(x^T A x) x grad(x^T B x)",
-    lambda p: nambu_homogeneous(p["A"], p["B"]),
+    nambu_homogeneous,
     lambda rng: {"A": random_symmetric(rng), "B": random_symmetric(rng)},
     '{"A": 3x3 symmetric, "B": 3x3 symmetric}',
-    ("A", "B"),
 )
 _register(
     "nambu_inhomogeneous",
     "inhomogeneous Nambu flow grad(H) x grad(K), H and K general quadratics",
-    lambda p: nambu_inhomogeneous(p["H"], p["hvec"], p["K"], p["kvec"]),
+    nambu_inhomogeneous,
     lambda rng: {
         "H": random_symmetric(rng),
         "hvec": random_vector(rng),
@@ -375,34 +380,30 @@ _register(
         "kvec": random_vector(rng),
     },
     '{"H": 3x3 sym, "hvec": [3], "K": 3x3 sym, "kvec": [3]}',
-    ("H", "hvec", "K", "kvec"),
 )
 _register(
     "ishii",
     "generalized Ishii system with exactly volume-preserving coupling",
-    lambda p: ishii(p["b2"], p["b3"], p["c1"], p["c2"], p["c3"], p["k"]),
+    ishii,
     lambda rng: random_ishii_params(rng)[0],
     '{"b2","b3","c1","c2","c3","k": "p/q"}',
-    ("b2", "b3", "c1", "c2", "c3", "k"),
 )
 _register(
     "divfree_homogeneous_r3",
     "homogeneous divergence-free quadratic field on R^3",
-    lambda p: divfree_homogeneous_r3(p["A"], p["B"], p["C"]),
+    divfree_homogeneous_r3,
     random_divfree_homogeneous_r3_params,
     '{"A","B","C": 3x3 symmetric with A[0,:]+B[1,:]+C[2,:]=0}',
-    ("A", "B", "C"),
 )
 _register(
     "canonical_hamiltonian",
     "canonical cubic-Hamiltonian field J grad H (n=2 default draw)",
-    lambda p: canonical_hamiltonian(p["J"], p["H"]),
+    canonical_hamiltonian,
     lambda rng: {
         "J": [[0, 1], [-1, 0]],
         "H": random_cubic_polynomial(rng, 2).to_json(),
     },
     '{"J": skew matrix, "H": polynomial JSON in n+2 vars}',
-    ("J", "H"),
 )
 
 
@@ -417,22 +418,19 @@ def get_system(name: str, params: dict | None = None, seed: int = 0) -> Quadrati
             params = spec.random_params(random.Random(seed))
     if not isinstance(params, dict):
         raise ValueError(f"parameters of system {name!r} must be an object; schema: {spec.schema}")
-    unknown = sorted(set(params) - set(spec.params))
+    names = inspect.signature(spec.build).parameters
+    unknown = sorted(set(params) - set(names))
     if unknown:
         raise ValueError(
             f"system {name!r} takes no parameter {', '.join(map(repr, unknown))}; schema: {spec.schema}"
         )
+    missing = [k for k, p in names.items() if p.default is p.empty and k not in params]
+    if missing:
+        raise KeyError(f"system {name!r} needs parameter {missing[0]!r}; schema: {spec.schema}")
     try:
-        return spec.build(params)
+        return spec.build(**params)
     except ValueError as exc:
         raise ValueError(f"system {name!r}: {exc}; schema: {spec.schema}") from exc
-    except KeyError as exc:
-        missing = exc.args[0] if exc.args else None
-        if missing not in spec.params or missing in params:
-            raise
-        raise KeyError(
-            f"system {name!r} needs parameter {missing!r}; schema: {spec.schema}"
-        ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +530,7 @@ def _golden_nambu_homogeneous(seed) -> list[GoldenCheck]:
         f = nambu_homogeneous(A, B)
         fc2 = f.aroma_function(TWO_CYCLE)
         checks.append(GoldenCheck("re-rolled degenerate draw", True))
-    adj = adjugate_rational_matrix
+    adj = _adjugate
     mul = _mat_mul
     C = _mat_sub(
         _mat_sub(
@@ -618,27 +616,7 @@ def _golden_nambu_inhomogeneous(seed) -> list[GoldenCheck]:
     f = nambu_inhomogeneous(params["H"], params["hvec"], params["K"], params["kvec"])
     fc2 = f.aroma_function(TWO_CYCLE)
     sol = solve_darboux(f, 6, parity="even", seed=seed)
-    target_h2 = fc2 * Rat(-1, 12)
-    found = None
-    for gamma, density in zip(sol.gammas, sol.densities):
-        if density.coefficient_of_h(0) == _c(1) and density.coefficient_of_h(2) == target_h2:
-            found = (gamma, density)
-            break
-    if found is None:
-        # any combination with the right h^0 and h^2 layers counts
-        from .solver import _find_constrained_density
-
-        combo = _find_constrained_density(sol, target_h2)
-        if combo is not None:
-            gamma = {}
-            for c, g in zip(combo, sol.gammas):
-                for k, v in g.items():
-                    gamma[k] = gamma.get(k, ZERO) + c * v
-            gamma = {k: v for k, v in gamma.items() if v != 0}
-            density = sum(
-                (d * c for c, d in zip(combo, sol.densities)), Polynomial.zero(NV3)
-            )
-            found = (gamma, density)
+    found = _find_constrained_density(sol, fc2 * Rat(-1, 12))
     checks.append(
         GoldenCheck(
             "verified density with h^0 = 1 and h^2 = -(1/12) F(2-cycle)", found is not None

@@ -30,7 +30,7 @@ from itertools import product
 
 from .graphs import Aroma, AromaMultiset, RootedTree, parse_any
 from .linalg import invert_rational_matrix
-from .poly import PointEvaluator, Polynomial, RationalFunction, rf_substitute
+from .poly import PointEvaluator, Polynomial, RationalFunction, rf_substitute, series_in_h
 from .rationals import Rat, ZERO, format_rat, parse_rat
 
 
@@ -73,6 +73,8 @@ class QuadraticVectorField:
 
     def _check_index(self, *idx):
         for i in idx:
+            if type(i) is not int:
+                raise ValueError(f"index {i!r} is not an integer")
             if not 0 <= i < self.dim:
                 raise ValueError(f"index {i} out of range for dimension {self.dim}")
 
@@ -249,25 +251,35 @@ class QuadraticVectorField:
     @staticmethod
     def from_json(data: dict) -> "QuadraticVectorField":
         dim = data.get("dim")
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:
             raise ValueError("field JSON needs a positive integer 'dim'")
         quadratic, linear, constant = {}, {}, {}
         for entry in data.get("quadratic", []):
             i, j, k, v = entry
+            key = _zero_based(entry, i, j, k)
             if j > k:
                 raise ValueError(f"quadratic entry {entry} violates j <= k")
-            key = (i - 1, j - 1, k - 1)
             quadratic[key] = quadratic.get(key, ZERO) + parse_rat(v)
         for entry in data.get("linear", []):
             i, j, v = entry
-            linear[(i - 1, j - 1)] = linear.get((i - 1, j - 1), ZERO) + parse_rat(v)
+            key = _zero_based(entry, i, j)
+            linear[key] = linear.get(key, ZERO) + parse_rat(v)
         for entry in data.get("constant", []):
             i, v = entry
-            constant[i - 1] = constant.get(i - 1, ZERO) + parse_rat(v)
+            (key,) = _zero_based(entry, i)
+            constant[key] = constant.get(key, ZERO) + parse_rat(v)
         return QuadraticVectorField(dim, quadratic, linear, constant)
 
     def __repr__(self):
         return f"QuadraticVectorField(dim={self.dim}, f={[str(p) for p in self.components()]})"
+
+
+def _zero_based(entry, *indices) -> tuple[int, ...]:
+    """The 1-based indices of a field JSON entry, 0-based; a float, a bool or
+    a string index is refused."""
+    if any(type(i) is not int for i in indices):
+        raise ValueError(f"field entry {entry} has an index that is not an integer")
+    return tuple(i - 1 for i in indices)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +360,13 @@ class KahanMap:
             self._n_plus = self.den.subs_h_negated()
         return self._n_plus
 
-    def as_rational_functions(self) -> list[RationalFunction]:
-        return [RationalFunction(num, self.den) for num in self.numerators]
-
     def series(self, order: int) -> list[list[Polynomial]]:
         """h-expansion of Phi_h: the coefficient vectors of h^0 .. h^order."""
         if order < 0:
             raise ValueError("order must be nonnegative")
-        per_component = [r.series_in_h(order) for r in self.as_rational_functions()]
+        per_component = [
+            series_in_h(RationalFunction(num, self.den), order) for num in self.numerators
+        ]
         return [list(layer) for layer in zip(*per_component)]
 
     def substitute(self, p: Polynomial, clear_power: int) -> Polynomial:
@@ -370,10 +381,6 @@ class KahanMap:
             return None
         return [ev(num) / den for num in self.numerators]
 
-    def det_m_at(self, ev: PointEvaluator) -> Rat:
-        """det(M) = det(I - (h/2) f'(x)) at the evaluator's point."""
-        return ev(self.den)
-
     def darboux_defect_cleared(self, P: Polynomial) -> Polynomial:
         """den^(D+1) * [N_{-h/2}(x) P(Phi_h(x)) - P(x) N_{h/2}(Phi_h(x))] / den
         with D = max(deg_x P, dim); the zero polynomial iff P solves the
@@ -385,7 +392,7 @@ class KahanMap:
         """h-expansion of N_{-h/2} P(Phi) - P N_{h/2}(Phi) through h^order."""
         D = max(P.x_degree(), self.field.dim)
         cleared = self.darboux_defect_cleared(P)
-        return RationalFunction(cleared, self.den**D).series_in_h(order)
+        return series_in_h(RationalFunction(cleared, self.den**D), order)
 
     def det_jacobian(self) -> RationalFunction:
         """det DPhi_h = det(I + (h/2) f'(Phi_h(x))) / det(I - (h/2) f'(x))."""
@@ -403,14 +410,15 @@ def affine_pullback(field: QuadraticVectorField, A, v=None) -> QuadraticVectorFi
     Ainv = invert_rational_matrix(A)
     if Ainv is None:
         raise ValueError("affine pullback needs an invertible matrix")
-    linear_forms = {
-        j: sum(
+    linear_forms = [
+        sum(
             (Polynomial.variable(nv, l) * A[j][l] for l in range(n)),
             Polynomial.const(nv, v[j]),
         )
         for j in range(n)
-    }
-    substituted = [field.component(i).substitute_polynomials(linear_forms) for i in range(n)]
+    ]
+    one = Polynomial.const(nv, 1)  # f(Ax + v) is the substitution over the denominator 1
+    substituted = [rf_substitute(c, linear_forms, one, c.x_degree()) for c in field.components()]
     new_components = [
         sum((substituted[j] * Ainv[i][j] for j in range(n)), Polynomial.zero(nv))
         for i in range(n)

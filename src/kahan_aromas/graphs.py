@@ -401,8 +401,13 @@ def parse_aroma(text: str) -> Aroma:
     text = text.strip()
     if not text.startswith("C"):
         raise ValueError(f"aroma encoding must start with 'C': {text!r}")
-    open_paren = text.index("(")
-    k = int(text[1:open_paren])
+    open_paren = text.find("(")
+    if open_paren < 0:
+        raise ValueError(f"aroma encoding needs '(' after the cycle length: {text!r}")
+    length = text[1:open_paren]
+    if not (length.isascii() and length.isdigit()):
+        raise ValueError(f"aroma cycle length must be a positive integer: {text!r}")
+    k = int(length)
     if not text.endswith(")"):
         raise ValueError(f"aroma encoding must end with ')': {text!r}")
     body = text[open_paren + 1 : -1]

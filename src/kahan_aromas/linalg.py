@@ -108,10 +108,6 @@ def rref(vectors, ncols: int) -> list[list[Rat]]:
     return _rref_rats(_int_rows(vectors), ncols)
 
 
-def same_rowspace(a, b, ncols: int) -> bool:
-    return rref(a, ncols) == rref(b, ncols)
-
-
 def in_span(basis, target, ncols: int) -> list[Rat] | None:
     """Coordinates of target in the span of basis rows, or None."""
     if all(v == 0 for v in target):
@@ -155,22 +151,3 @@ def det_rational_matrix(matrix) -> Rat:
     scale = math.prod(math.lcm(*(v.denominator for v in row)) for row in matrix)
     pivots, d, sign = _reduce(_int_rows(matrix), n)
     return Rat(sign * d, scale) if len(pivots) == n else ZERO
-
-
-def adjugate_rational_matrix(matrix):
-    """Adjugate via cofactors; fine at the n <= 4 sizes used here."""
-    n = len(matrix)
-    if n == 1:
-        return [[ONE]]
-
-    def minor(rows, i, j):
-        return [
-            [rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i
-        ]
-
-    adj = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            sign = -ONE if (i + j) & 1 else ONE
-            adj[j][i] = sign * det_rational_matrix(minor(matrix, i, j))
-    return adj

@@ -156,9 +156,6 @@ class Polynomial:
         """The rational coefficient of a packed monomial key."""
         return self.content * self.terms.get(key, 0)
 
-    def constant_value(self) -> Rat:
-        return self.coefficient(0)
-
     def total_degree(self) -> int:
         if not self.terms:
             return 0
@@ -287,7 +284,7 @@ class Polynomial:
                 and self.content == other.content
                 and self.terms == other.terms
             )
-        return self.is_constant() and self.constant_value() == Rat(other)
+        return self.is_constant() and self.coefficient(0) == Rat(other)
 
     def __hash__(self):
         return hash((self.nvars, self.content, frozenset(self.terms.items())))
@@ -303,38 +300,6 @@ class Polynomial:
                 out[k - (1 << shift)] = v * e
         c = self.content
         return _from_ints(self.nvars, out, c.numerator, c.denominator)
-
-    def substitute_polynomials(self, mapping: dict) -> "Polynomial":
-        """Simultaneously substitute polynomials for variables (index -> poly)."""
-        for p in mapping.values():
-            self._check(p)
-        n = self.nvars
-        powers: dict[tuple[int, int], Polynomial] = {}
-
-        def power(i, e):
-            got = powers.get((i, e))
-            if got is None:
-                got = mapping[i] ** e
-                powers[(i, e)] = got
-            return got
-
-        result = Polynomial.zero(n)
-        for k, v in self.terms.items():
-            term = Polynomial.const(n, v)
-            for i in range(n):
-                e = (k >> (_BITS * i)) & _MASK
-                if not e:
-                    continue
-                if i in mapping:
-                    term = term * power(i, e)
-                else:
-                    term = term * Polynomial.monomial(n, [e if j == i else 0 for j in range(n)])
-            result = result + term
-        return result * self.content
-
-    def evaluate(self, values) -> Rat:
-        """Full evaluation at a rational point (length nvars)."""
-        return PointEvaluator(self.nvars, values)(self)
 
     def eval_h(self, hvalue) -> "Polynomial":
         """Substitute a rational for h, keeping the x and u variables."""
@@ -393,6 +358,18 @@ class Polynomial:
 
     @staticmethod
     def from_json(data, nvars: int | None = None) -> "Polynomial":
+        seq = (list, tuple)
+        if not isinstance(data, seq) or not all(
+            isinstance(t, seq)
+            and len(t) == 2
+            and isinstance(t[0], seq)
+            and all(type(e) is int for e in t[0])
+            for t in data
+        ):
+            raise ValueError(
+                "polynomial JSON must be a list of [exponents, coefficient] pairs"
+                f" with integer exponents, got {data!r}"
+            )
         if nvars is None:
             if not data:
                 raise ValueError("cannot infer variable count from an empty polynomial")
@@ -493,8 +470,7 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if den.is_constant():
-            c = den.constant_value()
-            num = num * (ONE / c)
+            num = num * (ONE / den.coefficient(0))
             den = Polynomial.const(num.nvars, 1)
         self.num = num
         self.den = den
@@ -515,9 +491,6 @@ class RationalFunction:
 
     def __hash__(self):  # pragma: no cover - not used as dict keys
         return hash((self.num, self.den))
-
-    def series_in_h(self, order: int) -> list[Polynomial]:
-        return series_in_h(self, order)
 
     def __str__(self):
         if self.den.is_constant():

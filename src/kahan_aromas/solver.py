@@ -42,7 +42,7 @@ from .graphs import (
 )
 from .linalg import in_span, nullspace, rank, rref
 from .poly import PointEvaluator, Polynomial, RationalFunction
-from .rationals import Rat, ONE, ZERO, random_rational
+from .rationals import Rat, ZERO, random_rational
 
 QUADRATIC_MAX_INDEGREE = 2
 SAMPLE_ATTEMPTS = 100  # random points tried by each randomized search
@@ -233,7 +233,7 @@ def _usable_points(rng, kmap: KahanMap):
         xs = [random_rational(rng) for _ in range(field.dim)]
         h = random_rational(rng)
         ev = PointEvaluator(field.nvars, xs + [h, ZERO])
-        n_minus = kmap.det_m_at(ev)  # det(M) = det(I - (h/2) f'(x))
+        n_minus = ev(kmap.den)  # det(M) = det(I - (h/2) f'(x))
         if n_minus != 0:
             ev_phi = PointEvaluator(field.nvars, kmap.apply_point(ev) + [h, ZERO])
             yield ev, n_minus, ev_phi, ev_phi(n_plus)
@@ -503,17 +503,22 @@ def _proportionality(numer: Polynomial, denom: Polynomial):
     return numer.content / denom.content if numer.terms == denom.terms else None
 
 
-def necessary_conditions(field: QuadraticVectorField) -> NecessaryConditionsReport:
-    """Leading-term and h^2/h^3 obstructions for aromatic Darboux densities."""
-    div_free = field.is_divergence_free()
+def _cond1(field: QuadraticVectorField) -> tuple[bool, Cond1Report]:
+    """Whether F(tailed 2-cycle) vanishes, and cond1: F(3-cycle) = alpha
+    F(tailed 2-cycle), or both vanish."""
     f_c3 = field.aroma_function(THREE_CYCLE)
     f_t2c = field.aroma_function(TAILED_TWO_CYCLE)
     if f_t2c.is_zero():
         both_zero = f_c3.is_zero()
-        cond1 = Cond1Report(holds=both_zero, alpha=None, both_zero=both_zero)
-    else:
-        alpha = _proportionality(f_c3, f_t2c)
-        cond1 = Cond1Report(holds=alpha is not None, alpha=alpha, both_zero=False)
+        return True, Cond1Report(holds=both_zero, alpha=None, both_zero=both_zero)
+    alpha = _proportionality(f_c3, f_t2c)
+    return False, Cond1Report(holds=alpha is not None, alpha=alpha, both_zero=False)
+
+
+def necessary_conditions(field: QuadraticVectorField) -> NecessaryConditionsReport:
+    """Leading-term and h^2/h^3 obstructions for aromatic Darboux densities."""
+    div_free = field.is_divergence_free()
+    _, cond1 = _cond1(field)
     f_lt = field.aroma_function(LOOP_WITH_TAIL)
     f_l2 = field.aroma_function(AromaMultiset((LOOP, LOOP)))
     return NecessaryConditionsReport(div_free, cond1, f_lt == f_l2)
@@ -665,12 +670,12 @@ class ConjectureReport:
     tailed_two_cycle_zero: bool
     hypothesis_holds: bool
     alpha: Rat | None
-    singular: bool
-    density_found: bool | None
-    gamma_two_cycle: Rat | None
-    order4_support: list[str]
-    order4_proportional_pairs: list[tuple[str, str, Rat]]
-    solution_dimension: int | None
+    singular: bool = False
+    density_found: bool | None = None
+    gamma_two_cycle: Rat | None = None
+    order4_support: list[str] = dc_field(default_factory=list)
+    order4_proportional_pairs: list[tuple[str, str, Rat]] = dc_field(default_factory=list)
+    solution_dimension: int | None = None
 
     def to_json(self):
         from .rationals import format_rat
@@ -703,76 +708,26 @@ def conjecture_check(field: QuadraticVectorField, seed: int = 0) -> ConjectureRe
     """
     if field.dim != 3 or not field.is_homogeneous() or not field.is_divergence_free():
         raise ValueError("conjecture check requires a homogeneous divergence-free field on R^3")
-    f_t2c = field.aroma_function(TAILED_TWO_CYCLE)
-    f_c3 = field.aroma_function(THREE_CYCLE)
-    pairs = _order4_proportional_pairs(field)
-    if f_t2c.is_zero():
-        return ConjectureReport(
-            applicable=True,
-            tailed_two_cycle_zero=True,
-            hypothesis_holds=f_c3.is_zero(),
-            alpha=None,
-            singular=False,
-            density_found=None,
-            gamma_two_cycle=None,
-            order4_support=[],
-            order4_proportional_pairs=pairs,
-            solution_dimension=None,
-        )
-    alpha = _proportionality(f_c3, f_t2c)
-    if alpha is None:
-        return ConjectureReport(
-            applicable=True,
-            tailed_two_cycle_zero=False,
-            hypothesis_holds=False,
-            alpha=None,
-            singular=False,
-            density_found=None,
-            gamma_two_cycle=None,
-            order4_support=[],
-            order4_proportional_pairs=pairs,
-            solution_dimension=None,
-        )
-    if alpha == -3:
-        return ConjectureReport(
-            applicable=True,
-            tailed_two_cycle_zero=False,
-            hypothesis_holds=True,
-            alpha=alpha,
-            singular=True,
-            density_found=None,
-            gamma_two_cycle=None,
-            order4_support=[],
-            order4_proportional_pairs=pairs,
-            solution_dimension=None,
-        )
-    sol = solve_darboux(field, 4, parity="even", seed=seed)
-    gamma_c2 = -(Rat(3) - alpha) / 12
-    target_h2 = field.aroma_function(TWO_CYCLE) * (gamma_c2 / 2)
-    combo = _find_constrained_density(sol, target_h2)
-    order4_support = []
-    if combo is not None:
-        gamma = {}
-        for c, g in zip(combo, sol.gammas):
-            if c == 0:
-                continue
-            for k, v in g.items():
-                gamma[k] = gamma.get(k, ZERO) + c * v
-        order4_support = sorted(
-            k for k, v in gamma.items() if v != 0 and parse_multiset(k).order == 4
-        )
-    return ConjectureReport(
+    tailed_zero, cond1 = _cond1(field)
+    report = ConjectureReport(
         applicable=True,
-        tailed_two_cycle_zero=False,
-        hypothesis_holds=True,
-        alpha=alpha,
-        singular=False,
-        density_found=combo is not None,
-        gamma_two_cycle=gamma_c2,
-        order4_support=order4_support,
-        order4_proportional_pairs=pairs,
-        solution_dimension=len(sol.densities),
+        tailed_two_cycle_zero=tailed_zero,
+        hypothesis_holds=cond1.holds,
+        alpha=cond1.alpha,
+        singular=cond1.alpha == -3,
+        order4_proportional_pairs=_order4_proportional_pairs(field),
     )
+    if tailed_zero or not cond1.holds or report.singular:
+        return report
+    sol = solve_darboux(field, 4, parity="even", seed=seed)
+    report.gamma_two_cycle = -(Rat(3) - cond1.alpha) / 12
+    target_h2 = field.aroma_function(TWO_CYCLE) * (report.gamma_two_cycle / 2)
+    found = _find_constrained_density(sol, target_h2)
+    report.density_found = found is not None
+    if found is not None:
+        report.order4_support = sorted(k for k in found[0] if parse_multiset(k).order == 4)
+    report.solution_dimension = len(sol.densities)
+    return report
 
 
 def _order4_proportional_pairs(field):
@@ -795,29 +750,16 @@ def _order4_proportional_pairs(field):
 
 
 def _find_constrained_density(sol: DarbouxSolution, target_h2: Polynomial):
-    """Combination of solutions with h^0 part 1 and the given h^2 part."""
-    densities = sol.densities
-    if not densities:
+    """(gamma, density) for a combination of the solutions with h^0 part 1
+    and the given h^2 part, or None."""
+    h2 = Polynomial.variable(sol.field.nvars, sol.field.dim) ** 2
+    layers = [d.coefficient_of_h(0) + d.coefficient_of_h(2) * h2 for d in sol.densities]
+    combo = density_span_solve(layers, target_h2 * h2 + 1)
+    if combo is None:
         return None
-    h0_parts = [d.coefficient_of_h(0) for d in densities]
-    h2_parts = [d.coefficient_of_h(2) for d in densities]
-    monomials = sorted(
-        {k for p in h0_parts + h2_parts for k in p.terms}
-        | set(target_h2.terms)
-        | {0}
-    )
-    rows = []
-    rhs = []
-    for mk in monomials:
-        rows.append([p.coefficient(mk) for p in h0_parts])
-        rhs.append(ONE if mk == 0 else ZERO)
-    for mk in monomials:
-        rows.append([p.coefficient(mk) for p in h2_parts])
-        rhs.append(target_h2.coefficient(mk))
-    # solve rows * c = rhs exactly via nullspace of [rows | -rhs]
-    aug = [row + [-r] for row, r in zip(rows, rhs)]
-    for vec in nullspace(aug, len(densities) + 1):
-        if vec[-1] != 0:
-            scale = ONE / vec[-1]
-            return [v * scale for v in vec[:-1]]
-    return None
+    gamma: dict[str, Rat] = {}
+    for c, g in zip(combo, sol.gammas):
+        for k, v in g.items():
+            gamma[k] = gamma.get(k, ZERO) + c * v
+    gamma = {k: v for k, v in gamma.items() if v != 0}
+    return gamma, _combination(sol.densities, combo)

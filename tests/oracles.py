@@ -195,7 +195,7 @@ def verify_density_by_expansion(field, P, seed: int = 0) -> VerificationResult:
         xs = [random_rational(rng) for _ in range(field.dim)]
         h = random_rational(rng)
         ev = PointEvaluator(field.nvars, xs + [h, ZERO])
-        den_val = kmap.det_m_at(ev)
+        den_val = ev(kmap.den)
         if den_val == 0:
             continue
         value = ev(defect)
@@ -232,10 +232,11 @@ def kahan_step_by_solve(field, xs, h):
     elimination on `Fraction`s; None when the matrix is singular."""
     n = field.dim
     point = [Fraction(v) for v in xs] + [Fraction(h), Fraction(0)]
+    ev = PointEvaluator(field.nvars, point)
     jac = field.jacobian()
     aug = [
-        [(1 if i == j else 0) - Fraction(h) / 2 * jac[i][j].evaluate(point) for j in range(n)]
-        + [field.component(i).evaluate(point)]
+        [(1 if i == j else 0) - Fraction(h) / 2 * ev(jac[i][j]) for j in range(n)]
+        + [ev(field.component(i))]
         for i in range(n)
     ]
     reduced = rref_by_fractions(aug, n)

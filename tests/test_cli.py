@@ -389,6 +389,34 @@ def _kahan_map(system, params):
             None,
             "parameter 'J' must be a square matrix",
         ),
+        (
+            _kahan_map("canonical_hamiltonian", {"J": [[0, 1], [-1, 0]], "H": 5}),
+            None,
+            None,
+            "input error: system 'canonical_hamiltonian': polynomial JSON must be a list of"
+            ' [exponents, coefficient] pairs with integer exponents, got 5; schema: {"J"',
+        ),
+        (_LV, 5, None, "malformed density JSON: polynomial JSON must be a list of [exponents"),
+        (
+            ("field", "eval", "--system", "lv", "--aroma", "C9"),
+            None,
+            None,
+            "bad aroma encoding: aroma encoding needs '(' after the cycle length: 'C9'",
+        ),
+        (
+            ("field", "eval", "--system", "lv", "--aroma", "Cx()"),
+            None,
+            None,
+            "bad aroma encoding: aroma cycle length must be a positive integer: 'Cx()'",
+        ),
+        (
+            {"dim": 2, "quadratic": [[1.5, 1, 2, "1"]]},
+            None,
+            None,
+            "field entry [1.5, 1, 2, '1'] has an index that is not an integer",
+        ),
+        ({**_LV, "linear": [[True, 1, "1"]]}, None, None, "has an index that is not an integer"),
+        ({**_LV, "dim": True}, None, None, "needs a positive integer 'dim'"),
     ],
     ids=[
         "field-zero-denominator",
@@ -419,6 +447,13 @@ def _kahan_map(system, params):
         "nambu-inhomogeneous-short-vector",
         "divfree-r3-2x2-matrix",
         "canonical-hamiltonian-non-square-j",
+        "canonical-hamiltonian-h-not-a-list",
+        "density-not-a-list",
+        "aroma-without-parenthesis",
+        "aroma-length-not-digits",
+        "field-float-index",
+        "field-bool-index",
+        "field-bool-dim",
     ],
 )
 def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, message):
@@ -485,3 +520,37 @@ def test_kahan_output_bytes_are_pinned(capsys, system, command):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == KAHAN_STDOUT_SHA256[(system, command)]
+
+
+# SHA-256 of the stdout of `check conditions` for every corpus system,
+# `check conjecture` and `corpus run`, taken from the code before the span
+# solve, the cond1 check and the 3 x 3 adjugate had one definition each
+ANALYSIS_STDOUT_SHA256 = {
+    "check conditions --system canonical_hamiltonian --seed 0": "5bc892de32d215430359ce009682bb8b741a1462c32032a2e1f59434b934a351",
+    "check conditions --system divfree_homogeneous_r3 --seed 0": "e076e674fc7b7d21dd21e087907bc198892e73049672af3595b65b134475c4eb",
+    "check conditions --system dressing_chain --seed 0": "5bc892de32d215430359ce009682bb8b741a1462c32032a2e1f59434b934a351",
+    "check conditions --system ishii --seed 0": "2224dfe2a8b9f3c6f43cd79539d47b7b78b444c2434ebcd3c8c4cfd12d07edc9",
+    "check conditions --system lv --seed 0": "5bc892de32d215430359ce009682bb8b741a1462c32032a2e1f59434b934a351",
+    "check conditions --system lv_divfree --seed 0": "5bc892de32d215430359ce009682bb8b741a1462c32032a2e1f59434b934a351",
+    "check conditions --system lv_special --seed 0": "66d520b83435dfcac1749d427d8370ac378dc43ff4b19168ee04463d93013c3f",
+    "check conditions --system nambu_homogeneous --seed 0": "7b6ece69dcdeb93d0185645b045a3239f7a96c37a78af4451673816b8e1fc996",
+    "check conditions --system nambu_inhomogeneous --seed 0": "7b6ece69dcdeb93d0185645b045a3239f7a96c37a78af4451673816b8e1fc996",
+    **{
+        f"check conjecture --system divfree_homogeneous_r3 --seed {seed}": "1ab84c0eed231927712073f4b124db2eb61161464fac69e73e8b8998634d3494"
+        for seed in range(5)
+    },
+    **{
+        f"check conjecture --system lv_divfree --seed {seed}": "f55e9edf67b89833cd5a25b6e7e6aaad69f380b39e0e8c87d482211763d8b2a2"
+        for seed in range(5)
+    },
+    "corpus run divfree_homogeneous_r3 --seed 0": "25b36c177ad695415946353017c95b43be40188338186d51767a7d48cc293d6a",
+    "corpus run nambu_homogeneous --seed 0": "91a5d96553214b501eadc46b2535a9f5d4aa050fa56224cf2748d6ecfcdf66a5",
+    "corpus run nambu_inhomogeneous --seed 0": "fed2d022e88f553f5269a4becf1caca8f9dc2003467a5f012afde6de188d0ba3",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ANALYSIS_STDOUT_SHA256))
+def test_analysis_output_bytes_are_pinned(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYSIS_STDOUT_SHA256[command]

@@ -3,9 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kahan_aromas.corpus import (
     GOLDEN_SUITES,
+    _adjugate,
     SYSTEMS,
     dressing_chain,
     get_system,
@@ -22,6 +24,7 @@ from kahan_aromas.corpus import (
     random_vector,
 )
 from kahan_aromas.fields import KahanMap
+from kahan_aromas.linalg import det_rational_matrix
 from kahan_aromas.poly import Polynomial
 from kahan_aromas.rationals import Rat
 
@@ -150,3 +153,26 @@ def test_frozen_solver_report_fixture(capsys):
     )
     out = capsys.readouterr().out
     assert code == 0 and out == expected
+
+
+_ENTRY = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@given(
+    st.lists(st.lists(_ENTRY, min_size=3, max_size=3), min_size=3, max_size=3),
+    st.tuples(_ENTRY, _ENTRY),
+    st.booleans(),
+)
+def test_adjugate_times_matrix_is_det_times_identity(rows, coeffs, singular):
+    if singular:  # the last row a combination of the others
+        rows[2] = [coeffs[0] * a + coeffs[1] * b for a, b in zip(rows[0], rows[1])]
+    M = [[Rat(v) for v in row] for row in rows]
+    adj = _adjugate(M)
+    det = det_rational_matrix(M)
+    scaled_eye = [[det if i == j else 0 for j in range(3)] for i in range(3)]
+
+    def mul(A, B):
+        return [[sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+    assert mul(adj, M) == scaled_eye
+    assert mul(M, adj) == scaled_eye

@@ -57,7 +57,7 @@ def test_partial_derivative():
 def test_substitute_polynomials_simultaneous():
     # x <-> y swap must be simultaneous, not sequential
     p = x(0) + x(1) * 2
-    q = p.substitute_polynomials({0: x(1), 1: x(0)})
+    q = rf_substitute(p, [x(1), x(0)], const(1), 1)
     assert q == x(1) + x(0) * 2
 
 
@@ -146,9 +146,9 @@ def test_series_in_h_geometric():
     xx, h = Polynomial.variable(nv, 0), Polynomial.variable(nv, 1)
     one = Polynomial.const(nv, 1)
     r = RationalFunction(one, one - h * xx)
-    assert r.series_in_h(2) == [one, xx, xx**2]
+    assert series_in_h(r, 2) == [one, xx, xx**2]
     r2 = RationalFunction(xx, one - h * xx)
-    assert r2.series_in_h(1) == [xx, xx**2]
+    assert series_in_h(r2, 1) == [xx, xx**2]
 
 
 def test_series_in_h_polynomial_input():
@@ -171,7 +171,7 @@ def test_series_in_h_defining_property(num, order):
     h = x(2)
     den = const(1) + h * x(0) - h**2 * x(1)
     r = RationalFunction(num, den)
-    coeffs = r.series_in_h(order)
+    coeffs = series_in_h(r, order)
     acc = Polynomial.zero(NV)
     for k, c in enumerate(coeffs):
         acc = acc + c * h**k
@@ -311,5 +311,6 @@ def test_point_evaluator_matches_termwise_evaluation(p, point):
         for v, e in zip(point, exps):
             term *= v**e
         expected += term
-    assert PointEvaluator(NV, point)(p) == expected
-    assert p.evaluate(point) == expected
+    ev = PointEvaluator(NV, point)
+    assert ev(p) == expected
+    assert ev(p) == expected  # again, from the evaluator's monomial cache

@@ -523,7 +523,14 @@ def test_randomized_searches_are_bounded(monkeypatch):
     # witness point exists, and each search must give up with its count
     import kahan_aromas.solver as solver_mod
 
-    monkeypatch.setattr(KahanMap, "det_m_at", lambda self, ev: ZERO)
+    init = KahanMap.__init__
+
+    def zero_den(self, field):
+        init(self, field)
+        # u = 0 at every sample point: the den is zero there, not identically
+        self.den = self.den * X(field.nvars - 1)
+
+    monkeypatch.setattr(KahanMap, "__init__", zero_den)
     f = lv_divfree()
     with pytest.raises(SolverError, match=f"{solver_mod.SAMPLE_ATTEMPTS} attempts"):
         solver_mod._sample_point(random.Random(0), KahanMap(f))
