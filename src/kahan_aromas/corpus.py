@@ -15,7 +15,7 @@ from typing import Callable
 
 from .fields import QuadraticVectorField, KahanMap, hamiltonian_field, modified_hamiltonian
 from .graphs import TWO_CYCLE, Aroma
-from .linalg import det_rational_matrix
+from .linalg import rank
 from .poly import Polynomial
 from .rationals import Rat, ZERO, parse_rat
 from .solver import (
@@ -25,7 +25,6 @@ from .solver import (
     density_span_solve,
     first_integrals,
     necessary_conditions,
-    parameter_independent_solve,
     solve_darboux,
     verify_density,
 )
@@ -169,11 +168,15 @@ def nambu_inhomogeneous(H, hvec, K, kvec) -> QuadraticVectorField:
     return QuadraticVectorField.from_polynomials(_cross(_gradient(pH, 3), _gradient(pK, 3)))
 
 
+def _ishii_coefficients(b2, b3, c1, c2, c3):
+    """Ishii's (A1, A2, A3)."""
+    return b2 * c3 - b3 * c2, c2 * c3 + b3 * c1, -(b2 * c1 + c2 * c2)
+
+
 def ishii(b2, b3, c1, c2, c3, k) -> QuadraticVectorField:
     """The generalized Ishii system with the volume-preserving coupling."""
     b2, b3, c1, c2, c3, k = map(_rat, (b2, b3, c1, c2, c3, k))
-    A1 = b2 * c3 - b3 * c2
-    A2 = c2 * c3 + b3 * c1
+    A1, A2, _ = _ishii_coefficients(b2, b3, c1, c2, c3)
     a11 = k * A2 * c3
     a12 = -k * (A1 * c3 + A2 * b3)
     a22 = k * A1 * b3
@@ -189,9 +192,7 @@ def ishii_invariants(b2, b3, c1, c2, c3, k):
     """(H1_tilde, g2_target): the modified invariant and the density it
     determines, g2 = 2 A3^2 + 4 k (A1 c3 - A2 b3)^2 H1_tilde (h^4-graded)."""
     b2, b3, c1, c2, c3, k = map(_rat, (b2, b3, c1, c2, c3, k))
-    A1 = b2 * c3 - b3 * c2
-    A2 = c2 * c3 + b3 * c1
-    A3 = -(b2 * c1 + c2 * c2)
+    A1, A2, A3 = _ishii_coefficients(b2, b3, c1, c2, c3)
     h = Polynomial.variable(NV3, 3)
     lin1 = _x(0) * c3 - _x(1) * b3
     lin2 = _x(0) * A2 - _x(1) * A1
@@ -260,7 +261,7 @@ def random_skew(rng, n):
 def random_invertible(rng, n):
     for _ in range(SAMPLE_ATTEMPTS):
         M = [[rand_small(rng) for _ in range(n)] for _ in range(n)]
-        if det_rational_matrix(M) != 0:
+        if rank(M, n) == n:
             return M
     raise SolverError(f"no invertible {n} x {n} draw in {SAMPLE_ATTEMPTS} attempts")
 
@@ -306,9 +307,7 @@ def random_ishii_params(rng):
         params = {name: rand_small(rng) for name in ("b2", "b3", "c1", "c2", "c3")}
         params["k"] = rand_small(rng)
         b2, b3, c1, c2, c3, k = (params[n] for n in ("b2", "b3", "c1", "c2", "c3", "k"))
-        A1 = b2 * c3 - b3 * c2
-        A2 = c2 * c3 + b3 * c1
-        A3 = -(b2 * c1 + c2 * c2)
+        A1, A2, A3 = _ishii_coefficients(b2, b3, c1, c2, c3)
         if k != 0 and A3 != 0 and (A1 * c3 - A2 * b3) != 0:
             return params, rerolls
     raise SolverError(f"no nondegenerate Ishii parameters in {SAMPLE_ATTEMPTS} attempts")
@@ -530,14 +529,12 @@ def _golden_nambu_homogeneous(seed) -> list[GoldenCheck]:
         f = nambu_homogeneous(A, B)
         fc2 = f.aroma_function(TWO_CYCLE)
         checks.append(GoldenCheck("re-rolled degenerate draw", True))
-    adj = _adjugate
-    mul = _mat_mul
     C = _mat_sub(
         _mat_sub(
-            _mat_sub(adj(_mat_add(adj(A), adj(B))), adj(adj(A))),
-            _mat_add(adj(adj(B)), mul(mul(B, adj(A)), B)),
+            _mat_sub(_adjugate(_mat_add(_adjugate(A), _adjugate(B))), _adjugate(_adjugate(A))),
+            _mat_add(_adjugate(_adjugate(B)), _mat_mul(_mat_mul(B, _adjugate(A)), B)),
         ),
-        mul(mul(A, adj(B)), A),
+        _mat_mul(_mat_mul(A, _adjugate(B)), A),
     )
     checks.append(
         GoldenCheck(
@@ -562,9 +559,8 @@ def _golden_nambu_homogeneous(seed) -> list[GoldenCheck]:
     h1 = _quadratic_form_poly(_rat_matrix(A, "A"))
     h2 = _quadratic_form_poly(_rat_matrix(B, "B"))
     grads_ok = all(
-        sum((h1.partial_derivative(i) * f.component(i) for i in range(3)), Polynomial.zero(NV3)).is_zero()
-        and sum((h2.partial_derivative(i) * f.component(i) for i in range(3)), Polynomial.zero(NV3)).is_zero()
-        for _ in (0,)
+        sum((H.partial_derivative(i) * f.component(i) for i in range(3)), Polynomial.zero(NV3)).is_zero()
+        for H in (h1, h2)
     )
     checks.append(GoldenCheck("H1, H2 are first integrals of the flow", grads_ok))
     return checks

@@ -38,6 +38,8 @@ class QuadraticVectorField:
     """Exact quadratic vector field on R^dim (immutable after construction)."""
 
     def __init__(self, dim: int, quadratic=None, linear=None, constant=None):
+        if type(dim) is not int:
+            raise ValueError(f"dimension {dim!r} is not an integer")
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         self.dim = dim
@@ -374,12 +376,12 @@ class KahanMap:
         return rf_substitute(p, self.numerators, self.den, clear_power, self.subs_cache)
 
     def apply_point(self, ev: PointEvaluator):
-        """Exact image of the evaluator's point (x, h), or None when det(M)
-        vanishes there."""
+        """(det(M), exact image) at the evaluator's point (x, h); the image
+        is None when det(M) vanishes there."""
         den = ev(self.den)
         if den == 0:
-            return None
-        return [ev(num) / den for num in self.numerators]
+            return den, None
+        return den, [ev(num) / den for num in self.numerators]
 
     def darboux_defect_cleared(self, P: Polynomial) -> Polynomial:
         """den^(D+1) * [N_{-h/2}(x) P(Phi_h(x)) - P(x) N_{h/2}(Phi_h(x))] / den

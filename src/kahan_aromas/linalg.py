@@ -3,7 +3,7 @@
 Every operation runs one kernel, `_reduce`: fraction-free Gauss-Jordan
 elimination (Bareiss) on rows cleared to Python ints.  Each division in it
 is exact, and at the end every pivot row has the same leading value d, so
-the reduced row echelon form, nullspace vectors, determinants and solutions
+the reduced row echelon form, nullspace vectors, inverses and solutions
 are integers over d; rationals are built once, at the public return.
 Pivoting is "first nonzero in fixed row order", which makes every output
 deterministic for a fixed row/column order.
@@ -25,27 +25,22 @@ def _int_rows(rows) -> list[list[int]]:
     return out
 
 
-def _reduce(mat: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
+def _reduce(mat: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free reduced echelon form of integer rows, in place.
 
     Only the first ncols columns are searched for pivots; every entry of a
-    row is updated.  Returns (pivot columns, d, sign).  Afterwards mat[k] is
-    the k-th pivot row, with d at its pivot column and 0 at every other
-    pivot column, and rows that reduced to zero are dropped.  The rref is
-    mat / d, and for a square matrix of full rank d times sign is its
-    determinant (sign is the parity of the row swaps).
+    row is updated.  Returns (pivot columns, d).  Afterwards mat[k] is the
+    k-th pivot row, with d at its pivot column and 0 at every other pivot
+    column, and rows that reduced to zero are dropped.  The rref is mat / d.
     """
     prev = 1
-    sign = 1
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
         p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if p is None:
             continue
-        if p != r:
-            mat[r], mat[p] = mat[p], mat[r]
-            sign = -sign
+        mat[r], mat[p] = mat[p], mat[r]
         row_p = mat[r]
         lead = row_p[c]
         for i, row in enumerate(mat):
@@ -61,13 +56,13 @@ def _reduce(mat: list[list[int]], ncols: int) -> tuple[list[int], int, int]:
         pivots.append(c)
         if r + 1 == len(mat):
             break
-    return pivots, prev, sign
+    return pivots, prev
 
 
 def _null_ints(mat: list[list[int]], ncols: int) -> list[list[int]]:
     """Integer basis of the right nullspace of integer rows, one vector per
     free column in ascending order (reduces mat in place)."""
-    pivots, d, _ = _reduce(mat, ncols)
+    pivots, d = _reduce(mat, ncols)
     pivot_cols = set(pivots)
     basis = []
     for f in range(ncols):
@@ -82,7 +77,7 @@ def _null_ints(mat: list[list[int]], ncols: int) -> list[list[int]]:
 
 
 def _rref_rats(mat: list[list[int]], ncols: int) -> list[list[Rat]]:
-    pivots, d, _ = _reduce(mat, ncols)
+    pivots, d = _reduce(mat, ncols)
     return [[Rat(v, d) if v else ZERO for v in row] for row in mat[: len(pivots)]]
 
 
@@ -100,7 +95,14 @@ def nullspace(rows, ncols: int) -> list[list[Rat]]:
 
 
 def rank(rows, ncols: int) -> int:
-    return len(_reduce(_int_rows(rows), ncols)[0])
+    return len(pivot_columns(rows, ncols))
+
+
+def pivot_columns(rows, ncols: int) -> list[int]:
+    """The columns outside the span of the columns before them, ascending:
+    a maximal independent set of columns, each kept when it is independent
+    of the earlier ones."""
+    return _reduce(_int_rows(rows), ncols)[0]
 
 
 def rref(vectors, ncols: int) -> list[list[Rat]]:
@@ -122,17 +124,15 @@ def in_span(basis, target, ncols: int) -> list[Rat] | None:
     return None
 
 
-def intersect_rowspaces(a, b, ncols: int) -> list[list[Rat]]:
-    """Canonical basis of the intersection of two row spaces.
+def intersect_rowspaces(spaces, ncols: int) -> list[list[Rat]]:
+    """Canonical basis of the intersection of row spaces.
 
-    A vector lies in both spaces exactly when it is orthogonal to both
-    orthogonal complements, so the intersection is the nullspace of the
-    stacked complements; for large spaces these have few rows.
+    A vector lies in every space exactly when it is orthogonal to each
+    space's orthogonal complement, so the intersection is the nullspace of
+    the stacked complements; for large spaces these have few rows.
     """
-    if not a or not b:
-        return []
-    perp = _null_ints(_int_rows(a), ncols) + _null_ints(_int_rows(b), ncols)
-    return _rref_rats(_null_ints(perp, ncols), ncols)
+    perp = [vec for space in spaces for vec in nullspace(space, ncols)]
+    return rref(nullspace(perp, ncols), ncols)
 
 
 def invert_rational_matrix(matrix) -> list[list[Rat]] | None:
@@ -140,14 +140,8 @@ def invert_rational_matrix(matrix) -> list[list[Rat]] | None:
     n = len(matrix)
     eye = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     mat = _int_rows(list(row) + e for row, e in zip(matrix, eye))
-    pivots, d, _ = _reduce(mat, n)
+    pivots, d = _reduce(mat, n)
     if len(pivots) < n:
         return None
     return [[Rat(v, d) for v in row[n:]] for row in mat[:n]]
 
-
-def det_rational_matrix(matrix) -> Rat:
-    n = len(matrix)
-    scale = math.prod(math.lcm(*(v.denominator for v in row)) for row in matrix)
-    pivots, d, sign = _reduce(_int_rows(matrix), n)
-    return Rat(sign * d, scale) if len(pivots) == n else ZERO

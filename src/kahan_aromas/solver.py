@@ -25,7 +25,7 @@ when none was refuted).  The result is then the exact solution space.
 
 from __future__ import annotations
 
-import math
+import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -40,7 +40,7 @@ from .graphs import (
     enumerate_multisets,
     parse_multiset,
 )
-from .linalg import in_span, nullspace, rank, rref
+from .linalg import in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
 from .poly import PointEvaluator, Polynomial, RationalFunction
 from .rationals import Rat, ZERO, random_rational
 
@@ -74,41 +74,6 @@ class Basis:
         return [e.key for e in self.elements]
 
 
-def _reduce_against(vec: dict, rows: list[tuple[int, dict]]) -> dict:
-    """Integer vec with each row's pivot eliminated by cross-multiplication,
-    kept primitive (its entries divided by their gcd)."""
-    for pivot, row in rows:
-        c = vec.get(pivot)
-        if not c:
-            continue
-        p = row[pivot]
-        g = math.gcd(p, c)
-        p, c = p // g, c // g
-        vec = {k: p * v for k, v in vec.items()}
-        for k, v in row.items():
-            cur = vec.get(k, 0) - c * v
-            if cur:
-                vec[k] = cur
-            else:
-                del vec[k]
-        g = math.gcd(*vec.values())
-        if g > 1:
-            vec = {k: v // g for k, v in vec.items()}
-    return vec
-
-
-def _insert_independent(vec: dict, rows: list[tuple[int, dict]]) -> bool:
-    """Reduce the integer vec against the echelon rows; when a remainder is
-    left, add it as a new row (rows stay sorted by descending pivot) and
-    return True."""
-    vec = _reduce_against(vec, rows)
-    if not vec:
-        return False
-    rows.append((max(vec), vec))
-    rows.sort(key=lambda pr: -pr[0])
-    return True
-
-
 def build_basis(
     field: QuadraticVectorField,
     max_order: int,
@@ -136,21 +101,31 @@ def build_basis(
     for label, p in augmenters:
         candidates.extend((f"{label}*{m.encoding}", m, (label, p)) for m in multisets)
 
-    elements: list[BasisElement] = []
-    dropped: list[str] = []
-    reduced_rows: list[tuple[int, dict]] = []
-    for key, mset, aug in candidates:
+    polys = []
+    for _, mset, aug in candidates:
         poly = field.aroma_function(mset)
         if aug is not None and not poly.is_zero():
             poly = poly * aug[1]
-        # integer terms: independence does not depend on the content
-        if _insert_independent(poly.terms, reduced_rows):
-            elements.append(
-                BasisElement(key, mset, aug, poly, mset.order, mset.sigma())
-            )
+        polys.append(poly)
+    # integer terms: independence does not depend on the content
+    monomials = sorted({k for p in polys for k in p.terms})
+    rows = [[p.terms.get(mk, 0) for p in polys] for mk in monomials]
+    kept = set(pivot_columns(rows, len(polys)))
+    elements: list[BasisElement] = []
+    dropped: list[str] = []
+    for i, ((key, mset, aug), poly) in enumerate(zip(candidates, polys)):
+        if i in kept:
+            elements.append(BasisElement(key, mset, aug, poly, mset.order, mset.sigma()))
         else:
             dropped.append(key)
     return Basis(field, max_order, elements, dropped, augmenters)
+
+
+def _coefficient_rows(polys: list[Polynomial]) -> list[list[Rat]]:
+    """The coefficient matrix of the polynomials: one row per monomial (in
+    key order), one column per polynomial."""
+    monomials = sorted({k for p in polys for k in p.terms})
+    return [[p.coefficient(mk) for p in polys] for mk in monomials]
 
 
 @dataclass
@@ -161,8 +136,6 @@ class KernelRelations:
     relations: list[list[Rat]]  # each: coefficients c with sum c_k F(alpha_k) = 0
 
     def contains(self, relation) -> bool:
-        if not self.relations:
-            return all(v == 0 for v in relation)
         return in_span(self.relations, list(relation), len(self.multisets)) is not None
 
 
@@ -173,11 +146,8 @@ def kernel_relations(field: QuadraticVectorField, max_order: int) -> KernelRelat
     relations supported on single multisets.
     """
     multisets = enumerate_multisets(max_order)
-    polys = [field.aroma_function(m) for m in multisets]
-    monomials = sorted({k for p in polys for k in p.terms})
-    rows = [[p.coefficient(mkey) for p in polys] for mkey in monomials]
-    rels = nullspace(rows, len(multisets))
-    return KernelRelations(field, max_order, multisets, rels)
+    rows = _coefficient_rows([field.aroma_function(m) for m in multisets])
+    return KernelRelations(field, max_order, multisets, nullspace(rows, len(multisets)))
 
 
 @dataclass
@@ -233,9 +203,9 @@ def _usable_points(rng, kmap: KahanMap):
         xs = [random_rational(rng) for _ in range(field.dim)]
         h = random_rational(rng)
         ev = PointEvaluator(field.nvars, xs + [h, ZERO])
-        n_minus = ev(kmap.den)  # det(M) = det(I - (h/2) f'(x))
-        if n_minus != 0:
-            ev_phi = PointEvaluator(field.nvars, kmap.apply_point(ev) + [h, ZERO])
+        n_minus, image = kmap.apply_point(ev)  # det(M) = det(I - (h/2) f'(x))
+        if image is not None:
+            ev_phi = PointEvaluator(field.nvars, image + [h, ZERO])
             yield ev, n_minus, ev_phi, ev_phi(n_plus)
 
 
@@ -565,12 +535,6 @@ class ParameterIndependentSolution:
         return in_span(self.space, list(vector), len(self.coords)) is not None
 
 
-def _sparse(vec: list[Rat]) -> dict:
-    """Nonzero entries of a rational vector, scaled to integers."""
-    lcm = math.lcm(*(c.denominator for c in vec))
-    return {j: c.numerator * (lcm // c.denominator) for j, c in enumerate(vec) if c}
-
-
 def parameter_independent_solve(
     family,
     instances: int,
@@ -608,38 +572,31 @@ def parameter_independent_solve(
     coords = [m.encoding for m in multisets]
     ncols = len(coords)
 
-    # a subspace is the nullspace of its orthogonal complement, so stack the
-    # instances' complements and eliminate once: the kernel of F is the
-    # nullspace of the coefficient rows, and an instance's solution space
-    # (its gamma-space plus that kernel) has the complement nullspace(...)
-    space_perp = []
-    kernel_perp = []
+    # an instance's solution space is its gamma-space plus its kernel of F,
+    # the nullspace of its coefficient rows; the common kernel is the
+    # nullspace of every instance's rows stacked
+    spaces = []
+    kernel_rows = []
     maps = []
     coordinate_polys = []  # per instance, reused for the densities below
     for idx, f in enumerate(fields):
         sol = solve_darboux(f, max_order, parity=parity, seed=seed + idx)
         maps.append(KahanMap(f))
-        lifted = gamma_space(sol, coords)
         polys = _weighted_polys(
             f, [(f.aroma_function(m), m.order, m.sigma()) for m in multisets]
         )
         coordinate_polys.append(polys)
-        monomials = sorted({k for p in polys for k in p.terms})
-        rows = [[p.coefficient(mk) for p in polys] for mk in monomials]
-        kernel_perp.extend(rows)
-        space_perp.extend(nullspace(lifted + nullspace(rows, ncols), ncols))
-    space = rref(nullspace(space_perp, ncols), ncols)
-    kernel_space = rref(nullspace(kernel_perp, ncols), ncols)
+        rows = _coefficient_rows(polys)
+        kernel_rows.extend(rows)
+        spaces.append(gamma_space(sol, coords) + nullspace(rows, ncols))
+    space = intersect_rowspaces(spaces, ncols)
+    kernel_space = rref(nullspace(kernel_rows, ncols), ncols)
 
-    # space modulo the common kernel: keep each vector that one incremental
-    # echelon form of the kernel and the vectors kept so far does not span
-    echelon: list[tuple[int, dict]] = []
-    for row in kernel_space:
-        _insert_independent(_sparse(row), echelon)
-    representatives = []
-    for vec in space:
-        if _insert_independent(_sparse(vec), echelon):
-            representatives.append(vec)
+    # space modulo the common kernel: the vectors of space outside the span
+    # of the kernel and of the vectors before them
+    columns = kernel_space + space
+    kept = pivot_columns([[v[j] for v in columns] for j in range(ncols)], len(columns))
+    representatives = [space[i - len(kernel_space)] for i in kept if i >= len(kernel_space)]
     if not representatives:
         raise SolverError("empty intersection: no parameter-independent measure at this order")
 
@@ -735,17 +692,12 @@ def _order4_proportional_pairs(field):
     order4 = [m for m in enumerate_multisets(4, QUADRATIC_MAX_INDEGREE) if m.order == 4]
     polys = [(m.encoding, field.aroma_function(m)) for m in order4]
     pairs = []
-    for i in range(len(polys)):
-        for j in range(len(polys)):
-            if i == j:
-                continue
-            enc_a, pa = polys[i]
-            enc_b, pb = polys[j]
-            if pa.is_zero() or pb.is_zero():
-                continue
-            c = _proportionality(pa, pb)
-            if c is not None and enc_a < enc_b:
-                pairs.append((enc_a, enc_b, c))
+    for (enc_a, pa), (enc_b, pb) in itertools.combinations(polys, 2):
+        if pa.is_zero() or pb.is_zero():
+            continue
+        c = _proportionality(pa, pb)
+        if c is not None:
+            pairs.append((enc_a, enc_b, c))
     return pairs
 
 

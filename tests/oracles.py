@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
 
 from kahan_aromas.fields import KahanMap, poly_mat_det
 from kahan_aromas.linalg import nullspace
@@ -179,6 +180,16 @@ def rref_by_fractions(rows, ncols: int) -> list[list[Fraction]]:
         if pr == len(mat):
             break
     return [row for row in mat if any(v != 0 for v in row)]
+
+
+def oracle_det(square):
+    """Determinant by the Leibniz formula."""
+    n = len(square)
+    total = ZERO
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod((square[i][perm[i]] for i in range(n)), start=ONE)
+    return total
 
 
 def verify_density_by_expansion(field, P, seed: int = 0) -> VerificationResult:

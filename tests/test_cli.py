@@ -554,3 +554,35 @@ def test_analysis_output_bytes_are_pinned(capsys, command):
     code, out, err = run_cli(capsys, *command.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYSIS_STDOUT_SHA256[command]
+
+
+# (exit code, SHA-256 of stdout) of `darboux solve` and `corpus run ishii`,
+# taken before basis selection and the family solve moved onto the one
+# elimination kernel of `linalg`; "--augment I0" names a file holding the
+# augmenter I0 = x1 + x2 + x3
+SOLVE_OUTPUT_SHA256 = {
+    "darboux solve --system canonical_hamiltonian --order 4 --parity both --seed 0": (0, "61ad5ee373ac2e90b1b0666aba2db8ebf07defda0d43f563353c4d8d784fcd03"),
+    "darboux solve --system divfree_homogeneous_r3 --order 4 --parity both --seed 0": (1, "98a34790934509c1b3fd34a61547d8ce2e3d4668fcf1d9071639dd1978686ee8"),
+    "darboux solve --system dressing_chain --order 4 --parity both --seed 0": (0, "528a8a6ca00868a050212d6e900f16285df46ca5af91f363b0b1308c04a5dabc"),
+    "darboux solve --system ishii --order 4 --parity both --seed 0": (0, "fc4be3703eb414afe514295b1e836ee9fa883b86b1b94767c81c4ab51506ecdb"),
+    "darboux solve --system lv --order 4 --parity both --seed 0": (0, "a6b138e1ff3dea4ebaf6778af8c697fda17ce7255ff68cbd97f6f3158a868399"),
+    "darboux solve --system lv_divfree --order 4 --parity both --seed 0": (0, "b533e92df2225c213c33d5441433493a6f116846ba71285da766866a78400289"),
+    "darboux solve --system lv_special --order 4 --parity both --seed 0": (0, "8991addaae59740cad7f8562ffd76c2a5433907c7a0995a186acb3c00aa00822"),
+    "darboux solve --system nambu_homogeneous --order 4 --parity both --seed 0": (0, "5c86ac945780871d87239b3ad53d3c32a048142059fca8338a2643fd23b08419"),
+    "darboux solve --system nambu_inhomogeneous --order 4 --parity both --seed 0": (1, "413fa348cdbf1a62e47fa06fa66a56d6ebd8a6d0af2e0645a5f6e10bddbee0e9"),
+    "darboux solve --system lv_divfree --order 4 --parity even --seed 0 --augment I0": (0, "ef47fbfb2790e9b64b8425201b380b3677619dd08ff7302a97ca2337d8501e45"),
+    "darboux solve --system nambu_inhomogeneous --order 6 --parity even --seed 0": (0, "83d0ee3d6c1bc1b5a51d7925aa6e5718106770c36ad38a27e968d7ed85b7d623"),
+    "corpus run ishii --seed 0": (0, "76b2437662a90d1b572dcc82eb7744baccc4d3e534a3c4b77a72cf6a8f983a66"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SOLVE_OUTPUT_SHA256))
+def test_solve_output_bytes_are_pinned(capsys, tmp_path, command):
+    argv = command.split()
+    if argv[-1] == "I0":
+        i0 = Polynomial.variable(5, 0) + Polynomial.variable(5, 1) + Polynomial.variable(5, 2)
+        argv[-1] = str(tmp_path / "aug.json")
+        (tmp_path / "aug.json").write_text(json.dumps({"I0": i0.to_json()}))
+    code, out, err = run_cli(capsys, *argv)
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == SOLVE_OUTPUT_SHA256[command]

@@ -89,6 +89,13 @@ def test_field_json_roundtrip_and_validation():
         )
 
 
+def test_field_refuses_a_non_integer_dim():
+    # True would be read as dimension 1
+    for dim in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="not an integer"):
+            QuadraticVectorField(dim)
+
+
 def test_jacobian_divergence_examples():
     zero = QuadraticVectorField(2)
     assert zero.divergence().is_zero()
@@ -389,10 +396,10 @@ def test_apply_point_matches_symbolic_map():
         for _ in range(3):
             xs = [Rat(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(f.dim)]
             h = Rat(rng.randint(-9, 9), rng.randint(1, 5))
-            image = m.apply_point(PointEvaluator(f.nvars, xs + [h, Rat(0)]))
+            _, image = m.apply_point(PointEvaluator(f.nvars, xs + [h, Rat(0)]))
             assert image == kahan_step_by_solve(f, xs, h)
     # on det(M) = 0 there is no step: 1 - h x vanishes at x = h = 1 for x' = x^2
     g = QuadraticVectorField(1, quadratic={(0, 0, 0): 1})
     at_pole = PointEvaluator(g.nvars, [Rat(1), Rat(1), Rat(0)])
-    assert KahanMap(g).apply_point(at_pole) is None
+    assert KahanMap(g).apply_point(at_pole) == (0, None)
     assert kahan_step_by_solve(g, [Rat(1)], Rat(1)) is None

@@ -1,23 +1,21 @@
 """Exact linear algebra against plain `Fraction` Gauss-Jordan elimination."""
 
 import random
-from itertools import permutations
-from math import prod
 
 from hypothesis import given, settings, strategies as st
 
 from kahan_aromas.linalg import (
-    det_rational_matrix,
     in_span,
     intersect_rowspaces,
     invert_rational_matrix,
     nullspace,
+    pivot_columns,
     rank,
     rref,
 )
 from kahan_aromas.rationals import Rat, ZERO, ONE
 
-from oracles import rref_by_fractions
+from oracles import oracle_det, rref_by_fractions
 
 
 def oracle_nullspace(rows, ncols):
@@ -57,14 +55,13 @@ def oracle_intersection(a, b, ncols):
     return rref_by_fractions([row[ncols:] for row in reduced if not any(row[:ncols])], ncols)
 
 
-def oracle_det(square):
-    """Leibniz formula."""
-    n = len(square)
-    total = ZERO
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * prod((square[i][perm[i]] for i in range(n)), start=ONE)
-    return total
+def oracle_pivot_columns(rows, ncols):
+    """Each column kept when it raises the rank of the columns before it."""
+    kept = []
+    for j in range(ncols):
+        if len(rref_by_fractions([row[: j + 1] for row in rows], j + 1)) > len(kept):
+            kept.append(j)
+    return kept
 
 
 def oracle_solve(square, rhs_rows):
@@ -110,6 +107,7 @@ def test_kernel_matches_fraction_oracle(drawn, data):
     assert rref(matrix, ncols) == reduced
     assert rank(matrix, ncols) == len(reduced)
     assert nullspace(matrix, ncols) == oracle_nullspace(matrix, ncols)
+    assert pivot_columns(matrix, ncols) == oracle_pivot_columns(matrix, ncols)
 
     coeffs = data.draw(st.lists(RATIONALS, min_size=len(matrix), max_size=len(matrix)))
     inside = [sum((c * row[j] for c, row in zip(coeffs, matrix)), ZERO) for j in range(ncols)]
@@ -119,11 +117,13 @@ def test_kernel_matches_fraction_oracle(drawn, data):
             assert in_span(matrix, target, ncols) == oracle_in_span(matrix, target, ncols)
 
     other, _ = data.draw(rank_deficient(ncols))
-    assert intersect_rowspaces(matrix, other, ncols) == oracle_intersection(matrix, other, ncols)
+    third, _ = data.draw(rank_deficient(ncols))
+    pairwise = oracle_intersection(matrix, other, ncols)
+    assert intersect_rowspaces([matrix, other], ncols) == pairwise
+    assert intersect_rowspaces([matrix, other, third], ncols) == oracle_intersection(pairwise, third, ncols)
 
     k = min(len(matrix), ncols)
     square = [row[:k] for row in matrix[:k]]
-    assert det_rational_matrix(square) == oracle_det(square)
     identity = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
     assert invert_rational_matrix(square) == oracle_solve(square, identity)
 
@@ -179,6 +179,6 @@ def test_in_span():
 def test_intersect_rowspaces():
     a = [[Rat(1), Rat(0), Rat(0)], [Rat(0), Rat(1), Rat(0)]]
     b = [[Rat(0), Rat(1), Rat(0)], [Rat(0), Rat(0), Rat(1)]]
-    inter = intersect_rowspaces(a, b, 3)
+    inter = intersect_rowspaces([a, b], 3)
     assert inter == [[ZERO, ONE, ZERO]]
-    assert intersect_rowspaces(a, [], 3) == []
+    assert intersect_rowspaces([a, []], 3) == []

@@ -1,5 +1,7 @@
 """Basis selection, kernel relations, and the Darboux solve/verify cycle."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -32,7 +34,7 @@ from kahan_aromas.graphs import (
 )
 from kahan_aromas.linalg import intersect_rowspaces, nullspace, rref
 from kahan_aromas.poly import PointEvaluator, Polynomial
-from kahan_aromas.rationals import Rat, ZERO
+from kahan_aromas.rationals import Rat, ZERO, format_rat
 from kahan_aromas.solver import (
     SolverError,
     build_basis,
@@ -252,7 +254,7 @@ def test_verify_density_matches_expansion_oracle(seed):
     f, P = perturbed[0]
     xs, h, _ = witnesses[0]
     ev = PointEvaluator(f.nvars, xs + [h, ZERO])
-    image = KahanMap(f).apply_point(ev)
+    _, image = KahanMap(f).apply_point(ev)
     shifted = P * (X(0) - Polynomial.const(5, xs[0])) * (X(0) - Polynomial.const(5, image[0]))
     got = verify_density(f, shifted, seed=seed)
     assert got == verify_density_by_expansion(f, shifted, seed=seed)
@@ -278,6 +280,31 @@ def test_verify_density_expands_only_to_confirm(monkeypatch):
     with pytest.raises(SolverError, match="witness"):
         verify_density(f_u, p_u)
     assert len(calls) == 2  # zero residual at every point, expanded once
+
+
+def test_each_kahan_step_evaluates_det_m_once(monkeypatch):
+    # det(M) at x is both N_{-h/2}(x) and the denominator of the step
+    dens, steps, evaluations = [], [], []
+    init, apply_point, evaluate = KahanMap.__init__, KahanMap.apply_point, PointEvaluator.__call__
+
+    def recording_init(self, field):
+        init(self, field)
+        dens.append(self.den)
+
+    def counting_apply_point(self, ev):
+        steps.append(ev)
+        return apply_point(self, ev)
+
+    def counting_evaluate(self, p):
+        if any(p is den for den in dens):
+            evaluations.append(p)
+        return evaluate(self, p)
+
+    monkeypatch.setattr(KahanMap, "__init__", recording_init)
+    monkeypatch.setattr(KahanMap, "apply_point", counting_apply_point)
+    monkeypatch.setattr(PointEvaluator, "__call__", counting_evaluate)
+    solve_darboux(lv_divfree(), 4, parity="even")
+    assert len(steps) == len(evaluations) == 27
 
 
 def test_first_integrals_errors():
@@ -364,11 +391,30 @@ def test_parameter_independent_matches_pairwise_intersection():
         kern = nullspace([[p.coefficient(mk) for p in polys] for mk in monomials], ncols)
         s_i = rref(lifted + kern, ncols)
         kernel_sizes.append(len(kern))
-        space = s_i if space is None else intersect_rowspaces(space, s_i, ncols)
-        kernel = rref(kern, ncols) if kernel is None else intersect_rowspaces(kernel, kern, ncols)
+        space = s_i if space is None else intersect_rowspaces([space, s_i], ncols)
+        kernel = rref(kern, ncols) if kernel is None else intersect_rowspaces([kernel, kern], ncols)
     assert kernel_sizes[0] > len(kernel) < kernel_sizes[-1]
     assert pis.space == space
     assert pis.common_kernel == kernel
+
+
+def test_parameter_independent_output_is_pinned():
+    # SHA-256 of the space, common kernel, representatives and densities on
+    # three Ishii draws, taken before the family solve moved onto `linalg`
+    fields = [ishii(**random_ishii_params(random.Random(s))[0]) for s in range(3)]
+    pis = parameter_independent_solve(fields, 3, 6, parity="even", seed=0)
+    rows = lambda vectors: [[format_rat(v) for v in vec] for vec in vectors]
+    text = json.dumps(
+        {
+            "space": rows(pis.space),
+            "common_kernel": rows(pis.common_kernel),
+            "representatives": rows(pis.representatives),
+            "densities": [[p.to_json() for p in per] for per in pis.densities],
+        },
+        sort_keys=True,
+    )
+    digest = "f1577e9e2b6be04547fe6d42e05d7854ec59dfcf1bd014483d5afa9b1b3d5e45"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_parameter_independent_requires_two_instances():
@@ -550,7 +596,7 @@ def test_first_integrals_search_is_bounded():
 def test_corpus_draws_are_bounded(monkeypatch):
     import kahan_aromas.corpus as corpus_mod
 
-    monkeypatch.setattr(corpus_mod, "det_rational_matrix", lambda m: ZERO)
+    monkeypatch.setattr(corpus_mod, "rank", lambda m, n: 0)
     with pytest.raises(SolverError, match="attempts"):
         corpus_mod.random_invertible(random.Random(0), 3)
     monkeypatch.setattr(corpus_mod, "rand_small", lambda rng: ZERO)
