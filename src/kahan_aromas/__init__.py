@@ -7,7 +7,7 @@ solver that discovers measure densities in the linear span of aromatic
 functions and verifies them symbolically.
 """
 
-from .rationals import Rat, rat, format_rat, parse_rat
+from .rationals import Rat, format_rat, parse_rat
 from .poly import Polynomial, RationalFunction, rf_substitute, series_in_h
 from .linalg import nullspace, rank, rref
 from .graphs import (
@@ -29,7 +29,6 @@ from .graphs import (
     parse_aroma,
     parse_forest,
     parse_multiset,
-    parse_tree,
     tall_tree,
 )
 from .fields import (

@@ -2,7 +2,9 @@
 
 JSON on stdout is the machine format (byte-identical for identical seeds);
 --format text renders aromatic series the way the densities are usually
-written, e.g. "1 - (1/8) h^2 F(C2(;))"; --format latex emits small tabulars.
+written, e.g. "1 - (1/8) h^2 F(C2(;))"; --format latex emits an align*
+block of the densities for `darboux solve`, a tabular for `hopf qtable` and
+JSON for the other commands.
 
 Exit codes: 0 success; 1 verification failure or empty result where a
 result was required; 2 input error.
@@ -17,7 +19,7 @@ import sys
 
 from . import corpus
 from .coalgebra import q_matrix
-from .fields import KahanMap, QuadraticVectorField
+from .fields import QuadraticVectorField
 from .graphs import (
     enumerate_aromas,
     enumerate_multisets,
@@ -199,7 +201,7 @@ def cmd_field_eval(args) -> int:
 
 def cmd_kahan(args) -> int:
     field = _load_field(args)
-    kmap = KahanMap(field)
+    kmap = field.kahan_map()
     if args.kahan_cmd == "map":
         payload = {
             "numerators": [p.to_json() for p in kmap.numerators],

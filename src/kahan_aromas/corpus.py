@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .fields import QuadraticVectorField, KahanMap, hamiltonian_field, modified_hamiltonian
+from .fields import QuadraticVectorField, hamiltonian_field, modified_hamiltonian
 from .graphs import TWO_CYCLE, Aroma
 from .linalg import rank
 from .poly import Polynomial
@@ -559,7 +559,7 @@ def _golden_nambu_homogeneous(seed) -> list[GoldenCheck]:
     h1 = _quadratic_form_poly(_rat_matrix(A, "A"))
     h2 = _quadratic_form_poly(_rat_matrix(B, "B"))
     grads_ok = all(
-        sum((H.partial_derivative(i) * f.component(i) for i in range(3)), Polynomial.zero(NV3)).is_zero()
+        sum((H.partial_derivative(i) * fi for i, fi in enumerate(f.components())), Polynomial.zero(NV3)).is_zero()
         for H in (h1, h2)
     )
     checks.append(GoldenCheck("H1, H2 are first integrals of the flow", grads_ok))
@@ -588,7 +588,7 @@ def _golden_ishii(seed) -> list[GoldenCheck]:
     if rerolls:
         checks.append(GoldenCheck(f"re-rolled {rerolls} degenerate draws", True))
     f = ishii(**params)
-    kmap = KahanMap(f)
+    kmap = f.kahan_map()
     n = f.dim
     vol = kmap.substitute(kmap.n_plus(), n) == kmap.den ** (n + 1)
     checks.append(GoldenCheck("det DPhi_h == 1 exactly", vol))
@@ -667,7 +667,7 @@ def _golden_canonical_hamiltonian(seed) -> list[GoldenCheck]:
     J = [[0, 1], [-1, 0]]
     H = random_cubic_polynomial(rng, 2)
     f = hamiltonian_field(J, H)
-    kmap = KahanMap(f)
+    kmap = f.kahan_map()
     checks.append(
         GoldenCheck(
             "det(I - h/2 f') is a verified Darboux density",
@@ -704,7 +704,7 @@ def _golden_divfree_homogeneous_r3(seed) -> list[GoldenCheck]:
 def _golden_lv(seed) -> list[GoldenCheck]:
     rng = random.Random(seed)
     f = lv(rand_small(rng), rand_small(rng), rand_small(rng))
-    total = sum((f.component(i) for i in range(3)), Polynomial.zero(NV3))
+    total = sum(f.components(), Polynomial.zero(NV3))
     return [GoldenCheck("x+y+z is a first integral of the flow", total.is_zero())]
 
 

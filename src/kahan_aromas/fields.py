@@ -1,12 +1,10 @@
 """Quadratic vector fields, aromatic functions, and the Kahan map.
 
-The field f on R^n is stored by its exact coefficient tensors
-
-    f_i = sum_{j<=k} a[i,j,k] x_j x_k  +  sum_j b[i,j] x_j  +  c[i]
-
-(one entry per unordered pair j<=k).  The symmetrized tensor entry
-a_sym[i,j,k] satisfies d^2 f_i / dx_j dx_k = 2 a_sym[i,j,k]; a pinned test
-fixes the stored-vs-exposed convention.
+The field f on R^n is stored as its component polynomials f_1 .. f_n, each
+of degree <= 2 in x and free of h and u.  Field JSON lists the terms by
+degree, 1-based: an entry [i, j, k, v] of "quadratic" (j <= k) is the term
+v x_j x_k of f_i, [i, j, v] of "linear" is v x_j and [i, v] of "constant"
+is v.
 
 The aromatic function F sends an aroma (or multiset) to a scalar polynomial
 by Einstein summation: vertex v with predecessors p1..pm contributes the
@@ -30,7 +28,7 @@ from itertools import product
 
 from .graphs import Aroma, AromaMultiset, RootedTree, parse_any
 from .linalg import invert_rational_matrix
-from .poly import PointEvaluator, Polynomial, RationalFunction, rf_substitute, series_in_h
+from .poly import PointEvaluator, Polynomial, RationalFunction, pack_exponents, rf_substitute, series_in_h
 from .rationals import Rat, ZERO, format_rat, parse_rat
 
 
@@ -38,37 +36,35 @@ class QuadraticVectorField:
     """Exact quadratic vector field on R^dim (immutable after construction)."""
 
     def __init__(self, dim: int, quadratic=None, linear=None, constant=None):
+        """From 0-based coefficient dicts: quadratic[(i, j, k)] is the
+        coefficient of x_j x_k in f_i, linear[(i, j)] that of x_j and
+        constant[i] the constant term; (i, j, k) and (i, k, j) name one
+        monomial, and entries naming one monomial add up."""
         if type(dim) is not int:
             raise ValueError(f"dimension {dim!r} is not an integer")
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         self.dim = dim
         self.nvars = dim + 2
-        self.quadratic: dict[tuple[int, int, int], Rat] = {}
-        self.linear: dict[tuple[int, int], Rat] = {}
-        self.constant: dict[int, Rat] = {}
+        terms: list[dict] = [{} for _ in range(dim)]  # per component: packed key -> coefficient
+
+        def add(i, js, v):
+            self._check_index(i, *js)
+            exps = [0] * self.nvars
+            for j in js:
+                exps[j] += 1
+            key = pack_exponents(exps)
+            terms[i][key] = terms[i].get(key, ZERO) + Rat(v)
+
         for (i, j, k), v in dict(quadratic or {}).items():
-            self._check_index(i, j, k)
-            if j > k:
-                j, k = k, j
-            v = Rat(v)
-            if v != 0:
-                self.quadratic[(i, j, k)] = self.quadratic.get((i, j, k), ZERO) + v
+            add(i, (j, k), v)
         for (i, j), v in dict(linear or {}).items():
-            self._check_index(i, j)
-            v = Rat(v)
-            if v != 0:
-                self.linear[(i, j)] = self.linear.get((i, j), ZERO) + v
+            add(i, (j,), v)
         for i, v in dict(constant or {}).items():
-            self._check_index(i)
-            v = Rat(v)
-            if v != 0:
-                self.constant[i] = self.constant.get(i, ZERO) + v
-        self.quadratic = {k: v for k, v in self.quadratic.items() if v != 0}
-        self.linear = {k: v for k, v in self.linear.items() if v != 0}
-        self.constant = {k: v for k, v in self.constant.items() if v != 0}
-        self._components: list[Polynomial] | None = None
+            add(i, (), v)
+        self._components = [Polynomial(self.nvars, t) for t in terms]
         self._jacobian: list[list[Polynomial]] | None = None
+        self._kahan_map: KahanMap | None = None
         self._partials: dict = {}
         self._elementary: dict[str, list[Polynomial]] = {}
         self._aroma_cache: dict[str, Polynomial] = {}
@@ -80,67 +76,21 @@ class QuadraticVectorField:
             if not 0 <= i < self.dim:
                 raise ValueError(f"index {i} out of range for dimension {self.dim}")
 
-    # -- polynomial views ------------------------------------------------
-
-    def component(self, i: int) -> Polynomial:
-        return self.components()[i]
-
     def components(self) -> list[Polynomial]:
-        if self._components is None:
-            n, nv = self.dim, self.nvars
-            polys = []
-            for i in range(n):
-                terms = {}
-                for (ii, j, k), v in self.quadratic.items():
-                    if ii == i:
-                        e = [0] * nv
-                        e[j] += 1
-                        e[k] += 1
-                        terms[tuple(e)] = v
-                for (ii, j), v in self.linear.items():
-                    if ii == i:
-                        e = [0] * nv
-                        e[j] = 1
-                        terms[tuple(e)] = terms.get(tuple(e), ZERO) + v
-                if i in self.constant:
-                    terms[tuple([0] * nv)] = self.constant[i]
-                p = Polynomial.zero(nv)
-                for e, v in terms.items():
-                    p = p + Polynomial.monomial(nv, e, v)
-                polys.append(p)
-            self._components = polys
         return self._components
 
     @staticmethod
     def from_polynomials(polys: list[Polynomial]) -> "QuadraticVectorField":
-        dim = len(polys)
-        quadratic, linear, constant = {}, {}, {}
-        for i, p in enumerate(polys):
-            if p.nvars != dim + 2:
+        field = QuadraticVectorField(len(polys))
+        for p in polys:
+            if p.nvars != field.nvars:
                 raise ValueError("component polynomial has the wrong variable universe")
-            for exps, coeff in p.sorted_terms():
-                if exps[dim] or exps[dim + 1]:
-                    raise ValueError("vector field components must not involve h or u")
-                support = [(j, e) for j, e in enumerate(exps[:dim]) if e]
-                degree = sum(e for _, e in support)
-                if degree > 2:
-                    raise ValueError("vector field is not quadratic")
-                if degree == 0:
-                    constant[i] = coeff
-                elif degree == 1:
-                    linear[(i, support[0][0])] = coeff
-                elif len(support) == 1:
-                    quadratic[(i, support[0][0], support[0][0])] = coeff
-                else:
-                    quadratic[(i, support[0][0], support[1][0])] = coeff
-        return QuadraticVectorField(dim, quadratic, linear, constant)
-
-    def a_sym(self, i: int, j: int, k: int) -> Rat:
-        """Symmetrized quadratic tensor: d^2 f_i/dx_j dx_k = 2 a_sym(i,j,k)."""
-        if j > k:
-            j, k = k, j
-        stored = self.quadratic.get((i, j, k), ZERO)
-        return stored if j == k else stored / 2
+            if p.degree_in(field.dim) or p.degree_in(field.dim + 1):
+                raise ValueError("vector field components must not involve h or u")
+            if p.x_degree() > 2:
+                raise ValueError("vector field is not quadratic")
+        field._components = list(polys)
+        return field
 
     # -- calculus ---------------------------------------------------------
 
@@ -152,7 +102,7 @@ class QuadraticVectorField:
             if indices:
                 got = self.partial(i, indices[:-1]).partial_derivative(indices[-1])
             else:
-                got = self.component(i)
+                got = self._components[i]
             self._partials[key] = got
         return got
 
@@ -173,7 +123,14 @@ class QuadraticVectorField:
         return self.divergence().is_zero()
 
     def is_homogeneous(self) -> bool:
-        return not self.linear and not self.constant
+        return all(sum(e) == 2 for p in self._components for e, _ in p.sorted_terms())
+
+    def kahan_map(self) -> "KahanMap":
+        """The field's Kahan map, built once: every caller shares its
+        substitution cache."""
+        if self._kahan_map is None:
+            self._kahan_map = KahanMap(self)
+        return self._kahan_map
 
     # -- aromatic functions ------------------------------------------------
 
@@ -238,17 +195,14 @@ class QuadraticVectorField:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "quadratic": [
-                [i + 1, j + 1, k + 1, format_rat(v)]
-                for (i, j, k), v in sorted(self.quadratic.items())
-            ],
-            "linear": [
-                [i + 1, j + 1, format_rat(v)] for (i, j), v in sorted(self.linear.items())
-            ],
-            "constant": [[i + 1, format_rat(v)] for i, v in sorted(self.constant.items())],
-        }
+        entries = {"quadratic": [], "linear": [], "constant": []}
+        for i, p in enumerate(self._components):
+            for exps, v in p.sorted_terms():
+                js = [j + 1 for j in range(self.dim) for _ in range(exps[j])]
+                kind = ("constant", "linear", "quadratic")[len(js)]
+                entries[kind].append([i + 1, *js, format_rat(v)])
+        # the 1-based indices of one entry kind are unique, so they decide the order
+        return {"dim": self.dim, **{kind: sorted(rows) for kind, rows in entries.items()}}
 
     @staticmethod
     def from_json(data: dict) -> "QuadraticVectorField":
@@ -330,11 +284,14 @@ class KahanMap:
     numerators[i] = x_i * den + h * det(M with column i replaced by f(x)).
     den at h = 0 equals 1.  Point steps, the h-series and the modified
     Hamiltonian all read these polynomials.
+
+    The map keeps no reference to its field: the field caches its map, and
+    the pair would be a reference cycle that keeps the substitution cache
+    alive until the cycle collector runs.
     """
 
     def __init__(self, field: QuadraticVectorField):
-        self.field = field
-        n, nv = field.dim, field.nvars
+        self.dim, self.nvars = n, nv = field.dim, field.nvars
         h = Polynomial.variable(nv, n)
         half_h = h * Rat(1, 2)
         jac = field.jacobian()
@@ -387,18 +344,18 @@ class KahanMap:
         """den^(D+1) * [N_{-h/2}(x) P(Phi_h(x)) - P(x) N_{h/2}(Phi_h(x))] / den
         with D = max(deg_x P, dim); the zero polynomial iff P solves the
         Darboux equation with cofactor det DPhi_h."""
-        D = max(P.x_degree(), self.field.dim)
+        D = max(P.x_degree(), self.dim)
         return self.den * self.substitute(P, D) - P * self.substitute(self.n_plus(), D)
 
     def darboux_defect_series(self, P: Polynomial, order: int) -> list[Polynomial]:
         """h-expansion of N_{-h/2} P(Phi) - P N_{h/2}(Phi) through h^order."""
-        D = max(P.x_degree(), self.field.dim)
+        D = max(P.x_degree(), self.dim)
         cleared = self.darboux_defect_cleared(P)
         return series_in_h(RationalFunction(cleared, self.den**D), order)
 
     def det_jacobian(self) -> RationalFunction:
         """det DPhi_h = det(I + (h/2) f'(Phi_h(x))) / det(I - (h/2) f'(x))."""
-        n = self.field.dim
+        n = self.dim
         cleared = self.substitute(self.n_plus(), n)
         return RationalFunction(cleared, self.den ** (n + 1))
 

@@ -380,13 +380,6 @@ def _parse_tree_at(text: str, pos: int):
     return RootedTree(tuple(kids)), pos + 1
 
 
-def parse_tree(text: str) -> RootedTree:
-    tree, pos = _parse_tree_at(text.strip(), 0)
-    if pos != len(text.strip()):
-        raise ValueError(f"trailing characters in tree encoding {text!r}")
-    return tree
-
-
 def parse_forest(text: str) -> Forest:
     text = text.strip()
     trees = []

@@ -301,23 +301,6 @@ class Polynomial:
         c = self.content
         return _from_ints(self.nvars, out, c.numerator, c.denominator)
 
-    def eval_h(self, hvalue) -> "Polynomial":
-        """Substitute a rational for h, keeping the x and u variables."""
-        shift = _BITS * (self.nvars - 2)
-        hvalue = Rat(hvalue)
-        top = self.degree_in(self.nvars - 2)
-        # h^e = p^e q^(top - e) / q^top
-        p_pow = [hvalue.numerator**e for e in range(top + 1)]
-        q_pow = [hvalue.denominator**e for e in range(top + 1)]
-        out: dict = {}
-        for k, v in self.terms.items():
-            e = (k >> shift) & _MASK
-            k -= e << shift
-            out[k] = out.get(k, 0) + v * p_pow[e] * q_pow[top - e]
-        c = self.content
-        out = {k: v for k, v in out.items() if v}
-        return _from_ints(self.nvars, out, c.numerator, c.denominator * q_pow[top])
-
     def subs_h_negated(self) -> "Polynomial":
         """h -> -h (negates coefficients of odd h-powers)."""
         shift = _BITS * (self.nvars - 2)
@@ -488,9 +471,6 @@ class RationalFunction:
         except ValueError:
             return (small.num * large.den) == (large.num * small.den)
         return small.num * q == large.num
-
-    def __hash__(self):  # pragma: no cover - not used as dict keys
-        return hash((self.num, self.den))
 
     def __str__(self):
         if self.den.is_constant():

@@ -16,13 +16,6 @@ ZERO = Rat(0)
 ONE = Rat(1)
 
 
-def rat(num, den=1) -> Rat:
-    """Build an exact rational; accepts ints, strings "p/q", or rationals."""
-    if den == 1:
-        return Rat(num)
-    return Rat(num) / Rat(den)
-
-
 def parse_rat(text: str) -> Rat:
     """Parse "p" or "p/q" (spaces tolerated); anything else, a zero
     denominator included, raises ValueError."""

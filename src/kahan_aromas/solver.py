@@ -56,7 +56,6 @@ class SolverError(RuntimeError):
 class BasisElement:
     key: str  # multiset encoding, or "label*encoding" for augmented elements
     multiset: AromaMultiset
-    augmenter: tuple[str, Polynomial] | None
     poly: Polynomial  # F(multiset) * augmenter, fully expanded
     order: int  # h-grade: the multiset order
     sigma: int
@@ -64,11 +63,8 @@ class BasisElement:
 
 @dataclass
 class Basis:
-    field: QuadraticVectorField
-    max_order: int
     elements: list[BasisElement]
     dropped: list[str]
-    augmenters: list[tuple[str, Polynomial]] = dc_field(default_factory=list)
 
     def keys(self) -> list[str]:
         return [e.key for e in self.elements]
@@ -95,17 +91,17 @@ def build_basis(
         for m in enumerate_multisets(max_order, QUADRATIC_MAX_INDEGREE)
         if orders is None or m.order in orders
     ]
-    candidates: list[tuple[str, AromaMultiset, tuple | None]] = [
+    candidates: list[tuple[str, AromaMultiset, Polynomial | None]] = [
         (m.encoding, m, None) for m in multisets
     ]
     for label, p in augmenters:
-        candidates.extend((f"{label}*{m.encoding}", m, (label, p)) for m in multisets)
+        candidates.extend((f"{label}*{m.encoding}", m, p) for m in multisets)
 
     polys = []
     for _, mset, aug in candidates:
         poly = field.aroma_function(mset)
         if aug is not None and not poly.is_zero():
-            poly = poly * aug[1]
+            poly = poly * aug
         polys.append(poly)
     # integer terms: independence does not depend on the content
     monomials = sorted({k for p in polys for k in p.terms})
@@ -113,12 +109,12 @@ def build_basis(
     kept = set(pivot_columns(rows, len(polys)))
     elements: list[BasisElement] = []
     dropped: list[str] = []
-    for i, ((key, mset, aug), poly) in enumerate(zip(candidates, polys)):
+    for i, ((key, mset, _), poly) in enumerate(zip(candidates, polys)):
         if i in kept:
-            elements.append(BasisElement(key, mset, aug, poly, mset.order, mset.sigma()))
+            elements.append(BasisElement(key, mset, poly, mset.order, mset.sigma()))
         else:
             dropped.append(key)
-    return Basis(field, max_order, elements, dropped, augmenters)
+    return Basis(elements, dropped)
 
 
 def _coefficient_rows(polys: list[Polynomial]) -> list[list[Rat]]:
@@ -158,7 +154,7 @@ class DarbouxSolution:
     bases: dict[str, Basis]
     gammas: list[dict[str, Rat]]
     densities: list[Polynomial]
-    parities: list[str]  # per solution: even | odd | mixed
+    parities: list[str]  # per solution: its sector, even | odd
     verified: bool
     seed: int
     method: str
@@ -197,15 +193,14 @@ def _usable_points(rng, kmap: KahanMap):
     """Exact Kahan steps x' = Phi_h(x) from seeded random points (x, h) off
     det(M) = 0 among SAMPLE_ATTEMPTS draws, each as (evaluator at (x, h),
     N_{-h/2}(x), evaluator at (x', h), N_{h/2}(x'))."""
-    field = kmap.field
     n_plus = kmap.n_plus()
     for _ in range(SAMPLE_ATTEMPTS):
-        xs = [random_rational(rng) for _ in range(field.dim)]
+        xs = [random_rational(rng) for _ in range(kmap.dim)]
         h = random_rational(rng)
-        ev = PointEvaluator(field.nvars, xs + [h, ZERO])
+        ev = PointEvaluator(kmap.nvars, xs + [h, ZERO])
         n_minus, image = kmap.apply_point(ev)  # det(M) = det(I - (h/2) f'(x))
         if image is not None:
-            ev_phi = PointEvaluator(field.nvars, image + [h, ZERO])
+            ev_phi = PointEvaluator(kmap.nvars, image + [h, ZERO])
             yield ev, n_minus, ev_phi, ev_phi(n_plus)
 
 
@@ -328,7 +323,7 @@ def solve_darboux(
     as an exact rational identity."""
     if parity not in ("even", "odd", "both"):
         raise ValueError("parity must be even, odd, or both")
-    kmap = KahanMap(field)
+    kmap = field.kahan_map()
     sectors = ("even", "odd") if parity == "both" else (parity,)
     bases: dict[str, Basis] = {}
     gammas: list[dict[str, Rat]] = []
@@ -346,14 +341,7 @@ def solve_darboux(
                 {el.key: c for el, c in zip(basis.elements, vec) if c != 0}
             )
             densities.append(density)
-            support = density.h_support()
-            if all(s % 2 == 0 for s in support):
-                par = "even"
-            elif all(s % 2 == 1 for s in support):
-                par = "odd"
-            else:
-                par = "mixed"
-            parities.append(par)
+            parities.append(sector)
     return DarbouxSolution(
         field=field,
         max_order=max_order,
@@ -386,7 +374,7 @@ def verify_density(field: QuadraticVectorField, P: Polynomial, seed: int = 0) ->
     a fixed order, so the witness is the first point where the cleared
     defect does not vanish.
     """
-    kmap = KahanMap(field)
+    kmap = field.kahan_map()
     refuted = _refute_or_confirm(kmap, P, _usable_points(random.Random(seed), kmap))
     if refuted is None:
         return VerificationResult(True)
@@ -577,11 +565,9 @@ def parameter_independent_solve(
     # nullspace of every instance's rows stacked
     spaces = []
     kernel_rows = []
-    maps = []
     coordinate_polys = []  # per instance, reused for the densities below
     for idx, f in enumerate(fields):
         sol = solve_darboux(f, max_order, parity=parity, seed=seed + idx)
-        maps.append(KahanMap(f))
         polys = _weighted_polys(
             f, [(f.aroma_function(m), m.order, m.sigma()) for m in multisets]
         )
@@ -603,9 +589,10 @@ def parameter_independent_solve(
     densities = []
     for vec in representatives:
         per_instance = [_combination(polys, vec) for polys in coordinate_polys]
-        for kmap, density in zip(maps, per_instance):
+        for f, density in zip(fields, per_instance):
             if density.is_zero():
                 continue
+            kmap = f.kahan_map()
             if _refute_or_confirm(kmap, density, _usable_points(rng, kmap)) is not None:
                 raise SolverError("intersection vector failed symbolic verification")
         densities.append(per_instance)

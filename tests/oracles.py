@@ -221,12 +221,11 @@ def solve_by_symbolic_assembly(kmap, basis) -> list:
     """Nullspace of the Darboux system assembled symbolically: one column per
     weighted basis element, its cleared defect at the shared clearing power
     D, and one row per monomial."""
-    field = kmap.field
-    n = field.dim
+    n = kmap.dim
     elements = basis.elements
     if not elements:
         return []
-    h = Polynomial.variable(field.nvars, n)
+    h = Polynomial.variable(kmap.nvars, n)
     D = max(max(el.poly.x_degree() for el in elements), n)
     n_plus_sub = kmap.substitute(kmap.n_plus(), D)
     columns = []
@@ -247,7 +246,7 @@ def kahan_step_by_solve(field, xs, h):
     jac = field.jacobian()
     aug = [
         [(1 if i == j else 0) - Fraction(h) / 2 * ev(jac[i][j]) for j in range(n)]
-        + [ev(field.component(i))]
+        + [ev(field.components()[i])]
         for i in range(n)
     ]
     reduced = rref_by_fractions(aug, n)
@@ -275,7 +274,7 @@ def kahan_series_closed_form(field, order: int) -> list[list[Polynomial]]:
 def symbolic_jacobian_det(kmap) -> RationalFunction:
     """det DPhi from the entrywise-differentiated map:
     d(num_i / den) / dx_j = (den d num_i / dx_j - num_i d den / dx_j) / den^2."""
-    n = kmap.field.dim
+    n = kmap.dim
     G = [
         [
             kmap.numerators[i].partial_derivative(j) * kmap.den

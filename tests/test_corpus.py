@@ -74,7 +74,7 @@ def test_lv_conserves_linear_integral():
             Rat(rng.randint(-3, 3), 2),
             Rat(rng.randint(-3, 3), 2),
         )
-        total = sum((f.component(i) for i in range(3)), Polynomial.zero(5))
+        total = sum(f.components(), Polynomial.zero(5))
         assert total.is_zero()
 
 

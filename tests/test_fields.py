@@ -5,7 +5,11 @@ determinant formula, affine equivariance, the kernel classes) are the
 contracts everything downstream relies on.
 """
 
+import gc
+import hashlib
+import json
 import random
+import weakref
 
 import pytest
 
@@ -58,13 +62,49 @@ def X(i, nv=5):
 
 
 def test_component_extraction_and_convention():
-    f = QuadraticVectorField(2, quadratic={(0, 0, 1): 3, (1, 1, 1): 2}, linear={(0, 1): 5})
-    # d^2 f_i / dx_j dx_k == 2 * a_sym(i, j, k), pinned for both j<k and j=k
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                second = f.component(i).partial_derivative(j).partial_derivative(k)
-                assert second == Polynomial.const(4, 2 * f.a_sym(i, j, k))
+    # the wire convention: [i, j, k, v] in "quadratic" is v x_j x_k in f_i,
+    # [i, j, v] in "linear" is v x_j and [i, v] in "constant" is v (1-based)
+    f = QuadraticVectorField.from_json(
+        {"dim": 2, "quadratic": [[1, 1, 2, "3"], [2, 2, 2, "2"]], "linear": [[1, 2, "5"]], "constant": [[2, "-1/2"]]}
+    )
+    x1, x2 = X(0, 4), X(1, 4)
+    assert f.components() == [x1 * x2 * 3 + x2 * 5, x2**2 * 2 - Rat(1, 2)]
+    # a j > k key of the dict constructor is the same monomial
+    swapped = QuadraticVectorField(2, quadratic={(0, 1, 0): 3, (1, 1, 1): 2}, linear={(0, 1): 5}, constant={1: Rat(-1, 2)})
+    assert swapped.to_json() == f.to_json()
+
+
+# SHA-256 of json.dumps(to_json()) on the dict-constructor path, taken while
+# the field still kept coefficient tensors next to its polynomials
+DICT_CONSTRUCTOR_JSON_SHA256 = {
+    "random-n1": "97d8ad0de84d59ea51322cc60b67e80753c52fbbe1ff83cde0ec82fa2e6ec29d",
+    "random-n2": "c33eae159779705e23464d61e9508c71d768db52b3b171a0b876d2591dfc7eb3",
+    "random-n3": "80d7c980b052f26a993957a3bfbe4ea3b83667a7ae5a7f7bc472326bcd6ad90f",
+    "random-n4": "5bb8019edc7b2e55e901b9bd5e776f1bfd10aa595db56761bbf805be80a0c618",
+    "duplicate": "8315393e0d8e498750ded3e96e6c1708287de21273f2c14c0af2784e33aa7528",
+    "swapped": "69b94d2ea5583e81373ca990f140227629325488e168347ba0bbcffb606e3a9a",
+    "cancelling": "7c717c8e0391e161e9b02c31f98178d815e1a15b93bc2713e409453ddaa0c3bd",
+}
+DICT_CONSTRUCTOR_CASES = {
+    **{f"random-n{n}": lambda n=n: random_quadratic_field(random.Random(200 + n), n) for n in range(1, 5)},
+    # (0, 0, 1) and (0, 1, 0) name one monomial and add up
+    "duplicate": lambda: QuadraticVectorField(
+        2, quadratic={(0, 0, 1): 2, (0, 1, 0): "1/3", (1, 1, 1): Rat(-1, 2)}, linear={(1, 0): 1}, constant={0: 4}
+    ),
+    "swapped": lambda: QuadraticVectorField(
+        3, quadratic={(2, 2, 0): 5, (0, 1, 0): -3}, linear={(2, 1): Rat(7, 3)}
+    ),
+    # the x1 x2 entries cancel; zero entries are dropped
+    "cancelling": lambda: QuadraticVectorField(
+        2, quadratic={(0, 0, 1): 1, (0, 1, 0): -1, (1, 1, 1): 3}, linear={(0, 0): 0}, constant={1: 0}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DICT_CONSTRUCTOR_CASES))
+def test_dict_constructor_json_is_pinned(case):
+    text = json.dumps(DICT_CONSTRUCTOR_CASES[case]().to_json())
+    assert hashlib.sha256(text.encode()).hexdigest() == DICT_CONSTRUCTOR_JSON_SHA256[case]
 
 
 def test_from_polynomials_roundtrip():
@@ -125,11 +165,12 @@ def test_contraction_matches_assignment_oracle(n, order):
     # unfiltered: the indegree >= 3 aromas must contract to zero as well;
     # n = 2 at order 6 reaches chiral aromas such as C3(;[];[[]])
     f = random_quadratic_field(random.Random(200 + n), n)
-    assert f.quadratic and f.linear and f.constant
+    degrees = {sum(e) for p in f.components() for e, _ in p.sorted_terms()}
+    assert degrees == {0, 1, 2}
     aromas = {a.encoding: a for m in enumerate_multisets(order) for a in m.aromas}
     for aroma in aromas.values():
         assert f.aroma_function(aroma) == aroma_by_assignments(f, aroma)
-    fresh = QuadraticVectorField(n, f.quadratic, f.linear, f.constant)
+    fresh = QuadraticVectorField.from_json(f.to_json())
     for k in range(1, order):
         for tree in enumerate_trees(k):
             memoized = f.elementary_differential(tree)
@@ -182,7 +223,7 @@ def test_elementary_differentials():
     chain2 = f.elementary_differential(tall_tree(2))
     jac = f.jacobian()
     expect = [
-        sum((jac[i][j] * f.component(j) for j in range(3)), Polynomial.zero(5))
+        sum((jac[i][j] * f.components()[j] for j in range(3)), Polynomial.zero(5))
         for i in range(3)
     ]
     assert chain2 == expect
@@ -254,7 +295,7 @@ def _rk_form_exact(field) -> bool:
     mid_nums = [Polynomial.variable(nv, i) * den + m.numerators[i] for i in range(n)]
     mid_den = den * 2
     for i in range(n):
-        fi = field.component(i)
+        fi = field.components()[i]
         s_mid = rf_substitute(fi, mid_nums, mid_den, 2)
         s_phi = m.substitute(fi, 2)
         lhs = (m.numerators[i] - Polynomial.variable(nv, i) * den) * den * 2
@@ -311,7 +352,7 @@ def test_affine_pullback_identity_and_scaling():
     assert affine_pullback(f, eye).to_json() == f.to_json()
     g = QuadraticVectorField(1, quadratic={(0, 0, 0): 1})
     scaled = affine_pullback(g, [[2]])
-    assert scaled.component(0) == Polynomial.variable(3, 0) ** 2 * 2
+    assert scaled.components()[0] == Polynomial.variable(3, 0) ** 2 * 2
     with pytest.raises(ValueError):
         affine_pullback(g, [[0]])
 
@@ -354,8 +395,8 @@ def test_modified_hamiltonian_zero_and_cubic():
     # H = x^3/3 gives f = (0, -x^2); invariance is checked exactly
     H = Polynomial.variable(nv, 0) ** 3 * Rat(1, 3)
     f = hamiltonian_field(J, H)
-    assert f.component(0).is_zero()
-    assert f.component(1) == -(Polynomial.variable(nv, 0) ** 2)
+    assert f.components()[0].is_zero()
+    assert f.components()[1] == -(Polynomial.variable(nv, 0) ** 2)
     ht = modified_hamiltonian(J, H)
     m = KahanMap(f)
     D = max(ht.num.x_degree(), 2)
@@ -403,3 +444,20 @@ def test_apply_point_matches_symbolic_map():
     at_pole = PointEvaluator(g.nvars, [Rat(1), Rat(1), Rat(0)])
     assert KahanMap(g).apply_point(at_pole) == (0, None)
     assert kahan_step_by_solve(g, [Rat(1)], Rat(1)) is None
+
+
+def test_kahan_map_is_cached_and_dies_with_its_field():
+    # a field -> map -> field cycle would keep the substitution cache alive
+    # after the last caller until the cycle collector ran
+    f = lv_divfree()
+    kmap = f.kahan_map()
+    assert f.kahan_map() is kmap
+    ref = weakref.ref(kmap)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        del f, kmap
+        assert ref() is None
+    finally:
+        if collecting:
+            gc.enable()

@@ -1,4 +1,5 @@
-"""Every name that a module of the package imports is used in that module."""
+"""Every name that a module of the package imports is used in that module,
+and every function and class that it defines is used somewhere."""
 
 import ast
 from pathlib import Path
@@ -22,3 +23,40 @@ def test_every_imported_name_is_used(path):
                 imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used) == []
+
+
+ROOT = Path(__file__).resolve().parent.parent
+OTHER_FILES = sorted(p for d in ("scripts", "tests", "perfbench") for p in (ROOT / d).glob("*.py"))
+
+
+def _identifiers(node) -> set[str]:
+    """The names and attribute names that the node reads or binds."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def test_every_definition_is_referenced():
+    """Every module-level function and class of the package is named
+    somewhere besides its own definition and __init__.py: in the package,
+    the scripts, the tests or the benchmark."""
+    trees = {path: ast.parse(path.read_text()) for path in MODULES}
+    elsewhere = set()
+    for path in OTHER_FILES:
+        elsewhere |= _identifiers(ast.parse(path.read_text()))
+    package = {path: [(stmt, _identifiers(stmt)) for stmt in tree.body] for path, tree in trees.items()}
+    unreferenced = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name in elsewhere or any(
+                node.name in names for stmts in package.values() for stmt, names in stmts if stmt is not node
+            ):
+                continue
+            unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unreferenced == []

@@ -151,8 +151,10 @@ def test_solve_lv_special_h_independent_sector():
     sol = solve_darboux(lv_special(), 4, parity="both", seed=1)
     target = X(2) ** 2 * X(3) ** 2 * Rat(-4)
     assert density_span_solve(sol.densities, target) is not None
-    for parity in sol.parities:
-        assert parity in ("even", "odd")  # never mixed
+    assert sol.parities
+    for density, parity in zip(sol.densities, sol.parities):
+        # a sector's weighted basis holds only even or only odd powers of h
+        assert {s % 2 for s in density.h_support()} == {1 if parity == "odd" else 0}
 
 
 def test_solve_nambu_dimension_two():
@@ -280,6 +282,21 @@ def test_verify_density_expands_only_to_confirm(monkeypatch):
     with pytest.raises(SolverError, match="witness"):
         verify_density(f_u, p_u)
     assert len(calls) == 2  # zero residual at every point, expanded once
+
+
+def test_solve_and_verify_share_one_kahan_map(monkeypatch):
+    built = []
+    init = KahanMap.__init__
+
+    def counting(self, field):
+        built.append(field)
+        init(self, field)
+
+    monkeypatch.setattr(KahanMap, "__init__", counting)
+    f = lv_divfree()
+    sol = solve_darboux(f, 4, parity="even", seed=0)
+    assert verify_density(f, sol.densities[0]).verified
+    assert built == [f]
 
 
 def test_each_kahan_step_evaluates_det_m_once(monkeypatch):
