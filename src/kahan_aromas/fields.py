@@ -81,6 +81,7 @@ class QuadraticVectorField:
 
     @staticmethod
     def from_polynomials(polys: list[Polynomial]) -> "QuadraticVectorField":
+        """The field with these components, checked and kept as given."""
         field = QuadraticVectorField(len(polys))
         for p in polys:
             if p.nvars != field.nvars:
