@@ -11,10 +11,11 @@ from kahan_aromas import (
     LOOP,
     AromaMultiset,
     enumerate_multisets,
+    eta,
     q_row,
 )
 from kahan_aromas.corpus import lv_special
-from kahan_aromas.rationals import Rat, format_rat
+from kahan_aromas.rationals import format_rat
 
 
 def main() -> None:
@@ -31,7 +32,7 @@ def main() -> None:
     for mset in enumerate_multisets(4):
         if not mset.is_cycle_product():
             continue
-        coeff = Rat(mset.permutation_sign(), mset.sigma())
+        coeff = eta(1, mset) / mset.sigma()
         print(f"  (uh)^{mset.order} * ({format_rat(coeff)}) F({mset.encoding})")
 
     f = lv_special()

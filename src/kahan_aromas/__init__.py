@@ -40,8 +40,6 @@ from .fields import (
 )
 from .coalgebra import (
     CoefficientFunctional,
-    ForestFunctional,
-    FormalTensorSum,
     TruncationError,
     compose_with_bseries,
     coproduct_comodule,
@@ -50,7 +48,6 @@ from .coalgebra import (
     eta,
     eta_functional,
     kahan_coeff,
-    kahan_forest_functional,
     multiply_functionals,
     q_apply,
     q_functional,

@@ -3,7 +3,7 @@
 JSON on stdout is the machine format (byte-identical for identical seeds);
 --format text renders aromatic series the way the densities are usually
 written, e.g. "1 - (1/8) h^2 F(C2(;))"; --format latex emits an align*
-block of the densities for `darboux solve`, a tabular for `hopf qtable` and
+block of the densities for `darboux solve`, a tabular for `hopf q-table` and
 JSON for the other commands.
 
 Exit codes: 0 success; 1 verification failure or empty result where a
@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import corpus
-from .coalgebra import q_matrix
+from .coalgebra import eta, q_matrix
 from .fields import QuadraticVectorField
 from .graphs import (
     enumerate_aromas,
@@ -30,6 +30,7 @@ from .poly import Polynomial
 from .rationals import Rat, format_rat
 from .solver import (
     SolverError,
+    check_augmenters,
     conjecture_check,
     first_integrals,
     necessary_conditions,
@@ -287,13 +288,12 @@ def cmd_hopf_newton(args) -> int:
     for mset in enumerate_multisets(args.order):
         if not mset.is_cycle_product():
             continue
-        sign = mset.permutation_sign()
         rows.append(
             {
                 "alpha": mset.encoding,
                 "sigma": mset.sigma(),
                 "u_power": mset.order,
-                "eta_over_sigma": format_rat(Rat(sign, mset.sigma())),
+                "eta_over_sigma": format_rat(eta(1, mset) / mset.sigma()),
                 "vanishes_beyond_dim": mset.order > args.dim,
             }
         )
@@ -313,7 +313,8 @@ def cmd_hopf_newton(args) -> int:
 def _load_augmenters(path: str, nvars: int):
     """Labelled augmenters from a JSON object {label: polynomial} or a list of
     [label, polynomial] pairs; each must be a nonzero polynomial in x alone
-    over the field's nvars variables (x, h, u)."""
+    over the field's nvars variables (x, h, u), under a distinct label that
+    neither starts with "C" nor holds "*"."""
     data = _load_json(path)
     if isinstance(data, dict):
         items = sorted(data.items())
@@ -333,9 +334,11 @@ def _load_augmenters(path: str, nvars: int):
             raise InputError(f"malformed augmenter {label!r}: {exc}") from exc
         if p.is_zero():
             raise InputError(f"augmenter {label!r} is the zero polynomial")
-        if p.degree_in(nvars - 2) or p.degree_in(nvars - 1):
-            raise InputError(f"augmenter {label!r} must not involve h or u")
         out.append((str(label), p))
+    try:
+        check_augmenters(out, nvars - 2)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     return out
 
 

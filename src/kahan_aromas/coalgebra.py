@@ -14,10 +14,15 @@ The Q operator combines them:  <Q(g), a> = <eta_{-1/2} (x) phi (x) g
 - g (x) phi (x) eta_{1/2}, (I (x) D_comodule) o D_disjoint(a)>, with phi the
 multiplicative extension of Kahan's tall-tree coefficients.  B(g) is a
 Darboux polynomial for f exactly when Q(g) lies in the kernel of F.
+
+Both coproducts are plain dicts from a pair (left, right) to a positive
+integer coefficient; functionals are dicts keyed by AromaMultiset.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
 from math import comb
 
 from .graphs import (
@@ -45,17 +50,12 @@ class CoefficientFunctional:
     """
 
     def __init__(self, support: dict, truncation_order: int):
-        clean: dict[str, Rat] = {}
-        max_order = 0
-        for key, value in support.items():
-            ms = key if isinstance(key, AromaMultiset) else None
-            enc = key.encoding if ms is not None else str(key)
-            order = ms.order if ms is not None else _order_of_encoding(enc)
+        clean: dict[AromaMultiset, Rat] = {}
+        for alpha, value in support.items():
             value = Rat(value)
             if value != 0:
-                clean[enc] = value
-                max_order = max(max_order, order)
-        if truncation_order < max_order:
+                clean[alpha] = value
+        if truncation_order < max((alpha.order for alpha in clean), default=0):
             raise ValueError("truncation_order below the maximal supported order")
         self.support = clean
         self.truncation_order = truncation_order
@@ -66,137 +66,72 @@ class CoefficientFunctional:
                 f"functional only known up to order {self.truncation_order}, "
                 f"asked at order {alpha.order}"
             )
-        return self.support.get(alpha.encoding, ZERO)
-
-    def items(self):
-        return sorted(self.support.items())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CoefficientFunctional)
-            and self.support == other.support
-            and self.truncation_order == other.truncation_order
-        )
+        return self.support.get(alpha, ZERO)
 
     def __repr__(self):
-        body = ", ".join(f"{k}: {v}" for k, v in self.items())
+        body = ", ".join(f"{k}: {v}" for k, v in sorted(self.support.items()))
         return f"CoefficientFunctional({{{body}}}, <= {self.truncation_order})"
 
 
-def _order_of_encoding(enc: str) -> int:
-    from .graphs import parse_multiset
-
-    return parse_multiset(enc).order
+def _functional(value_of, truncation_order: int) -> CoefficientFunctional:
+    """The functional alpha -> value_of(alpha) on every multiset up to the
+    truncation order."""
+    support = {alpha: value_of(alpha) for alpha in enumerate_multisets(truncation_order)}
+    return CoefficientFunctional(support, truncation_order)
 
 
 def counit(truncation_order: int = 0) -> CoefficientFunctional:
     return CoefficientFunctional({UNIT: ONE}, truncation_order)
 
 
-class ForestFunctional:
-    """Multiplicative functional on rooted forests, given by a tree rule."""
-
-    def __init__(self, tree_rule):
-        self._tree_rule = tree_rule
-        self._cache: dict[str, Rat] = {}
-
-    def value(self, forest: Forest | RootedTree) -> Rat:
-        if isinstance(forest, RootedTree):
-            forest = Forest((forest,))
-        got = self._cache.get(forest.encoding)
-        if got is None:
-            got = ONE
-            for tree in forest.trees:
-                got = got * Rat(self._tree_rule(tree))
-                if got == 0:
-                    break
-            self._cache[forest.encoding] = got
-        return got
+@lru_cache(maxsize=None)
+def _kahan_tree_coeff(tree: RootedTree) -> Rat:
+    return Rat(1, 2 ** (tree.order - 1)) if tree.is_tall() else ZERO
 
 
-def _kahan_tree_rule(tree: RootedTree) -> Rat:
-    if tree.is_tall():
-        return Rat(1, 2 ** (tree.order - 1))
-    return ZERO
-
-
-def kahan_forest_functional() -> ForestFunctional:
-    return ForestFunctional(_kahan_tree_rule)
-
-
-_KAHAN_B = kahan_forest_functional()
-
-
-def kahan_coeff(arg) -> Rat:
+def kahan_coeff(forest: Forest | RootedTree) -> Rat:
     """Kahan's B-series coefficients: b(tall tree) = 2^(1-|tau|), else 0;
     extended multiplicatively to forests with b(empty) = 1."""
-    return _KAHAN_B.value(arg)
+    trees = (forest,) if isinstance(forest, RootedTree) else forest.trees
+    out = ONE
+    for tree in trees:
+        out = out * _kahan_tree_coeff(tree)
+    return out
 
 
-class FormalTensorSum:
-    """Finite rational combination of component tuples, like terms merged."""
-
-    def __init__(self, terms: dict | None = None):
-        self.terms: dict[tuple, Rat] = {}
-        if terms:
-            for comp, coeff in terms.items():
-                self.add(comp, coeff)
-
-    def add(self, components: tuple, coeff) -> None:
-        coeff = Rat(coeff)
-        if coeff == 0:
-            return
-        cur = self.terms.get(components)
-        if cur is None:
-            self.terms[components] = coeff
-        else:
-            cur = cur + coeff
-            if cur == 0:
-                del self.terms[components]
-            else:
-                self.terms[components] = cur
-
-    def items(self):
-        return sorted(
-            self.terms.items(), key=lambda kv: tuple(c.encoding for c in kv[0])
-        )
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, FormalTensorSum) and self.terms == other.terms
-
-    def __repr__(self):
-        body = " + ".join(
-            (f"{v} * " if v != 1 else "")
-            + "(x)".join(c.encoding if c.encoding else "1" for c in comps)
-            for comps, v in self.items()
-        )
-        return body or "0"
-
-
-def coproduct_disjoint(alpha: AromaMultiset) -> FormalTensorSum:
+def coproduct_disjoint(
+    alpha: AromaMultiset,
+) -> dict[tuple[AromaMultiset, AromaMultiset], int]:
     """Binomial coproduct: sum over submultisets b of alpha of b (x) alpha\\b,
     with the product of binomial multiplicities as coefficient."""
     classes = alpha.classes()
-    out = FormalTensorSum()
-
-    def rec(idx: int, left: list, right: list, coeff: int):
-        if idx == len(classes):
-            out.add((AromaMultiset(tuple(left)), AromaMultiset(tuple(right))), coeff)
-            return
-        aroma, mult = classes[idx]
-        for take in range(mult + 1):
-            rec(
-                idx + 1,
-                left + [aroma] * take,
-                right + [aroma] * (mult - take),
-                coeff * comb(mult, take),
-            )
-
-    rec(0, [], [], 1)
+    out = {}
+    for takes in product(*(range(mult + 1) for _, mult in classes)):
+        left, right, coeff = [], [], 1
+        for (aroma, mult), take in zip(classes, takes):
+            left += [aroma] * take
+            right += [aroma] * (mult - take)
+            coeff *= comb(mult, take)
+        out[AromaMultiset(left), AromaMultiset(right)] = coeff
     return out
+
+
+def _forest_cuts(trees) -> list[tuple[tuple, tuple]]:
+    """(detached trees, kept trees) for every admissible cut of trees hanging
+    from one vertex: each tree is cut on its own."""
+    return [
+        (sum((d for d, _ in choice), ()), sum((k for _, k in choice), ()))
+        for choice in product(*(_tree_cuts(t) for t in trees))
+    ]
+
+
+@lru_cache(maxsize=None)
+def _tree_cuts(tree: RootedTree) -> list[tuple[tuple, tuple]]:
+    """A hanging tree is cut off whole, or it keeps its root and each child
+    subtree is cut on its own."""
+    return [((tree,), ())] + [
+        (detached, (RootedTree(kept),)) for detached, kept in _forest_cuts(tree.children)
+    ]
 
 
 def _aroma_cuts(aroma: Aroma) -> list[tuple[Forest, Aroma]]:
@@ -206,124 +141,69 @@ def _aroma_cuts(aroma: Aroma) -> list[tuple[Forest, Aroma]]:
     by another cut (an antichain in the ancestor order); only those cuts
     invert the grafting of whole trees onto the core, which is what the
     composition law sums over.  Each detached tree keeps all descendants of
-    its cut vertex.
+    its cut vertex.  Cuts are listed with multiplicity, one per antichain.
     """
-    preds, tree_kids, k = aroma.structure()
-    nverts = len(preds)
-    tree_vertices = list(range(k, nverts))
-
-    parent = [None] * nverts
-    for v in range(nverts):
-        for c in tree_kids[v]:
-            parent[c] = v
-
-    def ancestors(v: int) -> frozenset:
-        out = set()
-        p = parent[v]
-        while p is not None:
-            out.add(p)
-            p = parent[p]
-        return frozenset(out)
-
-    anc = {v: ancestors(v) for v in tree_vertices}
-
-    def build(v: int) -> RootedTree:
-        return RootedTree(tuple(build(c) for c in tree_kids[v]))
-
-    whole = {v: build(v) for v in tree_vertices}
-
-    results = []
-    for mask in range(1 << len(tree_vertices)):
-        cut = [tree_vertices[b] for b in range(len(tree_vertices)) if mask >> b & 1]
-        cut_set = set(cut)
-        if any(anc[v] & cut_set for v in cut):
-            continue
-        detached = Forest(tuple(whole[v] for v in cut))
-
-        def remaining(v: int) -> RootedTree:
-            return RootedTree(
-                tuple(remaining(c) for c in tree_kids[v] if c not in cut_set)
-            )
-
-        rest = Aroma(
-            k,
-            tuple(
-                Forest(
-                    tuple(remaining(c) for c in tree_kids[i] if c not in cut_set)
-                )
-                for i in range(k)
-            ),
+    return [
+        (
+            Forest(sum((d for d, _ in choice), ())),
+            Aroma(aroma.cycle_len, tuple(Forest(k) for _, k in choice)),
         )
-        results.append((detached, rest))
-    return results
+        for choice in product(*(_forest_cuts(f.trees) for f in aroma.decorations))
+    ]
 
 
-def coproduct_comodule(alpha) -> FormalTensorSum:
+def coproduct_comodule(alpha) -> dict[tuple[Forest, AromaMultiset], int]:
     """Comodule coproduct: cut non-cycle edges; detached trees (x) what remains.
 
     Extends to multisets componentwise (forests concatenate, aromas multiply).
     """
     if isinstance(alpha, Aroma):
         alpha = AromaMultiset((alpha,))
-    out = FormalTensorSum()
-    out.add((EMPTY_FOREST, UNIT), ONE)
+    out = {(EMPTY_FOREST, UNIT): 1}
     for aroma in alpha.aromas:
         cuts = _aroma_cuts(aroma)
-        nxt = FormalTensorSum()
-        for (forest, rest), coeff in out.terms.items():
+        nxt = {}
+        for (forest, rest), coeff in out.items():
             for detached, reduced in cuts:
-                nxt.add(
-                    (
-                        Forest(forest.trees + detached.trees),
-                        rest.times(AromaMultiset((reduced,))),
-                    ),
-                    coeff,
+                key = (
+                    Forest(forest.trees + detached.trees),
+                    rest.times(AromaMultiset((reduced,))),
                 )
+                nxt[key] = nxt.get(key, 0) + coeff
         out = nxt
     return out
+
+
+def _pair(left, right, coproduct: dict) -> Rat:
+    """<left (x) right, coproduct> for functions left and right."""
+    total = ZERO
+    for (a, b), coeff in coproduct.items():
+        la = left(a)
+        if la != 0:
+            total = total + coeff * la * right(b)
+    return total
 
 
 def multiply_functionals(
     gamma0: CoefficientFunctional, gamma1: CoefficientFunctional
 ) -> CoefficientFunctional:
     """Convolution against the binomial coproduct; governs products of series."""
-    truncation = min(gamma0.truncation_order, gamma1.truncation_order)
-    support = {}
-    for alpha in enumerate_multisets(truncation):
-        total = ZERO
-        for (left, right), coeff in coproduct_disjoint(alpha).terms.items():
-            a = gamma0.value(left)
-            if a == 0:
-                continue
-            b = gamma1.value(right)
-            if b != 0:
-                total = total + coeff * a * b
-        if total != 0:
-            support[alpha] = total
-    return CoefficientFunctional(support, truncation)
+    return _functional(
+        lambda alpha: _pair(gamma0.value, gamma1.value, coproduct_disjoint(alpha)),
+        min(gamma0.truncation_order, gamma1.truncation_order),
+    )
 
 
-def compose_with_bseries(
-    b: ForestFunctional, gamma: CoefficientFunctional
-) -> CoefficientFunctional:
+def compose_with_bseries(b, gamma: CoefficientFunctional) -> CoefficientFunctional:
     """(b . gamma)(alpha) = <b (x) gamma, D_comodule(alpha)>: the coefficients
-    of B(gamma) evaluated along the B-series map with forest coefficients b."""
-    if b.value(EMPTY_FOREST) != 1:
+    of B(gamma) evaluated along the B-series map whose coefficient of a
+    forest is b(forest)."""
+    if b(EMPTY_FOREST) != 1:
         raise ValueError("composition requires b(empty forest) = 1")
-    truncation = gamma.truncation_order
-    support = {}
-    for alpha in enumerate_multisets(truncation):
-        total = ZERO
-        for (forest, rest), coeff in coproduct_comodule(alpha).terms.items():
-            bv = b.value(forest)
-            if bv == 0:
-                continue
-            gv = gamma.value(rest)
-            if gv != 0:
-                total = total + coeff * bv * gv
-        if total != 0:
-            support[alpha] = total
-    return CoefficientFunctional(support, truncation)
+    return _functional(
+        lambda alpha: _pair(b, gamma.value, coproduct_comodule(alpha)),
+        gamma.truncation_order,
+    )
 
 
 def eta(u, alpha: AromaMultiset) -> Rat:
@@ -335,28 +215,23 @@ def eta(u, alpha: AromaMultiset) -> Rat:
 
 
 def eta_functional(u, truncation_order: int) -> CoefficientFunctional:
-    support = {}
-    for alpha in enumerate_multisets(truncation_order):
-        v = eta(u, alpha)
-        if v != 0:
-            support[alpha] = v
-    return CoefficientFunctional(support, truncation_order)
+    return _functional(lambda alpha: eta(u, alpha), truncation_order)
 
 
-_Q_ROW_CACHE: dict[str, dict] = {}
+_Q_ROW_CACHE: dict[AromaMultiset, dict] = {}
 _U_HALF = Rat(1, 2)
 
 
 def q_row(alpha: AromaMultiset) -> dict[AromaMultiset, Rat]:
     """<Q(gamma), alpha> as a linear form: multiset beta -> coefficient of
     gamma(beta)."""
-    got = _Q_ROW_CACHE.get(alpha.encoding)
+    got = _Q_ROW_CACHE.get(alpha)
     if got is not None:
         return dict(got)
     row: dict[AromaMultiset, Rat] = {}
-    for (beta, delta), c in coproduct_disjoint(alpha).terms.items():
+    for (beta, delta), c in coproduct_disjoint(alpha).items():
         eta_minus_beta = eta(-_U_HALF, beta)
-        for (forest, rho), c2 in coproduct_comodule(delta).terms.items():
+        for (forest, rho), c2 in coproduct_comodule(delta).items():
             phi = kahan_coeff(forest)
             if phi == 0:
                 continue
@@ -367,7 +242,7 @@ def q_row(alpha: AromaMultiset) -> dict[AromaMultiset, Rat]:
             if eta_plus_rho != 0:
                 row[beta] = row.get(beta, ZERO) - weight * eta_plus_rho
     row = {k: v for k, v in row.items() if v != 0}
-    _Q_ROW_CACHE[alpha.encoding] = dict(row)
+    _Q_ROW_CACHE[alpha] = dict(row)
     return row
 
 
@@ -387,24 +262,19 @@ def q_apply(gamma: CoefficientFunctional, alpha: AromaMultiset) -> Rat:
 
 def q_functional(gamma: CoefficientFunctional) -> CoefficientFunctional:
     """Q(gamma) on all multisets up to gamma's truncation order."""
-    support = {}
-    for alpha in enumerate_multisets(gamma.truncation_order):
-        v = q_apply(gamma, alpha)
-        if v != 0:
-            support[alpha] = v
-    return CoefficientFunctional(support, gamma.truncation_order)
+    return _functional(lambda alpha: q_apply(gamma, alpha), gamma.truncation_order)
 
 
 def q_matrix(order: int):
     """(multisets, rows): rows[r][c] = coefficient of gamma(multisets[c]) in
     <Q(gamma), multisets[r]>, over the canonical multiset basis up to order."""
     multisets = enumerate_multisets(order)
-    index = {m.encoding: i for i, m in enumerate(multisets)}
+    index = {m: i for i, m in enumerate(multisets)}
     rows = []
     for alpha in multisets:
         row = [ZERO] * len(multisets)
         for beta, coeff in q_row(alpha).items():
-            row[index[beta.encoding]] = coeff
+            row[index[beta]] = coeff
         rows.append(row)
     return multisets, rows
 
@@ -412,15 +282,12 @@ def q_matrix(order: int):
 def series_evaluate(gamma: CoefficientFunctional, field, truncation: int) -> Polynomial:
     """B(gamma) = sum over |alpha| <= truncation of h^|alpha| gamma(alpha)
     / sigma(alpha) * F(alpha), as an exact polynomial in (x, h)."""
-    from .graphs import parse_multiset
-
     if truncation > gamma.truncation_order:
         raise TruncationError("evaluation order exceeds the functional's truncation")
     nv = field.nvars
     out = Polynomial.zero(nv)
     h = Polynomial.variable(nv, field.dim)
-    for enc, coeff in gamma.items():
-        alpha = parse_multiset(enc)
+    for alpha, coeff in gamma.support.items():
         if alpha.order > truncation:
             continue
         term = field.aroma_function(alpha)

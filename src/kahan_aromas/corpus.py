@@ -588,9 +588,7 @@ def _golden_ishii(seed) -> list[GoldenCheck]:
     if rerolls:
         checks.append(GoldenCheck(f"re-rolled {rerolls} degenerate draws", True))
     f = ishii(**params)
-    kmap = f.kahan_map()
-    n = f.dim
-    vol = kmap.substitute(kmap.n_plus(), n) == kmap.den ** (n + 1)
+    vol = f.kahan_map().det_jacobian() == 1
     checks.append(GoldenCheck("det DPhi_h == 1 exactly", vol))
     sol = solve_darboux(f, 6, parity="even", seed=seed)
     _h1t, g2 = ishii_invariants(**params)
@@ -674,7 +672,7 @@ def _golden_canonical_hamiltonian(seed) -> list[GoldenCheck]:
             verify_density(f, kmap.den).verified,
         )
     )
-    ht = modified_hamiltonian(J, H)
+    ht = modified_hamiltonian(f, H)
     D = max(ht.num.x_degree(), f.dim)
     lhs = kmap.substitute(ht.num, D) * ht.den
     rhs = ht.num * kmap.substitute(ht.den, D)

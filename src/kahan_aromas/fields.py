@@ -405,15 +405,15 @@ def hamiltonian_field(J, H: Polynomial) -> QuadraticVectorField:
     return QuadraticVectorField.from_polynomials(comps)
 
 
-def modified_hamiltonian(J, H: Polynomial) -> RationalFunction:
+def modified_hamiltonian(field: QuadraticVectorField, H: Polynomial) -> RationalFunction:
     """The preserved integral H + (h/3) grad(H)^T (I - (h/2)f')^{-1} f.
 
-    Only the canonical constant-Poisson case is accepted (J constant skew,
-    H cubic); the returned rational function satisfies Ht o Phi_h = Ht.
+    Only the canonical constant-Poisson case holds: field must be
+    hamiltonian_field(J, H), which checks J and H.  The returned rational
+    function satisfies Ht o Phi_h = Ht and reads field.kahan_map().
     """
-    field = hamiltonian_field(J, H)
     n, nv = field.dim, field.nvars
-    kmap = KahanMap(field)
+    kmap = field.kahan_map()
     # h (adj(M) f)_i = numerators[i] - x_i den
     acc = Polynomial.zero(nv)
     for i in range(n):

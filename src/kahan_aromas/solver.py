@@ -70,6 +70,25 @@ class Basis:
         return [e.key for e in self.elements]
 
 
+def check_augmenters(augmenters, dim: int) -> None:
+    """Raise ValueError unless each (label, polynomial) augmenter can key its
+    basis elements "label*encoding" unambiguously: the labels are distinct,
+    none starts with "C" or holds "*" (so a key never reads as a multiset),
+    and no polynomial involves h or u."""
+    labels = set()
+    for label, p in augmenters:
+        label = str(label)
+        if label.startswith("C") or "*" in label:
+            raise ValueError(
+                f"augmenter label {label!r} must not start with 'C' or contain '*'"
+            )
+        if label in labels:
+            raise ValueError(f"augmenter label {label!r} is used twice")
+        labels.add(label)
+        if p.degree_in(dim) or p.degree_in(dim + 1):
+            raise ValueError(f"augmenter {label!r} must not involve h or u")
+
+
 def build_basis(
     field: QuadraticVectorField,
     max_order: int,
@@ -83,9 +102,7 @@ def build_basis(
     pivot selection therefore always go to the earlier element.
     """
     augmenters = list(augmenters or [])
-    for label, p in augmenters:
-        if p.degree_in(field.dim) or p.degree_in(field.dim + 1):
-            raise ValueError(f"augmenter {label!r} must not involve h or u")
+    check_augmenters(augmenters, field.dim)
     multisets = [
         m
         for m in enumerate_multisets(max_order, QUADRATIC_MAX_INDEGREE)

@@ -2,9 +2,11 @@
 
 Functional graphs are raw endomaps g: {0..n-1} -> {0..n-1} (the edge set is
 v -> g[v]); isomorphism classes are computed by quotienting by all vertex
-permutations, never by the package's canonical forms.  Aromatic functions
-are summed over every index assignment of the aroma's vertices, never by the
-package's contraction.  Linear algebra is Gauss-Jordan elimination in
+permutations, never by the package's canonical forms, and admissible cuts
+are read off every subset of tree vertices, never by the package's
+recursion over hanging trees.  Aromatic functions are summed over every
+index assignment of the aroma's vertices, never by the package's
+contraction.  Linear algebra is Gauss-Jordan elimination in
 `Fraction` arithmetic, never the package's fraction-free kernel.  Density
 verification expands the symbolic defect before it looks at any point,
 never the package's refute-at-points-first order, and Darboux solutions
@@ -24,6 +26,7 @@ from itertools import permutations, product
 from math import prod
 
 from kahan_aromas.fields import KahanMap, poly_mat_det
+from kahan_aromas.graphs import Aroma, Forest, RootedTree
 from kahan_aromas.linalg import nullspace
 from kahan_aromas.poly import PointEvaluator, Polynomial, RationalFunction
 from kahan_aromas.rationals import ONE, ZERO, random_rational
@@ -141,6 +144,48 @@ def multiset_to_endomap(mset) -> tuple[int, ...]:
         shift = len(g)
         g.extend(shift + w for w in aroma_to_endomap(aroma))
     return tuple(g)
+
+
+def aroma_cuts_by_vertex_subsets(aroma) -> list:
+    """Admissible cuts of an aroma as (detached forest, remaining aroma): every
+    subset of its tree vertices that holds no vertex together with one of its
+    ancestors cuts the edge from each of those vertices to its parent."""
+    preds, tree_kids, k = aroma.structure()
+    nverts = len(preds)
+    tree_vertices = list(range(k, nverts))
+    parent = [None] * nverts
+    for v in range(nverts):
+        for c in tree_kids[v]:
+            parent[c] = v
+
+    def ancestors(v: int) -> frozenset:
+        out = set()
+        p = parent[v]
+        while p is not None:
+            out.add(p)
+            p = parent[p]
+        return frozenset(out)
+
+    anc = {v: ancestors(v) for v in tree_vertices}
+
+    def build(v: int, cut_set: frozenset) -> RootedTree:
+        return RootedTree(tuple(build(c, cut_set) for c in tree_kids[v] if c not in cut_set))
+
+    results = []
+    for mask in range(1 << len(tree_vertices)):
+        cut_set = frozenset(tree_vertices[b] for b in range(len(tree_vertices)) if mask >> b & 1)
+        if any(anc[v] & cut_set for v in cut_set):
+            continue
+        detached = Forest(tuple(build(v, frozenset()) for v in cut_set))
+        rest = Aroma(
+            k,
+            tuple(
+                Forest(tuple(build(c, cut_set) for c in tree_kids[i] if c not in cut_set))
+                for i in range(k)
+            ),
+        )
+        results.append((detached, rest))
+    return results
 
 
 def aroma_by_assignments(field, aroma):

@@ -221,7 +221,7 @@ def test_acceptance_06_canonical_hamiltonian():
         f = hamiltonian_field(J, H)
         m = KahanMap(f)
         ok &= verify_density(f, m.den).verified
-        ht = modified_hamiltonian(J, H)
+        ht = modified_hamiltonian(f, H)
         D = max(ht.num.x_degree(), n)
         ok &= m.substitute(ht.num, D) * ht.den == ht.num * m.substitute(ht.den, D)
     _report(6, "det(I-h/2 f') is a density and H~ is preserved (n=2 and n=4)", ok)

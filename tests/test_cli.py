@@ -316,6 +316,15 @@ def _kahan_map(system, params):
         (_LV, [[[1, 0, 0, 0, 0], 0.1]], None, "malformed density JSON"),
         (_LV, [[[1, 0, 0, 0, 0], True]], None, "malformed density JSON"),
         (_LV, None, {"a": [[[1, 0, 0, 0, 0], 0.5]]}, "malformed augmenter"),
+        (_LV, None, {"Cx": [[[1, 0, 0, 0, 0], "1"]]}, "label 'Cx' must not start with 'C'"),
+        (_LV, None, {"I*0": [[[1, 0, 0, 0, 0], "1"]]}, "label 'I*0' must not start with 'C' or contain '*'"),
+        (_LV, None, {"C2(;)": [[[1, 0, 0, 0, 0], "1"]]}, "label 'C2(;)' must not start with 'C'"),
+        (
+            _LV,
+            None,
+            [["a", [[[1, 0, 0, 0, 0], "1"]]], ["a", [[[0, 1, 0, 0, 0], "1"]]]],
+            "label 'a' is used twice",
+        ),
         (
             ("darboux", "solve", "--system", "ishii", "--params", '{"k": 0}', "--order", "2"),
             None,
@@ -434,6 +443,10 @@ def _kahan_map(system, params):
         "density-float-coefficient",
         "density-bool-coefficient",
         "augmenter-float-coefficient",
+        "augmenter-label-starts-with-c",
+        "augmenter-label-with-star",
+        "augmenter-label-is-a-multiset",
+        "augmenter-label-twice",
         "system-missing-parameter",
         "system-unknown-parameter",
         "system-parameters-not-an-object",
@@ -524,7 +537,9 @@ def test_kahan_output_bytes_are_pinned(capsys, system, command):
 
 # SHA-256 of the stdout of `check conditions` for every corpus system,
 # `check conjecture` and `corpus run`, taken from the code before the span
-# solve, the cond1 check and the 3 x 3 adjugate had one definition each
+# solve, the cond1 check and the 3 x 3 adjugate had one definition each;
+# the `hopf` digests were taken from the coalgebra before its coproducts
+# became plain dicts and its cuts a recursion over hanging trees
 ANALYSIS_STDOUT_SHA256 = {
     "check conditions --system canonical_hamiltonian --seed 0": "5bc892de32d215430359ce009682bb8b741a1462c32032a2e1f59434b934a351",
     "check conditions --system divfree_homogeneous_r3 --seed 0": "e076e674fc7b7d21dd21e087907bc198892e73049672af3595b65b134475c4eb",
@@ -546,6 +561,11 @@ ANALYSIS_STDOUT_SHA256 = {
     "corpus run divfree_homogeneous_r3 --seed 0": "25b36c177ad695415946353017c95b43be40188338186d51767a7d48cc293d6a",
     "corpus run nambu_homogeneous --seed 0": "91a5d96553214b501eadc46b2535a9f5d4aa050fa56224cf2748d6ecfcdf66a5",
     "corpus run nambu_inhomogeneous --seed 0": "fed2d022e88f553f5269a4becf1caca8f9dc2003467a5f012afde6de188d0ba3",
+    "hopf q-table --order 6": "f6dbb101af5f964a7c4a095f5bdfc7bb5e7afd97b91e0699624cfcacf07e28f2",
+    "--format text hopf q-table --order 5": "2f093bc54280a77a795f0440c4e90da8d595fa0bc4243842d976efba6d9adbe1",
+    "--format latex hopf q-table --order 4": "d915b80b447c9b1e41cf3d06a49b7de1cfa530563dccada7ab22e2cb761e08b8",
+    "--order-cap 7 hopf q-table --order 7": "8881ff61a932c33552e22a8feaff84101c35f0e8085172cd921215556513fcfa",
+    "hopf newton --order 6 --dim 3": "1615bb4f770b4eb1c5082adf00e77b2bf5b2c0efaf5788fc2fa171ee0402689e",
 }
 
 

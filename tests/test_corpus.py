@@ -128,6 +128,21 @@ def test_cheap_golden_suites_pass():
         assert checks and all(c.passed for c in checks), name
 
 
+def test_canonical_hamiltonian_suite_builds_one_kahan_map(monkeypatch):
+    # the modified Hamiltonian reads the numerators off the suite's own map
+    built = []
+    init = KahanMap.__init__
+
+    def counting(self, field):
+        built.append(field)
+        init(self, field)
+
+    monkeypatch.setattr(KahanMap, "__init__", counting)
+    checks = golden_suite("canonical_hamiltonian", seed=0)
+    assert all(c.passed for c in checks)
+    assert len(built) == 1
+
+
 def test_corpus_fields_self_adjoint():
     from test_fields import _self_adjoint_exact
 

@@ -391,13 +391,13 @@ def test_modified_hamiltonian_zero_and_cubic():
     J = [[0, 1], [-1, 0]]
     nv = 4
     zero = Polynomial.zero(nv)
-    assert modified_hamiltonian(J, zero) == RationalFunction(zero)
+    assert modified_hamiltonian(hamiltonian_field(J, zero), zero) == RationalFunction(zero)
     # H = x^3/3 gives f = (0, -x^2); invariance is checked exactly
     H = Polynomial.variable(nv, 0) ** 3 * Rat(1, 3)
     f = hamiltonian_field(J, H)
     assert f.components()[0].is_zero()
     assert f.components()[1] == -(Polynomial.variable(nv, 0) ** 2)
-    ht = modified_hamiltonian(J, H)
+    ht = modified_hamiltonian(f, H)
     m = KahanMap(f)
     D = max(ht.num.x_degree(), 2)
     assert m.substitute(ht.num, D) * ht.den == ht.num * m.substitute(ht.den, D)
@@ -413,8 +413,8 @@ def test_modified_hamiltonian_quadratic_case():
         for _ in range(2):
             e[rng.randrange(2)] += 1
         H = H + Polynomial.monomial(nv, e, Rat(rng.randint(-3, 3), rng.randint(1, 2)))
-    ht = modified_hamiltonian(J, H)
     f = hamiltonian_field(J, H)
+    ht = modified_hamiltonian(f, H)
     m = KahanMap(f)
     D = max(ht.num.x_degree(), 2)
     assert m.substitute(ht.num, D) * ht.den == ht.num * m.substitute(ht.den, D)
@@ -424,9 +424,9 @@ def test_modified_hamiltonian_rejects_bad_input():
     nv = 4
     H = Polynomial.variable(nv, 0) ** 3
     with pytest.raises(ValueError):
-        modified_hamiltonian([[0, 1], [1, 0]], H)  # not skew
+        hamiltonian_field([[0, 1], [1, 0]], H)  # not skew
     with pytest.raises(ValueError):
-        modified_hamiltonian([[0, 1], [-1, 0]], Polynomial.variable(nv, 0) ** 4)
+        hamiltonian_field([[0, 1], [-1, 0]], Polynomial.variable(nv, 0) ** 4)
 
 
 def test_apply_point_matches_symbolic_map():

@@ -85,6 +85,17 @@ def test_build_basis_rejects_h_in_augmenter():
         build_basis(f, 2, augmenters=[("bad", h)])
 
 
+def test_build_basis_rejects_labels_that_break_the_keys():
+    # "C2(;)*C2(;)" would name both a plain multiset and an augmented element
+    f = lv_divfree()
+    x1 = Polynomial.variable(5, 0)
+    for labels in (["C2(;)"], ["Cx"], ["I*0"], ["a", "a"]):
+        with pytest.raises(ValueError, match="label"):
+            build_basis(f, 4, augmenters=[(label, x1) for label in labels], orders={0, 2, 4})
+    keys = [el.key for el in build_basis(f, 4, [("I0", x1)], {0, 2, 4}).elements]
+    assert len(keys) == len(set(keys))
+
+
 def test_kernel_relations_generic_counts():
     rng = random.Random(7)
     f = random_quadratic_field(rng, 3)
