@@ -13,6 +13,7 @@ result was required; 2 input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -62,9 +63,9 @@ def _load_json(path: str):
 
 
 def _load_field(args) -> QuadraticVectorField:
-    if getattr(args, "field", None) and getattr(args, "system", None):
+    if args.field and args.system:
         raise InputError("give exactly one field source (--field or --system)")
-    if getattr(args, "field", None):
+    if args.field:
         data = _load_json(args.field)
         if not isinstance(data, dict):
             raise InputError("malformed field JSON: the top level must be an object")
@@ -72,15 +73,15 @@ def _load_field(args) -> QuadraticVectorField:
             return QuadraticVectorField.from_json(data)
         except (ValueError, TypeError, KeyError) as exc:
             raise InputError(f"malformed field JSON: {exc}") from exc
-    if getattr(args, "system", None):
+    if args.system:
         params = None
-        if getattr(args, "params", None):
+        if args.params:
             try:
                 params = json.loads(args.params)
             except json.JSONDecodeError as exc:
                 raise InputError(f"malformed --params JSON: {exc}") from exc
         try:
-            return corpus.get_system(args.system, params, seed=getattr(args, "seed", 0))
+            return corpus.get_system(args.system, params, seed=args.seed)
         except (KeyError, ValueError, TypeError) as exc:
             raise _input_error(exc) from exc
     raise InputError("a field source is required (--field F.json or --system NAME)")
@@ -93,6 +94,18 @@ def _check_order(order: int, cap: int):
         )
     if order < 0:
         raise InputError("order must be nonnegative")
+
+
+def _jsonable(value):
+    """JSON form of a report: dataclass fields in order, tuples as lists,
+    rationals as "p/q" strings."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, Rat):
+        return format_rat(value)
+    return value
 
 
 def _emit(args, payload: dict, text_renderer=None, latex_renderer=None) -> None:
@@ -189,6 +202,7 @@ def cmd_field_eval(args) -> int:
         target = parse_multiset(args.aroma)
     except ValueError as exc:
         raise InputError(f"bad aroma encoding: {exc}") from exc
+    _check_order(target.order, args.order_cap)
     poly = field.aroma_function(target)
     payload = {
         "aroma": target.encoding,
@@ -284,6 +298,8 @@ def cmd_hopf_qtable(args) -> int:
 
 def cmd_hopf_newton(args) -> int:
     _check_order(args.order, args.order_cap)
+    if args.dim < 1:
+        raise InputError("--dim must be at least 1")
     rows = []
     for mset in enumerate_multisets(args.order):
         if not mset.is_cycle_product():
@@ -367,7 +383,7 @@ def solver_report(field, sol, seed: int) -> dict:
             ]
         except (ValueError, SolverError):
             integrals = []
-    conditions = necessary_conditions(sol.field).to_json()
+    conditions = _jsonable(necessary_conditions(sol.field))
     return {
         "field": sol.field.to_json(),
         "order": sol.max_order,
@@ -446,7 +462,7 @@ def cmd_darboux_verify(args) -> int:
 
 def cmd_check_conditions(args) -> int:
     field = _load_field(args)
-    payload = necessary_conditions(field).to_json()
+    payload = _jsonable(necessary_conditions(field))
     _emit(args, payload)
     return 0
 
@@ -457,7 +473,7 @@ def cmd_check_conjecture(args) -> int:
         report = conjecture_check(field, seed=args.seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    payload = report.to_json()
+    payload = _jsonable(report)
     _emit(args, payload)
     if report.hypothesis_holds and not report.singular and report.density_found is False:
         return 1  # potential counterexample: flagged loudly
@@ -489,9 +505,7 @@ def cmd_corpus_run(args) -> int:
     payload = {
         "system": args.name,
         "seed": args.seed,
-        "checks": [
-            {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-        ],
+        "checks": _jsonable(checks),
         "passed": all(c.passed for c in checks),
     }
     _emit(
@@ -512,6 +526,7 @@ def _add_field_source(sub):
     sub.add_argument("--field", help="path to a field JSON file")
     sub.add_argument("--system", help="corpus system name")
     sub.add_argument("--params", help="JSON object of system parameters")
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev = fsub.add_parser("eval")
     _add_field_source(ev)
     ev.add_argument("--aroma", required=True, help="aroma or multiset encoding")
-    ev.add_argument("--seed", type=int, default=0)
     ev.set_defaults(func=cmd_field_eval)
 
     kah = top.add_parser("kahan", help="the Kahan map, its determinant, its series")
@@ -554,7 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("map", "det", "series"):
         sp = ksub.add_parser(name)
         _add_field_source(sp)
-        sp.add_argument("--seed", type=int, default=0)
         if name == "series":
             sp.add_argument("--order", type=int, default=4)
         sp.set_defaults(func=cmd_kahan)
@@ -576,23 +589,19 @@ def build_parser() -> argparse.ArgumentParser:
     so.add_argument("--order", type=int, required=True)
     so.add_argument("--parity", choices=["even", "odd", "both"], default="both")
     so.add_argument("--augment", help="JSON file of labelled augmenter polynomials")
-    so.add_argument("--seed", type=int, default=0)
     so.set_defaults(func=cmd_darboux_solve)
     ve = dsub.add_parser("verify")
     _add_field_source(ve)
     ve.add_argument("--density", required=True, help="polynomial JSON file")
-    ve.add_argument("--seed", type=int, default=0)
     ve.set_defaults(func=cmd_darboux_verify)
 
     chk = top.add_parser("check", help="necessary conditions and the conjecture")
     csub = chk.add_subparsers(dest="check_cmd", required=True)
     co = csub.add_parser("conditions")
     _add_field_source(co)
-    co.add_argument("--seed", type=int, default=0)
     co.set_defaults(func=cmd_check_conditions)
     cj = csub.add_parser("conjecture")
     _add_field_source(cj)
-    cj.add_argument("--seed", type=int, default=0)
     cj.set_defaults(func=cmd_check_conjecture)
 
     cor = top.add_parser("corpus", help="built-in example systems")

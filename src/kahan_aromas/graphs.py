@@ -19,34 +19,48 @@ the wire format used by the CLI and JSON reports.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from itertools import groupby
+from math import factorial, prod
 
 
-def _grouped(items):
-    """Group equal consecutive items of a sorted sequence: [(item, count)]."""
-    out = []
-    for it in items:
-        if out and out[-1][0] == it:
-            out[-1][1] += 1
-        else:
-            out.append([it, 1])
-    return [(a, b) for a, b in out]
+def _sigma(parts) -> int:
+    """Symmetry factor of a sorted tuple of parts: a class of m equal parts,
+    each of symmetry s, contributes s^m * m!."""
+    s = 1
+    for part, group in groupby(parts):
+        m = sum(1 for _ in group)
+        s *= part.sigma() ** m * factorial(m)
+    return s
 
 
-class RootedTree:
-    __slots__ = ("children", "encoding", "order")
+class _Encoded:
+    """Identity by canonical encoding: equal encodings, isomorphic graphs."""
+
+    __slots__ = ("encoding", "order")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.encoding == other.encoding
+
+    def __hash__(self):
+        return hash(self.encoding)
+
+    def __repr__(self):
+        return self.encoding or "()"
+
+
+class RootedTree(_Encoded):
+    __slots__ = ("children", "_symmetry")
 
     def __init__(self, children=()):
         kids = tuple(sorted(children, key=lambda t: t.encoding))
         self.children = kids
         self.encoding = "[" + "".join(t.encoding for t in kids) + "]"
         self.order = 1 + sum(t.order for t in kids)
+        # the children are built first, so sigma needs no recursion on deep trees
+        self._symmetry = _sigma(kids)
 
     def sigma(self) -> int:
-        s = 1
-        for child, mult in _grouped(self.children):
-            s *= child.sigma() ** mult * factorial(mult)
-        return s
+        return self._symmetry
 
     def is_tall(self) -> bool:
         node = self
@@ -63,24 +77,12 @@ class RootedTree:
             best = max(best, c.max_indegree())
         return best
 
-    def __eq__(self, other):
-        return isinstance(other, RootedTree) and self.encoding == other.encoding
-
-    def __hash__(self):
-        return hash(self.encoding)
-
-    def __lt__(self, other):
-        return self.encoding < other.encoding
-
-    def __repr__(self):
-        return self.encoding
-
 
 LEAF = RootedTree(())
 
 
-class Forest:
-    __slots__ = ("trees", "encoding", "order")
+class Forest(_Encoded):
+    __slots__ = ("trees",)
 
     def __init__(self, trees=()):
         ts = tuple(sorted(trees, key=lambda t: t.encoding))
@@ -89,32 +91,14 @@ class Forest:
         self.order = sum(t.order for t in ts)
 
     def sigma(self) -> int:
-        s = 1
-        for tree, mult in _grouped(self.trees):
-            s *= tree.sigma() ** mult * factorial(mult)
-        return s
-
-    def is_empty(self) -> bool:
-        return not self.trees
-
-    def __eq__(self, other):
-        return isinstance(other, Forest) and self.encoding == other.encoding
-
-    def __hash__(self):
-        return hash(("F", self.encoding))
-
-    def __lt__(self, other):
-        return self.encoding < other.encoding
-
-    def __repr__(self):
-        return self.encoding or "()"
+        return _sigma(self.trees)
 
 
 EMPTY_FOREST = Forest(())
 
 
-class Aroma:
-    __slots__ = ("cycle_len", "decorations", "encoding", "order")
+class Aroma(_Encoded):
+    __slots__ = ("cycle_len", "decorations")
 
     def __init__(self, cycle_len: int, decorations=()):
         if cycle_len < 1:
@@ -137,16 +121,10 @@ class Aroma:
             for r in range(self.cycle_len)
             if encs[r:] + encs[:r] == encs
         )
-        s = rotations
-        for f in self.decorations:
-            s *= f.sigma()
-        return s
+        return rotations * prod(f.sigma() for f in self.decorations)
 
     def is_bare_cycle(self) -> bool:
-        return all(f.is_empty() for f in self.decorations)
-
-    def has_self_loop(self) -> bool:
-        return self.cycle_len == 1
+        return all(not f.trees for f in self.decorations)
 
     def max_indegree(self) -> int:
         best = 0
@@ -181,21 +159,9 @@ class Aroma:
                 add_tree(tree, i)
         return preds, tree_kids, k
 
-    def __eq__(self, other):
-        return isinstance(other, Aroma) and self.encoding == other.encoding
 
-    def __hash__(self):
-        return hash(self.encoding)
-
-    def __lt__(self, other):
-        return self.encoding < other.encoding
-
-    def __repr__(self):
-        return self.encoding
-
-
-class AromaMultiset:
-    __slots__ = ("aromas", "encoding", "order")
+class AromaMultiset(_Encoded):
+    __slots__ = ("aromas",)
 
     def __init__(self, aromas=()):
         ar = tuple(sorted(aromas, key=lambda a: a.encoding))
@@ -204,13 +170,10 @@ class AromaMultiset:
         self.order = sum(a.order for a in ar)
 
     def sigma(self) -> int:
-        s = 1
-        for aroma, mult in _grouped(self.aromas):
-            s *= aroma.sigma() ** mult * factorial(mult)
-        return s
+        return _sigma(self.aromas)
 
     def classes(self):
-        return _grouped(self.aromas)
+        return [(aroma, sum(1 for _ in group)) for aroma, group in groupby(self.aromas)]
 
     def is_unit(self) -> bool:
         return not self.aromas
@@ -230,22 +193,13 @@ class AromaMultiset:
         return max((a.max_indegree() for a in self.aromas), default=0)
 
     def contains_self_loop(self) -> bool:
-        return any(a.has_self_loop() for a in self.aromas)
+        return any(a.cycle_len == 1 for a in self.aromas)
 
     def times(self, other: "AromaMultiset") -> "AromaMultiset":
         return AromaMultiset(self.aromas + other.aromas)
 
-    def __eq__(self, other):
-        return isinstance(other, AromaMultiset) and self.encoding == other.encoding
-
-    def __hash__(self):
-        return hash(("M", self.encoding))
-
     def __lt__(self, other):
         return (self.order, self.encoding) < (other.order, other.encoding)
-
-    def __repr__(self):
-        return self.encoding
 
 
 UNIT = AromaMultiset(())
@@ -258,6 +212,21 @@ TAILED_TWO_CYCLE = Aroma(2, (EMPTY_FOREST, Forest((LEAF,))))
 
 # ---------------------------------------------------------------------------
 # enumeration
+
+
+def _multisets(universe, budget: int):
+    """Every multiset of universe items with total order <= budget, the
+    empty one included, each once, as a tuple in universe order.  The
+    universe must be sorted by order."""
+    stack = [((), 0, budget)]
+    while stack:
+        chosen, start, remaining = stack.pop()
+        yield chosen
+        for i in range(start, len(universe)):
+            item = universe[i]
+            if item.order > remaining:
+                break
+            stack.append((chosen + (item,), i, remaining - item.order))
 
 
 @lru_cache(maxsize=None)
@@ -276,27 +245,13 @@ def enumerate_forests(order: int):
     """All forests (tree multisets) with the given total vertex count."""
     if order < 0:
         raise ValueError("forest order must be nonnegative")
-    if order == 0:
-        return (EMPTY_FOREST,)
-    universe = []
-    for k in range(1, order + 1):
-        universe.extend(enumerate_trees(k))
-
-    results = []
-
-    def rec(start: int, remaining: int, chosen: list):
-        if remaining == 0:
-            results.append(Forest(tuple(chosen)))
-            return
-        for i in range(start, len(universe)):
-            t = universe[i]
-            if t.order <= remaining:
-                chosen.append(t)
-                rec(i, remaining - t.order, chosen)
-                chosen.pop()
-
-    rec(0, order, [])
-    return tuple(sorted(set(results), key=lambda f: f.encoding))
+    universe = [t for k in range(1, order + 1) for t in enumerate_trees(k)]
+    forests = [
+        Forest(trees)
+        for trees in _multisets(universe, order)
+        if sum(t.order for t in trees) == order
+    ]
+    return tuple(sorted(forests, key=lambda f: f.encoding))
 
 
 def tall_tree(order: int) -> RootedTree:
@@ -308,6 +263,18 @@ def tall_tree(order: int) -> RootedTree:
     return t
 
 
+def _decorations(slots: int, budget: int):
+    """Every sequence of `slots` forests with total order `budget`."""
+    if slots == 1:
+        for f in enumerate_forests(budget):
+            yield (f,)
+        return
+    for used in range(budget + 1):
+        for f in enumerate_forests(used):
+            for rest in _decorations(slots - 1, budget - used):
+                yield (f,) + rest
+
+
 @lru_cache(maxsize=None)
 def enumerate_aromas(order: int):
     """All aromas of exactly the given order, one per isomorphism class."""
@@ -315,21 +282,9 @@ def enumerate_aromas(order: int):
         raise ValueError("aroma order must be at least 1")
     found = {}
     for k in range(1, order + 1):
-        rest = order - k
-
-        def place(slot: int, remaining: int, decs: list):
-            if slot == k - 1:
-                for f in enumerate_forests(remaining):
-                    a = Aroma(k, tuple(decs) + (f,))
-                    found.setdefault(a.encoding, a)
-                return
-            for used in range(remaining + 1):
-                for f in enumerate_forests(used):
-                    decs.append(f)
-                    place(slot + 1, remaining - used, decs)
-                    decs.pop()
-
-        place(0, rest, [])
+        for decs in _decorations(k, order - k):
+            a = Aroma(k, decs)
+            found.setdefault(a.encoding, a)
     return tuple(sorted(found.values(), key=lambda a: a.encoding))
 
 
@@ -341,53 +296,37 @@ def enumerate_multisets(max_order: int, max_indegree: int | None = None):
     """
     if max_order < 0:
         raise ValueError("max_order must be nonnegative")
-    universe = []
-    for k in range(1, max_order + 1):
-        for a in enumerate_aromas(k):
-            if max_indegree is None or a.max_indegree() <= max_indegree:
-                universe.append(a)
-    universe.sort(key=lambda a: (a.order, a.encoding))
-
-    results = [UNIT]
-
-    def rec(start: int, remaining: int, chosen: list):
-        for i in range(start, len(universe)):
-            a = universe[i]
-            if a.order <= remaining:
-                chosen.append(a)
-                results.append(AromaMultiset(tuple(chosen)))
-                rec(i, remaining - a.order, chosen)
-                chosen.pop()
-
-    rec(0, max_order, [])
-    return sorted(set(results), key=lambda m: (m.order, m.encoding))
+    universe = [
+        a
+        for k in range(1, max_order + 1)
+        for a in enumerate_aromas(k)
+        if max_indegree is None or a.max_indegree() <= max_indegree
+    ]
+    return sorted(AromaMultiset(aromas) for aromas in _multisets(universe, max_order))
 
 
 # ---------------------------------------------------------------------------
 # parsing (inverse of the canonical encodings)
 
 
-def _parse_tree_at(text: str, pos: int):
-    if pos >= len(text) or text[pos] != "[":
-        raise ValueError(f"expected '[' at position {pos} in {text!r}")
-    pos += 1
-    kids = []
-    while pos < len(text) and text[pos] == "[":
-        child, pos = _parse_tree_at(text, pos)
-        kids.append(child)
-    if pos >= len(text) or text[pos] != "]":
-        raise ValueError(f"unbalanced brackets in {text!r}")
-    return RootedTree(tuple(kids)), pos + 1
-
-
 def parse_forest(text: str) -> Forest:
     text = text.strip()
-    trees = []
-    pos = 0
-    while pos < len(text):
-        tree, pos = _parse_tree_at(text, pos)
-        trees.append(tree)
-    return Forest(tuple(trees))
+    # stack[0] collects the forest's trees, stack[d] the children of the
+    # tree opened at depth d
+    stack = [[]]
+    for pos, char in enumerate(text):
+        if char == "[":
+            stack.append([])
+        elif char == "]" and len(stack) > 1:
+            kids = stack.pop()
+            stack[-1].append(RootedTree(kids))
+        elif len(stack) == 1:
+            raise ValueError(f"expected '[' at position {pos} in {text!r}")
+        else:
+            raise ValueError(f"unbalanced brackets in {text!r}")
+    if len(stack) > 1:
+        raise ValueError(f"unbalanced brackets in {text!r}")
+    return Forest(stack[0])
 
 
 def parse_aroma(text: str) -> Aroma:

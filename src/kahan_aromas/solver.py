@@ -454,19 +454,6 @@ class NecessaryConditionsReport:
     cond1: Cond1Report
     fcond2: bool
 
-    def to_json(self):
-        from .rationals import format_rat
-
-        return {
-            "div_free": self.div_free,
-            "cond1": {
-                "holds": self.cond1.holds,
-                "alpha": None if self.cond1.alpha is None else format_rat(self.cond1.alpha),
-                "both_zero": self.cond1.both_zero,
-            },
-            "fcond2": self.fcond2,
-        }
-
 
 def _proportionality(numer: Polynomial, denom: Polynomial):
     """Return c with numer = c * denom, or None when no such constant exists."""
@@ -637,26 +624,6 @@ class ConjectureReport:
     order4_support: list[str] = dc_field(default_factory=list)
     order4_proportional_pairs: list[tuple[str, str, Rat]] = dc_field(default_factory=list)
     solution_dimension: int | None = None
-
-    def to_json(self):
-        from .rationals import format_rat
-
-        return {
-            "applicable": self.applicable,
-            "tailed_two_cycle_zero": self.tailed_two_cycle_zero,
-            "hypothesis_holds": self.hypothesis_holds,
-            "alpha": None if self.alpha is None else format_rat(self.alpha),
-            "singular": self.singular,
-            "density_found": self.density_found,
-            "gamma_two_cycle": None
-            if self.gamma_two_cycle is None
-            else format_rat(self.gamma_two_cycle),
-            "order4_support": self.order4_support,
-            "order4_proportional_pairs": [
-                [a, b, format_rat(c)] for a, b, c in self.order4_proportional_pairs
-            ],
-            "solution_dimension": self.solution_dimension,
-        }
 
 
 def conjecture_check(field: QuadraticVectorField, seed: int = 0) -> ConjectureReport:

@@ -45,6 +45,13 @@ def test_aromas_sigma(capsys):
     assert code == 2 and "input error" in err
 
 
+def test_aromas_sigma_of_a_deep_tree(capsys):
+    code, out, err = run_cli(capsys, "aromas", "sigma", _DEEP_TREE)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert (payload["sigma"], payload["order"]) == (1, 1500)
+
+
 def test_field_eval_and_q_table(capsys, tmp_path):
     field_file = tmp_path / "lv.json"
     field_file.write_text(json.dumps(lv_divfree().to_json()))
@@ -293,6 +300,9 @@ def _kahan_map(system, params):
     return ("kahan", "map", "--system", system, "--params", json.dumps(params))
 
 
+_DEEP_TREE = "[" * 1500 + "]" * 1500
+
+
 @pytest.mark.parametrize(
     "field, density, augment, message",
     [
@@ -426,6 +436,14 @@ def _kahan_map(system, params):
         ),
         ({**_LV, "linear": [[True, 1, "1"]]}, None, None, "has an index that is not an integer"),
         ({**_LV, "dim": True}, None, None, "needs a positive integer 'dim'"),
+        (
+            ("field", "eval", "--system", "lv", "--aroma", f"C1({_DEEP_TREE})"),
+            None,
+            None,
+            "input error: order 1501 exceeds the cap 6; pass --order-cap 1501 to override",
+        ),
+        (("hopf", "newton", "--order", "3", "--dim", "0"), None, None, "input error: --dim must be at least 1"),
+        (("hopf", "newton", "--order", "3", "--dim", "-2"), None, None, "input error: --dim must be at least 1"),
     ],
     ids=[
         "field-zero-denominator",
@@ -467,6 +485,9 @@ def _kahan_map(system, params):
         "field-float-index",
         "field-bool-index",
         "field-bool-dim",
+        "aroma-above-the-order-cap",
+        "newton-zero-dim",
+        "newton-negative-dim",
     ],
 )
 def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, message):
@@ -539,7 +560,9 @@ def test_kahan_output_bytes_are_pinned(capsys, system, command):
 # `check conjecture` and `corpus run`, taken from the code before the span
 # solve, the cond1 check and the 3 x 3 adjugate had one definition each;
 # the `hopf` digests were taken from the coalgebra before its coproducts
-# became plain dicts and its cuts a recursion over hanging trees
+# became plain dicts and its cuts a recursion over hanging trees; the
+# `corpus run` digests of lv, lv_divfree, lv_special, dressing_chain and
+# canonical_hamiltonian before the graph classes shared one identity base
 ANALYSIS_STDOUT_SHA256 = {
     "check conditions --system canonical_hamiltonian --seed 0": "5bc892de32d215430359ce009682bb8b741a1462c32032a2e1f59434b934a351",
     "check conditions --system divfree_homogeneous_r3 --seed 0": "e076e674fc7b7d21dd21e087907bc198892e73049672af3595b65b134475c4eb",
@@ -558,7 +581,12 @@ ANALYSIS_STDOUT_SHA256 = {
         f"check conjecture --system lv_divfree --seed {seed}": "f55e9edf67b89833cd5a25b6e7e6aaad69f380b39e0e8c87d482211763d8b2a2"
         for seed in range(5)
     },
+    "corpus run canonical_hamiltonian --seed 0": "688d2a9f4aa860b3878896b9a9c430dda81ae7b15bb83d88a8baf0f3545cb61a",
     "corpus run divfree_homogeneous_r3 --seed 0": "25b36c177ad695415946353017c95b43be40188338186d51767a7d48cc293d6a",
+    "corpus run dressing_chain --seed 0": "cc7cec1e99d8f6fdad479b1df3229ae098e5da459e31bac34cfd1cc700fe2d18",
+    "corpus run lv --seed 0": "b334deb56596c346a96023841ae68d0aa52b6f376500c0352242f07bba6a013a",
+    "corpus run lv_divfree --seed 0": "fd050c85af8de5a043eb603ff5caf86b5738fae065e186bee2211fe0812a06c2",
+    "corpus run lv_special --seed 0": "1903c6106d3c7c6414ec725d72b98f988c818276058eb5386f67b746de44af8b",
     "corpus run nambu_homogeneous --seed 0": "91a5d96553214b501eadc46b2535a9f5d4aa050fa56224cf2748d6ecfcdf66a5",
     "corpus run nambu_inhomogeneous --seed 0": "fed2d022e88f553f5269a4becf1caca8f9dc2003467a5f012afde6de188d0ba3",
     "hopf q-table --order 6": "f6dbb101af5f964a7c4a095f5bdfc7bb5e7afd97b91e0699624cfcacf07e28f2",

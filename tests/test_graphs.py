@@ -1,5 +1,8 @@
 """Aroma combinatorics against the brute-force functional-graph oracle."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +25,7 @@ from kahan_aromas.graphs import (
     parse_multiset,
     tall_tree,
 )
+from kahan_aromas.corpus import SYSTEMS, get_system
 
 from oracles import (
     automorphism_count,
@@ -147,9 +151,71 @@ def test_encode_parse_idempotent_through_order_6():
 
 
 def test_parse_rejects_malformed():
-    for bad in ["C2(;", "[", "[]]", "C0()", "Cx()", "C2()"]:
-        with pytest.raises(ValueError):
+    # messages pinned before the parser became one explicit-stack loop
+    messages = {
+        "C2(;": "aroma encoding must end with ')': 'C2(;'",
+        "[": "unbalanced brackets in '['",
+        "[]]": "expected '[' at position 2 in '[]]'",
+        "C0()": "an aroma has a cycle of length >= 1",
+        "Cx()": "aroma cycle length must be a positive integer: 'Cx()'",
+        "C2()": "aroma 'C2()' must carry exactly 2 forests",
+        "]": "expected '[' at position 0 in ']'",
+        "x": "expected '[' at position 0 in 'x'",
+        "[x]": "unbalanced brackets in '[x]'",
+        "[]][": "expected '[' at position 2 in '[]]['",
+        "C1(])": "expected '[' at position 0 in ']'",
+        "*": "expected '[' at position 0 in '*'",
+        "C1(x)": "expected '[' at position 0 in 'x'",
+        "[[]": "unbalanced brackets in '[[]'",
+        "C2(;[]]": "aroma encoding must end with ')': 'C2(;[]]'",
+    }
+    for bad, message in messages.items():
+        with pytest.raises(ValueError) as info:
             parse_any(bad)
+        assert str(info.value) == message, bad
+
+
+# SHA-256 of the enumerations (encoding, order, sigma, the structural
+# predicates and the class multiplicities, in enumeration order) and of the aromatic functions of every
+# multiset of order <= 4 on every corpus system (default draw, seed 0),
+# taken before the graph classes shared one identity base and one sigma
+GRAPHS_DIGEST_SHA256 = "7c306b86e3455d3074617ae20526faeec8b5f93604cabd25ccda4297a073b9f2"
+
+
+def _graphs_digest_lines():
+    for order in range(1, 7):
+        for t in enumerate_trees(order):
+            yield ["tree", t.encoding, t.order, t.sigma(), t.max_indegree(), t.is_tall()]
+    for order in range(6):
+        for f in enumerate_forests(order):
+            yield ["forest", f.encoding, f.order, f.sigma()]
+    for order in range(1, 7):
+        for a in enumerate_aromas(order):
+            yield ["aroma", a.encoding, a.order, a.sigma(), a.max_indegree(), a.is_bare_cycle()]
+    for bound in (None, 2):
+        for m in enumerate_multisets(7, bound):
+            yield [
+                "multiset",
+                bound,
+                m.encoding,
+                m.order,
+                m.sigma(),
+                m.max_indegree(),
+                m.is_cycle_product(),
+                m.permutation_sign(),
+                m.contains_self_loop(),
+                [count for _, count in m.classes()],
+            ]
+    multisets = enumerate_multisets(4)
+    for name in sorted(SYSTEMS):
+        field = get_system(name)
+        for m in multisets:
+            yield ["function", name, m.encoding, field.aroma_function(m).to_json()]
+
+
+def test_graphs_digest_pinned():
+    text = "\n".join(json.dumps(line) for line in _graphs_digest_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == GRAPHS_DIGEST_SHA256
 
 
 @given(st.integers(1, 5))
