@@ -203,7 +203,10 @@ def cmd_field_eval(args) -> int:
     except ValueError as exc:
         raise InputError(f"bad aroma encoding: {exc}") from exc
     _check_order(target.order, args.order_cap)
-    poly = field.aroma_function(target)
+    try:
+        poly = field.aroma_function(target)
+    except ValueError as exc:  # a degree past the packable range
+        raise InputError(str(exc)) from exc
     payload = {
         "aroma": target.encoding,
         "sigma": target.sigma(),

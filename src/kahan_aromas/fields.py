@@ -28,7 +28,16 @@ from itertools import product
 
 from .graphs import Aroma, AromaMultiset, RootedTree, parse_any
 from .linalg import invert_rational_matrix
-from .poly import PointEvaluator, Polynomial, RationalFunction, pack_exponents, rf_substitute, series_in_h
+from .poly import (
+    _MASK,
+    PointEvaluator,
+    Polynomial,
+    RationalFunction,
+    _overflow,
+    pack_exponents,
+    rf_substitute,
+    series_in_h,
+)
 from .rationals import Rat, ZERO, format_rat, parse_rat
 
 
@@ -96,7 +105,10 @@ class QuadraticVectorField:
     # -- calculus ---------------------------------------------------------
 
     def partial(self, i: int, indices: tuple[int, ...]) -> Polynomial:
-        """d^m f_i / dx_{indices}; indices is a sorted tuple."""
+        """d^m f_i / dx_{indices}; indices is a sorted tuple.  Every partial
+        of order above two of a quadratic field is zero."""
+        if len(indices) > 2:
+            return Polynomial.zero(self.nvars)
         key = (i, indices)
         got = self._partials.get(key)
         if got is None:
@@ -149,19 +161,73 @@ class QuadraticVectorField:
         return acc
 
     def elementary_differential(self, tree: RootedTree) -> list[Polynomial]:
-        """B-series elementary differential F(tree) as a vector of polynomials."""
-        got = self._elementary.get(tree.encoding)
-        if got is None:
-            vecs = [self.elementary_differential(c) for c in tree.children]
-            got = [self._contract(i, (), vecs) for i in range(self.dim)]
-            self._elementary[tree.encoding] = got
-        return list(got)
+        """B-series elementary differential F(tree) as a vector of polynomials.
+
+        A vertex with more than two children gives the zero vector (its
+        partials vanish), and its subtrees are not evaluated.  The subtrees
+        not yet memoized are walked children first with an explicit stack,
+        and their degree bounds are checked before any polynomial work."""
+        memo = self._elementary
+        todo: list[RootedTree] = []  # children before parents
+        seen: set[str] = set()
+        stack = [(tree, False)]
+        while stack:
+            t, expanded = stack.pop()
+            if expanded:
+                todo.append(t)
+            elif t.encoding not in memo and t.encoding not in seen:
+                seen.add(t.encoding)
+                stack.append((t, True))
+                if len(t.children) <= 2:
+                    stack.extend((c, False) for c in t.children)
+        self._check_degrees(todo)
+        for t in todo:
+            if len(t.children) > 2:
+                memo[t.encoding] = [Polynomial.zero(self.nvars)] * self.dim
+            else:
+                vecs = [memo[c.encoding] for c in t.children]
+                memo[t.encoding] = [self._contract(i, (), vecs) for i in range(self.dim)]
+        return list(memo[tree.encoding])
+
+    def _check_degrees(self, trees: list[RootedTree]) -> None:
+        """Raise ValueError when the vector of one of these trees (children
+        first) could pass the packable degree in some variable.  Per
+        component and variable, a vertex's degree bound is the largest over
+        its contracted products of the partial's degree plus the children's;
+        None marks a component that is zero."""
+        n = self.dim
+        bounds: dict[str, list] = {}
+
+        def degrees(t):
+            if t.encoding in bounds:
+                return bounds[t.encoding]
+            vec = self._elementary[t.encoding]
+            return [None if p.is_zero() else [p.degree_in(i) for i in range(n)] for p in vec]
+
+        for t in trees:
+            out = bounds[t.encoding] = [None] * n
+            if len(t.children) > 2:
+                continue
+            kids = [degrees(c) for c in t.children]
+            for a, js in product(range(n), product(range(n), repeat=len(kids))):
+                d = self.partial(a, tuple(sorted(js)))
+                parts = [kid[j] for kid, j in zip(kids, js)]
+                if d.is_zero() or None in parts:
+                    continue
+                got = [d.degree_in(i) + sum(part[i] for part in parts) for i in range(n)]
+                out[a] = got if out[a] is None else list(map(max, out[a], got))
+                for i, degree in enumerate(got):
+                    if degree > _MASK:
+                        raise _overflow(self.nvars, i, degree)
 
     def _cycle_matrix(self, forest) -> list[list[Polynomial]]:
         """M[a][b]: cycle vertex with index a, fed by b along the cycle and by
-        the forest's trees, contracted over the trees' indices."""
-        vecs = [self.elementary_differential(t) for t in forest.trees]
+        the forest's trees, contracted over the trees' indices; zero when
+        the trees and the cycle edge make more than two partials."""
         n = self.dim
+        if len(forest.trees) > 1:
+            return [[Polynomial.zero(self.nvars)] * n for _ in range(n)]
+        vecs = [self.elementary_differential(t) for t in forest.trees]
         return [[self._contract(a, (b,), vecs) for b in range(n)] for a in range(n)]
 
     def _aroma(self, aroma: Aroma) -> Polynomial:
@@ -344,9 +410,12 @@ class KahanMap:
     def darboux_defect_cleared(self, P: Polynomial) -> Polynomial:
         """den^(D+1) * [N_{-h/2}(x) P(Phi_h(x)) - P(x) N_{h/2}(Phi_h(x))] / den
         with D = max(deg_x P, dim); the zero polynomial iff P solves the
-        Darboux equation with cofactor det DPhi_h."""
+        Darboux equation with cofactor det DPhi_h.  It is den S_D(P) -
+        P S_D(N+), one pass of the packed kernel that unpacks only the
+        defect."""
         D = max(P.x_degree(), self.dim)
-        return self.den * self.substitute(P, D) - P * self.substitute(self.n_plus(), D)
+        pairs = [(self.den, P), (-P, self.n_plus())]
+        return rf_substitute(pairs, self.numerators, self.den, D, self.subs_cache)
 
     def darboux_defect_series(self, P: Polynomial, order: int) -> list[Polynomial]:
         """h-expansion of N_{-h/2} P(Phi) - P N_{h/2}(Phi) through h^order."""

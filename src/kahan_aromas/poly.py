@@ -22,6 +22,17 @@ of primitive polynomials is primitive (Gauss's lemma) and its leading term
 is the product of the leading terms, so multiplication is an int convolution
 with no gcd pass; a sum brings both sides to a common content and takes one
 gcd.  `coefficient` and `sorted_terms` read rational coefficients.
+
+Substitution into a map, S(q) = den^c q(N/den), runs on one packed kernel,
+`rf_substitute` (Kronecker substitution in h; see Harvey, "Faster polynomial
+multiplication via multipoint Kronecker substitution", J. Symb. Comput.
+2009).  Each (x, u)-monomial holds one int whose balanced base-2^B digits
+are its h-coefficients, digit j carrying h^(j + offset + x-degree): the
+digit index is h-degree minus x-degree minus a per-polynomial offset, which
+adds under multiplication and is one constant for a homogeneous field, so
+products add keys and multiply ints in C.  B comes from a proven bound on
+the result's coefficients, a sum of products of l1-norms, so every digit of
+the result decodes to the exact coefficient; only the result is unpacked.
 """
 
 from __future__ import annotations
@@ -48,6 +59,14 @@ def pack_exponents(exps) -> int:
 
 def unpack_exponents(key: int, nvars: int) -> tuple[int, ...]:
     return tuple((key >> (_BITS * i)) & _MASK for i in range(nvars))
+
+
+def _x_degree_of(key: int, nx: int) -> int:
+    """Total degree of a packed key in its first nx variables."""
+    d = 0
+    for i in range(nx):
+        d += (key >> (_BITS * i)) & _MASK
+    return d
 
 
 def var_names(nvars: int) -> list[str]:
@@ -79,6 +98,27 @@ def _check_product_degrees(a: dict, b: dict, nvars: int) -> None:
         db = max((k >> s) & _MASK for k in b)
         if da + db > _MASK:
             raise _overflow(nvars, i, da + db)
+
+
+def _mul_terms(a: dict, b: dict, nvars: int) -> dict:
+    """The product of two dicts key -> int, plain or packed: keys add and
+    ints multiply.  Raises ValueError when an exponent would leave its slot."""
+    if not a or not b:
+        return {}
+    _check_product_degrees(a, b, nvars)
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((ka, va),) = a.items()
+        return {ka + kb: va * vb for kb, vb in b.items()}
+    out: dict = {}
+    get = out.get
+    bitems = list(b.items())
+    for ka, va in a.items():
+        for kb, vb in bitems:
+            k = ka + kb
+            out[k] = get(k, 0) + va * vb
+    return {k: v for k, v in out.items() if v}
 
 
 def _make(nvars: int, content: Rat, terms: dict) -> "Polynomial":
@@ -170,17 +210,8 @@ class Polynomial:
 
     def x_degree(self) -> int:
         """Total degree in the x-variables only (h and u ignored)."""
-        if not self.terms:
-            return 0
         nx = self.nvars - 2
-        best = 0
-        for k in self.terms:
-            d = 0
-            for i in range(nx):
-                d += (k >> (_BITS * i)) & _MASK
-            if d > best:
-                best = d
-        return best
+        return max((_x_degree_of(k, nx) for k in self.terms), default=0)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -237,24 +268,9 @@ class Polynomial:
                 return Polynomial.zero(self.nvars)
             return _make(self.nvars, self.content * other, self.terms)
         self._check(other)
-        a, b = self.terms, other.terms
-        if not a or not b:
+        out = _mul_terms(self.terms, other.terms, self.nvars)
+        if not out:
             return Polynomial.zero(self.nvars)
-        _check_product_degrees(a, b, self.nvars)
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            ((ka, va),) = a.items()
-            out = {ka + kb: va * vb for kb, vb in b.items()}
-        else:
-            out = {}
-            get = out.get
-            bitems = list(b.items())
-            for ka, va in a.items():
-                for kb, vb in bitems:
-                    k = ka + kb
-                    out[k] = get(k, 0) + va * vb
-            out = {k: v for k, v in out.items() if v}
         return _make(self.nvars, self.content * other.content, out)
 
     __rmul__ = __mul__
@@ -488,83 +504,232 @@ def _as_rf(value, nvars: int) -> RationalFunction:
     return RationalFunction(Polynomial.const(nvars, value))
 
 
+class _Packed:
+    """One polynomial packed for the substitution kernel: `terms` maps an
+    (x, u)-key to an int whose balanced base-2^bits digits are the
+    h-coefficients (see `rf_substitute`)."""
+
+    __slots__ = ("terms", "bits")
+
+    def __init__(self, terms: dict, bits: int):
+        self.terms = terms
+        self.bits = bits
+
+
+def _h_offset(terms: dict, nx: int) -> int:
+    """min over terms of h-degree minus x-degree (0 for no terms)."""
+    hshift = _BITS * nx
+    return min((((k >> hshift) & _MASK) - _x_degree_of(k, nx) for k in terms), default=0)
+
+
+def _pack(terms: dict, nx: int, bits: int, offset: int, scale: int = 1) -> dict:
+    """scale * terms with the h-power of each term moved into digit
+    (h-degree - x-degree - offset) of its (x, u)-key's int."""
+    hshift = _BITS * nx
+    out: dict = {}
+    get = out.get
+    for k, v in terms.items():
+        e = (k >> hshift) & _MASK
+        xu = k - (e << hshift)
+        out[xu] = get(xu, 0) + (scale * v << (bits * (e - _x_degree_of(xu, nx) - offset)))
+    return out
+
+
+def _unpack(packed: dict, offset: int, bits: int, nvars: int) -> dict:
+    """The int terms of a packed polynomial: the balanced base-2^bits digits
+    of each int, digit j carrying h^(j + offset + x-degree)."""
+    nx = nvars - 2
+    hshift = _BITS * nx
+    full = 1 << bits
+    half, mask = full >> 1, full - 1
+    out = {}
+    for xu, v in packed.items():
+        e = offset + _x_degree_of(xu, nx)
+        while v:
+            d = v & mask
+            if d >= half:
+                d -= full
+            if d:
+                if e > _MASK:
+                    raise _overflow(nvars, nx, e)
+                out[xu + (e << hshift)] = d
+            v = (v - d) >> bits
+            e += 1
+    return out
+
+
+def _power_product(xkey: int, cache: dict, packed_nums: list[dict], bits: int, nvars: int) -> dict:
+    """The packed N'^a for the x-key a, built on the largest cached divisor
+    by peeling the lowest variable; the cache always holds the key 0."""
+    chain = []
+    while xkey not in cache:
+        i = 0
+        while not (xkey >> (_BITS * i)) & _MASK:
+            i += 1
+        chain.append((xkey, i))
+        xkey -= 1 << (_BITS * i)
+    got = cache[xkey].terms
+    for key, i in reversed(chain):
+        got = _mul_terms(got, packed_nums[i], nvars)
+        cache[key] = _Packed(got, bits)
+    return got
+
+
+def _packed_add(acc: dict, other: dict, shift: int = 0) -> None:
+    """acc += other * 2^shift, in place."""
+    get = acc.get
+    for k, v in other.items():
+        acc[k] = get(k, 0) + (v << shift)
+
+
 def rf_substitute(
-    p: Polynomial,
+    p: Polynomial | list[tuple[Polynomial, Polynomial]],
     numerators: list[Polynomial],
     denominator: Polynomial,
     clear_power: int,
     cache: dict | None = None,
 ) -> Polynomial:
-    """Return denominator**clear_power * p(x -> numerators/denominator).
+    """Return S(p) = denominator**clear_power * p(x -> numerators/denominator).
 
-    The substitution touches the x-variables only; h and u pass through.
-    Requires clear_power >= total x-degree of p so the result is a polynomial.
-    A cache dict may be shared across calls with the same map; it stores the
-    monomial power products and denominator powers.
+    p may also be a list of (multiplier, polynomial) pairs; the result is
+    then the sum of multiplier * S(polynomial), built in one packed pass and
+    unpacked once.  The substitution touches the x-variables only; h and u
+    pass through.  Requires clear_power >= the x-degree of every substituted
+    polynomial, so the result is a polynomial.  A cache dict may be shared
+    across calls with the same map; it keeps the packed power products, each
+    a `_Packed` whose `terms` maps an (x, u)-key to an int.
+
+    The kernel.  With the contents of the numerators and of the denominator
+    over their one lcm L, N'_i = L N_i and D' = L den are integer
+    polynomials and S(q) = content(q) L^-c R_q, where
+    R_q = sum_a q_a N'^a D'^(c - |a|) (c the clear power, q_a the integer
+    (h, u)-part of q at x^a) is summed by x-degree, Horner in D'.  Every
+    factor is packed: one int per (x, u)-monomial, whose balanced base-2^B
+    digit j holds the coefficient of h^(j + offset + x-degree), with a
+    per-polynomial offset, the least h-degree minus x-degree of its terms.
+    That difference adds under multiplication, so a product adds keys and
+    multiplies ints, a sum shifts the operand with the larger offset, and a
+    homogeneous field keeps a single digit per monomial.  Only the result is
+    unpacked.
+
+    The digit width.  No coefficient of a product exceeds the product of
+    its factors' l1-norms, so no coefficient of the integer result
+    sum_j s_j M_j R_j (M_j the primitive multiplier, s_j the pairs' rational
+    factors over their lcm) exceeds
+        bound = sum_j |s_j| |M_j|_1 sum_a |q_a|_1 prod_i |N'_i|_1^a_i |D'|_1^(c - |a|).
+    Packing evaluates at z = 2^B a polynomial in z with those coefficients,
+    and ring arithmetic commutes with the evaluation.  With
+    B = bitlength(bound) + 1 every coefficient lies strictly between
+    -2^(B-1) and 2^(B-1), where the balanced base-2^B expansion of an int
+    is unique, so every digit decodes to the exact coefficient.  A cached
+    width at least B is reused; a smaller one empties the cache.  An
+    h-degree past the packable range raises ValueError.
     """
-    n = p.nvars
+    n = denominator.nvars
+    pairs = [(Polynomial.const(n, 1), p)] if isinstance(p, Polynomial) else list(p)
     nx = n - 2
+    c = clear_power
     if len(numerators) != nx:
         raise ValueError("substitution map arity does not match the x-variable count")
-    degx = p.x_degree()
-    if clear_power < degx:
-        raise ValueError(
-            f"clear_power {clear_power} < x-degree {degx}: result would not be polynomial"
-        )
+    for _, q in pairs:
+        degx = q.x_degree()
+        if c < degx:
+            raise ValueError(
+                f"clear_power {c} < x-degree {degx}: result would not be polynomial"
+            )
     if cache is None:
         cache = {}
+    factors = list(numerators) + [denominator]
+    common = math.lcm(*(f.content.denominator for f in factors))
+    scales = [f.content.numerator * (common // f.content.denominator) for f in factors]
+    norms = [abs(s) * sum(map(abs, f.terms.values())) for s, f in zip(scales, factors)]
+    ratios = [m.content * q.content for m, q in pairs]
+    lcm_pairs = math.lcm(*(r.denominator for r in ratios))
+    pair_scales = [r.numerator * (lcm_pairs // r.denominator) for r in ratios]
 
-    def power_product(xkey: int) -> Polynomial:
-        got = cache.get(xkey)
-        if got is not None:
-            return got
-        if xkey == 0:
-            result = Polynomial.const(n, 1)
-        else:
-            i = 0
-            key = xkey
-            while not (key & _MASK):
-                key >>= _BITS
-                i += 1
-            result = power_product(xkey - (1 << (_BITS * i))) * numerators[i]
-        cache[xkey] = result
-        return result
+    hshift = _BITS * nx
+    x_mask = (1 << hshift) - 1
+    weights: dict[int, int] = {}  # x-key a -> prod_i |N'_i|^a_i |D'|^(c - |a|)
+    bound = 0
+    for (m, q), s in zip(pairs, pair_scales):
+        inner = 0
+        for k, v in q.terms.items():
+            xkey = k & x_mask
+            w = weights.get(xkey)
+            if w is None:
+                exps = unpack_exponents(xkey, nx)
+                w = norms[-1] ** (c - sum(exps))
+                for norm, e in zip(norms, exps):
+                    w *= norm**e
+                weights[xkey] = w
+            inner += abs(v) * w
+        bound += abs(s) * sum(map(abs, m.terms.values())) * inner
+    bits = bound.bit_length() + 1
+    held = cache.get(0)
+    if held is not None and held.bits >= bits:
+        bits = held.bits
+    else:
+        cache.clear()
+        cache[0] = _Packed({0: 1}, bits)
 
-    x_mask = (1 << (_BITS * nx)) - 1
-    # bucket p's integer terms by x-part, keeping the h/u part as a monomial
-    # factor; p's content multiplies the result once at the end
-    buckets: dict[int, dict] = {}
-    for k, v in p.terms.items():
-        xkey = k & x_mask
-        buckets.setdefault(xkey, {})[k - xkey] = v
-    by_degree: dict[int, Polynomial] = {}
-    for xkey, rest_terms in buckets.items():
-        d = 0
-        key = xkey
-        while key:
-            d += key & _MASK
-            key >>= _BITS
-        contrib = _from_ints(n, rest_terms) * power_product(xkey)
-        acc = by_degree.get(d)
-        by_degree[d] = contrib if acc is None else acc + contrib
-    # the recursive closure refers to itself; unbinding it breaks that cycle,
-    # so `cache` and the numerators are freed by reference counting instead
-    # of waiting for the cyclic garbage collector
-    del power_product
-    # Horner in the denominator: sum_d bucket[d] * den^(clear_power - d),
-    # i.e. higher x-degree buckets receive lower denominator powers
-    result = Polynomial.zero(n)
-    if by_degree:
+    off_num = min((_h_offset(f.terms, nx) for f in numerators), default=0)
+    off_den = _h_offset(denominator.terms, nx)
+    packed_nums = [_pack(f.terms, nx, bits, off_num, s) for f, s in zip(numerators, scales)]
+    packed_den = _pack(denominator.terms, nx, bits, off_den, scales[-1])
+    total: dict = {}
+    total_offset = None
+    for (m, q), s in zip(pairs, pair_scales):
+        if not q.terms or s == 0:
+            continue
+        # q's term x^a h^e u^b enters with N'^a D'^(c - |a|), whose offset is
+        # |a| off_num + (c - |a|) off_den; its digit index is e plus that
+        # offset minus the least such sum, the offset of S(q)
+        entries = []
+        for k, v in q.terms.items():
+            xkey = k & x_mask
+            e = (k >> hshift) & _MASK
+            d = _x_degree_of(xkey, nx)
+            entries.append((xkey, k - xkey - (e << hshift), e + d * off_num + (c - d) * off_den, v))
+        offset = min(entry[2] for entry in entries)
+        mults: dict[int, dict] = {}  # x-key -> {u-key: packed int}
+        for xkey, ukey, index, v in entries:
+            row = mults.setdefault(xkey, {})
+            row[ukey] = row.get(ukey, 0) + (s * v << (bits * (index - offset)))
+        by_degree: dict[int, dict] = {}
+        for xkey, row in mults.items():
+            pp = _power_product(xkey, cache, packed_nums, bits, n)
+            acc = by_degree.setdefault(_x_degree_of(xkey, nx), {})
+            get = acc.get
+            for ukey, mv in row.items():
+                if ukey and pp:
+                    _check_product_degrees({ukey: 1}, pp, n)
+                for k, pv in pp.items():
+                    k += ukey
+                    acc[k] = get(k, 0) + mv * pv
         top = max(by_degree)
-        result = by_degree.get(0, Polynomial.zero(n))
+        result = by_degree.get(0, {})
         for d in range(1, top + 1):
-            result = result * denominator
+            result = _mul_terms(result, packed_den, n)
             bucket = by_degree.get(d)
-            if bucket is not None:
-                result = result + bucket
-        for _ in range(clear_power - top):
-            result = result * denominator
-    return result * p.content
+            if bucket:
+                _packed_add(result, bucket)
+        for _ in range(c - top):
+            result = _mul_terms(result, packed_den, n)
+        off_m = _h_offset(m.terms, nx)
+        result = _mul_terms(result, _pack(m.terms, nx, bits, off_m), n)
+        offset += off_m
+        # a sum shifts the digits of the side with the larger offset
+        if total_offset is None:
+            total, total_offset = result, offset
+        elif offset >= total_offset:
+            _packed_add(total, result, bits * (offset - total_offset))
+        else:
+            _packed_add(result, total, bits * (total_offset - offset))
+            total, total_offset = result, offset
+    if total_offset is None:
+        return Polynomial.zero(n)
+    ints = _unpack(total, total_offset, bits, n)
+    return _from_ints(n, ints, 1, lcm_pairs * common**c)
 
 
 def series_in_h(r: RationalFunction | Polynomial, order: int) -> list[Polynomial]:

@@ -15,7 +15,8 @@ The Kahan map is rebuilt from its other definitions, never from the
 package's numerators over den: a point step solves the linear system
 (I - (h/2) f'(x)) k = f(x) by `Fraction` elimination, the h-series is the
 closed form 2^(1-k) (f')^(k-1) f, and det DPhi differentiates the map
-entrywise.
+entrywise.  Substitution into the map expands term by term in `Polynomial`
+arithmetic, never by the package's packed kernel.
 """
 
 from __future__ import annotations
@@ -235,6 +236,49 @@ def oracle_det(square):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
         total += (-1) ** inversions * prod((square[i][perm[i]] for i in range(n)), start=ONE)
     return total
+
+
+def rf_substitute_term_by_term(p, numerators, denominator, clear_power: int) -> Polynomial:
+    """denominator**clear_power * p(x -> numerators/denominator) in
+    `Polynomial` arithmetic: p's terms bucketed by x-monomial, each bucket
+    times its power product of the numerators, Horner in the denominator."""
+    n = p.nvars
+    nx = n - 2
+    if clear_power < p.x_degree():
+        raise ValueError("clear_power below the x-degree")
+    powers = {(0,) * nx: Polynomial.const(n, 1)}
+
+    def power_product(a):
+        if a not in powers:
+            i = next(i for i, e in enumerate(a) if e)
+            powers[a] = power_product(a[:i] + (a[i] - 1,) + a[i + 1 :]) * numerators[i]
+        return powers[a]
+
+    by_degree: dict[int, Polynomial] = {}
+    for exps, coeff in p.sorted_terms():
+        rest = Polynomial.monomial(n, (0,) * nx + exps[nx:], coeff)
+        d = sum(exps[:nx])
+        by_degree[d] = by_degree.get(d, Polynomial.zero(n)) + rest * power_product(exps[:nx])
+    result = Polynomial.zero(n)
+    if by_degree:
+        top = max(by_degree)
+        result = by_degree.get(0, result)
+        for d in range(1, top + 1):
+            result = result * denominator + by_degree.get(d, Polynomial.zero(n))
+        for _ in range(clear_power - top):
+            result = result * denominator
+    return result
+
+
+def darboux_defect_term_by_term(kmap, P) -> Polynomial:
+    """den S(P) - P S(N+) with S the term-by-term substitution at
+    D = max(deg_x P, dim)."""
+    D = max(P.x_degree(), kmap.dim)
+
+    def subs(q):
+        return rf_substitute_term_by_term(q, kmap.numerators, kmap.den, D)
+
+    return kmap.den * subs(P) - P * subs(kmap.n_plus())
 
 
 def verify_density_by_expansion(field, P, seed: int = 0) -> VerificationResult:

@@ -52,6 +52,22 @@ def test_aromas_sigma_of_a_deep_tree(capsys):
     assert (payload["sigma"], payload["order"]) == (1, 1500)
 
 
+def test_field_eval_of_a_wide_aroma_is_zero(capsys):
+    # 1500 leaves on one cycle vertex: a partial of order 1501 of a quadratic field
+    wide = "C1(" + "[]" * 1500 + ")"
+    code, out, err = run_cli(capsys, "--order-cap", "2000", "field", "eval", "--system", "lv", "--aroma", wide)
+    assert code == 0 and err == ""
+    assert json.loads(out)["polynomial"] == []
+
+
+def test_field_eval_of_a_deep_aroma_exits_two(capsys):
+    # the tall tree's vector passes degree 1023 in x2 long before its root
+    deep = f"C1({_DEEP_TREE})"
+    code, out, err = run_cli(capsys, "--order-cap", "2000", "field", "eval", "--system", "lv", "--aroma", deep)
+    assert code == 2 and out == ""
+    assert err == "input error: degree 1024 in x2 exceeds the packable 1023\n"
+
+
 def test_field_eval_and_q_table(capsys, tmp_path):
     field_file = tmp_path / "lv.json"
     field_file.write_text(json.dumps(lv_divfree().to_json()))

@@ -24,7 +24,13 @@ from kahan_aromas.corpus import (
     random_invertible,
     random_vector,
     dressing_chain,
+    get_system,
+    ishii,
+    ishii_invariants,
     lv,
+    nambu_homogeneous,
+    random_ishii_params,
+    random_symmetric,
 )
 from kahan_aromas.fields import (
     KahanMap,
@@ -49,8 +55,10 @@ from kahan_aromas.graphs import (
 )
 from kahan_aromas.poly import PointEvaluator, Polynomial, RationalFunction, rf_substitute
 from kahan_aromas.rationals import Rat
+from kahan_aromas.solver import solve_darboux
 from oracles import (
     aroma_by_assignments,
+    darboux_defect_term_by_term,
     kahan_series_closed_form,
     kahan_step_by_solve,
     symbolic_jacobian_det,
@@ -325,6 +333,43 @@ def test_det_jacobian_formula_matches_symbolic():
         f = random_quadratic_field(rng, n)
         m = KahanMap(f)
         assert m.det_jacobian() == symbolic_jacobian_det(m)
+
+
+def _golden_densities():
+    """(field, density): the closed forms of the corpus golden suites at seed
+    0 and the densities of the order-6 nambu_inhomogeneous solve."""
+    x, y, z, h = X(0), X(1), X(2), X(3)
+    one = Polynomial.const(5, 1)
+    out = []
+    f = lv_divfree()
+    g = one - f.aroma_function(TWO_CYCLE) * h**2 * Rat(1, 8)
+    out += [(f, g), (f, g * (x + y + z))]
+    f = lv_special()
+    g = z * z * h**2 * Rat(-4)
+    out += [(f, g), (f, g * (x + y + z) ** 2 * h**2), (f, x * y * (x + z) * (y + z) * h**4 * 16)]
+    rng = random.Random(0)
+    f = nambu_homogeneous(random_symmetric(rng), random_symmetric(rng))
+    out.append((f, (one - f.aroma_function(TWO_CYCLE) * h**2 * Rat(1, 24)) ** 2))
+    params = random_ishii_params(random.Random(0))[0]
+    f = ishii(**params)
+    out += [(f, ishii_invariants(**params)[1]), (f, one)]
+    f = dressing_chain(0, 0, 0)
+    out.append((f, one - f.aroma_function(TWO_CYCLE) * h**2 * Rat(1, 8)))
+    f = hamiltonian_field([[0, 1], [-1, 0]], random_cubic_polynomial(random.Random(0), 2))
+    out.append((f, f.kahan_map().den))
+    f = get_system("nambu_inhomogeneous", seed=0)
+    out += [(f, P) for P in solve_darboux(f, 6, parity="even", seed=0).densities]
+    return out
+
+
+def test_defect_matches_term_by_term_oracle():
+    for f, P in _golden_densities():
+        kmap = f.kahan_map()
+        assert kmap.darboux_defect_cleared(P).is_zero()
+        assert darboux_defect_term_by_term(kmap, P).is_zero()
+        bumped = P + X(f.dim, f.nvars) ** 2 * X(0, f.nvars) ** 2
+        got = kmap.darboux_defect_cleared(bumped)
+        assert not got.is_zero() and got == darboux_defect_term_by_term(kmap, bumped)
 
 
 def test_kahan_series_matches_map_expansion():

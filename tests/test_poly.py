@@ -5,7 +5,7 @@ import math
 import weakref
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from kahan_aromas.poly import (
     PointEvaluator,
@@ -18,6 +18,7 @@ from kahan_aromas.poly import (
     unpack_exponents,
 )
 from kahan_aromas.rationals import Rat, format_rat
+from oracles import rf_substitute_term_by_term
 
 NV = 4  # two x-variables plus h, u
 
@@ -124,6 +125,41 @@ def test_rf_substitute_clearing_degree_shift(p, extra):
     nums = [x(0) + x(1), x(0) * x(1) + const(1)]
     k = p.x_degree() + extra
     assert rf_substitute(p, nums, den, k + 1) == den * rf_substitute(p, nums, den, k)
+
+
+def kernel_coefficients():
+    """Small rationals, and large ones with large denominators."""
+    big = st.builds(Rat, st.integers(-(10**30), 10**30), st.integers(1, 10**9))
+    return st.one_of(rationals(), big)
+
+
+@st.composite
+def kernel_polys(draw, max_terms=4, max_exp=2):
+    """A polynomial with x, h and u terms and a rational content."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        exps = tuple(draw(st.integers(0, max_exp)) for _ in range(NV))
+        terms[pack_exponents(exps)] = draw(kernel_coefficients())
+    return Polynomial(NV, terms)
+
+
+@given(
+    kernel_polys(),
+    st.lists(kernel_polys(max_terms=3), min_size=2, max_size=2),
+    kernel_polys(max_terms=3),
+    st.integers(0, 2),
+    kernel_polys(max_terms=2),
+    kernel_polys(max_terms=3),
+)
+@settings(max_examples=200)
+def test_packed_kernel_matches_term_by_term_oracle(p, nums, den, extra, m, q):
+    c = max(p.x_degree(), q.x_degree()) + extra
+    assert rf_substitute(p, nums, den, c) == rf_substitute_term_by_term(p, nums, den, c)
+    # a sum of multiplied substitutions, sharing one cache with the call before
+    cache = {}
+    rf_substitute(q, nums, den, c, cache)
+    want = m * rf_substitute_term_by_term(p, nums, den, c) - rf_substitute_term_by_term(q, nums, den, c)
+    assert rf_substitute([(m, p), (Polynomial.const(NV, -1), q)], nums, den, c, cache) == want
 
 
 @given(polys(), polys(), polys())
@@ -236,6 +272,18 @@ def test_exponent_overflow_raises():
     xx, h = Polynomial.variable(nv, 0), Polynomial.variable(nv, 1)
     with pytest.raises(ValueError):
         rf_substitute(xx**600, [xx**2], Polynomial.const(nv, 1) - h * xx, 600)
+
+
+def test_substitution_h_degree_overflow_raises():
+    # every factor fits, but h^300 to the fourth passes 1023 only in the result
+    nv = 3
+    xx, h = Polynomial.variable(nv, 0), Polynomial.variable(nv, 1)
+    one = Polynomial.const(nv, 1)
+    with pytest.raises(ValueError, match="degree 1200 in h"):
+        rf_substitute(xx**4, [h**300 * xx], one, 4)
+    with pytest.raises(ValueError, match="in h"):
+        rf_substitute([(h**24, xx**4)], [h**250 * xx], one - h * xx, 4)
+    assert rf_substitute(xx**3, [h**341 * xx], one, 3) == h**1023 * xx**3
 
 
 # -- the content x primitive-integer representation --------------------------
