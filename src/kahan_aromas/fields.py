@@ -231,9 +231,23 @@ class QuadraticVectorField:
         return [[self._contract(a, (b,), vecs) for b in range(n)] for a in range(n)]
 
     def _aroma(self, aroma: Aroma) -> Polynomial:
-        """tr(M_{k-1} ... M_1 M_0): cycle vertex i is fed by vertex i-1."""
+        """tr(M_{k-1} ... M_1 M_0): cycle vertex i is fed by vertex i-1.
+
+        Per variable, the product's degree is at most the sum over the
+        vertices of their matrices' largest degree, which is checked
+        against the packable degree before any matrix is multiplied."""
         mats = [self._cycle_matrix(f) for f in aroma.decorations]
         n, zero = self.dim, Polynomial.zero(self.nvars)
+        bound = [0] * n
+        for mat in mats:
+            entries = [p for row in mat for p in row if not p.is_zero()]
+            if not entries:
+                return zero
+            for i in range(n):
+                bound[i] += max(p.degree_in(i) for p in entries)
+        for i, degree in enumerate(bound):
+            if degree > _MASK:
+                raise _overflow(self.nvars, i, degree)
         first = mats[0]
         if len(mats) == 1:
             return sum((first[a][a] for a in range(n)), zero)

@@ -1,12 +1,14 @@
 """Exact linear algebra over Q: nullspaces, rank, canonical subspace bases.
 
-Every operation runs one kernel, `_reduce`: fraction-free Gauss-Jordan
-elimination (Bareiss) on rows cleared to Python ints.  Each division in it
-is exact, and at the end every pivot row has the same leading value d, so
-the reduced row echelon form, nullspace vectors, inverses and solutions
-are integers over d; rationals are built once, at the public return.
+Every operation but `rank` runs one kernel, `_reduce`: fraction-free
+Gauss-Jordan elimination (Bareiss) on rows cleared to Python ints.  Each
+division in it is exact, and at the end every pivot row has the same
+leading value d, so the reduced row echelon form, nullspace vectors,
+inverses and solutions are integers over d; rationals are built once, at
+the public return.
 Pivoting is "first nonzero in fixed row order", which makes every output
-deterministic for a fixed row/column order.
+deterministic for a fixed row/column order.  `rank` eliminates the same
+integer rows modulo the prime P = 2^61 - 1, where no entry grows.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import math
 
 from .rationals import Rat, ZERO, ONE
+
+P = (1 << 61) - 1  # a Mersenne prime: the modulus of `rank`
 
 
 def _int_rows(rows) -> list[list[int]]:
@@ -95,7 +99,30 @@ def nullspace(rows, ncols: int) -> list[list[Rat]]:
 
 
 def rank(rows, ncols: int) -> int:
-    return len(pivot_columns(rows, ncols))
+    """The rank mod P of the rows' first ncols columns, cleared to integers.
+
+    It is never above the rank over Q, since a minor that is nonzero mod P
+    is a nonzero integer minor, so a full result (min(len(rows), ncols))
+    is the rank over Q.  Below full it equals the rank over Q unless P
+    divides every nonzero maximal minor.
+    """
+    mat = [[v % P for v in row[:ncols]] for row in _int_rows(rows)]
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        mat[r], mat[p] = mat[p], mat[r]
+        row_p = mat[r]
+        inv = pow(row_p[c], -1, P)
+        for i in range(r + 1, len(mat)):
+            f = mat[i][c] * inv % P
+            if f:
+                mat[i] = [(a - f * b) % P for a, b in zip(mat[i], row_p)]
+        r += 1
+        if r == len(mat):
+            break
+    return r
 
 
 def pivot_columns(rows, ncols: int) -> list[int]:

@@ -14,8 +14,9 @@ candidate P: refute it by a nonzero residual at a step, or else confirm it
 by expanding the cleared defect to the literal zero polynomial.
 
 Discovery takes the residual of every weighted basis element at seeded
-steps, drawn until the rows reach rank K (then the nullspace is empty and
-the sector has no density) or, when the rank stalls, up to 2K + 16 steps,
+steps, drawn until the rows reach rank K mod the prime P of `linalg.rank`
+(full rank mod P proves full rank over Q: the nullspace is empty and the
+sector has no density) or, when the rank stalls, up to 2K + 16 steps,
 and an exact nullspace, which contains every true solution.  Each
 candidate of the nullspace is checked; a candidate refuted at a fresh step
 adds that step's row, which is nonzero on it, so the nullspace shrinks
@@ -275,11 +276,12 @@ def _solve_sector(
     The sampled rows come from the steps of Random(seed), drawn lazily: K
     steps, then while the rank grows only the K - rank rows still missing.
     Rows of rank K have an empty nullspace, which no further row changes,
-    so such a sector has no density.  When the rank stalls below K, the
-    rest of the first 2K + 16 steps are drawn, and every check draws fresh
-    steps after them.  A confirmed candidate stays a nullspace vector when
-    rows are added (its free coordinate stays free), so it is remembered
-    and never expanded again.
+    so such a sector has no density; the rank is taken mod P, where rank K
+    is proven and a lower rank only sizes the next batch.  When the rank
+    stalls below K, the rest of the first 2K + 16 steps are drawn, and
+    every check draws fresh steps after them.  A confirmed candidate stays
+    a nullspace vector when rows are added (its free coordinate stays
+    free), so it is remembered and never expanded again.
     """
     orders = set(range(0, max_order + 1, 2)) if sector == "even" else set(
         range(1, max_order + 1, 2)
@@ -402,6 +404,9 @@ def verify_density(field: QuadraticVectorField, P: Polynomial, seed: int = 0) ->
 
 def first_integrals(solution_or_densities, seed: int = 0):
     """Ratios g_i / g_1 plus the count of functionally independent ones.
+
+    The count is the rank mod P (`linalg.rank`) of the gradient rows at one
+    random point: never above their rank there, and equal to it when full.
 
     Raises when fewer than two densities exist or all are proportional.
     """

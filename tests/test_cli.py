@@ -68,6 +68,19 @@ def test_field_eval_of_a_deep_aroma_exits_two(capsys):
     assert err == "input error: degree 1024 in x2 exceeds the packable 1023\n"
 
 
+def test_field_eval_of_a_long_bare_cycle_exits_two(capsys):
+    # tr(J^1100): each cycle vertex adds degree 1 in x1, checked before multiplying
+    cycle = "C1100(" + ";" * 1099 + ")"
+    code, out, err = run_cli(capsys, "--order-cap", "2000", "field", "eval", "--system", "lv", "--aroma", cycle)
+    assert code == 2 and out == ""
+    assert err == "input error: degree 1100 in x1 exceeds the packable 1023\n"
+    # one vertex fed by two leaves and the cycle edge: a zero matrix, so a zero trace
+    cycle = "C1100([][]" + ";" * 1099 + ")"
+    code, out, err = run_cli(capsys, "--order-cap", "2000", "field", "eval", "--system", "lv", "--aroma", cycle)
+    assert code == 0 and err == ""
+    assert json.loads(out)["polynomial"] == []
+
+
 def test_field_eval_and_q_table(capsys, tmp_path):
     field_file = tmp_path / "lv.json"
     field_file.write_text(json.dumps(lv_divfree().to_json()))

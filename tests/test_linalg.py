@@ -5,6 +5,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from kahan_aromas.linalg import (
+    P,
     in_span,
     intersect_rowspaces,
     invert_rational_matrix,
@@ -126,6 +127,42 @@ def test_kernel_matches_fraction_oracle(drawn, data):
     square = [row[:k] for row in matrix[:k]]
     identity = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
     assert invert_rational_matrix(square) == oracle_solve(square, identity)
+
+
+WIDE = st.integers(100, 400).flatmap(
+    lambda bits: st.builds(Rat, st.integers(-(1 << bits), 1 << bits).filter(bool), st.integers(1, 1 << bits))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rank_deficient(), st.data())
+def test_rank_of_wide_entries_matches_fraction_oracle(drawn, data):
+    # nonzero row and column scales of 100-400 bits keep the rank over Q
+    matrix, ncols = drawn
+    row_scales = data.draw(st.lists(WIDE, min_size=len(matrix), max_size=len(matrix)))
+    col_scales = data.draw(st.lists(WIDE, min_size=ncols, max_size=ncols))
+    wide = [[s * v * t for v, t in zip(row, col_scales)] for s, row in zip(row_scales, matrix)]
+    assert rank(wide, ncols) == len(rref_by_fractions(wide, ncols))
+
+
+NEAR_P = st.sampled_from([0, 1, -1, 2, P - 1, P, -P, P + 1, 2 * P]).map(Rat)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 5), st.data())
+def test_rank_is_a_lower_bound_that_is_exact_when_full(nrows, ncols, data):
+    # multiples of P vanish mod P, so the rank mod P may fall below the rank
+    # over Q, but never above it; a full rank mod P is therefore the rank over Q
+    rows = data.draw(st.lists(st.lists(NEAR_P, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    got, exact = rank(rows, ncols), len(rref_by_fractions(rows, ncols))
+    assert got <= exact
+    if got == min(nrows, ncols):
+        assert got == exact
+
+
+def test_rank_below_full_is_only_a_lower_bound():
+    assert rank([[Rat(P)]], 1) == 0
+    assert rank([[Rat(P), ZERO], [ZERO, ONE]], 2) == 1
 
 
 def test_nullspace_identity():

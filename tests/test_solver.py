@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from kahan_aromas.corpus import (
+    SYSTEMS,
     dressing_chain,
+    get_system,
     ishii,
     lv,
     lv_divfree,
@@ -48,7 +50,7 @@ from kahan_aromas.solver import (
     solve_darboux,
     verify_density,
 )
-from oracles import solve_by_symbolic_assembly, verify_density_by_expansion
+from oracles import rref_by_fractions, solve_by_symbolic_assembly, verify_density_by_expansion
 
 
 def X(i, nv=5):
@@ -507,7 +509,6 @@ def test_unlucky_discovery_is_refined(monkeypatch, name, order):
     # large, and refinement at fresh steps must cut it down to the exact
     # solution space, expanding each returned density once and nothing else
     import kahan_aromas.solver as solver_mod
-    from kahan_aromas.corpus import get_system
 
     f = get_system(name, seed=0)
     expected = solve_darboux(f, order, parity="both", seed=0)
@@ -537,9 +538,10 @@ def test_unlucky_discovery_is_refined(monkeypatch, name, order):
     assert sorted(map(str, expanded)) == sorted(map(str, sol.densities))
 
 
-def _discovery_draws(monkeypatch, f, order, sector, seed=0):
+def _discovery_draws(monkeypatch, f, order, sector, seed=0, rank=None):
     """The solution of one sector and the number of discovery steps it drew
-    (checks draw their steps elsewhere, not through _sample_point)."""
+    (checks draw their steps elsewhere, not through _sample_point), with
+    the draw loop's rank replaced by `rank` when one is given."""
     import kahan_aromas.solver as solver_mod
 
     real_sample_point = solver_mod._sample_point
@@ -550,22 +552,29 @@ def _discovery_draws(monkeypatch, f, order, sector, seed=0):
         return real_sample_point(rng, kmap)
 
     monkeypatch.setattr(solver_mod, "_sample_point", counting)
+    if rank is not None:
+        monkeypatch.setattr(solver_mod, "rank", rank)
     sol = solve_darboux(f, order, parity=sector, seed=seed)
     monkeypatch.undo()
     return sol, len(draws)
 
 
-def test_sector_without_density_stops_at_full_rank(monkeypatch):
-    # a dense random field: the first K steps (at seed 19, one more) give
-    # rows of rank K, so no density exists and the other steps are not drawn
+def _dense_random_field():
+    """A quadratic field on R^3 with all 30 coefficients nonzero."""
     rng = random.Random(8)
     nonzero = lambda: Rat(rng.choice([-2, -1, 1, 2]))
-    f = QuadraticVectorField(
+    return QuadraticVectorField(
         3,
         {(i, j, k): nonzero() for i in range(3) for j in range(3) for k in range(j, 3)},
         {(i, j): nonzero() for i in range(3) for j in range(3)},
         {i: nonzero() for i in range(3)},
     )
+
+
+def test_sector_without_density_stops_at_full_rank(monkeypatch):
+    # a dense random field: the first K steps (at seed 19, one more) give
+    # rows of rank K, so no density exists and the other steps are not drawn
+    f = _dense_random_field()
     for sector in ("even", "odd"):
         for seed, extra in ((0, 0), (19, 1)):
             sol, draws = _discovery_draws(monkeypatch, f, 4, sector, seed)
@@ -583,6 +592,27 @@ def test_sector_with_density_draws_every_discovery_step(monkeypatch):
     assert sol.densities
     assert draws == 2 * K + 16
     assert sol.method == "sampled"
+
+
+@pytest.mark.parametrize(
+    "f, seed",
+    [(get_system(name, seed=0), 0) for name in sorted(SYSTEMS)]
+    + [(_dense_random_field(), 0), (_dense_random_field(), 19)],
+    ids=sorted(SYSTEMS) + ["dense_seed0", "dense_seed19"],
+)
+def test_modular_rank_draws_the_rows_of_the_exact_rank(monkeypatch, f, seed):
+    # the draw loop asks only rank mod P; with the rank over Q in its place
+    # every sector draws the same steps and reaches the same solution
+    def exact_rank(rows, ncols):
+        return len(rref_by_fractions(rows, ncols))
+
+    for sector in ("even", "odd"):
+        modular, draws = _discovery_draws(monkeypatch, f, 4, sector, seed)
+        exact, exact_draws = _discovery_draws(monkeypatch, f, 4, sector, seed, exact_rank)
+        assert draws == exact_draws
+        assert modular.densities == exact.densities
+        assert modular.gammas == exact.gammas
+        assert modular.method == exact.method
 
 
 def test_parameter_independent_empty_intersection():
