@@ -24,15 +24,18 @@ with no gcd pass; a sum brings both sides to a common content and takes one
 gcd.  `coefficient` and `sorted_terms` read rational coefficients.
 
 Substitution into a map, S(q) = den^c q(N/den), runs on one packed kernel,
-`rf_substitute` (Kronecker substitution in h; see Harvey, "Faster polynomial
+`rf_substitute` (Kronecker substitution; see Harvey, "Faster polynomial
 multiplication via multipoint Kronecker substitution", J. Symb. Comput.
-2009).  Each (x, u)-monomial holds one int whose balanced base-2^B digits
-are its h-coefficients, digit j carrying h^(j + offset + x-degree): the
-digit index is h-degree minus x-degree minus a per-polynomial offset, which
-adds under multiplication and is one constant for a homogeneous field, so
-products add keys and multiply ints in C.  B comes from a proven bound on
-the result's coefficients, a sum of products of l1-norms, so every digit of
-the result decodes to the exact coefficient; only the result is unpacked.
+2009).  In its h layout each (x, u)-monomial holds one int whose balanced
+base-2^B digits are its h-coefficients, digit j carrying
+h^(j + offset + x-degree): the digit index is h-degree minus x-degree minus
+a per-polynomial offset, which adds under multiplication, so products add
+keys and multiply ints in C.  When every digit index of a call is 0 (a span
+of one digit, as on a homogeneous field) the x_n layout packs x_n, the last
+x-variable, into the ints instead and leaves h implied.  B comes from a
+proven bound on the result's coefficients, a sum of products of l1-norms,
+so every digit of the result decodes to the exact coefficient; only the
+result is unpacked.
 """
 
 from __future__ import annotations
@@ -505,46 +508,63 @@ def _as_rf(value, nvars: int) -> RationalFunction:
 
 
 class _Packed:
-    """One polynomial packed for the substitution kernel: `terms` maps an
-    (x, u)-key to an int whose balanced base-2^bits digits are the
-    h-coefficients (see `rf_substitute`)."""
+    """One polynomial packed for the substitution kernel: `terms` maps a key
+    to an int of balanced base-2^bits digits (see `rf_substitute`).  In the
+    h layout (xn false) a key is an (x, u)-monomial and the digits are its
+    h-coefficients; in the x_n layout (xn true) a key is an
+    (x_1..x_{n-1}, u)-monomial and digit p carries x_n^p."""
 
-    __slots__ = ("terms", "bits")
+    __slots__ = ("terms", "bits", "xn")
 
-    def __init__(self, terms: dict, bits: int):
+    def __init__(self, terms: dict, bits: int, xn: bool):
         self.terms = terms
         self.bits = bits
+        self.xn = xn
 
 
-def _h_offset(terms: dict, nx: int) -> int:
-    """min over terms of h-degree minus x-degree (0 for no terms)."""
+def _h_range(terms: dict, nx: int) -> tuple[int, int]:
+    """(min, max) over terms of h-degree minus x-degree ((0, 0) for no terms)."""
     hshift = _BITS * nx
-    return min((((k >> hshift) & _MASK) - _x_degree_of(k, nx) for k in terms), default=0)
+    diffs = [((k >> hshift) & _MASK) - _x_degree_of(k, nx) for k in terms]
+    return (min(diffs), max(diffs)) if diffs else (0, 0)
 
 
-def _pack(terms: dict, nx: int, bits: int, offset: int, scale: int = 1) -> dict:
+def _pack(terms: dict, nx: int, bits: int, offset: int, xn: bool, scale: int = 1) -> dict:
     """scale * terms with the h-power of each term moved into digit
-    (h-degree - x-degree - offset) of its (x, u)-key's int."""
+    (h-degree - x-degree - offset) of its (x, u)-key's int or, in the x_n
+    layout, with the x_n-power moved into digit x_n-degree of its
+    (x_1..x_{n-1}, u)-key's int and the h-power left implied."""
     hshift = _BITS * nx
+    nshift = hshift - _BITS
     out: dict = {}
     get = out.get
     for k, v in terms.items():
         e = (k >> hshift) & _MASK
-        xu = k - (e << hshift)
-        out[xu] = get(xu, 0) + (scale * v << (bits * (e - _x_degree_of(xu, nx) - offset)))
+        key = k - (e << hshift)
+        if xn:
+            e = (key >> nshift) & _MASK
+            key -= e << nshift
+        else:
+            e -= _x_degree_of(key, nx) + offset
+        out[key] = get(key, 0) + (scale * v << (bits * e))
     return out
 
 
-def _unpack(packed: dict, offset: int, bits: int, nvars: int) -> dict:
+def _unpack(packed: dict, offset: int, bits: int, nvars: int, xn: bool) -> dict:
     """The int terms of a packed polynomial: the balanced base-2^bits digits
-    of each int, digit j carrying h^(j + offset + x-degree)."""
+    of each int, digit j carrying h^(j + offset + x-degree of the key) and,
+    in the x_n layout, x_n^j."""
     nx = nvars - 2
     hshift = _BITS * nx
+    step = 1 << hshift  # one digit up
+    if xn:
+        step += 1 << (hshift - _BITS)
     full = 1 << bits
     half, mask = full >> 1, full - 1
     out = {}
     for xu, v in packed.items():
         e = offset + _x_degree_of(xu, nx)
+        k = xu + (e << hshift)
         while v:
             d = v & mask
             if d >= half:
@@ -552,13 +572,16 @@ def _unpack(packed: dict, offset: int, bits: int, nvars: int) -> dict:
             if d:
                 if e > _MASK:
                     raise _overflow(nvars, nx, e)
-                out[xu + (e << hshift)] = d
+                out[k] = d
             v = (v - d) >> bits
             e += 1
+            k += step
     return out
 
 
-def _power_product(xkey: int, cache: dict, packed_nums: list[dict], bits: int, nvars: int) -> dict:
+def _power_product(
+    xkey: int, cache: dict, packed_nums: list[dict], bits: int, xn: bool, nvars: int
+) -> dict:
     """The packed N'^a for the x-key a, built on the largest cached divisor
     by peeling the lowest variable; the cache always holds the key 0."""
     chain = []
@@ -571,7 +594,7 @@ def _power_product(xkey: int, cache: dict, packed_nums: list[dict], bits: int, n
     got = cache[xkey].terms
     for key, i in reversed(chain):
         got = _mul_terms(got, packed_nums[i], nvars)
-        cache[key] = _Packed(got, bits)
+        cache[key] = _Packed(got, bits, xn)
     return got
 
 
@@ -597,7 +620,7 @@ def rf_substitute(
     pass through.  Requires clear_power >= the x-degree of every substituted
     polynomial, so the result is a polynomial.  A cache dict may be shared
     across calls with the same map; it keeps the packed power products, each
-    a `_Packed` whose `terms` maps an (x, u)-key to an int.
+    a `_Packed` whose `terms` maps a key to an int.
 
     The kernel.  With the contents of the numerators and of the denominator
     over their one lcm L, N'_i = L N_i and D' = L den are integer
@@ -608,9 +631,18 @@ def rf_substitute(
     digit j holds the coefficient of h^(j + offset + x-degree), with a
     per-polynomial offset, the least h-degree minus x-degree of its terms.
     That difference adds under multiplication, so a product adds keys and
-    multiplies ints, a sum shifts the operand with the larger offset, and a
-    homogeneous field keeps a single digit per monomial.  Only the result is
-    unpacked.
+    multiplies ints, and a sum shifts the operand with the larger offset.
+    Only the result is unpacked.
+
+    The layout.  Before packing, the span counts the digits the call can
+    reach above the result's offset: a pair's largest leaf shift, plus c
+    times the largest digit index of a numerator or of the denominator,
+    plus the multiplier's.  A span of 1, as on a homogeneous field, puts
+    every h-degree at the x-degree plus the offset, so the x_n layout moves
+    x_n, the last x-variable, from the key into the int, digit p carrying
+    x_n^p, and leaves h implied; a wider span keeps the h layout.  A cached
+    power product is reused only in the same layout and at a width at
+    least B; otherwise the cache is emptied.
 
     The digit width.  No coefficient of a product exceeds the product of
     its factors' l1-norms, so no coefficient of the integer result
@@ -621,9 +653,12 @@ def rf_substitute(
     and ring arithmetic commutes with the evaluation.  With
     B = bitlength(bound) + 1 every coefficient lies strictly between
     -2^(B-1) and 2^(B-1), where the balanced base-2^B expansion of an int
-    is unique, so every digit decodes to the exact coefficient.  A cached
-    width at least B is reused; a smaller one empties the cache.  An
-    h-degree past the packable range raises ValueError.
+    is unique, so every digit decodes to the exact coefficient.
+
+    Degrees.  Before packing, a bound on the result's degree in x_i, the
+    largest sum_j a_j deg_i(N_j) + (c - |a|) deg_i(den) + deg_i(M), that
+    passes the packable range raises ValueError; so does an h-degree past
+    it when the result is unpacked.
     """
     n = denominator.nvars
     pairs = [(Polynomial.const(n, 1), p)] if isinstance(p, Polynomial) else list(p)
@@ -643,16 +678,29 @@ def rf_substitute(
     common = math.lcm(*(f.content.denominator for f in factors))
     scales = [f.content.numerator * (common // f.content.denominator) for f in factors]
     norms = [abs(s) * sum(map(abs, f.terms.values())) for s, f in zip(scales, factors)]
+    degrees = [[f.degree_in(i) for i in range(nx)] for f in factors]
     ratios = [m.content * q.content for m, q in pairs]
     lcm_pairs = math.lcm(*(r.denominator for r in ratios))
     pair_scales = [r.numerator * (lcm_pairs // r.denominator) for r in ratios]
 
     hshift = _BITS * nx
     x_mask = (1 << hshift) - 1
+    ranges = [_h_range(f.terms, nx) for f in factors]
+    off_num = min((lo for lo, _ in ranges[:-1]), default=0)
+    off_den = ranges[-1][0]
+    # the largest digit index of any N'^a D'^(c - |a|)
+    grow = c * max([hi - off_num for _, hi in ranges[:-1]] + [ranges[-1][1] - off_den])
     weights: dict[int, int] = {}  # x-key a -> prod_i |N'_i|^a_i |D'|^(c - |a|)
     bound = 0
+    work = []
     for (m, q), s in zip(pairs, pair_scales):
+        if not q.terms or s == 0:
+            continue
+        # q's term x^a h^e u^b enters with N'^a D'^(c - |a|), whose offset is
+        # |a| off_num + (c - |a|) off_den; its digit index is e plus that
+        # offset minus the least such sum, the offset of S(q)
         inner = 0
+        entries = []
         for k, v in q.terms.items():
             xkey = k & x_mask
             w = weights.get(xkey)
@@ -663,41 +711,43 @@ def rf_substitute(
                     w *= norm**e
                 weights[xkey] = w
             inner += abs(v) * w
-        bound += abs(s) * sum(map(abs, m.terms.values())) * inner
-    bits = bound.bit_length() + 1
-    held = cache.get(0)
-    if held is not None and held.bits >= bits:
-        bits = held.bits
-    else:
-        cache.clear()
-        cache[0] = _Packed({0: 1}, bits)
-
-    off_num = min((_h_offset(f.terms, nx) for f in numerators), default=0)
-    off_den = _h_offset(denominator.terms, nx)
-    packed_nums = [_pack(f.terms, nx, bits, off_num, s) for f, s in zip(numerators, scales)]
-    packed_den = _pack(denominator.terms, nx, bits, off_den, scales[-1])
-    total: dict = {}
-    total_offset = None
-    for (m, q), s in zip(pairs, pair_scales):
-        if not q.terms or s == 0:
-            continue
-        # q's term x^a h^e u^b enters with N'^a D'^(c - |a|), whose offset is
-        # |a| off_num + (c - |a|) off_den; its digit index is e plus that
-        # offset minus the least such sum, the offset of S(q)
-        entries = []
-        for k, v in q.terms.items():
-            xkey = k & x_mask
             e = (k >> hshift) & _MASK
             d = _x_degree_of(xkey, nx)
             entries.append((xkey, k - xkey - (e << hshift), e + d * off_num + (c - d) * off_den, v))
-        offset = min(entry[2] for entry in entries)
+        bound += abs(s) * sum(map(abs, m.terms.values())) * inner
+        m_degrees = [m.degree_in(i) for i in range(nx)]
+        for a in dict.fromkeys(unpack_exponents(entry[0], nx) for entry in entries):
+            for i, (g, gm) in enumerate(zip(degrees[-1], m_degrees)):
+                degree = sum(e * f[i] for e, f in zip(a, degrees)) + (c - sum(a)) * g + gm
+                if degree > _MASK:
+                    raise _overflow(n, i, degree)
+        low = min(entry[2] for entry in entries)
+        lo_m, hi_m = _h_range(m.terms, nx)
+        # the largest h-degree minus x-degree that the pair's result can hold
+        work.append((m, s, entries, low, lo_m, max(entry[2] for entry in entries) + grow + hi_m))
+    if not work:
+        return Polynomial.zero(n)
+    total_offset = min(w[3] + w[4] for w in work)
+    xn = max(w[5] for w in work) == total_offset and nx > 0  # a span of one digit
+    bits = bound.bit_length() + 1
+    held = cache.get(0)
+    if held is not None and held.xn == xn and held.bits >= bits:
+        bits = held.bits
+    else:
+        cache.clear()
+        cache[0] = _Packed({0: 1}, bits, xn)
+
+    packed_nums = [_pack(f.terms, nx, bits, off_num, xn, s) for f, s in zip(numerators, scales)]
+    packed_den = _pack(denominator.terms, nx, bits, off_den, xn, scales[-1])
+    total: dict = {}
+    for m, s, entries, low, lo_m, _ in work:
         mults: dict[int, dict] = {}  # x-key -> {u-key: packed int}
         for xkey, ukey, index, v in entries:
             row = mults.setdefault(xkey, {})
-            row[ukey] = row.get(ukey, 0) + (s * v << (bits * (index - offset)))
+            row[ukey] = row.get(ukey, 0) + (s * v << (bits * (index - low)))
         by_degree: dict[int, dict] = {}
         for xkey, row in mults.items():
-            pp = _power_product(xkey, cache, packed_nums, bits, n)
+            pp = _power_product(xkey, cache, packed_nums, bits, xn, n)
             acc = by_degree.setdefault(_x_degree_of(xkey, nx), {})
             get = acc.get
             for ukey, mv in row.items():
@@ -715,20 +765,10 @@ def rf_substitute(
                 _packed_add(result, bucket)
         for _ in range(c - top):
             result = _mul_terms(result, packed_den, n)
-        off_m = _h_offset(m.terms, nx)
-        result = _mul_terms(result, _pack(m.terms, nx, bits, off_m), n)
-        offset += off_m
-        # a sum shifts the digits of the side with the larger offset
-        if total_offset is None:
-            total, total_offset = result, offset
-        elif offset >= total_offset:
-            _packed_add(total, result, bits * (offset - total_offset))
-        else:
-            _packed_add(result, total, bits * (total_offset - offset))
-            total, total_offset = result, offset
-    if total_offset is None:
-        return Polynomial.zero(n)
-    ints = _unpack(total, total_offset, bits, n)
+        result = _mul_terms(result, _pack(m.terms, nx, bits, lo_m, xn), n)
+        # the digits of a pair whose offset is above the result's shift up
+        _packed_add(total, result, bits * (low + lo_m - total_offset))
+    ints = _unpack(total, total_offset, bits, n, xn)
     return _from_ints(n, ints, 1, lcm_pairs * common**c)
 
 

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from kahan_aromas.cli import main, render_series
-from kahan_aromas.corpus import SYSTEMS, lv_divfree
+from kahan_aromas.corpus import SYSTEMS, get_system, ishii_invariants, lv_divfree
+from kahan_aromas.graphs import TWO_CYCLE
 from kahan_aromas.poly import Polynomial
 from kahan_aromas.rationals import Rat
 
@@ -663,3 +665,41 @@ def test_solve_output_bytes_are_pinned(capsys, tmp_path, command):
     code, out, err = run_cli(capsys, *argv)
     assert err == ""
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == SOLVE_OUTPUT_SHA256[command]
+
+
+def _closed_form_density(system: str) -> Polynomial:
+    """The literature density of a corpus system at seed 0."""
+    field = get_system(system, seed=0)
+    h2 = Polynomial.variable(field.nvars, field.dim) ** 2
+    if system == "lv_divfree":
+        return 1 - h2 * field.aroma_function(TWO_CYCLE) * Rat(1, 8)
+    if system == "nambu_homogeneous":
+        return (1 - h2 * field.aroma_function(TWO_CYCLE) * Rat(1, 24)) ** 2
+    return ishii_invariants(**SYSTEMS["ishii"].random_params(random.Random(0)))[1]
+
+
+# (exit code, SHA-256 of stdout) of `darboux verify --system NAME --seed 0`
+# on the closed-form density and on it plus h^2 x1^2, which no closed form
+# here absorbs: the verdict and the witness bytes, taken before the
+# substitution kernel packed x_n into its ints on homogeneous inputs
+VERIFY_OUTPUT_SHA256 = {
+    ("ishii", "true"): (0, "5bde941e80617baf8bc61be5a479bb561b8467ae5e4a7ef6fe7bd2ef6140e13b"),
+    ("ishii", "perturbed"): (1, "7475fe08eec2960259ffcbb8b1f86f8a933a45070155fc86c5220d086db2b8aa"),
+    ("lv_divfree", "true"): (0, "5bde941e80617baf8bc61be5a479bb561b8467ae5e4a7ef6fe7bd2ef6140e13b"),
+    ("lv_divfree", "perturbed"): (1, "2ee76b428764e0c48fe4b533b28080ab62945138652f195601fddbce66999e69"),
+    ("nambu_homogeneous", "true"): (0, "5bde941e80617baf8bc61be5a479bb561b8467ae5e4a7ef6fe7bd2ef6140e13b"),
+    ("nambu_homogeneous", "perturbed"): (1, "b9fb573bae73618d85dd0b727bdc5ae29ab215759b75d652610c66b857504524"),
+}
+
+
+@pytest.mark.parametrize("system, kind", sorted(VERIFY_OUTPUT_SHA256))
+def test_verify_output_bytes_are_pinned(capsys, tmp_path, system, kind):
+    density = _closed_form_density(system)
+    if kind == "perturbed":
+        density = density + Polynomial.monomial(density.nvars, (2, 0, 0, 2, 0))
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(density.to_json()))
+    argv = ["darboux", "verify", "--system", system, "--seed", "0", "--density", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert err == ""
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERIFY_OUTPUT_SHA256[(system, kind)]

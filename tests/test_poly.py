@@ -162,6 +162,48 @@ def test_packed_kernel_matches_term_by_term_oracle(p, nums, den, extra, m, q):
     assert rf_substitute([(m, p), (Polynomial.const(NV, -1), q)], nums, den, c, cache) == want
 
 
+@st.composite
+def weighted_polys(draw, nv, weight, max_terms=3, max_exp=2):
+    """A nonzero polynomial whose every term has h-degree = x-degree + weight."""
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        xs = [draw(st.integers(0, max_exp)) for _ in range(nv - 2)]
+        xs[-1] += max(0, -weight - sum(xs))  # an h-degree below 0 needs more x_n
+        exps = xs + [sum(xs) + weight, draw(st.integers(0, 1))]
+        terms[pack_exponents(exps)] = draw(kernel_coefficients().filter(bool))
+    return Polynomial(nv, terms)
+
+
+@given(
+    st.data(),
+    st.integers(1, 3),
+    st.integers(-1, 1),
+    st.integers(-2, 1),
+    st.integers(-1, 1),
+    st.integers(0, 2),
+)
+@settings(max_examples=60, deadline=None)
+def test_x_n_layout_matches_term_by_term_oracle(data, nx, wd, wp, wm, extra):
+    # numerators one weight below the denominator, as in a Kahan map of a
+    # homogeneous field, so S(q) has one weight whatever the x-degrees of q
+    nv = nx + 2
+    den = data.draw(weighted_polys(nv, wd))
+    nums = [data.draw(weighted_polys(nv, wd - 1)) for _ in range(nx)]
+    p = data.draw(weighted_polys(nv, wp))
+    m = data.draw(weighted_polys(nv, wm, max_terms=2))
+    q = data.draw(weighted_polys(nv, wp + wm))
+    mixed = q * (Polynomial.const(nv, 1) + Polynomial.variable(nv, nx))  # two weights
+    c = max(p.x_degree(), q.x_degree()) + extra
+    cache = {}
+    # the x_n and h layouts alternate over one cache
+    for poly, xn in ((p, True), (mixed, False), (q, True), (mixed, False)):
+        assert rf_substitute(poly, nums, den, c, cache) == rf_substitute_term_by_term(poly, nums, den, c)
+        assert cache[0].xn is xn
+    want = m * rf_substitute_term_by_term(p, nums, den, c) - rf_substitute_term_by_term(q, nums, den, c)
+    assert rf_substitute([(m, p), (Polynomial.const(nv, -1), q)], nums, den, c, cache) == want
+    assert cache[0].xn
+
+
 @given(polys(), polys(), polys())
 def test_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
@@ -284,6 +326,22 @@ def test_substitution_h_degree_overflow_raises():
     with pytest.raises(ValueError, match="in h"):
         rf_substitute([(h**24, xx**4)], [h**250 * xx], one - h * xx, 4)
     assert rf_substitute(xx**3, [h**341 * xx], one, 3) == h**1023 * xx**3
+
+
+@pytest.mark.parametrize("nx", [1, 2])
+def test_substitution_x_n_degree_overflow_raises(nx):
+    # homogeneous inputs take the x_n layout, where x_n lives in the ints
+    nv = nx + 2
+    xs = [Polynomial.variable(nv, i) for i in range(nx)]
+    one = Polynomial.const(nv, 1)
+    cache = {}
+    assert rf_substitute(xs[-1] ** 1023, xs, one, 1023, cache) == xs[-1] ** 1023
+    assert cache[0].xn
+    # x_n^512 under x_i -> x_i x_n, one weight for every numerator again
+    times_x_n = [xi * xs[-1] for xi in xs]
+    assert rf_substitute(xs[-1] ** 511, times_x_n, one, 511) == xs[-1] ** 1022
+    with pytest.raises(ValueError, match=f"degree 1024 in x{nx} exceeds the packable 1023"):
+        rf_substitute(xs[-1] ** 512, times_x_n, one, 512)
 
 
 # -- the content x primitive-integer representation --------------------------
