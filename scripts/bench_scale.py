@@ -1,0 +1,191 @@
+#!/usr/bin/env python3
+"""Layer timings of the Darboux solve on fixed seeded inputs, per source tree.
+
+Example:
+    python scripts/bench_scale.py --out BENCH.json parent=../parent change=.
+
+Each TREE is a source checkout, given as PATH or LABEL=PATH; its package is
+imported from PATH/src in a fresh interpreter, so every tree runs through
+this same script.  Rounds alternate the order of the trees.  Per input and
+round it records the median cost of one Kahan step as the solver draws it
+(`_sample_point`), of one discovery row of the even sector and of one whole
+`solve_darboux(field, order, "both", seed=0)` on a fresh field.  A tree
+without the batched row kernel (`solver._sample_row`) builds its rows one
+residual per weighted basis polynomial, as such trees do.
+
+The JSON names the Python version, the host's CPU count and, per tree, its
+coefficient backend and commit (with "+dirty" when its tracked files differ
+from that commit), with every round's medians and their median.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+STEPS = 40  # Kahan steps timed per input and round
+ROWS = 40  # discovery rows timed per input and round
+SOLVES = 3  # whole solves timed per input and round
+
+
+def dense_field(fields):
+    """A quadratic field on R^3 with all 30 coefficients nonzero."""
+    rng = random.Random(8)
+    nonzero = lambda: rng.choice([-2, -1, 1, 2])
+    return fields.QuadraticVectorField(
+        3,
+        {(i, j, k): nonzero() for i in range(3) for j in range(3) for k in range(j, 3)},
+        {(i, j): nonzero() for i in range(3) for j in range(3)},
+        {i: nonzero() for i in range(3)},
+    )
+
+
+# name -> (field builder taking the package, order)
+INPUTS = {
+    "dense3_order4": (lambda pkg: dense_field(pkg.fields), 4),
+    "nambu_inhomogeneous_order6": (lambda pkg: pkg.corpus.get_system("nambu_inhomogeneous", seed=0), 6),
+    "ishii_order6": (lambda pkg: pkg.corpus.get_system("ishii", seed=0), 6),
+}
+
+
+def _timed(fn) -> float:
+    """Milliseconds of one call of fn."""
+    start = time.perf_counter()
+    fn()
+    return (time.perf_counter() - start) * 1e3
+
+
+def measure_input(pkg, build, order: int) -> dict:
+    solver = pkg.solver
+    field = build(pkg)
+    kmap = field.kahan_map()
+    rng = random.Random(0)
+    step_ms = statistics.median(_timed(lambda: solver._sample_point(rng, kmap)) for _ in range(STEPS))
+
+    basis = solver.build_basis(field, order, None, set(range(0, order + 1, 2)))
+    weighted = solver._weighted_polys(field, [(el.poly, el.order, el.sigma) for el in basis.elements])
+    if hasattr(solver, "_sample_row"):
+        batch = pkg.poly.PolynomialBatch(weighted)
+        row = lambda step: solver._sample_row(batch, step)
+    else:
+        row = lambda step: [solver._residual(step, w) for w in weighted]
+    # fresh steps: a row reads monomial values that its step's evaluators cache
+    steps = [solver._sample_point(rng, kmap) for _ in range(ROWS)]
+    row_ms = statistics.median(_timed(lambda: row(step)) for step in steps)
+
+    solve_ms = statistics.median(
+        _timed(lambda f=build(pkg): solver.solve_darboux(f, order, parity="both", seed=0))
+        for _ in range(SOLVES)
+    )
+    return {
+        "order": order,
+        "even_basis": len(weighted),
+        "even_terms": sum(len(w.terms) for w in weighted),
+        "even_monomials": len({k for w in weighted for k in w.terms}),
+        "step_ms": step_ms,
+        "row_ms": row_ms,
+        "solve_ms": solve_ms,
+    }
+
+
+def worker(src: str) -> None:
+    """Measure the package under src; print one JSON object."""
+    sys.path.insert(0, src)
+    import kahan_aromas.corpus
+    import kahan_aromas.fields
+    import kahan_aromas.poly
+    import kahan_aromas.rationals
+    import kahan_aromas.solver
+
+    pkg = kahan_aromas
+    if not Path(pkg.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"kahan_aromas was imported from {pkg.__file__}, not from {src}")
+    out = {name: measure_input(pkg, build, order) for name, (build, order) in INPUTS.items()}
+    print(json.dumps({"backend": pkg.rationals.Rat.__name__, "inputs": out}))
+
+
+def commit_of(path: Path) -> str | None:
+    def git(*args):
+        return subprocess.run(
+            ["git", "-C", str(path), *args], capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    try:
+        head = git("rev-parse", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no")
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return head + ("+dirty" if dirty else "")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("trees", nargs="*", metavar="TREE", help="PATH or LABEL=PATH of a source checkout")
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--rounds", type=int, default=1)
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        worker(args.worker)
+        return 0
+    if not args.trees or not args.out:
+        parser.error("give --out and at least one TREE")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+
+    trees = []
+    for spec in args.trees:
+        label, _, path = spec.rpartition("=")
+        path = Path(path).resolve()
+        if not (path / "src" / "kahan_aromas").is_dir():
+            parser.error(f"{path} holds no src/kahan_aromas")
+        trees.append({"label": label or path.name, "commit": commit_of(path), "src": path / "src", "rounds": []})
+    for r in range(args.rounds):
+        for tree in trees if r % 2 == 0 else trees[::-1]:
+            done = subprocess.run(
+                [sys.executable, __file__, "--worker", str(tree["src"])],
+                stdout=subprocess.PIPE, text=True, check=True,
+            )
+            tree["rounds"].append(json.loads(done.stdout))
+
+    report = {
+        "script": "scripts/bench_scale.py",
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "rounds": args.rounds,
+        "trees": [],
+    }
+    for tree in trees:
+        backend = tree["rounds"][0]["backend"]
+        runs = [run["inputs"] for run in tree["rounds"]]
+        # the sizes are the same in every round; the timings take their median
+        median = {
+            name: {
+                key: statistics.median(run[name][key] for run in runs) if key.endswith("_ms") else value
+                for key, value in sizes.items()
+            }
+            for name, sizes in runs[0].items()
+        }
+        report["trees"].append(
+            {
+                "label": tree["label"],
+                "commit": tree["commit"],
+                "backend": backend,
+                "median": median,
+                "rounds": runs,
+            }
+        )
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,6 +32,7 @@ from .poly import (
     _MASK,
     PointEvaluator,
     Polynomial,
+    PolynomialBatch,
     RationalFunction,
     _overflow,
     pack_exponents,
@@ -392,6 +393,7 @@ class KahanMap:
             for i in range(n)
         ]
         self._n_plus: Polynomial | None = None
+        self._point_batch: PolynomialBatch | None = None
         self.subs_cache: dict = {}
 
     def n_plus(self) -> Polynomial:
@@ -415,11 +417,21 @@ class KahanMap:
 
     def apply_point(self, ev: PointEvaluator):
         """(det(M), exact image) at the evaluator's point (x, h); the image
-        is None when det(M) vanishes there."""
-        den = ev(self.den)
-        if den == 0:
-            return den, None
-        return den, [ev(num) / den for num in self.numerators]
+        is None when det(M) vanishes there.  The den and the numerators,
+        compiled together on the first step, are one integer pass at the
+        point, so each coordinate is one rational: its integer over den's."""
+        if self._point_batch is None:
+            self._point_batch = PolynomialBatch([self.den] + self.numerators)
+        batch = self._point_batch
+        values, scale = batch.monomial_values(ev)
+        den, *nums = batch.dot(values)
+        if not den:
+            return ZERO, None
+        c, *contents = batch.contents
+        return Rat(c.numerator * den, c.denominator * scale), [
+            Rat(k.numerator * c.denominator * s, k.denominator * c.numerator * den)
+            for k, s in zip(contents, nums)
+        ]
 
     def darboux_defect_cleared(self, P: Polynomial) -> Polynomial:
         """den^(D+1) * [N_{-h/2}(x) P(Phi_h(x)) - P(x) N_{h/2}(Phi_h(x))] / den

@@ -36,13 +36,20 @@ x-variable, into the ints instead and leaves h implied.  B comes from a
 proven bound on the result's coefficients, a sum of products of l1-norms,
 so every digit of the result decodes to the exact coefficient; only the
 result is unpacked.
+
+Values at a rational point come from a `PointEvaluator`, which caches each
+monomial as an integer over a power of the point's common denominator.  A
+fixed list of polynomials evaluated at many points is compiled once into a
+`PolynomialBatch`, which reads the monomials of the whole list from that
+cache, puts them over one power of the denominator and takes one integer
+dot product per polynomial; a rational is built only for the result.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
-from operator import or_
+from operator import mul, or_
 
 from .rationals import Rat, ZERO, ONE, format_rat, parse_rat
 
@@ -512,14 +519,17 @@ class _Packed:
     to an int of balanced base-2^bits digits (see `rf_substitute`).  In the
     h layout (xn false) a key is an (x, u)-monomial and the digits are its
     h-coefficients; in the x_n layout (xn true) a key is an
-    (x_1..x_{n-1}, u)-monomial and digit p carries x_n^p."""
+    (x_1..x_{n-1}, u)-monomial and digit p carries x_n^p.  The entry of a
+    cache's key 0 also records the map, (numerators, denominator), whose
+    power products the cache holds."""
 
-    __slots__ = ("terms", "bits", "xn")
+    __slots__ = ("terms", "bits", "xn", "source")
 
-    def __init__(self, terms: dict, bits: int, xn: bool):
+    def __init__(self, terms: dict, bits: int, xn: bool, source=None):
         self.terms = terms
         self.bits = bits
         self.xn = xn
+        self.source = source
 
 
 def _h_range(terms: dict, nx: int) -> tuple[int, int]:
@@ -619,8 +629,9 @@ def rf_substitute(
     unpacked once.  The substitution touches the x-variables only; h and u
     pass through.  Requires clear_power >= the x-degree of every substituted
     polynomial, so the result is a polynomial.  A cache dict may be shared
-    across calls with the same map; it keeps the packed power products, each
-    a `_Packed` whose `terms` maps a key to an int.
+    across calls; it keeps the packed power products of one map, each a
+    `_Packed` whose `terms` maps a key to an int, and a call with another
+    map empties it first.
 
     The kernel.  With the contents of the numerators and of the denominator
     over their one lcm L, N'_i = L N_i and D' = L den are integer
@@ -641,8 +652,8 @@ def rf_substitute(
     every h-degree at the x-degree plus the offset, so the x_n layout moves
     x_n, the last x-variable, from the key into the int, digit p carrying
     x_n^p, and leaves h implied; a wider span keeps the h layout.  A cached
-    power product is reused only in the same layout and at a width at
-    least B; otherwise the cache is emptied.
+    power product is reused only for the same map, in the same layout and
+    at a width at least B; otherwise the cache is emptied.
 
     The digit width.  No coefficient of a product exceeds the product of
     its factors' l1-norms, so no coefficient of the integer result
@@ -730,12 +741,13 @@ def rf_substitute(
     total_offset = min(w[3] + w[4] for w in work)
     xn = max(w[5] for w in work) == total_offset and nx > 0  # a span of one digit
     bits = bound.bit_length() + 1
+    source = (tuple(numerators), denominator)
     held = cache.get(0)
-    if held is not None and held.xn == xn and held.bits >= bits:
+    if held is not None and held.source == source and held.xn == xn and held.bits >= bits:
         bits = held.bits
     else:
         cache.clear()
-        cache[0] = _Packed({0: 1}, bits, xn)
+        cache[0] = _Packed({0: 1}, bits, xn, source)
 
     packed_nums = [_pack(f.terms, nx, bits, off_num, xn, s) for f, s in zip(numerators, scales)]
     packed_den = _pack(denominator.terms, nx, bits, off_den, xn, scales[-1])
@@ -844,3 +856,43 @@ class PointEvaluator:
             total = total * self.den + sums.get(t, 0)
         c = p.content
         return Rat(c.numerator * total, c.denominator * self.den**top)
+
+
+class PolynomialBatch:
+    """A fixed list of polynomials compiled once, then evaluated at a point
+    in one integer pass over the monomial cache of its `PointEvaluator`.
+
+    The batch keeps the union of the polynomials' monomials and their
+    largest total degree T.  At a point with common denominator d a monomial
+    of degree t is A / d^t, A from the evaluator's cache, which is the
+    integer A d^(T - t) over d^T; each polynomial is then its content times
+    one integer dot product of its terms with those integers, over d^T.
+    A caller may combine the integers of several points before the dot
+    products, so a linear functional of every polynomial costs one pass
+    over the monomials and one dot product each.
+    """
+
+    def __init__(self, polys: list[Polynomial]):
+        keys = sorted({k for p in polys for k in p.terms})
+        index = {k: i for i, k in enumerate(keys)}
+        self._keys = keys
+        self._top = max((_x_degree_of(k, polys[0].nvars) for k in keys), default=0)
+        self.contents = [p.content for p in polys]
+        self._terms = [
+            (tuple(map(index.__getitem__, p.terms)), tuple(p.terms.values())) for p in polys
+        ]
+
+    def monomial_values(self, ev: PointEvaluator) -> tuple[list[int], int]:
+        """(values, d^T): monomial i of the batch is values[i] / d^T at the
+        evaluator's point."""
+        d, top = ev.den, self._top
+        powers = [1]
+        for _ in range(top):
+            powers.append(powers[-1] * d)
+        return [a * powers[top - t] for a, t in map(ev.monomial, self._keys)], powers[top]
+
+    def dot(self, values: list[int]) -> list[int]:
+        """Per polynomial, the sum of its integer terms times the values of
+        their monomials: its value over the values' scale, before the
+        content."""
+        return [sum(map(mul, coeffs, map(values.__getitem__, idx))) for idx, coeffs in self._terms]

@@ -14,14 +14,18 @@ candidate P: refute it by a nonzero residual at a step, or else confirm it
 by expanding the cleared defect to the literal zero polynomial.
 
 Discovery takes the residual of every weighted basis element at seeded
-steps, drawn until the rows reach rank K mod the prime P of `linalg.rank`
-(full rank mod P proves full rank over Q: the nullspace is empty and the
-sector has no density) or, when the rank stalls, up to 2K + 16 steps,
-and an exact nullspace, which contains every true solution.  Each
-candidate of the nullspace is checked; a candidate refuted at a fresh step
-adds that step's row, which is nonzero on it, so the nullspace shrinks
-(method "refined") until every candidate is confirmed (method "sampled"
-when none was refuted).  The result is then the exact solution space.
+steps, one integer pass per step over the basis compiled once per sector
+(`poly.PolynomialBatch`): the residual is linear in P, so each monomial m
+gives u_m = N_{-h/2}(x) m(x') - N_{h/2}(x') m(x) over one denominator and
+each element is one dot product with the u_m.  Steps are drawn until the
+rows reach rank K mod the prime P of `linalg.rank` (full rank mod P proves
+full rank over Q: the nullspace is empty and the sector has no density)
+or, when the rank stalls, up to 2K + 16 steps, and an exact nullspace,
+which contains every true solution.  Each candidate of the nullspace is
+checked; a candidate refuted at a fresh step adds that step's row, which
+is nonzero on it, so the nullspace shrinks (method "refined") until every
+candidate is confirmed (method "sampled" when none was refuted).  The
+result is then the exact solution space.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .graphs import (
     parse_multiset,
 )
 from .linalg import in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
-from .poly import PointEvaluator, Polynomial, RationalFunction
+from .poly import PointEvaluator, Polynomial, PolynomialBatch, RationalFunction
 from .rationals import Rat, ZERO, random_rational
 
 QUADRATIC_MAX_INDEGREE = 2
@@ -237,6 +241,21 @@ def _residual(step, P: Polynomial) -> Rat:
     return n_minus * ev_phi(P) - ev_x(P) * n_plus
 
 
+def _sample_row(batch: PolynomialBatch, step) -> list[Rat]:
+    """The residual of each polynomial of the batch at one Kahan step, equal
+    as a rational to its `_residual`.  The residual is linear in P, so it is
+    P's terms dotted with u_m = N_{-h/2}(x) m(x') - N_{h/2}(x') m(x) per
+    monomial m, taken once for the batch over one integer denominator."""
+    ev_x, n_minus, ev_phi, n_plus = step
+    xs, dx = batch.monomial_values(ev_x)
+    ys, dy = batch.monomial_values(ev_phi)
+    a = n_minus.numerator * n_plus.denominator * dx
+    b = n_plus.numerator * n_minus.denominator * dy
+    scale = n_minus.denominator * n_plus.denominator * dx * dy
+    sums = batch.dot([a * y - b * x for x, y in zip(xs, ys)])
+    return [Rat(c.numerator * s, c.denominator * scale) for c, s in zip(batch.contents, sums)]
+
+
 def _refute_or_confirm(kmap: KahanMap, P: Polynomial, steps):
     """The exact check of P o Phi = det(DPhi) * P.
 
@@ -296,9 +315,10 @@ def _solve_sector(
     S = 2 * K + 16
     rng = random.Random(seed)
     rows: list[list[Rat]] = []
+    batch = PolynomialBatch(weighted)
 
     def add_row(step):
-        rows.append([_residual(step, w) for w in weighted])
+        rows.append(_sample_row(batch, step))
 
     for _ in range(K):
         add_row(_sample_point(rng, kmap))

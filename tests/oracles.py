@@ -16,7 +16,9 @@ package's numerators over den: a point step solves the linear system
 (I - (h/2) f'(x)) k = f(x) by `Fraction` elimination, the h-series is the
 closed form 2^(1-k) (f')^(k-1) f, and det DPhi differentiates the map
 entrywise.  Substitution into the map expands term by term in `Polynomial`
-arithmetic, never by the package's packed kernel.
+arithmetic, never by the package's packed kernel.  A discovery row takes
+one residual per polynomial, each polynomial evaluated by a `PointEvaluator`
+at both points of the step, never by the package's batched integer pass.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from kahan_aromas.graphs import Aroma, Forest, RootedTree
 from kahan_aromas.linalg import nullspace
 from kahan_aromas.poly import PointEvaluator, Polynomial, RationalFunction
 from kahan_aromas.rationals import ONE, ZERO, random_rational
-from kahan_aromas.solver import SAMPLE_ATTEMPTS, SolverError, VerificationResult
+from kahan_aromas.solver import SAMPLE_ATTEMPTS, SolverError, VerificationResult, _residual
 
 
 def is_connected(g: tuple[int, ...]) -> bool:
@@ -324,6 +326,12 @@ def solve_by_symbolic_assembly(kmap, basis) -> list:
     monomials = sorted({k for c in columns for k in c.terms})
     rows = [[c.coefficient(mk) for c in columns] for mk in monomials]
     return nullspace(rows, len(elements))
+
+
+def residual_row_by_polynomials(step, polys) -> list:
+    """N_{-h/2}(x) P(x') - P(x) N_{h/2}(x') at one Kahan step for each P,
+    one `_residual` per polynomial."""
+    return [_residual(step, p) for p in polys]
 
 
 def kahan_step_by_solve(field, xs, h):

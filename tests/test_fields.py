@@ -477,7 +477,14 @@ def test_modified_hamiltonian_rejects_bad_input():
 def test_apply_point_matches_symbolic_map():
     # the map's numerators over den against a linear solve of the step
     rng = random.Random(47)
-    for f in (lv_special(), random_quadratic_field(rng, 2), random_quadratic_field(rng, 3)):
+    fields = [
+        lv_special(),
+        random_quadratic_field(rng, 2),
+        random_quadratic_field(rng, 3),
+        random_quadratic_field(rng, 1),
+        QuadraticVectorField.from_json({"dim": 2}),  # the zero field: den 1, x' = x
+    ]
+    for f in fields:
         m = KahanMap(f)
         for _ in range(3):
             xs = [Rat(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(f.dim)]

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from kahan_aromas.poly import (
     PointEvaluator,
     Polynomial,
+    PolynomialBatch,
     RationalFunction,
     divexact,
     pack_exponents,
@@ -202,6 +203,17 @@ def test_x_n_layout_matches_term_by_term_oracle(data, nx, wd, wp, wm, extra):
     want = m * rf_substitute_term_by_term(p, nums, den, c) - rf_substitute_term_by_term(q, nums, den, c)
     assert rf_substitute([(m, p), (Polynomial.const(nv, -1), q)], nums, den, c, cache) == want
     assert cache[0].xn
+
+
+def test_one_cache_shared_by_two_maps_empties_between_them():
+    # power products of x2 under the first map are no power products under
+    # the second, whose numerators share that x-key and layout
+    x1, x2, one = x(0), x(1), const(1)
+    cache = {}
+    assert rf_substitute(x2**5, [x1, x2], one, 5, cache) == x2**5
+    assert rf_substitute(x2**3, [x1 * x2, x2**2], one, 3, cache) == x2**6
+    assert rf_substitute(x2**3, [x1 * x2, x2**2], one, 3, cache) == x2**6  # from the cache
+    assert rf_substitute(x2**5, [x1, x2], one, 5, cache) == x2**5
 
 
 @given(polys(), polys(), polys())
@@ -420,3 +432,21 @@ def test_point_evaluator_matches_termwise_evaluation(p, point):
     ev = PointEvaluator(NV, point)
     assert ev(p) == expected
     assert ev(p) == expected  # again, from the evaluator's monomial cache
+
+
+@given(st.lists(polys(), max_size=4), st.lists(rationals(), min_size=NV, max_size=NV))
+def test_polynomial_batch_matches_point_evaluator(ps, point):
+    # zero and constant polynomials included; u may be nonzero at the point
+    ps = ps + [const(0), const(Rat(-3, 2))]
+    batch = PolynomialBatch(ps)
+    ev = PointEvaluator(NV, point)
+    values, scale = batch.monomial_values(ev)
+    got = [c * s / scale for c, s in zip(batch.contents, batch.dot(values))]
+    assert got == [ev(p) for p in ps]
+    # the values of two points combine linearly before the dot products
+    other = PointEvaluator(NV, point[::-1])
+    more, more_scale = batch.monomial_values(other)
+    combined = batch.dot([2 * v * more_scale - w * scale for v, w in zip(values, more)])
+    assert [c * s / (scale * more_scale) for c, s in zip(batch.contents, combined)] == [
+        2 * ev(p) - other(p) for p in ps
+    ]

@@ -35,7 +35,7 @@ from kahan_aromas.graphs import (
     parse_multiset,
 )
 from kahan_aromas.linalg import intersect_rowspaces, nullspace, rref
-from kahan_aromas.poly import PointEvaluator, Polynomial
+from kahan_aromas.poly import PointEvaluator, Polynomial, PolynomialBatch
 from kahan_aromas.rationals import Rat, ZERO, format_rat
 from kahan_aromas.solver import (
     SolverError,
@@ -50,7 +50,12 @@ from kahan_aromas.solver import (
     solve_darboux,
     verify_density,
 )
-from oracles import rref_by_fractions, solve_by_symbolic_assembly, verify_density_by_expansion
+from oracles import (
+    residual_row_by_polynomials,
+    rref_by_fractions,
+    solve_by_symbolic_assembly,
+    verify_density_by_expansion,
+)
 
 
 def X(i, nv=5):
@@ -313,9 +318,12 @@ def test_solve_and_verify_share_one_kahan_map(monkeypatch):
 
 
 def test_each_kahan_step_evaluates_det_m_once(monkeypatch):
-    # det(M) at x is both N_{-h/2}(x) and the denominator of the step
+    # det(M) at x is both N_{-h/2}(x) and the denominator of the step; it is
+    # evaluated alone by a PointEvaluator or in a batch that compiled it
     dens, steps, evaluations = [], [], []
+    den_batches = []  # the batches compiled with a den among their polynomials
     init, apply_point, evaluate = KahanMap.__init__, KahanMap.apply_point, PointEvaluator.__call__
+    batch_init, batch_dot = PolynomialBatch.__init__, PolynomialBatch.dot
 
     def recording_init(self, field):
         init(self, field)
@@ -330,10 +338,23 @@ def test_each_kahan_step_evaluates_det_m_once(monkeypatch):
             evaluations.append(p)
         return evaluate(self, p)
 
+    def recording_batch_init(self, polys):
+        batch_init(self, polys)
+        if any(p is den for p in polys for den in dens):
+            den_batches.append(self)
+
+    def counting_dot(self, values):
+        if any(self is batch for batch in den_batches):
+            evaluations.append(self)
+        return batch_dot(self, values)
+
     monkeypatch.setattr(KahanMap, "__init__", recording_init)
     monkeypatch.setattr(KahanMap, "apply_point", counting_apply_point)
     monkeypatch.setattr(PointEvaluator, "__call__", counting_evaluate)
+    monkeypatch.setattr(PolynomialBatch, "__init__", recording_batch_init)
+    monkeypatch.setattr(PolynomialBatch, "dot", counting_dot)
     solve_darboux(lv_divfree(), 4, parity="even")
+    assert len(den_batches) == 1
     assert len(steps) == len(evaluations) == 27
 
 
@@ -613,6 +634,32 @@ def test_modular_rank_draws_the_rows_of_the_exact_rank(monkeypatch, f, seed):
         assert modular.densities == exact.densities
         assert modular.gammas == exact.gammas
         assert modular.method == exact.method
+
+
+@pytest.mark.parametrize(
+    "f, order",
+    [(get_system(name, seed=0), 4) for name in sorted(SYSTEMS)]
+    + [(_dense_random_field(), 4), (get_system("nambu_inhomogeneous", seed=0), 6)],
+    ids=sorted(SYSTEMS) + ["dense", "nambu_inhomogeneous_order6"],
+)
+def test_sample_row_equals_the_residual_of_each_polynomial(f, order):
+    # the batched row must be the per-polynomial row as rationals, not a
+    # multiple of it: the rank mod P clears each row to integers
+    import kahan_aromas.solver as solver_mod
+
+    kmap = f.kahan_map()
+    rng = random.Random(3)
+    for first in (0, 1):
+        basis = build_basis(f, order, None, set(range(first, order + 1, 2)))
+        weighted = solver_mod._weighted_polys(
+            f, [(el.poly, el.order, el.sigma) for el in basis.elements]
+        )
+        batch = PolynomialBatch(weighted)
+        for _ in range(5):
+            step = solver_mod._sample_point(rng, kmap)
+            row = solver_mod._sample_row(batch, step)
+            assert row == residual_row_by_polynomials(step, weighted)
+            assert all(type(v) is Fraction for v in row)
 
 
 def test_parameter_independent_empty_intersection():
