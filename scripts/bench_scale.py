@@ -8,10 +8,13 @@ Each TREE is a source checkout, given as PATH or LABEL=PATH; its package is
 imported from PATH/src in a fresh interpreter, so every tree runs through
 this same script.  Rounds alternate the order of the trees.  Per input and
 round it records the median cost of one Kahan step as the solver draws it
-(`_sample_point`), of one discovery row of the even sector and of one whole
-`solve_darboux(field, order, "both", seed=0)` on a fresh field.  A tree
-without the batched row kernel (`solver._sample_row`) builds its rows one
-residual per weighted basis polynomial, as such trees do.
+(`_sample_point`), of one discovery row of the even sector, of one
+`build_basis(field, order)` (the aromatic functions of every multiset and
+the basis selection among them) and of one whole
+`solve_darboux(field, order, "both", seed=0)`, each of the last two on a
+fresh field.  A tree without the batched row kernel (`solver._sample_row`)
+builds its rows one residual per weighted basis polynomial, as such trees
+do.
 
 The JSON names the Python version, the host's CPU count and, per tree, its
 coefficient backend and commit (with "+dirty" when its tracked files differ
@@ -33,6 +36,7 @@ from pathlib import Path
 
 STEPS = 40  # Kahan steps timed per input and round
 ROWS = 40  # discovery rows timed per input and round
+BASES = 3  # basis builds timed per input and round
 SOLVES = 3  # whole solves timed per input and round
 
 
@@ -81,6 +85,9 @@ def measure_input(pkg, build, order: int) -> dict:
     steps = [solver._sample_point(rng, kmap) for _ in range(ROWS)]
     row_ms = statistics.median(_timed(lambda: row(step)) for step in steps)
 
+    basis_ms = statistics.median(
+        _timed(lambda f=build(pkg): solver.build_basis(f, order)) for _ in range(BASES)
+    )
     solve_ms = statistics.median(
         _timed(lambda f=build(pkg): solver.solve_darboux(f, order, parity="both", seed=0))
         for _ in range(SOLVES)
@@ -92,6 +99,7 @@ def measure_input(pkg, build, order: int) -> dict:
         "even_monomials": len({k for w in weighted for k in w.terms}),
         "step_ms": step_ms,
         "row_ms": row_ms,
+        "basis_ms": basis_ms,
         "solve_ms": solve_ms,
     }
 

@@ -19,21 +19,38 @@ sum is evaluated by contraction instead of over the n^V assignments:
 - F(aroma) = tr(M_{k-1} ... M_1 M_0), the cycle edge running i -> i+1.
 
 A bare cycle of length k therefore gives tr(J^k).
+
+The contraction runs in integers.  With D the lcm of the components'
+content denominators, every partial of D f is an integer term dict (packed
+key -> int), and every vertex of an aroma contributes exactly one partial,
+so F_f(aroma) = F_{Df}(aroma) / D^|aroma|: a tree vector carries D^|tree|,
+a cycle-vertex matrix D^(1 + its forest's order).  The matrix of each
+forest is memoized on the field with its per-variable degree bound, and a
+sum of products accumulates in place (`poly._mul_add`), so rational
+arithmetic happens once per aroma, when its one `Polynomial` is built (the
+content times integer terms layout of Monagan & Pearce, "Sparse polynomial
+multiplication and division in Maple 14", 2009; the aroma algebra is that
+of Munthe-Kaas & Verdier, "Aromatic Butcher series", FoCM 2016).
 """
 
 from __future__ import annotations
 
+import math
 from functools import reduce
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 from .graphs import Aroma, AromaMultiset, RootedTree, parse_any
 from .linalg import invert_rational_matrix
 from .poly import (
+    _BITS,
     _MASK,
     PointEvaluator,
     Polynomial,
     PolynomialBatch,
     RationalFunction,
+    _from_ints,
+    _mul_add,
+    _mul_terms,
     _overflow,
     pack_exponents,
     rf_substitute,
@@ -76,7 +93,10 @@ class QuadraticVectorField:
         self._jacobian: list[list[Polynomial]] | None = None
         self._kahan_map: KahanMap | None = None
         self._partials: dict = {}
-        self._elementary: dict[str, list[Polynomial]] = {}
+        self._cleared_parts: tuple[int, dict, dict] | None = None
+        self._elementary: dict[str, list[dict]] = {}
+        self._tree_bounds: dict[str, list] = {}
+        self._cycle_matrices: dict[str, tuple] = {}
         self._aroma_cache: dict[str, Polynomial] = {}
 
     def _check_index(self, *idx):
@@ -148,26 +168,51 @@ class QuadraticVectorField:
 
     # -- aromatic functions ------------------------------------------------
 
-    def _contract(self, i: int, lead: tuple[int, ...], vecs) -> Polynomial:
-        """sum over js of d f_i / dx_{lead + js} * prod_r vecs[r][js[r]]."""
-        acc = Polynomial.zero(self.nvars)
-        for js in product(range(self.dim), repeat=len(vecs)):
-            term = self.partial(i, tuple(sorted(lead + js)))
-            for vec, j in zip(vecs, js):
-                if term.is_zero():
-                    break
-                term = term * vec[j]
-            if not term.is_zero():
-                acc = acc + term
-        return acc
+    def _cleared(self) -> tuple[int, dict, dict]:
+        """(D, parts, degrees), built once: D is the lcm of the components'
+        content denominators, parts[(i, indices)] the int dict of
+        D d^m f_i / dx_indices, for each sorted index tuple of length m <= 2
+        whose partial is nonzero, and degrees[(i, indices)] its largest
+        degree per variable."""
+        if self._cleared_parts is None:
+            D = math.lcm(*(p.content.denominator for p in self._components))
+            parts = {}
+            for i in range(self.dim):
+                for m in range(3):
+                    for idx in combinations_with_replacement(range(self.dim), m):
+                        p = self.partial(i, idx)
+                        if p.terms:
+                            s = (p.content * D).numerator  # D clears every content
+                            parts[(i, idx)] = {k: s * v for k, v in p.terms.items()}
+            degrees = {key: _x_degrees(d, self.dim) for key, d in parts.items()}
+            self._cleared_parts = D, parts, degrees
+        return self._cleared_parts
 
-    def elementary_differential(self, tree: RootedTree) -> list[Polynomial]:
-        """B-series elementary differential F(tree) as a vector of polynomials.
+    def _contract(self, i: int, lead: tuple[int, ...], vecs) -> dict:
+        """sum over js of D d f_i / dx_{lead + js} * prod_r vecs[r][js[r]],
+        an int dict with no zero values; the last factor of each product is
+        accumulated in place."""
+        parts, nv = self._cleared()[1], self.nvars
+        if not vecs:
+            return parts.get((i, lead), {})
+        acc: dict = {}
+        for js in product(range(self.dim), repeat=len(vecs)):
+            term = parts.get((i, tuple(sorted(lead + js))))
+            for vec, j in zip(vecs[:-1], js):
+                if not term:
+                    break
+                term = _mul_terms(term, vec[j], nv)
+            if term:
+                _mul_add(acc, term, vecs[-1][js[-1]], nv)
+        return {k: v for k, v in acc.items() if v}
+
+    def _tree_vector(self, tree: RootedTree) -> list[dict]:
+        """D^|tree| F(tree) as int dicts, memoized per field by tree encoding.
 
         A vertex with more than two children gives the zero vector (its
         partials vanish), and its subtrees are not evaluated.  The subtrees
         not yet memoized are walked children first with an explicit stack,
-        and their degree bounds are checked before any polynomial work."""
+        and their degree bounds are checked before any multiplication."""
         memo = self._elementary
         todo: list[RootedTree] = []  # children before parents
         seen: set[str] = set()
@@ -184,76 +229,88 @@ class QuadraticVectorField:
         self._check_degrees(todo)
         for t in todo:
             if len(t.children) > 2:
-                memo[t.encoding] = [Polynomial.zero(self.nvars)] * self.dim
+                memo[t.encoding] = [{}] * self.dim
             else:
                 vecs = [memo[c.encoding] for c in t.children]
                 memo[t.encoding] = [self._contract(i, (), vecs) for i in range(self.dim)]
-        return list(memo[tree.encoding])
+        return memo[tree.encoding]
+
+    def elementary_differential(self, tree: RootedTree) -> list[Polynomial]:
+        """B-series elementary differential F(tree) as a fresh list of
+        polynomials."""
+        scale = self._cleared()[0] ** tree.order
+        return [_from_ints(self.nvars, v, 1, scale) for v in self._tree_vector(tree)]
 
     def _check_degrees(self, trees: list[RootedTree]) -> None:
         """Raise ValueError when the vector of one of these trees (children
         first) could pass the packable degree in some variable.  Per
         component and variable, a vertex's degree bound is the largest over
         its contracted products of the partial's degree plus the children's;
-        None marks a component that is zero."""
+        None marks a component that is zero.  The bounds are kept with the
+        memoized vectors."""
         n = self.dim
-        bounds: dict[str, list] = {}
-
-        def degrees(t):
-            if t.encoding in bounds:
-                return bounds[t.encoding]
-            vec = self._elementary[t.encoding]
-            return [None if p.is_zero() else [p.degree_in(i) for i in range(n)] for p in vec]
-
+        partial_degrees = self._cleared()[2]
+        bounds = self._tree_bounds
         for t in trees:
             out = bounds[t.encoding] = [None] * n
             if len(t.children) > 2:
                 continue
-            kids = [degrees(c) for c in t.children]
+            kids = [bounds[c.encoding] for c in t.children]
             for a, js in product(range(n), product(range(n), repeat=len(kids))):
-                d = self.partial(a, tuple(sorted(js)))
-                parts = [kid[j] for kid, j in zip(kids, js)]
-                if d.is_zero() or None in parts:
+                d = partial_degrees.get((a, tuple(sorted(js))))
+                degs = [kid[j] for kid, j in zip(kids, js)]
+                if d is None or None in degs:
                     continue
-                got = [d.degree_in(i) + sum(part[i] for part in parts) for i in range(n)]
+                got = [sum(col) for col in zip(d, *degs)]
                 out[a] = got if out[a] is None else list(map(max, out[a], got))
                 for i, degree in enumerate(got):
                     if degree > _MASK:
                         raise _overflow(self.nvars, i, degree)
 
-    def _cycle_matrix(self, forest) -> list[list[Polynomial]]:
-        """M[a][b]: cycle vertex with index a, fed by b along the cycle and by
-        the forest's trees, contracted over the trees' indices; zero when
-        the trees and the cycle edge make more than two partials."""
-        n = self.dim
-        if len(forest.trees) > 1:
-            return [[Polynomial.zero(self.nvars)] * n for _ in range(n)]
-        vecs = [self.elementary_differential(t) for t in forest.trees]
-        return [[self._contract(a, (b,), vecs) for b in range(n)] for a in range(n)]
+    def _cycle_matrix(self, forest) -> tuple[list[list[dict]] | None, list[int] | None]:
+        """(M, bound), memoized per field by forest encoding.  M[a][b] is
+        the int dict of the cycle vertex with index a, fed by b along the
+        cycle and by the forest's trees, contracted over the trees' indices;
+        it carries D^(1 + the forest's order).  bound is the largest degree
+        of M's entries per variable, or None when every entry is zero (as
+        when the trees and the cycle edge make more than two partials)."""
+        got = self._cycle_matrices.get(forest.encoding)
+        if got is None:
+            n, mat, bound = self.dim, None, None
+            if len(forest.trees) <= 1:
+                vecs = [self._tree_vector(t) for t in forest.trees]
+                mat = [[self._contract(a, (b,), vecs) for b in range(n)] for a in range(n)]
+                degs = [_x_degrees(p, n) for row in mat for p in row if p]
+                if degs:
+                    bound = [max(col) for col in zip(*degs)]
+            got = self._cycle_matrices[forest.encoding] = (mat, bound)
+        return got
 
     def _aroma(self, aroma: Aroma) -> Polynomial:
-        """tr(M_{k-1} ... M_1 M_0): cycle vertex i is fed by vertex i-1.
+        """tr(M_{k-1} ... M_1 M_0) / D^|aroma|: cycle vertex i is fed by
+        vertex i-1, and every vertex contributes one partial of D f.
 
-        Per variable, the product's degree is at most the sum over the
-        vertices of their matrices' largest degree, which is checked
-        against the packable degree before any matrix is multiplied."""
+        Per variable, the product's degree is at most the sum of the
+        matrices' stored bounds, which is checked against the packable
+        degree before any matrix is multiplied."""
         mats = [self._cycle_matrix(f) for f in aroma.decorations]
-        n, zero = self.dim, Polynomial.zero(self.nvars)
-        bound = [0] * n
-        for mat in mats:
-            entries = [p for row in mat for p in row if not p.is_zero()]
-            if not entries:
-                return zero
-            for i in range(n):
-                bound[i] += max(p.degree_in(i) for p in entries)
-        for i, degree in enumerate(bound):
+        n, nv = self.dim, self.nvars
+        if any(bound is None for _, bound in mats):
+            return Polynomial.zero(nv)
+        for i, degree in enumerate(map(sum, zip(*(bound for _, bound in mats)))):
             if degree > _MASK:
-                raise _overflow(self.nvars, i, degree)
-        first = mats[0]
-        if len(mats) == 1:
-            return sum((first[a][a] for a in range(n)), zero)
-        rest = reduce(poly_mat_mul, mats[:0:-1])
-        return sum((rest[a][b] * first[b][a] for a in range(n) for b in range(n)), zero)
+                raise _overflow(nv, i, degree)
+        first, *others = (mat for mat, _ in mats)
+        if others:
+            rest = reduce(lambda a, b: _mat_mul(a, b, nv), reversed(others))
+        else:
+            rest = [[{0: 1} if a == b else {} for b in range(n)] for a in range(n)]
+        acc: dict = {}
+        for a in range(n):
+            for b in range(n):
+                _mul_add(acc, rest[a][b], first[b][a], nv)
+        acc = {k: v for k, v in acc.items() if v}
+        return _from_ints(nv, acc, 1, self._cleared()[0] ** aroma.order)
 
     def aroma_function(self, arg) -> Polynomial:
         """F(arg) for an aroma or aroma multiset (encodings accepted)."""
@@ -324,19 +381,24 @@ def _zero_based(entry, *indices) -> tuple[int, ...]:
 # polynomial matrices
 
 
-def poly_mat_mul(a: list[list[Polynomial]], b: list[list[Polynomial]]) -> list[list[Polynomial]]:
-    n, nv = len(a), a[0][0].nvars
+def _mat_mul(a: list[list[dict]], b: list[list[dict]], nvars: int) -> list[list[dict]]:
+    """The product of two square matrices of int dicts."""
+    n = len(a)
     out = []
-    for i in range(n):
-        row = []
+    for row in a:
+        out_row = []
         for j in range(n):
-            acc = Polynomial.zero(nv)
+            acc: dict = {}
             for m in range(n):
-                if not (a[i][m].is_zero() or b[m][j].is_zero()):
-                    acc = acc + a[i][m] * b[m][j]
-            row.append(acc)
-        out.append(row)
+                _mul_add(acc, row[m], b[m][j], nvars)
+            out_row.append({k: v for k, v in acc.items() if v})
+        out.append(out_row)
     return out
+
+
+def _x_degrees(ints: dict, n: int) -> list[int]:
+    """The largest exponent of each of x_1 .. x_n over the keys."""
+    return [max((k >> (_BITS * i)) & _MASK for k in ints) for i in range(n)]
 
 
 def poly_mat_det(mat: list[list[Polynomial]]) -> Polynomial:

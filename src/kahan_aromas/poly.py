@@ -110,24 +110,34 @@ def _check_product_degrees(a: dict, b: dict, nvars: int) -> None:
             raise _overflow(nvars, i, da + db)
 
 
-def _mul_terms(a: dict, b: dict, nvars: int) -> dict:
-    """The product of two dicts key -> int, plain or packed: keys add and
-    ints multiply.  Raises ValueError when an exponent would leave its slot."""
+def _mul_add(acc: dict, a: dict, b: dict, nvars: int) -> None:
+    """acc += a * b in place, for dicts key -> int, plain or packed: keys add
+    and ints multiply.  A sum that cancels stays in acc as a zero.  Raises
+    ValueError when an exponent would leave its slot."""
     if not a or not b:
-        return {}
+        return
     _check_product_degrees(a, b, nvars)
     if len(a) > len(b):
         a, b = b, a
-    if len(a) == 1:
-        ((ka, va),) = a.items()
-        return {ka + kb: va * vb for kb, vb in b.items()}
-    out: dict = {}
-    get = out.get
+    get = acc.get
     bitems = list(b.items())
     for ka, va in a.items():
         for kb, vb in bitems:
             k = ka + kb
-            out[k] = get(k, 0) + va * vb
+            acc[k] = get(k, 0) + va * vb
+
+
+def _mul_terms(a: dict, b: dict, nvars: int) -> dict:
+    """The product of two dicts key -> int (see `_mul_add`), with no zero
+    values."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:  # a monomial times b: nothing cancels
+        _check_product_degrees(a, b, nvars)
+        ((ka, va),) = a.items()
+        return {ka + kb: va * vb for kb, vb in b.items()}
+    out: dict = {}
+    _mul_add(out, a, b, nvars)
     return {k: v for k, v in out.items() if v}
 
 

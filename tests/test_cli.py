@@ -8,7 +8,7 @@ import pytest
 
 from kahan_aromas.cli import main, render_series
 from kahan_aromas.corpus import SYSTEMS, get_system, ishii_invariants, lv_divfree
-from kahan_aromas.graphs import TWO_CYCLE
+from kahan_aromas.graphs import TWO_CYCLE, enumerate_aromas
 from kahan_aromas.poly import Polynomial
 from kahan_aromas.rationals import Rat
 
@@ -540,6 +540,34 @@ def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, me
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("input error: ") and message in err
+
+
+# SHA-256 of the concatenated stdout of `field eval --system NAME --seed 0
+# --aroma A` over every aroma A of order 1..5, unfiltered (the indegree-3
+# aromas print zero), taken while each aroma's contraction still ran on
+# rational polynomials and the cycle matrices were rebuilt per aroma
+FIELD_EVAL_STDOUT_SHA256 = {
+    "canonical_hamiltonian": "efa6ca1b86b28a35ee2cf5d0d469c46076025dac9acce88813e9ceb1caf05ffd",
+    "divfree_homogeneous_r3": "dec11f1573beb7d8424a23d89803eee631b11b485bca079fcee3d9b5384ed7c8",
+    "dressing_chain": "1906552bbb5a26f11ae370e30f672a5cb90a8283a4a8121a0ea55848eb304787",
+    "ishii": "7c1451437dbf86bd34b407a2fe7429434c4b08c5e1fc27c4cc3f483ae3b77a17",
+    "lv": "e4df0b0270ef2a0e4d6a4e1e7b3b91a0e0e8f3259122faa04d63e7ddc30f131e",
+    "lv_divfree": "f5a0def9d32eafd92e545abc201d16b6462f775f338497256efa77e9a1d5fcd4",
+    "lv_special": "0b3c7a69d18d0a2fa0e1e7bff41b04ed8e7734a7262ff06e69145fd07cd8c41b",
+    "nambu_homogeneous": "aed3e4de3eca1f89e5083c55445daed5e03ae288c5c0759c4ec7b1b77a6c1699",
+    "nambu_inhomogeneous": "0355b0f9c8d8a5fd1640c806b988e7e0d70f10966a8fe8a4ac9e4adf2ee1e79a",
+}
+
+
+@pytest.mark.parametrize("system", sorted(SYSTEMS))
+def test_field_eval_output_bytes_are_pinned(capsys, system):
+    out = []
+    for k in range(1, 6):
+        for aroma in enumerate_aromas(k):
+            code, text, err = run_cli(capsys, "field", "eval", "--system", system, "--seed", "0", "--aroma", aroma.encoding)
+            assert code == 0 and err == ""
+            out.append(text)
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == FIELD_EVAL_STDOUT_SHA256[system]
 
 
 # SHA-256 of the stdout of `kahan map|det|series --order 5 --system NAME

@@ -168,11 +168,53 @@ def test_tailed_two_cycle_has_three_factor_terms():
     assert f.aroma_function(TAILED_TWO_CYCLE) == (x * 2) * 2 * x**2
 
 
-@pytest.mark.parametrize("n, order", [(1, 6), (2, 6), (3, 5), (4, 4)])
-def test_contraction_matches_assignment_oracle(n, order):
+def _coprime_contents_field() -> QuadraticVectorField:
+    """A dense field on R^3 whose components have the contents 1/2, 1/3 and
+    5/7 times primitive integer polynomials with 40-bit coefficients, so the
+    field's common denominator 42 is no single component's."""
+    rng = random.Random(31)
+    contents = [Rat(1, 2), Rat(1, 3), Rat(5, 7)]
+    big = lambda i: contents[i] * (rng.randrange(1, 1 << 40) * rng.choice([-1, 1]))
+    quad = {(i, j, k): big(i) for i in range(3) for j in range(3) for k in range(j, 3)}
+    lin = {(i, j): big(i) for i in range(3) for j in range(3)}
+    f = QuadraticVectorField(3, quad, lin, {i: big(i) for i in range(3)})
+    assert [p.content.denominator for p in f.components()] == [2, 3, 7]
+    return f
+
+
+def _zero_component_field() -> QuadraticVectorField:
+    """A field on R^3 with small rational coefficients whose second
+    component is zero."""
+    rng = random.Random(32)
+    small = lambda: Rat(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+    quad = {(i, j, k): small() for i in (0, 2) for j in range(3) for k in range(j, 3)}
+    lin = {(i, j): small() for i in (0, 2) for j in range(3)}
+    f = QuadraticVectorField(3, quad, lin, {0: small(), 2: small()})
+    assert f.components()[1].is_zero()
+    return f
+
+
+# case -> (field builder, order)
+CONTRACTION_CASES = {
+    **{f"{n}-{order}": (lambda n=n: random_quadratic_field(random.Random(200 + n), n), order) for n, order in [(1, 6), (2, 6), (3, 5), (4, 4)]},
+    "coprime-contents-3-5": (_coprime_contents_field, 5),
+    "zero-component-3-5": (_zero_component_field, 5),
+    # the components come from A^-1 f(Ax + v), kept as given
+    "from-polynomials-3-5": (
+        lambda: affine_pullback(
+            random_quadratic_field(random.Random(33), 3), random_invertible(random.Random(34), 3), [Rat(1, 3), 0, Rat(-2, 5)]
+        ),
+        5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRACTION_CASES))
+def test_contraction_matches_assignment_oracle(case):
     # unfiltered: the indegree >= 3 aromas must contract to zero as well;
     # n = 2 at order 6 reaches chiral aromas such as C3(;[];[[]])
-    f = random_quadratic_field(random.Random(200 + n), n)
+    build, order = CONTRACTION_CASES[case]
+    f = build()
     degrees = {sum(e) for p in f.components() for e, _ in p.sorted_terms()}
     assert degrees == {0, 1, 2}
     aromas = {a.encoding: a for m in enumerate_multisets(order) for a in m.aromas}
@@ -184,6 +226,14 @@ def test_contraction_matches_assignment_oracle(n, order):
             memoized = f.elementary_differential(tree)
             memoized.clear()  # the memo hands out copies
             assert f.elementary_differential(tree) == fresh.elementary_differential(tree)
+
+
+def test_aroma_memo_does_not_depend_on_evaluation_order():
+    # the tree vectors and cycle matrices memoized on the way differ with the order
+    multisets = enumerate_multisets(5)
+    forward, backward = _coprime_contents_field(), _coprime_contents_field()
+    got = [forward.aroma_function(m) for m in multisets]
+    assert got == [backward.aroma_function(m) for m in reversed(multisets)][::-1]
 
 
 def test_one_dimensional_degeneracy():
