@@ -14,7 +14,8 @@ the basis selection among them) and of one whole
 `solve_darboux(field, order, "both", seed=0)`, each of the last two on a
 fresh field.  A tree without the batched row kernel (`solver._sample_row`)
 builds its rows one residual per weighted basis polynomial, as such trees
-do.
+do, and a tree whose `build_basis` takes no `parity` is given the set of
+even orders in its place.
 
 The JSON names the Python version, the host's CPU count and, per tree, its
 coefficient backend and commit (with "+dirty" when its tracked files differ
@@ -24,6 +25,7 @@ from that commit), with every round's medians and their median.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -74,7 +76,9 @@ def measure_input(pkg, build, order: int) -> dict:
     rng = random.Random(0)
     step_ms = statistics.median(_timed(lambda: solver._sample_point(rng, kmap)) for _ in range(STEPS))
 
-    basis = solver.build_basis(field, order, None, set(range(0, order + 1, 2)))
+    takes_parity = "parity" in inspect.signature(solver.build_basis).parameters
+    even = "even" if takes_parity else set(range(0, order + 1, 2))
+    basis = solver.build_basis(field, order, None, even)
     weighted = solver._weighted_polys(field, [(el.poly, el.order, el.sigma) for el in basis.elements])
     if hasattr(solver, "_sample_row"):
         batch = pkg.poly.PolynomialBatch(weighted)

@@ -34,7 +34,7 @@ def main() -> int:
         parser.error("need --field or --system")
 
     sol = solve_darboux(field, args.order, parity=args.parity, seed=args.seed)
-    report = solver_report(field, sol, args.seed)
+    report = solver_report(sol, args.seed)
     print(f"basis size: {len(report['basis'])}  dropped: {len(report['dropped'])}")
     if not sol.densities:
         print("no aromatic Darboux densities at this order")
@@ -43,7 +43,7 @@ def main() -> int:
         print(f"g{i+1} ({sol.parities[i]}): {render_series(gamma)}")
     if len(sol.densities) >= 2:
         try:
-            ratios, count = first_integrals(sol, seed=args.seed)
+            ratios, count = first_integrals(sol.densities, seed=args.seed)
             print(f"first integrals: {len(ratios)} ratios, {count} independent")
         except (ValueError, SolverError) as exc:
             print(f"first integrals: {exc}")

@@ -5,7 +5,7 @@ import argparse
 import sys
 import time
 
-from kahan_aromas.corpus import GOLDEN_SUITES, golden_suite
+from kahan_aromas.corpus import SYSTEMS, golden_suite
 
 
 def main() -> int:
@@ -13,7 +13,7 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("names", nargs="*", help="subset of suites (default: all)")
     args = parser.parse_args()
-    names = args.names or sorted(GOLDEN_SUITES)
+    names = args.names or sorted(SYSTEMS)
     failures = 0
     for name in names:
         t0 = time.time()

@@ -361,7 +361,7 @@ def _load_augmenters(path: str, nvars: int):
     return out
 
 
-def solver_report(field, sol, seed: int) -> dict:
+def solver_report(sol, seed: int) -> dict:
     solutions = []
     for gamma, density, parity in zip(sol.gammas, sol.densities, sol.parities):
         plain = {k: format_rat(v) for k, v in sorted(gamma.items()) if _is_plain(k)}
@@ -380,7 +380,7 @@ def solver_report(field, sol, seed: int) -> dict:
     independence = 0
     if len(sol.densities) >= 2:
         try:
-            ratios, independence = first_integrals(sol, seed=seed)
+            ratios, independence = first_integrals(sol.densities, seed=seed)
             integrals = [
                 {"num": r.num.to_json(), "den": r.den.to_json()} for r in ratios
             ]
@@ -413,7 +413,9 @@ def cmd_darboux_solve(args) -> int:
     except SolverError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    payload = solver_report(field, sol, args.seed)
+    except ValueError as exc:  # a degree past the packable range
+        raise InputError(str(exc)) from exc
+    payload = solver_report(sol, args.seed)
 
     def text(p):
         lines = [f"basis ({len(p['basis'])}): {' '.join(p['basis'])}"]
@@ -451,6 +453,8 @@ def cmd_darboux_verify(args) -> int:
     except SolverError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except ValueError as exc:  # a degree past the packable range
+        raise InputError(str(exc)) from exc
     payload = {"verified": result.verified}
     if result.witness:
         xs, h, residual = result.witness

@@ -24,7 +24,9 @@ from .solver import (
     _find_constrained_density,
     density_span_solve,
     first_integrals,
+    gamma_space,
     necessary_conditions,
+    sector_multisets,
     solve_darboux,
     verify_density,
 )
@@ -233,8 +235,8 @@ def _require_symmetric(M, name):
 # seeded random parameter draws
 
 
-def rand_small(rng, lo=-3, hi=3, den=3) -> Rat:
-    return Rat(rng.randint(lo, hi), rng.randint(1, den))
+def rand_small(rng) -> Rat:
+    return Rat(rng.randint(-3, 3), rng.randint(1, 3))
 
 
 def random_symmetric(rng, n=3):
@@ -311,125 +313,6 @@ def random_ishii_params(rng):
         if k != 0 and A3 != 0 and (A1 * c3 - A2 * b3) != 0:
             return params, rerolls
     raise SolverError(f"no nondegenerate Ishii parameters in {SAMPLE_ATTEMPTS} attempts")
-
-
-# ---------------------------------------------------------------------------
-# the registry
-
-
-@dataclass
-class SystemSpec:
-    name: str
-    description: str
-    build: Callable[..., QuadraticVectorField]  # takes the parameters as keywords
-    random_params: Callable[[random.Random], dict] | None
-    schema: str
-
-
-SYSTEMS: dict[str, SystemSpec] = {}
-
-
-def _register(name, description, build, random_params, schema):
-    SYSTEMS[name] = SystemSpec(name, description, build, random_params, schema)
-
-
-_register(
-    "lv",
-    "generalized Lotka-Volterra (x(bz-gy), y(-az+gx), z(ay-bx))",
-    lv,
-    None,
-    '{"alpha": "p/q", "beta": "p/q", "gamma": "p/q"}',
-)
-_register(
-    "lv_divfree",
-    "divergence-free Volterra chain (x(y-z), y(z-x), z(x-y))",
-    lv_divfree,
-    None,
-    "{}",
-)
-_register(
-    "lv_special",
-    "the h-independent-measure case (x(y+z), -y(x+z), z(y-x))",
-    lv_special,
-    None,
-    "{}",
-)
-_register(
-    "dressing_chain",
-    "dressing chain (-y^2+z^2-b+c, x^2-z^2+a-c, -x^2+y^2-a+b)",
-    dressing_chain,
-    lambda rng: {"a": rand_small(rng), "b": rand_small(rng), "c": rand_small(rng)},
-    '{"a": "p/q", "b": "p/q", "c": "p/q"}',
-)
-_register(
-    "nambu_homogeneous",
-    "homogeneous Nambu flow grad(x^T A x) x grad(x^T B x)",
-    nambu_homogeneous,
-    lambda rng: {"A": random_symmetric(rng), "B": random_symmetric(rng)},
-    '{"A": 3x3 symmetric, "B": 3x3 symmetric}',
-)
-_register(
-    "nambu_inhomogeneous",
-    "inhomogeneous Nambu flow grad(H) x grad(K), H and K general quadratics",
-    nambu_inhomogeneous,
-    lambda rng: {
-        "H": random_symmetric(rng),
-        "hvec": random_vector(rng),
-        "K": random_symmetric(rng),
-        "kvec": random_vector(rng),
-    },
-    '{"H": 3x3 sym, "hvec": [3], "K": 3x3 sym, "kvec": [3]}',
-)
-_register(
-    "ishii",
-    "generalized Ishii system with exactly volume-preserving coupling",
-    ishii,
-    lambda rng: random_ishii_params(rng)[0],
-    '{"b2","b3","c1","c2","c3","k": "p/q"}',
-)
-_register(
-    "divfree_homogeneous_r3",
-    "homogeneous divergence-free quadratic field on R^3",
-    divfree_homogeneous_r3,
-    random_divfree_homogeneous_r3_params,
-    '{"A","B","C": 3x3 symmetric with A[0,:]+B[1,:]+C[2,:]=0}',
-)
-_register(
-    "canonical_hamiltonian",
-    "canonical cubic-Hamiltonian field J grad H (n=2 default draw)",
-    canonical_hamiltonian,
-    lambda rng: {
-        "J": [[0, 1], [-1, 0]],
-        "H": random_cubic_polynomial(rng, 2).to_json(),
-    },
-    '{"J": skew matrix, "H": polynomial JSON in n+2 vars}',
-)
-
-
-def get_system(name: str, params: dict | None = None, seed: int = 0) -> QuadraticVectorField:
-    if name not in SYSTEMS:
-        raise KeyError(f"unknown system {name!r}; known: {sorted(SYSTEMS)}")
-    spec = SYSTEMS[name]
-    if params is None:
-        if spec.random_params is None:
-            params = {}
-        else:
-            params = spec.random_params(random.Random(seed))
-    if not isinstance(params, dict):
-        raise ValueError(f"parameters of system {name!r} must be an object; schema: {spec.schema}")
-    names = inspect.signature(spec.build).parameters
-    unknown = sorted(set(params) - set(names))
-    if unknown:
-        raise ValueError(
-            f"system {name!r} takes no parameter {', '.join(map(repr, unknown))}; schema: {spec.schema}"
-        )
-    missing = [k for k, p in names.items() if p.default is p.empty and k not in params]
-    if missing:
-        raise KeyError(f"system {name!r} needs parameter {missing[0]!r}; schema: {spec.schema}")
-    try:
-        return spec.build(**params)
-    except ValueError as exc:
-        raise ValueError(f"system {name!r}: {exc}; schema: {spec.schema}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -629,15 +512,10 @@ def _golden_nambu_inhomogeneous(seed) -> list[GoldenCheck]:
 
 
 def _golden_dressing_chain(seed) -> list[GoldenCheck]:
-    from .solver import gamma_space
-    from .graphs import enumerate_multisets
-
     checks = []
     f_lv = lv(1, 1, 1)  # this orientation maps onto the a=b=c=0 dressing chain
     f_dc = dressing_chain(0, 0, 0)
-    coords = [
-        m.encoding for m in enumerate_multisets(4, 2) if m.order % 2 == 0
-    ]
+    coords = [m.encoding for m in sector_multisets(4, "even")]
     s1 = solve_darboux(f_lv, 4, parity="even", seed=seed)
     s2 = solve_darboux(f_dc, 4, parity="even", seed=seed)
     g1 = gamma_space(s1, coords)
@@ -706,20 +584,136 @@ def _golden_lv(seed) -> list[GoldenCheck]:
     return [GoldenCheck("x+y+z is a first integral of the flow", total.is_zero())]
 
 
-GOLDEN_SUITES = {
-    "lv": _golden_lv,
-    "lv_divfree": _golden_lv_divfree,
-    "lv_special": _golden_lv_special,
-    "dressing_chain": _golden_dressing_chain,
-    "nambu_homogeneous": _golden_nambu_homogeneous,
-    "nambu_inhomogeneous": _golden_nambu_inhomogeneous,
-    "ishii": _golden_ishii,
-    "divfree_homogeneous_r3": _golden_divfree_homogeneous_r3,
-    "canonical_hamiltonian": _golden_canonical_hamiltonian,
-}
+# ---------------------------------------------------------------------------
+# the registry
+
+
+@dataclass
+class SystemSpec:
+    name: str
+    description: str
+    build: Callable[..., QuadraticVectorField]  # takes the parameters as keywords
+    random_params: Callable[[random.Random], dict] | None
+    schema: str
+    golden: Callable[[int], list[GoldenCheck]]  # the golden suite, given a seed
+
+
+SYSTEMS: dict[str, SystemSpec] = {}
+
+
+def _register(name, description, build, random_params, schema, golden):
+    SYSTEMS[name] = SystemSpec(name, description, build, random_params, schema, golden)
+
+
+_register(
+    "lv",
+    "generalized Lotka-Volterra (x(bz-gy), y(-az+gx), z(ay-bx))",
+    lv,
+    None,
+    '{"alpha": "p/q", "beta": "p/q", "gamma": "p/q"}',
+    _golden_lv,
+)
+_register(
+    "lv_divfree",
+    "divergence-free Volterra chain (x(y-z), y(z-x), z(x-y))",
+    lv_divfree,
+    None,
+    "{}",
+    _golden_lv_divfree,
+)
+_register(
+    "lv_special",
+    "the h-independent-measure case (x(y+z), -y(x+z), z(y-x))",
+    lv_special,
+    None,
+    "{}",
+    _golden_lv_special,
+)
+_register(
+    "dressing_chain",
+    "dressing chain (-y^2+z^2-b+c, x^2-z^2+a-c, -x^2+y^2-a+b)",
+    dressing_chain,
+    lambda rng: {"a": rand_small(rng), "b": rand_small(rng), "c": rand_small(rng)},
+    '{"a": "p/q", "b": "p/q", "c": "p/q"}',
+    _golden_dressing_chain,
+)
+_register(
+    "nambu_homogeneous",
+    "homogeneous Nambu flow grad(x^T A x) x grad(x^T B x)",
+    nambu_homogeneous,
+    lambda rng: {"A": random_symmetric(rng), "B": random_symmetric(rng)},
+    '{"A": 3x3 symmetric, "B": 3x3 symmetric}',
+    _golden_nambu_homogeneous,
+)
+_register(
+    "nambu_inhomogeneous",
+    "inhomogeneous Nambu flow grad(H) x grad(K), H and K general quadratics",
+    nambu_inhomogeneous,
+    lambda rng: {
+        "H": random_symmetric(rng),
+        "hvec": random_vector(rng),
+        "K": random_symmetric(rng),
+        "kvec": random_vector(rng),
+    },
+    '{"H": 3x3 sym, "hvec": [3], "K": 3x3 sym, "kvec": [3]}',
+    _golden_nambu_inhomogeneous,
+)
+_register(
+    "ishii",
+    "generalized Ishii system with exactly volume-preserving coupling",
+    ishii,
+    lambda rng: random_ishii_params(rng)[0],
+    '{"b2","b3","c1","c2","c3","k": "p/q"}',
+    _golden_ishii,
+)
+_register(
+    "divfree_homogeneous_r3",
+    "homogeneous divergence-free quadratic field on R^3",
+    divfree_homogeneous_r3,
+    random_divfree_homogeneous_r3_params,
+    '{"A","B","C": 3x3 symmetric with A[0,:]+B[1,:]+C[2,:]=0}',
+    _golden_divfree_homogeneous_r3,
+)
+_register(
+    "canonical_hamiltonian",
+    "canonical cubic-Hamiltonian field J grad H (n=2 default draw)",
+    canonical_hamiltonian,
+    lambda rng: {
+        "J": [[0, 1], [-1, 0]],
+        "H": random_cubic_polynomial(rng, 2).to_json(),
+    },
+    '{"J": skew matrix, "H": polynomial JSON in n+2 vars}',
+    _golden_canonical_hamiltonian,
+)
+
+
+def get_system(name: str, params: dict | None = None, seed: int = 0) -> QuadraticVectorField:
+    if name not in SYSTEMS:
+        raise KeyError(f"unknown system {name!r}; known: {sorted(SYSTEMS)}")
+    spec = SYSTEMS[name]
+    if params is None:
+        if spec.random_params is None:
+            params = {}
+        else:
+            params = spec.random_params(random.Random(seed))
+    if not isinstance(params, dict):
+        raise ValueError(f"parameters of system {name!r} must be an object; schema: {spec.schema}")
+    names = inspect.signature(spec.build).parameters
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise ValueError(
+            f"system {name!r} takes no parameter {', '.join(map(repr, unknown))}; schema: {spec.schema}"
+        )
+    missing = [k for k, p in names.items() if p.default is p.empty and k not in params]
+    if missing:
+        raise KeyError(f"system {name!r} needs parameter {missing[0]!r}; schema: {spec.schema}")
+    try:
+        return spec.build(**params)
+    except ValueError as exc:
+        raise ValueError(f"system {name!r}: {exc}; schema: {spec.schema}") from exc
 
 
 def golden_suite(name: str, seed: int = 0) -> list[GoldenCheck]:
-    if name not in GOLDEN_SUITES:
-        raise KeyError(f"no golden suite for {name!r}; known: {sorted(GOLDEN_SUITES)}")
-    return GOLDEN_SUITES[name](seed)
+    if name not in SYSTEMS:
+        raise KeyError(f"no golden suite for {name!r}; known: {sorted(SYSTEMS)}")
+    return SYSTEMS[name].golden(seed)

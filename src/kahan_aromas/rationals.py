@@ -31,6 +31,6 @@ def format_rat(value) -> str:
     return str(Rat(value))
 
 
-def random_rational(rng, num_range=(-20, 20), den_range=(1, 7)) -> Rat:
-    """Small random rational; the solver's sampling contract uses the defaults."""
-    return Rat(rng.randint(*num_range), rng.randint(*den_range))
+def random_rational(rng) -> Rat:
+    """A small random rational: the solver's sample-point draw."""
+    return Rat(rng.randint(-20, 20), rng.randint(1, 7))

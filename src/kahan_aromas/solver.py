@@ -71,8 +71,19 @@ class Basis:
     elements: list[BasisElement]
     dropped: list[str]
 
-    def keys(self) -> list[str]:
-        return [e.key for e in self.elements]
+
+def sector_multisets(max_order: int, parity: str) -> list[AromaMultiset]:
+    """The multisets of a parity sector up to max_order, under the quadratic
+    indegree filter and in enumeration order.  The Kahan map is
+    self-adjoint, so a density is pure-even or pure-odd in h and each
+    sector ("even" or "odd" orders) is solved alone; "both" keeps all."""
+    if parity not in ("even", "odd", "both"):
+        raise ValueError("parity must be even, odd, or both")
+    return [
+        m
+        for m in enumerate_multisets(max_order, QUADRATIC_MAX_INDEGREE)
+        if parity == "both" or m.order % 2 == (parity == "odd")
+    ]
 
 
 def check_augmenters(augmenters, dim: int) -> None:
@@ -98,9 +109,10 @@ def build_basis(
     field: QuadraticVectorField,
     max_order: int,
     augmenters=None,
-    orders=None,
+    parity: str = "both",
 ) -> Basis:
-    """Maximal independent set of (augmented) aromatic functions.
+    """Maximal independent set of (augmented) aromatic functions of one
+    parity sector.
 
     Candidates are scanned in a fixed order (plain multisets sorted by
     (order, encoding), then each augmenter times the same list); ties in
@@ -108,11 +120,7 @@ def build_basis(
     """
     augmenters = list(augmenters or [])
     check_augmenters(augmenters, field.dim)
-    multisets = [
-        m
-        for m in enumerate_multisets(max_order, QUADRATIC_MAX_INDEGREE)
-        if orders is None or m.order in orders
-    ]
+    multisets = sector_multisets(max_order, parity)
     candidates: list[tuple[str, AromaMultiset, Polynomial | None]] = [
         (m.encoding, m, None) for m in multisets
     ]
@@ -173,7 +181,7 @@ class DarbouxSolution:
     field: QuadraticVectorField
     max_order: int
     parity: str  # as requested: even | odd | both
-    bases: dict[str, Basis]
+    bases: dict[str, Basis]  # per sector, the even one first
     gammas: list[dict[str, Rat]]
     densities: list[Polynomial]
     parities: list[str]  # per solution: its sector, even | odd
@@ -182,18 +190,10 @@ class DarbouxSolution:
     method: str
 
     def basis_keys(self) -> list[str]:
-        out = []
-        for sector in ("even", "odd"):
-            if sector in self.bases:
-                out.extend(self.bases[sector].keys())
-        return out
+        return [el.key for basis in self.bases.values() for el in basis.elements]
 
     def dropped_keys(self) -> list[str]:
-        out = []
-        for sector in ("even", "odd"):
-            if sector in self.bases:
-                out.extend(self.bases[sector].dropped)
-        return out
+        return [key for basis in self.bases.values() for key in basis.dropped]
 
 
 def _weighted_polys(field: QuadraticVectorField, items) -> list[Polynomial]:
@@ -211,18 +211,24 @@ def _combination(polys: list[Polynomial], coeffs: list[Rat]) -> Polynomial:
     return out
 
 
+def _random_point(rng, n: int) -> PointEvaluator:
+    """An evaluator at a seeded random point (x, h, u = 0), x in Q^n: the
+    n coordinates of x are drawn first, then h."""
+    xs = [random_rational(rng) for _ in range(n)]
+    h = random_rational(rng)
+    return PointEvaluator(n + 2, xs + [h, ZERO])
+
+
 def _usable_points(rng, kmap: KahanMap):
     """Exact Kahan steps x' = Phi_h(x) from seeded random points (x, h) off
     det(M) = 0 among SAMPLE_ATTEMPTS draws, each as (evaluator at (x, h),
     N_{-h/2}(x), evaluator at (x', h), N_{h/2}(x'))."""
     n_plus = kmap.n_plus()
     for _ in range(SAMPLE_ATTEMPTS):
-        xs = [random_rational(rng) for _ in range(kmap.dim)]
-        h = random_rational(rng)
-        ev = PointEvaluator(kmap.nvars, xs + [h, ZERO])
+        ev = _random_point(rng, kmap.dim)
         n_minus, image = kmap.apply_point(ev)  # det(M) = det(I - (h/2) f'(x))
         if image is not None:
-            ev_phi = PointEvaluator(kmap.nvars, image + [h, ZERO])
+            ev_phi = PointEvaluator(kmap.nvars, image + ev.point[kmap.dim:])
             yield ev, n_minus, ev_phi, ev_phi(n_plus)
 
 
@@ -256,18 +262,19 @@ def _sample_row(batch: PolynomialBatch, step) -> list[Rat]:
     return [Rat(c.numerator * s, c.denominator * scale) for c, s in zip(batch.contents, sums)]
 
 
-def _refute_or_confirm(kmap: KahanMap, P: Polynomial, steps):
-    """The exact check of P o Phi = det(DPhi) * P.
+def _refute_or_confirm(kmap: KahanMap, P: Polynomial, rng):
+    """The exact check of P o Phi = det(DPhi) * P at the steps that
+    `_usable_points` draws from rng.
 
-    Returns (step, residual) for the first of `steps` where the residual
-    of P is nonzero, a proof that P is no density; nothing is expanded
+    Returns (step, residual) for the first step where the residual of P is
+    nonzero, a proof that P is no density; nothing is expanded
     then.  A zero residual proves nothing, so the cleared defect is
     expanded once, and None (P is a density) is returned only when it is
     the literal zero polynomial.  When no step comes the defect is expanded
     all the same; a nonzero defect that no step shows raises SolverError.
     """
     expanded = False
-    for step in steps:
+    for step in _usable_points(rng, kmap):
         residual = _residual(step, P)
         if residual != 0:
             return step, residual
@@ -284,7 +291,6 @@ def _refute_or_confirm(kmap: KahanMap, P: Polynomial, steps):
 
 def _solve_sector(
     field: QuadraticVectorField,
-    kmap: KahanMap,
     max_order: int,
     sector: str,
     augmenters,
@@ -302,10 +308,8 @@ def _solve_sector(
     a nullspace vector when rows are added (its free coordinate stays
     free), so it is remembered and never expanded again.
     """
-    orders = set(range(0, max_order + 1, 2)) if sector == "even" else set(
-        range(1, max_order + 1, 2)
-    )
-    basis = build_basis(field, max_order, augmenters, orders)
+    basis = build_basis(field, max_order, augmenters, sector)
+    kmap = field.kahan_map()
     weighted = _weighted_polys(
         field, [(el.poly, el.order, el.sigma) for el in basis.elements]
     )
@@ -339,7 +343,7 @@ def _solve_sector(
             if tuple(vec) in confirmed:
                 continue
             density = _combination(weighted, vec)
-            refuted = _refute_or_confirm(kmap, density, _usable_points(rng, kmap))
+            refuted = _refute_or_confirm(kmap, density, rng)
             if refuted is None:
                 confirmed[tuple(vec)] = density
             else:
@@ -360,9 +364,6 @@ def solve_darboux(
     """Find all Darboux densities with cofactor det DPhi_h in the weighted
     aroma-function span up to max_order; every returned density is verified
     as an exact rational identity."""
-    if parity not in ("even", "odd", "both"):
-        raise ValueError("parity must be even, odd, or both")
-    kmap = field.kahan_map()
     sectors = ("even", "odd") if parity == "both" else (parity,)
     bases: dict[str, Basis] = {}
     gammas: list[dict[str, Rat]] = []
@@ -371,7 +372,7 @@ def solve_darboux(
     methods = []
     for sector in sectors:
         basis, vectors, sector_densities, method = _solve_sector(
-            field, kmap, max_order, sector, augmenters, seed
+            field, max_order, sector, augmenters, seed
         )
         bases[sector] = basis
         methods.append(method)
@@ -413,8 +414,7 @@ def verify_density(field: QuadraticVectorField, P: Polynomial, seed: int = 0) ->
     a fixed order, so the witness is the first point where the cleared
     defect does not vanish.
     """
-    kmap = field.kahan_map()
-    refuted = _refute_or_confirm(kmap, P, _usable_points(random.Random(seed), kmap))
+    refuted = _refute_or_confirm(field.kahan_map(), P, random.Random(seed))
     if refuted is None:
         return VerificationResult(True)
     (ev, _, _, _), residual = refuted
@@ -422,7 +422,7 @@ def verify_density(field: QuadraticVectorField, P: Polynomial, seed: int = 0) ->
     return VerificationResult(False, (ev.point[:n], ev.point[n], residual))
 
 
-def first_integrals(solution_or_densities, seed: int = 0):
+def first_integrals(densities: list[Polynomial], seed: int = 0):
     """Ratios g_i / g_1 plus the count of functionally independent ones.
 
     The count is the rank mod P (`linalg.rank`) of the gradient rows at one
@@ -430,10 +430,6 @@ def first_integrals(solution_or_densities, seed: int = 0):
 
     Raises when fewer than two densities exist or all are proportional.
     """
-    if isinstance(solution_or_densities, DarbouxSolution):
-        densities = solution_or_densities.densities
-    else:
-        densities = list(solution_or_densities)
     if len(densities) < 2:
         raise ValueError("first integrals need at least two densities")
     g1 = densities[0]
@@ -449,9 +445,7 @@ def first_integrals(solution_or_densities, seed: int = 0):
     partials = [[g.partial_derivative(j) for j in range(nx)] for g in densities]
     rng = random.Random(seed)
     for _ in range(SAMPLE_ATTEMPTS):
-        xs = [random_rational(rng) for _ in range(nx)]
-        h = random_rational(rng)
-        ev = PointEvaluator(g1.nvars, xs + [h, ZERO])
+        ev = _random_point(rng, nx)
         v1 = ev(g1)
         if v1 == 0:
             continue
@@ -515,12 +509,9 @@ def density_span_solve(densities: list[Polynomial], target: Polynomial):
     """Coordinates of target in the span of the density polynomials, or None."""
     if not densities:
         return None
-    monomials = sorted(
-        {k for p in densities for k in p.terms} | set(target.terms)
-    )
-    basis_rows = [[p.coefficient(mk) for mk in monomials] for p in densities]
-    target_row = [target.coefficient(mk) for mk in monomials]
-    return in_span(basis_rows, target_row, len(monomials))
+    rows = _coefficient_rows(densities + [target])
+    columns = [[row[j] for row in rows] for j in range(len(densities) + 1)]
+    return in_span(columns[:-1], columns[-1], len(rows))
 
 
 def gamma_space(solution: DarbouxSolution, coords: list[str]) -> list[list[Rat]]:
@@ -570,6 +561,7 @@ def parameter_independent_solve(
     """
     if instances < 2:
         raise ValueError("need at least two instances to intersect")
+    multisets = sector_multisets(max_order, parity)
     rng = random.Random(seed)
     if callable(family):
         fields = [family(rng) for _ in range(instances)]
@@ -577,15 +569,6 @@ def parameter_independent_solve(
         fields = list(family)[:instances]
         if len(fields) < instances:
             raise ValueError("family list shorter than the instance count")
-    if parity == "even":
-        keep = lambda m: m.order % 2 == 0
-    elif parity == "odd":
-        keep = lambda m: m.order % 2 == 1
-    else:
-        keep = lambda m: True
-    multisets = [
-        m for m in enumerate_multisets(max_order, QUADRATIC_MAX_INDEGREE) if keep(m)
-    ]
     coords = [m.encoding for m in multisets]
     ncols = len(coords)
 
@@ -621,8 +604,7 @@ def parameter_independent_solve(
         for f, density in zip(fields, per_instance):
             if density.is_zero():
                 continue
-            kmap = f.kahan_map()
-            if _refute_or_confirm(kmap, density, _usable_points(rng, kmap)) is not None:
+            if _refute_or_confirm(f.kahan_map(), density, rng) is not None:
                 raise SolverError("intersection vector failed symbolic verification")
         densities.append(per_instance)
     return ParameterIndependentSolution(

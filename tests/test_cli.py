@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -731,3 +735,51 @@ def test_verify_output_bytes_are_pinned(capsys, tmp_path, system, kind):
     code, out, err = run_cli(capsys, *argv)
     assert err == ""
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERIFY_OUTPUT_SHA256[(system, kind)]
+
+
+def test_darboux_solve_past_the_packable_degree_exits_two(capsys, tmp_path):
+    # the augmenter x1^1020 times an aroma function of degree 4 in x1
+    aug_file = tmp_path / "aug.json"
+    aug_file.write_text(json.dumps({"A": [[[1020, 0, 0, 0, 0], "1"]]}))
+    argv = ["darboux", "solve", "--system", "lv_divfree", "--order", "4", "--parity", "even"]
+    code, out, err = run_cli(capsys, *argv, "--augment", str(aug_file))
+    assert code == 2 and out == ""
+    assert err == "input error: degree 1024 in x1 exceeds the packable 1023\n"
+
+
+def test_darboux_verify_past_the_packable_degree_exits_two(capsys, tmp_path, monkeypatch):
+    # the closed form has a zero residual, so its defect is expanded, and the
+    # substitution refuses the degree
+    import kahan_aromas.fields as fields_mod
+
+    def refuse(*args):
+        raise ValueError("degree 1024 in x1 exceeds the packable 1023")
+
+    monkeypatch.setattr(fields_mod, "rf_substitute", refuse)
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(_closed_form_density("lv_divfree").to_json()))
+    code, out, err = run_cli(capsys, "darboux", "verify", "--system", "lv_divfree", "--density", str(path))
+    assert code == 2 and out == ""
+    assert err == "input error: degree 1024 in x1 exceeds the packable 1023\n"
+
+
+# SHA-256 of the stdout of each example script run with these arguments,
+# taken before the solver chose its multisets in one place
+SCRIPT_STDOUT_SHA256 = {
+    ("reproduce_tables.py",): "e3f13ade44cb98b4c90e0af32cb0ea01edfc4391da61ac469a76abe44b00eaac",
+    ("discover_measures.py", "--system", "lv_divfree", "--order", "4"): (
+        "a8ba0a8dfb5cbdfc0307df6bab1eaa54a7452d9ca2decf768e6ae23ce74e6d4f"
+    ),
+}
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPT_STDOUT_SHA256), ids=lambda s: s[0])
+def test_example_script_output_is_pinned(script):
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / script[0]), *script[1:]],
+        capture_output=True, env=env, check=True,
+    )
+    assert hashlib.sha256(done.stdout).hexdigest() == SCRIPT_STDOUT_SHA256[script]

@@ -98,8 +98,8 @@ def test_build_basis_rejects_labels_that_break_the_keys():
     x1 = Polynomial.variable(5, 0)
     for labels in (["C2(;)"], ["Cx"], ["I*0"], ["a", "a"]):
         with pytest.raises(ValueError, match="label"):
-            build_basis(f, 4, augmenters=[(label, x1) for label in labels], orders={0, 2, 4})
-    keys = [el.key for el in build_basis(f, 4, [("I0", x1)], {0, 2, 4}).elements]
+            build_basis(f, 4, augmenters=[(label, x1) for label in labels], parity="even")
+    keys = [el.key for el in build_basis(f, 4, [("I0", x1)], "even").elements]
     assert len(keys) == len(set(keys))
 
 
@@ -517,7 +517,7 @@ def test_solution_report_round_trip():
 
     f = lv_divfree()
     sol = solve_darboux(f, 4, parity="even", seed=0)
-    report = solver_report(f, sol, 0)
+    report = solver_report(sol, 0)
     assert report["order"] == 4
     for s in report["solutions"]:
         P = Polynomial.from_json(s["polynomial"], f.nvars)
@@ -649,8 +649,8 @@ def test_sample_row_equals_the_residual_of_each_polynomial(f, order):
 
     kmap = f.kahan_map()
     rng = random.Random(3)
-    for first in (0, 1):
-        basis = build_basis(f, order, None, set(range(first, order + 1, 2)))
+    for sector in ("even", "odd"):
+        basis = build_basis(f, order, None, sector)
         weighted = solver_mod._weighted_polys(
             f, [(el.poly, el.order, el.sigma) for el in basis.elements]
         )
@@ -707,3 +707,20 @@ def test_corpus_draws_are_bounded(monkeypatch):
     monkeypatch.setattr(corpus_mod, "rand_small", lambda rng: ZERO)
     with pytest.raises(SolverError, match="attempts"):
         random_ishii_params(random.Random(0))
+
+
+def test_build_basis_rejects_an_unknown_parity():
+    with pytest.raises(ValueError, match="parity must be even, odd, or both"):
+        build_basis(lv_divfree(), 2, parity="evn")
+
+
+def test_parameter_independent_rejects_a_bad_parity_before_any_draw():
+    draws = []
+
+    def family(rng):
+        draws.append(rng)
+        return lv_divfree()
+
+    with pytest.raises(ValueError, match="parity must be even, odd, or both"):
+        parameter_independent_solve(family, 2, 2, parity="evn")
+    assert draws == []
