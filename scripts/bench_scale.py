@@ -12,7 +12,9 @@ round it records the median cost of one Kahan step as the solver draws it
 `build_basis(field, order)` (the aromatic functions of every multiset and
 the basis selection among them) and of one whole
 `solve_darboux(field, order, "both", seed=0)`, each of the last two on a
-fresh field.  A tree without the batched row kernel (`solver._sample_row`)
+fresh field.  Per round it also records `family_ms`, the median cost of one
+`parameter_independent_solve` over three fixed Ishii draws at order 6, even,
+on fresh fields.  A tree without the batched row kernel (`solver._sample_row`)
 builds its rows one residual per weighted basis polynomial, as such trees
 do, and a tree whose `build_basis` takes no `parity` is given the set of
 even orders in its place.
@@ -40,6 +42,7 @@ STEPS = 40  # Kahan steps timed per input and round
 ROWS = 40  # discovery rows timed per input and round
 BASES = 3  # basis builds timed per input and round
 SOLVES = 3  # whole solves timed per input and round
+FAMILIES = 3  # family solves timed per round
 
 
 def dense_field(fields):
@@ -108,6 +111,15 @@ def measure_input(pkg, build, order: int) -> dict:
     }
 
 
+def measure_family(pkg) -> float:
+    draws = [pkg.corpus.random_ishii_params(random.Random(s))[0] for s in range(3)]
+    solve = lambda fields: pkg.solver.parameter_independent_solve(fields, 3, 6, parity="even", seed=0)
+    return statistics.median(
+        _timed(lambda fields=[pkg.corpus.ishii(**p) for p in draws]: solve(fields))
+        for _ in range(FAMILIES)
+    )
+
+
 def worker(src: str) -> None:
     """Measure the package under src; print one JSON object."""
     sys.path.insert(0, src)
@@ -121,7 +133,8 @@ def worker(src: str) -> None:
     if not Path(pkg.__file__).resolve().is_relative_to(Path(src).resolve()):
         raise SystemExit(f"kahan_aromas was imported from {pkg.__file__}, not from {src}")
     out = {name: measure_input(pkg, build, order) for name, (build, order) in INPUTS.items()}
-    print(json.dumps({"backend": pkg.rationals.Rat.__name__, "inputs": out}))
+    family_ms = measure_family(pkg)
+    print(json.dumps({"backend": pkg.rationals.Rat.__name__, "inputs": out, "family_ms": family_ms}))
 
 
 def commit_of(path: Path) -> str | None:
@@ -193,6 +206,8 @@ def main() -> int:
                 "backend": backend,
                 "median": median,
                 "rounds": runs,
+                "family_ms": statistics.median(run["family_ms"] for run in tree["rounds"]),
+                "family_ms_rounds": [run["family_ms"] for run in tree["rounds"]],
             }
         )
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")

@@ -7,8 +7,11 @@ leading value d, so the reduced row echelon form, nullspace vectors,
 inverses and solutions are integers over d; rationals are built once, at
 the public return.
 Pivoting is "first nonzero in fixed row order", which makes every output
-deterministic for a fixed row/column order.  `rank` eliminates the same
-integer rows modulo the prime P = 2^61 - 1, where no entry grows.
+deterministic for a fixed row/column order.  `complement`, the canonical
+basis of the orthogonal complement of a row space, takes the columns right
+to left, so its one pass yields the nullspace vectors already reduced.
+`rank` eliminates the same integer rows modulo the prime P = 2^61 - 1,
+where no entry grows.
 """
 
 from __future__ import annotations
@@ -21,25 +24,27 @@ P = (1 << 61) - 1  # a Mersenne prime: the modulus of `rank`
 
 
 def _int_rows(rows) -> list[list[int]]:
-    """Each rational row scaled to integers by the lcm of its denominators."""
+    """Each rational (or integer) row scaled to integers by the lcm of the
+    denominators of its nonzero entries."""
     out = []
     for row in rows:
-        lcm = math.lcm(*[v.denominator for v in row])
-        out.append([v.numerator * (lcm // v.denominator) for v in row])
+        lcm = math.lcm(*[v.denominator for v in row if v])
+        out.append([v.numerator * (lcm // v.denominator) if v else 0 for v in row])
     return out
 
 
-def _reduce(mat: list[list[int]], ncols: int) -> tuple[list[int], int]:
+def _reduce(mat: list[list[int]], ncols: int, reverse: bool = False) -> tuple[list[int], int]:
     """Fraction-free reduced echelon form of integer rows, in place.
 
-    Only the first ncols columns are searched for pivots; every entry of a
-    row is updated.  Returns (pivot columns, d).  Afterwards mat[k] is the
-    k-th pivot row, with d at its pivot column and 0 at every other pivot
-    column, and rows that reduced to zero are dropped.  The rref is mat / d.
+    Only the first ncols columns are searched for pivots, in ascending order
+    (descending when reverse); every entry of a row is updated.  Returns
+    (pivot columns, d).  Afterwards mat[k] is the k-th pivot row, with d at
+    its pivot column and 0 at every other pivot column, and rows that
+    reduced to zero are dropped.  The rref is mat / d.
     """
     prev = 1
     pivots: list[int] = []
-    for c in range(ncols):
+    for c in reversed(range(ncols)) if reverse else range(ncols):
         r = len(pivots)
         p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if p is None:
@@ -63,10 +68,11 @@ def _reduce(mat: list[list[int]], ncols: int) -> tuple[list[int], int]:
     return pivots, prev
 
 
-def _null_ints(mat: list[list[int]], ncols: int) -> list[list[int]]:
+def _null_ints(mat: list[list[int]], ncols: int, reverse: bool = False) -> list[list[int]]:
     """Integer basis of the right nullspace of integer rows, one vector per
-    free column in ascending order (reduces mat in place)."""
-    pivots, d = _reduce(mat, ncols)
+    free column in ascending order, with the pivots of `_reduce(mat, ncols,
+    reverse)` (reduces mat in place)."""
+    pivots, d = _reduce(mat, ncols, reverse)
     pivot_cols = set(pivots)
     basis = []
     for f in range(ncols):
@@ -85,17 +91,34 @@ def _rref_rats(mat: list[list[int]], ncols: int) -> list[list[Rat]]:
     return [[Rat(v, d) if v else ZERO for v in row] for row in mat[: len(pivots)]]
 
 
+def _normalized(vectors) -> list[list[Rat]]:
+    """Each integer vector over its first nonzero entry."""
+    out = []
+    for vec in vectors:
+        first = next(v for v in vec if v)
+        out.append([Rat(v, first) if v else ZERO for v in vec])
+    return out
+
+
 def nullspace(rows, ncols: int) -> list[list[Rat]]:
     """Exact basis of the right nullspace of the given rational matrix.
 
     Basis vectors are indexed by the free columns in ascending order and
     normalized so the first nonzero entry equals 1.
     """
-    basis = []
-    for vec in _null_ints(_int_rows(rows), ncols):
-        first = next(v for v in vec if v)
-        basis.append([Rat(v, first) if v else ZERO for v in vec])
-    return basis
+    return _normalized(_null_ints(_int_rows(rows), ncols))
+
+
+def complement(rows, ncols: int) -> list[list[Rat]]:
+    """Canonical basis (the rref) of the right nullspace of the rows: the
+    orthogonal complement of their row space.
+
+    The pivots are taken right to left, so each pivot row is nonzero only
+    at its pivot and at free columns to its left.  The nullspace vector of
+    free column f is then nonzero only at f and at pivots right of f, and
+    these vectors, scaled to 1 at f, are the rref as they stand.
+    """
+    return _normalized(_null_ints(_int_rows(rows), ncols, reverse=True))
 
 
 def rank(rows, ncols: int) -> int:
@@ -155,11 +178,10 @@ def intersect_rowspaces(spaces, ncols: int) -> list[list[Rat]]:
     """Canonical basis of the intersection of row spaces.
 
     A vector lies in every space exactly when it is orthogonal to each
-    space's orthogonal complement, so the intersection is the nullspace of
+    space's orthogonal complement, so the intersection is the complement of
     the stacked complements; for large spaces these have few rows.
     """
-    perp = [vec for space in spaces for vec in nullspace(space, ncols)]
-    return rref(nullspace(perp, ncols), ncols)
+    return complement([vec for space in spaces for vec in complement(space, ncols)], ncols)
 
 
 def invert_rational_matrix(matrix) -> list[list[Rat]] | None:

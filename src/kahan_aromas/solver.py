@@ -31,6 +31,7 @@ result is then the exact solution space.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -45,7 +46,7 @@ from .graphs import (
     enumerate_multisets,
     parse_multiset,
 )
-from .linalg import in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
+from .linalg import complement, in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
 from .poly import PointEvaluator, Polynomial, PolynomialBatch, RationalFunction
 from .rationals import Rat, ZERO, random_rational
 
@@ -147,11 +148,14 @@ def build_basis(
     return Basis(elements, dropped)
 
 
-def _coefficient_rows(polys: list[Polynomial]) -> list[list[Rat]]:
-    """The coefficient matrix of the polynomials: one row per monomial (in
-    key order), one column per polynomial."""
+def _coefficient_rows(polys: list[Polynomial]) -> list[list[int]]:
+    """The coefficient matrix of the polynomials times L, the lcm of their
+    contents' denominators: one integer row per monomial (in key order),
+    one column per polynomial.  The scale changes no linear relation."""
+    common = math.lcm(*(p.content.denominator for p in polys))
+    scales = [(p.content.numerator * (common // p.content.denominator), p.terms) for p in polys]
     monomials = sorted({k for p in polys for k in p.terms})
-    return [[p.coefficient(mk) for p in polys] for mk in monomials]
+    return [[s * terms.get(mk, 0) for s, terms in scales] for mk in monomials]
 
 
 @dataclass
@@ -200,7 +204,8 @@ def _weighted_polys(field: QuadraticVectorField, items) -> list[Polynomial]:
     """F(alpha) h^|alpha| / sigma(alpha) for each (F(alpha), |alpha|,
     sigma(alpha)): the polynomials that the coordinates of gamma multiply."""
     h = Polynomial.variable(field.nvars, field.dim)
-    return [p * (h**order) * Rat(1, sigma) for p, order, sigma in items]
+    powers = {k: h**k for k in {order for _, order, _ in items}}  # each h^k built once
+    return [p * powers[order] * Rat(1, sigma) for p, order, sigma in items]
 
 
 def _combination(polys: list[Polynomial], coeffs: list[Rat]) -> Polynomial:
@@ -573,10 +578,9 @@ def parameter_independent_solve(
     ncols = len(coords)
 
     # an instance's solution space is its gamma-space plus its kernel of F,
-    # the nullspace of its coefficient rows; the common kernel is the
-    # nullspace of every instance's rows stacked
-    spaces = []
-    kernel_rows = []
+    # the nullspace of its coefficient rows; the common kernel K is the
+    # complement of every instance's rows stacked
+    solved = []  # per instance: its gamma-space and its coefficient rows
     coordinate_polys = []  # per instance, reused for the densities below
     for idx, f in enumerate(fields):
         sol = solve_darboux(f, max_order, parity=parity, seed=seed + idx)
@@ -584,17 +588,44 @@ def parameter_independent_solve(
             f, [(f.aroma_function(m), m.order, m.sigma()) for m in multisets]
         )
         coordinate_polys.append(polys)
-        rows = _coefficient_rows(polys)
-        kernel_rows.extend(rows)
-        spaces.append(gamma_space(sol, coords) + nullspace(rows, ncols))
-    space = intersect_rowspaces(spaces, ncols)
-    kernel_space = rref(nullspace(kernel_rows, ncols), ncols)
+        solved.append((gamma_space(sol, coords), _coefficient_rows(polys)))
+    kernel_space = complement([row for _, rows in solved for row in rows], ncols)
+
+    # every solution space contains K, so intersect modulo K: with `free` the
+    # non-pivot columns of K, pi(v) = v|free - sum_l v[l] K_l|free over K's
+    # pivots l has kernel K.  As K lies in each kernel of F, pi of that
+    # kernel is the nullspace of the instance's rows restricted to `free`.
+    leads = [next(j for j, v in enumerate(vec) if v) for vec in kernel_space]
+    free = sorted(set(range(ncols)) - set(leads))
+
+    def project(v):
+        parts = [(v[l], vec) for l, vec in zip(leads, kernel_space) if v[l]]
+        return [v[j] - sum((c * vec[j] for c, vec in parts if vec[j]), ZERO) for j in free]
+
+    quotients = [
+        [project(v) for v in gammas]
+        + nullspace([[row[j] for j in free] for row in rows], len(free))
+        for gammas, rows in solved
+    ]
+    # space = the preimage under pi of the intersection U: the complement of
+    # w o pi for each w in U's complement
+    lifted = []
+    for w in complement(intersect_rowspaces(quotients, len(free)), len(free)):
+        terms = [(j, c) for j, c in zip(free, w) if c]
+        row = [ZERO] * ncols
+        for j, c in terms:
+            row[j] = c
+        for l, vec in zip(leads, kernel_space):
+            row[l] = -sum((c * vec[j] for j, c in terms if vec[j]), ZERO)
+        lifted.append(row)
+    space = complement(lifted, ncols)
 
     # space modulo the common kernel: the vectors of space outside the span
-    # of the kernel and of the vectors before them
-    columns = kernel_space + space
-    kept = pivot_columns([[v[j] for v in columns] for j in range(ncols)], len(columns))
-    representatives = [space[i - len(kernel_space)] for i in kept if i >= len(kernel_space)]
+    # of the kernel and of the vectors before them, so whose pi is outside
+    # the span of the pi before them
+    projected = [project(v) for v in space]
+    kept = pivot_columns([[pv[i] for pv in projected] for i in range(len(free))], len(space))
+    representatives = [space[i] for i in kept]
     if not representatives:
         raise SolverError("empty intersection: no parameter-independent measure at this order")
 

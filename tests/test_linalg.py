@@ -2,10 +2,12 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kahan_aromas.linalg import (
     P,
+    complement,
     in_span,
     intersect_rowspaces,
     invert_rational_matrix,
@@ -34,6 +36,11 @@ def oracle_nullspace(rows, ncols):
         first = next(v for v in vec if v)
         basis.append([v / first for v in vec])
     return basis
+
+
+def oracle_complement(rows, ncols):
+    """The canonical basis of the right nullspace: its rref."""
+    return rref_by_fractions(oracle_nullspace(rows, ncols), ncols)
 
 
 def oracle_in_span(basis, target, ncols):
@@ -108,6 +115,7 @@ def test_kernel_matches_fraction_oracle(drawn, data):
     assert rref(matrix, ncols) == reduced
     assert rank(matrix, ncols) == len(reduced)
     assert nullspace(matrix, ncols) == oracle_nullspace(matrix, ncols)
+    assert complement(matrix, ncols) == oracle_complement(matrix, ncols)
     assert pivot_columns(matrix, ncols) == oracle_pivot_columns(matrix, ncols)
 
     coeffs = data.draw(st.lists(RATIONALS, min_size=len(matrix), max_size=len(matrix)))
@@ -143,6 +151,25 @@ def test_rank_of_wide_entries_matches_fraction_oracle(drawn, data):
     col_scales = data.draw(st.lists(WIDE, min_size=ncols, max_size=ncols))
     wide = [[s * v * t for v, t in zip(row, col_scales)] for s, row in zip(row_scales, matrix)]
     assert rank(wide, ncols) == len(rref_by_fractions(wide, ncols))
+    assert complement(wide, ncols) == oracle_complement(wide, ncols)
+
+
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [
+        ([], 3),  # no rows: the whole space
+        ([[ZERO, ZERO, ZERO], [ZERO, ZERO, ZERO]], 3),  # zero rows: the whole space
+        ([[Rat(2), ONE, ZERO], [ONE, ZERO, Rat(-1, 3)], [ZERO, Rat(5), ONE]], 3),  # full rank: {0}
+        ([[ONE, Rat(2), Rat(3), Rat(4)]], 4),  # pivots right to left leave three free columns
+        ([[ZERO, ONE, ONE], [ZERO, Rat(2), Rat(2)]], 3),
+    ],
+)
+def test_complement_edge_cases(rows, ncols):
+    got = complement(rows, ncols)
+    assert got == oracle_complement(rows, ncols)
+    assert len(got) == ncols - len(rref_by_fractions(rows, ncols))
+    for vec in got:
+        assert all(sum((a * b for a, b in zip(row, vec)), ZERO) == 0 for row in rows)
 
 
 NEAR_P = st.sampled_from([0, 1, -1, 2, P - 1, P, -P, P + 1, 2 * P]).map(Rat)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -17,9 +18,11 @@ from kahan_aromas.corpus import (
     lv_special,
     nambu_homogeneous,
     random_cubic_polynomial,
+    random_invertible,
     random_ishii_params,
     random_quadratic_field,
     random_symmetric,
+    random_vector,
 )
 from kahan_aromas.fields import (
     KahanMap,
@@ -34,7 +37,7 @@ from kahan_aromas.graphs import (
     enumerate_multisets,
     parse_multiset,
 )
-from kahan_aromas.linalg import intersect_rowspaces, nullspace, rref
+from kahan_aromas.linalg import intersect_rowspaces, nullspace, pivot_columns, rref
 from kahan_aromas.poly import PointEvaluator, Polynomial, PolynomialBatch
 from kahan_aromas.rationals import Rat, ZERO, format_rat
 from kahan_aromas.solver import (
@@ -47,6 +50,7 @@ from kahan_aromas.solver import (
     kernel_relations,
     necessary_conditions,
     parameter_independent_solve,
+    sector_multisets,
     solve_darboux,
     verify_density,
 )
@@ -396,8 +400,6 @@ def test_even_density_with_unit_gamma_requires_divfree():
 
 
 def test_gamma_space_equivariance_under_affine_maps():
-    from kahan_aromas.corpus import random_invertible, random_vector
-
     f = lv_divfree()
     coords = [m.encoding for m in enumerate_multisets(4, 2) if m.order % 2 == 0]
     base = gamma_space(solve_darboux(f, 4, parity="even", seed=4), coords)
@@ -420,19 +422,18 @@ def test_parameter_independent_single_field_matches_plain_solve():
         assert density_span_solve(sol.densities, d) is not None
 
 
-def test_parameter_independent_matches_pairwise_intersection():
-    # one elimination of the stacked complements gives the canonical bases
-    # of intersecting the instances' spaces one pair at a time; generic
-    # instances share one space at order 4, so instances with k = 0 and with
-    # c = 0, whose kernels of F are larger, sit on either side of a generic one
-    generic = ishii(**random_ishii_params(random.Random(3))[0])
-    fields = [ishii(1, 2, -1, 1, 3, 0), generic, ishii(1, 1, 0, 0, 0, 1)]
-    pis = parameter_independent_solve(fields, 3, 4, parity="even", seed=11)
+def assert_matches_pairwise_intersection(fields, order, seed):
+    """The family solve against the instances' whole solution spaces, each
+    its gamma-space plus its kernel of F over every coordinate, intersected
+    one pair at a time; the representatives are the space vectors outside
+    the span of the common kernel and of the vectors before them.  Returns
+    the solve and each instance's kernel size."""
+    pis = parameter_independent_solve(fields, len(fields), order, parity="even", seed=seed)
     ncols = len(pis.coords)
     space = kernel = None
     kernel_sizes = []
     for idx, f in enumerate(fields):
-        lifted = gamma_space(solve_darboux(f, 4, parity="even", seed=11 + idx), pis.coords)
+        lifted = gamma_space(solve_darboux(f, order, parity="even", seed=seed + idx), pis.coords)
         h = Polynomial.variable(f.nvars, f.dim)
         polys = []
         for enc in pis.coords:
@@ -444,9 +445,68 @@ def test_parameter_independent_matches_pairwise_intersection():
         kernel_sizes.append(len(kern))
         space = s_i if space is None else intersect_rowspaces([space, s_i], ncols)
         kernel = rref(kern, ncols) if kernel is None else intersect_rowspaces([kernel, kern], ncols)
-    assert kernel_sizes[0] > len(kernel) < kernel_sizes[-1]
     assert pis.space == space
     assert pis.common_kernel == kernel
+    columns = kernel + space
+    kept = pivot_columns([[v[j] for v in columns] for j in range(ncols)], len(columns))
+    assert pis.representatives == [space[i - len(kernel)] for i in kept if i >= len(kernel)]
+    return pis, kernel_sizes
+
+
+def ishii_mix():
+    """Ishii instances with k = 0 and with c = 0, whose kernels of F are
+    larger than a generic one's, on either side of a generic instance."""
+    generic = ishii(**random_ishii_params(random.Random(3))[0])
+    return [ishii(1, 2, -1, 1, 3, 0), generic, ishii(1, 1, 0, 0, 0, 1)]
+
+
+def test_parameter_independent_matches_pairwise_intersection():
+    # generic instances share one space at order 4
+    pis, kernel_sizes = assert_matches_pairwise_intersection(ishii_mix(), 4, 11)
+    assert kernel_sizes[0] > len(pis.common_kernel) < kernel_sizes[-1]
+
+
+def test_parameter_independent_matches_pairwise_intersection_at_order_6():
+    pis, kernel_sizes = assert_matches_pairwise_intersection(ishii_mix(), 6, 11)
+    assert kernel_sizes[0] > len(pis.common_kernel) < kernel_sizes[-1]
+    assert pis.dimension >= 1
+
+
+def test_parameter_independent_with_no_common_kernel():
+    # lv_special and an affine pullback of it share no relation among the
+    # weighted aromatic functions up to order 2: every column is free
+    rng = random.Random(23)
+    g = affine_pullback(lv_special(), random_invertible(rng, 3), random_vector(rng, 3))
+    pis, kernel_sizes = assert_matches_pairwise_intersection([lv_special(), g], 2, 0)
+    assert kernel_sizes == [0, 0] and pis.common_kernel == []
+    assert pis.dimension == 1
+
+
+def test_parameter_independent_with_an_instance_without_density():
+    # a linear field with trace 2 has det DPhi != 1 and no density at all, but
+    # a kernel of F large enough to hold the Nambu instances' density
+    linear = QuadraticVectorField(3, {}, {(0, 0): 1, (1, 1): 2, (2, 2): -1, (0, 1): 1}, {})
+    assert solve_darboux(linear, 4, parity="even", seed=2).gammas == []
+    fields = [get_system("nambu_homogeneous", seed=s) for s in range(2)] + [linear]
+    pis, _ = assert_matches_pairwise_intersection(fields, 4, 0)
+    assert pis.dimension == 1
+    assert all(per_instance[-1].is_zero() for per_instance in pis.densities)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_coefficient_rows_are_the_coefficient_matrix_times_its_lcm(name):
+    import kahan_aromas.solver as solver_mod
+
+    f = get_system(name, seed=0)
+    polys = solver_mod._weighted_polys(
+        f, [(f.aroma_function(m), m.order, m.sigma()) for m in sector_multisets(4, "both")]
+    )
+    monomials = sorted({k for p in polys for k in p.terms})
+    matrix = [[p.coefficient(mk) for p in polys] for mk in monomials]
+    lcm = math.lcm(*(v.denominator for row in matrix for v in row))
+    rows = solver_mod._coefficient_rows(polys)
+    assert all(type(v) is int for row in rows for v in row)
+    assert rows == [[lcm * v for v in row] for row in matrix]
 
 
 def test_parameter_independent_output_is_pinned():
