@@ -12,7 +12,11 @@ round it records the median cost of one Kahan step as the solver draws it
 `build_basis(field, order)` (the aromatic functions of every multiset and
 the basis selection among them) and of one whole
 `solve_darboux(field, order, "both", seed=0)`, each of the last two on a
-fresh field.  Per round it also records `family_ms`, the median cost of one
+fresh field.  It also records `map_ms`, the median cost of one `KahanMap`
+of a fresh field, and `defect_ms`, the median cost of one
+`darboux_defect_cleared(P)` on a fresh map, P the first density of the
+even solve (null when that solve finds none).  Per round it also records
+`family_ms`, the median cost of one
 `parameter_independent_solve` over three fixed Ishii draws at order 6, even,
 on fresh fields.  A tree without the batched row kernel (`solver._sample_row`)
 builds its rows one residual per weighted basis polynomial, as such trees
@@ -42,6 +46,8 @@ STEPS = 40  # Kahan steps timed per input and round
 ROWS = 40  # discovery rows timed per input and round
 BASES = 3  # basis builds timed per input and round
 SOLVES = 3  # whole solves timed per input and round
+MAPS = 3  # Kahan maps timed per input and round
+DEFECTS = 3  # cleared defects timed per input and round
 FAMILIES = 3  # family solves timed per round
 
 
@@ -99,6 +105,16 @@ def measure_input(pkg, build, order: int) -> dict:
         _timed(lambda f=build(pkg): solver.solve_darboux(f, order, parity="both", seed=0))
         for _ in range(SOLVES)
     )
+    map_ms = statistics.median(
+        _timed(lambda f=build(pkg): pkg.fields.KahanMap(f)) for _ in range(MAPS)
+    )
+    densities = solver.solve_darboux(field, order, parity="even", seed=0).densities
+    defect_ms = None
+    if densities:
+        defect_ms = statistics.median(
+            _timed(lambda k=pkg.fields.KahanMap(field): k.darboux_defect_cleared(densities[0]))
+            for _ in range(DEFECTS)
+        )
     return {
         "order": order,
         "even_basis": len(weighted),
@@ -108,6 +124,8 @@ def measure_input(pkg, build, order: int) -> dict:
         "row_ms": row_ms,
         "basis_ms": basis_ms,
         "solve_ms": solve_ms,
+        "map_ms": map_ms,
+        "defect_ms": defect_ms,
     }
 
 
@@ -194,7 +212,9 @@ def main() -> int:
         # the sizes are the same in every round; the timings take their median
         median = {
             name: {
-                key: statistics.median(run[name][key] for run in runs) if key.endswith("_ms") else value
+                key: statistics.median(run[name][key] for run in runs)
+                if key.endswith("_ms") and value is not None
+                else value
                 for key, value in sizes.items()
             }
             for name, sizes in runs[0].items()

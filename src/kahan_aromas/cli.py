@@ -453,7 +453,7 @@ def cmd_darboux_verify(args) -> int:
     except SolverError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except ValueError as exc:  # a degree past the packable range
+    except ValueError as exc:  # a density in u, or a degree past the packable range
         raise InputError(str(exc)) from exc
     payload = {"verified": result.verified}
     if result.witness:

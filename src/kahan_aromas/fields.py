@@ -92,7 +92,6 @@ class QuadraticVectorField:
         self._components = [Polynomial(self.nvars, t) for t in terms]
         self._jacobian: list[list[Polynomial]] | None = None
         self._kahan_map: KahanMap | None = None
-        self._partials: dict = {}
         self._cleared_parts: tuple[int, dict, dict] | None = None
         self._elementary: dict[str, list[dict]] = {}
         self._tree_bounds: dict[str, list] = {}
@@ -128,17 +127,8 @@ class QuadraticVectorField:
     def partial(self, i: int, indices: tuple[int, ...]) -> Polynomial:
         """d^m f_i / dx_{indices}; indices is a sorted tuple.  Every partial
         of order above two of a quadratic field is zero."""
-        if len(indices) > 2:
-            return Polynomial.zero(self.nvars)
-        key = (i, indices)
-        got = self._partials.get(key)
-        if got is None:
-            if indices:
-                got = self.partial(i, indices[:-1]).partial_derivative(indices[-1])
-            else:
-                got = self._components[i]
-            self._partials[key] = got
-        return got
+        D, parts, _ = self._cleared()
+        return _from_ints(self.nvars, parts.get((i, indices), {}), 1, D)
 
     def jacobian(self) -> list[list[Polynomial]]:
         if self._jacobian is None:
@@ -173,17 +163,25 @@ class QuadraticVectorField:
         content denominators, parts[(i, indices)] the int dict of
         D d^m f_i / dx_indices, for each sorted index tuple of length m <= 2
         whose partial is nonzero, and degrees[(i, indices)] its largest
-        degree per variable."""
+        degree per variable.  The partials differentiate the int dicts."""
         if self._cleared_parts is None:
             D = math.lcm(*(p.content.denominator for p in self._components))
             parts = {}
-            for i in range(self.dim):
-                for m in range(3):
+            for i, p in enumerate(self._components):
+                if p.terms:
+                    s = (p.content * D).numerator  # D clears every content
+                    parts[(i, ())] = {k: s * v for k, v in p.terms.items()}
+            for m in (1, 2):
+                for i in range(self.dim):
                     for idx in combinations_with_replacement(range(self.dim), m):
-                        p = self.partial(i, idx)
-                        if p.terms:
-                            s = (p.content * D).numerator  # D clears every content
-                            parts[(i, idx)] = {k: s * v for k, v in p.terms.items()}
+                        shift = _BITS * idx[-1]
+                        out = {
+                            k - (1 << shift): v * e
+                            for k, v in parts.get((i, idx[:-1]), {}).items()
+                            if (e := (k >> shift) & _MASK)
+                        }
+                        if out:
+                            parts[(i, idx)] = out
             degrees = {key: _x_degrees(d, self.dim) for key, d in parts.items()}
             self._cleared_parts = D, parts, degrees
         return self._cleared_parts
@@ -401,21 +399,6 @@ def _x_degrees(ints: dict, n: int) -> list[int]:
     return [max((k >> (_BITS * i)) & _MASK for k in ints) for i in range(n)]
 
 
-def poly_mat_det(mat: list[list[Polynomial]]) -> Polynomial:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    nv = mat[0][0].nvars
-    det = Polynomial.zero(nv)
-    for j in range(n):
-        if mat[0][j].is_zero():
-            continue
-        minor = [[mat[r][c] for c in range(n) if c != j] for r in range(1, n)]
-        term = mat[0][j] * poly_mat_det(minor)
-        det = det + (term if j % 2 == 0 else -term)
-    return det
-
-
 # ---------------------------------------------------------------------------
 # the Kahan map
 
@@ -429,6 +412,13 @@ class KahanMap:
     den at h = 0 equals 1.  Point steps, the h-series and the modified
     Hamiltonian all read these polynomials.
 
+    They are built in integers from the field's cleared partials (D the
+    lcm of the components' content denominators): A = 2D M = 2D I - h (D f')
+    is a matrix of int dicts, so det(A) = (2D)^n den, and the column
+    replaced by f becomes 2 (D f).  det(A) expands by Laplace and each
+    replaced determinant along its replaced column, all from one memo of
+    minors, and each polynomial is built once, over (2D)^n.
+
     The map keeps no reference to its field: the field caches its map, and
     the pair would be a reference cycle that keeps the substitution cache
     alive until the cycle collector runs.
@@ -436,24 +426,52 @@ class KahanMap:
 
     def __init__(self, field: QuadraticVectorField):
         self.dim, self.nvars = n, nv = field.dim, field.nvars
-        h = Polynomial.variable(nv, n)
-        half_h = h * Rat(1, 2)
-        jac = field.jacobian()
-        M = [
-            [
-                (Polynomial.const(nv, 1) if i == j else Polynomial.zero(nv))
-                - half_h * jac[i][j]
-                for j in range(n)
-            ]
+        D, parts, _ = field._cleared()
+        hkey = 1 << (_BITS * n)
+        # A = 2D M = 2D I - h (D f'), and 2 (D f) for the replaced column
+        A = [
+            [{k + hkey: -v for k, v in parts.get((i, (j,)), {}).items()} for j in range(n)]
             for i in range(n)
         ]
-        self.den = poly_mat_det(M)
-        comps = field.components()
-        self.numerators = [
-            Polynomial.variable(nv, i) * self.den
-            + h * poly_mat_det([row[:i] + [fr] + row[i + 1 :] for row, fr in zip(M, comps)])
-            for i in range(n)
-        ]
+        for i in range(n):
+            A[i][i][0] = 2 * D
+        rhs = [{k: 2 * v for k, v in parts.get((i, ()), {}).items()} for i in range(n)]
+        minors: dict = {}
+
+        def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
+            """det A[rows][cols] by Laplace along its first row, memoized."""
+            if not rows:
+                return {0: 1}
+            got = minors.get((rows, cols))
+            if got is None:
+                acc: dict = {}
+                for pos, j in enumerate(cols):
+                    entry = A[rows[0]][j]
+                    if entry:
+                        sub = minor(rows[1:], cols[:pos] + cols[pos + 1 :])
+                        if pos % 2:
+                            entry = {k: -v for k, v in entry.items()}
+                        _mul_add(acc, entry, sub, nv)
+                got = minors[(rows, cols)] = {k: v for k, v in acc.items() if v}
+            return got
+
+        everything = tuple(range(n))
+        det_a = minor(everything, everything)
+        scale = (2 * D) ** n  # det A = scale det M
+        self.den = _from_ints(nv, det_a, 1, scale)
+        self.numerators = []
+        for i in range(n):
+            # x_i det A + h det(A with column i replaced by 2 D f), the
+            # latter expanded along that column
+            others = everything[:i] + everything[i + 1 :]
+            acc = {k + (1 << (_BITS * i)): v for k, v in det_a.items()}
+            for r in range(n):
+                if rhs[r]:
+                    cof = minor(everything[:r] + everything[r + 1 :], others)
+                    sign = 1 if (r + i) % 2 == 0 else -1
+                    _mul_add(acc, {k + hkey: sign * v for k, v in rhs[r].items()}, cof, nv)
+            acc = {k: v for k, v in acc.items() if v}
+            self.numerators.append(_from_ints(nv, acc, 1, scale))
         self._n_plus: Polynomial | None = None
         self._point_batch: PolynomialBatch | None = None
         self.subs_cache: dict = {}

@@ -35,7 +35,10 @@ of one digit, as on a homogeneous field) the x_n layout packs x_n, the last
 x-variable, into the ints instead and leaves h implied.  B comes from a
 proven bound on the result's coefficients, a sum of products of l1-norms,
 so every digit of the result decodes to the exact coefficient; only the
-result is unpacked.
+result is unpacked.  The power products N^a are built for x-degrees below
+the top one only: the top-degree terms are grouped by their lowest
+variable i and multiplied by N_i once per group, inside the last Horner
+step.
 
 Values at a rational point come from a `PointEvaluator`, which caches each
 monomial as an integer over a power of the point's common denominator.  A
@@ -599,6 +602,14 @@ def _unpack(packed: dict, offset: int, bits: int, nvars: int, xn: bool) -> dict:
     return out
 
 
+def _lowest_variable(key: int) -> int:
+    """The index of the first variable of a nonzero key."""
+    i = 0
+    while not (key >> (_BITS * i)) & _MASK:
+        i += 1
+    return i
+
+
 def _power_product(
     xkey: int, cache: dict, packed_nums: list[dict], bits: int, xn: bool, nvars: int
 ) -> dict:
@@ -606,9 +617,7 @@ def _power_product(
     by peeling the lowest variable; the cache always holds the key 0."""
     chain = []
     while xkey not in cache:
-        i = 0
-        while not (xkey >> (_BITS * i)) & _MASK:
-            i += 1
+        i = _lowest_variable(xkey)
         chain.append((xkey, i))
         xkey -= 1 << (_BITS * i)
     got = cache[xkey].terms
@@ -654,6 +663,14 @@ def rf_substitute(
     That difference adds under multiplication, so a product adds keys and
     multiplies ints, and a sum shifts the operand with the larger offset.
     Only the result is unpacked.
+
+    The top degree.  A pair's x-keys of its top x-degree t > 0 meet N'
+    only through the last Horner step, so no N'^a of degree t is built:
+    each such a not already cached gives up its lowest variable i,
+    q_a N'^(a - e_i) is summed into U_i, and sum_i U_i N'_i (one product
+    per variable instead of one per key) joins the degree-t bucket before
+    the Horner pass in D'.  A call caches power products below its top
+    degrees only, each built on the largest cached divisor.
 
     The layout.  Before packing, the span counts the digits the call can
     reach above the result's offset: a pair's largest leaf shift, plus c
@@ -767,10 +784,19 @@ def rf_substitute(
         for xkey, ukey, index, v in entries:
             row = mults.setdefault(xkey, {})
             row[ukey] = row.get(ukey, 0) + (s * v << (bits * (index - low)))
+        top = max(_x_degree_of(xkey, nx) for xkey in mults)
         by_degree: dict[int, dict] = {}
+        peeled: dict[int, dict] = {}  # variable i -> U_i
         for xkey, row in mults.items():
+            degree = _x_degree_of(xkey, nx)
+            if degree == top and top and xkey not in cache:
+                # q_a N'^(a - e_i) joins U_i, i the lowest variable of a
+                i = _lowest_variable(xkey)
+                xkey -= 1 << (_BITS * i)
+                acc = peeled.setdefault(i, {})
+            else:
+                acc = by_degree.setdefault(degree, {})
             pp = _power_product(xkey, cache, packed_nums, bits, xn, n)
-            acc = by_degree.setdefault(_x_degree_of(xkey, nx), {})
             get = acc.get
             for ukey, mv in row.items():
                 if ukey and pp:
@@ -778,7 +804,10 @@ def rf_substitute(
                 for k, pv in pp.items():
                     k += ukey
                     acc[k] = get(k, 0) + mv * pv
-        top = max(by_degree)
+        if peeled:
+            bucket = by_degree.setdefault(top, {})
+            for i, u in peeled.items():
+                _mul_add(bucket, u, packed_nums[i], n)
         result = by_degree.get(0, {})
         for d in range(1, top + 1):
             result = _mul_terms(result, packed_den, n)

@@ -106,6 +106,43 @@ def check_augmenters(augmenters, dim: int) -> None:
             raise ValueError(f"augmenter {label!r} must not involve h or u")
 
 
+def _candidates(
+    field: QuadraticVectorField, max_order: int, augmenters, parity: str
+) -> list[tuple[str, AromaMultiset, Polynomial]]:
+    """(key, multiset, F(multiset) times its augmenter) for each candidate
+    of a parity sector in scan order: the plain multisets in enumeration
+    order, then each augmenter times the same list.  Each F(multiset) is
+    evaluated once."""
+    augmenters = list(augmenters or [])
+    check_augmenters(augmenters, field.dim)
+    multisets = sector_multisets(max_order, parity)
+    plain = [field.aroma_function(m) for m in multisets]
+    candidates = [(m.encoding, m, p) for m, p in zip(multisets, plain)]
+    for label, aug in augmenters:
+        candidates.extend(
+            (f"{label}*{m.encoding}", m, p if p.is_zero() else p * aug)
+            for m, p in zip(multisets, plain)
+        )
+    return candidates
+
+
+def _independent(candidates) -> Basis:
+    """The candidates that are independent of the ones before them."""
+    polys = [p for _, _, p in candidates]
+    # integer terms: independence does not depend on the content
+    monomials = sorted({k for p in polys for k in p.terms})
+    rows = [[p.terms.get(mk, 0) for p in polys] for mk in monomials]
+    kept = set(pivot_columns(rows, len(polys)))
+    elements: list[BasisElement] = []
+    dropped: list[str] = []
+    for i, (key, mset, poly) in enumerate(candidates):
+        if i in kept:
+            elements.append(BasisElement(key, mset, poly, mset.order, mset.sigma()))
+        else:
+            dropped.append(key)
+    return Basis(elements, dropped)
+
+
 def build_basis(
     field: QuadraticVectorField,
     max_order: int,
@@ -119,33 +156,7 @@ def build_basis(
     (order, encoding), then each augmenter times the same list); ties in
     pivot selection therefore always go to the earlier element.
     """
-    augmenters = list(augmenters or [])
-    check_augmenters(augmenters, field.dim)
-    multisets = sector_multisets(max_order, parity)
-    candidates: list[tuple[str, AromaMultiset, Polynomial | None]] = [
-        (m.encoding, m, None) for m in multisets
-    ]
-    for label, p in augmenters:
-        candidates.extend((f"{label}*{m.encoding}", m, p) for m in multisets)
-
-    polys = []
-    for _, mset, aug in candidates:
-        poly = field.aroma_function(mset)
-        if aug is not None and not poly.is_zero():
-            poly = poly * aug
-        polys.append(poly)
-    # integer terms: independence does not depend on the content
-    monomials = sorted({k for p in polys for k in p.terms})
-    rows = [[p.terms.get(mk, 0) for p in polys] for mk in monomials]
-    kept = set(pivot_columns(rows, len(polys)))
-    elements: list[BasisElement] = []
-    dropped: list[str] = []
-    for i, ((key, mset, _), poly) in enumerate(zip(candidates, polys)):
-        if i in kept:
-            elements.append(BasisElement(key, mset, poly, mset.order, mset.sigma()))
-        else:
-            dropped.append(key)
-    return Basis(elements, dropped)
+    return _independent(_candidates(field, max_order, augmenters, parity))
 
 
 def _coefficient_rows(polys: list[Polynomial]) -> list[list[int]]:
@@ -294,14 +305,9 @@ def _refute_or_confirm(kmap: KahanMap, P: Polynomial, rng):
     )
 
 
-def _solve_sector(
-    field: QuadraticVectorField,
-    max_order: int,
-    sector: str,
-    augmenters,
-    seed: int,
-):
-    """Basis, exact gamma-space, its densities and the method of one sector.
+def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
+    """Exact gamma-space, its densities and the method of one sector's
+    basis.
 
     The sampled rows come from the steps of Random(seed), drawn lazily: K
     steps, then while the rank grows only the K - rank rows still missing.
@@ -313,14 +319,13 @@ def _solve_sector(
     a nullspace vector when rows are added (its free coordinate stays
     free), so it is remembered and never expanded again.
     """
-    basis = build_basis(field, max_order, augmenters, sector)
     kmap = field.kahan_map()
     weighted = _weighted_polys(
         field, [(el.poly, el.order, el.sigma) for el in basis.elements]
     )
     K = len(weighted)
     if not K:
-        return basis, [], [], "sampled"
+        return [], [], "sampled"
     S = 2 * K + 16
     rng = random.Random(seed)
     rows: list[list[Rat]] = []
@@ -335,7 +340,7 @@ def _solve_sector(
     while len(rows) < S:
         have = rank(rows, K)
         if have == K:
-            return basis, [], [], "sampled"
+            return [], [], "sampled"
         more = S - len(rows) if have == last else min(K - have, S - len(rows))
         for _ in range(more):
             add_row(_sample_point(rng, kmap))
@@ -356,7 +361,11 @@ def _solve_sector(
         if len(rows) == drawn:
             break
     densities = [confirmed[tuple(vec)] for vec in vectors]
-    return basis, vectors, densities, "sampled" if len(rows) == S else "refined"
+    return vectors, densities, "sampled" if len(rows) == S else "refined"
+
+
+def _sectors(parity: str) -> tuple[str, ...]:
+    return ("even", "odd") if parity == "both" else (parity,)
 
 
 def solve_darboux(
@@ -369,16 +378,14 @@ def solve_darboux(
     """Find all Darboux densities with cofactor det DPhi_h in the weighted
     aroma-function span up to max_order; every returned density is verified
     as an exact rational identity."""
-    sectors = ("even", "odd") if parity == "both" else (parity,)
     bases: dict[str, Basis] = {}
     gammas: list[dict[str, Rat]] = []
     densities: list[Polynomial] = []
     parities: list[str] = []
     methods = []
-    for sector in sectors:
-        basis, vectors, sector_densities, method = _solve_sector(
-            field, max_order, sector, augmenters, seed
-        )
+    for sector in _sectors(parity):
+        basis = build_basis(field, max_order, augmenters, sector)
+        vectors, sector_densities, method = _solve_sector(field, basis, seed)
         bases[sector] = basis
         methods.append(method)
         for vec, density in zip(vectors, sector_densities):
@@ -417,8 +424,11 @@ def verify_density(field: QuadraticVectorField, P: Polynomial, seed: int = 0) ->
     zero polynomial is reported as verified.  The residual is the cleared
     defect over den^D at the point, and the points are drawn from `seed` in
     a fixed order, so the witness is the first point where the cleared
-    defect does not vanish.
+    defect does not vanish.  The points have u = 0, so a P that involves u
+    raises ValueError, as an augmenter does.
     """
+    if P.degree_in(field.dim + 1):
+        raise ValueError("a density must not involve u")
     refuted = _refute_or_confirm(field.kahan_map(), P, random.Random(seed))
     if refuted is None:
         return VerificationResult(True)
@@ -576,19 +586,28 @@ def parameter_independent_solve(
             raise ValueError("family list shorter than the instance count")
     coords = [m.encoding for m in multisets]
     ncols = len(coords)
+    index = {enc: i for i, enc in enumerate(coords)}
 
     # an instance's solution space is its gamma-space plus its kernel of F,
     # the nullspace of its coefficient rows; the common kernel K is the
-    # complement of every instance's rows stacked
+    # complement of every instance's rows stacked.  Each sector solve
+    # evaluates F once per multiset, and those polynomials are reused here.
     solved = []  # per instance: its gamma-space and its coefficient rows
     coordinate_polys = []  # per instance, reused for the densities below
     for idx, f in enumerate(fields):
-        sol = solve_darboux(f, max_order, parity=parity, seed=seed + idx)
-        polys = _weighted_polys(
-            f, [(f.aroma_function(m), m.order, m.sigma()) for m in multisets]
-        )
+        gammas, plain = [], {}
+        for sector in _sectors(parity):
+            candidates = _candidates(f, max_order, None, sector)
+            basis = _independent(candidates)
+            for vec in _solve_sector(f, basis, seed + idx)[0]:
+                row = [ZERO] * ncols
+                for el, c in zip(basis.elements, vec):
+                    row[index[el.key]] = c
+                gammas.append(row)
+            plain.update((key, p) for key, _, p in candidates)
+        polys = _weighted_polys(f, [(plain[m.encoding], m.order, m.sigma()) for m in multisets])
         coordinate_polys.append(polys)
-        solved.append((gamma_space(sol, coords), _coefficient_rows(polys)))
+        solved.append((gammas, _coefficient_rows(polys)))
     kernel_space = complement([row for _, rows in solved for row in rows], ncols)
 
     # every solution space contains K, so intersect modulo K: with `free` the

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import prod
 
-from kahan_aromas.fields import KahanMap, poly_mat_det
+from kahan_aromas.fields import KahanMap
 from kahan_aromas.graphs import Aroma, Forest, RootedTree
 from kahan_aromas.linalg import nullspace
 from kahan_aromas.poly import PointEvaluator, Polynomial, RationalFunction
@@ -366,6 +366,44 @@ def kahan_series_closed_form(field, order: int) -> list[list[Polynomial]]:
             for i in range(n)
         ]
     return out
+
+
+def poly_mat_det(mat: list[list[Polynomial]]) -> Polynomial:
+    """The determinant by Laplace expansion along the first row, in
+    `Polynomial` arithmetic."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    nv = mat[0][0].nvars
+    det = Polynomial.zero(nv)
+    for j in range(n):
+        if mat[0][j].is_zero():
+            continue
+        minor = [[mat[r][c] for c in range(n) if c != j] for r in range(1, n)]
+        term = mat[0][j] * poly_mat_det(minor)
+        det = det + (term if j % 2 == 0 else -term)
+    return det
+
+
+def kahan_map_by_cramer(field) -> tuple[Polynomial, list[Polynomial]]:
+    """(den, numerators) of the Kahan map by Cramer's rule over rational
+    `Polynomial`s: M = I - (h/2) f'(x), den = det(M) and numerators[i] =
+    x_i den + h det(M with column i replaced by f(x))."""
+    n, nv = field.dim, field.nvars
+    h = Polynomial.variable(nv, n)
+    jac = field.jacobian()
+    M = [
+        [Polynomial.const(nv, 1 if i == j else 0) - h * jac[i][j] * Fraction(1, 2) for j in range(n)]
+        for i in range(n)
+    ]
+    den = poly_mat_det(M)
+    comps = field.components()
+    numerators = [
+        Polynomial.variable(nv, i) * den
+        + h * poly_mat_det([row[:i] + [fr] + row[i + 1 :] for row, fr in zip(M, comps)])
+        for i in range(n)
+    ]
+    return den, numerators
 
 
 def symbolic_jacobian_det(kmap) -> RationalFunction:

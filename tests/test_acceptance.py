@@ -37,7 +37,6 @@ from kahan_aromas.fields import (
     affine_pullback,
     hamiltonian_field,
     modified_hamiltonian,
-    poly_mat_det,
 )
 from kahan_aromas.graphs import (
     AromaMultiset,
@@ -68,6 +67,7 @@ from oracles import (
     automorphism_count,
     functional_graph_classes,
     multiset_to_endomap,
+    poly_mat_det,
     symbolic_jacobian_det,
 )
 

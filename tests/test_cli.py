@@ -155,12 +155,12 @@ def test_darboux_verify_failure_exit_code(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["verified"] is False and "witness" in payload
     # x*u is no density either, but every sample point has u = 0, so no
-    # witness exists: the search gives up with its attempt count
+    # step could show it: the density is refused as an input error
     density_file.write_text(json.dumps((bad * Polynomial.variable(5, 4)).to_json()))
     code, out, err = run_cli(
         capsys, "darboux", "verify", "--field", str(field_file), "--density", str(density_file)
     )
-    assert code == 1 and out == "" and "attempts" in err
+    assert code == 2 and out == "" and err == "input error: a density must not involve u\n"
 
 
 def test_order_cap(capsys):
@@ -761,6 +761,16 @@ def test_darboux_verify_past_the_packable_degree_exits_two(capsys, tmp_path, mon
     code, out, err = run_cli(capsys, "darboux", "verify", "--system", "lv_divfree", "--density", str(path))
     assert code == 2 and out == ""
     assert err == "input error: degree 1024 in x1 exceeds the packable 1023\n"
+
+
+def test_darboux_verify_a_density_in_u_exits_two(capsys, tmp_path):
+    # every drawn point has u = 0, so no step could refute u; before, the
+    # defect was expanded and the search for a witness failed with exit 1
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps({"terms": [[[0, 0, 0, 0, 1], "1"]]}))
+    code, out, err = run_cli(capsys, "darboux", "verify", "--system", "lv_divfree", "--density", str(path))
+    assert code == 2 and out == ""
+    assert err == "input error: a density must not involve u\n"
 
 
 # SHA-256 of the stdout of each example script run with these arguments,

@@ -10,10 +10,12 @@ import hashlib
 import json
 import random
 import weakref
+from itertools import combinations_with_replacement
 
 import pytest
 
 from kahan_aromas.corpus import (
+    SYSTEMS,
     lv_divfree,
     lv_special,
     random_divfree_homogeneous_r3_params,
@@ -53,12 +55,13 @@ from kahan_aromas.graphs import (
     parse_multiset,
     tall_tree,
 )
-from kahan_aromas.poly import PointEvaluator, Polynomial, RationalFunction, rf_substitute
+from kahan_aromas.poly import PointEvaluator, Polynomial, RationalFunction, rf_substitute, unpack_exponents
 from kahan_aromas.rationals import Rat
 from kahan_aromas.solver import solve_darboux
 from oracles import (
     aroma_by_assignments,
     darboux_defect_term_by_term,
+    kahan_map_by_cramer,
     kahan_series_closed_form,
     kahan_step_by_solve,
     symbolic_jacobian_det,
@@ -320,6 +323,45 @@ def test_kahan_map_linear_field_oracle():
     assert RationalFunction(m.numerators[0], m.den) == expected
 
 
+def _map_cases():
+    """Every corpus system at seed 0, dense random fields for n = 1..4, and
+    the coprime-content, zero-component and from_polynomials fields."""
+    cases = {name: (lambda name=name: get_system(name, seed=0)) for name in SYSTEMS}
+    cases.update({f"dense-{n}": (lambda n=n: random_quadratic_field(random.Random(300 + n), n)) for n in range(1, 5)})
+    cases.update({case: build for case, (build, _) in CONTRACTION_CASES.items() if not case[0].isdigit()})
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_map_cases()))
+def test_integer_kahan_map_matches_cramer_oracle(case):
+    f = _map_cases()[case]()
+    kmap = KahanMap(f)
+    den, numerators = kahan_map_by_cramer(f)
+    assert (kmap.den.content, kmap.den.terms) == (den.content, den.terms)
+    for got, want in zip(kmap.numerators, numerators, strict=True):
+        assert (got.content, got.terms) == (want.content, want.terms)
+
+
+@pytest.mark.parametrize("case", list(_map_cases()))
+def test_cleared_parts_match_polynomial_partials(case):
+    f = _map_cases()[case]()
+    D, parts, degrees = f._cleared()
+    want = {}
+    for i, component in enumerate(f.components()):
+        for m in range(3):
+            for idx in combinations_with_replacement(range(f.dim), m):
+                p = component
+                for j in idx:
+                    p = p.partial_derivative(j)
+                assert f.partial(i, idx) == p
+                if p.terms:
+                    scaled = p.content * D  # an integer: D clears every content
+                    assert scaled.denominator == 1
+                    want[(i, idx)] = {k: scaled.numerator * v for k, v in p.terms.items()}
+    assert parts == want
+    assert set(degrees) == set(parts)
+
+
 def test_denominator_is_one_at_h_zero():
     rng = random.Random(17)
     for n in (1, 2, 3):
@@ -420,6 +462,20 @@ def test_defect_matches_term_by_term_oracle():
         bumped = P + X(f.dim, f.nvars) ** 2 * X(0, f.nvars) ** 2
         got = kmap.darboux_defect_cleared(bumped)
         assert not got.is_zero() and got == darboux_defect_term_by_term(kmap, bumped)
+
+
+def test_defect_cache_holds_no_product_of_the_top_degree():
+    # the degree-D keys go through the last Horner step, one product per variable
+    f = get_system("nambu_homogeneous", seed=0)
+    h = X(f.dim, f.nvars)
+    P = (1 - h**2 * f.aroma_function(TWO_CYCLE) * Rat(1, 24)) ** 2
+    for P, D in ((P, 4), (P + h**2 * X(0) ** 5, 5)):
+        kmap = KahanMap(f)
+        assert P.x_degree() == D > f.dim
+        assert kmap.darboux_defect_cleared(P).is_zero() is (D == 4)
+        degrees = {sum(unpack_exponents(k, f.nvars)[: f.dim]) for k in kmap.subs_cache}
+        assert max(degrees) == D - 1
+        assert all(isinstance(entry.terms, dict) for entry in kmap.subs_cache.values())
 
 
 def test_kahan_series_matches_map_expansion():

@@ -205,6 +205,62 @@ def test_x_n_layout_matches_term_by_term_oracle(data, nx, wd, wp, wm, extra):
     assert cache[0].xn
 
 
+@st.composite
+def top_degree_polys(draw, top, weight=None, max_terms=3):
+    """A polynomial of x-degree exactly `top` (one term is drawn at it) with
+    u terms; with a weight, every term has h-degree = x-degree + weight."""
+    nx = NV - 2
+    terms = {}
+    for d in [top] + draw(st.lists(st.integers(0, top), max_size=max_terms - 1)):
+        xs = [0] * nx
+        for i in draw(st.lists(st.integers(0, nx - 1), min_size=d, max_size=d)):
+            xs[i] += 1
+        hdeg = draw(st.integers(0, 2)) if weight is None else d + weight
+        exps = xs + [hdeg, draw(st.integers(0, 1))]
+        terms[pack_exponents(exps)] = draw(kernel_coefficients().filter(bool))
+    return Polynomial(NV, terms)
+
+
+def _cache_x_degrees(cache) -> set[int]:
+    return {sum(unpack_exponents(k, NV)[: NV - 2]) for k in cache}
+
+
+@given(st.data(), st.booleans(), st.lists(st.integers(0, 4), min_size=2, max_size=2), st.integers(0, 1))
+@settings(max_examples=40, deadline=None)
+def test_top_degree_split_matches_term_by_term_oracle(data, xn, tops, extra):
+    # the top x-degree of each pair goes through the last Horner step; the
+    # x_n layout needs one weight per factor, the h layout gets two on den
+    u, one = x(3), const(1)
+    if xn:
+        wd = data.draw(st.integers(0, 1))
+        den = data.draw(weighted_polys(NV, wd))
+        nums = [data.draw(weighted_polys(NV, wd - 1)) for _ in range(2)]
+        weight = lambda: data.draw(st.integers(0, 1))
+    else:
+        # 1 and h give den two weights
+        den = one + x(2) + data.draw(kernel_polys(max_terms=3)) * x(0)
+        nums = [data.draw(kernel_polys(max_terms=3)) for _ in range(2)]
+        weight = lambda: None
+    cache = {}
+    # one cache across calls of rising, then falling top degree, 0 and 1 included
+    for top in (0, 1, 2, 4, 3, 1, 0):
+        q = data.draw(top_degree_polys(top, weight()))
+        c = top + extra
+        assert rf_substitute(q, nums, den, c, cache) == rf_substitute_term_by_term(q, nums, den, c)
+        assert cache[0].xn is xn or c == 0
+        assert max(_cache_x_degrees(cache)) < 4  # no product of the top degree 4
+    # two pairs of different top degrees, multipliers with u terms
+    wp, wm = weight(), weight()
+    p1 = data.draw(top_degree_polys(tops[0], wp))
+    p2 = data.draw(top_degree_polys(tops[1], wp))
+    m1 = data.draw(top_degree_polys(1, wm, max_terms=2)) * (one + u)
+    m2 = data.draw(top_degree_polys(0, wm, max_terms=2)) * u
+    c = max(tops) + extra
+    want = m1 * rf_substitute_term_by_term(p1, nums, den, c) + m2 * rf_substitute_term_by_term(p2, nums, den, c)
+    assert rf_substitute([(m1, p1), (m2, p2)], nums, den, c, cache) == want
+    assert cache[0].xn is xn or c == 0
+
+
 def test_one_cache_shared_by_two_maps_empties_between_them():
     # power products of x2 under the first map are no power products under
     # the second, whose numerators share that x-key and layout

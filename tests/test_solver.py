@@ -42,6 +42,7 @@ from kahan_aromas.poly import PointEvaluator, Polynomial, PolynomialBatch
 from kahan_aromas.rationals import Rat, ZERO, format_rat
 from kahan_aromas.solver import (
     SolverError,
+    _refute_or_confirm,
     build_basis,
     conjecture_check,
     density_span_solve,
@@ -232,7 +233,8 @@ def test_verify_density_examples():
 
 def _verification_cases():
     """True corpus densities, each of them plus h^2 x1^2, and x1*u, whose
-    nonzero defect vanishes at every sample point (u = 0 there)."""
+    nonzero defect vanishes at every sample point (u = 0 there), so that
+    `verify_density` refuses it."""
     f_div = lv_divfree()
     f_spec = lv_special()
     f_ishii = ishii(**random_ishii_params(random.Random(5))[0])
@@ -262,9 +264,13 @@ def _verify_or_error(verify, field, P, seed):
 @pytest.mark.parametrize("seed", [0, 3, 11])
 def test_verify_density_matches_expansion_oracle(seed):
     true, perturbed, (f_u, p_u) = _verification_cases()
-    for f, P in true + perturbed + [(f_u, p_u)]:
+    for f, P in true + perturbed:
         got = _verify_or_error(verify_density, f, P, seed)
         assert got == _verify_or_error(verify_density_by_expansion, f, P, seed)
+    # the oracle draws u = 0 only and finds no witness; the check refuses u
+    assert "witness" in _verify_or_error(verify_density_by_expansion, f_u, p_u, seed)
+    with pytest.raises(ValueError, match="must not involve u"):
+        verify_density(f_u, p_u, seed=seed)
     for f, P in true:
         assert verify_density(f, P, seed=seed).verified
     witnesses = []
@@ -301,9 +307,21 @@ def test_verify_density_expands_only_to_confirm(monkeypatch):
     f, P = true[0]
     assert verify_density(f, P).verified
     assert len(calls) == 1
-    with pytest.raises(SolverError, match="witness"):
+    with pytest.raises(ValueError, match="must not involve u"):
         verify_density(f_u, p_u)
+    assert len(calls) == 1  # refused before any step or expansion
+    with pytest.raises(SolverError, match="witness"):
+        _refute_or_confirm(f_u.kahan_map(), p_u, random.Random(0))
     assert len(calls) == 2  # zero residual at every point, expanded once
+
+
+def test_verify_density_rejects_a_density_in_u():
+    # x1^0 u: every drawn point has u = 0, so no step could refute it
+    f = lv_divfree()
+    for P in (X(4), X(4) * X(3) + 1, Polynomial.monomial(5, (0, 0, 0, 0, 3), 2)):
+        with pytest.raises(ValueError, match="a density must not involve u"):
+            verify_density(f, P)
+    assert verify_density(f, Polynomial.const(5, 1) - f.aroma_function(TWO_CYCLE) * X(3) ** 2 * Rat(1, 8)).verified
 
 
 def test_solve_and_verify_share_one_kahan_map(monkeypatch):
