@@ -18,10 +18,7 @@ of a fresh field, and `defect_ms`, the median cost of one
 even solve (null when that solve finds none).  Per round it also records
 `family_ms`, the median cost of one
 `parameter_independent_solve` over three fixed Ishii draws at order 6, even,
-on fresh fields.  A tree without the batched row kernel (`solver._sample_row`)
-builds its rows one residual per weighted basis polynomial, as such trees
-do, and a tree whose `build_basis` takes no `parity` is given the set of
-even orders in its place.
+on fresh fields.
 
 The JSON names the Python version, the host's CPU count and, per tree, its
 coefficient backend and commit (with "+dirty" when its tracked files differ
@@ -31,7 +28,6 @@ from that commit), with every round's medians and their median.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -85,18 +81,12 @@ def measure_input(pkg, build, order: int) -> dict:
     rng = random.Random(0)
     step_ms = statistics.median(_timed(lambda: solver._sample_point(rng, kmap)) for _ in range(STEPS))
 
-    takes_parity = "parity" in inspect.signature(solver.build_basis).parameters
-    even = "even" if takes_parity else set(range(0, order + 1, 2))
-    basis = solver.build_basis(field, order, None, even)
+    basis = solver.build_basis(field, order, None, "even")
     weighted = solver._weighted_polys(field, [(el.poly, el.order, el.sigma) for el in basis.elements])
-    if hasattr(solver, "_sample_row"):
-        batch = pkg.poly.PolynomialBatch(weighted)
-        row = lambda step: solver._sample_row(batch, step)
-    else:
-        row = lambda step: [solver._residual(step, w) for w in weighted]
+    batch = pkg.poly.PolynomialBatch(weighted)
     # fresh steps: a row reads monomial values that its step's evaluators cache
     steps = [solver._sample_point(rng, kmap) for _ in range(ROWS)]
-    row_ms = statistics.median(_timed(lambda: row(step)) for step in steps)
+    row_ms = statistics.median(_timed(lambda: solver._sample_row(batch, step)) for step in steps)
 
     basis_ms = statistics.median(
         _timed(lambda f=build(pkg): solver.build_basis(f, order)) for _ in range(BASES)

@@ -90,7 +90,6 @@ class QuadraticVectorField:
         for i, v in dict(constant or {}).items():
             add(i, (), v)
         self._components = [Polynomial(self.nvars, t) for t in terms]
-        self._jacobian: list[list[Polynomial]] | None = None
         self._kahan_map: KahanMap | None = None
         self._cleared_parts: tuple[int, dict, dict] | None = None
         self._elementary: dict[str, list[dict]] = {}
@@ -129,13 +128,6 @@ class QuadraticVectorField:
         of order above two of a quadratic field is zero."""
         D, parts, _ = self._cleared()
         return _from_ints(self.nvars, parts.get((i, indices), {}), 1, D)
-
-    def jacobian(self) -> list[list[Polynomial]]:
-        if self._jacobian is None:
-            self._jacobian = [
-                [self.partial(i, (j,)) for j in range(self.dim)] for i in range(self.dim)
-            ]
-        return self._jacobian
 
     def divergence(self) -> Polynomial:
         out = Polynomial.zero(self.nvars)
@@ -311,21 +303,23 @@ class QuadraticVectorField:
         return _from_ints(nv, acc, 1, self._cleared()[0] ** aroma.order)
 
     def aroma_function(self, arg) -> Polynomial:
-        """F(arg) for an aroma or aroma multiset (encodings accepted)."""
+        """F(arg) for an aroma or aroma multiset (encodings accepted),
+        memoized by encoding.  An aroma and a multiset share an encoding only
+        when the multiset is that one aroma, and then F is the same."""
         if isinstance(arg, str):
             arg = parse_any(arg)
-        if isinstance(arg, AromaMultiset):
-            out = Polynomial.const(self.nvars, 1)
-            for aroma in arg.aromas:
-                out = out * self.aroma_function(aroma)
-                if out.is_zero():
-                    return out
-            return out
-        if not isinstance(arg, Aroma):
+        if not isinstance(arg, (Aroma, AromaMultiset)):
             raise TypeError("aroma_function expects an Aroma or AromaMultiset")
         got = self._aroma_cache.get(arg.encoding)
         if got is None:
-            got = self._aroma(arg)
+            if isinstance(arg, Aroma):
+                got = self._aroma(arg)
+            else:
+                got = Polynomial.const(self.nvars, 1)
+                for aroma in arg.aromas:
+                    got = got * self.aroma_function(aroma)
+                    if got.is_zero():
+                        break
             self._aroma_cache[arg.encoding] = got
         return got
 

@@ -106,43 +106,6 @@ def check_augmenters(augmenters, dim: int) -> None:
             raise ValueError(f"augmenter {label!r} must not involve h or u")
 
 
-def _candidates(
-    field: QuadraticVectorField, max_order: int, augmenters, parity: str
-) -> list[tuple[str, AromaMultiset, Polynomial]]:
-    """(key, multiset, F(multiset) times its augmenter) for each candidate
-    of a parity sector in scan order: the plain multisets in enumeration
-    order, then each augmenter times the same list.  Each F(multiset) is
-    evaluated once."""
-    augmenters = list(augmenters or [])
-    check_augmenters(augmenters, field.dim)
-    multisets = sector_multisets(max_order, parity)
-    plain = [field.aroma_function(m) for m in multisets]
-    candidates = [(m.encoding, m, p) for m, p in zip(multisets, plain)]
-    for label, aug in augmenters:
-        candidates.extend(
-            (f"{label}*{m.encoding}", m, p if p.is_zero() else p * aug)
-            for m, p in zip(multisets, plain)
-        )
-    return candidates
-
-
-def _independent(candidates) -> Basis:
-    """The candidates that are independent of the ones before them."""
-    polys = [p for _, _, p in candidates]
-    # integer terms: independence does not depend on the content
-    monomials = sorted({k for p in polys for k in p.terms})
-    rows = [[p.terms.get(mk, 0) for p in polys] for mk in monomials]
-    kept = set(pivot_columns(rows, len(polys)))
-    elements: list[BasisElement] = []
-    dropped: list[str] = []
-    for i, (key, mset, poly) in enumerate(candidates):
-        if i in kept:
-            elements.append(BasisElement(key, mset, poly, mset.order, mset.sigma()))
-        else:
-            dropped.append(key)
-    return Basis(elements, dropped)
-
-
 def build_basis(
     field: QuadraticVectorField,
     max_order: int,
@@ -156,7 +119,28 @@ def build_basis(
     (order, encoding), then each augmenter times the same list); ties in
     pivot selection therefore always go to the earlier element.
     """
-    return _independent(_candidates(field, max_order, augmenters, parity))
+    augmenters = list(augmenters or [])
+    check_augmenters(augmenters, field.dim)
+    multisets = sector_multisets(max_order, parity)
+    plain = [field.aroma_function(m) for m in multisets]
+    candidates = [(m.encoding, m, p) for m, p in zip(multisets, plain)]
+    for label, aug in augmenters:
+        candidates.extend(
+            (f"{label}*{m.encoding}", m, p if p.is_zero() else p * aug)
+            for m, p in zip(multisets, plain)
+        )
+    # integer terms: independence does not depend on the content
+    monomials = sorted({k for _, _, p in candidates for k in p.terms})
+    rows = [[p.terms.get(mk, 0) for _, _, p in candidates] for mk in monomials]
+    kept = set(pivot_columns(rows, len(candidates)))
+    elements: list[BasisElement] = []
+    dropped: list[str] = []
+    for i, (key, mset, poly) in enumerate(candidates):
+        if i in kept:
+            elements.append(BasisElement(key, mset, poly, mset.order, mset.sigma()))
+        else:
+            dropped.append(key)
+    return Basis(elements, dropped)
 
 
 def _coefficient_rows(polys: list[Polynomial]) -> list[list[int]]:
@@ -282,24 +266,23 @@ def _refute_or_confirm(kmap: KahanMap, P: Polynomial, rng):
     """The exact check of P o Phi = det(DPhi) * P at the steps that
     `_usable_points` draws from rng.
 
-    Returns (step, residual) for the first step where the residual of P is
-    nonzero, a proof that P is no density; nothing is expanded
-    then.  A zero residual proves nothing, so the cleared defect is
-    expanded once, and None (P is a density) is returned only when it is
-    the literal zero polynomial.  When no step comes the defect is expanded
-    all the same; a nonzero defect that no step shows raises SolverError.
+    Returns (step, residual) when the first step's residual of P is
+    nonzero, a proof that P is no density; nothing is expanded then.  A
+    zero residual proves nothing, so the cleared defect is expanded once
+    (also when no step comes), and None (P is a density) is returned only
+    when it is the literal zero polynomial.  A nonzero defect is refuted at
+    the first later step with a nonzero residual; when no step shows it,
+    SolverError is raised.
     """
-    expanded = False
-    for step in _usable_points(rng, kmap):
-        residual = _residual(step, P)
-        if residual != 0:
-            return step, residual
-        if not expanded:
-            expanded = True
-            if kmap.darboux_defect_cleared(P).is_zero():
-                return None
-    if not expanded and kmap.darboux_defect_cleared(P).is_zero():
+    steps = _usable_points(rng, kmap)
+    first = next(steps, None)
+    if first is not None and (residual := _residual(first, P)) != 0:
+        return first, residual
+    if kmap.darboux_defect_cleared(P).is_zero():
         return None
+    for step in steps:
+        if (residual := _residual(step, P)) != 0:
+            return step, residual
     raise SolverError(
         f"no witness point for the nonzero defect in {SAMPLE_ATTEMPTS} attempts"
     )
@@ -364,10 +347,6 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
     return vectors, densities, "sampled" if len(rows) == S else "refined"
 
 
-def _sectors(parity: str) -> tuple[str, ...]:
-    return ("even", "odd") if parity == "both" else (parity,)
-
-
 def solve_darboux(
     field: QuadraticVectorField,
     max_order: int,
@@ -383,7 +362,7 @@ def solve_darboux(
     densities: list[Polynomial] = []
     parities: list[str] = []
     methods = []
-    for sector in _sectors(parity):
+    for sector in ("even", "odd") if parity == "both" else (parity,):
         basis = build_basis(field, max_order, augmenters, sector)
         vectors, sector_densities, method = _solve_sector(field, basis, seed)
         bases[sector] = basis
@@ -568,11 +547,11 @@ def parameter_independent_solve(
     """Exactly intersect the per-instance gamma solution spaces of a family.
 
     `family` is a callable rng -> QuadraticVectorField (or a list of fields).
-    Each instance's full solution set (basis solutions plus that instance's
-    kernel of F, which contributes zero densities) is intersected over the
-    common multiset coordinate list; representatives modulo the common
-    kernel are the parameter-independent measures, verified on every
-    instance.
+    Instance i is solved by `solve_darboux` with seed + i.  Each instance's
+    full solution set (basis solutions plus that instance's kernel of F,
+    which contributes zero densities) is intersected over the common
+    multiset coordinate list; representatives modulo the common kernel are
+    the parameter-independent measures, verified on every instance.
     """
     if instances < 2:
         raise ValueError("need at least two instances to intersect")
@@ -586,26 +565,16 @@ def parameter_independent_solve(
             raise ValueError("family list shorter than the instance count")
     coords = [m.encoding for m in multisets]
     ncols = len(coords)
-    index = {enc: i for i, enc in enumerate(coords)}
 
     # an instance's solution space is its gamma-space plus its kernel of F,
     # the nullspace of its coefficient rows; the common kernel K is the
-    # complement of every instance's rows stacked.  Each sector solve
-    # evaluates F once per multiset, and those polynomials are reused here.
+    # complement of every instance's rows stacked
     solved = []  # per instance: its gamma-space and its coefficient rows
     coordinate_polys = []  # per instance, reused for the densities below
     for idx, f in enumerate(fields):
-        gammas, plain = [], {}
-        for sector in _sectors(parity):
-            candidates = _candidates(f, max_order, None, sector)
-            basis = _independent(candidates)
-            for vec in _solve_sector(f, basis, seed + idx)[0]:
-                row = [ZERO] * ncols
-                for el, c in zip(basis.elements, vec):
-                    row[index[el.key]] = c
-                gammas.append(row)
-            plain.update((key, p) for key, _, p in candidates)
-        polys = _weighted_polys(f, [(plain[m.encoding], m.order, m.sigma()) for m in multisets])
+        sol = solve_darboux(f, max_order, parity, seed=seed + idx)
+        gammas = [[g.get(key, ZERO) for key in coords] for g in sol.gammas]
+        polys = _weighted_polys(f, [(f.aroma_function(m), m.order, m.sigma()) for m in multisets])
         coordinate_polys.append(polys)
         solved.append((gammas, _coefficient_rows(polys)))
     kernel_space = complement([row for _, rows in solved for row in rows], ncols)

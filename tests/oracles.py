@@ -334,13 +334,18 @@ def residual_row_by_polynomials(step, polys) -> list:
     return [_residual(step, p) for p in polys]
 
 
+def jacobian(field) -> list[list[Polynomial]]:
+    """f'(x): the entry (i, j) is d f_i / dx_j."""
+    return [[field.partial(i, (j,)) for j in range(field.dim)] for i in range(field.dim)]
+
+
 def kahan_step_by_solve(field, xs, h):
     """x + h k with (I - (h/2) f'(x)) k = f(x) solved by Gauss-Jordan
     elimination on `Fraction`s; None when the matrix is singular."""
     n = field.dim
     point = [Fraction(v) for v in xs] + [Fraction(h), Fraction(0)]
     ev = PointEvaluator(field.nvars, point)
-    jac = field.jacobian()
+    jac = jacobian(field)
     aug = [
         [(1 if i == j else 0) - Fraction(h) / 2 * ev(jac[i][j]) for j in range(n)]
         + [ev(field.components()[i])]
@@ -357,7 +362,7 @@ def kahan_series_closed_form(field, order: int) -> list[list[Polynomial]]:
     the h^k coefficient vector being 2^(1-k) (f')^(k-1) f for k >= 1."""
     n, nv = field.dim, field.nvars
     out = [[Polynomial.variable(nv, i) for i in range(n)]]
-    jac = field.jacobian()
+    jac = jacobian(field)
     current = list(field.components())
     for _ in range(order):
         out.append(current)
@@ -391,7 +396,7 @@ def kahan_map_by_cramer(field) -> tuple[Polynomial, list[Polynomial]]:
     x_i den + h det(M with column i replaced by f(x))."""
     n, nv = field.dim, field.nvars
     h = Polynomial.variable(nv, n)
-    jac = field.jacobian()
+    jac = jacobian(field)
     M = [
         [Polynomial.const(nv, 1 if i == j else 0) - h * jac[i][j] * Fraction(1, 2) for j in range(n)]
         for i in range(n)

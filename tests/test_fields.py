@@ -11,6 +11,7 @@ import json
 import random
 import weakref
 from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
@@ -61,6 +62,7 @@ from kahan_aromas.solver import solve_darboux
 from oracles import (
     aroma_by_assignments,
     darboux_defect_term_by_term,
+    jacobian,
     kahan_map_by_cramer,
     kahan_series_closed_form,
     kahan_step_by_solve,
@@ -150,7 +152,7 @@ def test_field_refuses_a_non_integer_dim():
 def test_jacobian_divergence_examples():
     zero = QuadraticVectorField(2)
     assert zero.divergence().is_zero()
-    assert all(p.is_zero() for row in zero.jacobian() for p in row)
+    assert all(p.is_zero() for row in jacobian(zero) for p in row)
     assert lv_special().divergence() == (X(1) - X(0)) * 2
     assert lv_divfree().divergence().is_zero()
 
@@ -237,6 +239,11 @@ def test_aroma_memo_does_not_depend_on_evaluation_order():
     forward, backward = _coprime_contents_field(), _coprime_contents_field()
     got = [forward.aroma_function(m) for m in multisets]
     assert got == [backward.aroma_function(m) for m in reversed(multisets)][::-1]
+    # a multiset's F is memoized too: a second read is the same object, the
+    # product of its aromas' F
+    for m, p in zip(multisets, got):
+        assert forward.aroma_function(m) is p
+        assert p == prod(map(forward.aroma_function, m.aromas), start=Polynomial.const(forward.nvars, 1))
 
 
 def test_one_dimensional_degeneracy():
@@ -282,7 +289,7 @@ def test_elementary_differentials():
     f = lv_special()
     assert f.elementary_differential(tall_tree(1)) == f.components()
     chain2 = f.elementary_differential(tall_tree(2))
-    jac = f.jacobian()
+    jac = jacobian(f)
     expect = [
         sum((jac[i][j] * f.components()[j] for j in range(3)), Polynomial.zero(5))
         for i in range(3)

@@ -440,6 +440,32 @@ def test_parameter_independent_single_field_matches_plain_solve():
         assert density_span_solve(sol.densities, d) is not None
 
 
+def test_family_solves_each_instance_through_solve_darboux(monkeypatch):
+    # the family solve reaches every sector through the module globals that
+    # a caller (or a tracer) can wrap: one solve per instance, one basis per
+    # sector
+    import kahan_aromas.solver as solver_mod
+
+    calls = []
+
+    def counting(name):
+        real = getattr(solver_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, name, wrapper)
+
+    counting("solve_darboux")
+    counting("build_basis")
+    for parity, bases in (("even", 3), ("both", 6)):
+        calls.clear()
+        parameter_independent_solve([lv_divfree() for _ in range(3)], 3, 2, parity=parity)
+        assert calls.count("solve_darboux") == 3
+        assert calls.count("build_basis") == bases
+
+
 def assert_matches_pairwise_intersection(fields, order, seed):
     """The family solve against the instances' whole solution spaces, each
     its gamma-space plus its kernel of F over every coordinate, intersected
