@@ -31,7 +31,6 @@ from .poly import Polynomial
 from .rationals import Rat, format_rat
 from .solver import (
     SolverError,
-    check_augmenters,
     conjecture_check,
     first_integrals,
     necessary_conditions,
@@ -331,9 +330,9 @@ def cmd_hopf_newton(args) -> int:
 
 def _load_augmenters(path: str, nvars: int):
     """Labelled augmenters from a JSON object {label: polynomial} or a list of
-    [label, polynomial] pairs; each must be a nonzero polynomial in x alone
-    over the field's nvars variables (x, h, u), under a distinct label that
-    neither starts with "C" nor holds "*"."""
+    [label, polynomial] pairs, each a nonzero polynomial over the field's
+    nvars variables (x, h, u); `build_basis` checks the labels and that no
+    polynomial involves h or u."""
     data = _load_json(path)
     if isinstance(data, dict):
         items = sorted(data.items())
@@ -354,10 +353,6 @@ def _load_augmenters(path: str, nvars: int):
         if p.is_zero():
             raise InputError(f"augmenter {label!r} is the zero polynomial")
         out.append((str(label), p))
-    try:
-        check_augmenters(out, nvars - 2)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     return out
 
 

@@ -404,7 +404,8 @@ class KahanMap:
     den = det(M) and, by Cramer's rule,
     numerators[i] = x_i * den + h * det(M with column i replaced by f(x)).
     den at h = 0 equals 1.  Point steps, the h-series and the modified
-    Hamiltonian all read these polynomials.
+    Hamiltonian all read these polynomials, the steps through two batches
+    compiled with the map: den with the numerators, and N_{h/2}.
 
     They are built in integers from the field's cleared partials (D the
     lcm of the components' content denominators): A = 2D M = 2D I - h (D f')
@@ -466,15 +467,18 @@ class KahanMap:
                     _mul_add(acc, {k + hkey: sign * v for k, v in rhs[r].items()}, cof, nv)
             acc = {k: v for k, v in acc.items() if v}
             self.numerators.append(_from_ints(nv, acc, 1, scale))
-        self._n_plus: Polynomial | None = None
-        self._point_batch: PolynomialBatch | None = None
+        self._n_plus = self.den.subs_h_negated()
+        self._point_batch = PolynomialBatch([self.den] + self.numerators)
+        self._n_plus_batch = PolynomialBatch([self._n_plus])
         self.subs_cache: dict = {}
 
     def n_plus(self) -> Polynomial:
         """det(I + (h/2) f'(x)) as a polynomial (the den with h negated)."""
-        if self._n_plus is None:
-            self._n_plus = self.den.subs_h_negated()
         return self._n_plus
+
+    def n_plus_at(self, ev: PointEvaluator) -> Rat:
+        """N_{h/2} = det(I + (h/2) f'(x)) at the evaluator's point."""
+        return self._n_plus_batch.evaluate(ev)[0]
 
     def series(self, order: int) -> list[list[Polynomial]]:
         """h-expansion of Phi_h: the coefficient vectors of h^0 .. h^order."""
@@ -490,22 +494,12 @@ class KahanMap:
         return rf_substitute(p, self.numerators, self.den, clear_power, self.subs_cache)
 
     def apply_point(self, ev: PointEvaluator):
-        """(det(M), exact image) at the evaluator's point (x, h); the image
-        is None when det(M) vanishes there.  The den and the numerators,
-        compiled together on the first step, are one integer pass at the
-        point, so each coordinate is one rational: its integer over den's."""
-        if self._point_batch is None:
-            self._point_batch = PolynomialBatch([self.den] + self.numerators)
-        batch = self._point_batch
-        values, scale = batch.monomial_values(ev)
-        den, *nums = batch.dot(values)
+        """(det(M), exact image) at the evaluator's point (x, h), from one
+        batch of den and the numerators; the image is None where det(M) = 0."""
+        den, *nums = self._point_batch.evaluate(ev)
         if not den:
             return ZERO, None
-        c, *contents = batch.contents
-        return Rat(c.numerator * den, c.denominator * scale), [
-            Rat(k.numerator * c.denominator * s, k.denominator * c.numerator * den)
-            for k, s in zip(contents, nums)
-        ]
+        return den, [num / den for num in nums]
 
     def darboux_defect_cleared(self, P: Polynomial) -> Polynomial:
         """den^(D+1) * [N_{-h/2}(x) P(Phi_h(x)) - P(x) N_{h/2}(Phi_h(x))] / den

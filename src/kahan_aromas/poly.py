@@ -40,12 +40,12 @@ the top one only: the top-degree terms are grouped by their lowest
 variable i and multiplied by N_i once per group, inside the last Horner
 step.
 
-Values at a rational point come from a `PointEvaluator`, which caches each
-monomial as an integer over a power of the point's common denominator.  A
-fixed list of polynomials evaluated at many points is compiled once into a
-`PolynomialBatch`, which reads the monomials of the whole list from that
-cache, puts them over one power of the denominator and takes one integer
-dot product per polynomial; a rational is built only for the result.
+Values at a rational point have one definition.  A list of polynomials is
+compiled once into a `PolynomialBatch`; at a point it reads the monomials
+of the whole list from the point's `PointEvaluator`, which caches each
+monomial as an integer over a power of the point's common denominator,
+puts them over one power of the denominator and takes one integer dot
+product per polynomial; a rational is built only for each result.
 """
 
 from __future__ import annotations
@@ -603,11 +603,9 @@ def _unpack(packed: dict, offset: int, bits: int, nvars: int, xn: bool) -> dict:
 
 
 def _lowest_variable(key: int) -> int:
-    """The index of the first variable of a nonzero key."""
-    i = 0
-    while not (key >> (_BITS * i)) & _MASK:
-        i += 1
-    return i
+    """The index of the first variable of a nonzero key: the slot of its
+    lowest set bit."""
+    return ((key & -key).bit_length() - 1) // _BITS
 
 
 def _power_product(
@@ -646,11 +644,12 @@ def rf_substitute(
     p may also be a list of (multiplier, polynomial) pairs; the result is
     then the sum of multiplier * S(polynomial), built in one packed pass and
     unpacked once.  The substitution touches the x-variables only; h and u
-    pass through.  Requires clear_power >= the x-degree of every substituted
-    polynomial, so the result is a polynomial.  A cache dict may be shared
-    across calls; it keeps the packed power products of one map, each a
-    `_Packed` whose `terms` maps a key to an int, and a call with another
-    map empties it first.
+    pass through.  All polynomials share the denominator's variable
+    universe, and clear_power >= the x-degree of every substituted
+    polynomial, so the result is a polynomial (ValueError otherwise).  A
+    cache dict may be shared across calls; it keeps the packed power
+    products of one map, each a `_Packed` whose `terms` maps a key to an
+    int, and a call with another map empties it first.
 
     The kernel.  With the contents of the numerators and of the denominator
     over their one lcm L, N'_i = L N_i and D' = L den are integer
@@ -700,6 +699,8 @@ def rf_substitute(
     """
     n = denominator.nvars
     pairs = [(Polynomial.const(n, 1), p)] if isinstance(p, Polynomial) else list(p)
+    for f in [*numerators, *(f for pair in pairs for f in pair)]:
+        denominator._check(f)
     nx = n - 2
     c = clear_power
     if len(numerators) != nx:
@@ -848,53 +849,45 @@ def series_in_h(r: RationalFunction | Polynomial, order: int) -> list[Polynomial
 
 
 class PointEvaluator:
-    """Evaluate many polynomials at one rational point, sharing monomial values.
+    """The monomials of one rational point, each cached on first use.
 
     The point is put over one common denominator, x_i = a_i / d, so a
     monomial of total degree t is A / d^t with an integer A cached per key.
-    A polynomial of total degree T sums the integers c * A * d^(T - t) and
-    builds a single rational, its content times that sum over d^T.
+    Values of polynomials come from a `PolynomialBatch`, which reads this
+    cache.
     """
 
     def __init__(self, nvars: int, values):
         if len(values) != nvars:
             raise ValueError("point arity does not match variable count")
         self.point = [Rat(v) for v in values]
-        self.nvars = nvars
         self.den = math.lcm(*(v.denominator for v in self.point))
         self.nums = [v.numerator * (self.den // v.denominator) for v in self.point]
         self._cache: dict[int, tuple[int, int]] = {0: (1, 0)}  # key -> (A, t)
 
     def monomial(self, key: int) -> tuple[int, int]:
-        """(A, t) with the monomial's value A / d^t."""
-        got = self._cache.get(key)
+        """(A, t) with the monomial's value A / d^t, built on its largest
+        cached divisor by peeling the lowest variable (as `_power_product`
+        does); missing divisors are built bottom up, so calls nest one deep."""
+        cache = self._cache
+        got = cache.get(key)
         if got is not None:
             return got
-        i = 0
-        k = key
-        while not (k & _MASK):
-            k >>= _BITS
-            i += 1
-        a, t = self.monomial(key - (1 << (_BITS * i)))
-        got = (a * self.nums[i], t + 1)
-        self._cache[key] = got
+        i = _lowest_variable(key)
+        below = key - (1 << (_BITS * i))
+        got = cache.get(below)
+        if got is None:
+            chain = []
+            k = below
+            while got is None:
+                chain.append(k)
+                k -= 1 << (_BITS * _lowest_variable(k))
+                got = cache.get(k)
+            for k in reversed(chain):
+                got = self.monomial(k)
+        a, t = got
+        got = cache[key] = (a * self.nums[i], t + 1)
         return got
-
-    def __call__(self, p: Polynomial) -> Rat:
-        sums: dict[int, int] = {}  # total degree -> sum of integer numerators
-        mono = self.monomial
-        for k, c in p.terms.items():
-            a, t = mono(k)
-            if a:
-                sums[t] = sums.get(t, 0) + c * a
-        if not sums:
-            return ZERO
-        top = max(sums)
-        total = 0
-        for t in range(top + 1):
-            total = total * self.den + sums.get(t, 0)
-        c = p.content
-        return Rat(c.numerator * total, c.denominator * self.den**top)
 
 
 class PolynomialBatch:
@@ -929,6 +922,12 @@ class PolynomialBatch:
         for _ in range(top):
             powers.append(powers[-1] * d)
         return [a * powers[top - t] for a, t in map(ev.monomial, self._keys)], powers[top]
+
+    def evaluate(self, ev: PointEvaluator) -> list[Rat]:
+        """Every polynomial's value at the evaluator's point."""
+        values, scale = self.monomial_values(ev)
+        sums = self.dot(values)
+        return [Rat(c.numerator * s, c.denominator * scale) for c, s in zip(self.contents, sums)]
 
     def dot(self, values: list[int]) -> list[int]:
         """Per polynomial, the sum of its integer terms times the values of

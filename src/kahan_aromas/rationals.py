@@ -27,8 +27,23 @@ def parse_rat(text: str) -> Rat:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _decimal(n: int) -> str:
+    """The decimal digits of an int.  str() refuses an int past the
+    interpreter's digit limit (never below 640 digits), so a longer one is
+    split at a power of ten and each part is written alone."""
+    if n.bit_length() < 2000:  # at most 603 digits
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    k = n.bit_length() * 3 // 20  # about half of its digits
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).rjust(k, "0")
+
+
 def format_rat(value) -> str:
-    return str(Rat(value))
+    value = Rat(value)
+    text = _decimal(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
 
 
 def random_rational(rng) -> Rat:

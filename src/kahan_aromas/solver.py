@@ -11,14 +11,16 @@ for P in the weighted span of the basis.  Everything rests on one exact
 Kahan step x' = Phi_h(x) at a seeded rational point, where the identity
 reads N_{-h/2}(x) P(x') = P(x) N_{h/2}(x'), and on one check of a
 candidate P: refute it by a nonzero residual at a step, or else confirm it
-by expanding the cleared defect to the literal zero polynomial.
+by expanding the cleared defect to the literal zero polynomial.  Every
+value at a point comes from a compiled `poly.PolynomialBatch`, and a
+candidate's residual is the discovery row of its one-polynomial batch.
 
 Discovery takes the residual of every weighted basis element at seeded
-steps, one integer pass per step over the basis compiled once per sector
-(`poly.PolynomialBatch`): the residual is linear in P, so each monomial m
-gives u_m = N_{-h/2}(x) m(x') - N_{h/2}(x') m(x) over one denominator and
-each element is one dot product with the u_m.  Steps are drawn until the
-rows reach rank K mod the prime P of `linalg.rank` (full rank mod P proves
+steps, one integer pass per step over the basis compiled once per sector:
+the residual is linear in P, so each monomial m gives
+u_m = N_{-h/2}(x) m(x') - N_{h/2}(x') m(x) over one denominator and each
+element is one dot product with the u_m.  Steps are drawn until the rows
+reach rank K mod the prime P of `linalg.rank` (full rank mod P proves
 full rank over Q: the nullspace is empty and the sector has no density)
 or, when the rank stalls, up to 2K + 16 steps, and an exact nullspace,
 which contains every true solution.  Each candidate of the nullspace is
@@ -223,13 +225,12 @@ def _usable_points(rng, kmap: KahanMap):
     """Exact Kahan steps x' = Phi_h(x) from seeded random points (x, h) off
     det(M) = 0 among SAMPLE_ATTEMPTS draws, each as (evaluator at (x, h),
     N_{-h/2}(x), evaluator at (x', h), N_{h/2}(x'))."""
-    n_plus = kmap.n_plus()
     for _ in range(SAMPLE_ATTEMPTS):
         ev = _random_point(rng, kmap.dim)
         n_minus, image = kmap.apply_point(ev)  # det(M) = det(I - (h/2) f'(x))
         if image is not None:
             ev_phi = PointEvaluator(kmap.nvars, image + ev.point[kmap.dim:])
-            yield ev, n_minus, ev_phi, ev_phi(n_plus)
+            yield ev, n_minus, ev_phi, kmap.n_plus_at(ev_phi)
 
 
 def _sample_point(rng, kmap: KahanMap):
@@ -240,18 +241,12 @@ def _sample_point(rng, kmap: KahanMap):
     raise SolverError(f"no sample point off det(M) = 0 in {SAMPLE_ATTEMPTS} attempts")
 
 
-def _residual(step, P: Polynomial) -> Rat:
-    """N_{-h/2}(x) P(x') - P(x) N_{h/2}(x') at one Kahan step: linear in P,
-    and zero at every step when P is a density."""
-    ev_x, n_minus, ev_phi, n_plus = step
-    return n_minus * ev_phi(P) - ev_x(P) * n_plus
-
-
 def _sample_row(batch: PolynomialBatch, step) -> list[Rat]:
-    """The residual of each polynomial of the batch at one Kahan step, equal
-    as a rational to its `_residual`.  The residual is linear in P, so it is
-    P's terms dotted with u_m = N_{-h/2}(x) m(x') - N_{h/2}(x') m(x) per
-    monomial m, taken once for the batch over one integer denominator."""
+    """The residual N_{-h/2}(x) P(x') - P(x) N_{h/2}(x') of each polynomial
+    P of the batch at one Kahan step, as a rational: zero at every step when
+    P is a density.  The residual is linear in P, so it is P's terms dotted
+    with u_m = N_{-h/2}(x) m(x') - N_{h/2}(x') m(x) per monomial m, taken
+    once for the batch over one integer denominator."""
     ev_x, n_minus, ev_phi, n_plus = step
     xs, dx = batch.monomial_values(ev_x)
     ys, dy = batch.monomial_values(ev_phi)
@@ -272,16 +267,17 @@ def _refute_or_confirm(kmap: KahanMap, P: Polynomial, rng):
     (also when no step comes), and None (P is a density) is returned only
     when it is the literal zero polynomial.  A nonzero defect is refuted at
     the first later step with a nonzero residual; when no step shows it,
-    SolverError is raised.
+    SolverError is raised.  Each residual is P's row (`_sample_row`).
     """
+    batch = PolynomialBatch([P])
     steps = _usable_points(rng, kmap)
     first = next(steps, None)
-    if first is not None and (residual := _residual(first, P)) != 0:
+    if first is not None and (residual := _sample_row(batch, first)[0]) != 0:
         return first, residual
     if kmap.darboux_defect_cleared(P).is_zero():
         return None
     for step in steps:
-        if (residual := _residual(step, P)) != 0:
+        if (residual := _sample_row(batch, step)[0]) != 0:
             return step, residual
     raise SolverError(
         f"no witness point for the nonzero defect in {SAMPLE_ATTEMPTS} attempts"
@@ -406,6 +402,8 @@ def verify_density(field: QuadraticVectorField, P: Polynomial, seed: int = 0) ->
     defect does not vanish.  The points have u = 0, so a P that involves u
     raises ValueError, as an augmenter does.
     """
+    if P.nvars != field.nvars:
+        raise ValueError("polynomials live in different variable universes")
     if P.degree_in(field.dim + 1):
         raise ValueError("a density must not involve u")
     refuted = _refute_or_confirm(field.kahan_map(), P, random.Random(seed))
@@ -435,19 +433,17 @@ def first_integrals(densities: list[Polynomial], seed: int = 0):
         raise ValueError("all densities are proportional: no nontrivial integral")
     ratios = [RationalFunction(g, g1) for g in others]
     nx = g1.nvars - 2
-    # rows of the gradients g1 dg - g dg1, evaluated factor by factor
-    partials = [[g.partial_derivative(j) for j in range(nx)] for g in densities]
+    # rows of the gradients g1 dg - g dg1, from one batch of each density
+    # followed by its partials
+    parts = [(g, *map(g.partial_derivative, range(nx))) for g in densities]
+    batch = PolynomialBatch([q for part in parts for q in part])
     rng = random.Random(seed)
     for _ in range(SAMPLE_ATTEMPTS):
-        ev = _random_point(rng, nx)
-        v1 = ev(g1)
+        values = batch.evaluate(_random_point(rng, nx))
+        (v1, *d1), *rest = [values[i : i + nx + 1] for i in range(0, len(values), nx + 1)]
         if v1 == 0:
             continue
-        d1 = [ev(d) for d in partials[0]]
-        rows = [
-            [v1 * ev(dg) - ev(g) * dg1 for dg, dg1 in zip(dgs, d1)]
-            for g, dgs in zip(others, partials[1:])
-        ]
+        rows = [[v1 * dg - v * dg1 for dg, dg1 in zip(dgs, d1)] for v, *dgs in rest]
         return ratios, rank(rows, nx)
     raise SolverError(
         f"no point where the first density is nonzero in {SAMPLE_ATTEMPTS} attempts"

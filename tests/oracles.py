@@ -16,9 +16,10 @@ package's numerators over den: a point step solves the linear system
 (I - (h/2) f'(x)) k = f(x) by `Fraction` elimination, the h-series is the
 closed form 2^(1-k) (f')^(k-1) f, and det DPhi differentiates the map
 entrywise.  Substitution into the map expands term by term in `Polynomial`
-arithmetic, never by the package's packed kernel.  A discovery row takes
-one residual per polynomial, each polynomial evaluated by a `PointEvaluator`
-at both points of the step, never by the package's batched integer pass.
+arithmetic, never by the package's packed kernel.  A value at a point is
+summed term by term in `Fraction`s, never read off the package's monomial
+cache or its batched integer pass, and a discovery row takes one such
+residual per polynomial at both points of the step.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from math import prod
 from kahan_aromas.fields import KahanMap
 from kahan_aromas.graphs import Aroma, Forest, RootedTree
 from kahan_aromas.linalg import nullspace
-from kahan_aromas.poly import PointEvaluator, Polynomial, RationalFunction
+from kahan_aromas.poly import Polynomial, RationalFunction
 from kahan_aromas.rationals import ONE, ZERO, random_rational
-from kahan_aromas.solver import SAMPLE_ATTEMPTS, SolverError, VerificationResult, _residual
+from kahan_aromas.solver import SAMPLE_ATTEMPTS, SolverError, VerificationResult
 
 
 def is_connected(g: tuple[int, ...]) -> bool:
@@ -240,6 +241,16 @@ def oracle_det(square):
     return total
 
 
+def evaluate_term_by_term(p: Polynomial, point) -> Fraction:
+    """p at a rational point: each term's coefficient times its powers of
+    the coordinates, summed in `Fraction`s."""
+    point = [Fraction(v) for v in point]
+    return sum(
+        (c * prod((v**e for v, e in zip(point, exps)), start=ONE) for exps, c in p.sorted_terms()),
+        ZERO,
+    )
+
+
 def rf_substitute_term_by_term(p, numerators, denominator, clear_power: int) -> Polynomial:
     """denominator**clear_power * p(x -> numerators/denominator) in
     `Polynomial` arithmetic: p's terms bucketed by x-monomial, each bucket
@@ -296,11 +307,11 @@ def verify_density_by_expansion(field, P, seed: int = 0) -> VerificationResult:
     for _ in range(SAMPLE_ATTEMPTS):
         xs = [random_rational(rng) for _ in range(field.dim)]
         h = random_rational(rng)
-        ev = PointEvaluator(field.nvars, xs + [h, ZERO])
-        den_val = ev(kmap.den)
+        point = xs + [h, ZERO]
+        den_val = evaluate_term_by_term(kmap.den, point)
         if den_val == 0:
             continue
-        value = ev(defect)
+        value = evaluate_term_by_term(defect, point)
         if value != 0:
             return VerificationResult(False, (xs, h, value / den_val**D))
     raise SolverError(
@@ -330,8 +341,13 @@ def solve_by_symbolic_assembly(kmap, basis) -> list:
 
 def residual_row_by_polynomials(step, polys) -> list:
     """N_{-h/2}(x) P(x') - P(x) N_{h/2}(x') at one Kahan step for each P,
-    one `_residual` per polynomial."""
-    return [_residual(step, p) for p in polys]
+    P evaluated term by term at x and at x'."""
+    ev_x, n_minus, ev_phi, n_plus = step
+    return [
+        n_minus * evaluate_term_by_term(p, ev_phi.point)
+        - evaluate_term_by_term(p, ev_x.point) * n_plus
+        for p in polys
+    ]
 
 
 def jacobian(field) -> list[list[Polynomial]]:
@@ -344,11 +360,13 @@ def kahan_step_by_solve(field, xs, h):
     elimination on `Fraction`s; None when the matrix is singular."""
     n = field.dim
     point = [Fraction(v) for v in xs] + [Fraction(h), Fraction(0)]
-    ev = PointEvaluator(field.nvars, point)
     jac = jacobian(field)
     aug = [
-        [(1 if i == j else 0) - Fraction(h) / 2 * ev(jac[i][j]) for j in range(n)]
-        + [ev(field.components()[i])]
+        [
+            (1 if i == j else 0) - Fraction(h) / 2 * evaluate_term_by_term(jac[i][j], point)
+            for j in range(n)
+        ]
+        + [evaluate_term_by_term(field.components()[i], point)]
         for i in range(n)
     ]
     reduced = rref_by_fractions(aug, n)

@@ -15,6 +15,7 @@ from kahan_aromas.corpus import SYSTEMS, get_system, ishii_invariants, lv_divfre
 from kahan_aromas.graphs import TWO_CYCLE, enumerate_aromas
 from kahan_aromas.poly import Polynomial
 from kahan_aromas.rationals import Rat
+from kahan_aromas.solver import verify_density
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +237,18 @@ def test_text_and_latex_formats(capsys):
     assert "1 - (1/8) h^2 F(C2(;))" in out
     code, out, _ = run_cli(capsys, "--format", "latex", "hopf", "q-table", "--order", "2")
     assert code == 0 and out.startswith("\\begin{tabular}")
+    solve = ["darboux", "solve", "--system", "lv_divfree", "--order", "4", "--parity", "even"]
+    code, out, _ = run_cli(capsys, "--format", "latex", *solve)
+    assert code == 0
+    assert out == "\\begin{align*}\n  g_{1} &= 1 - (1/8) h^2 F(C2(;)) \\\\\n\\end{align*}\n"
+    solve = ["darboux", "solve", "--system", "lv_special", "--order", "2", "--parity", "odd"]
+    code, out, _ = run_cli(capsys, "--format", "text", *solve)
+    assert code == 1
+    assert out == "basis (1): C1()\nno densities found at this order\nindependent integrals: 0\n"
+    code, out, _ = run_cli(capsys, "--format", "text", "kahan", "map", "--system", "lv_divfree")
+    kmap = lv_divfree().kahan_map()
+    assert code == 0
+    assert out == "".join(f"Phi_{i + 1} = ({num}) / ({kmap.den})\n" for i, num in enumerate(kmap.numerators))
 
 
 _MIXED_CALLS = [
@@ -761,6 +774,32 @@ def test_darboux_verify_past_the_packable_degree_exits_two(capsys, tmp_path, mon
     code, out, err = run_cli(capsys, "darboux", "verify", "--system", "lv_divfree", "--density", str(path))
     assert code == 2 and out == ""
     assert err == "input error: degree 1024 in x1 exceeds the packable 1023\n"
+
+
+def _long_int(text: str) -> int:
+    """int(text) in pieces: int() refuses more digits than the
+    interpreter's limit."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    value = 0
+    for i in range(0, len(digits), 500):
+        value = value * 10 ** len(digits[i : i + 500]) + int(digits[i : i + 500])
+    return sign * value
+
+
+@pytest.mark.parametrize("degree", [900, 1000])
+def test_darboux_verify_of_a_high_degree_density_prints_its_witness(capsys, tmp_path, degree):
+    # x1^1000 once overflowed the stack of the monomial cache, and the
+    # residual of x1^900 has more digits than str() writes for an int
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps({"terms": [[[degree, 0, 0, 0, 0], "1"]]}))
+    code, out, err = run_cli(capsys, "darboux", "verify", "--system", "lv_divfree", "--density", str(path))
+    assert code == 1 and err == ""
+    witness = json.loads(out)["witness"]
+    assert (witness["x"], witness["h"]) == (["4/7", "6", "-4/5"], "11/4")
+    P = Polynomial.monomial(5, (degree, 0, 0, 0, 0))
+    num, den = witness["residual"].split("/")
+    assert len(num) > 4300
+    assert Rat(_long_int(num), _long_int(den)) == verify_density(lv_divfree(), P).witness[2]
 
 
 def test_darboux_verify_a_density_in_u_exits_two(capsys, tmp_path):

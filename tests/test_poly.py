@@ -19,7 +19,7 @@ from kahan_aromas.poly import (
     unpack_exponents,
 )
 from kahan_aromas.rationals import Rat, format_rat
-from oracles import rf_substitute_term_by_term
+from oracles import evaluate_term_by_term, rf_substitute_term_by_term
 
 NV = 4  # two x-variables plus h, u
 
@@ -363,6 +363,12 @@ def test_mixed_variable_universes_rejected():
         Polynomial.monomial(3, (1, 0, 0, 0))
     with pytest.raises(ValueError):
         Polynomial.from_json([[[1, 0], "1"]], nvars=3)
+    # a substitution refuses a polynomial, numerator or multiplier of
+    # another universe, even one whose x-degrees would fit
+    foreign, one = Polynomial.variable(5, 0), const(1)
+    for p, nums in ((foreign, [x(0), x(1)]), (x(0), [x(0), foreign]), ([(foreign, x(0))], [x(0), x(1)])):
+        with pytest.raises(ValueError, match="different variable universes"):
+            rf_substitute(p, nums, one, 1)
 
 
 def test_exponent_overflow_raises():
@@ -486,8 +492,9 @@ def test_point_evaluator_matches_termwise_evaluation(p, point):
             term *= v**e
         expected += term
     ev = PointEvaluator(NV, point)
-    assert ev(p) == expected
-    assert ev(p) == expected  # again, from the evaluator's monomial cache
+    batch = PolynomialBatch([p])
+    assert batch.evaluate(ev) == [expected]
+    assert batch.evaluate(ev) == [expected]  # again, from the evaluator's monomial cache
 
 
 @given(st.lists(polys(), max_size=4), st.lists(rationals(), min_size=NV, max_size=NV))
@@ -498,11 +505,12 @@ def test_polynomial_batch_matches_point_evaluator(ps, point):
     ev = PointEvaluator(NV, point)
     values, scale = batch.monomial_values(ev)
     got = [c * s / scale for c, s in zip(batch.contents, batch.dot(values))]
-    assert got == [ev(p) for p in ps]
+    expected = [evaluate_term_by_term(p, point) for p in ps]
+    assert got == batch.evaluate(ev) == expected
     # the values of two points combine linearly before the dot products
     other = PointEvaluator(NV, point[::-1])
     more, more_scale = batch.monomial_values(other)
     combined = batch.dot([2 * v * more_scale - w * scale for v, w in zip(values, more)])
     assert [c * s / (scale * more_scale) for c, s in zip(batch.contents, combined)] == [
-        2 * ev(p) - other(p) for p in ps
+        2 * e - evaluate_term_by_term(p, point[::-1]) for p, e in zip(ps, expected)
     ]

@@ -341,43 +341,66 @@ def test_solve_and_verify_share_one_kahan_map(monkeypatch):
 
 def test_each_kahan_step_evaluates_det_m_once(monkeypatch):
     # det(M) at x is both N_{-h/2}(x) and the denominator of the step; it is
-    # evaluated alone by a PointEvaluator or in a batch that compiled it
-    dens, steps, evaluations = [], [], []
-    den_batches = []  # the batches compiled with a den among their polynomials
-    init, apply_point, evaluate = KahanMap.__init__, KahanMap.apply_point, PointEvaluator.__call__
+    # evaluated only in a batch that compiled it, matched to the map's den
+    # after the solve because the map compiles its batches while it is built
+    kmaps, steps, compiled, evaluations = [], [], [], []
+    init, apply_point = KahanMap.__init__, KahanMap.apply_point
     batch_init, batch_dot = PolynomialBatch.__init__, PolynomialBatch.dot
 
     def recording_init(self, field):
         init(self, field)
-        dens.append(self.den)
+        kmaps.append(self)
 
     def counting_apply_point(self, ev):
         steps.append(ev)
         return apply_point(self, ev)
 
-    def counting_evaluate(self, p):
-        if any(p is den for den in dens):
-            evaluations.append(p)
-        return evaluate(self, p)
-
     def recording_batch_init(self, polys):
         batch_init(self, polys)
-        if any(p is den for p in polys for den in dens):
-            den_batches.append(self)
+        compiled.append((self, list(polys)))
 
     def counting_dot(self, values):
-        if any(self is batch for batch in den_batches):
-            evaluations.append(self)
+        evaluations.append(self)
         return batch_dot(self, values)
 
     monkeypatch.setattr(KahanMap, "__init__", recording_init)
     monkeypatch.setattr(KahanMap, "apply_point", counting_apply_point)
-    monkeypatch.setattr(PointEvaluator, "__call__", counting_evaluate)
     monkeypatch.setattr(PolynomialBatch, "__init__", recording_batch_init)
     monkeypatch.setattr(PolynomialBatch, "dot", counting_dot)
     solve_darboux(lv_divfree(), 4, parity="even")
+    (kmap,) = kmaps
+    den_batches = [b for b, polys in compiled if any(p is kmap.den for p in polys)]
     assert len(den_batches) == 1
-    assert len(steps) == len(evaluations) == 27
+    assert len(steps) == sum(b is den_batches[0] for b in evaluations) == 27
+
+
+def test_building_a_kahan_map_compiles_its_two_batches(monkeypatch):
+    # den with the numerators, and N_{h/2}; a step compiles none
+    import kahan_aromas.solver as solver_mod
+
+    compiled = []
+    batch_init = PolynomialBatch.__init__
+
+    def recording_batch_init(self, polys):
+        batch_init(self, polys)
+        compiled.append(list(polys))
+
+    monkeypatch.setattr(PolynomialBatch, "__init__", recording_batch_init)
+    kmap = KahanMap(lv_divfree())
+    assert compiled == [[kmap.den] + kmap.numerators, [kmap.n_plus()]]
+    rng = random.Random(0)
+    for _ in range(3):
+        solver_mod._sample_point(rng, kmap)
+    assert len(compiled) == 2
+
+
+def test_a_polynomial_from_another_universe_is_refused():
+    # the h of a 2-dim universe is not x3, and x3 of a 4-dim one is not u
+    f = lv_divfree()
+    with pytest.raises(ValueError, match="polynomials live in different variable universes"):
+        verify_density(f, Polynomial.variable(4, 2))
+    with pytest.raises(ValueError, match="polynomials live in different variable universes"):
+        f.kahan_map().darboux_defect_cleared(Polynomial.variable(6, 4))
 
 
 def test_first_integrals_errors():
@@ -778,14 +801,7 @@ def test_randomized_searches_are_bounded(monkeypatch):
     # witness point exists, and each search must give up with its count
     import kahan_aromas.solver as solver_mod
 
-    init = KahanMap.__init__
-
-    def zero_den(self, field):
-        init(self, field)
-        # u = 0 at every sample point: the den is zero there, not identically
-        self.den = self.den * X(field.nvars - 1)
-
-    monkeypatch.setattr(KahanMap, "__init__", zero_den)
+    monkeypatch.setattr(KahanMap, "apply_point", lambda self, ev: (ZERO, None))
     f = lv_divfree()
     with pytest.raises(SolverError, match=f"{solver_mod.SAMPLE_ATTEMPTS} attempts"):
         solver_mod._sample_point(random.Random(0), KahanMap(f))
