@@ -28,7 +28,7 @@ from .graphs import (
     parse_multiset,
 )
 from .poly import Polynomial
-from .rationals import Rat, format_rat
+from .rationals import Rat, format_rat, parse_rat
 from .solver import (
     SolverError,
     conjecture_check,
@@ -53,10 +53,16 @@ def _input_error(exc: Exception) -> InputError:
     return InputError(str(exc))
 
 
+def _json_int(text: str) -> int:
+    """A JSON integer of any length: int() refuses one past the
+    interpreter's digit limit, and `parse_rat` reads it in parts."""
+    return int(text) if len(text) < 600 else parse_rat(text).numerator
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
@@ -76,7 +82,7 @@ def _load_field(args) -> QuadraticVectorField:
         params = None
         if args.params:
             try:
-                params = json.loads(args.params)
+                params = json.loads(args.params, parse_int=_json_int)
             except json.JSONDecodeError as exc:
                 raise InputError(f"malformed --params JSON: {exc}") from exc
         try:

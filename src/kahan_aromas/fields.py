@@ -6,14 +6,14 @@ degree, 1-based: an entry [i, j, k, v] of "quadratic" (j <= k) is the term
 v x_j x_k of f_i, [i, j, v] of "linear" is v x_j and [i, v] of "constant"
 is v.
 
-The aromatic function F sends an aroma (or multiset) to a scalar polynomial
-by Einstein summation: vertex v with predecessors p1..pm contributes the
-factor d^m f^{i_v} / dx_{i_p1} ... dx_{i_pm}, summed over all index
-assignments.  An aroma is one cycle with rooted trees hanging off it, so the
-sum is evaluated by contraction instead of over the n^V assignments:
+The aromatic function F sends an aroma (or multiset) graph to a scalar
+polynomial by Einstein summation: vertex v with predecessors p1..pm
+contributes the factor d^m f^{i_v} / dx_{i_p1} ... dx_{i_pm}, summed over
+all index assignments.  An aroma is one cycle with rooted trees hanging
+off it, so the sum is evaluated by contraction instead of over the n^V
+assignments:
 
-- each hanging tree is its elementary differential, a vector memoized per
-  field by tree encoding;
+- each hanging tree is its elementary differential, a vector;
 - cycle vertex i with trees t1..tm becomes the n x n polynomial matrix
   M_i[a][b] = sum_js d^(m+1) f^a / dx_b dx_j1 ... dx_jm * prod_r F(t_r)^{j_r};
 - F(aroma) = tr(M_{k-1} ... M_1 M_0), the cycle edge running i -> i+1.
@@ -24,13 +24,15 @@ The contraction runs in integers.  With D the lcm of the components'
 content denominators, every partial of D f is an integer term dict (packed
 key -> int), and every vertex of an aroma contributes exactly one partial,
 so F_f(aroma) = F_{Df}(aroma) / D^|aroma|: a tree vector carries D^|tree|,
-a cycle-vertex matrix D^(1 + its forest's order).  The matrix of each
-forest is memoized on the field with its per-variable degree bound, and a
-sum of products accumulates in place (`poly._mul_add`), so rational
-arithmetic happens once per aroma, when its one `Polynomial` is built (the
-content times integer terms layout of Monagan & Pearce, "Sparse polynomial
-multiplication and division in Maple 14", 2009; the aroma algebra is that
-of Munthe-Kaas & Verdier, "Aromatic Butcher series", FoCM 2016).
+a cycle-vertex matrix D^(1 + its forest's order).  Each tree's vector and
+each forest's matrix is memoized on the field with its per-variable degree
+bound, predicted for a tree and measured for a matrix, and every bound is
+checked (`poly._check_packable`) before anything is multiplied.  A sum of
+products accumulates in place (`poly._mul_add`), so rational arithmetic
+happens once per aroma, when its one `Polynomial` is built (the content
+times integer terms layout of Monagan & Pearce, "Sparse polynomial
+multiplication and division in Maple 14", 2009; the aroma algebra is that of
+Munthe-Kaas & Verdier, "Aromatic Butcher series", FoCM 2016).
 """
 
 from __future__ import annotations
@@ -39,19 +41,19 @@ import math
 from functools import reduce
 from itertools import combinations_with_replacement, product
 
-from .graphs import Aroma, AromaMultiset, RootedTree, parse_any
+from .graphs import Aroma, AromaMultiset, RootedTree
 from .linalg import invert_rational_matrix
 from .poly import (
-    _BITS,
-    _MASK,
     PointEvaluator,
     Polynomial,
     PolynomialBatch,
     RationalFunction,
+    _check_packable,
+    _degrees,
+    _derivative,
     _from_ints,
     _mul_add,
     _mul_terms,
-    _overflow,
     pack_exponents,
     rf_substitute,
     series_in_h,
@@ -92,8 +94,7 @@ class QuadraticVectorField:
         self._components = [Polynomial(self.nvars, t) for t in terms]
         self._kahan_map: KahanMap | None = None
         self._cleared_parts: tuple[int, dict, dict] | None = None
-        self._elementary: dict[str, list[dict]] = {}
-        self._tree_bounds: dict[str, list] = {}
+        self._elementary: dict[str, tuple] = {}
         self._cycle_matrices: dict[str, tuple] = {}
         self._aroma_cache: dict[str, Polynomial] = {}
 
@@ -166,15 +167,9 @@ class QuadraticVectorField:
             for m in (1, 2):
                 for i in range(self.dim):
                     for idx in combinations_with_replacement(range(self.dim), m):
-                        shift = _BITS * idx[-1]
-                        out = {
-                            k - (1 << shift): v * e
-                            for k, v in parts.get((i, idx[:-1]), {}).items()
-                            if (e := (k >> shift) & _MASK)
-                        }
-                        if out:
+                        if out := _derivative(parts.get((i, idx[:-1]), {}), idx[-1]):
                             parts[(i, idx)] = out
-            degrees = {key: _x_degrees(d, self.dim) for key, d in parts.items()}
+            degrees = {key: _degrees(d, self.dim) for key, d in parts.items()}
             self._cleared_parts = D, parts, degrees
         return self._cleared_parts
 
@@ -196,66 +191,59 @@ class QuadraticVectorField:
                 _mul_add(acc, term, vecs[-1][js[-1]], nv)
         return {k: v for k, v in acc.items() if v}
 
-    def _tree_vector(self, tree: RootedTree) -> list[dict]:
-        """D^|tree| F(tree) as int dicts, memoized per field by tree encoding.
+    def _tree_vector(self, tree: RootedTree) -> tuple[list[dict], list]:
+        """(vector, bound), memoized per field by tree encoding: the vector
+        is D^|tree| F(tree) as int dicts, and bound[a] the largest degree per
+        variable that component a can have, or None when it is zero.
 
         A vertex with more than two children gives the zero vector (its
         partials vanish), and its subtrees are not evaluated.  The subtrees
-        not yet memoized are walked children first with an explicit stack,
-        and their degree bounds are checked before any multiplication."""
-        memo = self._elementary
+        not yet memoized are walked children first with an explicit stack.
+        The walk takes each vertex's bound when it pops the vertex, the
+        largest over its contracted products of the partial's degree plus
+        the children's, and checks it against the packable degree, so every
+        bound is checked before any vector is multiplied."""
+        n, memo, partial_degrees = self.dim, self._elementary, self._cleared()[2]
         todo: list[RootedTree] = []  # children before parents
-        seen: set[str] = set()
+        bounds: dict[str, list | None] = {}  # walked trees; None until popped
         stack = [(tree, False)]
         while stack:
             t, expanded = stack.pop()
-            if expanded:
-                todo.append(t)
-            elif t.encoding not in memo and t.encoding not in seen:
-                seen.add(t.encoding)
-                stack.append((t, True))
-                if len(t.children) <= 2:
-                    stack.extend((c, False) for c in t.children)
-        self._check_degrees(todo)
-        for t in todo:
-            if len(t.children) > 2:
-                memo[t.encoding] = [{}] * self.dim
-            else:
-                vecs = [memo[c.encoding] for c in t.children]
-                memo[t.encoding] = [self._contract(i, (), vecs) for i in range(self.dim)]
-        return memo[tree.encoding]
-
-    def elementary_differential(self, tree: RootedTree) -> list[Polynomial]:
-        """B-series elementary differential F(tree) as a fresh list of
-        polynomials."""
-        scale = self._cleared()[0] ** tree.order
-        return [_from_ints(self.nvars, v, 1, scale) for v in self._tree_vector(tree)]
-
-    def _check_degrees(self, trees: list[RootedTree]) -> None:
-        """Raise ValueError when the vector of one of these trees (children
-        first) could pass the packable degree in some variable.  Per
-        component and variable, a vertex's degree bound is the largest over
-        its contracted products of the partial's degree plus the children's;
-        None marks a component that is zero.  The bounds are kept with the
-        memoized vectors."""
-        n = self.dim
-        partial_degrees = self._cleared()[2]
-        bounds = self._tree_bounds
-        for t in trees:
+            if not expanded:
+                if t.encoding not in memo and t.encoding not in bounds:
+                    bounds[t.encoding] = None
+                    stack.append((t, True))
+                    if len(t.children) <= 2:
+                        stack.extend((c, False) for c in t.children)
+                continue
+            todo.append(t)
             out = bounds[t.encoding] = [None] * n
             if len(t.children) > 2:
                 continue
-            kids = [bounds[c.encoding] for c in t.children]
+            encs = [c.encoding for c in t.children]
+            kids = [bounds[e] if e in bounds else memo[e][1] for e in encs]
             for a, js in product(range(n), product(range(n), repeat=len(kids))):
                 d = partial_degrees.get((a, tuple(sorted(js))))
                 degs = [kid[j] for kid, j in zip(kids, js)]
                 if d is None or None in degs:
                     continue
                 got = [sum(col) for col in zip(d, *degs)]
+                _check_packable(self.nvars, got)
                 out[a] = got if out[a] is None else list(map(max, out[a], got))
-                for i, degree in enumerate(got):
-                    if degree > _MASK:
-                        raise _overflow(self.nvars, i, degree)
+        for t in todo:
+            if len(t.children) > 2:
+                vec = [{}] * n
+            else:
+                vecs = [memo[c.encoding][0] for c in t.children]
+                vec = [self._contract(i, (), vecs) for i in range(n)]
+            memo[t.encoding] = vec, bounds[t.encoding]
+        return memo[tree.encoding]
+
+    def elementary_differential(self, tree: RootedTree) -> list[Polynomial]:
+        """B-series elementary differential F(tree) as a fresh list of
+        polynomials."""
+        scale = self._cleared()[0] ** tree.order
+        return [_from_ints(self.nvars, v, 1, scale) for v in self._tree_vector(tree)[0]]
 
     def _cycle_matrix(self, forest) -> tuple[list[list[dict]] | None, list[int] | None]:
         """(M, bound), memoized per field by forest encoding.  M[a][b] is
@@ -268,9 +256,9 @@ class QuadraticVectorField:
         if got is None:
             n, mat, bound = self.dim, None, None
             if len(forest.trees) <= 1:
-                vecs = [self._tree_vector(t) for t in forest.trees]
+                vecs = [self._tree_vector(t)[0] for t in forest.trees]
                 mat = [[self._contract(a, (b,), vecs) for b in range(n)] for a in range(n)]
-                degs = [_x_degrees(p, n) for row in mat for p in row if p]
+                degs = [_degrees(p, n) for row in mat for p in row if p]
                 if degs:
                     bound = [max(col) for col in zip(*degs)]
             got = self._cycle_matrices[forest.encoding] = (mat, bound)
@@ -287,9 +275,7 @@ class QuadraticVectorField:
         n, nv = self.dim, self.nvars
         if any(bound is None for _, bound in mats):
             return Polynomial.zero(nv)
-        for i, degree in enumerate(map(sum, zip(*(bound for _, bound in mats)))):
-            if degree > _MASK:
-                raise _overflow(nv, i, degree)
+        _check_packable(nv, map(sum, zip(*(bound for _, bound in mats))))
         first, *others = (mat for mat, _ in mats)
         if others:
             rest = reduce(lambda a, b: _mat_mul(a, b, nv), reversed(others))
@@ -303,11 +289,9 @@ class QuadraticVectorField:
         return _from_ints(nv, acc, 1, self._cleared()[0] ** aroma.order)
 
     def aroma_function(self, arg) -> Polynomial:
-        """F(arg) for an aroma or aroma multiset (encodings accepted),
-        memoized by encoding.  An aroma and a multiset share an encoding only
-        when the multiset is that one aroma, and then F is the same."""
-        if isinstance(arg, str):
-            arg = parse_any(arg)
+        """F(arg) for an aroma or aroma multiset, memoized by encoding.  An
+        aroma and a multiset share an encoding only when the multiset is that
+        one aroma, and then F is the same."""
         if not isinstance(arg, (Aroma, AromaMultiset)):
             raise TypeError("aroma_function expects an Aroma or AromaMultiset")
         got = self._aroma_cache.get(arg.encoding)
@@ -388,11 +372,6 @@ def _mat_mul(a: list[list[dict]], b: list[list[dict]], nvars: int) -> list[list[
     return out
 
 
-def _x_degrees(ints: dict, n: int) -> list[int]:
-    """The largest exponent of each of x_1 .. x_n over the keys."""
-    return [max((k >> (_BITS * i)) & _MASK for k in ints) for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # the Kahan map
 
@@ -422,7 +401,7 @@ class KahanMap:
     def __init__(self, field: QuadraticVectorField):
         self.dim, self.nvars = n, nv = field.dim, field.nvars
         D, parts, _ = field._cleared()
-        hkey = 1 << (_BITS * n)
+        hkey = pack_exponents([0] * n + [1])
         # A = 2D M = 2D I - h (D f'), and 2 (D f) for the replaced column
         A = [
             [{k + hkey: -v for k, v in parts.get((i, (j,)), {}).items()} for j in range(n)]
@@ -459,7 +438,8 @@ class KahanMap:
             # x_i det A + h det(A with column i replaced by 2 D f), the
             # latter expanded along that column
             others = everything[:i] + everything[i + 1 :]
-            acc = {k + (1 << (_BITS * i)): v for k, v in det_a.items()}
+            xkey = pack_exponents([0] * i + [1])
+            acc = {k + xkey: v for k, v in det_a.items()}
             for r in range(n):
                 if rhs[r]:
                     cof = minor(everything[:r] + everything[r + 1 :], others)

@@ -134,31 +134,6 @@ class Aroma(_Encoded):
                 best = max(best, t.max_indegree())
         return best
 
-    def structure(self):
-        """Explicit vertex structure: (preds, tree_kids, cycle_len).
-
-        Vertices 0..k-1 are the cycle (edge i -> i+1 mod k); tree vertices
-        follow in DFS order.  preds[v] lists all vertices pointing at v
-        (cycle edge included); tree_kids[v] lists only tree-vertex children.
-        """
-        k = self.cycle_len
-        preds = [[(i - 1) % k] for i in range(k)]
-        tree_kids: list[list[int]] = [[] for _ in range(k)]
-
-        def add_tree(tree: RootedTree, parent: int) -> None:
-            v = len(preds)
-            preds.append([])
-            tree_kids.append([])
-            preds[parent].append(v)
-            tree_kids[parent].append(v)
-            for child in tree.children:
-                add_tree(child, v)
-
-        for i, forest in enumerate(self.decorations):
-            for tree in forest.trees:
-                add_tree(tree, i)
-        return preds, tree_kids, k
-
 
 class AromaMultiset(_Encoded):
     __slots__ = ("aromas",)

@@ -9,7 +9,10 @@ Exponent vectors are packed into a single int (10 bits per variable) so that
 monomial multiplication is integer addition.  Compared as ints, packed keys
 are a monomial order (lex, the last variable most significant) as long as no
 exponent leaves its slot; products check that none does and raise ValueError
-otherwise.
+otherwise.  This module alone reads the layout: other modules build keys
+with `pack_exponents` and work on int dicts key -> int through its private
+kernels (`_mul_add`, `_mul_terms`, `_derivative`, `_degrees`), and a degree
+bound past the packable range is refused by `_check_packable`.
 
 A polynomial is one rational `content` times `terms`, a dict packed key ->
 primitive Python int: the gcd of the ints is 1 and the int of the largest key
@@ -95,6 +98,24 @@ def _top_bits(nvars: int) -> int:
 def _overflow(nvars: int, index: int, degree: int) -> ValueError:
     name = var_names(nvars)[index]
     return ValueError(f"degree {degree} in {name} exceeds the packable {_MASK}")
+
+
+def _check_packable(nvars: int, degrees) -> None:
+    """Raise ValueError at the first variable i whose degrees[i] is past the packable range."""
+    for i, degree in enumerate(degrees):
+        if degree > _MASK:
+            raise _overflow(nvars, i, degree)
+
+
+def _degrees(ints: dict, n: int) -> list[int]:
+    """The largest exponent of each of the first n variables over the keys."""
+    return [max(((k >> (_BITS * i)) & _MASK for k in ints), default=0) for i in range(n)]
+
+
+def _derivative(ints: dict, index: int) -> dict:
+    """The derivative of an int dict in the variable of that index."""
+    shift = _BITS * index
+    return {k - (1 << shift): v * e for k, v in ints.items() if (e := (k >> shift) & _MASK)}
 
 
 def _check_product_degrees(a: dict, b: dict, nvars: int) -> None:
@@ -220,16 +241,10 @@ class Polynomial:
         return self.content * self.terms.get(key, 0)
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        n = self.nvars
-        return max(sum(unpack_exponents(k, n)) for k in self.terms)
+        return max((sum(unpack_exponents(k, self.nvars)) for k in self.terms), default=0)
 
     def degree_in(self, index: int) -> int:
-        if not self.terms:
-            return 0
-        shift = _BITS * index
-        return max((k >> shift) & _MASK for k in self.terms)
+        return max(((k >> (_BITS * index)) & _MASK for k in self.terms), default=0)
 
     def x_degree(self) -> int:
         """Total degree in the x-variables only (h and u ignored)."""
@@ -302,10 +317,7 @@ class Polynomial:
         if exponent < 0:
             raise ValueError("negative powers are not polynomials")
         if exponent > 1:
-            for i in range(self.nvars):
-                degree = self.degree_in(i) * exponent
-                if degree > _MASK:
-                    raise _overflow(self.nvars, i, degree)
+            _check_packable(self.nvars, [d * exponent for d in _degrees(self.terms, self.nvars)])
         result = Polynomial.const(self.nvars, 1)
         base = self
         e = exponent
@@ -331,14 +343,8 @@ class Polynomial:
     # -- calculus and substitution ---------------------------------------
 
     def partial_derivative(self, index: int) -> "Polynomial":
-        shift = _BITS * index
-        out = {}
-        for k, v in self.terms.items():
-            e = (k >> shift) & _MASK
-            if e:
-                out[k - (1 << shift)] = v * e
         c = self.content
-        return _from_ints(self.nvars, out, c.numerator, c.denominator)
+        return _from_ints(self.nvars, _derivative(self.terms, index), c.numerator, c.denominator)
 
     def subs_h_negated(self) -> "Polynomial":
         """h -> -h (negates coefficients of odd h-powers)."""
@@ -717,7 +723,7 @@ def rf_substitute(
     common = math.lcm(*(f.content.denominator for f in factors))
     scales = [f.content.numerator * (common // f.content.denominator) for f in factors]
     norms = [abs(s) * sum(map(abs, f.terms.values())) for s, f in zip(scales, factors)]
-    degrees = [[f.degree_in(i) for i in range(nx)] for f in factors]
+    degrees = [_degrees(f.terms, nx) for f in factors]
     ratios = [m.content * q.content for m, q in pairs]
     lcm_pairs = math.lcm(*(r.denominator for r in ratios))
     pair_scales = [r.numerator * (lcm_pairs // r.denominator) for r in ratios]
@@ -754,12 +760,12 @@ def rf_substitute(
             d = _x_degree_of(xkey, nx)
             entries.append((xkey, k - xkey - (e << hshift), e + d * off_num + (c - d) * off_den, v))
         bound += abs(s) * sum(map(abs, m.terms.values())) * inner
-        m_degrees = [m.degree_in(i) for i in range(nx)]
+        m_degrees = _degrees(m.terms, nx)
         for a in dict.fromkeys(unpack_exponents(entry[0], nx) for entry in entries):
-            for i, (g, gm) in enumerate(zip(degrees[-1], m_degrees)):
-                degree = sum(e * f[i] for e, f in zip(a, degrees)) + (c - sum(a)) * g + gm
-                if degree > _MASK:
-                    raise _overflow(n, i, degree)
+            _check_packable(n, [
+                sum(e * f[i] for e, f in zip(a, degrees)) + (c - sum(a)) * g + gm
+                for i, (g, gm) in enumerate(zip(degrees[-1], m_degrees))
+            ])
         low = min(entry[2] for entry in entries)
         lo_m, hi_m = _h_range(m.terms, nx)
         # the largest h-degree minus x-degree that the pair's result can hold

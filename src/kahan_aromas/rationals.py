@@ -10,21 +10,37 @@ everywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction as Rat
 
 ZERO = Rat(0)
 ONE = Rat(1)
+_P_OR_P_Q = re.compile(r"\s*([-+]?)([0-9]+)(?:/([0-9]+))?\s*")
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse "p" or "p/q" (spaces tolerated); anything else, a zero
-    denominator included, raises ValueError."""
+    """Parse "p" or "p/q" of any length (spaces tolerated); any other string
+    keeps `Fraction`'s syntax, and a string it refuses or a zero denominator
+    raises ValueError."""
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string 'p' or 'p/q', got {text!r}")
+    m = _P_OR_P_Q.fullmatch(text)
     try:
-        return Rat(text.strip())
+        if m is None:
+            return Rat(text.strip())
+        sign, p, q = m.groups()
+        return Rat(-_integer(p) if sign == "-" else _integer(p), _integer(q or "1"))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _integer(digits: str) -> int:
+    """The int of a string of decimal digits, read in parts at a power of
+    ten past the interpreter's digit limit: the inverse of `_decimal`."""
+    if len(digits) <= 600:
+        return int(digits)
+    k = len(digits) // 2
+    return _integer(digits[:-k]) * 10**k + _integer(digits[-k:])
 
 
 def _decimal(n: int) -> str:

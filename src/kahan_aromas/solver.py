@@ -400,10 +400,13 @@ def verify_density(field: QuadraticVectorField, P: Polynomial, seed: int = 0) ->
     defect over den^D at the point, and the points are drawn from `seed` in
     a fixed order, so the witness is the first point where the cleared
     defect does not vanish.  The points have u = 0, so a P that involves u
-    raises ValueError, as an augmenter does.
+    raises ValueError, as an augmenter does; so does the zero P, which is
+    the density of no measure.
     """
     if P.nvars != field.nvars:
         raise ValueError("polynomials live in different variable universes")
+    if P.is_zero():
+        raise ValueError("a density must be a nonzero polynomial")
     if P.degree_in(field.dim + 1):
         raise ValueError("a density must not involve u")
     refuted = _refute_or_confirm(field.kahan_map(), P, random.Random(seed))

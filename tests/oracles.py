@@ -129,9 +129,35 @@ def tree_automorphism_count(parent: tuple[int, ...]) -> int:
     return count
 
 
+def aroma_structure(aroma):
+    """Explicit vertex structure of an Aroma: (preds, tree_kids, cycle_len).
+
+    Vertices 0..k-1 are the cycle (edge i -> i+1 mod k); tree vertices
+    follow in DFS order.  preds[v] lists all vertices pointing at v
+    (cycle edge included); tree_kids[v] lists only tree-vertex children.
+    """
+    k = aroma.cycle_len
+    preds = [[(i - 1) % k] for i in range(k)]
+    tree_kids: list[list[int]] = [[] for _ in range(k)]
+
+    def add_tree(tree: RootedTree, parent: int) -> None:
+        v = len(preds)
+        preds.append([])
+        tree_kids.append([])
+        preds[parent].append(v)
+        tree_kids[parent].append(v)
+        for child in tree.children:
+            add_tree(child, v)
+
+    for i, forest in enumerate(aroma.decorations):
+        for tree in forest.trees:
+            add_tree(tree, i)
+    return preds, tree_kids, k
+
+
 def aroma_to_endomap(aroma) -> tuple[int, ...]:
     """Explicit endomap of an Aroma (structural conversion, no sigma logic)."""
-    preds, tree_kids, k = aroma.structure()
+    preds, tree_kids, k = aroma_structure(aroma)
     n = len(preds)
     g = [0] * n
     for i in range(k):
@@ -154,7 +180,7 @@ def aroma_cuts_by_vertex_subsets(aroma) -> list:
     """Admissible cuts of an aroma as (detached forest, remaining aroma): every
     subset of its tree vertices that holds no vertex together with one of its
     ancestors cuts the edge from each of those vertices to its parent."""
-    preds, tree_kids, k = aroma.structure()
+    preds, tree_kids, k = aroma_structure(aroma)
     nverts = len(preds)
     tree_vertices = list(range(k, nverts))
     parent = [None] * nverts
@@ -195,7 +221,7 @@ def aroma_cuts_by_vertex_subsets(aroma) -> list:
 def aroma_by_assignments(field, aroma):
     """F(aroma) as the plain sum over all n^V index assignments: vertex v with
     predecessors p1..pm contributes d^m f^{i_v} / dx_{i_p1} ... dx_{i_pm}."""
-    preds, _, _ = aroma.structure()
+    preds, _, _ = aroma_structure(aroma)
     nv = field.nvars
     total = Polynomial.zero(nv)
     for assignment in product(range(field.dim), repeat=len(preds)):

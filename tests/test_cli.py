@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
+import kahan_aromas.solver as solver_mod
 from kahan_aromas.cli import main, render_series
 from kahan_aromas.corpus import SYSTEMS, get_system, ishii_invariants, lv_divfree
 from kahan_aromas.graphs import TWO_CYCLE, enumerate_aromas
-from kahan_aromas.poly import Polynomial
-from kahan_aromas.rationals import Rat
+from kahan_aromas.poly import Polynomial, pack_exponents
+from kahan_aromas.rationals import Rat, format_rat
 from kahan_aromas.solver import verify_density
 
 
@@ -29,6 +30,9 @@ def test_aromas_enumerate(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["aromas"] == ["C1([[]])", "C1([][])", "C2(;[])", "C3(;;)"]
+    code, out, _ = run_cli(capsys, "aromas", "enumerate", "--order", "3", "--max-indegree", "1")
+    assert code == 0
+    assert json.loads(out)["aromas"] == ["C3(;;)"]
 
 
 def test_aromas_enumerate_multisets(capsys):
@@ -110,6 +114,17 @@ def test_hopf_newton(capsys):
     assert terms["C2(;)"]["eta_over_sigma"] == "-1/2"
     assert terms["C1()*C1()"]["eta_over_sigma"] == "1/2"
     assert terms["C3(;;)"]["vanishes_beyond_dim"] is True
+    code, out, _ = run_cli(capsys, "--format", "text", "hopf", "newton", "--order", "3", "--dim", "2")
+    assert code == 0
+    assert out == (
+        "h^0 u^0 * (1) F(1)\n"
+        "h^1 u^1 * (1) F(C1())\n"
+        "h^2 u^2 * (1/2) F(C1()*C1())\n"
+        "h^2 u^2 * (-1/2) F(C2(;))\n"
+        "h^3 u^3 * (1/6) F(C1()*C1()*C1())   [sums to zero beyond dim]\n"
+        "h^3 u^3 * (-1/2) F(C1()*C2(;))   [sums to zero beyond dim]\n"
+        "h^3 u^3 * (1/3) F(C3(;;))   [sums to zero beyond dim]\n"
+    )
 
 
 def test_darboux_solve_deterministic_and_verifiable(capsys, tmp_path):
@@ -198,6 +213,36 @@ def test_system_source_and_params(capsys):
     assert json.loads(out)["div_free"] is False
     code, _, err = run_cli(capsys, "check", "conditions", "--system", "nope")
     assert code == 2
+
+
+def test_check_conjecture_flags_a_potential_counterexample(capsys, monkeypatch):
+    # the hypothesis holds on lv_divfree; with no constrained density found
+    # the check exits 1
+    monkeypatch.setattr(solver_mod, "_find_constrained_density", lambda sol, target: None)
+    code, out, _ = run_cli(capsys, "check", "conjecture", "--system", "lv_divfree")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["hypothesis_holds"] and payload["density_found"] is False
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("solve", "no sample point off det(M) = 0 in 0 attempts"),
+        ("verify", "no witness point for the nonzero defect in 0 attempts"),
+    ],
+)
+def test_darboux_solver_error_exits_one(capsys, tmp_path, monkeypatch, command, message):
+    # with no draws allowed no step comes: the solve has no rows, and the
+    # nonzero defect of a wrong density has no witness; the SolverError's
+    # message goes to stderr
+    monkeypatch.setattr(solver_mod, "SAMPLE_ATTEMPTS", 0)
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps([[[1, 0, 0, 0, 0], "1"]]))  # x1 is no density of lv_divfree
+    extra = ["--order", "2"] if command == "solve" else ["--density", str(path)]
+    code, out, err = run_cli(capsys, "darboux", command, "--system", "lv_divfree", *extra)
+    assert code == 1 and out == ""
+    assert err == message + "\n"
 
 
 def test_check_conjecture(capsys):
@@ -492,6 +537,33 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         ),
         (("hopf", "newton", "--order", "3", "--dim", "0"), None, None, "input error: --dim must be at least 1"),
         (("hopf", "newton", "--order", "3", "--dim", "-2"), None, None, "input error: --dim must be at least 1"),
+        (
+            ("darboux", "verify", "--system", "lv_divfree", "--density", "."),
+            None,
+            None,
+            "input error: cannot read JSON from .: ",
+        ),
+        (
+            ("darboux", "solve", "--field", "field.json", "--system", "lv", "--order", "2"),
+            None,
+            None,
+            "input error: give exactly one field source (--field or --system)",
+        ),
+        (
+            ("darboux", "solve", "--system", "lv", "--params", "{", "--order", "2"),
+            None,
+            None,
+            "input error: malformed --params JSON: ",
+        ),
+        (
+            ("darboux", "solve", "--system", "lv", "--order", "-1"),
+            None,
+            None,
+            "input error: order must be nonnegative",
+        ),
+        (("aromas", "enumerate", "--order", "0"), None, None, "input error: aroma enumeration needs order >= 1"),
+        (_LV, [], None, "input error: a density must be a nonzero polynomial"),
+        (_LV, {"terms": []}, None, "input error: a density must be a nonzero polynomial"),
     ],
     ids=[
         "field-zero-denominator",
@@ -536,6 +608,13 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         "aroma-above-the-order-cap",
         "newton-zero-dim",
         "newton-negative-dim",
+        "density-file-unreadable",
+        "field-and-system",
+        "params-not-json",
+        "negative-order",
+        "aromas-of-order-zero",
+        "density-empty-list",
+        "density-no-terms",
     ],
 )
 def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, message):
@@ -800,6 +879,42 @@ def test_darboux_verify_of_a_high_degree_density_prints_its_witness(capsys, tmp_
     num, den = witness["residual"].split("/")
     assert len(num) > 4300
     assert Rat(_long_int(num), _long_int(den)) == verify_density(lv_divfree(), P).witness[2]
+
+
+@pytest.mark.parametrize(
+    "coefficient",
+    [json.dumps("7" * 5001), "7" * 5001, json.dumps(format_rat(Rat(-(7**6000), 11**5000)))],
+    ids=["digits-string", "json-integer", "negative-fraction-string"],
+)
+def test_darboux_verify_reads_a_coefficient_past_the_int_digit_limit(capsys, tmp_path, coefficient):
+    # int() refuses more than 4,300 digits, so such a coefficient once
+    # exited 2 (or, as a JSON integer, raised a traceback)
+    path = tmp_path / "density.json"
+    path.write_text(f"[[[1, 0, 0, 0, 0], {coefficient}]]")
+    code, out, err = run_cli(capsys, "darboux", "verify", "--system", "lv_divfree", "--density", str(path))
+    assert code == 1 and err == ""
+    value = Rat(-(7**6000), 11**5000) if "/" in coefficient else Rat(7 * (10**5001 - 1) // 9)
+    P = Polynomial.monomial(5, (1, 0, 0, 0, 0), value)
+    assert json.loads(out)["witness"]["residual"] == format_rat(verify_density(lv_divfree(), P).witness[2])
+
+
+def test_field_json_reads_a_constant_past_the_int_digit_limit(capsys, tmp_path):
+    value = Rat(-(7**6000), 11**5000)  # 5,071 digits over 5,207
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({**_LV, "constant": [[1, format_rat(value)]]}))
+    code, out, err = run_cli(capsys, "kahan", "map", "--field", str(path))
+    assert code == 0 and err == ""
+    # the h term of the first numerator is h f_1(0)
+    numerator = Polynomial.from_json(json.loads(out)["numerators"][0])
+    assert numerator.coefficient(pack_exponents([0, 0, 0, 1, 0])) == value
+
+
+def test_system_params_read_an_integer_past_the_int_digit_limit(capsys):
+    # a JSON integer this long once raised a traceback
+    code, out, err = run_cli(capsys, "kahan", "map", "--system", "lv", "--params", '{"alpha": %s}' % ("7" * 5001))
+    assert code == 0 and err == ""
+    kmap = get_system("lv", {"alpha": format_rat(7 * (10**5001 - 1) // 9)}).kahan_map()
+    assert [Polynomial.from_json(p) for p in json.loads(out)["numerators"]] == kmap.numerators
 
 
 def test_darboux_verify_a_density_in_u_exits_two(capsys, tmp_path):

@@ -56,7 +56,14 @@ from kahan_aromas.graphs import (
     parse_multiset,
     tall_tree,
 )
-from kahan_aromas.poly import PointEvaluator, Polynomial, RationalFunction, rf_substitute, unpack_exponents
+from kahan_aromas.poly import (
+    PointEvaluator,
+    Polynomial,
+    RationalFunction,
+    _degrees,
+    rf_substitute,
+    unpack_exponents,
+)
 from kahan_aromas.rationals import Rat
 from kahan_aromas.solver import solve_darboux
 from oracles import (
@@ -626,3 +633,28 @@ def test_kahan_map_is_cached_and_dies_with_its_field():
     finally:
         if collecting:
             gc.enable()
+
+
+def test_aroma_function_refuses_an_encoding():
+    with pytest.raises(TypeError, match="expects an Aroma or AromaMultiset"):
+        lv_divfree().aroma_function("C1()")
+
+
+_BOUND_FIELDS = {
+    **{name: lambda name=name: get_system(name, None, seed=0) for name in sorted(SYSTEMS)},
+    **{f"dense-{n}": lambda n=n: random_quadratic_field(random.Random(n), n) for n in range(1, 5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUND_FIELDS))
+def test_tree_bounds_cover_the_vectors(name):
+    # a tree's stored bound is predicted from the partials' degrees before
+    # its vector is multiplied; it must cover the degrees the vector has
+    field = _BOUND_FIELDS[name]()
+    for order in range(1, 7):
+        for tree in enumerate_trees(order):
+            vector, bound = field._tree_vector(tree)
+            for component, degrees in zip(vector, bound):
+                if component:
+                    assert degrees is not None
+                    assert all(m <= b for m, b in zip(_degrees(component, field.dim), degrees))

@@ -28,6 +28,7 @@ from kahan_aromas.graphs import (
 from kahan_aromas.corpus import SYSTEMS, get_system
 
 from oracles import (
+    aroma_structure,
     automorphism_count,
     functional_graph_classes,
     multiset_to_endomap,
@@ -229,7 +230,7 @@ def test_aroma_rotation_canonicalization_idempotent(order):
 
 
 def test_structure_shapes():
-    preds, tree_kids, k = TAILED_TWO_CYCLE.structure()
+    preds, tree_kids, k = aroma_structure(TAILED_TWO_CYCLE)
     assert k == 2 and len(preds) == 3
     indegrees = sorted(len(p) for p in preds)
     assert indegrees == [0, 1, 2]

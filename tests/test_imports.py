@@ -60,3 +60,19 @@ def test_every_definition_is_referenced():
                 continue
             unreferenced.append(f"{path.name}:{node.lineno} {node.name}")
     assert unreferenced == []
+
+
+def test_only_poly_knows_the_packed_layout():
+    """No module of the package but poly names the packed-key layout
+    (`_BITS`, `_MASK`) or the packable-degree error (`_overflow`)."""
+    layout = {"_BITS", "_MASK", "_overflow"}
+    named = []
+    for path in sorted(Path(kahan_aromas.__file__).parent.glob("*.py")):
+        if path.name == "poly.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = _identifiers(tree) | {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+        }
+        named += [f"{path.name} {name}" for name in sorted(names & layout)]
+    assert named == []

@@ -18,7 +18,7 @@ from kahan_aromas.poly import (
     series_in_h,
     unpack_exponents,
 )
-from kahan_aromas.rationals import Rat, format_rat
+from kahan_aromas.rationals import Rat, format_rat, parse_rat
 from oracles import evaluate_term_by_term, rf_substitute_term_by_term
 
 NV = 4  # two x-variables plus h, u
@@ -514,3 +514,32 @@ def test_polynomial_batch_matches_point_evaluator(ps, point):
     assert [c * s / (scale * more_scale) for c, s in zip(batch.contents, combined)] == [
         2 * e - evaluate_term_by_term(p, point[::-1]) for p, e in zip(ps, expected)
     ]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Rat(-(7**9000), 11**5000), Rat(7**9000, 11**5000), Rat(10**5000), Rat(-(10**5000) + 1, 3)],
+    ids=["negative", "positive", "power-of-ten", "negative-integer"],
+)
+def test_parse_rat_reads_back_what_format_rat_writes(value):
+    # 5,000 digits or more: int() and Fraction refuse a string this long
+    text = format_rat(value)
+    assert min(len(part.lstrip("-")) for part in text.split("/")) >= 5000
+    assert parse_rat(text) == value and parse_rat(f" {text} ") == value
+
+
+def test_parse_rat_keeps_fraction_syntax_and_errors():
+    assert parse_rat("1.5") == Rat(3, 2) and parse_rat("1_000") == 1000 and parse_rat("+6/4") == Rat(3, 2)
+    assert format_rat(-(7**1000)) == "-" + str(7**1000)  # 2,808 bits, written in parts
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_rat("5/0")
+    for bad in ["1 /2", "", "+-1", "abc"]:
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            parse_rat(bad)
+
+
+def test_rational_function_equality_when_neither_denominator_divides():
+    x1, x2, x3, h = (Polynomial.variable(5, i) for i in range(4))
+    r = RationalFunction(x1 * x3, x2 * x3)
+    assert r == RationalFunction(x1 * h, x2 * h)
+    assert not r == RationalFunction(x1 * x1, x2 * h)

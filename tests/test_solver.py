@@ -310,6 +310,9 @@ def test_verify_density_expands_only_to_confirm(monkeypatch):
     with pytest.raises(ValueError, match="must not involve u"):
         verify_density(f_u, p_u)
     assert len(calls) == 1  # refused before any step or expansion
+    with pytest.raises(ValueError, match="a density must be a nonzero polynomial"):
+        verify_density(f, Polynomial.zero(f.nvars))
+    assert len(calls) == 1  # the zero P, too
     with pytest.raises(SolverError, match="witness"):
         _refute_or_confirm(f_u.kahan_map(), p_u, random.Random(0))
     assert len(calls) == 2  # zero residual at every point, expanded once
