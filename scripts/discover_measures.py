@@ -7,13 +7,10 @@ Example:
 """
 
 import argparse
-import json
 import sys
 
-from kahan_aromas.cli import render_series, solver_report
-from kahan_aromas.corpus import get_system
-from kahan_aromas.fields import QuadraticVectorField
-from kahan_aromas.solver import SolverError, first_integrals, solve_darboux
+from kahan_aromas.cli import _load_field, render_series, solver_report
+from kahan_aromas.solver import solve_darboux
 
 
 def main() -> int:
@@ -25,13 +22,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    if args.field:
-        with open(args.field) as fh:
-            field = QuadraticVectorField.from_json(json.load(fh))
-    elif args.system:
-        field = get_system(args.system, seed=args.seed)
-    else:
-        parser.error("need --field or --system")
+    try:  # the CLI's reader: a malformed source is an input error, exit 2
+        field = _load_field(argparse.Namespace(params=None, **vars(args)))
+    except ValueError as exc:
+        parser.exit(2, f"input error: {exc}\n")
 
     sol = solve_darboux(field, args.order, parity=args.parity, seed=args.seed)
     report = solver_report(sol, args.seed)
@@ -42,11 +36,8 @@ def main() -> int:
     for i, gamma in enumerate(sol.gammas):
         print(f"g{i+1} ({sol.parities[i]}): {render_series(gamma)}")
     if len(sol.densities) >= 2:
-        try:
-            ratios, count = first_integrals(sol.densities, seed=args.seed)
-            print(f"first integrals: {len(ratios)} ratios, {count} independent")
-        except (ValueError, SolverError) as exc:
-            print(f"first integrals: {exc}")
+        ratios, count = report["first_integrals"], report["independence_count"]
+        print(f"first integrals: {len(ratios)} ratios, {count} independent")
     return 0
 
 

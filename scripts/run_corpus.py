@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Run every golden suite in the corpus and report timings."""
+"""Run every golden suite in the corpus and report timings.
+
+The checks go to stdout, byte-identical between runs; each suite's wall
+time goes to stderr."""
 
 import argparse
 import sys
@@ -23,7 +26,7 @@ def main() -> int:
             mark = "PASS" if c.passed else "FAIL"
             print(f"[{mark}] {name}: {c.name}")
             failures += not c.passed
-        print(f"       ({name}: {dt:.1f}s)")
+        print(f"       ({name}: {dt:.1f}s)", file=sys.stderr)
     return 1 if failures else 0
 
 

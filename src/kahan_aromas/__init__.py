@@ -51,7 +51,6 @@ from .coalgebra import (
     multiply_functionals,
     q_apply,
     q_functional,
-    q_matrix,
     q_row,
     series_evaluate,
 )

@@ -6,8 +6,8 @@ written, e.g. "1 - (1/8) h^2 F(C2(;))"; --format latex emits an align*
 block of the densities for `darboux solve`, a tabular for `hopf q-table` and
 JSON for the other commands.
 
-Exit codes: 0 success; 1 verification failure or empty result where a
-result was required; 2 input error.
+Exit codes (set in `main` alone): 0 success; 1 verification failure, empty
+result where a result was required, or a SolverError; 2 input error.
 """
 
 from __future__ import annotations
@@ -19,14 +19,9 @@ import json
 import sys
 
 from . import corpus
-from .coalgebra import eta, q_matrix
+from .coalgebra import eta, q_row
 from .fields import QuadraticVectorField
-from .graphs import (
-    enumerate_aromas,
-    enumerate_multisets,
-    parse_any,
-    parse_multiset,
-)
+from .graphs import enumerate_aromas, enumerate_multisets, parse_any, parse_multiset
 from .poly import Polynomial
 from .rationals import Rat, format_rat, parse_rat
 from .solver import (
@@ -41,16 +36,12 @@ from .solver import (
 DEFAULT_ORDER_CAP = 6
 
 
-class InputError(ValueError):
-    pass
-
-
-def _input_error(exc: Exception) -> InputError:
-    """An InputError with the message of exc; a KeyError's message is its
+def _input_error(exc: Exception) -> ValueError:
+    """A ValueError with the message of exc; a KeyError's message is its
     argument, not the quoted repr that str() gives."""
     if isinstance(exc, KeyError) and exc.args:
-        return InputError(exc.args[0])
-    return InputError(str(exc))
+        return ValueError(exc.args[0])
+    return ValueError(str(exc))
 
 
 def _json_int(text: str) -> int:
@@ -64,41 +55,39 @@ def _load_json(path: str):
         with open(path) as fh:
             return json.load(fh, parse_int=_json_int)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
+        raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _load_field(args) -> QuadraticVectorField:
     if args.field and args.system:
-        raise InputError("give exactly one field source (--field or --system)")
+        raise ValueError("give exactly one field source (--field or --system)")
     if args.field:
         data = _load_json(args.field)
         if not isinstance(data, dict):
-            raise InputError("malformed field JSON: the top level must be an object")
+            raise ValueError("malformed field JSON: the top level must be an object")
         try:
             return QuadraticVectorField.from_json(data)
         except (ValueError, TypeError, KeyError) as exc:
-            raise InputError(f"malformed field JSON: {exc}") from exc
+            raise ValueError(f"malformed field JSON: {exc}") from exc
     if args.system:
         params = None
         if args.params:
             try:
                 params = json.loads(args.params, parse_int=_json_int)
             except json.JSONDecodeError as exc:
-                raise InputError(f"malformed --params JSON: {exc}") from exc
+                raise ValueError(f"malformed --params JSON: {exc}") from exc
         try:
             return corpus.get_system(args.system, params, seed=args.seed)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise _input_error(exc) from exc
-    raise InputError("a field source is required (--field F.json or --system NAME)")
+    raise ValueError("a field source is required (--field F.json or --system NAME)")
 
 
 def _check_order(order: int, cap: int):
     if order > cap:
-        raise InputError(
-            f"order {order} exceeds the cap {cap}; pass --order-cap {order} to override"
-        )
+        raise ValueError(f"order {order} exceeds the cap {cap}; pass --order-cap {order} to override")
     if order < 0:
-        raise InputError("order must be nonnegative")
+        raise ValueError("order must be nonnegative")
 
 
 def _jsonable(value):
@@ -114,12 +103,8 @@ def _jsonable(value):
 
 
 def _emit(args, payload: dict, text_renderer=None, latex_renderer=None) -> None:
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    elif args.format == "text":
-        print(text_renderer(payload) if text_renderer else json.dumps(payload, indent=2))
-    else:
-        print(latex_renderer(payload) if latex_renderer else json.dumps(payload, indent=2))
+    render = {"text": text_renderer, "latex": latex_renderer}.get(args.format)
+    print(render(payload) if render else json.dumps(payload, indent=2))
 
 
 def render_series(gamma: dict) -> str:
@@ -168,6 +153,15 @@ def _poly_text(data) -> str:
     return str(Polynomial.from_json(data)) if data else "0"
 
 
+def _polynomial(data, nvars: int, what: str) -> Polynomial:
+    """A polynomial over nvars variables from its JSON; a malformed one is
+    refused as `malformed <what>: ...`."""
+    try:
+        return Polynomial.from_json(data, nvars)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed {what}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -175,14 +169,11 @@ def _poly_text(data) -> str:
 def cmd_aromas_enumerate(args) -> int:
     _check_order(args.order, args.order_cap)
     if args.multisets:
-        items = [
-            m.encoding
-            for m in enumerate_multisets(args.order, args.max_indegree)
-        ]
+        items = [m.encoding for m in enumerate_multisets(args.order, args.max_indegree)]
         payload = {"order": args.order, "multisets": items}
     else:
         if args.order < 1:
-            raise InputError("aroma enumeration needs order >= 1")
+            raise ValueError("aroma enumeration needs order >= 1")
         aromas = enumerate_aromas(args.order)
         if args.max_indegree is not None:
             aromas = [a for a in aromas if a.max_indegree() <= args.max_indegree]
@@ -195,7 +186,7 @@ def cmd_aromas_sigma(args) -> int:
     try:
         obj = parse_any(args.encoding)
     except ValueError as exc:
-        raise InputError(f"bad encoding: {exc}") from exc
+        raise ValueError(f"bad encoding: {exc}") from exc
     payload = {"encoding": obj.encoding, "sigma": obj.sigma(), "order": obj.order}
     _emit(args, payload, text_renderer=lambda p: f"sigma({p['encoding']}) = {p['sigma']}")
     return 0
@@ -206,12 +197,9 @@ def cmd_field_eval(args) -> int:
     try:
         target = parse_multiset(args.aroma)
     except ValueError as exc:
-        raise InputError(f"bad aroma encoding: {exc}") from exc
+        raise ValueError(f"bad aroma encoding: {exc}") from exc
     _check_order(target.order, args.order_cap)
-    try:
-        poly = field.aroma_function(target)
-    except ValueError as exc:  # a degree past the packable range
-        raise InputError(str(exc)) from exc
+    poly = field.aroma_function(target)
     payload = {
         "aroma": target.encoding,
         "sigma": target.sigma(),
@@ -266,20 +254,16 @@ def cmd_kahan(args) -> int:
 
 def cmd_hopf_qtable(args) -> int:
     _check_order(args.order, args.order_cap)
-    multisets, rows = q_matrix(args.order)
+    # a Q row holds no zeros, and its multisets sort in enumeration order
     payload = {
         "order": args.order,
         "rows": [
             {
                 "alpha": alpha.encoding,
                 "sigma": alpha.sigma(),
-                "entries": {
-                    multisets[c].encoding: format_rat(v)
-                    for c, v in enumerate(row)
-                    if v != 0
-                },
+                "entries": {beta.encoding: format_rat(v) for beta, v in sorted(q_row(alpha).items())},
             }
-            for alpha, row in zip(multisets, rows)
+            for alpha in enumerate_multisets(args.order)
         ],
     }
 
@@ -307,7 +291,7 @@ def cmd_hopf_qtable(args) -> int:
 def cmd_hopf_newton(args) -> int:
     _check_order(args.order, args.order_cap)
     if args.dim < 1:
-        raise InputError("--dim must be at least 1")
+        raise ValueError("--dim must be at least 1")
     rows = []
     for mset in enumerate_multisets(args.order):
         if not mset.is_cycle_product():
@@ -347,17 +331,12 @@ def _load_augmenters(path: str, nvars: int):
     ):
         items = data
     else:
-        raise InputError(
-            "augmenter JSON must be an object or a list of [label, polynomial] pairs"
-        )
+        raise ValueError("augmenter JSON must be an object or a list of [label, polynomial] pairs")
     out = []
     for label, poly_json in items:
-        try:
-            p = Polynomial.from_json(poly_json, nvars)
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise InputError(f"malformed augmenter {label!r}: {exc}") from exc
+        p = _polynomial(poly_json, nvars, f"augmenter {label!r}")
         if p.is_zero():
-            raise InputError(f"augmenter {label!r} is the zero polynomial")
+            raise ValueError(f"augmenter {label!r} is the zero polynomial")
         out.append((str(label), p))
     return out
 
@@ -407,15 +386,7 @@ def cmd_darboux_solve(args) -> int:
     _check_order(args.order, args.order_cap)
     field = _load_field(args)
     augmenters = _load_augmenters(args.augment, field.nvars) if args.augment else None
-    try:
-        sol = solve_darboux(
-            field, args.order, parity=args.parity, augmenters=augmenters, seed=args.seed
-        )
-    except SolverError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except ValueError as exc:  # a degree past the packable range
-        raise InputError(str(exc)) from exc
+    sol = solve_darboux(field, args.order, parity=args.parity, augmenters=augmenters, seed=args.seed)
     payload = solver_report(sol, args.seed)
 
     def text(p):
@@ -445,17 +416,8 @@ def cmd_darboux_verify(args) -> int:
     data = _load_json(args.density)
     if isinstance(data, dict):
         data = data.get("terms", data.get("polynomial"))
-    try:
-        P = Polynomial.from_json(data, field.nvars)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise InputError(f"malformed density JSON: {exc}") from exc
-    try:
-        result = verify_density(field, P, seed=args.seed)
-    except SolverError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except ValueError as exc:  # a density in u, or a degree past the packable range
-        raise InputError(str(exc)) from exc
+    P = _polynomial(data, field.nvars, "density JSON")
+    result = verify_density(field, P, seed=args.seed)
     payload = {"verified": result.verified}
     if result.witness:
         xs, h, residual = result.witness
@@ -469,20 +431,13 @@ def cmd_darboux_verify(args) -> int:
 
 
 def cmd_check_conditions(args) -> int:
-    field = _load_field(args)
-    payload = _jsonable(necessary_conditions(field))
-    _emit(args, payload)
+    _emit(args, _jsonable(necessary_conditions(_load_field(args))))
     return 0
 
 
 def cmd_check_conjecture(args) -> int:
-    field = _load_field(args)
-    try:
-        report = conjecture_check(field, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    payload = _jsonable(report)
-    _emit(args, payload)
+    report = conjecture_check(_load_field(args), seed=args.seed)
+    _emit(args, _jsonable(report))
     if report.hypothesis_holds and not report.singular and report.density_found is False:
         return 1  # potential counterexample: flagged loudly
     return 0
@@ -630,10 +585,15 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a SolverError exits 1 with its message, a
+    ValueError exits 2 with `input error: <message>`."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except SolverError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # pragma: no cover

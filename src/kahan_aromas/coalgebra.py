@@ -265,20 +265,6 @@ def q_functional(gamma: CoefficientFunctional) -> CoefficientFunctional:
     return _functional(lambda alpha: q_apply(gamma, alpha), gamma.truncation_order)
 
 
-def q_matrix(order: int):
-    """(multisets, rows): rows[r][c] = coefficient of gamma(multisets[c]) in
-    <Q(gamma), multisets[r]>, over the canonical multiset basis up to order."""
-    multisets = enumerate_multisets(order)
-    index = {m: i for i, m in enumerate(multisets)}
-    rows = []
-    for alpha in multisets:
-        row = [ZERO] * len(multisets)
-        for beta, coeff in q_row(alpha).items():
-            row[index[beta]] = coeff
-        rows.append(row)
-    return multisets, rows
-
-
 def series_evaluate(gamma: CoefficientFunctional, field, truncation: int) -> Polynomial:
     """B(gamma) = sum over |alpha| <= truncation of h^|alpha| gamma(alpha)
     / sigma(alpha) * F(alpha), as an exact polynomial in (x, h)."""

@@ -17,7 +17,7 @@ from .fields import QuadraticVectorField, hamiltonian_field, modified_hamiltonia
 from .graphs import TWO_CYCLE, Aroma
 from .linalg import rank
 from .poly import Polynomial
-from .rationals import Rat, ZERO, parse_rat
+from .rationals import Rat, ZERO, parse_rat, safe_repr
 from .solver import (
     SAMPLE_ATTEMPTS,
     SolverError,
@@ -48,7 +48,7 @@ def _rat(value):
     if isinstance(value, str):
         return parse_rat(value)
     if isinstance(value, bool) or not isinstance(value, (int, Rat)):
-        raise ValueError(f"expected an integer or a rational string 'p/q', got {value!r}")
+        raise ValueError(f"expected an integer or a rational string 'p/q', got {safe_repr(value)}")
     return Rat(value)
 
 
@@ -60,13 +60,13 @@ def _rat_matrix(rows, name, size=3):
     n = len(rows) if ok and size is None else size
     if not ok or len(rows) != n or any(len(r) != n for r in rows):
         shape = "a square" if size is None else f"a {size} x {size}"
-        raise ValueError(f"parameter {name!r} must be {shape} matrix, got {rows!r}")
+        raise ValueError(f"parameter {name!r} must be {shape} matrix, got {safe_repr(rows)}")
     return [[_rat(v) for v in row] for row in rows]
 
 
 def _rat_vector(vec, name, size=3):
     if not isinstance(vec, (list, tuple)) or len(vec) != size:
-        raise ValueError(f"parameter {name!r} must be a vector of length {size}, got {vec!r}")
+        raise ValueError(f"parameter {name!r} must be a vector of length {size}, got {safe_repr(vec)}")
     return [_rat(v) for v in vec]
 
 

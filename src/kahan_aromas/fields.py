@@ -58,7 +58,7 @@ from .poly import (
     rf_substitute,
     series_in_h,
 )
-from .rationals import Rat, ZERO, format_rat, parse_rat
+from .rationals import Rat, ZERO, format_rat, parse_rat, safe_repr
 
 
 class QuadraticVectorField:
@@ -103,7 +103,7 @@ class QuadraticVectorField:
             if type(i) is not int:
                 raise ValueError(f"index {i!r} is not an integer")
             if not 0 <= i < self.dim:
-                raise ValueError(f"index {i} out of range for dimension {self.dim}")
+                raise ValueError(f"index {safe_repr(i)} out of range for dimension {self.dim}")
 
     def components(self) -> list[Polynomial]:
         return self._components
@@ -329,7 +329,7 @@ class QuadraticVectorField:
             i, j, k, v = entry
             key = _zero_based(entry, i, j, k)
             if j > k:
-                raise ValueError(f"quadratic entry {entry} violates j <= k")
+                raise ValueError(f"quadratic entry {safe_repr(entry)} violates j <= k")
             quadratic[key] = quadratic.get(key, ZERO) + parse_rat(v)
         for entry in data.get("linear", []):
             i, j, v = entry
@@ -349,7 +349,7 @@ def _zero_based(entry, *indices) -> tuple[int, ...]:
     """The 1-based indices of a field JSON entry, 0-based; a float, a bool or
     a string index is refused."""
     if any(type(i) is not int for i in indices):
-        raise ValueError(f"field entry {entry} has an index that is not an integer")
+        raise ValueError(f"field entry {safe_repr(entry)} has an index that is not an integer")
     return tuple(i - 1 for i in indices)
 
 

@@ -57,7 +57,7 @@ import math
 from functools import lru_cache, reduce
 from operator import mul, or_
 
-from .rationals import Rat, ZERO, ONE, format_rat, parse_rat
+from .rationals import Rat, ZERO, ONE, format_rat, parse_rat, safe_repr
 
 _BITS = 10
 _MASK = (1 << _BITS) - 1
@@ -396,7 +396,7 @@ class Polynomial:
         ):
             raise ValueError(
                 "polynomial JSON must be a list of [exponents, coefficient] pairs"
-                f" with integer exponents, got {data!r}"
+                f" with integer exponents, got {safe_repr(data)}"
             )
         if nvars is None:
             if not data:
@@ -410,7 +410,7 @@ class Polynomial:
             if isinstance(coeff, bool) or not isinstance(coeff, (int, str)):
                 # a JSON number such as 0.1 has no exact rational meaning
                 raise ValueError(
-                    f"coefficient {coeff!r} is neither an integer nor a rational string 'p/q'"
+                    f"coefficient {safe_repr(coeff)} is neither an integer nor a rational string 'p/q'"
                 )
             c = parse_rat(coeff) if isinstance(coeff, str) else Rat(coeff)
             if c != 0:
@@ -614,18 +614,27 @@ def _lowest_variable(key: int) -> int:
     return ((key & -key).bit_length() - 1) // _BITS
 
 
+def _divisor_chain(key: int, cache: dict) -> tuple:
+    """(value, chain) in a cache of monomial powers holding the key 0: the
+    value of key's largest cached divisor, reached by peeling the lowest
+    variable, and the peeled (key, variable) pairs to build, divisor up."""
+    chain = []
+    got = cache.get(key)
+    while got is None:
+        i = _lowest_variable(key)
+        chain.append((key, i))
+        key -= 1 << (_BITS * i)
+        got = cache.get(key)
+    return got, reversed(chain)
+
+
 def _power_product(
     xkey: int, cache: dict, packed_nums: list[dict], bits: int, xn: bool, nvars: int
 ) -> dict:
-    """The packed N'^a for the x-key a, built on the largest cached divisor
-    by peeling the lowest variable; the cache always holds the key 0."""
-    chain = []
-    while xkey not in cache:
-        i = _lowest_variable(xkey)
-        chain.append((xkey, i))
-        xkey -= 1 << (_BITS * i)
-    got = cache[xkey].terms
-    for key, i in reversed(chain):
+    """The packed N'^a for the x-key a (see `_divisor_chain`)."""
+    got, chain = _divisor_chain(xkey, cache)
+    got = got.terms
+    for key, i in chain:
         got = _mul_terms(got, packed_nums[i], nvars)
         cache[key] = _Packed(got, bits, xn)
     return got
@@ -872,9 +881,8 @@ class PointEvaluator:
         self._cache: dict[int, tuple[int, int]] = {0: (1, 0)}  # key -> (A, t)
 
     def monomial(self, key: int) -> tuple[int, int]:
-        """(A, t) with the monomial's value A / d^t, built on its largest
-        cached divisor by peeling the lowest variable (as `_power_product`
-        does); missing divisors are built bottom up, so calls nest one deep."""
+        """(A, t) with the monomial's value A / d^t, built on the key with
+        its lowest variable peeled, which is cached on the hot path."""
         cache = self._cache
         got = cache.get(key)
         if got is not None:
@@ -883,14 +891,9 @@ class PointEvaluator:
         below = key - (1 << (_BITS * i))
         got = cache.get(below)
         if got is None:
-            chain = []
-            k = below
-            while got is None:
-                chain.append(k)
-                k -= 1 << (_BITS * _lowest_variable(k))
-                got = cache.get(k)
-            for k in reversed(chain):
-                got = self.monomial(k)
+            got, chain = _divisor_chain(below, cache)
+            for k, j in chain:
+                got = cache[k] = (got[0] * self.nums[j], got[1] + 1)
         a, t = got
         got = cache[key] = (a * self.nums[i], t + 1)
         return got

@@ -23,7 +23,7 @@ def parse_rat(text: str) -> Rat:
     keeps `Fraction`'s syntax, and a string it refuses or a zero denominator
     raises ValueError."""
     if not isinstance(text, str):
-        raise ValueError(f"expected a rational string 'p' or 'p/q', got {text!r}")
+        raise ValueError(f"expected a rational string 'p' or 'p/q', got {safe_repr(text)}")
     m = _P_OR_P_Q.fullmatch(text)
     try:
         if m is None:
@@ -54,6 +54,17 @@ def _decimal(n: int) -> str:
     k = n.bit_length() * 3 // 20  # about half of its digits
     high, low = divmod(n, 10**k)
     return _decimal(high) + _decimal(low).rjust(k, "0")
+
+
+def safe_repr(value) -> str:
+    """repr(value) for a message; an int past the interpreter's digit limit,
+    whose repr raises, shows as its digit count."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"an integer of {len(_decimal(abs(value)))} digits"
+        return f"a {type(value).__name__} holding an integer too long to print"
 
 
 def format_rat(value) -> str:

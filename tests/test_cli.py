@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import kahan_aromas.corpus as corpus_mod
 import kahan_aromas.solver as solver_mod
 from kahan_aromas.cli import main, render_series
 from kahan_aromas.corpus import SYSTEMS, get_system, ishii_invariants, lv_divfree
@@ -245,6 +246,25 @@ def test_darboux_solver_error_exits_one(capsys, tmp_path, monkeypatch, command, 
     assert err == message + "\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check", "conjecture", "--system", "lv_divfree"), "no sample point off det(M) = 0 in 0 attempts"),
+        (("corpus", "run", "ishii"), "no nondegenerate Ishii parameters in 0 attempts"),
+        (("kahan", "map", "--system", "ishii"), "no nondegenerate Ishii parameters in 0 attempts"),
+    ],
+    ids=["check-conjecture", "corpus-run", "kahan-map"],
+)
+def test_every_command_exits_one_on_a_solver_error(capsys, monkeypatch, argv, message):
+    # `main` alone maps a SolverError to exit 1; these three once let it
+    # escape as a traceback
+    monkeypatch.setattr(solver_mod, "SAMPLE_ATTEMPTS", 0)
+    monkeypatch.setattr(corpus_mod, "SAMPLE_ATTEMPTS", 0)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == message + "\n"
+
+
 def test_check_conjecture(capsys):
     code, out, _ = run_cli(capsys, "check", "conjecture", "--system", "lv_divfree")
     assert code == 0
@@ -389,8 +409,17 @@ _LV = lv_divfree().to_json()
 _EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+# json.dumps refuses an int past the interpreter's digit limit, so a case
+# names one by this marker and `_dumps` writes its 5,000 digits in its place
+_LONG_INT = "<a JSON integer of 5000 digits>"
+
+
+def _dumps(value) -> str:
+    return json.dumps(value).replace(json.dumps(_LONG_INT), "7" * 5000)
+
+
 def _kahan_map(system, params):
-    return ("kahan", "map", "--system", system, "--params", json.dumps(params))
+    return ("kahan", "map", "--system", system, "--params", _dumps(params))
 
 
 _DEEP_TREE = "[" * 1500 + "]" * 1500
@@ -564,6 +593,32 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         (("aromas", "enumerate", "--order", "0"), None, None, "input error: aroma enumeration needs order >= 1"),
         (_LV, [], None, "input error: a density must be a nonzero polynomial"),
         (_LV, {"terms": []}, None, "input error: a density must be a nonzero polynomial"),
+        (
+            _LV,
+            {"terms": _LONG_INT},
+            None,
+            "input error: malformed density JSON: polynomial JSON must be a list of [exponents,"
+            " coefficient] pairs with integer exponents, got an integer of 5000 digits\n",
+        ),
+        (
+            {**_LV, "linear": [[1, 1, _LONG_INT]]},
+            None,
+            None,
+            "input error: malformed field JSON: expected a rational string 'p' or 'p/q',"
+            " got an integer of 5000 digits\n",
+        ),
+        (
+            {**_LV, "linear": [[_LONG_INT, 1, "1"]]},
+            None,
+            None,
+            "input error: malformed field JSON: index an integer of 5000 digits out of range for dimension 3\n",
+        ),
+        (
+            _kahan_map("nambu_homogeneous", {"A": [[_LONG_INT]], "B": _EYE3}),
+            None,
+            None,
+            "parameter 'A' must be a 3 x 3 matrix, got a list holding an integer too long to print;",
+        ),
     ],
     ids=[
         "field-zero-denominator",
@@ -615,23 +670,27 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         "aromas-of-order-zero",
         "density-empty-list",
         "density-no-terms",
+        "density-a-long-integer",
+        "field-coefficient-a-long-integer",
+        "field-index-a-long-integer",
+        "system-matrix-holding-a-long-integer",
     ],
 )
 def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, message):
     # a tuple in place of a field is the whole command line
     field_file = tmp_path / "field.json"
-    field_file.write_text(json.dumps(field))
+    field_file.write_text(_dumps(field))
     if isinstance(field, tuple):
         argv = list(field)
     elif density is not None:
         density_file = tmp_path / "density.json"
-        density_file.write_text(json.dumps(density))
+        density_file.write_text(_dumps(density))
         argv = ["darboux", "verify", "--field", str(field_file), "--density", str(density_file)]
     else:
         argv = ["darboux", "solve", "--field", str(field_file), "--order", "2"]
         if augment is not None:
             aug_file = tmp_path / "aug.json"
-            aug_file.write_text(json.dumps(augment))
+            aug_file.write_text(_dumps(augment))
             argv += ["--augment", str(aug_file)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -717,7 +776,9 @@ def test_kahan_output_bytes_are_pinned(capsys, system, command):
 # the `hopf` digests were taken from the coalgebra before its coproducts
 # became plain dicts and its cuts a recursion over hanging trees; the
 # `corpus run` digests of lv, lv_divfree, lv_special, dressing_chain and
-# canonical_hamiltonian before the graph classes shared one identity base
+# canonical_hamiltonian before the graph classes shared one identity base;
+# the q-table digests of orders 0-3 while the table was read off a dense
+# matrix of Q rows
 ANALYSIS_STDOUT_SHA256 = {
     "check conditions --system canonical_hamiltonian --seed 0": "5bc892de32d215430359ce009682bb8b741a1462c32032a2e1f59434b934a351",
     "check conditions --system divfree_homogeneous_r3 --seed 0": "e076e674fc7b7d21dd21e087907bc198892e73049672af3595b65b134475c4eb",
@@ -744,6 +805,18 @@ ANALYSIS_STDOUT_SHA256 = {
     "corpus run lv_special --seed 0": "1903c6106d3c7c6414ec725d72b98f988c818276058eb5386f67b746de44af8b",
     "corpus run nambu_homogeneous --seed 0": "91a5d96553214b501eadc46b2535a9f5d4aa050fa56224cf2748d6ecfcdf66a5",
     "corpus run nambu_inhomogeneous --seed 0": "fed2d022e88f553f5269a4becf1caca8f9dc2003467a5f012afde6de188d0ba3",
+    "hopf q-table --order 0": "9935325968108f6a9d6f1ab8717401f8c1f64bc8568da18a85c7ba8e02a9c72e",
+    "--format text hopf q-table --order 0": "275780b24f4618b41daf2d2c631ece1174cb629ec65113e5b813dc4ed0e5a2fe",
+    "--format latex hopf q-table --order 0": "ad9fecd2a590116584be7887b94fd7d5cbfce6552531760cd515d48234a985c6",
+    "hopf q-table --order 1": "17d4753514a041565d2235bb6def39417fcba526cdbb54a57e852f3c610ea81c",
+    "--format text hopf q-table --order 1": "f6b519ee04dc1d2a904ae390580deb21fae4b376c75414384d7eb313a47ec300",
+    "--format latex hopf q-table --order 1": "e4126e993b8f5812f4968a52010e08fe96263db6b93fdd8efb84d25cb370f20c",
+    "hopf q-table --order 2": "c3dd793ab42fd4b940435ffa4792f80127872105f661820fe4bcb57de408b747",
+    "--format text hopf q-table --order 2": "a9a1ec6aa0cf7f36a6500b451e8f6eee6107cefae938d14c42f5276e60dff5e5",
+    "--format latex hopf q-table --order 2": "4509265389bde62d943803a8aebe79e8cb9acb4ff374ec1fc12630abe35326ef",
+    "hopf q-table --order 3": "f06275c0990c7ffc1836985bc837cf4bddffa1cea72feed37c9d77f12310a338",
+    "--format text hopf q-table --order 3": "7bf0eea24300e6c264fc5fd85e518c0f2e58aaac1253225f44b095e8cb63262f",
+    "--format latex hopf q-table --order 3": "f98210d3d50b3037113c5b3eb7c364372ee9fb75eaffa1587f71503d3530a81d",
     "hopf q-table --order 6": "f6dbb101af5f964a7c4a095f5bdfc7bb5e7afd97b91e0699624cfcacf07e28f2",
     "--format text hopf q-table --order 5": "2f093bc54280a77a795f0440c4e90da8d595fa0bc4243842d976efba6d9adbe1",
     "--format latex hopf q-table --order 4": "d915b80b447c9b1e41cf3d06a49b7de1cfa530563dccada7ab22e2cb761e08b8",
@@ -928,8 +1001,10 @@ def test_darboux_verify_a_density_in_u_exits_two(capsys, tmp_path):
 
 
 # SHA-256 of the stdout of each example script run with these arguments,
-# taken before the solver chose its multisets in one place
+# taken before the solver chose its multisets in one place; run_corpus.py's
+# is that of its stdout before its timing lines moved to stderr, without them
 SCRIPT_STDOUT_SHA256 = {
+    ("run_corpus.py",): "588a9ea6e19fbda380a4001680c845d6a7a27074c4e14933dfd2dfadb5fc853c",
     ("reproduce_tables.py",): "e3f13ade44cb98b4c90e0af32cb0ea01edfc4391da61ac469a76abe44b00eaac",
     ("discover_measures.py", "--system", "lv_divfree", "--order", "4"): (
         "a8ba0a8dfb5cbdfc0307df6bab1eaa54a7452d9ca2decf768e6ae23ce74e6d4f"
@@ -937,13 +1012,24 @@ SCRIPT_STDOUT_SHA256 = {
 }
 
 
+def _run_script(name, *args):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, str(root / "scripts" / name), *args], capture_output=True, env=env)
+
+
 @pytest.mark.parametrize("script", sorted(SCRIPT_STDOUT_SHA256), ids=lambda s: s[0])
 def test_example_script_output_is_pinned(script):
-    root = Path(__file__).resolve().parent.parent
-    src = str(root / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / script[0]), *script[1:]],
-        capture_output=True, env=env, check=True,
-    )
+    done = _run_script(*script)
+    assert done.returncode == 0
     assert hashlib.sha256(done.stdout).hexdigest() == SCRIPT_STDOUT_SHA256[script]
+
+
+def test_discover_measures_refuses_a_malformed_field_file(tmp_path):
+    # the script reads --field through the CLI's reader, so a malformed file
+    # is an input error with exit 2, not a traceback
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"dim": 2, "quadratic": 5}))
+    done = _run_script("discover_measures.py", "--field", str(path))
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == b"input error: malformed field JSON: 'int' object is not iterable\n"

@@ -25,7 +25,6 @@ from kahan_aromas.coalgebra import (
     multiply_functionals,
     q_apply,
     q_functional,
-    q_matrix,
     q_row,
     series_evaluate,
 )
@@ -248,18 +247,6 @@ def test_q_row_for_the_two_tailed_loop_is_pinned():
     enc, expected = TWO_TAIL_ROW
     row = q_row(parse_multiset(enc))
     assert {m.encoding: v for m, v in row.items()} == expected
-
-
-def test_q_matrix_covers_all_multisets():
-    multisets, rows = q_matrix(3)
-    assert len(multisets) == 12
-    index = {m.encoding: i for i, m in enumerate(multisets)}
-    for enc, expected in Q_TABLE_SMALL.items():
-        row = rows[index[enc]]
-        got = {
-            multisets[c].encoding: v for c, v in enumerate(row) if v != 0
-        }
-        assert got == expected
 
 
 def test_central_identity_exact_series():

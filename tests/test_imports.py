@@ -76,3 +76,18 @@ def test_only_poly_knows_the_packed_layout():
         }
         named += [f"{path.name} {name}" for name in sorted(names & layout)]
     assert named == []
+
+
+def test_only_main_maps_a_solver_error_to_an_exit_code():
+    """No command body of the CLI catches a SolverError: `main` turns it
+    into exit 1 (and a ValueError into exit 2) for every command."""
+    tree = ast.parse((Path(kahan_aromas.__file__).parent / "cli.py").read_text())
+    caught = [
+        f"{node.name}:{handler.lineno}"
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")
+        for handler in ast.walk(node)
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+        and "SolverError" in _identifiers(handler.type)
+    ]
+    assert caught == []
