@@ -23,7 +23,7 @@ from .coalgebra import eta, q_row
 from .fields import QuadraticVectorField
 from .graphs import enumerate_aromas, enumerate_multisets, parse_any, parse_multiset
 from .poly import Polynomial
-from .rationals import Rat, format_rat, parse_rat
+from .rationals import Rat, format_rat, parse_rat, safe_repr
 from .solver import (
     SolverError,
     conjecture_check,
@@ -320,9 +320,9 @@ def cmd_hopf_newton(args) -> int:
 
 def _load_augmenters(path: str, nvars: int):
     """Labelled augmenters from a JSON object {label: polynomial} or a list of
-    [label, polynomial] pairs, each a nonzero polynomial over the field's
-    nvars variables (x, h, u); `build_basis` checks the labels and that no
-    polynomial involves h or u."""
+    [label, polynomial] pairs, each label a string and each polynomial a
+    nonzero one over the field's nvars variables (x, h, u); `build_basis`
+    checks the labels' text and that no polynomial involves h or u."""
     data = _load_json(path)
     if isinstance(data, dict):
         items = sorted(data.items())
@@ -334,10 +334,12 @@ def _load_augmenters(path: str, nvars: int):
         raise ValueError("augmenter JSON must be an object or a list of [label, polynomial] pairs")
     out = []
     for label, poly_json in items:
+        if not isinstance(label, str):
+            raise ValueError(f"augmenter label {safe_repr(label)} is not a string")
         p = _polynomial(poly_json, nvars, f"augmenter {label!r}")
         if p.is_zero():
             raise ValueError(f"augmenter {label!r} is the zero polynomial")
-        out.append((str(label), p))
+        out.append((label, p))
     return out
 
 

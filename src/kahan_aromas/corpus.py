@@ -15,7 +15,6 @@ from typing import Callable
 
 from .fields import QuadraticVectorField, hamiltonian_field, modified_hamiltonian
 from .graphs import TWO_CYCLE, Aroma
-from .linalg import rank
 from .poly import Polynomial
 from .rationals import Rat, ZERO, parse_rat, safe_repr
 from .solver import (
@@ -249,23 +248,6 @@ def random_symmetric(rng, n=3):
 
 def random_vector(rng, n=3):
     return [rand_small(rng) for _ in range(n)]
-
-
-def random_skew(rng, n):
-    M = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            M[i][j] = rand_small(rng)
-            M[j][i] = -M[i][j]
-    return M
-
-
-def random_invertible(rng, n):
-    for _ in range(SAMPLE_ATTEMPTS):
-        M = [[rand_small(rng) for _ in range(n)] for _ in range(n)]
-        if rank(M, n) == n:
-            return M
-    raise SolverError(f"no invertible {n} x {n} draw in {SAMPLE_ATTEMPTS} attempts")
 
 
 def random_quadratic_field(rng, n) -> QuadraticVectorField:

@@ -18,7 +18,14 @@ assignments:
   M_i[a][b] = sum_js d^(m+1) f^a / dx_b dx_j1 ... dx_jm * prod_r F(t_r)^{j_r};
 - F(aroma) = tr(M_{k-1} ... M_1 M_0), the cycle edge running i -> i+1.
 
-A bare cycle of length k therefore gives tr(J^k).
+A bare cycle of length k therefore gives tr(J^k).  The trace is invariant
+under rotation of the cycle, so it is contracted as tr(M_h C): M_h is the
+matrix of the largest stored degree bound, and C the product of the other
+k - 1 in cyclic order from h + 1.  The heaviest factor then meets only the
+n^2 trace products, never an n^3 chain product.  A loop (k = 1) is summed
+straight to its trace, sum_a M[a][a], without building M.  A vertex's n
+components are contracted in one pass, each product of child components
+formed once for all of them.
 
 The contraction runs in integers.  With D the lcm of the components'
 content denominators, every partial of D f is an integer term dict (packed
@@ -33,6 +40,13 @@ happens once per aroma, when its one `Polynomial` is built (the content
 times integer terms layout of Monagan & Pearce, "Sparse polynomial
 multiplication and division in Maple 14", 2009; the aroma algebra is that of
 Munthe-Kaas & Verdier, "Aromatic Butcher series", FoCM 2016).
+
+The Kahan map's Darboux defect N_{-h/2} P(Phi) - P N_{h/2}(Phi) is cleared
+by the least power of den = det(I - (h/2) f') that clears each of its two
+terms, den^D' with D' = max(deg_x P - 1, n)
+(`KahanMap.darboux_defect_cleared`); whatever power clears it, it vanishes
+exactly when P is a density (Celledoni, McLachlan, Owren & Quispel,
+J. Phys. A 2013).
 """
 
 from __future__ import annotations
@@ -54,6 +68,7 @@ from .poly import (
     _from_ints,
     _mul_add,
     _mul_terms,
+    _packed_add,
     pack_exponents,
     rf_substitute,
     series_in_h,
@@ -173,23 +188,29 @@ class QuadraticVectorField:
             self._cleared_parts = D, parts, degrees
         return self._cleared_parts
 
-    def _contract(self, i: int, lead: tuple[int, ...], vecs) -> dict:
-        """sum over js of D d f_i / dx_{lead + js} * prod_r vecs[r][js[r]],
-        an int dict with no zero values; the last factor of each product is
-        accumulated in place."""
-        parts, nv = self._cleared()[1], self.nvars
+    def _contract(self, lead: tuple[int, ...], vecs) -> list[dict]:
+        """Component i is the sum over js of D d f_i / dx_{lead + js} *
+        prod_r vecs[r][js[r]], an int dict with no zero values.  All n
+        components are filled in one pass: each product of the vectors'
+        components is formed once and serves every i whose partial is
+        nonzero."""
+        n, nv, parts = self.dim, self.nvars, self._cleared()[1]
         if not vecs:
-            return parts.get((i, lead), {})
-        acc: dict = {}
-        for js in product(range(self.dim), repeat=len(vecs)):
-            term = parts.get((i, tuple(sorted(lead + js))))
-            for vec, j in zip(vecs[:-1], js):
+            return [parts.get((i, lead), {}) for i in range(n)]
+        out: list[dict] = [{} for _ in range(n)]
+        for js in product(range(n), repeat=len(vecs)):
+            idx = tuple(sorted(lead + js))
+            coeffs = [(i, parts[(i, idx)]) for i in range(n) if (i, idx) in parts]
+            if not coeffs:
+                continue
+            term = vecs[0][js[0]]
+            for vec, j in zip(vecs[1:], js[1:]):
                 if not term:
                     break
                 term = _mul_terms(term, vec[j], nv)
-            if term:
-                _mul_add(acc, term, vecs[-1][js[-1]], nv)
-        return {k: v for k, v in acc.items() if v}
+            for i, part in coeffs:
+                _mul_add(out[i], part, term, nv)
+        return [{k: v for k, v in acc.items() if v} for acc in out]
 
     def _tree_vector(self, tree: RootedTree) -> tuple[list[dict], list]:
         """(vector, bound), memoized per field by tree encoding: the vector
@@ -234,16 +255,9 @@ class QuadraticVectorField:
             if len(t.children) > 2:
                 vec = [{}] * n
             else:
-                vecs = [memo[c.encoding][0] for c in t.children]
-                vec = [self._contract(i, (), vecs) for i in range(n)]
+                vec = self._contract((), [memo[c.encoding][0] for c in t.children])
             memo[t.encoding] = vec, bounds[t.encoding]
         return memo[tree.encoding]
-
-    def elementary_differential(self, tree: RootedTree) -> list[Polynomial]:
-        """B-series elementary differential F(tree) as a fresh list of
-        polynomials."""
-        scale = self._cleared()[0] ** tree.order
-        return [_from_ints(self.nvars, v, 1, scale) for v in self._tree_vector(tree)[0]]
 
     def _cycle_matrix(self, forest) -> tuple[list[list[dict]] | None, list[int] | None]:
         """(M, bound), memoized per field by forest encoding.  M[a][b] is
@@ -257,35 +271,65 @@ class QuadraticVectorField:
             n, mat, bound = self.dim, None, None
             if len(forest.trees) <= 1:
                 vecs = [self._tree_vector(t)[0] for t in forest.trees]
-                mat = [[self._contract(a, (b,), vecs) for b in range(n)] for a in range(n)]
+                mat = [list(row) for row in zip(*(self._contract((b,), vecs) for b in range(n)))]
                 degs = [_degrees(p, n) for row in mat for p in row if p]
                 if degs:
                     bound = [max(col) for col in zip(*degs)]
             got = self._cycle_matrices[forest.encoding] = (mat, bound)
         return got
 
+    def _loop(self, forest) -> dict:
+        """tr M as an int dict, M the matrix of a loop's vertex carrying the
+        forest, summed straight from the partials without building M.  With
+        no tree it is sum_a D d f_a / dx_a.  With one tree t it is sum_j g_j
+        F(t)^j, g_j = sum_a D d^2 f_a / dx_a dx_j a constant, so each product
+        has the degrees of t's vector, checked with its bound.  More trees
+        make every partial vanish."""
+        n, nv, parts = self.dim, self.nvars, self._cleared()[1]
+        acc: dict = {}
+        if not forest.trees:
+            for a in range(n):
+                _packed_add(acc, parts.get((a, (a,)), {}))
+        elif len(forest.trees) == 1:
+            vec = self._tree_vector(forest.trees[0])[0]
+            for j in range(n):
+                g = sum(parts.get((a, tuple(sorted((a, j)))), {}).get(0, 0) for a in range(n))
+                if g:
+                    _mul_add(acc, {0: g}, vec[j], nv)
+        return {k: v for k, v in acc.items() if v}
+
     def _aroma(self, aroma: Aroma) -> Polynomial:
         """tr(M_{k-1} ... M_1 M_0) / D^|aroma|: cycle vertex i is fed by
         vertex i-1, and every vertex contributes one partial of D f.
 
+        The trace is contracted as tr(M_h C).  M_h is the cycle matrix whose
+        stored degree bound, summed over the variables, is the largest (the
+        first such), and C = M_{h-1} ... M_0 M_{k-1} ... M_{h+1} is the
+        product of the others in cyclic order from h + 1, so the heaviest
+        factor enters only the n^2 trace products and no n^3 chain product
+        (the trace is invariant under rotation of the cycle).  A loop (k = 1)
+        is summed straight to its trace (`_loop`).
+
         Per variable, the product's degree is at most the sum of the
         matrices' stored bounds, which is checked against the packable
         degree before any matrix is multiplied."""
-        mats = [self._cycle_matrix(f) for f in aroma.decorations]
-        n, nv = self.dim, self.nvars
-        if any(bound is None for _, bound in mats):
-            return Polynomial.zero(nv)
-        _check_packable(nv, map(sum, zip(*(bound for _, bound in mats))))
-        first, *others = (mat for mat, _ in mats)
-        if others:
-            rest = reduce(lambda a, b: _mat_mul(a, b, nv), reversed(others))
+        n, nv, k = self.dim, self.nvars, aroma.cycle_len
+        if k == 1:
+            acc = self._loop(aroma.decorations[0])
         else:
-            rest = [[{0: 1} if a == b else {} for b in range(n)] for a in range(n)]
-        acc: dict = {}
-        for a in range(n):
-            for b in range(n):
-                _mul_add(acc, rest[a][b], first[b][a], nv)
-        acc = {k: v for k, v in acc.items() if v}
+            mats = [self._cycle_matrix(f) for f in aroma.decorations]
+            if any(bound is None for _, bound in mats):
+                return Polynomial.zero(nv)
+            _check_packable(nv, map(sum, zip(*(bound for _, bound in mats))))
+            h = max(range(k), key=lambda i: sum(mats[i][1]))
+            heavy = mats[h][0]
+            chain = [mats[(h - 1 - r) % k][0] for r in range(k - 1)]
+            rest = reduce(lambda a, b: _mat_mul(a, b, nv), chain)
+            acc = {}
+            for a in range(n):
+                for b in range(n):
+                    _mul_add(acc, heavy[a][b], rest[b][a], nv)
+            acc = {key: v for key, v in acc.items() if v}
         return _from_ints(nv, acc, 1, self._cleared()[0] ** aroma.order)
 
     def aroma_function(self, arg) -> Polynomial:
@@ -482,18 +526,23 @@ class KahanMap:
         return den, [num / den for num in nums]
 
     def darboux_defect_cleared(self, P: Polynomial) -> Polynomial:
-        """den^(D+1) * [N_{-h/2}(x) P(Phi_h(x)) - P(x) N_{h/2}(Phi_h(x))] / den
-        with D = max(deg_x P, dim); the zero polynomial iff P solves the
-        Darboux equation with cofactor det DPhi_h.  It is den S_D(P) -
-        P S_D(N+), one pass of the packed kernel that unpacks only the
-        defect."""
-        D = max(P.x_degree(), self.dim)
-        pairs = [(self.den, P), (-P, self.n_plus())]
-        return rf_substitute(pairs, self.numerators, self.den, D, self.subs_cache)
+        """den^D' * [N_{-h/2}(x) P(Phi_h(x)) - P(x) N_{h/2}(Phi_h(x))] with
+        D' = max(deg_x P - 1, dim); the zero polynomial iff P solves the
+        Darboux equation with cofactor det DPhi_h.
+
+        N_{-h/2} is den itself, so the first term is S_{D'+1}(P) and the
+        second P S_{D'}(N+) (N+ has x-degree at most dim): D' is the least
+        power of den that clears both, one less than the clearing of each
+        term at one power whenever deg_x P > dim.  Both are built in one
+        pass of the packed kernel, each pair at its own clear power, which
+        unpacks only the defect."""
+        D = max(P.x_degree() - 1, self.dim)
+        pairs = [(Polynomial.const(self.nvars, 1), P, D + 1), (-P, self.n_plus(), D)]
+        return rf_substitute(pairs, self.numerators, self.den, cache=self.subs_cache)
 
     def darboux_defect_series(self, P: Polynomial, order: int) -> list[Polynomial]:
         """h-expansion of N_{-h/2} P(Phi) - P N_{h/2}(Phi) through h^order."""
-        D = max(P.x_degree(), self.dim)
+        D = max(P.x_degree() - 1, self.dim)
         cleared = self.darboux_defect_cleared(P)
         return series_in_h(RationalFunction(cleared, self.den**D), order)
 

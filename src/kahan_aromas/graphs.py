@@ -150,9 +150,6 @@ class AromaMultiset(_Encoded):
     def classes(self):
         return [(aroma, sum(1 for _ in group)) for aroma, group in groupby(self.aromas)]
 
-    def is_unit(self) -> bool:
-        return not self.aromas
-
     def is_cycle_product(self) -> bool:
         return all(a.is_bare_cycle() for a in self.aromas)
 
@@ -166,9 +163,6 @@ class AromaMultiset(_Encoded):
 
     def max_indegree(self) -> int:
         return max((a.max_indegree() for a in self.aromas), default=0)
-
-    def contains_self_loop(self) -> bool:
-        return any(a.cycle_len == 1 for a in self.aromas)
 
     def times(self, other: "AromaMultiset") -> "AromaMultiset":
         return AromaMultiset(self.aromas + other.aromas)

@@ -370,10 +370,6 @@ class Polynomial:
     def coefficient_of_h(self, power: int) -> "Polynomial":
         return self.h_coefficients().get(power, Polynomial.zero(self.nvars))
 
-    def h_support(self) -> tuple[int, ...]:
-        shift = _BITS * (self.nvars - 2)
-        return tuple(sorted({(k >> shift) & _MASK for k in self.terms}))
-
     # -- serialization ----------------------------------------------------
 
     def sorted_terms(self):
@@ -648,32 +644,37 @@ def _packed_add(acc: dict, other: dict, shift: int = 0) -> None:
 
 
 def rf_substitute(
-    p: Polynomial | list[tuple[Polynomial, Polynomial]],
+    p: Polynomial | list[tuple[Polynomial, Polynomial, int]],
     numerators: list[Polynomial],
     denominator: Polynomial,
-    clear_power: int,
+    clear_power: int | None = None,
     cache: dict | None = None,
 ) -> Polynomial:
-    """Return S(p) = denominator**clear_power * p(x -> numerators/denominator).
+    """Return S_c(p) = denominator**c * p(x -> numerators/denominator), c
+    the clear power.
 
-    p may also be a list of (multiplier, polynomial) pairs; the result is
-    then the sum of multiplier * S(polynomial), built in one packed pass and
+    p may also be a list of (multiplier, polynomial, clear power) triples,
+    clear_power then left out: each pair carries its own c, and the result
+    is the sum of multiplier * S_c(polynomial), built in one packed pass and
     unpacked once.  The substitution touches the x-variables only; h and u
     pass through.  All polynomials share the denominator's variable
-    universe, and clear_power >= the x-degree of every substituted
+    universe, and each clear power is at least the x-degree of its
     polynomial, so the result is a polynomial (ValueError otherwise).  A
     cache dict may be shared across calls; it keeps the packed power
     products of one map, each a `_Packed` whose `terms` maps a key to an
-    int, and a call with another map empties it first.
+    int, and a call with another map empties it first.  The power products
+    do not depend on c, so pairs of different clear powers share them.
 
     The kernel.  With the contents of the numerators and of the denominator
     over their one lcm L, N'_i = L N_i and D' = L den are integer
-    polynomials and S(q) = content(q) L^-c R_q, where
-    R_q = sum_a q_a N'^a D'^(c - |a|) (c the clear power, q_a the integer
-    (h, u)-part of q at x^a) is summed by x-degree, Horner in D'.  Every
-    factor is packed: one int per (x, u)-monomial, whose balanced base-2^B
-    digit j holds the coefficient of h^(j + offset + x-degree), with a
-    per-polynomial offset, the least h-degree minus x-degree of its terms.
+    polynomials and S_c(q) = content(q) L^-c R_q, where
+    R_q = sum_a q_a N'^a D'^(c - |a|) (q_a the integer (h, u)-part of q at
+    x^a) is summed by x-degree, Horner in D'.  The result is built over
+    L^-c_max, c_max the largest clear power of the call, so a pair of clear
+    power c enters scaled by L^(c_max - c).  Every factor is packed: one
+    int per (x, u)-monomial, whose balanced base-2^B digit j holds the
+    coefficient of h^(j + offset + x-degree), with a per-polynomial offset,
+    the least h-degree minus x-degree of its terms.
     That difference adds under multiplication, so a product adds keys and
     multiplies ints, and a sum shifts the operand with the larger offset.
     Only the result is unpacked.
@@ -687,8 +688,8 @@ def rf_substitute(
     degrees only, each built on the largest cached divisor.
 
     The layout.  Before packing, the span counts the digits the call can
-    reach above the result's offset: a pair's largest leaf shift, plus c
-    times the largest digit index of a numerator or of the denominator,
+    reach above the result's offset: a pair's largest leaf shift, plus its
+    c times the largest digit index of a numerator or of the denominator,
     plus the multiplier's.  A span of 1, as on a homogeneous field, puts
     every h-degree at the x-degree plus the offset, so the x_n layout moves
     x_n, the last x-variable, from the key into the int, digit p carrying
@@ -699,28 +700,27 @@ def rf_substitute(
     The digit width.  No coefficient of a product exceeds the product of
     its factors' l1-norms, so no coefficient of the integer result
     sum_j s_j M_j R_j (M_j the primitive multiplier, s_j the pairs' rational
-    factors over their lcm) exceeds
-        bound = sum_j |s_j| |M_j|_1 sum_a |q_a|_1 prod_i |N'_i|_1^a_i |D'|_1^(c - |a|).
+    factors over their lcm, times L^(c_max - c_j)) exceeds
+        bound = sum_j |s_j| |M_j|_1 sum_a |q_a|_1 prod_i |N'_i|_1^a_i |D'|_1^(c_j - |a|).
     Packing evaluates at z = 2^B a polynomial in z with those coefficients,
     and ring arithmetic commutes with the evaluation.  With
     B = bitlength(bound) + 1 every coefficient lies strictly between
     -2^(B-1) and 2^(B-1), where the balanced base-2^B expansion of an int
     is unique, so every digit decodes to the exact coefficient.
 
-    Degrees.  Before packing, a bound on the result's degree in x_i, the
-    largest sum_j a_j deg_i(N_j) + (c - |a|) deg_i(den) + deg_i(M), that
-    passes the packable range raises ValueError; so does an h-degree past
-    it when the result is unpacked.
+    Degrees.  Before packing, a bound on the result's degree in x_i, per
+    pair the largest sum_j a_j deg_i(N_j) + (c - |a|) deg_i(den) + deg_i(M),
+    that passes the packable range raises ValueError; so does an h-degree
+    past it when the result is unpacked.
     """
     n = denominator.nvars
-    pairs = [(Polynomial.const(n, 1), p)] if isinstance(p, Polynomial) else list(p)
-    for f in [*numerators, *(f for pair in pairs for f in pair)]:
+    pairs = [(Polynomial.const(n, 1), p, clear_power)] if isinstance(p, Polynomial) else list(p)
+    for f in [*numerators, *(f for pair in pairs for f in pair[:2])]:
         denominator._check(f)
     nx = n - 2
-    c = clear_power
     if len(numerators) != nx:
         raise ValueError("substitution map arity does not match the x-variable count")
-    for _, q in pairs:
+    for _, q, c in pairs:
         degx = q.x_degree()
         if c < degx:
             raise ValueError(
@@ -728,26 +728,31 @@ def rf_substitute(
             )
     if cache is None:
         cache = {}
+    c_max = max((c for _, _, c in pairs), default=0)
     factors = list(numerators) + [denominator]
     common = math.lcm(*(f.content.denominator for f in factors))
     scales = [f.content.numerator * (common // f.content.denominator) for f in factors]
     norms = [abs(s) * sum(map(abs, f.terms.values())) for s, f in zip(scales, factors)]
     degrees = [_degrees(f.terms, nx) for f in factors]
-    ratios = [m.content * q.content for m, q in pairs]
+    ratios = [m.content * q.content for m, q, _ in pairs]
     lcm_pairs = math.lcm(*(r.denominator for r in ratios))
-    pair_scales = [r.numerator * (lcm_pairs // r.denominator) for r in ratios]
+    # S_c(q) = content(q) L^-c R_q, brought over the one L^-c_max of the result
+    pair_scales = [
+        r.numerator * (lcm_pairs // r.denominator) * common ** (c_max - c)
+        for r, (_, _, c) in zip(ratios, pairs)
+    ]
 
     hshift = _BITS * nx
     x_mask = (1 << hshift) - 1
     ranges = [_h_range(f.terms, nx) for f in factors]
     off_num = min((lo for lo, _ in ranges[:-1]), default=0)
     off_den = ranges[-1][0]
-    # the largest digit index of any N'^a D'^(c - |a|)
-    grow = c * max([hi - off_num for _, hi in ranges[:-1]] + [ranges[-1][1] - off_den])
-    weights: dict[int, int] = {}  # x-key a -> prod_i |N'_i|^a_i |D'|^(c - |a|)
+    # the largest digit index of any N'^a D'^(c - |a|), per unit of c
+    step = max([hi - off_num for _, hi in ranges[:-1]] + [ranges[-1][1] - off_den])
+    weights: dict[tuple, int] = {}  # (x-key a, c) -> prod_i |N'_i|^a_i |D'|^(c - |a|)
     bound = 0
     work = []
-    for (m, q), s in zip(pairs, pair_scales):
+    for (m, q, c), s in zip(pairs, pair_scales):
         if not q.terms or s == 0:
             continue
         # q's term x^a h^e u^b enters with N'^a D'^(c - |a|), whose offset is
@@ -757,13 +762,13 @@ def rf_substitute(
         entries = []
         for k, v in q.terms.items():
             xkey = k & x_mask
-            w = weights.get(xkey)
+            w = weights.get((xkey, c))
             if w is None:
                 exps = unpack_exponents(xkey, nx)
                 w = norms[-1] ** (c - sum(exps))
                 for norm, e in zip(norms, exps):
                     w *= norm**e
-                weights[xkey] = w
+                weights[(xkey, c)] = w
             inner += abs(v) * w
             e = (k >> hshift) & _MASK
             d = _x_degree_of(xkey, nx)
@@ -778,11 +783,11 @@ def rf_substitute(
         low = min(entry[2] for entry in entries)
         lo_m, hi_m = _h_range(m.terms, nx)
         # the largest h-degree minus x-degree that the pair's result can hold
-        work.append((m, s, entries, low, lo_m, max(entry[2] for entry in entries) + grow + hi_m))
+        work.append((m, s, c, entries, low, lo_m, max(entry[2] for entry in entries) + c * step + hi_m))
     if not work:
         return Polynomial.zero(n)
-    total_offset = min(w[3] + w[4] for w in work)
-    xn = max(w[5] for w in work) == total_offset and nx > 0  # a span of one digit
+    total_offset = min(w[4] + w[5] for w in work)
+    xn = max(w[6] for w in work) == total_offset and nx > 0  # a span of one digit
     bits = bound.bit_length() + 1
     source = (tuple(numerators), denominator)
     held = cache.get(0)
@@ -795,7 +800,7 @@ def rf_substitute(
     packed_nums = [_pack(f.terms, nx, bits, off_num, xn, s) for f, s in zip(numerators, scales)]
     packed_den = _pack(denominator.terms, nx, bits, off_den, xn, scales[-1])
     total: dict = {}
-    for m, s, entries, low, lo_m, _ in work:
+    for m, s, c, entries, low, lo_m, _ in work:
         mults: dict[int, dict] = {}  # x-key -> {u-key: packed int}
         for xkey, ukey, index, v in entries:
             row = mults.setdefault(xkey, {})
@@ -836,7 +841,7 @@ def rf_substitute(
         # the digits of a pair whose offset is above the result's shift up
         _packed_add(total, result, bits * (low + lo_m - total_offset))
     ints = _unpack(total, total_offset, bits, n, xn)
-    return _from_ints(n, ints, 1, lcm_pairs * common**c)
+    return _from_ints(n, ints, 1, lcm_pairs * common**c_max)
 
 
 def series_in_h(r: RationalFunction | Polynomial, order: int) -> list[Polynomial]:

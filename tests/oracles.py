@@ -29,9 +29,10 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import prod
 
+from kahan_aromas.corpus import rand_small
 from kahan_aromas.fields import KahanMap
 from kahan_aromas.graphs import Aroma, Forest, RootedTree
-from kahan_aromas.linalg import nullspace
+from kahan_aromas.linalg import nullspace, rank
 from kahan_aromas.poly import Polynomial, RationalFunction
 from kahan_aromas.rationals import ONE, ZERO, random_rational
 from kahan_aromas.solver import SAMPLE_ATTEMPTS, SolverError, VerificationResult
@@ -218,6 +219,33 @@ def aroma_cuts_by_vertex_subsets(aroma) -> list:
     return results
 
 
+def is_unit(mset) -> bool:
+    """Whether the multiset holds no aroma."""
+    return not mset.aromas
+
+
+def contains_self_loop(mset) -> bool:
+    """Whether one of the multiset's aromas is a loop (cycle length 1)."""
+    return any(a.cycle_len == 1 for a in mset.aromas)
+
+
+def elementary_differential(field, tree: RootedTree) -> list[Polynomial]:
+    """The B-series elementary differential F(tree) by its recursion in
+    `Polynomial` arithmetic: component i sums, over the index j_r of each
+    child, d^m f_i / dx_{j_1} ... dx_{j_m} times prod_r F(child_r)^{j_r}."""
+    kids = [elementary_differential(field, c) for c in tree.children]
+    out = []
+    for i in range(field.dim):
+        total = Polynomial.zero(field.nvars)
+        for js in product(range(field.dim), repeat=len(kids)):
+            term = field.partial(i, tuple(sorted(js)))
+            for kid, j in zip(kids, js):
+                term = term * kid[j]
+            total = total + term
+        out.append(total)
+    return out
+
+
 def aroma_by_assignments(field, aroma):
     """F(aroma) as the plain sum over all n^V index assignments: vertex v with
     predecessors p1..pm contributes d^m f^{i_v} / dx_{i_p1} ... dx_{i_pm}."""
@@ -233,6 +261,32 @@ def aroma_by_assignments(field, aroma):
                 break
         total = total + term
     return total
+
+
+def h_support(p: Polynomial) -> tuple[int, ...]:
+    """The h-degrees of p's terms, ascending."""
+    h = p.nvars - 2
+    return tuple(sorted({exps[h] for exps, _ in p.sorted_terms()}))
+
+
+def random_skew(rng, n):
+    """A skew-symmetric n x n matrix of small rationals."""
+    M = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            M[i][j] = rand_small(rng)
+            M[j][i] = -M[i][j]
+    return M
+
+
+def random_invertible(rng, n):
+    """An invertible n x n matrix of small rationals; SolverError when
+    SAMPLE_ATTEMPTS draws give none."""
+    for _ in range(SAMPLE_ATTEMPTS):
+        M = [[rand_small(rng) for _ in range(n)] for _ in range(n)]
+        if rank(M, n) == n:
+            return M
+    raise SolverError(f"no invertible {n} x {n} draw in {SAMPLE_ATTEMPTS} attempts")
 
 
 def rref_by_fractions(rows, ncols: int) -> list[list[Fraction]]:
@@ -310,26 +364,27 @@ def rf_substitute_term_by_term(p, numerators, denominator, clear_power: int) -> 
 
 
 def darboux_defect_term_by_term(kmap, P) -> Polynomial:
-    """den S(P) - P S(N+) with S the term-by-term substitution at
-    D = max(deg_x P, dim)."""
-    D = max(P.x_degree(), kmap.dim)
+    """S_{D+1}(P) - P S_D(N+) with S_c the term-by-term substitution at the
+    clear power c and D = max(deg_x P - 1, dim)."""
+    D = max(P.x_degree() - 1, kmap.dim)
 
-    def subs(q):
-        return rf_substitute_term_by_term(q, kmap.numerators, kmap.den, D)
+    def subs(q, c):
+        return rf_substitute_term_by_term(q, kmap.numerators, kmap.den, c)
 
-    return kmap.den * subs(P) - P * subs(kmap.n_plus())
+    return subs(P, D + 1) - P * subs(kmap.n_plus(), D)
 
 
 def verify_density_by_expansion(field, P, seed: int = 0) -> VerificationResult:
-    """Expand the cleared defect den^D [den P(Phi) - P N_{h/2}(Phi)] first;
-    when it is not the zero polynomial, draw seeded points and return the
-    first one where it does not vanish, its value divided by den^D."""
+    """Expand the cleared defect den^D [den P(Phi) - P N_{h/2}(Phi)],
+    D = max(deg_x P - 1, dim), first; when it is not the zero polynomial,
+    draw seeded points and return the first one where it does not vanish,
+    its value divided by den^D."""
     kmap = KahanMap(field)
     defect = kmap.darboux_defect_cleared(P)
     if defect.is_zero():
         return VerificationResult(True)
     rng = random.Random(seed)
-    D = max(P.x_degree(), field.dim)
+    D = max(P.x_degree() - 1, field.dim)
     for _ in range(SAMPLE_ATTEMPTS):
         xs = [random_rational(rng) for _ in range(field.dim)]
         h = random_rational(rng)

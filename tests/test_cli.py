@@ -614,6 +614,14 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
             "input error: malformed field JSON: index an integer of 5000 digits out of range for dimension 3\n",
         ),
         (
+            _LV,
+            None,
+            [[_LONG_INT, [[[1, 0, 0, 0, 0], "1"]]]],
+            "input error: augmenter label an integer of 5000 digits is not a string\n",
+        ),
+        (_LV, None, [[3, [[[1, 0, 0, 0, 0], "1"]]]], "input error: augmenter label 3 is not a string\n"),
+        (_LV, None, [[True, [[[1, 0, 0, 0, 0], "1"]]]], "input error: augmenter label True is not a string\n"),
+        (
             _kahan_map("nambu_homogeneous", {"A": [[_LONG_INT]], "B": _EYE3}),
             None,
             None,
@@ -673,6 +681,9 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         "density-a-long-integer",
         "field-coefficient-a-long-integer",
         "field-index-a-long-integer",
+        "augmenter-label-a-long-integer",
+        "augmenter-label-an-integer",
+        "augmenter-label-a-bool",
         "system-matrix-holding-a-long-integer",
     ],
 )
@@ -917,7 +928,7 @@ def test_darboux_verify_past_the_packable_degree_exits_two(capsys, tmp_path, mon
     # substitution refuses the degree
     import kahan_aromas.fields as fields_mod
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise ValueError("degree 1024 in x1 exceeds the packable 1023")
 
     monkeypatch.setattr(fields_mod, "rf_substitute", refuse)

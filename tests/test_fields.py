@@ -22,9 +22,7 @@ from kahan_aromas.corpus import (
     random_divfree_homogeneous_r3_params,
     divfree_homogeneous_r3,
     random_quadratic_field,
-    random_skew,
     random_cubic_polynomial,
-    random_invertible,
     random_vector,
     dressing_chain,
     get_system,
@@ -43,8 +41,10 @@ from kahan_aromas.fields import (
     modified_hamiltonian,
 )
 from kahan_aromas.graphs import (
+    LEAF,
     Aroma,
     AromaMultiset,
+    Forest,
     LOOP,
     LOOP_WITH_TAIL,
     TAILED_TWO_CYCLE,
@@ -68,11 +68,15 @@ from kahan_aromas.rationals import Rat
 from kahan_aromas.solver import solve_darboux
 from oracles import (
     aroma_by_assignments,
+    contains_self_loop,
     darboux_defect_term_by_term,
+    elementary_differential,
     jacobian,
     kahan_map_by_cramer,
     kahan_series_closed_form,
     kahan_step_by_solve,
+    random_invertible,
+    random_skew,
     symbolic_jacobian_det,
 )
 
@@ -230,14 +234,44 @@ def test_contraction_matches_assignment_oracle(case):
     degrees = {sum(e) for p in f.components() for e, _ in p.sorted_terms()}
     assert degrees == {0, 1, 2}
     aromas = {a.encoding: a for m in enumerate_multisets(order) for a in m.aromas}
+    moved = 0
     for aroma in aromas.values():
         assert f.aroma_function(aroma) == aroma_by_assignments(f, aroma)
-    fresh = QuadraticVectorField.from_json(f.to_json())
+        # the trace is taken against the cycle matrix of the largest stored
+        # bound, which the canonical rotation seldom puts at index 0
+        if aroma.cycle_len > 1:
+            bounds = [f._cycle_matrices[forest.encoding][1] for forest in aroma.decorations]
+            if None not in bounds:
+                moved += max(range(aroma.cycle_len), key=lambda i: sum(bounds[i])) != 0
+    assert moved
+    # the tree vectors left in the memo are D^|tree| F(tree), D the field's
+    # cleared denominator
+    D = f._cleared()[0]
     for k in range(1, order):
         for tree in enumerate_trees(k):
-            memoized = f.elementary_differential(tree)
-            memoized.clear()  # the memo hands out copies
-            assert f.elementary_differential(tree) == fresh.elementary_differential(tree)
+            vector = [Polynomial(f.nvars, v) for v in f._tree_vector(tree)[0]]
+            assert vector == [p * D**k for p in elementary_differential(f, tree)]
+
+
+@pytest.mark.parametrize("divergence_free", [True, False])
+def test_loops_with_trees_match_assignment_oracle(divergence_free):
+    # a loop is summed straight to its trace: no cycle matrix is built
+    if divergence_free:
+        fields = [lv_divfree(), divfree_homogeneous_r3(**random_divfree_homogeneous_r3_params(random.Random(3)))]
+    else:
+        fields = [random_quadratic_field(random.Random(41), 3), _coprime_contents_field(), _zero_component_field()]
+    for f in fields:
+        assert f.is_divergence_free() is divergence_free
+        for order in range(1, 5):
+            for tree in enumerate_trees(order):
+                for forest in (Forest((tree,)), Forest((tree, LEAF))):
+                    aroma = Aroma(1, (forest,))
+                    got = f.aroma_function(aroma)
+                    assert got == aroma_by_assignments(f, aroma)
+                    if divergence_free or len(forest.trees) > 1:
+                        assert got.is_zero()
+        assert f.aroma_function(LOOP) == f.divergence()
+        assert not f._cycle_matrices
 
 
 def test_aroma_memo_does_not_depend_on_evaluation_order():
@@ -246,6 +280,12 @@ def test_aroma_memo_does_not_depend_on_evaluation_order():
     forward, backward = _coprime_contents_field(), _coprime_contents_field()
     got = [forward.aroma_function(m) for m in multisets]
     assert got == [backward.aroma_function(m) for m in reversed(multisets)][::-1]
+    # in shuffled order on one field, each F is what a fresh field gives
+    shuffled = list(multisets)
+    random.Random(0).shuffle(shuffled)
+    one = random_quadratic_field(random.Random(43), 3)
+    for m in shuffled:
+        assert one.aroma_function(m) == random_quadratic_field(random.Random(43), 3).aroma_function(m)
     # a multiset's F is memoized too: a second read is the same object, the
     # product of its aromas' F
     for m, p in zip(multisets, got):
@@ -271,7 +311,7 @@ def test_quadratic_indegree_kernel():
 def test_divergence_free_kernel():
     f = lv_divfree()
     for mset in enumerate_multisets(4):
-        if mset.contains_self_loop():
+        if contains_self_loop(mset):
             assert f.aroma_function(mset).is_zero()
 
 
@@ -294,8 +334,8 @@ def test_divfree_r3_four_cycle_identity():
 
 def test_elementary_differentials():
     f = lv_special()
-    assert f.elementary_differential(tall_tree(1)) == f.components()
-    chain2 = f.elementary_differential(tall_tree(2))
+    assert elementary_differential(f, tall_tree(1)) == f.components()
+    chain2 = elementary_differential(f, tall_tree(2))
     jac = jacobian(f)
     expect = [
         sum((jac[i][j] * f.components()[j] for j in range(3)), Polynomial.zero(5))
@@ -305,7 +345,7 @@ def test_elementary_differentials():
     # cherry on 1-D x^2: f''(f, f) = 2 x^4
     g = QuadraticVectorField(1, quadratic={(0, 0, 0): 1})
     cherry = parse_any("[[][]]")
-    assert g.elementary_differential(cherry) == [Polynomial.variable(3, 0) ** 4 * 2]
+    assert elementary_differential(g, cherry) == [Polynomial.variable(3, 0) ** 4 * 2]
 
 
 def test_kahan_map_zero_field():
@@ -478,6 +518,34 @@ def test_defect_matches_term_by_term_oracle():
         assert not got.is_zero() and got == darboux_defect_term_by_term(kmap, bumped)
 
 
+# the Volterra chain's matrices: the random draws of divfree_homogeneous_r3
+# have no density at low order
+_HALF = Rat(1, 2)
+_VOLTERRA_MATRICES = {
+    "A": [[0, _HALF, -_HALF], [_HALF, 0, 0], [-_HALF, 0, 0]],
+    "B": [[0, -_HALF, 0], [-_HALF, 0, _HALF], [0, _HALF, 0]],
+    "C": [[0, 0, _HALF], [0, 0, -_HALF], [_HALF, -_HALF, 0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_defect_clears_by_one_power_of_den_less(name):
+    # den S_{D+1}(P) - P S_{D+1}(N+), both terms at one clear power, is den
+    # times the defect cleared at D = max(deg_x P - 1, dim), for a density
+    # and for perturbations of x-degree 2 and dim + 2
+    params = _VOLTERRA_MATRICES if name == "divfree_homogeneous_r3" else None
+    f = get_system(name, params, seed=0)
+    P = solve_darboux(f, 6 if name == "nambu_inhomogeneous" else 4, parity="even", seed=0).densities[0]
+    kmap, nv = f.kahan_map(), f.nvars
+    h, x1 = X(f.dim, nv), X(0, nv)
+    for Q in (P, P + h**2 * x1**2, P + h**2 * x1 ** (f.dim + 2)):
+        D = max(Q.x_degree() - 1, f.dim)
+        got = kmap.darboux_defect_cleared(Q)
+        one_power = kmap.den * kmap.substitute(Q, D + 1) - Q * kmap.substitute(kmap.n_plus(), D + 1)
+        assert one_power == kmap.den * got
+        assert got.is_zero() is (Q is P)
+
+
 def test_defect_cache_holds_no_product_of_the_top_degree():
     # the degree-D keys go through the last Horner step, one product per variable
     f = get_system("nambu_homogeneous", seed=0)
@@ -507,7 +575,7 @@ def test_kahan_series_tall_tree_coefficients():
     assert series[0] == [X(0), X(1), X(2)]
     assert series[1] == f.components()
     # h^3 coefficient is b(tall-3) F(tall-3) = (1/4)(f')^2 f
-    ed = f.elementary_differential(tall_tree(3))
+    ed = elementary_differential(f, tall_tree(3))
     assert series[3] == [p * Rat(1, 4) for p in ed]
 
 

@@ -160,7 +160,7 @@ def test_packed_kernel_matches_term_by_term_oracle(p, nums, den, extra, m, q):
     cache = {}
     rf_substitute(q, nums, den, c, cache)
     want = m * rf_substitute_term_by_term(p, nums, den, c) - rf_substitute_term_by_term(q, nums, den, c)
-    assert rf_substitute([(m, p), (Polynomial.const(NV, -1), q)], nums, den, c, cache) == want
+    assert rf_substitute([(m, p, c), (Polynomial.const(NV, -1), q, c)], nums, den, cache=cache) == want
 
 
 @st.composite
@@ -201,7 +201,7 @@ def test_x_n_layout_matches_term_by_term_oracle(data, nx, wd, wp, wm, extra):
         assert rf_substitute(poly, nums, den, c, cache) == rf_substitute_term_by_term(poly, nums, den, c)
         assert cache[0].xn is xn
     want = m * rf_substitute_term_by_term(p, nums, den, c) - rf_substitute_term_by_term(q, nums, den, c)
-    assert rf_substitute([(m, p), (Polynomial.const(nv, -1), q)], nums, den, c, cache) == want
+    assert rf_substitute([(m, p, c), (Polynomial.const(nv, -1), q, c)], nums, den, cache=cache) == want
     assert cache[0].xn
 
 
@@ -257,8 +257,40 @@ def test_top_degree_split_matches_term_by_term_oracle(data, xn, tops, extra):
     m2 = data.draw(top_degree_polys(0, wm, max_terms=2)) * u
     c = max(tops) + extra
     want = m1 * rf_substitute_term_by_term(p1, nums, den, c) + m2 * rf_substitute_term_by_term(p2, nums, den, c)
-    assert rf_substitute([(m1, p1), (m2, p2)], nums, den, c, cache) == want
+    assert rf_substitute([(m1, p1, c), (m2, p2, c)], nums, den, cache=cache) == want
     assert cache[0].xn is xn or c == 0
+
+
+@given(
+    st.data(),
+    st.booleans(),
+    st.lists(st.integers(0, 3), min_size=2, max_size=2),
+    st.lists(st.integers(0, 2), min_size=2, max_size=2),
+)
+@settings(max_examples=40, deadline=None)
+def test_pairs_of_different_clear_powers_match_term_by_term_oracle(data, xn, tops, extras):
+    # each pair clears at its own power c_j, the result over the largest; in
+    # the x_n layout the second multiplier's weight makes up for c_1 - c_2
+    c1, c2 = (top + extra for top, extra in zip(tops, extras))
+    one = const(1)
+    if xn:
+        wd, wp, wm = (data.draw(st.integers(0, 1)) for _ in range(3))
+        den = data.draw(weighted_polys(NV, wd))
+        nums = [data.draw(weighted_polys(NV, wd - 1)) for _ in range(2)]
+        p1, p2 = (data.draw(top_degree_polys(top, wp)) for top in tops)
+        m1 = data.draw(weighted_polys(NV, wm, max_terms=2))
+        m2 = data.draw(weighted_polys(NV, wm + (c1 - c2) * wd, max_terms=2))
+    else:
+        den = one + x(2) + data.draw(kernel_polys(max_terms=3)) * x(0)
+        nums = [data.draw(kernel_polys(max_terms=3)) for _ in range(2)]
+        p1, p2 = (data.draw(top_degree_polys(top)) for top in tops)
+        m1, m2 = (data.draw(kernel_polys(max_terms=2).filter(lambda m: not m.is_zero())) for _ in range(2))
+    want = m1 * rf_substitute_term_by_term(p1, nums, den, c1) + m2 * rf_substitute_term_by_term(p2, nums, den, c2)
+    cache = {}
+    # the second call reads the power products that the first one cached
+    for pairs in ([(m1, p1, c1), (m2, p2, c2)], [(m2, p2, c2), (m1, p1, c1)]):
+        assert rf_substitute(pairs, nums, den, cache=cache) == want
+        assert cache[0].xn is xn or max(c1, c2) == 0
 
 
 def test_one_cache_shared_by_two_maps_empties_between_them():
@@ -366,9 +398,11 @@ def test_mixed_variable_universes_rejected():
     # a substitution refuses a polynomial, numerator or multiplier of
     # another universe, even one whose x-degrees would fit
     foreign, one = Polynomial.variable(5, 0), const(1)
-    for p, nums in ((foreign, [x(0), x(1)]), (x(0), [x(0), foreign]), ([(foreign, x(0))], [x(0), x(1)])):
+    for p, nums in ((foreign, [x(0), x(1)]), (x(0), [x(0), foreign])):
         with pytest.raises(ValueError, match="different variable universes"):
             rf_substitute(p, nums, one, 1)
+    with pytest.raises(ValueError, match="different variable universes"):
+        rf_substitute([(foreign, x(0), 1)], [x(0), x(1)], one)
 
 
 def test_exponent_overflow_raises():
@@ -398,7 +432,7 @@ def test_substitution_h_degree_overflow_raises():
     with pytest.raises(ValueError, match="degree 1200 in h"):
         rf_substitute(xx**4, [h**300 * xx], one, 4)
     with pytest.raises(ValueError, match="in h"):
-        rf_substitute([(h**24, xx**4)], [h**250 * xx], one - h * xx, 4)
+        rf_substitute([(h**24, xx**4, 4)], [h**250 * xx], one - h * xx)
     assert rf_substitute(xx**3, [h**341 * xx], one, 3) == h**1023 * xx**3
 
 
