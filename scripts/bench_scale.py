@@ -82,7 +82,8 @@ def measure_input(pkg, build, order: int) -> dict:
     step_ms = statistics.median(_timed(lambda: solver._sample_point(rng, kmap)) for _ in range(STEPS))
 
     basis = solver.build_basis(field, order, None, "even")
-    weighted = solver._weighted_polys(field, [(el.poly, el.order, el.sigma) for el in basis.elements])
+    items = [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
+    weighted = solver._weighted_polys(field, items)
     batch = pkg.poly.PolynomialBatch(weighted)
     # fresh steps: a row reads monomial values that its step's evaluators cache
     steps = [solver._sample_point(rng, kmap) for _ in range(ROWS)]

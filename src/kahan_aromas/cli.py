@@ -375,8 +375,8 @@ def solver_report(sol, seed: int) -> dict:
         "parity": sol.parity,
         "seed": seed,
         "method": sol.method,
-        "basis": sol.basis_keys(),
-        "dropped": sol.dropped_keys(),
+        "basis": [el.key for basis in sol.bases.values() for el in basis.elements],
+        "dropped": [key for basis in sol.bases.values() for key in basis.dropped],
         "solutions": solutions,
         "first_integrals": integrals,
         "independence_count": independence,

@@ -302,13 +302,13 @@ class QuadraticVectorField:
         """tr(M_{k-1} ... M_1 M_0) / D^|aroma|: cycle vertex i is fed by
         vertex i-1, and every vertex contributes one partial of D f.
 
-        The trace is contracted as tr(M_h C).  M_h is the cycle matrix whose
-        stored degree bound, summed over the variables, is the largest (the
-        first such), and C = M_{h-1} ... M_0 M_{k-1} ... M_{h+1} is the
-        product of the others in cyclic order from h + 1, so the heaviest
-        factor enters only the n^2 trace products and no n^3 chain product
-        (the trace is invariant under rotation of the cycle).  A loop (k = 1)
-        is summed straight to its trace (`_loop`).
+        The trace is contracted as tr(M_h C).  M_h is the cycle matrix with
+        the most terms over its entries (the first such), and
+        C = M_{h-1} ... M_0 M_{k-1} ... M_{h+1} is the product of the others
+        in cyclic order from h + 1, so the heaviest factor enters only the
+        n^2 trace products and no n^3 chain product (the trace is invariant
+        under rotation of the cycle).  A loop (k = 1) is summed straight to
+        its trace (`_loop`).
 
         Per variable, the product's degree is at most the sum of the
         matrices' stored bounds, which is checked against the packable
@@ -321,7 +321,7 @@ class QuadraticVectorField:
             if any(bound is None for _, bound in mats):
                 return Polynomial.zero(nv)
             _check_packable(nv, map(sum, zip(*(bound for _, bound in mats))))
-            h = max(range(k), key=lambda i: sum(mats[i][1]))
+            h = max(range(k), key=lambda i: sum(len(p) for row in mats[i][0] for p in row))
             heavy = mats[h][0]
             chain = [mats[(h - 1 - r) % k][0] for r in range(k - 1)]
             rest = reduce(lambda a, b: _mat_mul(a, b, nv), chain)
@@ -491,14 +491,10 @@ class KahanMap:
                     _mul_add(acc, {k + hkey: sign * v for k, v in rhs[r].items()}, cof, nv)
             acc = {k: v for k, v in acc.items() if v}
             self.numerators.append(_from_ints(nv, acc, 1, scale))
-        self._n_plus = self.den.subs_h_negated()
+        self.n_plus = self.den.subs_h_negated()  # N_{h/2} = det(I + (h/2) f'(x))
         self._point_batch = PolynomialBatch([self.den] + self.numerators)
-        self._n_plus_batch = PolynomialBatch([self._n_plus])
+        self._n_plus_batch = PolynomialBatch([self.n_plus])
         self.subs_cache: dict = {}
-
-    def n_plus(self) -> Polynomial:
-        """det(I + (h/2) f'(x)) as a polynomial (the den with h negated)."""
-        return self._n_plus
 
     def n_plus_at(self, ev: PointEvaluator) -> Rat:
         """N_{h/2} = det(I + (h/2) f'(x)) at the evaluator's point."""
@@ -537,7 +533,7 @@ class KahanMap:
         pass of the packed kernel, each pair at its own clear power, which
         unpacks only the defect."""
         D = max(P.x_degree() - 1, self.dim)
-        pairs = [(Polynomial.const(self.nvars, 1), P, D + 1), (-P, self.n_plus(), D)]
+        pairs = [(Polynomial.const(self.nvars, 1), P, D + 1), (-P, self.n_plus, D)]
         return rf_substitute(pairs, self.numerators, self.den, cache=self.subs_cache)
 
     def darboux_defect_series(self, P: Polynomial, order: int) -> list[Polynomial]:
@@ -549,7 +545,7 @@ class KahanMap:
     def det_jacobian(self) -> RationalFunction:
         """det DPhi_h = det(I + (h/2) f'(Phi_h(x))) / det(I - (h/2) f'(x))."""
         n = self.dim
-        cleared = self.substitute(self.n_plus(), n)
+        cleared = self.substitute(self.n_plus, n)
         return RationalFunction(cleared, self.den ** (n + 1))
 
 

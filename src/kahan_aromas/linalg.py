@@ -10,8 +10,9 @@ Pivoting is "first nonzero in fixed row order", which makes every output
 deterministic for a fixed row/column order.  `complement`, the canonical
 basis of the orthogonal complement of a row space, takes the columns right
 to left, so its one pass yields the nullspace vectors already reduced.
-`rank` eliminates the same integer rows modulo the prime P = 2^61 - 1,
-where no entry grows.
+`rank` folds the same integer rows, one at a time, into an echelon form
+modulo the prime P = 2^61 - 1, where no entry grows (`_fold`, which the
+solver's draw loop also keeps across its draws).
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ def _null_ints(mat: list[list[int]], ncols: int, reverse: bool = False) -> list[
     return basis
 
 
-def _rref_rats(mat: list[list[int]], ncols: int) -> list[list[Rat]]:
-    pivots, d = _reduce(mat, ncols)
-    return [[Rat(v, d) if v else ZERO for v in row] for row in mat[: len(pivots)]]
-
-
 def _normalized(vectors) -> list[list[Rat]]:
     """Each integer vector over its first nonzero entry."""
     out = []
@@ -121,31 +117,42 @@ def complement(rows, ncols: int) -> list[list[Rat]]:
     return _normalized(_null_ints(_int_rows(rows), ncols, reverse=True))
 
 
+def _fold(echelon: dict[int, list[int]], row, ncols: int) -> None:
+    """Fold one row into an echelon form mod P, in place.
+
+    The row is cleared to integers and its first ncols columns are reduced
+    mod P; at each nonzero column, ascending, the pivot row there is
+    subtracted, and at the first nonzero column without one the rest is
+    scaled to 1 and becomes its pivot row.  `echelon` maps each pivot
+    column to its row, which is 0 before the pivot, so len(echelon) is the
+    rank mod P of the rows folded so far.
+    """
+    vec = [v % P for v in _int_rows([row])[0][:ncols]]
+    for c in range(ncols):
+        f = vec[c]
+        if not f:
+            continue
+        pivot = echelon.get(c)
+        if pivot is None:
+            inv = pow(f, -1, P)
+            echelon[c] = [v * inv % P for v in vec]
+            return
+        vec = [(a - f * b) % P for a, b in zip(vec, pivot)]
+
+
 def rank(rows, ncols: int) -> int:
-    """The rank mod P of the rows' first ncols columns, cleared to integers.
+    """The rank mod P of the rows' first ncols columns, cleared to integers:
+    the size of the echelon form that `_fold` builds from them.
 
     It is never above the rank over Q, since a minor that is nonzero mod P
     is a nonzero integer minor, so a full result (min(len(rows), ncols))
     is the rank over Q.  Below full it equals the rank over Q unless P
     divides every nonzero maximal minor.
     """
-    mat = [[v % P for v in row[:ncols]] for row in _int_rows(rows)]
-    r = 0
-    for c in range(ncols):
-        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if p is None:
-            continue
-        mat[r], mat[p] = mat[p], mat[r]
-        row_p = mat[r]
-        inv = pow(row_p[c], -1, P)
-        for i in range(r + 1, len(mat)):
-            f = mat[i][c] * inv % P
-            if f:
-                mat[i] = [(a - f * b) % P for a, b in zip(mat[i], row_p)]
-        r += 1
-        if r == len(mat):
-            break
-    return r
+    echelon: dict[int, list[int]] = {}
+    for row in rows:
+        _fold(echelon, row, ncols)
+    return len(echelon)
 
 
 def pivot_columns(rows, ncols: int) -> list[int]:
@@ -157,7 +164,9 @@ def pivot_columns(rows, ncols: int) -> list[int]:
 
 def rref(vectors, ncols: int) -> list[list[Rat]]:
     """Reduced row echelon form of the row space: the canonical subspace basis."""
-    return _rref_rats(_int_rows(vectors), ncols)
+    mat = _int_rows(vectors)
+    pivots, d = _reduce(mat, ncols)
+    return [[Rat(v, d) if v else ZERO for v in row] for row in mat[: len(pivots)]]
 
 
 def in_span(basis, target, ncols: int) -> list[Rat] | None:

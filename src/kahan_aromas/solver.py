@@ -19,11 +19,11 @@ Discovery takes the residual of every weighted basis element at seeded
 steps, one integer pass per step over the basis compiled once per sector:
 the residual is linear in P, so each monomial m gives
 u_m = N_{-h/2}(x) m(x') - N_{h/2}(x') m(x) over one denominator and each
-element is one dot product with the u_m.  Steps are drawn until the rows
-reach rank K mod the prime P of `linalg.rank` (full rank mod P proves
-full rank over Q: the nullspace is empty and the sector has no density)
-or, when the rank stalls, up to 2K + 16 steps, and an exact nullspace,
-which contains every true solution.  Each candidate of the nullspace is
+element is one dot product with the u_m.  Steps are drawn one at a time,
+each row folded into one echelon form mod the prime P of `linalg.rank`,
+until it reaches rank K (full rank mod P proves full rank over Q: the
+sector has no density) or 2K + 16 rows are drawn; their exact nullspace
+contains every true solution.  Each candidate of the nullspace is
 checked; a candidate refuted at a fresh step adds that step's row, which
 is nonzero on it, so the nullspace shrinks (method "refined") until every
 candidate is confirmed (method "sampled" when none was refuted).  The
@@ -48,7 +48,7 @@ from .graphs import (
     enumerate_multisets,
     parse_multiset,
 )
-from .linalg import complement, in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
+from .linalg import _fold, complement, in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
 from .poly import PointEvaluator, Polynomial, PolynomialBatch, RationalFunction
 from .rationals import Rat, ZERO, random_rational
 
@@ -65,8 +65,6 @@ class BasisElement:
     key: str  # multiset encoding, or "label*encoding" for augmented elements
     multiset: AromaMultiset
     poly: Polynomial  # F(multiset) * augmenter, fully expanded
-    order: int  # h-grade: the multiset order
-    sigma: int
 
 
 @dataclass
@@ -139,7 +137,7 @@ def build_basis(
     dropped: list[str] = []
     for i, (key, mset, poly) in enumerate(candidates):
         if i in kept:
-            elements.append(BasisElement(key, mset, poly, mset.order, mset.sigma()))
+            elements.append(BasisElement(key, mset, poly))
         else:
             dropped.append(key)
     return Basis(elements, dropped)
@@ -189,12 +187,6 @@ class DarbouxSolution:
     verified: bool
     seed: int
     method: str
-
-    def basis_keys(self) -> list[str]:
-        return [el.key for basis in self.bases.values() for el in basis.elements]
-
-    def dropped_keys(self) -> list[str]:
-        return [key for basis in self.bases.values() for key in basis.dropped]
 
 
 def _weighted_polys(field: QuadraticVectorField, items) -> list[Polynomial]:
@@ -288,42 +280,30 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
     """Exact gamma-space, its densities and the method of one sector's
     basis.
 
-    The sampled rows come from the steps of Random(seed), drawn lazily: K
-    steps, then while the rank grows only the K - rank rows still missing.
-    Rows of rank K have an empty nullspace, which no further row changes,
-    so such a sector has no density; the rank is taken mod P, where rank K
-    is proven and a lower rank only sizes the next batch.  When the rank
-    stalls below K, the rest of the first 2K + 16 steps are drawn, and
-    every check draws fresh steps after them.  A confirmed candidate stays
-    a nullspace vector when rows are added (its free coordinate stays
-    free), so it is remembered and never expanded again.
+    The sampled rows come from the steps of Random(seed), drawn one at a
+    time until their echelon form mod P reaches rank K, which proves an
+    empty nullspace (no density), or 2K + 16 rows are drawn; every check
+    draws fresh steps after them.  A confirmed candidate stays a nullspace
+    vector when rows are added (its free coordinate stays free), so it is
+    remembered and never expanded again.
     """
     kmap = field.kahan_map()
     weighted = _weighted_polys(
-        field, [(el.poly, el.order, el.sigma) for el in basis.elements]
+        field, [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
     )
     K = len(weighted)
     if not K:
         return [], [], "sampled"
     S = 2 * K + 16
     rng = random.Random(seed)
-    rows: list[list[Rat]] = []
     batch = PolynomialBatch(weighted)
-
-    def add_row(step):
-        rows.append(_sample_row(batch, step))
-
-    for _ in range(K):
-        add_row(_sample_point(rng, kmap))
-    last = -1  # the rank at the previous check
+    rows: list[list[Rat]] = []
+    echelon: dict[int, list[int]] = {}  # the rows mod P (`linalg._fold`)
     while len(rows) < S:
-        have = rank(rows, K)
-        if have == K:
+        rows.append(_sample_row(batch, _sample_point(rng, kmap)))
+        _fold(echelon, rows[-1], K)
+        if len(echelon) == K:
             return [], [], "sampled"
-        more = S - len(rows) if have == last else min(K - have, S - len(rows))
-        for _ in range(more):
-            add_row(_sample_point(rng, kmap))
-        last = have
     confirmed: dict[tuple, Polynomial] = {}  # candidate -> its density
     while True:
         vectors = nullspace(rows, K)
@@ -336,7 +316,7 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
             if refuted is None:
                 confirmed[tuple(vec)] = density
             else:
-                add_row(refuted[0])
+                rows.append(_sample_row(batch, refuted[0]))
         if len(rows) == drawn:
             break
     densities = [confirmed[tuple(vec)] for vec in vectors]

@@ -371,7 +371,7 @@ def darboux_defect_term_by_term(kmap, P) -> Polynomial:
     def subs(q, c):
         return rf_substitute_term_by_term(q, kmap.numerators, kmap.den, c)
 
-    return subs(P, D + 1) - P * subs(kmap.n_plus(), D)
+    return subs(P, D + 1) - P * subs(kmap.n_plus, D)
 
 
 def verify_density_by_expansion(field, P, seed: int = 0) -> VerificationResult:
@@ -410,10 +410,10 @@ def solve_by_symbolic_assembly(kmap, basis) -> list:
         return []
     h = Polynomial.variable(kmap.nvars, n)
     D = max(max(el.poly.x_degree() for el in elements), n)
-    n_plus_sub = kmap.substitute(kmap.n_plus(), D)
+    n_plus_sub = kmap.substitute(kmap.n_plus, D)
     columns = []
     for el in elements:
-        weighted = el.poly * (h**el.order) * (ONE / el.sigma)
+        weighted = el.poly * (h**el.multiset.order) * (ONE / el.multiset.sigma())
         columns.append(kmap.den * kmap.substitute(weighted, D) - weighted * n_plus_sub)
     monomials = sorted({k for c in columns for k in c.terms})
     rows = [[c.coefficient(mk) for c in columns] for mk in monomials]

@@ -293,7 +293,7 @@ def test_acceptance_10_ishii_family():
     pis = parameter_independent_solve(family, 3, 6, parity="even", seed=1000)
     for f in pis.fields:
         m = KahanMap(f)
-        volume_ok &= m.substitute(m.n_plus(), 3) == m.den**4
+        volume_ok &= m.substitute(m.n_plus, 3) == m.den**4
     unit_vec = [Rat(1) if enc == "1" else ZERO for enc in pis.coords]
     dim_ok = pis.dimension >= 2 and pis.contains(unit_vec)
     relation_ok = True

@@ -101,7 +101,7 @@ def test_ishii_volume_preservation():
     f = ishii(**params)
     assert f.is_divergence_free()
     kmap = KahanMap(f)
-    assert kmap.substitute(kmap.n_plus(), 3) == kmap.den**4
+    assert kmap.substitute(kmap.n_plus, 3) == kmap.den**4
 
 
 def test_ishii_modified_invariant_is_preserved():

@@ -65,7 +65,7 @@ from kahan_aromas.poly import (
     unpack_exponents,
 )
 from kahan_aromas.rationals import Rat
-from kahan_aromas.solver import solve_darboux
+from kahan_aromas.solver import parameter_independent_solve, solve_darboux
 from oracles import (
     aroma_by_assignments,
     contains_self_loop,
@@ -237,12 +237,13 @@ def test_contraction_matches_assignment_oracle(case):
     moved = 0
     for aroma in aromas.values():
         assert f.aroma_function(aroma) == aroma_by_assignments(f, aroma)
-        # the trace is taken against the cycle matrix of the largest stored
-        # bound, which the canonical rotation seldom puts at index 0
+        # the trace is taken against the cycle matrix of the most terms,
+        # which the canonical rotation seldom puts at index 0
         if aroma.cycle_len > 1:
-            bounds = [f._cycle_matrices[forest.encoding][1] for forest in aroma.decorations]
-            if None not in bounds:
-                moved += max(range(aroma.cycle_len), key=lambda i: sum(bounds[i])) != 0
+            mats = [f._cycle_matrices[forest.encoding] for forest in aroma.decorations]
+            if all(bound is not None for _, bound in mats):
+                terms = [sum(len(p) for row in mat for p in row) for mat, _ in mats]
+                moved += terms.index(max(terms)) != 0
     assert moved
     # the tree vectors left in the memo are D^|tree| F(tree), D the field's
     # cleared denominator
@@ -291,6 +292,36 @@ def test_aroma_memo_does_not_depend_on_evaluation_order():
     for m, p in zip(multisets, got):
         assert forward.aroma_function(m) is p
         assert p == prod(map(forward.aroma_function, m.aromas), start=Polynomial.const(forward.nvars, 1))
+
+
+def test_family_chain_products_are_pinned(monkeypatch):
+    # sum |a||b| over the term products inside `_mat_mul` for one family
+    # solve of three Ishii draws at order 6: with M_h the cycle matrix of
+    # the most terms the chain multiplies the lighter ones (2,335 with M_h
+    # the one of the largest summed degree bound)
+    import kahan_aromas.fields as fields_mod
+
+    real_mat_mul, real_mul_add = fields_mod._mat_mul, fields_mod._mul_add
+    products, inside = [0], [False]
+
+    def mat_mul(a, b, nvars):
+        inside[0] = True
+        try:
+            return real_mat_mul(a, b, nvars)
+        finally:
+            inside[0] = False
+
+    def mul_add(acc, a, b, nvars):
+        if inside[0]:
+            products[0] += len(a) * len(b)
+        real_mul_add(acc, a, b, nvars)
+
+    monkeypatch.setattr(fields_mod, "_mat_mul", mat_mul)
+    monkeypatch.setattr(fields_mod, "_mul_add", mul_add)
+    rng = random.Random(0)
+    family = [ishii(**random_ishii_params(rng)[0]) for _ in range(3)]
+    assert parameter_independent_solve(family, 3, 6, parity="even", seed=0).dimension
+    assert products[0] == 1866
 
 
 def test_one_dimensional_degeneracy():
@@ -541,7 +572,7 @@ def test_defect_clears_by_one_power_of_den_less(name):
     for Q in (P, P + h**2 * x1**2, P + h**2 * x1 ** (f.dim + 2)):
         D = max(Q.x_degree() - 1, f.dim)
         got = kmap.darboux_defect_cleared(Q)
-        one_power = kmap.den * kmap.substitute(Q, D + 1) - Q * kmap.substitute(kmap.n_plus(), D + 1)
+        one_power = kmap.den * kmap.substitute(Q, D + 1) - Q * kmap.substitute(kmap.n_plus, D + 1)
         assert one_power == kmap.den * got
         assert got.is_zero() is (Q is P)
 

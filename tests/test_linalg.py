@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kahan_aromas.linalg import (
     P,
+    _fold,
     complement,
     in_span,
     intersect_rowspaces,
@@ -142,6 +143,20 @@ WIDE = st.integers(100, 400).flatmap(
 )
 
 
+def folded_ranks(rows, ncols):
+    """The size of the echelon form mod P after the first i rows, i = 0 ..
+    len(rows), folded one at a time; each pivot row must be reduced mod P,
+    1 at its pivot and 0 before it."""
+    echelon: dict = {}
+    ranks = [0]
+    for row in rows:
+        _fold(echelon, row, ncols)
+        for c, vec in echelon.items():
+            assert vec[c] == 1 and not any(vec[:c]) and all(0 <= v < P for v in vec)
+        ranks.append(len(echelon))
+    return ranks
+
+
 @settings(max_examples=100, deadline=None)
 @given(rank_deficient(), st.data())
 def test_rank_of_wide_entries_matches_fraction_oracle(drawn, data):
@@ -152,6 +167,10 @@ def test_rank_of_wide_entries_matches_fraction_oracle(drawn, data):
     wide = [[s * v * t for v, t in zip(row, col_scales)] for s, row in zip(row_scales, matrix)]
     assert rank(wide, ncols) == len(rref_by_fractions(wide, ncols))
     assert complement(wide, ncols) == oracle_complement(wide, ncols)
+    # folded one at a time in shuffled order, with a copy of a row times P
+    # (zero mod P and dependent over Q), the rows reach the same rank
+    rows = data.draw(st.permutations(wide + [[P * v for v in row] for row in wide[:1]]))
+    assert folded_ranks(rows, ncols)[-1] == len(rref_by_fractions(wide, ncols))
 
 
 @pytest.mark.parametrize(
@@ -185,6 +204,16 @@ def test_rank_is_a_lower_bound_that_is_exact_when_full(nrows, ncols, data):
     assert got <= exact
     if got == min(nrows, ncols):
         assert got == exact
+    # folded one at a time in shuffled order, every prefix keeps the same
+    # bounds, and all the rows reach the same rank mod P
+    shuffled = data.draw(st.permutations(rows))
+    ranks = folded_ranks(shuffled, ncols)
+    assert ranks[-1] == got
+    for i, folded in enumerate(ranks):
+        exact_prefix = len(rref_by_fractions(shuffled[:i], ncols))
+        assert folded <= exact_prefix
+        if folded == min(i, ncols):
+            assert folded == exact_prefix
 
 
 def test_rank_below_full_is_only_a_lower_bound():

@@ -393,7 +393,7 @@ def test_building_a_kahan_map_compiles_its_two_batches(monkeypatch):
 
     monkeypatch.setattr(PolynomialBatch, "__init__", recording_batch_init)
     kmap = KahanMap(lv_divfree())
-    assert compiled == [[kmap.den] + kmap.numerators, [kmap.n_plus()]]
+    assert compiled == [[kmap.den] + kmap.numerators, [kmap.n_plus]]
     rng = random.Random(0)
     for _ in range(3):
         solver_mod._sample_point(rng, kmap)
@@ -692,10 +692,10 @@ def test_unlucky_discovery_is_refined(monkeypatch, name, order):
     assert sorted(map(str, expanded)) == sorted(map(str, sol.densities))
 
 
-def _discovery_draws(monkeypatch, f, order, sector, seed=0, rank=None):
+def _discovery_draws(monkeypatch, f, order, sector, seed=0, fold=None):
     """The solution of one sector and the number of discovery steps it drew
     (checks draw their steps elsewhere, not through _sample_point), with
-    the draw loop's rank replaced by `rank` when one is given."""
+    the draw loop's fold replaced by `fold` when one is given."""
     import kahan_aromas.solver as solver_mod
 
     real_sample_point = solver_mod._sample_point
@@ -706,8 +706,8 @@ def _discovery_draws(monkeypatch, f, order, sector, seed=0, rank=None):
         return real_sample_point(rng, kmap)
 
     monkeypatch.setattr(solver_mod, "_sample_point", counting)
-    if rank is not None:
-        monkeypatch.setattr(solver_mod, "rank", rank)
+    if fold is not None:
+        monkeypatch.setattr(solver_mod, "_fold", fold)
     sol = solve_darboux(f, order, parity=sector, seed=seed)
     monkeypatch.undo()
     return sol, len(draws)
@@ -740,11 +740,35 @@ def test_sector_without_density_stops_at_full_rank(monkeypatch):
 
 
 def test_sector_with_density_draws_every_discovery_step(monkeypatch):
-    # the rank stalls below K, so discovery ends with all 2K + 16 rows
+    # the rank never reaches K, so discovery ends with all 2K + 16 rows
     sol, draws = _discovery_draws(monkeypatch, lv_divfree(), 4, "even")
     K = len(sol.bases["even"].elements)
     assert sol.densities
     assert draws == 2 * K + 16
+    assert sol.method == "sampled"
+
+
+def test_draw_loop_stops_at_the_row_that_reaches_full_rank(monkeypatch):
+    # the K-th and (K+1)-th steps repeat the step before them, so the rank
+    # stalls at K - 1 for two draws; the next fresh step brings it to K, and
+    # discovery stops at that row instead of drawing all 2K + 16
+    import kahan_aromas.solver as solver_mod
+
+    f = _dense_random_field()
+    K = len(build_basis(f, 4, None, "even").elements)
+    real_sample_point = solver_mod._sample_point
+    steps = []
+
+    def stalling(rng, kmap):
+        repeat = len(steps) in (K - 1, K)
+        steps.append(steps[-1] if repeat else real_sample_point(rng, kmap))
+        return steps[-1]
+
+    monkeypatch.setattr(solver_mod, "_sample_point", stalling)
+    sol = solve_darboux(f, 4, parity="even", seed=0)
+    assert K > 2
+    assert len(steps) == K + 2
+    assert sol.densities == [] and sol.gammas == []
     assert sol.method == "sampled"
 
 
@@ -755,14 +779,21 @@ def test_sector_with_density_draws_every_discovery_step(monkeypatch):
     ids=sorted(SYSTEMS) + ["dense_seed0", "dense_seed19"],
 )
 def test_modular_rank_draws_the_rows_of_the_exact_rank(monkeypatch, f, seed):
-    # the draw loop asks only rank mod P; with the rank over Q in its place
-    # every sector draws the same steps and reaches the same solution
-    def exact_rank(rows, ncols):
-        return len(rref_by_fractions(rows, ncols))
+    # the draw loop folds its rows mod P; with an echelon form over Q in its
+    # place every sector draws the same steps and reaches the same solution
+    folded = []
+
+    def exact_fold(echelon, row, ncols):
+        folded.append(row)
+        reduced = rref_by_fractions(list(echelon.values()) + [row], ncols)
+        echelon.clear()
+        echelon.update((next(j for j, v in enumerate(vec) if v), vec) for vec in reduced)
 
     for sector in ("even", "odd"):
         modular, draws = _discovery_draws(monkeypatch, f, 4, sector, seed)
-        exact, exact_draws = _discovery_draws(monkeypatch, f, 4, sector, seed, exact_rank)
+        exact, exact_draws = _discovery_draws(monkeypatch, f, 4, sector, seed, exact_fold)
+        assert len(folded) == exact_draws  # the exact fold saw every row
+        folded.clear()
         assert draws == exact_draws
         assert modular.densities == exact.densities
         assert modular.gammas == exact.gammas
@@ -785,7 +816,7 @@ def test_sample_row_equals_the_residual_of_each_polynomial(f, order):
     for sector in ("even", "odd"):
         basis = build_basis(f, order, None, sector)
         weighted = solver_mod._weighted_polys(
-            f, [(el.poly, el.order, el.sigma) for el in basis.elements]
+            f, [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
         )
         batch = PolynomialBatch(weighted)
         for _ in range(5):
