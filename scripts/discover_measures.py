@@ -9,7 +9,7 @@ Example:
 import argparse
 import sys
 
-from kahan_aromas.cli import _load_field, render_series, solver_report
+from kahan_aromas.cli import _load_field, solver_report
 from kahan_aromas.solver import solve_darboux
 
 
@@ -33,8 +33,8 @@ def main() -> int:
     if not sol.densities:
         print("no aromatic Darboux densities at this order")
         return 1
-    for i, gamma in enumerate(sol.gammas):
-        print(f"g{i+1} ({sol.parities[i]}): {render_series(gamma)}")
+    for i, s in enumerate(report["solutions"]):
+        print(f"g{i+1} ({s['parity']}): {s['series']}")
     if len(sol.densities) >= 2:
         ratios, count = report["first_integrals"], report["independence_count"]
         print(f"first integrals: {len(ratios)} ratios, {count} independent")

@@ -20,7 +20,10 @@ def main() -> int:
     failures = 0
     for name in names:
         t0 = time.time()
-        checks = golden_suite(name, seed=args.seed)
+        try:  # an unknown name is an input error, exit 2
+            checks = golden_suite(name, seed=args.seed)
+        except ValueError as exc:
+            parser.exit(2, f"input error: {exc}\n")
         dt = time.time() - t0
         for c in checks:
             mark = "PASS" if c.passed else "FAIL"

@@ -36,14 +36,6 @@ from .solver import (
 DEFAULT_ORDER_CAP = 6
 
 
-def _input_error(exc: Exception) -> ValueError:
-    """A ValueError with the message of exc; a KeyError's message is its
-    argument, not the quoted repr that str() gives."""
-    if isinstance(exc, KeyError) and exc.args:
-        return ValueError(exc.args[0])
-    return ValueError(str(exc))
-
-
 def _json_int(text: str) -> int:
     """A JSON integer of any length: int() refuses one past the
     interpreter's digit limit, and `parse_rat` reads it in parts."""
@@ -76,10 +68,7 @@ def _load_field(args) -> QuadraticVectorField:
                 params = json.loads(args.params, parse_int=_json_int)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"malformed --params JSON: {exc}") from exc
-        try:
-            return corpus.get_system(args.system, params, seed=args.seed)
-        except (KeyError, TypeError) as exc:
-            raise _input_error(exc) from exc
+        return corpus.get_system(args.system, params, seed=args.seed)
     raise ValueError("a field source is required (--field F.json or --system NAME)")
 
 
@@ -463,10 +452,7 @@ def cmd_corpus_list(args) -> int:
 
 
 def cmd_corpus_run(args) -> int:
-    try:
-        checks = corpus.golden_suite(args.name, seed=args.seed)
-    except KeyError as exc:
-        raise _input_error(exc) from exc
+    checks = corpus.golden_suite(args.name, seed=args.seed)
     payload = {
         "system": args.name,
         "seed": args.seed,

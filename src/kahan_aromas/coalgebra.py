@@ -34,6 +34,7 @@ from .graphs import (
     UNIT,
     enumerate_multisets,
 )
+from .fields import _combination, _weighted_polys
 from .poly import Polynomial
 from .rationals import Rat, ONE, ZERO
 
@@ -267,17 +268,10 @@ def q_functional(gamma: CoefficientFunctional) -> CoefficientFunctional:
 
 def series_evaluate(gamma: CoefficientFunctional, field, truncation: int) -> Polynomial:
     """B(gamma) = sum over |alpha| <= truncation of h^|alpha| gamma(alpha)
-    / sigma(alpha) * F(alpha), as an exact polynomial in (x, h)."""
+    / sigma(alpha) * F(alpha), as an exact polynomial in (x, h), weighted as
+    the solver weights its basis (`fields._weighted_polys`)."""
     if truncation > gamma.truncation_order:
         raise TruncationError("evaluation order exceeds the functional's truncation")
-    nv = field.nvars
-    out = Polynomial.zero(nv)
-    h = Polynomial.variable(nv, field.dim)
-    for alpha, coeff in gamma.support.items():
-        if alpha.order > truncation:
-            continue
-        term = field.aroma_function(alpha)
-        if term.is_zero():
-            continue
-        out = out + term * (h ** alpha.order) * (coeff / alpha.sigma())
-    return out
+    support = [(a, c) for a, c in gamma.support.items() if a.order <= truncation]
+    polys = _weighted_polys(field, [(field.aroma_function(a), a.order, a.sigma()) for a, _ in support])
+    return _combination(field.nvars, polys, [c for _, c in support])

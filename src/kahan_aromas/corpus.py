@@ -21,6 +21,7 @@ from .solver import (
     SAMPLE_ATTEMPTS,
     SolverError,
     _find_constrained_density,
+    conjecture_check,
     density_span_solve,
     first_integrals,
     gamma_space,
@@ -541,8 +542,6 @@ def _golden_canonical_hamiltonian(seed) -> list[GoldenCheck]:
 
 
 def _golden_divfree_homogeneous_r3(seed) -> list[GoldenCheck]:
-    from .solver import conjecture_check
-
     rng = random.Random(seed)
     checks = []
     f = divfree_homogeneous_r3(**random_divfree_homogeneous_r3_params(rng))
@@ -671,7 +670,7 @@ _register(
 
 def get_system(name: str, params: dict | None = None, seed: int = 0) -> QuadraticVectorField:
     if name not in SYSTEMS:
-        raise KeyError(f"unknown system {name!r}; known: {sorted(SYSTEMS)}")
+        raise ValueError(f"unknown system {name!r}; known: {sorted(SYSTEMS)}")
     spec = SYSTEMS[name]
     if params is None:
         if spec.random_params is None:
@@ -688,7 +687,7 @@ def get_system(name: str, params: dict | None = None, seed: int = 0) -> Quadrati
         )
     missing = [k for k, p in names.items() if p.default is p.empty and k not in params]
     if missing:
-        raise KeyError(f"system {name!r} needs parameter {missing[0]!r}; schema: {spec.schema}")
+        raise ValueError(f"system {name!r} needs parameter {missing[0]!r}; schema: {spec.schema}")
     try:
         return spec.build(**params)
     except ValueError as exc:
@@ -697,5 +696,5 @@ def get_system(name: str, params: dict | None = None, seed: int = 0) -> Quadrati
 
 def golden_suite(name: str, seed: int = 0) -> list[GoldenCheck]:
     if name not in SYSTEMS:
-        raise KeyError(f"no golden suite for {name!r}; known: {sorted(SYSTEMS)}")
+        raise ValueError(f"no golden suite for {name!r}; known: {sorted(SYSTEMS)}")
     return SYSTEMS[name].golden(seed)

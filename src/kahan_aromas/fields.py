@@ -55,7 +55,7 @@ import math
 from functools import reduce
 from itertools import combinations_with_replacement, product
 
-from .graphs import Aroma, AromaMultiset, RootedTree
+from .graphs import LOOP, Aroma, AromaMultiset, RootedTree
 from .linalg import invert_rational_matrix
 from .poly import (
     PointEvaluator,
@@ -146,10 +146,8 @@ class QuadraticVectorField:
         return _from_ints(self.nvars, parts.get((i, indices), {}), 1, D)
 
     def divergence(self) -> Polynomial:
-        out = Polynomial.zero(self.nvars)
-        for i in range(self.dim):
-            out = out + self.partial(i, (i,))
-        return out
+        """div f = sum_i d f_i / dx_i, which is F(loop)."""
+        return self.aroma_function(LOOP)
 
     def is_divergence_free(self) -> bool:
         return self.divergence().is_zero()
@@ -387,6 +385,25 @@ class QuadraticVectorField:
 
     def __repr__(self):
         return f"QuadraticVectorField(dim={self.dim}, f={[str(p) for p in self.components()]})"
+
+
+def _weighted_polys(field: QuadraticVectorField, items) -> list[Polynomial]:
+    """F(alpha) h^|alpha| / sigma(alpha) for each (F(alpha), |alpha|,
+    sigma(alpha)): the polynomials that the coordinates of gamma multiply in
+    the aromatic series B(gamma) = sum_alpha gamma(alpha) h^|alpha| /
+    sigma(alpha) F(alpha)."""
+    h = Polynomial.variable(field.nvars, field.dim)
+    powers = {k: h**k for k in {order for _, order, _ in items}}  # each h^k built once
+    return [p * powers[order] * Rat(1, sigma) for p, order, sigma in items]
+
+
+def _combination(nvars: int, polys: list[Polynomial], coeffs) -> Polynomial:
+    """sum_k coeffs[k] polys[k], the zero polynomial when there is no term."""
+    out = Polynomial.zero(nvars)
+    for c, p in zip(coeffs, polys):
+        if c != 0:
+            out = out + p * c
+    return out
 
 
 def _zero_based(entry, *indices) -> tuple[int, ...]:

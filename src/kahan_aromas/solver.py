@@ -37,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .fields import KahanMap, QuadraticVectorField
+from .fields import KahanMap, QuadraticVectorField, _combination, _weighted_polys
 from .graphs import (
     AromaMultiset,
     THREE_CYCLE,
@@ -189,22 +189,6 @@ class DarbouxSolution:
     method: str
 
 
-def _weighted_polys(field: QuadraticVectorField, items) -> list[Polynomial]:
-    """F(alpha) h^|alpha| / sigma(alpha) for each (F(alpha), |alpha|,
-    sigma(alpha)): the polynomials that the coordinates of gamma multiply."""
-    h = Polynomial.variable(field.nvars, field.dim)
-    powers = {k: h**k for k in {order for _, order, _ in items}}  # each h^k built once
-    return [p * powers[order] * Rat(1, sigma) for p, order, sigma in items]
-
-
-def _combination(polys: list[Polynomial], coeffs: list[Rat]) -> Polynomial:
-    out = Polynomial.zero(polys[0].nvars)
-    for c, p in zip(coeffs, polys):
-        if c != 0:
-            out = out + p * c
-    return out
-
-
 def _random_point(rng, n: int) -> PointEvaluator:
     """An evaluator at a seeded random point (x, h, u = 0), x in Q^n: the
     n coordinates of x are drawn first, then h."""
@@ -311,7 +295,7 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
         for vec in vectors:
             if tuple(vec) in confirmed:
                 continue
-            density = _combination(weighted, vec)
+            density = _combination(field.nvars, weighted, vec)
             refuted = _refute_or_confirm(kmap, density, rng)
             if refuted is None:
                 confirmed[tuple(vec)] = density
@@ -479,12 +463,18 @@ def necessary_conditions(field: QuadraticVectorField) -> NecessaryConditionsRepo
 
 
 def density_span_solve(densities: list[Polynomial], target: Polynomial):
-    """Coordinates of target in the span of the density polynomials, or None."""
+    """Coordinates of target in the span of the density polynomials, or None.
+
+    t = -sum_i c_i d_i / c_t for the nullspace vector c of the rows
+    [d_1 ... d_k | t] with c_t != 0; only the vector of the last column,
+    when that column is free, has one."""
     if not densities:
         return None
-    rows = _coefficient_rows(densities + [target])
-    columns = [[row[j] for row in rows] for j in range(len(densities) + 1)]
-    return in_span(columns[:-1], columns[-1], len(rows))
+    k = len(densities)
+    for vec in nullspace(_coefficient_rows(densities + [target]), k + 1):
+        if vec[k]:
+            return [-v / vec[k] for v in vec[:k]]
+    return None
 
 
 def gamma_space(solution: DarbouxSolution, coords: list[str]) -> list[list[Rat]]:
@@ -517,7 +507,7 @@ class ParameterIndependentSolution:
 
 
 def parameter_independent_solve(
-    family,
+    family: list[QuadraticVectorField],
     instances: int,
     max_order: int,
     parity: str = "even",
@@ -525,23 +515,19 @@ def parameter_independent_solve(
 ) -> ParameterIndependentSolution:
     """Exactly intersect the per-instance gamma solution spaces of a family.
 
-    `family` is a callable rng -> QuadraticVectorField (or a list of fields).
-    Instance i is solved by `solve_darboux` with seed + i.  Each instance's
-    full solution set (basis solutions plus that instance's kernel of F,
-    which contributes zero densities) is intersected over the common
-    multiset coordinate list; representatives modulo the common kernel are
-    the parameter-independent measures, verified on every instance.
+    Instance i, the i-th field of `family`, is solved by `solve_darboux`
+    with seed + i.  Each instance's full solution set (basis solutions plus
+    that instance's kernel of F, which contributes zero densities) is
+    intersected over the common multiset coordinate list; representatives
+    modulo the common kernel are the parameter-independent measures,
+    verified on every instance.
     """
     if instances < 2:
         raise ValueError("need at least two instances to intersect")
     multisets = sector_multisets(max_order, parity)
-    rng = random.Random(seed)
-    if callable(family):
-        fields = [family(rng) for _ in range(instances)]
-    else:
-        fields = list(family)[:instances]
-        if len(fields) < instances:
-            raise ValueError("family list shorter than the instance count")
+    fields = list(family)[:instances]
+    if len(fields) < instances:
+        raise ValueError("family list shorter than the instance count")
     coords = [m.encoding for m in multisets]
     ncols = len(coords)
 
@@ -597,8 +583,9 @@ def parameter_independent_solve(
         raise SolverError("empty intersection: no parameter-independent measure at this order")
 
     densities = []
+    rng = random.Random(seed)
     for vec in representatives:
-        per_instance = [_combination(polys, vec) for polys in coordinate_polys]
+        per_instance = [_combination(f.nvars, polys, vec) for f, polys in zip(fields, coordinate_polys)]
         for f, density in zip(fields, per_instance):
             if density.is_zero():
                 continue
@@ -654,7 +641,7 @@ def conjecture_check(field: QuadraticVectorField, seed: int = 0) -> ConjectureRe
         return report
     sol = solve_darboux(field, 4, parity="even", seed=seed)
     report.gamma_two_cycle = -(Rat(3) - cond1.alpha) / 12
-    target_h2 = field.aroma_function(TWO_CYCLE) * (report.gamma_two_cycle / 2)
+    target_h2 = field.aroma_function(TWO_CYCLE) * (report.gamma_two_cycle / TWO_CYCLE.sigma())
     found = _find_constrained_density(sol, target_h2)
     report.density_found = found is not None
     if found is not None:
@@ -690,4 +677,4 @@ def _find_constrained_density(sol: DarbouxSolution, target_h2: Polynomial):
         for k, v in g.items():
             gamma[k] = gamma.get(k, ZERO) + c * v
     gamma = {k: v for k, v in gamma.items() if v != 0}
-    return gamma, _combination(sol.densities, combo)
+    return gamma, _combination(sol.field.nvars, sol.densities, combo)

@@ -1044,6 +1044,13 @@ def test_example_script_output_is_pinned(script):
     assert hashlib.sha256(done.stdout).hexdigest() == SCRIPT_STDOUT_SHA256[script]
 
 
+def test_run_corpus_refuses_an_unknown_suite():
+    # an unknown suite name is an input error with exit 2, not a traceback
+    done = _run_script("run_corpus.py", "nope")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr == f"input error: no golden suite for 'nope'; known: {sorted(SYSTEMS)}\n".encode()
+
+
 def test_discover_measures_refuses_a_malformed_field_file(tmp_path):
     # the script reads --field through the CLI's reader, so a malformed file
     # is an input error with exit 2, not a traceback

@@ -115,7 +115,7 @@ def test_ishii_modified_invariant_is_preserved():
 
 
 def test_get_system_unknown_and_params():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown system 'nope'"):
         get_system("nope")
     f = get_system("lv", {"alpha": "1", "beta": "1", "gamma": "-1"})
     assert f.to_json() == lv_special().to_json()

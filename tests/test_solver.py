@@ -26,6 +26,8 @@ from kahan_aromas.corpus import (
 from kahan_aromas.fields import (
     KahanMap,
     QuadraticVectorField,
+    _combination,
+    _weighted_polys,
     affine_pullback,
     hamiltonian_field,
 )
@@ -36,11 +38,12 @@ from kahan_aromas.graphs import (
     enumerate_multisets,
     parse_multiset,
 )
-from kahan_aromas.linalg import intersect_rowspaces, nullspace, pivot_columns, rref
+from kahan_aromas.linalg import in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
 from kahan_aromas.poly import PointEvaluator, Polynomial, PolynomialBatch
 from kahan_aromas.rationals import Rat, ZERO, format_rat
 from kahan_aromas.solver import (
     SolverError,
+    _coefficient_rows,
     _refute_or_confirm,
     build_basis,
     conjecture_check,
@@ -181,6 +184,34 @@ def test_solve_lv_special_h_independent_sector():
     for density, parity in zip(sol.densities, sol.parities):
         # a sector's weighted basis holds only even or only odd powers of h
         assert {s % 2 for s in h_support(density)} == {1 if parity == "odd" else 0}
+
+
+def _span_coordinates_by_transposes(densities, target):
+    """Coordinates of target over the densities by transposing the columns of
+    their coefficient rows into `linalg.in_span`, which transposes them back."""
+    rows = _coefficient_rows(densities + [target])
+    columns = [[row[j] for row in rows] for j in range(len(densities) + 1)]
+    return in_span(columns[:-1], columns[-1], len(rows))
+
+
+def test_density_span_solve_matches_the_transposed_in_span_route():
+    f = lv_special()
+    densities = solve_darboux(f, 4, parity="even", seed=0).densities
+    h2 = X(3) ** 2
+    # the h^0 + h^2 layers that `_find_constrained_density` solves over
+    layers = [d.coefficient_of_h(0) + d.coefficient_of_h(2) * h2 for d in densities]
+    assert rank(_coefficient_rows(densities), 3) == 3
+    assert rank(_coefficient_rows(layers), 3) == 1
+    cases = [
+        (densities, densities[0] * 2 + densities[1] - densities[2] * Rat(1, 3)),
+        (layers, layers[1] * Rat(5, 2)),
+        (densities, Polynomial.zero(f.nvars)),
+        (densities, X(0) * h2),
+    ]
+    got = [density_span_solve(polys, target) for polys, target in cases]
+    assert got == [_span_coordinates_by_transposes(polys, target) for polys, target in cases]
+    assert got[0] == [2, 1, Rat(-1, 3)] and got[2] == [0, 0, 0] and got[3] is None
+    assert _combination(f.nvars, layers, got[1]) == layers[1] * Rat(5, 2)
 
 
 def test_solve_nambu_dimension_two():
@@ -571,7 +602,7 @@ def test_coefficient_rows_are_the_coefficient_matrix_times_its_lcm(name):
     import kahan_aromas.solver as solver_mod
 
     f = get_system(name, seed=0)
-    polys = solver_mod._weighted_polys(
+    polys = _weighted_polys(
         f, [(f.aroma_function(m), m.order, m.sigma()) for m in sector_multisets(4, "both")]
     )
     monomials = sorted({k for p in polys for k in p.terms})
@@ -815,7 +846,7 @@ def test_sample_row_equals_the_residual_of_each_polynomial(f, order):
     rng = random.Random(3)
     for sector in ("even", "odd"):
         basis = build_basis(f, order, None, sector)
-        weighted = solver_mod._weighted_polys(
+        weighted = _weighted_polys(
             f, [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
         )
         batch = PolynomialBatch(weighted)
@@ -872,13 +903,11 @@ def test_build_basis_rejects_an_unknown_parity():
         build_basis(lv_divfree(), 2, parity="evn")
 
 
-def test_parameter_independent_rejects_a_bad_parity_before_any_draw():
-    draws = []
+def test_parameter_independent_rejects_a_bad_parity_before_any_solve(monkeypatch):
+    import kahan_aromas.solver as solver_mod
 
-    def family(rng):
-        draws.append(rng)
-        return lv_divfree()
-
+    solved = []
+    monkeypatch.setattr(solver_mod, "solve_darboux", lambda *args, **kwargs: solved.append(args))
     with pytest.raises(ValueError, match="parity must be even, odd, or both"):
-        parameter_independent_solve(family, 2, 2, parity="evn")
-    assert draws == []
+        parameter_independent_solve([lv_divfree(), lv_divfree()], 2, 2, parity="evn")
+    assert solved == []
