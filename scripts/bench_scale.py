@@ -7,12 +7,15 @@ Example:
 Each TREE is a source checkout, given as PATH or LABEL=PATH; its package is
 imported from PATH/src in a fresh interpreter, so every tree runs through
 this same script.  Rounds alternate the order of the trees.  Per input and
-round it records the median cost of one Kahan step as the solver draws it
-(`_sample_point`), of one discovery row of the even sector, of one
+round it records the median cost of one exact Kahan step as the solver's
+checks draw it (`next(_usable_points(rng, kmap))`, in every tree), of one
+exact discovery row of the even sector at such a step, of one
 `build_basis(field, order)` (the aromatic functions of every multiset and
-the basis selection among them) and of one whole
-`solve_darboux(field, order, "both", seed=0)`, each of the last two on a
-fresh field.  It also records `map_ms`, the median cost of one `KahanMap`
+the basis selection among them), of one `_solve_sector(field, basis, 0)`
+on the even basis (`sector_ms`: the draws, the rows, their nullspace and
+every check, the Kahan map included) and of one whole
+`solve_darboux(field, order, "both", seed=0)`, each of the last three on
+a fresh field.  It also records `map_ms`, the median cost of one `KahanMap`
 of a fresh field, and `defect_ms`, the median cost of one
 `darboux_defect_cleared(P)` on a fresh map, P the first density of the
 even solve (null when that solve finds none).  Per round it also records
@@ -41,6 +44,7 @@ from pathlib import Path
 STEPS = 40  # Kahan steps timed per input and round
 ROWS = 40  # discovery rows timed per input and round
 BASES = 3  # basis builds timed per input and round
+SECTORS = 3  # even-sector solves timed per input and round
 SOLVES = 3  # whole solves timed per input and round
 MAPS = 3  # Kahan maps timed per input and round
 DEFECTS = 3  # cleared defects timed per input and round
@@ -79,19 +83,26 @@ def measure_input(pkg, build, order: int) -> dict:
     field = build(pkg)
     kmap = field.kahan_map()
     rng = random.Random(0)
-    step_ms = statistics.median(_timed(lambda: solver._sample_point(rng, kmap)) for _ in range(STEPS))
+    step = lambda: next(solver._usable_points(rng, kmap))
+    step_ms = statistics.median(_timed(step) for _ in range(STEPS))
 
     basis = solver.build_basis(field, order, None, "even")
     items = [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
     weighted = solver._weighted_polys(field, items)
     batch = pkg.poly.PolynomialBatch(weighted)
-    # fresh steps: a row reads monomial values that its step's evaluators cache
-    steps = [solver._sample_point(rng, kmap) for _ in range(ROWS)]
-    row_ms = statistics.median(_timed(lambda: solver._sample_row(batch, step)) for step in steps)
+    # fresh steps, as the solver takes its rows
+    steps = [step() for _ in range(ROWS)]
+    row_ms = statistics.median(_timed(lambda: solver._sample_row(batch, s)) for s in steps)
 
     basis_ms = statistics.median(
         _timed(lambda f=build(pkg): solver.build_basis(f, order)) for _ in range(BASES)
     )
+    sectors = []
+    for _ in range(SECTORS):
+        fresh = build(pkg)
+        even = solver.build_basis(fresh, order, None, "even")
+        sectors.append(_timed(lambda: solver._solve_sector(fresh, even, 0)))
+    sector_ms = statistics.median(sectors)
     solve_ms = statistics.median(
         _timed(lambda f=build(pkg): solver.solve_darboux(f, order, parity="both", seed=0))
         for _ in range(SOLVES)
@@ -114,6 +125,7 @@ def measure_input(pkg, build, order: int) -> dict:
         "step_ms": step_ms,
         "row_ms": row_ms,
         "basis_ms": basis_ms,
+        "sector_ms": sector_ms,
         "solve_ms": solve_ms,
         "map_ms": map_ms,
         "defect_ms": defect_ms,

@@ -56,7 +56,7 @@ from functools import reduce
 from itertools import combinations_with_replacement, product
 
 from .graphs import LOOP, Aroma, AromaMultiset, RootedTree
-from .linalg import invert_rational_matrix
+from .linalg import P, invert_rational_matrix
 from .poly import (
     PointEvaluator,
     Polynomial,
@@ -513,9 +513,9 @@ class KahanMap:
         self._n_plus_batch = PolynomialBatch([self.n_plus])
         self.subs_cache: dict = {}
 
-    def n_plus_at(self, ev: PointEvaluator) -> Rat:
-        """N_{h/2} = det(I + (h/2) f'(x)) at the evaluator's point."""
-        return self._n_plus_batch.evaluate(ev)[0]
+    def n_plus_at(self, point):
+        """N_{h/2} = det(I + (h/2) f'(x)) at the point (see `apply_point`)."""
+        return self._n_plus_batch.evaluate(point)[0]
 
     def series(self, order: int) -> list[list[Polynomial]]:
         """h-expansion of Phi_h: the coefficient vectors of h^0 .. h^order."""
@@ -530,13 +530,17 @@ class KahanMap:
         """den**clear_power * p(Phi_h(x)) with the map's shared cache."""
         return rf_substitute(p, self.numerators, self.den, clear_power, self.subs_cache)
 
-    def apply_point(self, ev: PointEvaluator):
-        """(det(M), exact image) at the evaluator's point (x, h), from one
-        batch of den and the numerators; the image is None where det(M) = 0."""
-        den, *nums = self._point_batch.evaluate(ev)
+    def apply_point(self, point):
+        """(det(M), image) at the point (x, h) from one batch of den and the
+        numerators: exact at a `PointEvaluator`, residues at a list of
+        residues mod P; the image is None where det(M) = 0 (mod P)."""
+        den, *nums = self._point_batch.evaluate(point)
         if not den:
-            return ZERO, None
-        return den, [num / den for num in nums]
+            return den, None
+        if isinstance(point, PointEvaluator):
+            return den, [num / den for num in nums]
+        inverse = pow(den, -1, P)
+        return den, [num * inverse % P for num in nums]
 
     def darboux_defect_cleared(self, P: Polynomial) -> Polynomial:
         """den^D' * [N_{-h/2}(x) P(Phi_h(x)) - P(x) N_{h/2}(Phi_h(x))] with

@@ -1,6 +1,6 @@
 """Exact linear algebra over Q: nullspaces, rank, canonical subspace bases.
 
-Every operation but `rank` runs one kernel, `_reduce`: fraction-free
+Every exact operation runs one kernel, `_reduce`: fraction-free
 Gauss-Jordan elimination (Bareiss) on rows cleared to Python ints.  Each
 division in it is exact, and at the end every pivot row has the same
 leading value d, so the reduced row echelon form, nullspace vectors,
@@ -10,9 +10,10 @@ Pivoting is "first nonzero in fixed row order", which makes every output
 deterministic for a fixed row/column order.  `complement`, the canonical
 basis of the orthogonal complement of a row space, takes the columns right
 to left, so its one pass yields the nullspace vectors already reduced.
-`rank` folds the same integer rows, one at a time, into an echelon form
-modulo the prime P = 2^61 - 1, where no entry grows (`_fold`, which the
-solver's draw loop also keeps across its draws).
+The rest works modulo the prime P = 2^61 - 1, where no entry grows: `_fold`
+folds rows of residues one at a time into an echelon form (for `rank` and
+for the solver's draw loop), and `_echelon_nullspace` rebuilds its
+nullspace over Q by rational reconstruction, for a caller to check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 
 from .rationals import Rat, ZERO, ONE
 
-P = (1 << 61) - 1  # a Mersenne prime: the modulus of `rank`
+P = (1 << 61) - 1  # a Mersenne prime: the modulus of `rank` and of discovery
 
 
 def _int_rows(rows) -> list[list[int]]:
@@ -117,17 +118,13 @@ def complement(rows, ncols: int) -> list[list[Rat]]:
     return _normalized(_null_ints(_int_rows(rows), ncols, reverse=True))
 
 
-def _fold(echelon: dict[int, list[int]], row, ncols: int) -> None:
-    """Fold one row into an echelon form mod P, in place.
-
-    The row is cleared to integers and its first ncols columns are reduced
-    mod P; at each nonzero column, ascending, the pivot row there is
-    subtracted, and at the first nonzero column without one the rest is
-    scaled to 1 and becomes its pivot row.  `echelon` maps each pivot
-    column to its row, which is 0 before the pivot, so len(echelon) is the
-    rank mod P of the rows folded so far.
-    """
-    vec = [v % P for v in _int_rows([row])[0][:ncols]]
+def _fold(echelon: dict[int, list[int]], vec: list[int], ncols: int) -> None:
+    """Fold one row of ncols residues mod P into an echelon form, in place:
+    at each nonzero column, ascending, the pivot row there is subtracted,
+    and at the first nonzero column without one the rest is scaled to 1 and
+    becomes its pivot row.  `echelon` maps each pivot column to its row,
+    which is 0 before the pivot, so len(echelon) is the rank mod P of the
+    rows folded so far."""
     for c in range(ncols):
         f = vec[c]
         if not f:
@@ -140,6 +137,41 @@ def _fold(echelon: dict[int, list[int]], row, ncols: int) -> None:
         vec = [(a - f * b) % P for a, b in zip(vec, pivot)]
 
 
+_HALF = math.isqrt(P // 2)  # 2^30 - 1: two rationals within it that agree mod P are equal
+
+
+def _rebuild(a: int) -> Rat | None:
+    """The rational n/d with |n|, d <= _HALF and n = a d mod P, or None: the
+    extended Euclidean algorithm on (P, a) stopped at its first remainder
+    <= _HALF (Wang, Guy & Davenport, SIGSAM Bull. 1982)."""
+    r0, r1, t0, t1 = P, a % P, 0, 1
+    while r1 > _HALF:
+        r0, r1, t0, t1 = r1, r0 % r1, t1, t0 - r0 // r1 * t1
+    return Rat(r1, t1) if abs(t1) <= _HALF and math.gcd(r1, t1) == 1 else None
+
+
+def _echelon_nullspace(echelon: dict[int, list[int]], ncols: int) -> list[list[Rat]] | None:
+    """The nullspace mod P of an echelon form (`_fold`), rebuilt over Q as
+    `nullspace` gives it, or None when an entry does not rebuild.  Back
+    substitution clears each pivot row at the later pivots; the vector of
+    free column f is then 1 at f and minus each reduced row's entry at f."""
+    reduced: dict[int, list[int]] = {}
+    for p in sorted(echelon, reverse=True):
+        row = echelon[p]
+        for q, below in reduced.items():
+            if f := row[q]:
+                row = [(a - f * b) % P for a, b in zip(row, below)]
+        reduced[p] = row
+    vectors = []
+    for f in (f for f in range(ncols) if f not in echelon):
+        vec = [1 if j == f else -reduced[j][f] % P if j in reduced else 0 for j in range(ncols)]
+        inv = pow(next(v for v in vec if v), -1, P)
+        if None in (rebuilt := [_rebuild(v * inv) if v else ZERO for v in vec]):
+            return None
+        vectors.append(rebuilt)
+    return vectors
+
+
 def rank(rows, ncols: int) -> int:
     """The rank mod P of the rows' first ncols columns, cleared to integers:
     the size of the echelon form that `_fold` builds from them.
@@ -150,8 +182,8 @@ def rank(rows, ncols: int) -> int:
     divides every nonzero maximal minor.
     """
     echelon: dict[int, list[int]] = {}
-    for row in rows:
-        _fold(echelon, row, ncols)
+    for row in _int_rows(rows):
+        _fold(echelon, [v % P for v in row[:ncols]], ncols)
     return len(echelon)
 
 

@@ -43,20 +43,22 @@ the top one only: the top-degree terms are grouped by their lowest
 variable i and multiplied by N_i once per group, inside the last Horner
 step.
 
-Values at a rational point have one definition.  A list of polynomials is
-compiled once into a `PolynomialBatch`; at a point it reads the monomials
-of the whole list from the point's `PointEvaluator`, which caches each
-monomial as an integer over a power of the point's common denominator,
-puts them over one power of the denominator and takes one integer dot
-product per polynomial; a rational is built only for each result.
+Values at a point have one definition.  A list of polynomials is compiled
+once into a `PolynomialBatch`, whose monomial plan builds every monomial
+by one product from a smaller one, over the integer numerators of a
+rational point (a `PointEvaluator`) or over its residues mod P, and takes
+one integer dot product per polynomial; a rational is built only for each
+exact result.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache, reduce
+from itertools import accumulate
 from operator import mul, or_
 
+from .linalg import P
 from .rationals import Rat, ZERO, ONE, format_rat, parse_rat, safe_repr
 
 _BITS = 10
@@ -869,13 +871,9 @@ def series_in_h(r: RationalFunction | Polynomial, order: int) -> list[Polynomial
 
 
 class PointEvaluator:
-    """The monomials of one rational point, each cached on first use.
-
-    The point is put over one common denominator, x_i = a_i / d, so a
-    monomial of total degree t is A / d^t with an integer A cached per key.
-    Values of polynomials come from a `PolynomialBatch`, which reads this
-    cache.
-    """
+    """One rational point over a common denominator, x_i = a_i / d: the
+    point, d and the integer numerators a_i, which a `PolynomialBatch`
+    evaluates at."""
 
     def __init__(self, nvars: int, values):
         if len(values) != nvars:
@@ -883,65 +881,62 @@ class PointEvaluator:
         self.point = [Rat(v) for v in values]
         self.den = math.lcm(*(v.denominator for v in self.point))
         self.nums = [v.numerator * (self.den // v.denominator) for v in self.point]
-        self._cache: dict[int, tuple[int, int]] = {0: (1, 0)}  # key -> (A, t)
-
-    def monomial(self, key: int) -> tuple[int, int]:
-        """(A, t) with the monomial's value A / d^t, built on the key with
-        its lowest variable peeled, which is cached on the hot path."""
-        cache = self._cache
-        got = cache.get(key)
-        if got is not None:
-            return got
-        i = _lowest_variable(key)
-        below = key - (1 << (_BITS * i))
-        got = cache.get(below)
-        if got is None:
-            got, chain = _divisor_chain(below, cache)
-            for k, j in chain:
-                got = cache[k] = (got[0] * self.nums[j], got[1] + 1)
-        a, t = got
-        got = cache[key] = (a * self.nums[i], t + 1)
-        return got
 
 
 class PolynomialBatch:
-    """A fixed list of polynomials compiled once, then evaluated at a point
-    in one integer pass over the monomial cache of its `PointEvaluator`.
-
-    The batch keeps the union of the polynomials' monomials and their
-    largest total degree T.  At a point with common denominator d a monomial
-    of degree t is A / d^t, A from the evaluator's cache, which is the
-    integer A d^(T - t) over d^T; each polynomial is then its content times
-    one integer dot product of its terms with those integers, over d^T.
-    A caller may combine the integers of several points before the dot
-    products, so a linear functional of every polynomial costs one pass
-    over the monomials and one dot product each.
+    """A fixed list of polynomials compiled once into one monomial plan,
+    which builds each monomial as one variable times the monomial left by
+    peeling it, built before.  Over the integer numerators of a
+    `PointEvaluator` with common denominator d, a monomial of degree t is
+    A / d^t, the integer A d^(T - t) over d^T (T the largest degree); over
+    a point given as its list of residues mod P (`linalg.P`) it is a
+    residue.  Each polynomial is then its content times one integer dot
+    product of its terms with those values.  A caller may combine the
+    values of several points first: a linear functional of every
+    polynomial costs one pass and one dot product each.
     """
 
     def __init__(self, polys: list[Polynomial]):
-        keys = sorted({k for p in polys for k in p.terms})
-        index = {k: i for i, k in enumerate(keys)}
-        self._keys = keys
-        self._top = max((_x_degree_of(k, polys[0].nvars) for k in keys), default=0)
+        at = {0: 0}  # monomial -> the index of its value
+        self._plan = []  # (index of the peeled value, variable) per value after 1
+        self._degrees = [0]
+        for k in (k for p in polys for k in p.terms):
+            below, chain = _divisor_chain(k, at)
+            for key, i in chain:
+                self._plan.append((below, i))
+                self._degrees.append(self._degrees[below] + 1)
+                below = at[key] = len(self._plan)
         self.contents = [p.content for p in polys]
-        self._terms = [
-            (tuple(map(index.__getitem__, p.terms)), tuple(p.terms.values())) for p in polys
+        self._content_residues = [  # None where the denominator is 0 mod P
+            c.numerator * pow(c.denominator, -1, P) % P if c.denominator % P else None for c in self.contents
         ]
+        self._terms = [(tuple(map(at.__getitem__, p.terms)), tuple(p.terms.values())) for p in polys]
 
-    def monomial_values(self, ev: PointEvaluator) -> tuple[list[int], int]:
-        """(values, d^T): monomial i of the batch is values[i] / d^T at the
-        evaluator's point."""
-        d, top = ev.den, self._top
-        powers = [1]
-        for _ in range(top):
-            powers.append(powers[-1] * d)
-        return [a * powers[top - t] for a, t in map(ev.monomial, self._keys)], powers[top]
+    def monomial_values(self, point) -> tuple[list[int], int]:
+        """(values, scale) with monomial i of the plan values[i] / scale at
+        the point: scale d^T at a `PointEvaluator`, and 1 at residues mod P."""
+        walked = [1]
+        if isinstance(point, PointEvaluator):
+            nums = point.nums
+            for below, i in self._plan:
+                walked.append(walked[below] * nums[i])
+            powers = list(accumulate([point.den] * max(self._degrees), mul, initial=1))[::-1]  # d^(T - t)
+            return [w * powers[t] for w, t in zip(walked, self._degrees)], powers[0]
+        for below, i in self._plan:
+            walked.append(walked[below] * point[i] % P)
+        return walked, 1
 
-    def evaluate(self, ev: PointEvaluator) -> list[Rat]:
-        """Every polynomial's value at the evaluator's point."""
-        values, scale = self.monomial_values(ev)
-        sums = self.dot(values)
-        return [Rat(c.numerator * s, c.denominator * scale) for c, s in zip(self.contents, sums)]
+    def evaluate(self, point) -> list:
+        """Every polynomial's value at the point: a rational, or a residue at
+        a list of residues (each content's denominator a unit mod P)."""
+        values, scale = self.monomial_values(point)
+        return self._over(self.dot(values), scale, point)
+
+    def _over(self, sums: list[int], scale: int, point) -> list:
+        """Each content times its dot product over scale, as `evaluate`."""
+        if isinstance(point, PointEvaluator):
+            return [Rat(c.numerator * s, c.denominator * scale) for c, s in zip(self.contents, sums)]
+        return [c * s % P for c, s in zip(self._content_residues, sums)]
 
     def dot(self, values: list[int]) -> list[int]:
         """Per polynomial, the sum of its integer terms times the values of

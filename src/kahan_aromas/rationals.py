@@ -73,6 +73,7 @@ def format_rat(value) -> str:
     return text if value.denominator == 1 else f"{text}/{_decimal(value.denominator)}"
 
 
-def random_rational(rng) -> Rat:
-    """A small random rational: the solver's sample-point draw."""
-    return Rat(rng.randint(-20, 20), rng.randint(1, 7))
+def _random_pair(rng) -> tuple[int, int]:
+    """The numerator and the denominator of a small random rational: the
+    solver's draw of a sample-point coordinate."""
+    return rng.randint(-20, 20), rng.randint(1, 7)

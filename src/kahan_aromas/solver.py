@@ -16,18 +16,17 @@ value at a point comes from a compiled `poly.PolynomialBatch`, and a
 candidate's residual is the discovery row of its one-polynomial batch.
 
 Discovery takes the residual of every weighted basis element at seeded
-steps, one integer pass per step over the basis compiled once per sector:
-the residual is linear in P, so each monomial m gives
-u_m = N_{-h/2}(x) m(x') - N_{h/2}(x') m(x) over one denominator and each
-element is one dot product with the u_m.  Steps are drawn one at a time,
-each row folded into one echelon form mod the prime P of `linalg.rank`,
-until it reaches rank K (full rank mod P proves full rank over Q: the
-sector has no density) or 2K + 16 rows are drawn; their exact nullspace
-contains every true solution.  Each candidate of the nullspace is
-checked; a candidate refuted at a fresh step adds that step's row, which
-is nonzero on it, so the nullspace shrinks (method "refined") until every
-candidate is confirmed (method "sampled" when none was refuted).  The
-result is then the exact solution space.
+steps modulo the prime P of `linalg`, one pass per step over the basis
+compiled once per sector: the residual is linear in the element, so each
+monomial m gives u_m = N_{-h/2}(x) m(x') - N_{h/2}(x') m(x) and each
+element is one dot product with the u_m.  Each row is folded into one
+echelon form until it reaches rank K (full rank mod P proves full rank
+over Q: no density) or 2K + 16 rows are drawn.  Each vector of the
+nullspace mod P, rebuilt over Q, is checked; one refuted at a fresh step
+adds that step's row, which raises the rank (method "refined"), until
+every vector is confirmed (method "sampled" when none was refuted).  As
+nullity mod P >= nullity over Q >= the dimension of the density space,
+they are then the exact solution space's canonical basis.
 """
 
 from __future__ import annotations
@@ -48,9 +47,10 @@ from .graphs import (
     enumerate_multisets,
     parse_multiset,
 )
-from .linalg import _fold, complement, in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
+from .linalg import P, _echelon_nullspace, _fold
+from .linalg import complement, in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
 from .poly import PointEvaluator, Polynomial, PolynomialBatch, RationalFunction
-from .rationals import Rat, ZERO, random_rational
+from .rationals import Rat, ZERO, _random_pair
 
 QUADRATIC_MAX_INDEGREE = 2
 SAMPLE_ATTEMPTS = 100  # random points tried by each randomized search
@@ -189,48 +189,55 @@ class DarbouxSolution:
     method: str
 
 
-def _random_point(rng, n: int) -> PointEvaluator:
-    """An evaluator at a seeded random point (x, h, u = 0), x in Q^n: the
-    n coordinates of x are drawn first, then h."""
-    xs = [random_rational(rng) for _ in range(n)]
-    h = random_rational(rng)
-    return PointEvaluator(n + 2, xs + [h, ZERO])
+def _step(kmap: KahanMap, pairs, modular: bool = False):
+    """(point (x, h), N_{-h/2}(x), point (x', h), N_{h/2}(x')) of the Kahan
+    step from the point of (numerator, denominator) pairs, u = 0, exact or
+    mod P (see `KahanMap.apply_point`); None where det(M) = 0 (mod P)."""
+    n = kmap.dim
+    if modular:
+        x = [a * pow(b, -1, P) % P for a, b in pairs] + [0]
+    else:
+        x = PointEvaluator(n + 2, [Rat(a, b) for a, b in pairs] + [ZERO])
+    n_minus, image = kmap.apply_point(x)  # N_{-h/2}(x) is det(M)
+    if image is None:
+        return None
+    phi = image + x[n:] if modular else PointEvaluator(n + 2, image + x.point[n:])
+    return x, n_minus, phi, kmap.n_plus_at(phi)
+
+
+def _steps(rng, kmap: KahanMap, modular: bool = False):
+    """(pairs, step) of each draw with a Kahan step (`_step`) among
+    SAMPLE_ATTEMPTS seeded random points (x, h), x's n coordinates first."""
+    for _ in range(SAMPLE_ATTEMPTS):
+        pairs = [_random_pair(rng) for _ in range(kmap.dim + 1)]
+        if (step := _step(kmap, pairs, modular)) is not None:
+            yield pairs, step
 
 
 def _usable_points(rng, kmap: KahanMap):
-    """Exact Kahan steps x' = Phi_h(x) from seeded random points (x, h) off
-    det(M) = 0 among SAMPLE_ATTEMPTS draws, each as (evaluator at (x, h),
-    N_{-h/2}(x), evaluator at (x', h), N_{h/2}(x'))."""
-    for _ in range(SAMPLE_ATTEMPTS):
-        ev = _random_point(rng, kmap.dim)
-        n_minus, image = kmap.apply_point(ev)  # det(M) = det(I - (h/2) f'(x))
-        if image is not None:
-            ev_phi = PointEvaluator(kmap.nvars, image + ev.point[kmap.dim:])
-            yield ev, n_minus, ev_phi, kmap.n_plus_at(ev_phi)
+    """The exact Kahan steps of `_steps`."""
+    return (step for _, step in _steps(rng, kmap))
 
 
-def _sample_point(rng, kmap: KahanMap):
-    """The first usable point of `_usable_points`; SolverError when the
-    draws find none."""
-    for point in _usable_points(rng, kmap):
-        return point
+def _sample_point(rng, kmap: KahanMap, modular: bool):
+    """The first of `_steps`; SolverError when there is none."""
+    for drawn in _steps(rng, kmap, modular):
+        return drawn
     raise SolverError(f"no sample point off det(M) = 0 in {SAMPLE_ATTEMPTS} attempts")
 
 
-def _sample_row(batch: PolynomialBatch, step) -> list[Rat]:
+def _sample_row(batch: PolynomialBatch, step) -> list:
     """The residual N_{-h/2}(x) P(x') - P(x) N_{h/2}(x') of each polynomial
-    P of the batch at one Kahan step, as a rational: zero at every step when
-    P is a density.  The residual is linear in P, so it is P's terms dotted
-    with u_m = N_{-h/2}(x) m(x') - N_{h/2}(x') m(x) per monomial m, taken
-    once for the batch over one integer denominator."""
-    ev_x, n_minus, ev_phi, n_plus = step
-    xs, dx = batch.monomial_values(ev_x)
-    ys, dy = batch.monomial_values(ev_phi)
+    P of the batch at one Kahan step, exact or mod P as the step is; zero at
+    every step when P is a density.  It is P's terms dotted with
+    u_m = N_{-h/2}(x) m(x') - N_{h/2}(x') m(x), over one denominator."""
+    point, n_minus, image, n_plus = step
+    xs, dx = batch.monomial_values(point)
+    ys, dy = batch.monomial_values(image)
     a = n_minus.numerator * n_plus.denominator * dx
     b = n_plus.numerator * n_minus.denominator * dy
     scale = n_minus.denominator * n_plus.denominator * dx * dy
-    sums = batch.dot([a * y - b * x for x, y in zip(xs, ys)])
-    return [Rat(c.numerator * s, c.denominator * scale) for c, s in zip(batch.contents, sums)]
+    return batch._over(batch.dot([a * y - b * x for x, y in zip(xs, ys)]), scale, point)
 
 
 def _refute_or_confirm(kmap: KahanMap, P: Polynomial, rng):
@@ -262,15 +269,14 @@ def _refute_or_confirm(kmap: KahanMap, P: Polynomial, rng):
 
 def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
     """Exact gamma-space, its densities and the method of one sector's
-    basis.
-
-    The sampled rows come from the steps of Random(seed), drawn one at a
-    time until their echelon form mod P reaches rank K, which proves an
-    empty nullspace (no density), or 2K + 16 rows are drawn; every check
-    draws fresh steps after them.  A confirmed candidate stays a nullspace
-    vector when rows are added (its free coordinate stays free), so it is
-    remembered and never expanded again.
-    """
+    basis, by the discovery of the module docstring; every check draws
+    fresh steps after the rows'.  The exact rows at the same steps and their
+    `nullspace` take over when a vector does not rebuild, when a refuting
+    row leaves the rank mod P as it is (the vector was rebuilt wrong), or
+    from the start when a content's denominator is divisible by P.  A
+    confirmed candidate stays a nullspace vector when rows are added (its
+    free coordinate stays free), so it is remembered and never expanded
+    again."""
     kmap = field.kahan_map()
     weighted = _weighted_polys(
         field, [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
@@ -281,17 +287,28 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
     S = 2 * K + 16
     rng = random.Random(seed)
     batch = PolynomialBatch(weighted)
-    rows: list[list[Rat]] = []
+    modular = all(p.content.denominator % P for p in weighted + [kmap.den, kmap.n_plus, *kmap.numerators])
+    points = []  # the drawn pairs of every step with a row
     echelon: dict[int, list[int]] = {}  # the rows mod P (`linalg._fold`)
-    while len(rows) < S:
-        rows.append(_sample_row(batch, _sample_point(rng, kmap)))
-        _fold(echelon, rows[-1], K)
-        if len(echelon) == K:
-            return [], [], "sampled"
+    while len(points) < S:
+        pairs, step = _sample_point(rng, kmap, modular)
+        points.append(pairs)
+        if modular:
+            _fold(echelon, _sample_row(batch, step), K)
+            if len(echelon) == K:
+                return [], [], "sampled"
+
+    def exact_rows():
+        return [_sample_row(batch, _step(kmap, pairs)) for pairs in points]
+
+    rows = None if modular else exact_rows()  # exact rows, once the modular path is left
     confirmed: dict[tuple, Polynomial] = {}  # candidate -> its density
     while True:
-        vectors = nullspace(rows, K)
-        drawn = len(rows)
+        if rows is None and (vectors := _echelon_nullspace(echelon, K)) is None:
+            rows = exact_rows()  # a vector does not rebuild
+        if rows is not None:
+            vectors = nullspace(rows, K)
+        changed = False
         for vec in vectors:
             if tuple(vec) in confirmed:
                 continue
@@ -299,12 +316,23 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
             refuted = _refute_or_confirm(kmap, density, rng)
             if refuted is None:
                 confirmed[tuple(vec)] = density
+                continue
+            changed = True
+            if rows is None:
+                pairs = [(v.numerator, v.denominator) for v in refuted[0][0].point[: kmap.dim + 1]]
+                step, rank_before = _step(kmap, pairs, True), len(echelon)
+                if step is not None:
+                    _fold(echelon, _sample_row(batch, step), K)
+                if len(echelon) == rank_before:
+                    rows = exact_rows()  # the vector was rebuilt wrong
+                    break
+                points.append(pairs)
             else:
                 rows.append(_sample_row(batch, refuted[0]))
-        if len(rows) == drawn:
+        if not changed:
             break
     densities = [confirmed[tuple(vec)] for vec in vectors]
-    return vectors, densities, "sampled" if len(rows) == S else "refined"
+    return vectors, densities, "sampled" if len(points if rows is None else rows) == S else "refined"
 
 
 def solve_darboux(
@@ -406,7 +434,7 @@ def first_integrals(densities: list[Polynomial], seed: int = 0):
     batch = PolynomialBatch([q for part in parts for q in part])
     rng = random.Random(seed)
     for _ in range(SAMPLE_ATTEMPTS):
-        values = batch.evaluate(_random_point(rng, nx))
+        values = batch.evaluate(PointEvaluator(nx + 2, [Rat(*_random_pair(rng)) for _ in range(nx + 1)] + [ZERO]))
         (v1, *d1), *rest = [values[i : i + nx + 1] for i in range(0, len(values), nx + 1)]
         if v1 == 0:
             continue

@@ -34,7 +34,7 @@ from kahan_aromas.fields import KahanMap
 from kahan_aromas.graphs import Aroma, Forest, RootedTree
 from kahan_aromas.linalg import nullspace, rank
 from kahan_aromas.poly import Polynomial, RationalFunction
-from kahan_aromas.rationals import ONE, ZERO, random_rational
+from kahan_aromas.rationals import ONE, ZERO, _random_pair
 from kahan_aromas.solver import SAMPLE_ATTEMPTS, SolverError, VerificationResult
 
 
@@ -386,8 +386,7 @@ def verify_density_by_expansion(field, P, seed: int = 0) -> VerificationResult:
     rng = random.Random(seed)
     D = max(P.x_degree() - 1, field.dim)
     for _ in range(SAMPLE_ATTEMPTS):
-        xs = [random_rational(rng) for _ in range(field.dim)]
-        h = random_rational(rng)
+        *xs, h = [Fraction(*_random_pair(rng)) for _ in range(field.dim + 1)]
         point = xs + [h, ZERO]
         den_val = evaluate_term_by_term(kmap.den, point)
         if den_val == 0:

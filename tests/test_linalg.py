@@ -7,7 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from kahan_aromas.linalg import (
     P,
+    _HALF,
+    _echelon_nullspace,
     _fold,
+    _int_rows,
+    _rebuild,
     complement,
     in_span,
     intersect_rowspaces,
@@ -84,6 +88,9 @@ def oracle_solve(square, rhs_rows):
 
 
 RATIONALS = st.builds(Rat, st.integers(-4, 4), st.integers(1, 3))
+WIDE = st.integers(100, 400).flatmap(
+    lambda bits: st.builds(Rat, st.integers(-(1 << bits), 1 << bits).filter(bool), st.integers(1, 1 << bits))
+)
 SHAPES = ("product", "no_rows", "zero_column", "one_row", "square_singular")
 
 
@@ -137,10 +144,23 @@ def test_kernel_matches_fraction_oracle(drawn, data):
     identity = [[ONE if i == j else ZERO for j in range(k)] for i in range(k)]
     assert invert_rational_matrix(square) == oracle_solve(square, identity)
 
+    # nonzero row scales of 100-400 bits keep the nullspace; read off the
+    # echelon form mod P, it is rebuilt exactly when its entries are within
+    # the bound of the rational reconstruction
+    row_scales = data.draw(st.lists(WIDE, min_size=len(matrix), max_size=len(matrix)))
+    wide = [[s * v for v in row] for s, row in zip(row_scales, matrix)]
+    expected = nullspace(wide, ncols)
+    assert expected == nullspace(matrix, ncols)
+    echelon: dict = {}
+    for row in wide:
+        _fold(echelon, residues(row), ncols)
+    small = all(abs(v.numerator) <= _HALF and v.denominator <= _HALF for vec in expected for v in vec)
+    assert (_echelon_nullspace(echelon, ncols) == expected) == small
 
-WIDE = st.integers(100, 400).flatmap(
-    lambda bits: st.builds(Rat, st.integers(-(1 << bits), 1 << bits).filter(bool), st.integers(1, 1 << bits))
-)
+
+def residues(row):
+    """A rational row cleared to integers (as `rank` clears it), mod P."""
+    return [v % P for v in _int_rows([row])[0]]
 
 
 def folded_ranks(rows, ncols):
@@ -150,7 +170,7 @@ def folded_ranks(rows, ncols):
     echelon: dict = {}
     ranks = [0]
     for row in rows:
-        _fold(echelon, row, ncols)
+        _fold(echelon, residues(row), ncols)
         for c, vec in echelon.items():
             assert vec[c] == 1 and not any(vec[:c]) and all(0 <= v < P for v in vec)
         ranks.append(len(echelon))
@@ -214,6 +234,31 @@ def test_rank_is_a_lower_bound_that_is_exact_when_full(nrows, ncols, data):
         assert folded <= exact_prefix
         if folded == min(i, ncols):
             assert folded == exact_prefix
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (_HALF, 1), (1, _HALF), (_HALF, _HALF - 1), (0, 1)])
+def test_rational_reconstruction_round_trips_up_to_the_bound(n, d):
+    for value in (Rat(n, d), Rat(-n, d)):
+        assert _rebuild(value.numerator * pow(value.denominator, -1, P)) == value
+
+
+@pytest.mark.parametrize("n, d", [(_HALF + 1, 1), (1, _HALF + 1)])
+def test_rational_reconstruction_refuses_past_the_bound(n, d):
+    # the bound is 2^30 - 1, so 2^30 and 1/2^30 have no representation in it
+    assert _HALF == (1 << 30) - 1
+    for value in (Rat(n, d), Rat(-n, d)):
+        assert _rebuild(value.numerator * pow(value.denominator, -1, P)) is None
+
+
+def test_echelon_nullspace_past_the_bound_is_refused_or_wrong():
+    # the null vector (1, -2^30) of one row has an entry just past the bound,
+    # so no vector comes back; (1, -3^40) has one far past it whose residue
+    # rebuilds to another rational, which only an exact check can tell
+    for entry, rebuilt in ((1 << 30, None), (3**40, [[ONE, Rat(-736460086, 384926601)]])):
+        echelon: dict = {}
+        _fold(echelon, residues([Rat(entry), ONE]), 2)
+        assert nullspace([[Rat(entry), ONE]], 2) == [[ONE, Rat(-entry)]]
+        assert _echelon_nullspace(echelon, 2) == rebuilt
 
 
 def test_rank_below_full_is_only_a_lower_bound():

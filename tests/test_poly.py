@@ -7,6 +7,7 @@ import weakref
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from kahan_aromas.linalg import P
 from kahan_aromas.poly import (
     PointEvaluator,
     Polynomial,
@@ -528,7 +529,7 @@ def test_point_evaluator_matches_termwise_evaluation(p, point):
     ev = PointEvaluator(NV, point)
     batch = PolynomialBatch([p])
     assert batch.evaluate(ev) == [expected]
-    assert batch.evaluate(ev) == [expected]  # again, from the evaluator's monomial cache
+    assert batch.evaluate(ev) == [expected]  # again: a point holds no state of its evaluation
 
 
 @given(st.lists(polys(), max_size=4), st.lists(rationals(), min_size=NV, max_size=NV))
@@ -548,6 +549,24 @@ def test_polynomial_batch_matches_point_evaluator(ps, point):
     assert [c * s / (scale * more_scale) for c, s in zip(batch.contents, combined)] == [
         2 * e - evaluate_term_by_term(p, point[::-1]) for p, e in zip(ps, expected)
     ]
+
+
+@given(st.lists(polys(max_exp=6), max_size=4), st.lists(rationals(), min_size=NV, max_size=NV))
+def test_plan_of_both_rings_matches_termwise_evaluation(ps, point):
+    # one compiled plan: at a rational point and at its residues mod P each
+    # value is the term-by-term one, exactly and reduced mod P
+    ps = ps + [const(0), const(Rat(-3, 2))]
+    batch = PolynomialBatch(ps)
+    expected = [evaluate_term_by_term(p, point) for p in ps]
+    assert batch.evaluate(PointEvaluator(NV, point)) == expected
+    residues = [residue(v) for v in point]
+    values, scale = batch.monomial_values(residues)
+    assert scale == 1 and all(0 <= v < P for v in values)
+    assert batch.evaluate(residues) == [residue(e) for e in expected]
+
+
+def residue(v: Rat) -> int:
+    return v.numerator * pow(v.denominator, -1, P) % P
 
 
 @pytest.mark.parametrize(

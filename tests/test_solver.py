@@ -1,12 +1,15 @@
 """Basis selection, kernel relations, and the Darboux solve/verify cycle."""
 
+import functools
 import hashlib
+import itertools
 import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kahan_aromas.corpus import (
     SYSTEMS,
@@ -38,9 +41,9 @@ from kahan_aromas.graphs import (
     enumerate_multisets,
     parse_multiset,
 )
-from kahan_aromas.linalg import in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
+from kahan_aromas.linalg import P, in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
 from kahan_aromas.poly import PointEvaluator, Polynomial, PolynomialBatch
-from kahan_aromas.rationals import Rat, ZERO, format_rat
+from kahan_aromas.rationals import ONE, Rat, ZERO, format_rat
 from kahan_aromas.solver import (
     SolverError,
     _coefficient_rows,
@@ -427,7 +430,7 @@ def test_building_a_kahan_map_compiles_its_two_batches(monkeypatch):
     assert compiled == [[kmap.den] + kmap.numerators, [kmap.n_plus]]
     rng = random.Random(0)
     for _ in range(3):
-        solver_mod._sample_point(rng, kmap)
+        solver_mod._sample_point(rng, kmap, True)
     assert len(compiled) == 2
 
 
@@ -702,9 +705,9 @@ def test_unlucky_discovery_is_refined(monkeypatch, name, order):
     real_sample_point = solver_mod._sample_point
     first = []
 
-    def one_step(rng, kmap):
+    def one_step(rng, kmap, modular):
         if not first:
-            first.append(real_sample_point(rng, kmap))
+            first.append(real_sample_point(rng, kmap, modular))
         return first[0]
 
     expanded = []
@@ -723,22 +726,19 @@ def test_unlucky_discovery_is_refined(monkeypatch, name, order):
     assert sorted(map(str, expanded)) == sorted(map(str, sol.densities))
 
 
-def _discovery_draws(monkeypatch, f, order, sector, seed=0, fold=None):
+def _discovery_draws(monkeypatch, f, order, sector, seed=0):
     """The solution of one sector and the number of discovery steps it drew
-    (checks draw their steps elsewhere, not through _sample_point), with
-    the draw loop's fold replaced by `fold` when one is given."""
+    (checks draw their steps elsewhere, not through _sample_point)."""
     import kahan_aromas.solver as solver_mod
 
     real_sample_point = solver_mod._sample_point
     draws = []
 
-    def counting(rng, kmap):
+    def counting(rng, kmap, modular):
         draws.append(None)
-        return real_sample_point(rng, kmap)
+        return real_sample_point(rng, kmap, modular)
 
     monkeypatch.setattr(solver_mod, "_sample_point", counting)
-    if fold is not None:
-        monkeypatch.setattr(solver_mod, "_fold", fold)
     sol = solve_darboux(f, order, parity=sector, seed=seed)
     monkeypatch.undo()
     return sol, len(draws)
@@ -790,9 +790,9 @@ def test_draw_loop_stops_at_the_row_that_reaches_full_rank(monkeypatch):
     real_sample_point = solver_mod._sample_point
     steps = []
 
-    def stalling(rng, kmap):
+    def stalling(rng, kmap, modular):
         repeat = len(steps) in (K - 1, K)
-        steps.append(steps[-1] if repeat else real_sample_point(rng, kmap))
+        steps.append(steps[-1] if repeat else real_sample_point(rng, kmap, modular))
         return steps[-1]
 
     monkeypatch.setattr(solver_mod, "_sample_point", stalling)
@@ -810,25 +810,30 @@ def test_draw_loop_stops_at_the_row_that_reaches_full_rank(monkeypatch):
     ids=sorted(SYSTEMS) + ["dense_seed0", "dense_seed19"],
 )
 def test_modular_rank_draws_the_rows_of_the_exact_rank(monkeypatch, f, seed):
-    # the draw loop folds its rows mod P; with an echelon form over Q in its
-    # place every sector draws the same steps and reaches the same solution
-    folded = []
+    # the draw loop folds its rows mod P; it must stop at the row where the
+    # exact rows at the same steps reach rank K over Q (or at 2K + 16), and
+    # give the solution of the exact rows and their nullspace, "refined"
+    # only when that nullspace is larger than the solution space
+    import kahan_aromas.solver as solver_mod
 
-    def exact_fold(echelon, row, ncols):
-        folded.append(row)
-        reduced = rref_by_fractions(list(echelon.values()) + [row], ncols)
-        echelon.clear()
-        echelon.update((next(j for j, v in enumerate(vec) if v), vec) for vec in reduced)
-
+    kmap = f.kahan_map()
     for sector in ("even", "odd"):
-        modular, draws = _discovery_draws(monkeypatch, f, 4, sector, seed)
-        exact, exact_draws = _discovery_draws(monkeypatch, f, 4, sector, seed, exact_fold)
-        assert len(folded) == exact_draws  # the exact fold saw every row
-        folded.clear()
-        assert draws == exact_draws
-        assert modular.densities == exact.densities
-        assert modular.gammas == exact.gammas
-        assert modular.method == exact.method
+        sol, draws = _discovery_draws(monkeypatch, f, 4, sector, seed)
+        weighted = _weighted_polys(
+            f, [(el.poly, el.multiset.order, el.multiset.sigma()) for el in sol.bases[sector].elements]
+        )
+        K = len(weighted)
+        steps = solver_mod._usable_points(random.Random(seed), kmap)
+        rows, reduced = [], []
+        while len(rows) < 2 * K + 16 and len(reduced) < K:
+            rows.append(residual_row_by_polynomials(next(steps), weighted))
+            reduced = rref_by_fractions(reduced + rows[-1:], K)
+        assert draws == len(rows)
+        monkeypatch.setattr(solver_mod, "_echelon_nullspace", lambda echelon, ncols: None)
+        exact = solve_darboux(f, 4, parity=sector, seed=seed)
+        monkeypatch.undo()
+        assert (sol.gammas, sol.densities, sol.method) == (exact.gammas, exact.densities, exact.method)
+        assert sol.method == ("sampled" if K - len(reduced) == len(sol.gammas) else "refined")
 
 
 @pytest.mark.parametrize(
@@ -850,11 +855,133 @@ def test_sample_row_equals_the_residual_of_each_polynomial(f, order):
             f, [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
         )
         batch = PolynomialBatch(weighted)
-        for _ in range(5):
-            step = solver_mod._sample_point(rng, kmap)
+        for step in itertools.islice(solver_mod._usable_points(rng, kmap), 5):
             row = solver_mod._sample_row(batch, step)
             assert row == residual_row_by_polynomials(step, weighted)
             assert all(type(v) is Fraction for v in row)
+
+
+def _residue(v: Fraction) -> int:
+    return v.numerator * pow(v.denominator, -1, P) % P
+
+
+@functools.lru_cache(maxsize=None)
+def _row_batch(name: str, sector: str):
+    """A field, its map and the batch of its weighted order-4 basis of one
+    sector: a corpus system, or "dense<n>", a dense random field on R^n."""
+    if name.startswith("dense"):
+        n = int(name[len("dense"):])
+        f = random_quadratic_field(random.Random(n), n)
+    else:
+        f = get_system(name, seed=0)
+    basis = build_basis(f, 4, None, sector)
+    weighted = _weighted_polys(
+        f, [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
+    )
+    return f.kahan_map(), PolynomialBatch(weighted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(SYSTEMS) + [f"dense{n}" for n in range(1, 5)]),
+    st.sampled_from(["even", "odd"]),
+    st.integers(0, 10_000),
+)
+def test_modular_row_is_the_exact_row_mod_p(name, sector, seed):
+    # at the same drawn point, the row mod P is the exact row reduced mod P
+    import kahan_aromas.solver as solver_mod
+
+    kmap, batch = _row_batch(name, sector)
+    pairs, step = solver_mod._sample_point(random.Random(seed), kmap, True)
+    exact_row = solver_mod._sample_row(batch, solver_mod._step(kmap, pairs))
+    assert solver_mod._sample_row(batch, step) == [_residue(v) for v in exact_row]
+    point, n_minus, image, n_plus = step
+    assert all(type(v) is int and 0 <= v < P for v in [n_minus, n_plus, *point, *image])
+
+
+def _report(sol):
+    from kahan_aromas.cli import solver_report
+
+    return json.dumps(solver_report(sol, 0), sort_keys=True)
+
+
+def _counting(monkeypatch, module, name):
+    """Count the calls of module.name, which still runs."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_coefficient_denominator_p_takes_the_exact_path(monkeypatch):
+    # f / P steps as f does at h / P, so its densities have f's gamma; no
+    # residue of its contents exists, so the rows are exact from the start
+    import kahan_aromas.solver as solver_mod
+
+    f = lv_divfree()
+    g = QuadraticVectorField.from_polynomials([c * Rat(1, P) for c in f.components()])
+    expected = solve_darboux(f, 4, parity="both", seed=0)
+    folded = _counting(monkeypatch, solver_mod, "_fold")
+    exact = _counting(monkeypatch, solver_mod, "nullspace")
+    sol = solve_darboux(g, 4, parity="both", seed=0)
+    assert folded == [] and len(exact) == 2  # one nullspace per sector
+    assert sol.gammas == expected.gammas and sol.method == expected.method == "sampled"
+    assert all(verify_density(g, d).verified for d in sol.densities)
+
+
+def test_a_draw_with_det_m_zero_mod_p_is_skipped(monkeypatch):
+    # at x = (1, 0, 0) the Volterra form has det(M) = 1 - h^2 / 4, which is 0
+    # mod P at h = P + 2 and not over Q: discovery skips that draw, and the
+    # solve is the one without it
+    import kahan_aromas.solver as solver_mod
+
+    f = lv_divfree()
+    kmap = f.kahan_map()
+    crafted = [(1, 1), (0, 1), (0, 1), (P + 2, 1)]
+    assert solver_mod._step(kmap, crafted, True) is None
+    assert solver_mod._step(kmap, crafted) is not None
+    expected = _report(solve_darboux(f, 4, parity="both", seed=0))
+    real_pair = solver_mod._random_pair
+    draws = []
+
+    def crafted_first(rng):
+        draws.append(None)
+        return crafted[len(draws) - 1] if len(draws) <= len(crafted) else real_pair(rng)
+
+    monkeypatch.setattr(solver_mod, "_random_pair", crafted_first)
+    assert _report(solve_darboux(f, 4, parity="both", seed=0)) == expected
+    assert len(draws) > len(crafted)
+
+
+@pytest.mark.parametrize(
+    "entry, exact_calls",
+    [(-(1 << 30), 1), (P + 1, 1)],
+    ids=["does_not_rebuild", "rebuilds_wrong"],
+)
+def test_a_null_vector_past_the_bound_falls_back_to_the_exact_rows(monkeypatch, entry, exact_calls):
+    # the Volterra density 1 - h^2 F(C2) / 8 with F(C2) scaled so that its
+    # gamma is (1, entry): -2^30 has no rational of the bound mod P, and
+    # P + 1 is rebuilt as 1, refuted, and its refuting row leaves the rank
+    # mod P as it is; either way the exact rows take over once, and the
+    # result is the exact one
+    import kahan_aromas.solver as solver_mod
+
+    f = lv_divfree()
+    basis = build_basis(f, 2, None, "even")
+    one, two_cycle = basis.elements
+    two_cycle.poly = two_cycle.poly * Rat(-1, 4 * entry)
+    exact = _counting(monkeypatch, solver_mod, "nullspace")
+    checks = _counting(monkeypatch, solver_mod, "_refute_or_confirm")
+    vectors, densities, method = solver_mod._solve_sector(f, basis, 0)
+    assert vectors == solve_by_symbolic_assembly(f.kahan_map(), basis) == [[ONE, Rat(entry)]]
+    assert method == "sampled" and len(exact) == exact_calls
+    assert len(checks) == (1 if entry < 0 else 2)  # the wrong vector is checked too
+    assert densities == [Polynomial.const(f.nvars, 1) - f.aroma_function(TWO_CYCLE) * X(3) ** 2 * Rat(1, 8)]
 
 
 def test_parameter_independent_empty_intersection():
@@ -872,7 +999,7 @@ def test_randomized_searches_are_bounded(monkeypatch):
     monkeypatch.setattr(KahanMap, "apply_point", lambda self, ev: (ZERO, None))
     f = lv_divfree()
     with pytest.raises(SolverError, match=f"{solver_mod.SAMPLE_ATTEMPTS} attempts"):
-        solver_mod._sample_point(random.Random(0), KahanMap(f))
+        solver_mod._sample_point(random.Random(0), KahanMap(f), True)
     with pytest.raises(SolverError, match="attempts"):
         solve_darboux(f, 2, parity="even")
     with pytest.raises(SolverError, match="witness"):
