@@ -8,7 +8,7 @@ Each TREE is a source checkout, given as PATH or LABEL=PATH; its package is
 imported from PATH/src in a fresh interpreter, so every tree runs through
 this same script.  Rounds alternate the order of the trees.  Per input and
 round it records the median cost of one exact Kahan step as the solver's
-checks draw it (`next(_usable_points(rng, kmap))`, in every tree), of one
+checks draw it (`next(_steps(rng, kmap))[1]`, in every tree), of one
 exact discovery row of the even sector at such a step, of one
 `build_basis(field, order)` (the aromatic functions of every multiset and
 the basis selection among them), of one `_solve_sector(field, basis, 0)`
@@ -83,7 +83,7 @@ def measure_input(pkg, build, order: int) -> dict:
     field = build(pkg)
     kmap = field.kahan_map()
     rng = random.Random(0)
-    step = lambda: next(solver._usable_points(rng, kmap))
+    step = lambda: next(solver._steps(rng, kmap))[1]
     step_ms = statistics.median(_timed(step) for _ in range(STEPS))
 
     basis = solver.build_basis(field, order, None, "even")

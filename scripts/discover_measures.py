@@ -28,7 +28,7 @@ def main() -> int:
         parser.exit(2, f"input error: {exc}\n")
 
     sol = solve_darboux(field, args.order, parity=args.parity, seed=args.seed)
-    report = solver_report(sol, args.seed)
+    report = solver_report(sol)
     print(f"basis size: {len(report['basis'])}  dropped: {len(report['dropped'])}")
     if not sol.densities:
         print("no aromatic Darboux densities at this order")

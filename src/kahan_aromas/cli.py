@@ -332,7 +332,7 @@ def _load_augmenters(path: str, nvars: int):
     return out
 
 
-def solver_report(sol, seed: int) -> dict:
+def solver_report(sol) -> dict:
     solutions = []
     for gamma, density, parity in zip(sol.gammas, sol.densities, sol.parities):
         plain = {k: format_rat(v) for k, v in sorted(gamma.items()) if _is_plain(k)}
@@ -351,7 +351,7 @@ def solver_report(sol, seed: int) -> dict:
     independence = 0
     if len(sol.densities) >= 2:
         try:
-            ratios, independence = first_integrals(sol.densities, seed=seed)
+            ratios, independence = first_integrals(sol.densities, seed=sol.seed)
             integrals = [
                 {"num": r.num.to_json(), "den": r.den.to_json()} for r in ratios
             ]
@@ -362,7 +362,7 @@ def solver_report(sol, seed: int) -> dict:
         "field": sol.field.to_json(),
         "order": sol.max_order,
         "parity": sol.parity,
-        "seed": seed,
+        "seed": sol.seed,
         "method": sol.method,
         "basis": [el.key for basis in sol.bases.values() for el in basis.elements],
         "dropped": [key for basis in sol.bases.values() for key in basis.dropped],
@@ -378,7 +378,7 @@ def cmd_darboux_solve(args) -> int:
     field = _load_field(args)
     augmenters = _load_augmenters(args.augment, field.nvars) if args.augment else None
     sol = solve_darboux(field, args.order, parity=args.parity, augmenters=augmenters, seed=args.seed)
-    payload = solver_report(sol, args.seed)
+    payload = solver_report(sol)
 
     def text(p):
         lines = [f"basis ({len(p['basis'])}): {' '.join(p['basis'])}"]

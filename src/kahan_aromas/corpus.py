@@ -34,12 +34,12 @@ from .solver import (
 NV3 = 5  # variable count for dim-3 fields (x, y, z, h, u)
 
 
-def _x(i, nv=NV3):
-    return Polynomial.variable(nv, i)
+def _x(i):
+    return Polynomial.variable(NV3, i)
 
 
-def _c(value, nv=NV3):
-    return Polynomial.const(nv, value)
+def _c(value):
+    return Polynomial.const(NV3, value)
 
 
 def _rat(value):
@@ -64,20 +64,20 @@ def _rat_matrix(rows, name, size=3):
     return [[_rat(v) for v in row] for row in rows]
 
 
-def _rat_vector(vec, name, size=3):
-    if not isinstance(vec, (list, tuple)) or len(vec) != size:
-        raise ValueError(f"parameter {name!r} must be a vector of length {size}, got {safe_repr(vec)}")
+def _rat_vector(vec, name):
+    if not isinstance(vec, (list, tuple)) or len(vec) != 3:
+        raise ValueError(f"parameter {name!r} must be a vector of length 3, got {safe_repr(vec)}")
     return [_rat(v) for v in vec]
 
 
-def _quadratic_form_poly(A, nv=NV3):
+def _quadratic_form_poly(A):
     """x^T A x as a polynomial (A a rational 3x3 matrix)."""
     n = len(A)
-    out = Polynomial.zero(nv)
+    out = Polynomial.zero(NV3)
     for i in range(n):
         for j in range(n):
             if A[i][j] != 0:
-                out = out + _x(i, nv) * _x(j, nv) * A[i][j]
+                out = out + _x(i) * _x(j) * A[i][j]
     return out
 
 
@@ -262,10 +262,11 @@ def random_quadratic_field(rng, n) -> QuadraticVectorField:
     return QuadraticVectorField(n, quad, lin, const)
 
 
-def random_cubic_polynomial(rng, n, terms=6) -> Polynomial:
+def random_cubic_polynomial(rng, n) -> Polynomial:
+    """The sum of 6 random cubic monomials in x_1 .. x_n."""
     nv = n + 2
     out = Polynomial.zero(nv)
-    for _ in range(terms):
+    for _ in range(6):
         exps = [0] * nv
         for _ in range(3):
             exps[rng.randrange(n)] += 1
@@ -309,8 +310,8 @@ class GoldenCheck:
     detail: str = ""
 
 
-def _h(nv=NV3):
-    return Polynomial.variable(nv, 3)
+def _h():
+    return Polynomial.variable(NV3, 3)
 
 
 def _golden_lv_divfree(seed) -> list[GoldenCheck]:
@@ -425,7 +426,7 @@ def _golden_nambu_homogeneous(seed) -> list[GoldenCheck]:
     h1 = _quadratic_form_poly(_rat_matrix(A, "A"))
     h2 = _quadratic_form_poly(_rat_matrix(B, "B"))
     grads_ok = all(
-        sum((H.partial_derivative(i) * fi for i, fi in enumerate(f.components())), Polynomial.zero(NV3)).is_zero()
+        sum((H.partial_derivative(i) * fi for i, fi in enumerate(f.components)), Polynomial.zero(NV3)).is_zero()
         for H in (h1, h2)
     )
     checks.append(GoldenCheck("H1, H2 are first integrals of the flow", grads_ok))
@@ -561,7 +562,7 @@ def _golden_divfree_homogeneous_r3(seed) -> list[GoldenCheck]:
 def _golden_lv(seed) -> list[GoldenCheck]:
     rng = random.Random(seed)
     f = lv(rand_small(rng), rand_small(rng), rand_small(rng))
-    total = sum(f.components(), Polynomial.zero(NV3))
+    total = sum(f.components, Polynomial.zero(NV3))
     return [GoldenCheck("x+y+z is a first integral of the flow", total.is_zero())]
 
 
@@ -579,93 +580,88 @@ class SystemSpec:
     golden: Callable[[int], list[GoldenCheck]]  # the golden suite, given a seed
 
 
-SYSTEMS: dict[str, SystemSpec] = {}
-
-
-def _register(name, description, build, random_params, schema, golden):
-    SYSTEMS[name] = SystemSpec(name, description, build, random_params, schema, golden)
-
-
-_register(
-    "lv",
-    "generalized Lotka-Volterra (x(bz-gy), y(-az+gx), z(ay-bx))",
-    lv,
-    None,
-    '{"alpha": "p/q", "beta": "p/q", "gamma": "p/q"}',
-    _golden_lv,
-)
-_register(
-    "lv_divfree",
-    "divergence-free Volterra chain (x(y-z), y(z-x), z(x-y))",
-    lv_divfree,
-    None,
-    "{}",
-    _golden_lv_divfree,
-)
-_register(
-    "lv_special",
-    "the h-independent-measure case (x(y+z), -y(x+z), z(y-x))",
-    lv_special,
-    None,
-    "{}",
-    _golden_lv_special,
-)
-_register(
-    "dressing_chain",
-    "dressing chain (-y^2+z^2-b+c, x^2-z^2+a-c, -x^2+y^2-a+b)",
-    dressing_chain,
-    lambda rng: {"a": rand_small(rng), "b": rand_small(rng), "c": rand_small(rng)},
-    '{"a": "p/q", "b": "p/q", "c": "p/q"}',
-    _golden_dressing_chain,
-)
-_register(
-    "nambu_homogeneous",
-    "homogeneous Nambu flow grad(x^T A x) x grad(x^T B x)",
-    nambu_homogeneous,
-    lambda rng: {"A": random_symmetric(rng), "B": random_symmetric(rng)},
-    '{"A": 3x3 symmetric, "B": 3x3 symmetric}',
-    _golden_nambu_homogeneous,
-)
-_register(
-    "nambu_inhomogeneous",
-    "inhomogeneous Nambu flow grad(H) x grad(K), H and K general quadratics",
-    nambu_inhomogeneous,
-    lambda rng: {
-        "H": random_symmetric(rng),
-        "hvec": random_vector(rng),
-        "K": random_symmetric(rng),
-        "kvec": random_vector(rng),
-    },
-    '{"H": 3x3 sym, "hvec": [3], "K": 3x3 sym, "kvec": [3]}',
-    _golden_nambu_inhomogeneous,
-)
-_register(
-    "ishii",
-    "generalized Ishii system with exactly volume-preserving coupling",
-    ishii,
-    lambda rng: random_ishii_params(rng)[0],
-    '{"b2","b3","c1","c2","c3","k": "p/q"}',
-    _golden_ishii,
-)
-_register(
-    "divfree_homogeneous_r3",
-    "homogeneous divergence-free quadratic field on R^3",
-    divfree_homogeneous_r3,
-    random_divfree_homogeneous_r3_params,
-    '{"A","B","C": 3x3 symmetric with A[0,:]+B[1,:]+C[2,:]=0}',
-    _golden_divfree_homogeneous_r3,
-)
-_register(
-    "canonical_hamiltonian",
-    "canonical cubic-Hamiltonian field J grad H (n=2 default draw)",
-    canonical_hamiltonian,
-    lambda rng: {
-        "J": [[0, 1], [-1, 0]],
-        "H": random_cubic_polynomial(rng, 2).to_json(),
-    },
-    '{"J": skew matrix, "H": polynomial JSON in n+2 vars}',
-    _golden_canonical_hamiltonian,
-)
+SYSTEMS: dict[str, SystemSpec] = {spec.name: spec for spec in (
+    SystemSpec(
+        "lv",
+        "generalized Lotka-Volterra (x(bz-gy), y(-az+gx), z(ay-bx))",
+        lv,
+        None,
+        '{"alpha": "p/q", "beta": "p/q", "gamma": "p/q"}',
+        _golden_lv,
+    ),
+    SystemSpec(
+        "lv_divfree",
+        "divergence-free Volterra chain (x(y-z), y(z-x), z(x-y))",
+        lv_divfree,
+        None,
+        "{}",
+        _golden_lv_divfree,
+    ),
+    SystemSpec(
+        "lv_special",
+        "the h-independent-measure case (x(y+z), -y(x+z), z(y-x))",
+        lv_special,
+        None,
+        "{}",
+        _golden_lv_special,
+    ),
+    SystemSpec(
+        "dressing_chain",
+        "dressing chain (-y^2+z^2-b+c, x^2-z^2+a-c, -x^2+y^2-a+b)",
+        dressing_chain,
+        lambda rng: {"a": rand_small(rng), "b": rand_small(rng), "c": rand_small(rng)},
+        '{"a": "p/q", "b": "p/q", "c": "p/q"}',
+        _golden_dressing_chain,
+    ),
+    SystemSpec(
+        "nambu_homogeneous",
+        "homogeneous Nambu flow grad(x^T A x) x grad(x^T B x)",
+        nambu_homogeneous,
+        lambda rng: {"A": random_symmetric(rng), "B": random_symmetric(rng)},
+        '{"A": 3x3 symmetric, "B": 3x3 symmetric}',
+        _golden_nambu_homogeneous,
+    ),
+    SystemSpec(
+        "nambu_inhomogeneous",
+        "inhomogeneous Nambu flow grad(H) x grad(K), H and K general quadratics",
+        nambu_inhomogeneous,
+        lambda rng: {
+            "H": random_symmetric(rng),
+            "hvec": random_vector(rng),
+            "K": random_symmetric(rng),
+            "kvec": random_vector(rng),
+        },
+        '{"H": 3x3 sym, "hvec": [3], "K": 3x3 sym, "kvec": [3]}',
+        _golden_nambu_inhomogeneous,
+    ),
+    SystemSpec(
+        "ishii",
+        "generalized Ishii system with exactly volume-preserving coupling",
+        ishii,
+        lambda rng: random_ishii_params(rng)[0],
+        '{"b2","b3","c1","c2","c3","k": "p/q"}',
+        _golden_ishii,
+    ),
+    SystemSpec(
+        "divfree_homogeneous_r3",
+        "homogeneous divergence-free quadratic field on R^3",
+        divfree_homogeneous_r3,
+        random_divfree_homogeneous_r3_params,
+        '{"A","B","C": 3x3 symmetric with A[0,:]+B[1,:]+C[2,:]=0}',
+        _golden_divfree_homogeneous_r3,
+    ),
+    SystemSpec(
+        "canonical_hamiltonian",
+        "canonical cubic-Hamiltonian field J grad H (n=2 default draw)",
+        canonical_hamiltonian,
+        lambda rng: {
+            "J": [[0, 1], [-1, 0]],
+            "H": random_cubic_polynomial(rng, 2).to_json(),
+        },
+        '{"J": skew matrix, "H": polynomial JSON in n+2 vars}',
+        _golden_canonical_hamiltonian,
+    ),
+)}
 
 
 def get_system(name: str, params: dict | None = None, seed: int = 0) -> QuadraticVectorField:

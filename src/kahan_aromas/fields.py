@@ -106,7 +106,7 @@ class QuadraticVectorField:
             add(i, (j,), v)
         for i, v in dict(constant or {}).items():
             add(i, (), v)
-        self._components = [Polynomial(self.nvars, t) for t in terms]
+        self.components = [Polynomial(self.nvars, t) for t in terms]  # f_1 .. f_n
         self._kahan_map: KahanMap | None = None
         self._cleared_parts: tuple[int, dict, dict] | None = None
         self._elementary: dict[str, tuple] = {}
@@ -120,9 +120,6 @@ class QuadraticVectorField:
             if not 0 <= i < self.dim:
                 raise ValueError(f"index {safe_repr(i)} out of range for dimension {self.dim}")
 
-    def components(self) -> list[Polynomial]:
-        return self._components
-
     @staticmethod
     def from_polynomials(polys: list[Polynomial]) -> "QuadraticVectorField":
         """The field with these components, checked and kept as given."""
@@ -134,7 +131,7 @@ class QuadraticVectorField:
                 raise ValueError("vector field components must not involve h or u")
             if p.x_degree() > 2:
                 raise ValueError("vector field is not quadratic")
-        field._components = list(polys)
+        field.components = list(polys)
         return field
 
     # -- calculus ---------------------------------------------------------
@@ -153,7 +150,7 @@ class QuadraticVectorField:
         return self.divergence().is_zero()
 
     def is_homogeneous(self) -> bool:
-        return all(sum(e) == 2 for p in self._components for e, _ in p.sorted_terms())
+        return all(sum(e) == 2 for p in self.components for e, _ in p.sorted_terms())
 
     def kahan_map(self) -> "KahanMap":
         """The field's Kahan map, built once: every caller shares its
@@ -171,9 +168,9 @@ class QuadraticVectorField:
         whose partial is nonzero, and degrees[(i, indices)] its largest
         degree per variable.  The partials differentiate the int dicts."""
         if self._cleared_parts is None:
-            D = math.lcm(*(p.content.denominator for p in self._components))
+            D = math.lcm(*(p.content.denominator for p in self.components))
             parts = {}
-            for i, p in enumerate(self._components):
+            for i, p in enumerate(self.components):
                 if p.terms:
                     s = (p.content * D).numerator  # D clears every content
                     parts[(i, ())] = {k: s * v for k, v in p.terms.items()}
@@ -353,7 +350,7 @@ class QuadraticVectorField:
 
     def to_json(self) -> dict:
         entries = {"quadratic": [], "linear": [], "constant": []}
-        for i, p in enumerate(self._components):
+        for i, p in enumerate(self.components):
             for exps, v in p.sorted_terms():
                 js = [j + 1 for j in range(self.dim) for _ in range(exps[j])]
                 kind = ("constant", "linear", "quadratic")[len(js)]
@@ -384,7 +381,7 @@ class QuadraticVectorField:
         return QuadraticVectorField(dim, quadratic, linear, constant)
 
     def __repr__(self):
-        return f"QuadraticVectorField(dim={self.dim}, f={[str(p) for p in self.components()]})"
+        return f"QuadraticVectorField(dim={self.dim}, f={[str(p) for p in self.components]})"
 
 
 def _weighted_polys(field: QuadraticVectorField, items) -> list[Polynomial]:
@@ -443,9 +440,9 @@ class KahanMap:
     Phi_h(x)_i = numerators[i] / den  with  M = I - (h/2) f'(x),
     den = det(M) and, by Cramer's rule,
     numerators[i] = x_i * den + h * det(M with column i replaced by f(x)).
-    den at h = 0 equals 1.  Point steps, the h-series and the modified
-    Hamiltonian all read these polynomials, the steps through two batches
-    compiled with the map: den with the numerators, and N_{h/2}.
+    den at h = 0 equals 1.  Point steps (`step`), the h-series and the
+    modified Hamiltonian all read these polynomials, a step through two
+    batches compiled with the map: den with the numerators, and N_{h/2}.
 
     They are built in integers from the field's cleared partials (D the
     lcm of the components' content denominators): A = 2D M = 2D I - h (D f')
@@ -513,10 +510,6 @@ class KahanMap:
         self._n_plus_batch = PolynomialBatch([self.n_plus])
         self.subs_cache: dict = {}
 
-    def n_plus_at(self, point):
-        """N_{h/2} = det(I + (h/2) f'(x)) at the point (see `apply_point`)."""
-        return self._n_plus_batch.evaluate(point)[0]
-
     def series(self, order: int) -> list[list[Polynomial]]:
         """h-expansion of Phi_h: the coefficient vectors of h^0 .. h^order."""
         if order < 0:
@@ -541,6 +534,22 @@ class KahanMap:
             return den, [num / den for num in nums]
         inverse = pow(den, -1, P)
         return den, [num * inverse % P for num in nums]
+
+    def step(self, pairs, modular: bool = False):
+        """(point (x, h), N_{-h/2}(x), point (x', h), N_{h/2}(x')) of the
+        Kahan step from the point of (numerator, denominator) pairs, u = 0:
+        exact at `PointEvaluator`s (`apply_point`) or residues mod P; None
+        where det(M) = 0 (mod P)."""
+        n = self.dim
+        if modular:
+            x = [a * pow(b, -1, P) % P for a, b in pairs] + [0]
+        else:
+            x = PointEvaluator(n + 2, [Rat(a, b) for a, b in pairs] + [ZERO])
+        n_minus, image = self.apply_point(x)  # N_{-h/2}(x) is det(M)
+        if image is None:
+            return None
+        phi = image + x[n:] if modular else PointEvaluator(n + 2, image + x.point[n:])
+        return x, n_minus, phi, self._n_plus_batch.evaluate(phi)[0]
 
     def darboux_defect_cleared(self, P: Polynomial) -> Polynomial:
         """den^D' * [N_{-h/2}(x) P(Phi_h(x)) - P(x) N_{h/2}(Phi_h(x))] with
@@ -587,7 +596,7 @@ def affine_pullback(field: QuadraticVectorField, A, v=None) -> QuadraticVectorFi
         for j in range(n)
     ]
     one = Polynomial.const(nv, 1)  # f(Ax + v) is the substitution over the denominator 1
-    substituted = [rf_substitute(c, linear_forms, one, c.x_degree()) for c in field.components()]
+    substituted = [rf_substitute(c, linear_forms, one, c.x_degree()) for c in field.components]
     new_components = [
         sum((substituted[j] * Ainv[i][j] for j in range(n)), Polynomial.zero(nv))
         for i in range(n)

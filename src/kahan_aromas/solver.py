@@ -7,13 +7,14 @@ a fixed enumeration order, then solve the Darboux equation
 
     N_{-h/2}(x) P(Phi_h(x)) - P(x) N_{h/2}(Phi_h(x)) = 0,   cofactor det DPhi_h
 
-for P in the weighted span of the basis.  Everything rests on one exact
-Kahan step x' = Phi_h(x) at a seeded rational point, where the identity
-reads N_{-h/2}(x) P(x') = P(x) N_{h/2}(x'), and on one check of a
-candidate P: refute it by a nonzero residual at a step, or else confirm it
-by expanding the cleared defect to the literal zero polynomial.  Every
-value at a point comes from a compiled `poly.PolynomialBatch`, and a
-candidate's residual is the discovery row of its one-polynomial batch.
+for P in the weighted span of the basis.  Everything rests on one Kahan
+step x' = Phi_h(x) from seeded rational pairs, exact or mod P
+(`KahanMap.step`), where the identity reads N_{-h/2}(x) P(x') = P(x)
+N_{h/2}(x'), and on one check of a candidate P: refute it by a nonzero
+residual at a step, or else confirm it by expanding the cleared defect to
+the literal zero polynomial.  Every value at a point comes from a compiled
+`poly.PolynomialBatch`, and a candidate's residual is the discovery row of
+its one-polynomial batch.
 
 Discovery takes the residual of every weighted basis element at seeded
 steps modulo the prime P of `linalg`, one pass per step over the basis
@@ -189,34 +190,13 @@ class DarbouxSolution:
     method: str
 
 
-def _step(kmap: KahanMap, pairs, modular: bool = False):
-    """(point (x, h), N_{-h/2}(x), point (x', h), N_{h/2}(x')) of the Kahan
-    step from the point of (numerator, denominator) pairs, u = 0, exact or
-    mod P (see `KahanMap.apply_point`); None where det(M) = 0 (mod P)."""
-    n = kmap.dim
-    if modular:
-        x = [a * pow(b, -1, P) % P for a, b in pairs] + [0]
-    else:
-        x = PointEvaluator(n + 2, [Rat(a, b) for a, b in pairs] + [ZERO])
-    n_minus, image = kmap.apply_point(x)  # N_{-h/2}(x) is det(M)
-    if image is None:
-        return None
-    phi = image + x[n:] if modular else PointEvaluator(n + 2, image + x.point[n:])
-    return x, n_minus, phi, kmap.n_plus_at(phi)
-
-
 def _steps(rng, kmap: KahanMap, modular: bool = False):
-    """(pairs, step) of each draw with a Kahan step (`_step`) among
-    SAMPLE_ATTEMPTS seeded random points (x, h), x's n coordinates first."""
+    """(pairs, kmap.step(pairs, modular)) of each draw with a Kahan step
+    among SAMPLE_ATTEMPTS seeded draws of pairs, x's n coordinates, then h."""
     for _ in range(SAMPLE_ATTEMPTS):
         pairs = [_random_pair(rng) for _ in range(kmap.dim + 1)]
-        if (step := _step(kmap, pairs, modular)) is not None:
+        if (step := kmap.step(pairs, modular)) is not None:
             yield pairs, step
-
-
-def _usable_points(rng, kmap: KahanMap):
-    """The exact Kahan steps of `_steps`."""
-    return (step for _, step in _steps(rng, kmap))
 
 
 def _sample_point(rng, kmap: KahanMap, modular: bool):
@@ -241,27 +221,28 @@ def _sample_row(batch: PolynomialBatch, step) -> list:
 
 
 def _refute_or_confirm(kmap: KahanMap, P: Polynomial, rng):
-    """The exact check of P o Phi = det(DPhi) * P at the steps that
-    `_usable_points` draws from rng.
+    """The exact check of P o Phi = det(DPhi) * P at the exact steps that
+    `_steps` draws from rng.
 
-    Returns (step, residual) when the first step's residual of P is
-    nonzero, a proof that P is no density; nothing is expanded then.  A
-    zero residual proves nothing, so the cleared defect is expanded once
-    (also when no step comes), and None (P is a density) is returned only
-    when it is the literal zero polynomial.  A nonzero defect is refuted at
-    the first later step with a nonzero residual; when no step shows it,
-    SolverError is raised.  Each residual is P's row (`_sample_row`).
+    Returns (pairs, step, residual), a draw and P's residual there, when
+    the first step's residual is nonzero, a proof that P is no density;
+    nothing is expanded then.  A zero residual proves nothing, so the
+    cleared defect is expanded once (also when no step comes), and None (P
+    is a density) is returned only when it is the literal zero polynomial.
+    A nonzero defect is refuted at the first later step with a nonzero
+    residual; when no step shows it, SolverError is raised.  Each residual
+    is P's row (`_sample_row`).
     """
     batch = PolynomialBatch([P])
-    steps = _usable_points(rng, kmap)
+    steps = _steps(rng, kmap)
     first = next(steps, None)
-    if first is not None and (residual := _sample_row(batch, first)[0]) != 0:
-        return first, residual
+    if first is not None and (residual := _sample_row(batch, first[1])[0]) != 0:
+        return *first, residual
     if kmap.darboux_defect_cleared(P).is_zero():
         return None
-    for step in steps:
+    for pairs, step in steps:
         if (residual := _sample_row(batch, step)[0]) != 0:
-            return step, residual
+            return pairs, step, residual
     raise SolverError(
         f"no witness point for the nonzero defect in {SAMPLE_ATTEMPTS} attempts"
     )
@@ -270,13 +251,13 @@ def _refute_or_confirm(kmap: KahanMap, P: Polynomial, rng):
 def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
     """Exact gamma-space, its densities and the method of one sector's
     basis, by the discovery of the module docstring; every check draws
-    fresh steps after the rows'.  The exact rows at the same steps and their
-    `nullspace` take over when a vector does not rebuild, when a refuting
-    row leaves the rank mod P as it is (the vector was rebuilt wrong), or
-    from the start when a content's denominator is divisible by P.  A
-    confirmed candidate stays a nullspace vector when rows are added (its
-    free coordinate stays free), so it is remembered and never expanded
-    again."""
+    fresh steps after the rows', and a refuting draw's pairs give its row
+    mod P.  The exact rows at the same steps and their `nullspace` take
+    over when a vector does not rebuild, when a refuting row leaves the
+    rank mod P as it is (the vector was rebuilt wrong), or from the start
+    when a content's denominator is divisible by P.  A confirmed candidate
+    stays a nullspace vector when rows are added (its free coordinate stays
+    free), so it is remembered and never expanded again."""
     kmap = field.kahan_map()
     weighted = _weighted_polys(
         field, [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
@@ -299,7 +280,7 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
                 return [], [], "sampled"
 
     def exact_rows():
-        return [_sample_row(batch, _step(kmap, pairs)) for pairs in points]
+        return [_sample_row(batch, kmap.step(pairs)) for pairs in points]
 
     rows = None if modular else exact_rows()  # exact rows, once the modular path is left
     confirmed: dict[tuple, Polynomial] = {}  # candidate -> its density
@@ -318,9 +299,9 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
                 confirmed[tuple(vec)] = density
                 continue
             changed = True
+            pairs, step, _ = refuted
             if rows is None:
-                pairs = [(v.numerator, v.denominator) for v in refuted[0][0].point[: kmap.dim + 1]]
-                step, rank_before = _step(kmap, pairs, True), len(echelon)
+                step, rank_before = kmap.step(pairs, True), len(echelon)
                 if step is not None:
                     _fold(echelon, _sample_row(batch, step), K)
                 if len(echelon) == rank_before:
@@ -328,7 +309,7 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
                     break
                 points.append(pairs)
             else:
-                rows.append(_sample_row(batch, refuted[0]))
+                rows.append(_sample_row(batch, step))
         if not changed:
             break
     densities = [confirmed[tuple(vec)] for vec in vectors]
@@ -404,9 +385,9 @@ def verify_density(field: QuadraticVectorField, P: Polynomial, seed: int = 0) ->
     refuted = _refute_or_confirm(field.kahan_map(), P, random.Random(seed))
     if refuted is None:
         return VerificationResult(True)
-    (ev, _, _, _), residual = refuted
-    n = field.dim
-    return VerificationResult(False, (ev.point[:n], ev.point[n], residual))
+    pairs, _, residual = refuted
+    *xs, h = [Rat(a, b) for a, b in pairs]
+    return VerificationResult(False, (xs, h, residual))
 
 
 def first_integrals(densities: list[Polynomial], seed: int = 0):

@@ -446,7 +446,7 @@ def kahan_step_by_solve(field, xs, h):
             (1 if i == j else 0) - Fraction(h) / 2 * evaluate_term_by_term(jac[i][j], point)
             for j in range(n)
         ]
-        + [evaluate_term_by_term(field.components()[i], point)]
+        + [evaluate_term_by_term(field.components[i], point)]
         for i in range(n)
     ]
     reduced = rref_by_fractions(aug, n)
@@ -461,7 +461,7 @@ def kahan_series_closed_form(field, order: int) -> list[list[Polynomial]]:
     n, nv = field.dim, field.nvars
     out = [[Polynomial.variable(nv, i) for i in range(n)]]
     jac = jacobian(field)
-    current = list(field.components())
+    current = list(field.components)
     for _ in range(order):
         out.append(current)
         current = [
@@ -500,7 +500,7 @@ def kahan_map_by_cramer(field) -> tuple[Polynomial, list[Polynomial]]:
         for i in range(n)
     ]
     den = poly_mat_det(M)
-    comps = field.components()
+    comps = field.components
     numerators = [
         Polynomial.variable(nv, i) * den
         + h * poly_mat_det([row[:i] + [fr] + row[i + 1 :] for row, fr in zip(M, comps)])

@@ -92,7 +92,7 @@ def test_component_extraction_and_convention():
         {"dim": 2, "quadratic": [[1, 1, 2, "3"], [2, 2, 2, "2"]], "linear": [[1, 2, "5"]], "constant": [[2, "-1/2"]]}
     )
     x1, x2 = X(0, 4), X(1, 4)
-    assert f.components() == [x1 * x2 * 3 + x2 * 5, x2**2 * 2 - Rat(1, 2)]
+    assert f.components == [x1 * x2 * 3 + x2 * 5, x2**2 * 2 - Rat(1, 2)]
     # a j > k key of the dict constructor is the same monomial
     swapped = QuadraticVectorField(2, quadratic={(0, 1, 0): 3, (1, 1, 1): 2}, linear={(0, 1): 5}, constant={1: Rat(-1, 2)})
     assert swapped.to_json() == f.to_json()
@@ -133,7 +133,7 @@ def test_dict_constructor_json_is_pinned(case):
 
 def test_from_polynomials_roundtrip():
     f = lv_special()
-    again = QuadraticVectorField.from_polynomials(f.components())
+    again = QuadraticVectorField.from_polynomials(f.components)
     assert again.to_json() == f.to_json()
 
 
@@ -200,7 +200,7 @@ def _coprime_contents_field() -> QuadraticVectorField:
     quad = {(i, j, k): big(i) for i in range(3) for j in range(3) for k in range(j, 3)}
     lin = {(i, j): big(i) for i in range(3) for j in range(3)}
     f = QuadraticVectorField(3, quad, lin, {i: big(i) for i in range(3)})
-    assert [p.content.denominator for p in f.components()] == [2, 3, 7]
+    assert [p.content.denominator for p in f.components] == [2, 3, 7]
     return f
 
 
@@ -212,7 +212,7 @@ def _zero_component_field() -> QuadraticVectorField:
     quad = {(i, j, k): small() for i in (0, 2) for j in range(3) for k in range(j, 3)}
     lin = {(i, j): small() for i in (0, 2) for j in range(3)}
     f = QuadraticVectorField(3, quad, lin, {0: small(), 2: small()})
-    assert f.components()[1].is_zero()
+    assert f.components[1].is_zero()
     return f
 
 
@@ -237,7 +237,7 @@ def test_contraction_matches_assignment_oracle(case):
     # n = 2 at order 6 reaches chiral aromas such as C3(;[];[[]])
     build, order = CONTRACTION_CASES[case]
     f = build()
-    degrees = {sum(e) for p in f.components() for e, _ in p.sorted_terms()}
+    degrees = {sum(e) for p in f.components for e, _ in p.sorted_terms()}
     assert degrees == {0, 1, 2}
     aromas = {a.encoding: a for m in enumerate_multisets(order) for a in m.aromas}
     moved = 0
@@ -371,11 +371,11 @@ def test_divfree_r3_four_cycle_identity():
 
 def test_elementary_differentials():
     f = lv_special()
-    assert elementary_differential(f, tall_tree(1)) == f.components()
+    assert elementary_differential(f, tall_tree(1)) == f.components
     chain2 = elementary_differential(f, tall_tree(2))
     jac = jacobian(f)
     expect = [
-        sum((jac[i][j] * f.components()[j] for j in range(3)), Polynomial.zero(5))
+        sum((jac[i][j] * f.components[j] for j in range(3)), Polynomial.zero(5))
         for i in range(3)
     ]
     assert chain2 == expect
@@ -438,7 +438,7 @@ def test_cleared_parts_match_polynomial_partials(case):
     f = _map_cases()[case]()
     D, parts, degrees = f._cleared()
     want = {}
-    for i, component in enumerate(f.components()):
+    for i, component in enumerate(f.components):
         for m in range(3):
             for idx in combinations_with_replacement(range(f.dim), m):
                 p = component
@@ -486,7 +486,7 @@ def _rk_form_exact(field) -> bool:
     mid_nums = [Polynomial.variable(nv, i) * den + m.numerators[i] for i in range(n)]
     mid_den = den * 2
     for i in range(n):
-        fi = field.components()[i]
+        fi = field.components[i]
         s_mid = rf_substitute(fi, mid_nums, mid_den, 2)
         s_phi = m.substitute(fi, 2)
         lhs = (m.numerators[i] - Polynomial.variable(nv, i) * den) * den * 2
@@ -610,7 +610,7 @@ def test_kahan_series_tall_tree_coefficients():
     f = lv_special()
     series = KahanMap(f).series(3)
     assert series[0] == [X(0), X(1), X(2)]
-    assert series[1] == f.components()
+    assert series[1] == f.components
     # h^3 coefficient is b(tall-3) F(tall-3) = (1/4)(f')^2 f
     ed = elementary_differential(f, tall_tree(3))
     assert series[3] == [p * Rat(1, 4) for p in ed]
@@ -622,7 +622,7 @@ def test_affine_pullback_identity_and_scaling():
     assert affine_pullback(f, eye).to_json() == f.to_json()
     g = QuadraticVectorField(1, quadratic={(0, 0, 0): 1})
     scaled = affine_pullback(g, [[2]])
-    assert scaled.components()[0] == Polynomial.variable(3, 0) ** 2 * 2
+    assert scaled.components[0] == Polynomial.variable(3, 0) ** 2 * 2
     with pytest.raises(ValueError):
         affine_pullback(g, [[0]])
 
@@ -665,8 +665,8 @@ def test_modified_hamiltonian_zero_and_cubic():
     # H = x^3/3 gives f = (0, -x^2); invariance is checked exactly
     H = Polynomial.variable(nv, 0) ** 3 * Rat(1, 3)
     f = hamiltonian_field(J, H)
-    assert f.components()[0].is_zero()
-    assert f.components()[1] == -(Polynomial.variable(nv, 0) ** 2)
+    assert f.components[0].is_zero()
+    assert f.components[1] == -(Polynomial.variable(nv, 0) ** 2)
     ht = modified_hamiltonian(f, H)
     m = KahanMap(f)
     D = max(ht.num.x_degree(), 2)

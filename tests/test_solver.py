@@ -684,7 +684,7 @@ def test_solution_report_round_trip():
 
     f = lv_divfree()
     sol = solve_darboux(f, 4, parity="even", seed=0)
-    report = solver_report(sol, 0)
+    report = solver_report(sol)
     assert report["order"] == 4
     for s in report["solutions"]:
         P = Polynomial.from_json(s["polynomial"], f.nvars)
@@ -823,7 +823,7 @@ def test_modular_rank_draws_the_rows_of_the_exact_rank(monkeypatch, f, seed):
             f, [(el.poly, el.multiset.order, el.multiset.sigma()) for el in sol.bases[sector].elements]
         )
         K = len(weighted)
-        steps = solver_mod._usable_points(random.Random(seed), kmap)
+        steps = (step for _, step in solver_mod._steps(random.Random(seed), kmap))
         rows, reduced = [], []
         while len(rows) < 2 * K + 16 and len(reduced) < K:
             rows.append(residual_row_by_polynomials(next(steps), weighted))
@@ -855,7 +855,7 @@ def test_sample_row_equals_the_residual_of_each_polynomial(f, order):
             f, [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
         )
         batch = PolynomialBatch(weighted)
-        for step in itertools.islice(solver_mod._usable_points(rng, kmap), 5):
+        for _, step in itertools.islice(solver_mod._steps(rng, kmap), 5):
             row = solver_mod._sample_row(batch, step)
             assert row == residual_row_by_polynomials(step, weighted)
             assert all(type(v) is Fraction for v in row)
@@ -893,7 +893,7 @@ def test_modular_row_is_the_exact_row_mod_p(name, sector, seed):
 
     kmap, batch = _row_batch(name, sector)
     pairs, step = solver_mod._sample_point(random.Random(seed), kmap, True)
-    exact_row = solver_mod._sample_row(batch, solver_mod._step(kmap, pairs))
+    exact_row = solver_mod._sample_row(batch, kmap.step(pairs))
     assert solver_mod._sample_row(batch, step) == [_residue(v) for v in exact_row]
     point, n_minus, image, n_plus = step
     assert all(type(v) is int and 0 <= v < P for v in [n_minus, n_plus, *point, *image])
@@ -902,7 +902,7 @@ def test_modular_row_is_the_exact_row_mod_p(name, sector, seed):
 def _report(sol):
     from kahan_aromas.cli import solver_report
 
-    return json.dumps(solver_report(sol, 0), sort_keys=True)
+    return json.dumps(solver_report(sol), sort_keys=True)
 
 
 def _counting(monkeypatch, module, name):
@@ -924,7 +924,7 @@ def test_coefficient_denominator_p_takes_the_exact_path(monkeypatch):
     import kahan_aromas.solver as solver_mod
 
     f = lv_divfree()
-    g = QuadraticVectorField.from_polynomials([c * Rat(1, P) for c in f.components()])
+    g = QuadraticVectorField.from_polynomials([c * Rat(1, P) for c in f.components])
     expected = solve_darboux(f, 4, parity="both", seed=0)
     folded = _counting(monkeypatch, solver_mod, "_fold")
     exact = _counting(monkeypatch, solver_mod, "nullspace")
@@ -932,6 +932,29 @@ def test_coefficient_denominator_p_takes_the_exact_path(monkeypatch):
     assert folded == [] and len(exact) == 2  # one nullspace per sector
     assert sol.gammas == expected.gammas and sol.method == expected.method == "sampled"
     assert all(verify_density(g, d).verified for d in sol.densities)
+
+
+@pytest.mark.parametrize("c", [Rat(2), Rat(-1, 3), Rat(P)], ids=["2", "minus_one_third", "P"])
+@pytest.mark.parametrize(
+    "name",
+    ["lv_divfree", "lv_special", "ishii", "nambu_inhomogeneous", "dressing_chain", "nambu_homogeneous"],
+)
+def test_scaling_a_field_keeps_its_gamma_space(monkeypatch, name, c):
+    # the Kahan map of c f at h is that of f at c h, so c f has f's gammas;
+    # at c = P the content numerator of every element of order >= 1 is 0
+    # mod P, so the echelon stays rank-deficient, a rebuilt vector is
+    # refuted, its row leaves the rank as it is, and the exact rows take
+    # over once
+    import kahan_aromas.solver as solver_mod
+
+    f = get_system(name, seed=0)
+    g = QuadraticVectorField.from_polynomials([p * c for p in f.components])
+    expected = solve_darboux(f, 4, parity="even", seed=0)
+    exact = _counting(monkeypatch, solver_mod, "nullspace")
+    sol = solve_darboux(g, 4, parity="even", seed=0)
+    assert sol.gammas == expected.gammas
+    assert sol.method == expected.method == "sampled"
+    assert len(exact) == (1 if c == P else 0)
 
 
 def test_a_draw_with_det_m_zero_mod_p_is_skipped(monkeypatch):
@@ -943,8 +966,8 @@ def test_a_draw_with_det_m_zero_mod_p_is_skipped(monkeypatch):
     f = lv_divfree()
     kmap = f.kahan_map()
     crafted = [(1, 1), (0, 1), (0, 1), (P + 2, 1)]
-    assert solver_mod._step(kmap, crafted, True) is None
-    assert solver_mod._step(kmap, crafted) is not None
+    assert kmap.step(crafted, True) is None
+    assert kmap.step(crafted) is not None
     expected = _report(solve_darboux(f, 4, parity="both", seed=0))
     real_pair = solver_mod._random_pair
     draws = []
