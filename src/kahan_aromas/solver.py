@@ -27,7 +27,10 @@ nullspace mod P, rebuilt over Q, is checked; one refuted at a fresh step
 adds that step's row, which raises the rank (method "refined"), until
 every vector is confirmed (method "sampled" when none was refuted).  As
 nullity mod P >= nullity over Q >= the dimension of the density space,
-they are then the exact solution space's canonical basis.
+they are then the exact solution space's canonical basis.  The same loop
+runs exactly (`linalg.nullspace`) from the seed again when a vector does
+not rebuild or its refuting row leaves the rank mod P as it is, and from
+the start when P divides a content's numerator or denominator.
 """
 
 from __future__ import annotations
@@ -250,14 +253,13 @@ def _refute_or_confirm(kmap: KahanMap, P: Polynomial, rng):
 
 def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
     """Exact gamma-space, its densities and the method of one sector's
-    basis, by the discovery of the module docstring; every check draws
-    fresh steps after the rows', and a refuting draw's pairs give its row
-    mod P.  The exact rows at the same steps and their `nullspace` take
-    over when a vector does not rebuild, when a refuting row leaves the
-    rank mod P as it is (the vector was rebuilt wrong), or from the start
-    when a content's denominator is divisible by P.  A confirmed candidate
-    stays a nullspace vector when rows are added (its free coordinate stays
-    free), so it is remembered and never expanded again."""
+    basis, by the discovery of the module docstring: one loop per ring,
+    `discover(modular)`, run from its own `random.Random(seed)`, whose
+    checks draw fresh steps after its rows and whose refuting draws give
+    their rows in its ring from the pairs.  The run mod P returns None to
+    hand over to the exact run.  A confirmed candidate stays a nullspace
+    vector when rows are added (its free coordinate stays free), so both
+    runs share `confirmed` and no density is expanded twice."""
     kmap = field.kahan_map()
     weighted = _weighted_polys(
         field, [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
@@ -266,54 +268,50 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
     if not K:
         return [], [], "sampled"
     S = 2 * K + 16
-    rng = random.Random(seed)
     batch = PolynomialBatch(weighted)
-    modular = all(p.content.denominator % P for p in weighted + [kmap.den, kmap.n_plus, *kmap.numerators])
-    points = []  # the drawn pairs of every step with a row
-    echelon: dict[int, list[int]] = {}  # the rows mod P (`linalg._fold`)
-    while len(points) < S:
-        pairs, step = _sample_point(rng, kmap, modular)
-        points.append(pairs)
-        if modular:
-            _fold(echelon, _sample_row(batch, step), K)
-            if len(echelon) == K:
-                return [], [], "sampled"
-
-    def exact_rows():
-        return [_sample_row(batch, kmap.step(pairs)) for pairs in points]
-
-    rows = None if modular else exact_rows()  # exact rows, once the modular path is left
     confirmed: dict[tuple, Polynomial] = {}  # candidate -> its density
-    while True:
-        if rows is None and (vectors := _echelon_nullspace(echelon, K)) is None:
-            rows = exact_rows()  # a vector does not rebuild
-        if rows is not None:
-            vectors = nullspace(rows, K)
-        changed = False
-        for vec in vectors:
-            if tuple(vec) in confirmed:
-                continue
-            density = _combination(field.nvars, weighted, vec)
-            refuted = _refute_or_confirm(kmap, density, rng)
-            if refuted is None:
-                confirmed[tuple(vec)] = density
-                continue
-            changed = True
-            pairs, step, _ = refuted
-            if rows is None:
-                step, rank_before = kmap.step(pairs, True), len(echelon)
-                if step is not None:
-                    _fold(echelon, _sample_row(batch, step), K)
-                if len(echelon) == rank_before:
-                    rows = exact_rows()  # the vector was rebuilt wrong
-                    break
-                points.append(pairs)
-            else:
+
+    def discover(modular: bool):
+        rng = random.Random(seed)
+        rows, echelon = [], {}  # the exact rows, or the rows mod P (`linalg._fold`)
+
+        def add(step) -> bool:  # whether the step's row raises the rank (exact rows: always)
+            if not modular:
                 rows.append(_sample_row(batch, step))
-        if not changed:
-            break
-    densities = [confirmed[tuple(vec)] for vec in vectors]
-    return vectors, densities, "sampled" if len(points if rows is None else rows) == S else "refined"
+                return True
+            rank_before = len(echelon)
+            if step is not None:
+                _fold(echelon, _sample_row(batch, step), K)
+            return len(echelon) > rank_before
+
+        for _ in range(S):
+            add(_sample_point(rng, kmap, modular)[1])
+            if len(echelon) == K:
+                return [], "sampled"
+        method = "sampled"
+        while True:
+            vectors = _echelon_nullspace(echelon, K) if modular else nullspace(rows, K)
+            if vectors is None:
+                return None  # a vector does not rebuild
+            refuted_any = False
+            for vec in vectors:
+                if tuple(vec) in confirmed:
+                    continue
+                density = _combination(field.nvars, weighted, vec)
+                if (refuted := _refute_or_confirm(kmap, density, rng)) is None:
+                    confirmed[tuple(vec)] = density
+                    continue
+                refuted_any, method = True, "refined"
+                pairs, step, _ = refuted
+                if not add(kmap.step(pairs, True) if modular else step):
+                    return None  # the vector was rebuilt wrong
+            if not refuted_any:
+                return vectors, method
+
+    contents = [p.content for p in weighted + [kmap.den, kmap.n_plus, *kmap.numerators]]
+    modular = all(c.numerator * c.denominator % P for c in contents)  # P is prime
+    vectors, method = (discover(True) if modular else None) or discover(False)
+    return vectors, [confirmed[tuple(vec)] for vec in vectors], method
 
 
 def solve_darboux(
@@ -477,8 +475,6 @@ def density_span_solve(densities: list[Polynomial], target: Polynomial):
     t = -sum_i c_i d_i / c_t for the nullspace vector c of the rows
     [d_1 ... d_k | t] with c_t != 0; only the vector of the last column,
     when that column is free, has one."""
-    if not densities:
-        return None
     k = len(densities)
     for vec in nullspace(_coefficient_rows(densities + [target]), k + 1):
         if vec[k]:

@@ -210,10 +210,11 @@ def test_density_span_solve_matches_the_transposed_in_span_route():
         (layers, layers[1] * Rat(5, 2)),
         (densities, Polynomial.zero(f.nvars)),
         (densities, X(0) * h2),
+        ([], Polynomial.zero(f.nvars)),  # the empty combination
     ]
     got = [density_span_solve(polys, target) for polys, target in cases]
     assert got == [_span_coordinates_by_transposes(polys, target) for polys, target in cases]
-    assert got[0] == [2, 1, Rat(-1, 3)] and got[2] == [0, 0, 0] and got[3] is None
+    assert got[0] == [2, 1, Rat(-1, 3)] and got[2] == [0, 0, 0] and got[3] is None and got[4] == []
     assert _combination(f.nvars, layers, got[1]) == layers[1] * Rat(5, 2)
 
 
@@ -693,9 +694,10 @@ def test_solution_report_round_trip():
 
 @pytest.mark.parametrize("name, order", [("lv_divfree", 4), ("ishii", 4)])
 def test_unlucky_discovery_is_refined(monkeypatch, name, order):
-    # every discovery row at one Kahan step: the sampled nullspace is far too
-    # large, and refinement at fresh steps must cut it down to the exact
-    # solution space, expanding each returned density once and nothing else
+    # every discovery row of a ring at one Kahan step: the sampled nullspace
+    # is far too large, and refinement at fresh steps must cut it down to the
+    # exact solution space, expanding each returned density once and nothing
+    # else
     import kahan_aromas.solver as solver_mod
 
     f = get_system(name, seed=0)
@@ -703,12 +705,12 @@ def test_unlucky_discovery_is_refined(monkeypatch, name, order):
     assert expected.method == "sampled"
 
     real_sample_point = solver_mod._sample_point
-    first = []
+    first = {}  # ring (modular or not) -> its one step
 
     def one_step(rng, kmap, modular):
-        if not first:
-            first.append(real_sample_point(rng, kmap, modular))
-        return first[0]
+        if modular not in first:
+            first[modular] = real_sample_point(rng, kmap, modular)
+        return first[modular]
 
     expanded = []
     real_defect = KahanMap.darboux_defect_cleared
@@ -942,19 +944,20 @@ def test_coefficient_denominator_p_takes_the_exact_path(monkeypatch):
 def test_scaling_a_field_keeps_its_gamma_space(monkeypatch, name, c):
     # the Kahan map of c f at h is that of f at c h, so c f has f's gammas;
     # at c = P the content numerator of every element of order >= 1 is 0
-    # mod P, so the echelon stays rank-deficient, a rebuilt vector is
-    # refuted, its row leaves the rank as it is, and the exact rows take
-    # over once
+    # mod P, so the rows are exact from the start: nothing is folded mod P
+    # and the exact nullspace is taken once
     import kahan_aromas.solver as solver_mod
 
     f = get_system(name, seed=0)
     g = QuadraticVectorField.from_polynomials([p * c for p in f.components])
     expected = solve_darboux(f, 4, parity="even", seed=0)
+    folded = _counting(monkeypatch, solver_mod, "_fold")
     exact = _counting(monkeypatch, solver_mod, "nullspace")
     sol = solve_darboux(g, 4, parity="even", seed=0)
     assert sol.gammas == expected.gammas
     assert sol.method == expected.method == "sampled"
     assert len(exact) == (1 if c == P else 0)
+    assert (folded == []) == (c == P)
 
 
 def test_a_draw_with_det_m_zero_mod_p_is_skipped(monkeypatch):
@@ -1005,6 +1008,56 @@ def test_a_null_vector_past_the_bound_falls_back_to_the_exact_rows(monkeypatch, 
     assert method == "sampled" and len(exact) == exact_calls
     assert len(checks) == (1 if entry < 0 else 2)  # the wrong vector is checked too
     assert densities == [Polynomial.const(f.nvars, 1) - f.aroma_function(TWO_CYCLE) * X(3) ** 2 * Rat(1, 8)]
+
+
+@pytest.mark.parametrize("route", ["does_not_rebuild", "rebuilt_wrong"])
+@pytest.mark.parametrize("name", ["lv_divfree", "lv_special", "nambu_homogeneous", "ishii"])
+def test_a_failed_modular_run_reruns_exactly_from_the_seed(monkeypatch, name, route):
+    # the first echelon nullspace does not rebuild (None), or one entry x of
+    # its last vector reads x + P, which has x's residue but is the wrong
+    # rational: the entry is the last nonzero one past the leading 1 (which
+    # always rebuilds as 1; 1 + P there would scale a true density), or the
+    # last entry when there is none (ishii's constant density).  The vectors
+    # before it are confirmed, and the wrong density is refuted with a row
+    # that leaves the rank mod P as it is.  Either way the same loop runs
+    # once more, exactly, from the seed, and gives the unpatched solve
+    # without expanding any density twice
+    import kahan_aromas.solver as solver_mod
+
+    f = get_system(name, seed=0)
+    expected = solve_darboux(f, 4, parity="even", seed=0)
+    S = 2 * len(expected.bases["even"].elements) + 16
+    real_echelon_nullspace = solver_mod._echelon_nullspace
+    patched = []
+
+    def first_fails(echelon, ncols):
+        vectors = real_echelon_nullspace(echelon, ncols)
+        if patched:
+            return vectors
+        patched.append(None)
+        if route == "does_not_rebuild":
+            return None
+        vec = vectors[-1]
+        nonzero = [j for j, v in enumerate(vec) if v]
+        vec[nonzero[-1] if len(nonzero) > 1 else len(vec) - 1] += P
+        return vectors
+
+    expanded = []
+    real_defect = KahanMap.darboux_defect_cleared
+
+    def counting_defect(self, P):
+        expanded.append(str(P))
+        return real_defect(self, P)
+
+    monkeypatch.setattr(solver_mod, "_echelon_nullspace", first_fails)
+    monkeypatch.setattr(KahanMap, "darboux_defect_cleared", counting_defect)
+    draws = _counting(monkeypatch, solver_mod, "_sample_point")
+    exact = _counting(monkeypatch, solver_mod, "nullspace")
+    sol = solve_darboux(f, 4, parity="even", seed=0)
+    assert (sol.gammas, sol.densities, sol.method) == (expected.gammas, expected.densities, expected.method)
+    assert len(exact) == 1 and patched
+    assert len(set(expanded)) == len(expanded)
+    assert [modular for _, _, modular in draws] == [True] * S + [False] * S
 
 
 def test_parameter_independent_empty_intersection():
