@@ -116,23 +116,13 @@ def lv(alpha=1, beta=1, gamma=1) -> QuadraticVectorField:
 
 
 def lv_divfree() -> QuadraticVectorField:
-    """The divergence-free Volterra form (x(y-z), y(z-x), z(x-y))."""
-    comps = [
-        _x(0) * (_x(1) - _x(2)),
-        _x(1) * (_x(2) - _x(0)),
-        _x(2) * (_x(0) - _x(1)),
-    ]
-    return QuadraticVectorField.from_polynomials(comps)
+    """The divergence-free Volterra form lv(-1, -1, -1): (x(y-z), y(z-x), z(x-y))."""
+    return lv(-1, -1, -1)
 
 
 def lv_special() -> QuadraticVectorField:
     """The case alpha=beta=1, gamma=-1: (x(y+z), -y(x+z), z(y-x))."""
-    comps = [
-        _x(0) * (_x(1) + _x(2)),
-        -_x(1) * (_x(0) + _x(2)),
-        _x(2) * (_x(1) - _x(0)),
-    ]
-    return QuadraticVectorField.from_polynomials(comps)
+    return lv(1, 1, -1)
 
 
 def dressing_chain(a=0, b=0, c=0) -> QuadraticVectorField:

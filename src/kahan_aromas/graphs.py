@@ -49,15 +49,16 @@ class _Encoded:
 
 
 class RootedTree(_Encoded):
-    __slots__ = ("children", "_symmetry")
+    __slots__ = ("children", "_symmetry", "_max_indegree")
 
     def __init__(self, children=()):
         kids = tuple(sorted(children, key=lambda t: t.encoding))
         self.children = kids
         self.encoding = "[" + "".join(t.encoding for t in kids) + "]"
         self.order = 1 + sum(t.order for t in kids)
-        # the children are built first, so sigma needs no recursion on deep trees
+        # the children are built first, so neither value needs recursion on deep trees
         self._symmetry = _sigma(kids)
+        self._max_indegree = max([len(kids), *(t._max_indegree for t in kids)])
 
     def sigma(self) -> int:
         return self._symmetry
@@ -72,10 +73,7 @@ class RootedTree(_Encoded):
 
     def max_indegree(self) -> int:
         """Largest vertex indegree (a tree vertex's indegree is its child count)."""
-        best = len(self.children)
-        for c in self.children:
-            best = max(best, c.max_indegree())
-        return best
+        return self._max_indegree
 
 
 LEAF = RootedTree(())

@@ -201,18 +201,21 @@ def rref(vectors, ncols: int) -> list[list[Rat]]:
     return [[Rat(v, d) if v else ZERO for v in row] for row in mat[: len(pivots)]]
 
 
-def in_span(basis, target, ncols: int) -> list[Rat] | None:
-    """Coordinates of target in the span of basis rows, or None."""
-    if all(v == 0 for v in target):
-        return [ZERO] * len(basis)
-    if not basis:
-        return None
-    # solve basis^T c = target via nullspace of [basis^T | target]
-    rows = [[row[j] for row in basis] + [Rat(target[j])] for j in range(ncols)]
-    for vec in _null_ints(_int_rows(rows), len(basis) + 1):
-        if vec[-1]:
-            return [Rat(-v, vec[-1]) for v in vec[:-1]]
+def _column_coordinates(rows, k: int) -> list[Rat] | None:
+    """Coordinates of column k of the rows in the span of the k columns
+    before it, or None when it is outside: -c / c_k for the nullspace
+    vector c of column k, the only one with c_k != 0, which exists exactly
+    when column k is free.  They are 0 at every free column before k."""
+    for vec in _null_ints(_int_rows(rows), k + 1):
+        if vec[k]:
+            return [Rat(-v, vec[k]) for v in vec[:k]]
     return None
+
+
+def in_span(basis, target, ncols: int) -> list[Rat] | None:
+    """Coordinates of target in the span of basis rows (columns of [basis^T | target]), or None."""
+    rows = [[row[j] for row in basis] + [Rat(target[j])] for j in range(ncols)]
+    return _column_coordinates(rows, len(basis))
 
 
 def intersect_rowspaces(spaces, ncols: int) -> list[list[Rat]]:

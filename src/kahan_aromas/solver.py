@@ -51,7 +51,7 @@ from .graphs import (
     enumerate_multisets,
     parse_multiset,
 )
-from .linalg import P, _echelon_nullspace, _fold
+from .linalg import P, _column_coordinates, _echelon_nullspace, _fold
 from .linalg import complement, in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
 from .poly import PointEvaluator, Polynomial, PolynomialBatch, RationalFunction
 from .rationals import Rat, ZERO, _random_pair
@@ -470,16 +470,9 @@ def necessary_conditions(field: QuadraticVectorField) -> NecessaryConditionsRepo
 
 
 def density_span_solve(densities: list[Polynomial], target: Polynomial):
-    """Coordinates of target in the span of the density polynomials, or None.
-
-    t = -sum_i c_i d_i / c_t for the nullspace vector c of the rows
-    [d_1 ... d_k | t] with c_t != 0; only the vector of the last column,
-    when that column is free, has one."""
-    k = len(densities)
-    for vec in nullspace(_coefficient_rows(densities + [target]), k + 1):
-        if vec[k]:
-            return [-v / vec[k] for v in vec[:k]]
-    return None
+    """Coordinates of target in the span of the density polynomials, or
+    None: the last column of their coefficient rows [d_1 ... d_k | t]."""
+    return _column_coordinates(_coefficient_rows(densities + [target]), len(densities))
 
 
 def gamma_space(solution: DarbouxSolution, coords: list[str]) -> list[list[Rat]]:

@@ -19,7 +19,9 @@ entrywise.  Substitution into the map expands term by term in `Polynomial`
 arithmetic, never by the package's packed kernel.  A value at a point is
 summed term by term in `Fraction`s, never read off the package's monomial
 cache or its batched integer pass, and a discovery row takes one such
-residual per polynomial at both points of the step.
+residual per polynomial at both points of the step.  The paper's monomial
+ansatz is a basis of monomials in place of aromatic functions, for the
+package's sector solve to compare with the aroma densities.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ from math import prod
 
 from kahan_aromas.corpus import rand_small
 from kahan_aromas.fields import KahanMap
-from kahan_aromas.graphs import Aroma, Forest, RootedTree
+from kahan_aromas.graphs import UNIT, Aroma, Forest, RootedTree
 from kahan_aromas.linalg import nullspace, rank
 from kahan_aromas.poly import Polynomial, RationalFunction
 from kahan_aromas.rationals import ONE, ZERO, _random_pair
-from kahan_aromas.solver import SAMPLE_ATTEMPTS, SolverError, VerificationResult
+from kahan_aromas.solver import SAMPLE_ATTEMPTS, Basis, BasisElement, SolverError, VerificationResult
 
 
 def is_connected(g: tuple[int, ...]) -> bool:
@@ -522,3 +524,15 @@ def symbolic_jacobian_det(kmap) -> RationalFunction:
         for i in range(n)
     ]
     return RationalFunction(poly_mat_det(G), kmap.den ** (2 * n))
+
+
+def monomial_basis(n: int) -> Basis:
+    """The paper's monomial ansatz at order 4, even: the monomials h^k x^m
+    with k even, k <= 4 and deg m <= k (46 for n = 3, 22 for n = 2), each an
+    element of the unit multiset, so `solver._solve_sector` weights it by 1."""
+    elements = []
+    for k in (0, 2, 4):
+        for m in product(range(k + 1), repeat=n):
+            if sum(m) <= k:
+                elements.append(BasisElement(f"h^{k}*x^{m}", UNIT, Polynomial.monomial(n + 2, [*m, k, 0])))
+    return Basis(elements, [])

@@ -86,6 +86,13 @@ def test_indegree_filter():
     assert len(filtered) == 11  # only the two-tailed loop drops at order 3
 
 
+def test_max_indegree_of_a_deep_tree():
+    # the children are built first, so 1500 levels need no recursion
+    deep = "[" * 1500 + "]" * 1500
+    assert parse_any(deep).max_indegree() == 1
+    assert parse_multiset("C1(" + deep + ")").max_indegree() == 2
+
+
 def test_sigma_golden_values():
     assert UNIT.sigma() == 1
     assert THREE_CYCLE.sigma() == 3

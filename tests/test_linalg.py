@@ -130,8 +130,7 @@ def test_kernel_matches_fraction_oracle(drawn, data):
     inside = [sum((c * row[j] for c, row in zip(coeffs, matrix)), ZERO) for j in range(ncols)]
     outside = data.draw(st.lists(RATIONALS, min_size=ncols, max_size=ncols))
     for target in (inside, outside):
-        if matrix:
-            assert in_span(matrix, target, ncols) == oracle_in_span(matrix, target, ncols)
+        assert in_span(matrix, target, ncols) == oracle_in_span(matrix, target, ncols)
 
     other, _ = data.draw(rank_deficient(ncols))
     third, _ = data.draw(rank_deficient(ncols))
@@ -312,6 +311,15 @@ def test_in_span():
     assert coords == [Rat(2), Rat(3)]
     assert in_span(basis, [Rat(0), Rat(0), Rat(1)], 3) is None
     assert in_span(basis, [ZERO, ZERO, ZERO], 3) == [ZERO, ZERO]
+    # an empty basis spans only the zero vector
+    assert in_span([], [ZERO, ZERO, ZERO], 3) == []
+    assert in_span([], [Rat(0), Rat(1), Rat(0)], 3) is None
+    # a repeated row is a free column of the transposed system: coordinate 0
+    repeated = [basis[0], basis[0], basis[1]]
+    target = [Rat(2), Rat(3), Rat(5)]
+    coords = in_span(repeated, target, 3)
+    assert coords == [Rat(2), ZERO, Rat(3)]
+    assert [sum((c * row[j] for c, row in zip(coords, repeated)), ZERO) for j in range(3)] == target
 
 
 def test_intersect_rowspaces():

@@ -48,6 +48,7 @@ from kahan_aromas.solver import (
     SolverError,
     _coefficient_rows,
     _refute_or_confirm,
+    _solve_sector,
     build_basis,
     conjecture_check,
     density_span_solve,
@@ -63,6 +64,7 @@ from kahan_aromas.solver import (
 from oracles import (
     contains_self_loop,
     h_support,
+    monomial_basis,
     random_invertible,
     random_skew,
     residual_row_by_polynomials,
@@ -211,11 +213,40 @@ def test_density_span_solve_matches_the_transposed_in_span_route():
         (densities, Polynomial.zero(f.nvars)),
         (densities, X(0) * h2),
         ([], Polynomial.zero(f.nvars)),  # the empty combination
+        ([densities[0], densities[1], densities[0]], densities[0] * 3 - densities[1]),  # a repeat
     ]
     got = [density_span_solve(polys, target) for polys, target in cases]
     assert got == [_span_coordinates_by_transposes(polys, target) for polys, target in cases]
     assert got[0] == [2, 1, Rat(-1, 3)] and got[2] == [0, 0, 0] and got[3] is None and got[4] == []
+    assert got[5] == [3, -1, 0]  # the repeated density is a free column
     assert _combination(f.nvars, layers, got[1]) == layers[1] * Rat(5, 2)
+
+
+# order 4, even, seed 0: the monomial density count, then for each aroma
+# density its gamma support and its number of monomial terms
+MONOMIAL_ANSATZ = {
+    "canonical_hamiltonian": (3, [(2, 4)]),
+    "divfree_homogeneous_r3": (0, []),
+    "dressing_chain": (4, [(2, 4)]),
+    "ishii": (4, [(1, 1)]),
+    "lv": (6, [(2, 7)]),
+    "lv_divfree": (6, [(2, 7)]),
+    "lv_special": (7, [(2, 1), (3, 4), (5, 6)]),
+    "nambu_homogeneous": (6, [(3, 22), (3, 19)]),
+    "nambu_inhomogeneous": (0, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_aroma_densities_lie_in_the_monomial_density_space(name):
+    # the paper's comparison: a monomial ansatz finds at least the aroma
+    # densities, which take fewer terms in gamma than in monomials
+    f = get_system(name, None, seed=0)
+    _, monomial, _ = _solve_sector(f, monomial_basis(f.dim), 0)
+    sol = solve_darboux(f, 4, "even", seed=0)
+    assert all(density_span_solve(monomial, d) is not None for d in sol.densities)
+    shape = [(len(gamma), len(d.terms)) for gamma, d in zip(sol.gammas, sol.densities)]
+    assert (len(monomial), shape) == MONOMIAL_ANSATZ[name]
 
 
 def test_solve_nambu_dimension_two():
