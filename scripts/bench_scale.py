@@ -15,8 +15,9 @@ the basis selection among them), of one `_solve_sector(field, basis, 0)`
 on the even basis (`sector_ms`: the draws, the rows, their nullspace and
 every check, the Kahan map included) and of one whole
 `solve_darboux(field, order, "both", seed=0)`, each of the last three on
-a fresh field.  It also records `map_ms`, the median cost of one `KahanMap`
-of a fresh field, and `defect_ms`, the median cost of one
+a fresh field, and `draws`, the discovery steps (`_sample_point` calls)
+of one such even-sector solve.  It also records `map_ms`, the median cost
+of one `KahanMap` of a fresh field, and `defect_ms`, the median cost of one
 `darboux_defect_cleared(P)` on a fresh map, P the first density of the
 even solve (null when that solve finds none).  Per round it also records
 `family_ms`, the median cost of one
@@ -78,6 +79,23 @@ def _timed(fn) -> float:
     return (time.perf_counter() - start) * 1e3
 
 
+def _discovery_draws(pkg, field, order: int) -> int:
+    """The `_sample_point` calls of one even-sector solve of the field."""
+    solver = pkg.solver
+    sample_point, calls = solver._sample_point, []
+
+    def counted(*args):
+        calls.append(None)
+        return sample_point(*args)
+
+    solver._sample_point = counted
+    try:
+        solver._solve_sector(field, solver.build_basis(field, order, None, "even"), 0)
+    finally:
+        solver._sample_point = sample_point
+    return len(calls)
+
+
 def measure_input(pkg, build, order: int) -> dict:
     solver = pkg.solver
     field = build(pkg)
@@ -103,6 +121,7 @@ def measure_input(pkg, build, order: int) -> dict:
         even = solver.build_basis(fresh, order, None, "even")
         sectors.append(_timed(lambda: solver._solve_sector(fresh, even, 0)))
     sector_ms = statistics.median(sectors)
+    draws = _discovery_draws(pkg, build(pkg), order)
     solve_ms = statistics.median(
         _timed(lambda f=build(pkg): solver.solve_darboux(f, order, parity="both", seed=0))
         for _ in range(SOLVES)
@@ -126,6 +145,7 @@ def measure_input(pkg, build, order: int) -> dict:
         "row_ms": row_ms,
         "basis_ms": basis_ms,
         "sector_ms": sector_ms,
+        "draws": draws,
         "solve_ms": solve_ms,
         "map_ms": map_ms,
         "defect_ms": defect_ms,

@@ -134,16 +134,17 @@ class Aroma(_Encoded):
 
 
 class AromaMultiset(_Encoded):
-    __slots__ = ("aromas",)
+    __slots__ = ("aromas", "_symmetry")
 
     def __init__(self, aromas=()):
         ar = tuple(sorted(aromas, key=lambda a: a.encoding))
         self.aromas = ar
         self.encoding = "*".join(a.encoding for a in ar) if ar else "1"
         self.order = sum(a.order for a in ar)
+        self._symmetry = _sigma(ar)
 
     def sigma(self) -> int:
-        return _sigma(self.aromas)
+        return self._symmetry
 
     def classes(self):
         return [(aroma, sum(1 for _ in group)) for aroma, group in groupby(self.aromas)]

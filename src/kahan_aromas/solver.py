@@ -22,19 +22,23 @@ compiled once per sector: the residual is linear in the element, so each
 monomial m gives u_m = N_{-h/2}(x) m(x') - N_{h/2}(x') m(x) and each
 element is one dot product with the u_m.  Each row is folded into one
 echelon form until it reaches rank K (full rank mod P proves full rank
-over Q: no density) or 2K + 16 rows are drawn.  Each vector of the
-nullspace mod P, rebuilt over Q, is checked; one refuted at a fresh step
-adds that step's row, which raises the rank (method "refined"), until
-every vector is confirmed (method "sampled" when none was refuted).  As
-nullity mod P >= nullity over Q >= the dimension of the density space,
-they are then the exact solution space's canonical basis.  The same loop
-runs exactly (`linalg.nullspace`) from the seed again when a vector does
-not rebuild or its refuting row leaves the rank mod P as it is, and from
-the start when P divides a content's numerator or denominator.
+over Q: no density), the rank has stayed as it is for _STILL_DRAWS draws
+in a row, or 2K + 16 rows are drawn.  No draw has h = 0: Phi_0 is the
+identity, where every residual is zero.  Each vector of the nullspace mod
+P, rebuilt over Q, is checked; one refuted at a fresh step adds that
+step's row, which raises the rank (method "refined"), until every vector
+is confirmed (method "sampled" when none was refuted).  As nullity mod P
+>= nullity over Q >= the dimension of the density space, they are then
+the exact solution space's canonical basis, however early the draws
+stopped.  The same loop runs exactly (`linalg.nullspace`, on all 2K + 16
+rows) from the seed again when a vector does not rebuild or its refuting
+row leaves the rank mod P as it is, and from the start when P divides a
+content's numerator or denominator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -54,10 +58,11 @@ from .graphs import (
 from .linalg import P, _column_coordinates, _echelon_nullspace, _fold
 from .linalg import complement, in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
 from .poly import PointEvaluator, Polynomial, PolynomialBatch, RationalFunction
-from .rationals import Rat, ZERO, _random_pair
+from .rationals import ONE, Rat, ZERO, _random_pair
 
 QUADRATIC_MAX_INDEGREE = 2
 SAMPLE_ATTEMPTS = 100  # random points tried by each randomized search
+_STILL_DRAWS = 4  # discovery draws in a row that leave the rank mod P as it is end the draws
 
 
 class SolverError(RuntimeError):
@@ -77,18 +82,20 @@ class Basis:
     dropped: list[str]
 
 
-def sector_multisets(max_order: int, parity: str) -> list[AromaMultiset]:
+@functools.lru_cache(maxsize=None)
+def sector_multisets(max_order: int, parity: str) -> tuple[AromaMultiset, ...]:
     """The multisets of a parity sector up to max_order, under the quadratic
-    indegree filter and in enumeration order.  The Kahan map is
-    self-adjoint, so a density is pure-even or pure-odd in h and each
-    sector ("even" or "odd" orders) is solved alone; "both" keeps all."""
+    indegree filter and in enumeration order, enumerated once per sector.
+    The Kahan map is self-adjoint, so a density is pure-even or pure-odd in
+    h and each sector ("even" or "odd" orders) is solved alone; "both"
+    keeps all."""
     if parity not in ("even", "odd", "both"):
         raise ValueError("parity must be even, odd, or both")
-    return [
+    return tuple(
         m
         for m in enumerate_multisets(max_order, QUADRATIC_MAX_INDEGREE)
         if parity == "both" or m.order % 2 == (parity == "odd")
-    ]
+    )
 
 
 def check_augmenters(augmenters, dim: int) -> None:
@@ -133,10 +140,12 @@ def build_basis(
             (f"{label}*{m.encoding}", m, p if p.is_zero() else p * aug)
             for m, p in zip(multisets, plain)
         )
-    # integer terms: independence does not depend on the content
+    # integer terms: independence does not depend on the content; a zero
+    # candidate is never a pivot, so only the others are eliminated
+    nonzero = [i for i, (_, _, p) in enumerate(candidates) if not p.is_zero()]
     monomials = sorted({k for _, _, p in candidates for k in p.terms})
-    rows = [[p.terms.get(mk, 0) for _, _, p in candidates] for mk in monomials]
-    kept = set(pivot_columns(rows, len(candidates)))
+    rows = [[candidates[i][2].terms.get(mk, 0) for i in nonzero] for mk in monomials]
+    kept = {nonzero[c] for c in pivot_columns(rows, len(nonzero))}
     elements: list[BasisElement] = []
     dropped: list[str] = []
     for i, (key, mset, poly) in enumerate(candidates):
@@ -194,11 +203,13 @@ class DarbouxSolution:
 
 
 def _steps(rng, kmap: KahanMap, modular: bool = False):
-    """(pairs, kmap.step(pairs, modular)) of each draw with a Kahan step
-    among SAMPLE_ATTEMPTS seeded draws of pairs, x's n coordinates, then h."""
+    """(pairs, kmap.step(pairs, modular)) of each draw with h != 0 and a
+    Kahan step among SAMPLE_ATTEMPTS seeded draws of pairs, x's n
+    coordinates, then h.  The step Phi_0 is the identity, where every
+    residual is zero, so a draw with h = 0 is never taken."""
     for _ in range(SAMPLE_ATTEMPTS):
         pairs = [_random_pair(rng) for _ in range(kmap.dim + 1)]
-        if (step := kmap.step(pairs, modular)) is not None:
+        if pairs[-1][0] and (step := kmap.step(pairs, modular)) is not None:
             yield pairs, step
 
 
@@ -206,7 +217,7 @@ def _sample_point(rng, kmap: KahanMap, modular: bool):
     """The first of `_steps`; SolverError when there is none."""
     for drawn in _steps(rng, kmap, modular):
         return drawn
-    raise SolverError(f"no sample point off det(M) = 0 in {SAMPLE_ATTEMPTS} attempts")
+    raise SolverError(f"no sample point off h = 0 and det(M) = 0 in {SAMPLE_ATTEMPTS} attempts")
 
 
 def _sample_row(batch: PolynomialBatch, step) -> list:
@@ -256,10 +267,13 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
     basis, by the discovery of the module docstring: one loop per ring,
     `discover(modular)`, run from its own `random.Random(seed)`, whose
     checks draw fresh steps after its rows and whose refuting draws give
-    their rows in its ring from the pairs.  The run mod P returns None to
-    hand over to the exact run.  A confirmed candidate stays a nullspace
-    vector when rows are added (its free coordinate stays free), so both
-    runs share `confirmed` and no density is expanded twice."""
+    their rows in its ring from the pairs.  The run mod P stops drawing
+    after _STILL_DRAWS draws in a row that leave its rank as it is, since
+    a rank stopped short only costs refuted checks, and it returns None to
+    hand over to the exact run, which draws all 2K + 16 rows.  A confirmed
+    candidate stays a nullspace vector when rows are added (its free
+    coordinate stays free), so both runs share `confirmed` and no density
+    is expanded twice."""
     kmap = field.kahan_map()
     weighted = _weighted_polys(
         field, [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
@@ -284,10 +298,13 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
                 _fold(echelon, _sample_row(batch, step), K)
             return len(echelon) > rank_before
 
+        still = 0  # draws in a row that left the rank as it was (exact rows: none)
         for _ in range(S):
-            add(_sample_point(rng, kmap, modular)[1])
+            still = 0 if add(_sample_point(rng, kmap, modular)[1]) else still + 1
             if len(echelon) == K:
                 return [], "sampled"
+            if still == _STILL_DRAWS:
+                break
         method = "sampled"
         while True:
             vectors = _echelon_nullspace(echelon, K) if modular else nullspace(rows, K)
@@ -517,8 +534,13 @@ def parameter_independent_solve(
     with seed + i.  Each instance's full solution set (basis solutions plus
     that instance's kernel of F, which contributes zero densities) is
     intersected over the common multiset coordinate list; representatives
-    modulo the common kernel are the parameter-independent measures,
-    verified on every instance.
+    modulo the common kernel are the parameter-independent measures.  A
+    coordinate whose F is zero on every instance is a unit vector of the
+    common kernel and of the space, so the intersection runs over the
+    coordinates some instance sees and its results are lifted back.  Each
+    representative's density on an instance is proven by its coordinates
+    in the span of that instance's verified densities (the cleared defect
+    is linear in P); a density outside that span raises SolverError.
     """
     if instances < 2:
         raise ValueError("need at least two instances to intersect")
@@ -527,17 +549,19 @@ def parameter_independent_solve(
     if len(fields) < instances:
         raise ValueError("family list shorter than the instance count")
     coords = [m.encoding for m in multisets]
-    ncols = len(coords)
+    solutions = [solve_darboux(f, max_order, parity, seed=seed + idx) for idx, f in enumerate(fields)]
+    plain = [[f.aroma_function(m) for m in multisets] for f in fields]
+    seen = [j for j in range(len(coords)) if any(not F[j].is_zero() for F in plain)]
+    ncols = len(seen)
 
     # an instance's solution space is its gamma-space plus its kernel of F,
     # the nullspace of its coefficient rows; the common kernel K is the
     # complement of every instance's rows stacked
     solved = []  # per instance: its gamma-space and its coefficient rows
     coordinate_polys = []  # per instance, reused for the densities below
-    for idx, f in enumerate(fields):
-        sol = solve_darboux(f, max_order, parity, seed=seed + idx)
-        gammas = [[g.get(key, ZERO) for key in coords] for g in sol.gammas]
-        polys = _weighted_polys(f, [(f.aroma_function(m), m.order, m.sigma()) for m in multisets])
+    for f, sol, F in zip(fields, solutions, plain):
+        gammas = [[g.get(coords[j], ZERO) for j in seen] for g in sol.gammas]
+        polys = _weighted_polys(f, [(F[j], multisets[j].order, multisets[j].sigma()) for j in seen])
         coordinate_polys.append(polys)
         solved.append((gammas, _coefficient_rows(polys)))
     kernel_space = complement([row for _, rows in solved for row in rows], ncols)
@@ -581,21 +605,32 @@ def parameter_independent_solve(
         raise SolverError("empty intersection: no parameter-independent measure at this order")
 
     densities = []
-    rng = random.Random(seed)
     for vec in representatives:
         per_instance = [_combination(f.nvars, polys, vec) for f, polys in zip(fields, coordinate_polys)]
-        for f, density in zip(fields, per_instance):
-            if density.is_zero():
-                continue
-            if _refute_or_confirm(f.kahan_map(), density, rng) is not None:
-                raise SolverError("intersection vector failed symbolic verification")
+        for sol, density in zip(solutions, per_instance):
+            if density_span_solve(sol.densities, density) is None:
+                raise SolverError("intersection vector is no density of every instance")
         densities.append(per_instance)
+
+    # back on every coordinate: each unseen one is its own unit vector, and
+    # a canonical basis is in the order of its vectors' leading coordinates
+    units = [[ONE if i == j else ZERO for i in range(len(coords))] for j in range(len(coords)) if j not in seen]
+
+    def on_coords(vectors, extra=()):
+        rows = list(extra)
+        for v in vectors:
+            row = [ZERO] * len(coords)
+            for j, c in zip(seen, v):
+                row[j] = c
+            rows.append(row)
+        return sorted(rows, key=lambda row: next(j for j, c in enumerate(row) if c))
+
     return ParameterIndependentSolution(
         fields=fields,
         coords=coords,
-        space=space,
-        common_kernel=kernel_space,
-        representatives=representatives,
+        space=on_coords(space, units),
+        common_kernel=on_coords(kernel_space, units),
+        representatives=on_coords(representatives),
         densities=densities,
         dimension=len(representatives),
         verified=True,

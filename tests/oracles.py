@@ -21,7 +21,10 @@ summed term by term in `Fraction`s, never read off the package's monomial
 cache or its batched integer pass, and a discovery row takes one such
 residual per polynomial at both points of the step.  The paper's monomial
 ansatz is a basis of monomials in place of aromatic functions, for the
-package's sector solve to compare with the aroma densities.
+package's sector solve to compare with the aroma densities.  The family
+intersection runs over every multiset coordinate, never over only the
+coordinates some instance sees, and confirms each representative's
+density by its own check, never by a span of the instance's densities.
 """
 
 from __future__ import annotations
@@ -32,12 +35,23 @@ from itertools import permutations, product
 from math import prod
 
 from kahan_aromas.corpus import rand_small
-from kahan_aromas.fields import KahanMap
+from kahan_aromas.fields import KahanMap, _combination, _weighted_polys
 from kahan_aromas.graphs import UNIT, Aroma, Forest, RootedTree
-from kahan_aromas.linalg import nullspace, rank
+from kahan_aromas.linalg import complement, intersect_rowspaces, nullspace, pivot_columns, rank
 from kahan_aromas.poly import Polynomial, RationalFunction
 from kahan_aromas.rationals import ONE, ZERO, _random_pair
-from kahan_aromas.solver import SAMPLE_ATTEMPTS, Basis, BasisElement, SolverError, VerificationResult
+from kahan_aromas.solver import (
+    SAMPLE_ATTEMPTS,
+    Basis,
+    BasisElement,
+    ParameterIndependentSolution,
+    SolverError,
+    VerificationResult,
+    _coefficient_rows,
+    _refute_or_confirm,
+    sector_multisets,
+    solve_darboux,
+)
 
 
 def is_connected(g: tuple[int, ...]) -> bool:
@@ -536,3 +550,58 @@ def monomial_basis(n: int) -> Basis:
             if sum(m) <= k:
                 elements.append(BasisElement(f"h^{k}*x^{m}", UNIT, Polynomial.monomial(n + 2, [*m, k, 0])))
     return Basis(elements, [])
+
+
+def parameter_independent_over_every_coordinate(family, instances, max_order, parity="even", seed=0):
+    """The family solve with the common kernel, the projection and the
+    intersection over every multiset coordinate, and each representative's
+    density on each instance confirmed by `_refute_or_confirm`."""
+    multisets = sector_multisets(max_order, parity)
+    fields = list(family)[:instances]
+    coords = [m.encoding for m in multisets]
+    ncols = len(coords)
+    solved, coordinate_polys = [], []
+    for idx, f in enumerate(fields):
+        sol = solve_darboux(f, max_order, parity, seed=seed + idx)
+        gammas = [[g.get(key, ZERO) for key in coords] for g in sol.gammas]
+        polys = _weighted_polys(f, [(f.aroma_function(m), m.order, m.sigma()) for m in multisets])
+        coordinate_polys.append(polys)
+        solved.append((gammas, _coefficient_rows(polys)))
+    kernel_space = complement([row for _, rows in solved for row in rows], ncols)
+    leads = [next(j for j, v in enumerate(vec) if v) for vec in kernel_space]
+    free = sorted(set(range(ncols)) - set(leads))
+
+    def project(v):
+        parts = [(v[l], vec) for l, vec in zip(leads, kernel_space) if v[l]]
+        return [v[j] - sum((c * vec[j] for c, vec in parts if vec[j]), ZERO) for j in free]
+
+    quotients = [
+        [project(v) for v in gammas] + nullspace([[row[j] for j in free] for row in rows], len(free))
+        for gammas, rows in solved
+    ]
+    lifted = []
+    for w in complement(intersect_rowspaces(quotients, len(free)), len(free)):
+        terms = [(j, c) for j, c in zip(free, w) if c]
+        row = [ZERO] * ncols
+        for j, c in terms:
+            row[j] = c
+        for l, vec in zip(leads, kernel_space):
+            row[l] = -sum((c * vec[j] for j, c in terms if vec[j]), ZERO)
+        lifted.append(row)
+    space = complement(lifted, ncols)
+    projected = [project(v) for v in space]
+    kept = pivot_columns([[pv[i] for pv in projected] for i in range(len(free))], len(space))
+    representatives = [space[i] for i in kept]
+    if not representatives:
+        raise SolverError("empty intersection")
+    densities = []
+    rng = random.Random(seed)
+    for vec in representatives:
+        per_instance = [_combination(f.nvars, polys, vec) for f, polys in zip(fields, coordinate_polys)]
+        for f, density in zip(fields, per_instance):
+            if not density.is_zero() and _refute_or_confirm(f.kahan_map(), density, rng) is not None:
+                raise SolverError("intersection vector failed symbolic verification")
+        densities.append(per_instance)
+    return ParameterIndependentSolution(
+        fields, coords, space, kernel_space, representatives, densities, len(representatives), True
+    )

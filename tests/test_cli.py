@@ -229,7 +229,7 @@ def test_check_conjecture_flags_a_potential_counterexample(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "command, message",
     [
-        ("solve", "no sample point off det(M) = 0 in 0 attempts"),
+        ("solve", "no sample point off h = 0 and det(M) = 0 in 0 attempts"),
         ("verify", "no witness point for the nonzero defect in 0 attempts"),
     ],
 )
@@ -249,7 +249,7 @@ def test_darboux_solver_error_exits_one(capsys, tmp_path, monkeypatch, command, 
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("check", "conjecture", "--system", "lv_divfree"), "no sample point off det(M) = 0 in 0 attempts"),
+        (("check", "conjecture", "--system", "lv_divfree"), "no sample point off h = 0 and det(M) = 0 in 0 attempts"),
         (("corpus", "run", "ishii"), "no nondegenerate Ishii parameters in 0 attempts"),
         (("kahan", "map", "--system", "ishii"), "no nondegenerate Ishii parameters in 0 attempts"),
     ],

@@ -65,6 +65,7 @@ from oracles import (
     contains_self_loop,
     h_support,
     monomial_basis,
+    parameter_independent_over_every_coordinate,
     random_invertible,
     random_skew,
     residual_row_by_polynomials,
@@ -387,6 +388,30 @@ def test_verify_density_expands_only_to_confirm(monkeypatch):
     assert len(calls) == 2  # zero residual at every point, expanded once
 
 
+def test_a_draw_with_h_zero_is_never_a_witness(monkeypatch):
+    # at seeds 20 and 61 the first draw has h = 0, where Phi_0 is the identity
+    # and every residual is zero: it is skipped, so the non-density 1 +
+    # h^2 x1^2 is refuted at the next draw without an expansion, at the
+    # witness that expanding first and then drawing again found
+    from kahan_aromas.rationals import _random_pair
+
+    f = lv_divfree()
+    P = Polynomial.const(f.nvars, 1) + X(3) ** 2 * X(0) ** 2
+    expanded = _counting(monkeypatch, KahanMap, "darboux_defect_cleared")
+    witnesses = {
+        20: (["-10", "3/2", "-16"], "-4", "3951927496/841"),
+        61: (["-19/4", "2/3", "-4"], "3", "-86419804275/11026208"),
+    }
+    for seed, witness in witnesses.items():
+        rng = random.Random(seed)
+        assert [_random_pair(rng) for _ in range(f.dim + 1)][-1][0] == 0
+        result = verify_density(f, P, seed=seed)
+        xs, h, residual = result.witness
+        assert not result.verified
+        assert ([format_rat(x) for x in xs], format_rat(h), format_rat(residual)) == witness
+    assert expanded == []
+
+
 def test_verify_density_rejects_a_density_in_u():
     # x1^0 u: every drawn point has u = 0, so no step could refute it
     f = lv_divfree()
@@ -443,7 +468,7 @@ def test_each_kahan_step_evaluates_det_m_once(monkeypatch):
     (kmap,) = kmaps
     den_batches = [b for b, polys in compiled if any(p is kmap.den for p in polys)]
     assert len(den_batches) == 1
-    assert len(steps) == sum(b is den_batches[0] for b in evaluations) == 27
+    assert len(steps) == sum(b is den_batches[0] for b in evaluations) == 9
 
 
 def test_building_a_kahan_map_compiles_its_two_batches(monkeypatch):
@@ -609,6 +634,44 @@ def test_parameter_independent_matches_pairwise_intersection_at_order_6():
     pis, kernel_sizes = assert_matches_pairwise_intersection(ishii_mix(), 6, 11)
     assert kernel_sizes[0] > len(pis.common_kernel) < kernel_sizes[-1]
     assert pis.dimension >= 1
+
+
+@pytest.mark.parametrize(
+    "fields, order, seed",
+    [
+        (ishii_mix(), 4, 11),
+        (ishii_mix(), 6, 11),
+        ([ishii(**random_ishii_params(random.Random(s))[0]) for s in range(3)], 6, 0),
+    ],
+    ids=["ishii_mix_order4", "ishii_mix_order6", "ishii_draws_order6"],
+)
+def test_seen_coordinate_intersection_equals_the_full_one(fields, order, seed):
+    # F = 0 on every Ishii instance at 13 of the 19 even coordinates of
+    # order 4 and at 75 of the 94 of order 6; the solve intersects over the
+    # others and lifts back what the intersection over every coordinate gives
+    pis = parameter_independent_solve(fields, len(fields), order, parity="even", seed=seed)
+    full = parameter_independent_over_every_coordinate(fields, len(fields), order, "even", seed)
+    unseen = [enc for enc in pis.coords if all(f.aroma_function(parse_multiset(enc)).is_zero() for f in fields)]
+    assert (len(unseen), len(pis.coords)) == {4: (13, 19), 6: (75, 94)}[order]
+    for name in ("coords", "space", "common_kernel", "representatives", "densities", "dimension"):
+        assert getattr(pis, name) == getattr(full, name), name
+
+
+def test_an_intersection_outside_an_instance_span_is_refused(monkeypatch):
+    # an intersection that keeps every projected vector puts single weighted
+    # aromatic functions among the representatives, which are densities of
+    # no instance: the span of the instance's densities refuses them
+    import kahan_aromas.solver as solver_mod
+
+    monkeypatch.setattr(
+        solver_mod,
+        "intersect_rowspaces",
+        lambda spaces, ncols: [[ONE if i == j else ZERO for j in range(ncols)] for i in range(ncols)],
+    )
+    spans = _counting(monkeypatch, solver_mod, "density_span_solve")
+    with pytest.raises(SolverError, match="no density of every instance"):
+        parameter_independent_solve(ishii_mix(), 3, 4, parity="even", seed=11)
+    assert spans[-1] and solver_mod.density_span_solve(*spans[-1]) is None
 
 
 def test_parameter_independent_with_no_common_kernel():
@@ -790,25 +853,57 @@ def _dense_random_field():
 
 
 def test_sector_without_density_stops_at_full_rank(monkeypatch):
-    # a dense random field: the first K steps (at seed 19, one more) give
-    # rows of rank K, so no density exists and the other steps are not drawn
+    # a dense random field: the first K steps give rows of rank K, so no
+    # density exists and the other steps are not drawn; at seed 19 one of
+    # the first K + 1 draws has h = 0, which is no step
     f = _dense_random_field()
     for sector in ("even", "odd"):
-        for seed, extra in ((0, 0), (19, 1)):
+        for seed in (0, 19):
             sol, draws = _discovery_draws(monkeypatch, f, 4, sector, seed)
             K = len(sol.bases[sector].elements)
             assert K > 2
-            assert draws == K + extra
+            assert draws == K
             assert sol.densities == [] and sol.gammas == []
             assert sol.method == "sampled"
 
 
-def test_sector_with_density_draws_every_discovery_step(monkeypatch):
-    # the rank never reaches K, so discovery ends with all 2K + 16 rows
+def test_sector_with_density_stops_once_the_rank_settles(monkeypatch):
+    # the rank never reaches K: it settles at K minus the density count,
+    # and discovery ends at the _STILL_DRAWS draws after the row that took
+    # it there, far short of 2K + 16 rows
+    import kahan_aromas.solver as solver_mod
+
     sol, draws = _discovery_draws(monkeypatch, lv_divfree(), 4, "even")
     K = len(sol.bases["even"].elements)
     assert sol.densities
-    assert draws == 2 * K + 16
+    assert draws == K - len(sol.densities) + solver_mod._STILL_DRAWS < 2 * K + 16
+    assert sol.method == "sampled"
+
+
+def test_draw_loop_stops_after_draws_that_leave_the_rank(monkeypatch):
+    # mod P, from the (K - 3)-th draw on every step repeats the one before
+    # it, so the rank stalls at K - 3 and the loop stops after exactly
+    # _STILL_DRAWS such draws, with no density and below rank K.  Its three
+    # null vectors are no densities; they do not rebuild, so the exact run
+    # takes over from the seed, and its 2K + 16 fresh rows prove there is none
+    import kahan_aromas.solver as solver_mod
+
+    f = _dense_random_field()
+    K = len(build_basis(f, 4, None, "even").elements)
+    real_sample_point = solver_mod._sample_point
+    steps = []
+
+    def stalling(rng, kmap, modular):
+        repeat = modular and len(steps) >= K - 3
+        steps.append((modular, steps[-1][1] if repeat else real_sample_point(rng, kmap, modular)))
+        return steps[-1][1]
+
+    monkeypatch.setattr(solver_mod, "_sample_point", stalling)
+    checks = _counting(monkeypatch, solver_mod, "_refute_or_confirm")
+    sol = solve_darboux(f, 4, parity="even", seed=0)
+    assert K > 3 and checks == []
+    assert [modular for modular, _ in steps] == [True] * (K - 3 + solver_mod._STILL_DRAWS) + [False] * (2 * K + 16)
+    assert sol.densities == [] and sol.gammas == []
     assert sol.method == "sampled"
 
 
@@ -844,7 +939,8 @@ def test_draw_loop_stops_at_the_row_that_reaches_full_rank(monkeypatch):
 )
 def test_modular_rank_draws_the_rows_of_the_exact_rank(monkeypatch, f, seed):
     # the draw loop folds its rows mod P; it must stop at the row where the
-    # exact rows at the same steps reach rank K over Q (or at 2K + 16), and
+    # exact rows at the same steps reach rank K over Q, or _STILL_DRAWS rows
+    # after their rank last rose (or at 2K + 16), and
     # give the solution of the exact rows and their nullspace, "refined"
     # only when that nullspace is larger than the solution space
     import kahan_aromas.solver as solver_mod
@@ -857,10 +953,12 @@ def test_modular_rank_draws_the_rows_of_the_exact_rank(monkeypatch, f, seed):
         )
         K = len(weighted)
         steps = (step for _, step in solver_mod._steps(random.Random(seed), kmap))
-        rows, reduced = [], []
-        while len(rows) < 2 * K + 16 and len(reduced) < K:
+        rows, reduced, still = [], [], 0
+        while len(rows) < 2 * K + 16 and len(reduced) < K and still < solver_mod._STILL_DRAWS:
             rows.append(residual_row_by_polynomials(next(steps), weighted))
+            rank_before = len(reduced)
             reduced = rref_by_fractions(reduced + rows[-1:], K)
+            still = 0 if len(reduced) > rank_before else still + 1
         assert draws == len(rows)
         monkeypatch.setattr(solver_mod, "_echelon_nullspace", lambda echelon, ncols: None)
         exact = solve_darboux(f, 4, parity=sector, seed=seed)
@@ -1057,7 +1155,7 @@ def test_a_failed_modular_run_reruns_exactly_from_the_seed(monkeypatch, name, ro
 
     f = get_system(name, seed=0)
     expected = solve_darboux(f, 4, parity="even", seed=0)
-    S = 2 * len(expected.bases["even"].elements) + 16
+    K = len(expected.bases["even"].elements)
     real_echelon_nullspace = solver_mod._echelon_nullspace
     patched = []
 
@@ -1088,7 +1186,9 @@ def test_a_failed_modular_run_reruns_exactly_from_the_seed(monkeypatch, name, ro
     assert (sol.gammas, sol.densities, sol.method) == (expected.gammas, expected.densities, expected.method)
     assert len(exact) == 1 and patched
     assert len(set(expanded)) == len(expanded)
-    assert [modular for _, _, modular in draws] == [True] * S + [False] * S
+    # mod P the rank settles at K minus the density count; the exact rows are all 2K + 16
+    modular_draws = K - len(expected.densities) + solver_mod._STILL_DRAWS
+    assert [modular for _, _, modular in draws] == [True] * modular_draws + [False] * (2 * K + 16)
 
 
 def test_parameter_independent_empty_intersection():
