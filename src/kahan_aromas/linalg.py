@@ -214,6 +214,8 @@ def _column_coordinates(rows, k: int) -> list[Rat] | None:
 
 def in_span(basis, target, ncols: int) -> list[Rat] | None:
     """Coordinates of target in the span of basis rows (columns of [basis^T | target]), or None."""
+    if len(target) != ncols:
+        raise ValueError(f"target has {len(target)} entries, not {ncols}")
     rows = [[row[j] for row in basis] + [Rat(target[j])] for j in range(ncols)]
     return _column_coordinates(rows, len(basis))
 

@@ -533,11 +533,11 @@ def parameter_independent_solve(
     Instance i, the i-th field of `family`, is solved by `solve_darboux`
     with seed + i.  Each instance's full solution set (basis solutions plus
     that instance's kernel of F, which contributes zero densities) is
-    intersected over the common multiset coordinate list; representatives
-    modulo the common kernel are the parameter-independent measures.  A
-    coordinate whose F is zero on every instance is a unit vector of the
-    common kernel and of the space, so the intersection runs over the
-    coordinates some instance sees and its results are lifted back.  Each
+    intersected in one `intersect_rowspaces`; the space vectors outside the
+    span of the common kernel and of the vectors before them are the
+    parameter-independent measures.  A coordinate whose F is zero on every
+    instance is a unit vector of the common kernel and of the space, so the
+    intersection runs over the coordinates some instance sees.  Each
     representative's density on an instance is proven by its coordinates
     in the span of that instance's verified densities (the cleared defect
     is linear in P); a density outside that span raises SolverError.
@@ -555,52 +555,23 @@ def parameter_independent_solve(
     ncols = len(seen)
 
     # an instance's solution space is its gamma-space plus its kernel of F,
-    # the nullspace of its coefficient rows; the common kernel K is the
-    # complement of every instance's rows stacked
-    solved = []  # per instance: its gamma-space and its coefficient rows
-    coordinate_polys = []  # per instance, reused for the densities below
+    # the complement of its coefficient rows; the common kernel K is the
+    # complement of every instance's rows stacked, and lies in every space
+    spaces, stacked, coordinate_polys = [], [], []  # the polys are reused for the densities below
     for f, sol, F in zip(fields, solutions, plain):
-        gammas = [[g.get(coords[j], ZERO) for j in seen] for g in sol.gammas]
         polys = _weighted_polys(f, [(F[j], multisets[j].order, multisets[j].sigma()) for j in seen])
+        rows = _coefficient_rows(polys)
+        spaces.append([[g.get(coords[j], ZERO) for j in seen] for g in sol.gammas] + complement(rows, ncols))
+        stacked.extend(rows)
         coordinate_polys.append(polys)
-        solved.append((gammas, _coefficient_rows(polys)))
-    kernel_space = complement([row for _, rows in solved for row in rows], ncols)
+    kernel_space = complement(stacked, ncols)
+    space = intersect_rowspaces(spaces, ncols)
 
-    # every solution space contains K, so intersect modulo K: with `free` the
-    # non-pivot columns of K, pi(v) = v|free - sum_l v[l] K_l|free over K's
-    # pivots l has kernel K.  As K lies in each kernel of F, pi of that
-    # kernel is the nullspace of the instance's rows restricted to `free`.
-    leads = [next(j for j, v in enumerate(vec) if v) for vec in kernel_space]
-    free = sorted(set(range(ncols)) - set(leads))
-
-    def project(v):
-        parts = [(v[l], vec) for l, vec in zip(leads, kernel_space) if v[l]]
-        return [v[j] - sum((c * vec[j] for c, vec in parts if vec[j]), ZERO) for j in free]
-
-    quotients = [
-        [project(v) for v in gammas]
-        + nullspace([[row[j] for j in free] for row in rows], len(free))
-        for gammas, rows in solved
-    ]
-    # space = the preimage under pi of the intersection U: the complement of
-    # w o pi for each w in U's complement
-    lifted = []
-    for w in complement(intersect_rowspaces(quotients, len(free)), len(free)):
-        terms = [(j, c) for j, c in zip(free, w) if c]
-        row = [ZERO] * ncols
-        for j, c in terms:
-            row[j] = c
-        for l, vec in zip(leads, kernel_space):
-            row[l] = -sum((c * vec[j] for j, c in terms if vec[j]), ZERO)
-        lifted.append(row)
-    space = complement(lifted, ncols)
-
-    # space modulo the common kernel: the vectors of space outside the span
-    # of the kernel and of the vectors before them, so whose pi is outside
-    # the span of the pi before them
-    projected = [project(v) for v in space]
-    kept = pivot_columns([[pv[i] for pv in projected] for i in range(len(free))], len(space))
-    representatives = [space[i] for i in kept]
+    # space modulo K: the vectors of space outside the span of K and of the
+    # vectors before them, the pivot columns of [K + space] after K
+    columns = kernel_space + space
+    kept = pivot_columns([[v[j] for v in columns] for j in range(ncols)], len(columns))
+    representatives = [space[i - len(kernel_space)] for i in kept if i >= len(kernel_space)]
     if not representatives:
         raise SolverError("empty intersection: no parameter-independent measure at this order")
 

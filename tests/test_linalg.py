@@ -320,6 +320,9 @@ def test_in_span():
     coords = in_span(repeated, target, 3)
     assert coords == [Rat(2), ZERO, Rat(3)]
     assert [sum((c * row[j] for c, row in zip(coords, repeated)), ZERO) for j in range(3)] == target
+    for wrong in (target + [ONE], target[:-1]):
+        with pytest.raises(ValueError, match="entries"):
+            in_span(basis, wrong, 3)
 
 
 def test_intersect_rowspaces():

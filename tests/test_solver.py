@@ -163,6 +163,18 @@ def test_kernel_relations_hamiltonian_three_cycle():
     assert rel.contains(vec)
 
 
+def test_contains_refuses_a_vector_of_the_wrong_length():
+    # an extra nonzero entry used to be ignored, so a vector outside the
+    # space was reported inside it; one entry short raised IndexError
+    rel = kernel_relations(lv_divfree(), 3)
+    pis = parameter_independent_solve([lv_divfree() for _ in range(3)], 3, 2)
+    for owner, vec in ((rel, rel.relations[0]), (pis, pis.space[0])):
+        assert owner.contains(vec)
+        for wrong in (vec + [Rat(5)], vec[:-1]):
+            with pytest.raises(ValueError, match="entries"):
+                owner.contains(wrong)
+
+
 def test_solve_zero_field_everything_solves():
     f = QuadraticVectorField(2)
     sol = solve_darboux(f, 2, parity="both")
@@ -624,6 +636,11 @@ def ishii_mix():
     return [ishii(1, 2, -1, 1, 3, 0), generic, ishii(1, 1, 0, 0, 0, 1)]
 
 
+def ishii_draws():
+    """The three Ishii draws of `scripts/bench_scale.py`'s family."""
+    return [ishii(**random_ishii_params(random.Random(s))[0]) for s in range(3)]
+
+
 def test_parameter_independent_matches_pairwise_intersection():
     # generic instances share one space at order 4
     pis, kernel_sizes = assert_matches_pairwise_intersection(ishii_mix(), 4, 11)
@@ -634,6 +651,8 @@ def test_parameter_independent_matches_pairwise_intersection_at_order_6():
     pis, kernel_sizes = assert_matches_pairwise_intersection(ishii_mix(), 6, 11)
     assert kernel_sizes[0] > len(pis.common_kernel) < kernel_sizes[-1]
     assert pis.dimension >= 1
+    # the benchmark's family shape: 19 of the 94 coordinates seen
+    assert assert_matches_pairwise_intersection(ishii_draws(), 6, 0)[0].dimension >= 1
 
 
 @pytest.mark.parametrize(
@@ -641,7 +660,7 @@ def test_parameter_independent_matches_pairwise_intersection_at_order_6():
     [
         (ishii_mix(), 4, 11),
         (ishii_mix(), 6, 11),
-        ([ishii(**random_ishii_params(random.Random(s))[0]) for s in range(3)], 6, 0),
+        (ishii_draws(), 6, 0),
     ],
     ids=["ishii_mix_order4", "ishii_mix_order6", "ishii_draws_order6"],
 )
