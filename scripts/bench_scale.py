@@ -6,27 +6,25 @@ Example:
 
 Each TREE is a source checkout, given as PATH or LABEL=PATH; its package is
 imported from PATH/src in a fresh interpreter, so every tree runs through
-this same script.  Rounds alternate the order of the trees.  Per input and
-round it records the median cost of one exact Kahan step as the solver's
-checks draw it (`next(_steps(rng, kmap))[1]`, in every tree), of one
-exact discovery row of the even sector at such a step, of one
-`build_basis(field, order)` (the aromatic functions of every multiset and
-the basis selection among them), of one `_solve_sector(field, basis, 0)`
-on the even basis (`sector_ms`: the draws, the rows, their nullspace and
-every check, the Kahan map included) and of one whole
-`solve_darboux(field, order, "both", seed=0)`, each of the last three on
-a fresh field, and `draws`, the discovery steps (`_sample_point` calls)
-of one such even-sector solve.  It also records `map_ms`, the median cost
-of one `KahanMap` of a fresh field, and `defect_ms`, the median cost of one
+this same script.  Rounds alternate the order of the trees.  Every timing
+is the median of N calls, each on a fresh argument built untimed.  Per
+input and round: `step_ms`, one exact Kahan step as the solver's checks
+draw it (`next(_steps(rng, kmap))[1]`, N = 40); `row_ms`, one exact
+discovery row of the even sector at such a step (40); `basis_ms`, one
+`build_basis(field, order)` (3); `sector_ms`, one `_solve_sector(field,
+basis, 0)` on the even basis, its draws, rows, nullspace and checks and
+the Kahan map (3); `draws`, the `_sample_point` calls of one such solve;
+`solve_ms`, one `solve_darboux(field, order, "both", seed=0)` (3);
+`map_ms`, one `KahanMap` (3); and `defect_ms`, one
 `darboux_defect_cleared(P)` on a fresh map, P the first density of the
-even solve (null when that solve finds none).  Per round it also records
-`family_ms`, the median cost of one
-`parameter_independent_solve` over three fixed Ishii draws at order 6, even,
-on fresh fields.
+even solve, or null when it finds none (3).  Per round, `family_ms` is
+one `parameter_independent_solve` over three fixed Ishii draws at order 6,
+even (3).
 
 The JSON names the Python version, the host's CPU count and, per tree, its
 coefficient backend and commit (with "+dirty" when its tracked files differ
-from that commit), with every round's medians and their median.
+from that commit, null when the tree is not its own checkout or worktree),
+with every round's medians and their median.
 """
 
 from __future__ import annotations
@@ -41,15 +39,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-
-STEPS = 40  # Kahan steps timed per input and round
-ROWS = 40  # discovery rows timed per input and round
-BASES = 3  # basis builds timed per input and round
-SECTORS = 3  # even-sector solves timed per input and round
-SOLVES = 3  # whole solves timed per input and round
-MAPS = 3  # Kahan maps timed per input and round
-DEFECTS = 3  # cleared defects timed per input and round
-FAMILIES = 3  # family solves timed per round
+from unittest import mock
 
 
 def dense_field(fields):
@@ -72,28 +62,23 @@ INPUTS = {
 }
 
 
-def _timed(fn) -> float:
-    """Milliseconds of one call of fn."""
-    start = time.perf_counter()
-    fn()
-    return (time.perf_counter() - start) * 1e3
+def _median_ms(count: int, run, fresh=lambda: None) -> float:
+    """Median milliseconds of `count` calls of run(fresh()); fresh() is not timed."""
+    times = []
+    for _ in range(count):
+        arg = fresh()
+        start = time.perf_counter()
+        run(arg)
+        times.append((time.perf_counter() - start) * 1e3)
+    return statistics.median(times)
 
 
 def _discovery_draws(pkg, field, order: int) -> int:
     """The `_sample_point` calls of one even-sector solve of the field."""
     solver = pkg.solver
-    sample_point, calls = solver._sample_point, []
-
-    def counted(*args):
-        calls.append(None)
-        return sample_point(*args)
-
-    solver._sample_point = counted
-    try:
+    with mock.patch.object(solver, "_sample_point", wraps=solver._sample_point) as counted:
         solver._solve_sector(field, solver.build_basis(field, order, None, "even"), 0)
-    finally:
-        solver._sample_point = sample_point
-    return len(calls)
+    return counted.call_count
 
 
 def measure_input(pkg, build, order: int) -> dict:
@@ -102,40 +87,25 @@ def measure_input(pkg, build, order: int) -> dict:
     kmap = field.kahan_map()
     rng = random.Random(0)
     step = lambda: next(solver._steps(rng, kmap))[1]
-    step_ms = statistics.median(_timed(step) for _ in range(STEPS))
+    step_ms = _median_ms(40, lambda _: step())
 
     basis = solver.build_basis(field, order, None, "even")
     items = [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
     weighted = solver._weighted_polys(field, items)
     batch = pkg.poly.PolynomialBatch(weighted)
-    # fresh steps, as the solver takes its rows
-    steps = [step() for _ in range(ROWS)]
-    row_ms = statistics.median(_timed(lambda: solver._sample_row(batch, s)) for s in steps)
+    # each row at a fresh step, as the solver takes its rows
+    row_ms = _median_ms(40, lambda s: solver._sample_row(batch, s), step)
 
-    basis_ms = statistics.median(
-        _timed(lambda f=build(pkg): solver.build_basis(f, order)) for _ in range(BASES)
-    )
-    sectors = []
-    for _ in range(SECTORS):
-        fresh = build(pkg)
-        even = solver.build_basis(fresh, order, None, "even")
-        sectors.append(_timed(lambda: solver._solve_sector(fresh, even, 0)))
-    sector_ms = statistics.median(sectors)
+    fresh = lambda: build(pkg)
+    basis_ms = _median_ms(3, lambda f: solver.build_basis(f, order), fresh)
+    even = lambda: (f := build(pkg), solver.build_basis(f, order, None, "even"))
+    sector_ms = _median_ms(3, lambda fb: solver._solve_sector(*fb, 0), even)
     draws = _discovery_draws(pkg, build(pkg), order)
-    solve_ms = statistics.median(
-        _timed(lambda f=build(pkg): solver.solve_darboux(f, order, parity="both", seed=0))
-        for _ in range(SOLVES)
-    )
-    map_ms = statistics.median(
-        _timed(lambda f=build(pkg): pkg.fields.KahanMap(f)) for _ in range(MAPS)
-    )
+    solve_ms = _median_ms(3, lambda f: solver.solve_darboux(f, order, parity="both", seed=0), fresh)
+    map_ms = _median_ms(3, pkg.fields.KahanMap, fresh)
     densities = solver.solve_darboux(field, order, parity="even", seed=0).densities
-    defect_ms = None
-    if densities:
-        defect_ms = statistics.median(
-            _timed(lambda k=pkg.fields.KahanMap(field): k.darboux_defect_cleared(densities[0]))
-            for _ in range(DEFECTS)
-        )
+    defect = lambda k: k.darboux_defect_cleared(densities[0])
+    defect_ms = _median_ms(3, defect, lambda: pkg.fields.KahanMap(field)) if densities else None
     return {
         "order": order,
         "even_basis": len(weighted),
@@ -155,10 +125,7 @@ def measure_input(pkg, build, order: int) -> dict:
 def measure_family(pkg) -> float:
     draws = [pkg.corpus.random_ishii_params(random.Random(s))[0] for s in range(3)]
     solve = lambda fields: pkg.solver.parameter_independent_solve(fields, 3, 6, parity="even", seed=0)
-    return statistics.median(
-        _timed(lambda fields=[pkg.corpus.ishii(**p) for p in draws]: solve(fields))
-        for _ in range(FAMILIES)
-    )
+    return _median_ms(3, solve, lambda: [pkg.corpus.ishii(**p) for p in draws])
 
 
 def worker(src: str) -> None:
@@ -179,12 +146,17 @@ def worker(src: str) -> None:
 
 
 def commit_of(path: Path) -> str | None:
+    """The commit checked out at path, with "+dirty" when its tracked files
+    differ from it; None unless path is the top of a checkout or worktree."""
+
     def git(*args):
         return subprocess.run(
             ["git", "-C", str(path), *args], capture_output=True, text=True, check=True
         ).stdout.strip()
 
     try:
+        if Path(git("rev-parse", "--show-toplevel")).resolve() != path.resolve():
+            return None
         head = git("rev-parse", "HEAD")
         dirty = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.CalledProcessError):
@@ -230,7 +202,6 @@ def main() -> int:
         "trees": [],
     }
     for tree in trees:
-        backend = tree["rounds"][0]["backend"]
         runs = [run["inputs"] for run in tree["rounds"]]
         # the sizes are the same in every round; the timings take their median
         median = {
@@ -246,7 +217,7 @@ def main() -> int:
             {
                 "label": tree["label"],
                 "commit": tree["commit"],
-                "backend": backend,
+                "backend": tree["rounds"][0]["backend"],
                 "median": median,
                 "rounds": runs,
                 "family_ms": statistics.median(run["family_ms"] for run in tree["rounds"]),

@@ -556,15 +556,14 @@ def parameter_independent_solve(
 
     # an instance's solution space is its gamma-space plus its kernel of F,
     # the complement of its coefficient rows; the common kernel K is the
-    # complement of every instance's rows stacked, and lies in every space
-    spaces, stacked, coordinate_polys = [], [], []  # the polys are reused for the densities below
+    # intersection of the instances' kernels, and lies in every space
+    kernels, spaces, coordinate_polys = [], [], []  # the polys are reused for the densities below
     for f, sol, F in zip(fields, solutions, plain):
         polys = _weighted_polys(f, [(F[j], multisets[j].order, multisets[j].sigma()) for j in seen])
-        rows = _coefficient_rows(polys)
-        spaces.append([[g.get(coords[j], ZERO) for j in seen] for g in sol.gammas] + complement(rows, ncols))
-        stacked.extend(rows)
+        kernels.append(complement(_coefficient_rows(polys), ncols))
+        spaces.append([[g.get(coords[j], ZERO) for j in seen] for g in sol.gammas] + kernels[-1])
         coordinate_polys.append(polys)
-    kernel_space = complement(stacked, ncols)
+    kernel_space = intersect_rowspaces(kernels, ncols)
     space = intersect_rowspaces(spaces, ncols)
 
     # space modulo K: the vectors of space outside the span of K and of the

@@ -131,21 +131,6 @@ def rooted_tree_classes(n: int) -> set[tuple[int, ...]]:
     return reps
 
 
-def tree_automorphism_count(parent: tuple[int, ...]) -> int:
-    n = len(parent)
-    count = 0
-    for p in permutations(range(n)):
-        if p[0] != 0:
-            continue
-        ok = True
-        for v in range(1, n):
-            if p[parent[v]] != parent[p[v]]:
-                ok = False
-                break
-        count += ok
-    return count
-
-
 def aroma_structure(aroma):
     """Explicit vertex structure of an Aroma: (preds, tree_kids, cycle_len).
 

@@ -1,9 +1,11 @@
 """CLI behavior: schemas, determinism, exit codes, round trips."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -1059,3 +1061,38 @@ def test_discover_measures_refuses_a_malformed_field_file(tmp_path):
     done = _run_script("discover_measures.py", "--field", str(path))
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr == b"input error: malformed field JSON: 'int' object is not iterable\n"
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_scale_labels_only_a_tree_that_is_its_own_checkout(tmp_path):
+    # a source copy inside a checkout is not that checkout's commit
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_scale", root / "scripts" / "bench_scale.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    def git(cwd, *args):
+        user = ["-c", "user.name=bench", "-c", "user.email=bench@example.com", "-c", "commit.gpgsign=false"]
+        done = subprocess.run(["git", *user, *args], cwd=cwd, capture_output=True, text=True, check=True)
+        return done.stdout.strip()
+
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    git(repo, "init", "-q")
+    (repo / "tracked.txt").write_text("one\n")
+    git(repo, "add", "tracked.txt")
+    git(repo, "commit", "-q", "-m", "one")
+    head = git(repo, "rev-parse", "HEAD")
+    assert bench.commit_of(repo) == head
+
+    worktree = tmp_path / "worktree"
+    git(repo, "worktree", "add", "-q", "--detach", str(worktree))
+    git(worktree, "commit", "-q", "--allow-empty", "-m", "two")
+    assert bench.commit_of(worktree) == git(worktree, "rev-parse", "HEAD") != head
+
+    copy = repo / "copy"
+    shutil.copytree(root / "src" / "kahan_aromas", copy / "src" / "kahan_aromas")
+    assert bench.commit_of(copy) is None
+
+    (repo / "tracked.txt").write_text("two\n")
+    assert bench.commit_of(repo) == head + "+dirty"
