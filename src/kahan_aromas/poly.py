@@ -156,12 +156,6 @@ def _mul_add(acc: dict, a: dict, b: dict, nvars: int) -> None:
 def _mul_terms(a: dict, b: dict, nvars: int) -> dict:
     """The product of two dicts key -> int (see `_mul_add`), with no zero
     values."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:  # a monomial times b: nothing cancels
-        _check_product_degrees(a, b, nvars)
-        ((ka, va),) = a.items()
-        return {ka + kb: va * vb for kb, vb in b.items()}
     out: dict = {}
     _mul_add(out, a, b, nvars)
     return {k: v for k, v in out.items() if v}

@@ -137,7 +137,7 @@ def build_basis(
     candidates = [(m.encoding, m, p) for m, p in zip(multisets, plain)]
     for label, aug in augmenters:
         candidates.extend(
-            (f"{label}*{m.encoding}", m, p if p.is_zero() else p * aug)
+            (f"{label}*{m.encoding}", m, p * aug)
             for m, p in zip(multisets, plain)
         )
     # integer terms: independence does not depend on the content; a zero
@@ -279,8 +279,6 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
         field, [(el.poly, el.multiset.order, el.multiset.sigma()) for el in basis.elements]
     )
     K = len(weighted)
-    if not K:
-        return [], [], "sampled"
     S = 2 * K + 16
     batch = PolynomialBatch(weighted)
     confirmed: dict[tuple, Polynomial] = {}  # candidate -> its density
@@ -455,16 +453,6 @@ class NecessaryConditionsReport:
     fcond2: bool
 
 
-def _proportionality(numer: Polynomial, denom: Polynomial):
-    """Return c with numer = c * denom, or None when no such constant exists."""
-    if denom.is_zero():
-        return None
-    if numer.is_zero():
-        return ZERO
-    # canonical forms: proportional exactly when the integer terms agree
-    return numer.content / denom.content if numer.terms == denom.terms else None
-
-
 def _cond1(field: QuadraticVectorField) -> tuple[bool, Cond1Report]:
     """Whether F(tailed 2-cycle) vanishes, and cond1: F(3-cycle) = alpha
     F(tailed 2-cycle), or both vanish."""
@@ -473,7 +461,7 @@ def _cond1(field: QuadraticVectorField) -> tuple[bool, Cond1Report]:
     if f_t2c.is_zero():
         both_zero = f_c3.is_zero()
         return True, Cond1Report(holds=both_zero, alpha=None, both_zero=both_zero)
-    alpha = _proportionality(f_c3, f_t2c)
+    alpha = None if (coords := density_span_solve([f_t2c], f_c3)) is None else coords[0]
     return False, Cond1Report(holds=alpha is not None, alpha=alpha, both_zero=False)
 
 
@@ -661,9 +649,8 @@ def _order4_proportional_pairs(field):
     for (enc_a, pa), (enc_b, pb) in itertools.combinations(polys, 2):
         if pa.is_zero() or pb.is_zero():
             continue
-        c = _proportionality(pa, pb)
-        if c is not None:
-            pairs.append((enc_a, enc_b, c))
+        if (coords := density_span_solve([pb], pa)) is not None:
+            pairs.append((enc_a, enc_b, coords[0]))
     return pairs
 
 

@@ -25,6 +25,8 @@ package's sector solve to compare with the aroma densities.  The family
 intersection runs over every multiset coordinate, never over only the
 coordinates some instance sees, and confirms each representative's
 density by its own check, never by a span of the instance's densities.
+A ratio of two polynomials is read off their canonical forms, never off
+the package's span solve.
 """
 
 from __future__ import annotations
@@ -590,3 +592,14 @@ def parameter_independent_over_every_coordinate(family, instances, max_order, pa
     return ParameterIndependentSolution(
         fields, coords, space, kernel_space, representatives, densities, len(representatives), True
     )
+
+
+def proportionality(numer: Polynomial, denom: Polynomial):
+    """c with numer = c * denom, or None when no constant does it, read off
+    the canonical forms: a nonzero numer is proportional to denom exactly
+    when their integer terms agree, and c is the ratio of the contents."""
+    if denom.is_zero():
+        return None
+    if numer.is_zero():
+        return ZERO
+    return numer.content / denom.content if numer.terms == denom.terms else None

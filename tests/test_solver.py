@@ -37,6 +37,8 @@ from kahan_aromas.fields import (
 from kahan_aromas.graphs import (
     AromaMultiset,
     LOOP,
+    TAILED_TWO_CYCLE,
+    THREE_CYCLE,
     TWO_CYCLE,
     enumerate_multisets,
     parse_multiset,
@@ -47,6 +49,7 @@ from kahan_aromas.rationals import ONE, Rat, ZERO, format_rat
 from kahan_aromas.solver import (
     SolverError,
     _coefficient_rows,
+    _order4_proportional_pairs,
     _refute_or_confirm,
     _solve_sector,
     build_basis,
@@ -66,6 +69,7 @@ from oracles import (
     h_support,
     monomial_basis,
     parameter_independent_over_every_coordinate,
+    proportionality,
     random_invertible,
     random_skew,
     residual_row_by_polynomials,
@@ -181,6 +185,14 @@ def test_solve_zero_field_everything_solves():
     # Phi = id and det DPhi = 1: the whole (one-element) basis solves
     assert len(sol.densities) == 1
     assert sol.densities[0] == Polynomial.const(4, 1)
+
+
+def test_an_empty_sector_has_no_density():
+    # order 0 has no odd multiset: the first draw leaves a full echelon of rank 0
+    sol = solve_darboux(lv_divfree(), 0, parity="odd")
+    assert sol.bases["odd"].elements == [] and sol.bases["odd"].dropped == []
+    assert sol.densities == [] and sol.gammas == []
+    assert sol.method == "sampled"
 
 
 def test_solve_lv_divfree_golden():
@@ -540,6 +552,32 @@ def test_necessary_conditions_reports():
     # 1-D x^2: F(loop-with-tail) = 2x^2 != 4x^2 = F(loop^2)
     g = QuadraticVectorField(1, quadratic={(0, 0, 0): 1})
     assert not necessary_conditions(g).fcond2
+
+
+# every corpus system at seeds 0-2 (the pins cover seed 0) and dense n = 3 fields
+RATIO_FIELDS = {
+    **{
+        f"{name}-{seed}": lambda name=name, seed=seed: get_system(name, seed=seed)
+        for name in sorted(SYSTEMS)
+        for seed in (range(3) if SYSTEMS[name].random_params else (0,))
+    },
+    **{f"dense-{seed}": lambda seed=seed: random_quadratic_field(random.Random(seed), 3) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("make", RATIO_FIELDS.values(), ids=RATIO_FIELDS.keys())
+def test_cond1_alpha_and_order4_pairs_are_the_canonical_ratios(make):
+    # both come from the span solve; the oracle reads each ratio off the
+    # canonical forms
+    f = make()
+    c3, t2c = f.aroma_function(THREE_CYCLE), f.aroma_function(TAILED_TWO_CYCLE)
+    assert necessary_conditions(f).cond1.alpha == proportionality(c3, t2c)
+    order4 = [(m.encoding, f.aroma_function(m)) for m in sector_multisets(4, "even") if m.order == 4]
+    assert _order4_proportional_pairs(f) == [
+        (a, b, c)
+        for (a, pa), (b, pb) in itertools.combinations(order4, 2)
+        if not pa.is_zero() and (c := proportionality(pa, pb)) is not None
+    ]
 
 
 def test_even_density_with_unit_gamma_requires_divfree():
