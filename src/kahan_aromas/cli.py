@@ -54,6 +54,8 @@ def _load_field(args) -> QuadraticVectorField:
     if args.field and args.system:
         raise ValueError("give exactly one field source (--field or --system)")
     if args.field:
+        if args.params is not None:
+            raise ValueError("--params needs --system: a field file takes no parameters")
         data = _load_json(args.field)
         if not isinstance(data, dict):
             raise ValueError("malformed field JSON: the top level must be an object")

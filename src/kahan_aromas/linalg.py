@@ -10,10 +10,10 @@ Pivoting is "first nonzero in fixed row order", which makes every output
 deterministic for a fixed row/column order.  `complement`, the canonical
 basis of the orthogonal complement of a row space, takes the columns right
 to left, so its one pass yields the nullspace vectors already reduced.
-The rest works modulo the prime P = 2^61 - 1, where no entry grows: `_fold`
-folds rows of residues one at a time into an echelon form (for `rank` and
-for the solver's draw loop), and `_echelon_nullspace` rebuilds its
-nullspace over Q by rational reconstruction, for a caller to check.
+The rest serves only the solver's draw loop and works modulo the prime
+P = 2^61 - 1, where no entry grows: `_fold` folds rows of residues one at a
+time into an echelon form, and `_echelon_nullspace` rebuilds its nullspace
+over Q by rational reconstruction, for a caller to check.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 
 from .rationals import Rat, ZERO, ONE
 
-P = (1 << 61) - 1  # a Mersenne prime: the modulus of `rank` and of discovery
+P = (1 << 61) - 1  # a Mersenne prime: the modulus of discovery
 
 
 def _int_rows(rows) -> list[list[int]]:
@@ -172,26 +172,16 @@ def _echelon_nullspace(echelon: dict[int, list[int]], ncols: int) -> list[list[R
     return vectors
 
 
-def rank(rows, ncols: int) -> int:
-    """The rank mod P of the rows' first ncols columns, cleared to integers:
-    the size of the echelon form that `_fold` builds from them.
-
-    It is never above the rank over Q, since a minor that is nonzero mod P
-    is a nonzero integer minor, so a full result (min(len(rows), ncols))
-    is the rank over Q.  Below full it equals the rank over Q unless P
-    divides every nonzero maximal minor.
-    """
-    echelon: dict[int, list[int]] = {}
-    for row in _int_rows(rows):
-        _fold(echelon, [v % P for v in row[:ncols]], ncols)
-    return len(echelon)
-
-
 def pivot_columns(rows, ncols: int) -> list[int]:
     """The columns outside the span of the columns before them, ascending:
     a maximal independent set of columns, each kept when it is independent
     of the earlier ones."""
     return _reduce(_int_rows(rows), ncols)[0]
+
+
+def rank(rows, ncols: int) -> int:
+    """The rank over Q of the rows' first ncols columns: their pivot count."""
+    return len(pivot_columns(rows, ncols))
 
 
 def rref(vectors, ncols: int) -> list[list[Rat]]:

@@ -813,14 +813,7 @@ def rf_substitute(
                 acc = peeled.setdefault(i, {})
             else:
                 acc = by_degree.setdefault(degree, {})
-            pp = _power_product(xkey, cache, packed_nums, bits, xn, n)
-            get = acc.get
-            for ukey, mv in row.items():
-                if ukey and pp:
-                    _check_product_degrees({ukey: 1}, pp, n)
-                for k, pv in pp.items():
-                    k += ukey
-                    acc[k] = get(k, 0) + mv * pv
+            _mul_add(acc, row, _power_product(xkey, cache, packed_nums, bits, xn, n), n)
         if peeled:
             bucket = by_degree.setdefault(top, {})
             for i, u in peeled.items():

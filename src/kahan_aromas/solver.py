@@ -406,8 +406,8 @@ def verify_density(field: QuadraticVectorField, P: Polynomial, seed: int = 0) ->
 def first_integrals(densities: list[Polynomial], seed: int = 0):
     """Ratios g_i / g_1 plus the count of functionally independent ones.
 
-    The count is the rank mod P (`linalg.rank`) of the gradient rows at one
-    random point: never above their rank there, and equal to it when full.
+    The count is the rank (`linalg.rank`) of the gradient rows at one
+    random point.
 
     Raises when fewer than two densities exist or all are proportional.
     """
@@ -418,7 +418,7 @@ def first_integrals(densities: list[Polynomial], seed: int = 0):
         raise ValueError("the first density is zero: it cannot divide the others")
     others = densities[1:]
 
-    if all(g.is_zero() or g.terms == g1.terms for g in others):
+    if all(density_span_solve([g1], g) is not None for g in others):
         raise ValueError("all densities are proportional: no nontrivial integral")
     ratios = [RationalFunction(g, g1) for g in others]
     nx = g1.nvars - 2
@@ -543,15 +543,17 @@ def parameter_independent_solve(
     ncols = len(seen)
 
     # an instance's solution space is its gamma-space plus its kernel of F,
-    # the complement of its coefficient rows; the common kernel K is the
-    # intersection of the instances' kernels, and lies in every space
-    kernels, spaces, coordinate_polys = [], [], []  # the polys are reused for the densities below
+    # the complement of its coefficient rows; the common kernel K, which
+    # lies in every space, is the complement of all instances' rows stacked
+    rows, spaces, coordinate_polys = [], [], []  # the polys are reused for the densities below
     for f, sol, F in zip(fields, solutions, plain):
         polys = _weighted_polys(f, [(F[j], multisets[j].order, multisets[j].sigma()) for j in seen])
-        kernels.append(complement(_coefficient_rows(polys), ncols))
-        spaces.append([[g.get(coords[j], ZERO) for j in seen] for g in sol.gammas] + kernels[-1])
+        instance_rows = _coefficient_rows(polys)
+        gammas = [[g.get(coords[j], ZERO) for j in seen] for g in sol.gammas]
+        spaces.append(gammas + complement(instance_rows, ncols))
+        rows += instance_rows
         coordinate_polys.append(polys)
-    kernel_space = intersect_rowspaces(kernels, ncols)
+    kernel_space = complement(rows, ncols)
     space = intersect_rowspaces(spaces, ncols)
 
     # space modulo K: the vectors of space outside the span of K and of the

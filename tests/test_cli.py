@@ -710,6 +710,17 @@ def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, me
     assert err.startswith("input error: ") and message in err
 
 
+def test_params_with_a_field_file_are_refused(capsys, tmp_path):
+    # parameters belong to a corpus system; with a field file they would be
+    # ignored, malformed or not
+    field_file = tmp_path / "field.json"
+    field_file.write_text(_dumps(_LV))
+    for params in ("not json", '{"alpha": 2}', ""):
+        code, out, err = run_cli(capsys, "check", "conditions", "--field", str(field_file), "--params", params)
+        assert (code, out) == (2, "")
+        assert err == "input error: --params needs --system: a field file takes no parameters\n"
+
+
 # SHA-256 of the concatenated stdout of `field eval --system NAME --seed 0
 # --aroma A` over every aroma A of order 1..5, unfiltered (the indegree-3
 # aromas print zero), taken while each aroma's contraction still ran on

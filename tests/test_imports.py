@@ -2,6 +2,7 @@
 and every function and class that it defines is used somewhere."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -91,3 +92,28 @@ def test_only_main_maps_a_solver_error_to_an_exit_code():
         and "SolverError" in _identifiers(handler.type)
     ]
     assert caught == []
+
+
+def test_every_benchmark_hook_resolves_and_reads_real_data():
+    """The benchmark's trace (perfbench/tracing.py) wraps public names where
+    their callers look them up and only reports a name that is gone; each
+    must resolve, and the hooks that read results must read real data."""
+    from kahan_aromas.corpus import lv_divfree
+    from kahan_aromas.poly import Polynomial
+    from kahan_aromas.solver import build_basis
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert tracer.absent == []
+        field = lv_divfree()
+        kahan_aromas.solver.build_basis(field, 2, parity="even")
+        field.kahan_map().darboux_defect_cleared(Polynomial.variable(field.nvars, 0) ** 2)
+        assert tracer.counters["solver.basis_kept"] > 0
+        assert tracer.peaks["fields.subs_cache.terms"] > 0
+    finally:
+        tracer.uninstall()
+    assert kahan_aromas.solver.build_basis is build_basis

@@ -158,7 +158,7 @@ def test_kernel_matches_fraction_oracle(drawn, data):
 
 
 def residues(row):
-    """A rational row cleared to integers (as `rank` clears it), mod P."""
+    """A rational row cleared to integers (as `_int_rows` clears it), mod P."""
     return [v % P for v in _int_rows([row])[0]]
 
 
@@ -215,11 +215,13 @@ NEAR_P = st.sampled_from([0, 1, -1, 2, P - 1, P, -P, P + 1, 2 * P]).map(Rat)
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 5), st.integers(1, 5), st.data())
-def test_rank_is_a_lower_bound_that_is_exact_when_full(nrows, ncols, data):
-    # multiples of P vanish mod P, so the rank mod P may fall below the rank
-    # over Q, but never above it; a full rank mod P is therefore the rank over Q
+def test_folded_rank_is_a_lower_bound_that_is_exact_when_full(nrows, ncols, data):
+    # multiples of P vanish mod P, so the rank mod P of the folded rows may
+    # fall below the rank over Q, but never above it; a full rank mod P is
+    # therefore the rank over Q, which `rank` gives whatever the entries
     rows = data.draw(st.lists(st.lists(NEAR_P, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
-    got, exact = rank(rows, ncols), len(rref_by_fractions(rows, ncols))
+    got, exact = folded_ranks(rows, ncols)[-1], len(rref_by_fractions(rows, ncols))
+    assert rank(rows, ncols) == exact
     assert got <= exact
     if got == min(nrows, ncols):
         assert got == exact
@@ -260,9 +262,11 @@ def test_echelon_nullspace_past_the_bound_is_refused_or_wrong():
         assert _echelon_nullspace(echelon, 2) == rebuilt
 
 
-def test_rank_below_full_is_only_a_lower_bound():
-    assert rank([[Rat(P)]], 1) == 0
-    assert rank([[Rat(P), ZERO], [ZERO, ONE]], 2) == 1
+def test_folded_rank_below_full_is_only_a_lower_bound():
+    # P vanishes mod P, so the folded rank falls below the rank over Q
+    for rows, folded, exact in (([[Rat(P)]], 0, 1), ([[Rat(P), ZERO], [ZERO, ONE]], 1, 2)):
+        assert folded_ranks(rows, len(rows))[-1] == folded
+        assert rank(rows, len(rows)) == exact
 
 
 def test_nullspace_identity():
