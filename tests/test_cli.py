@@ -794,6 +794,32 @@ def test_kahan_output_bytes_are_pinned(capsys, system, command):
     assert hashlib.sha256(out.encode()).hexdigest() == KAHAN_STDOUT_SHA256[(system, command)]
 
 
+# SHA-256 of the stdout of `--format text kahan map|det|series`, taken while
+# the text renderers still re-read the JSON payload they print from
+KAHAN_TEXT_STDOUT_SHA256 = {
+    ("ishii", "det"): "222b8f1f163f0fd99cb7994468e7a9b0d74c698189be320d21dfd33ee2748714",
+    ("ishii", "map"): "76f903c16bce2950861ccc5f65dbbc4162d6f790a46ffb7beceb9f231af2c0ed",
+    ("ishii", "series"): "141b619774c9041dc076ae6a088be580058fed820f1d5ee88ec86099c1a2f433",
+    ("lv_divfree", "det"): "7d5d10eeb77d77d7f3216bf383a1144d10834aac9deb1538d7fea49e870c383f",
+    ("lv_divfree", "map"): "1520dc20bd214d3d12fd3eca377132cd2840afdc51ea64a87dfe95829719dff7",
+    ("lv_divfree", "series"): "2e65aa5c28e78ec78cf5aa7fbecae8c109f5093316c4ed0d1a7265bd088a594f",
+    ("nambu_inhomogeneous", "det"): "17f318b196ed9bf3952395af9f3fb2bca0367fb0eac479a91e886d9649b0cad5",
+    ("nambu_inhomogeneous", "map"): "ef76251d1ee4f64cc903e3ad7f0f65eca2d321c38a0d2379dd37a4e95cde3d44",
+    ("nambu_inhomogeneous", "series"): "2f3f065d71939a0dcd48fa1bd0a34994ad4e75d42044e21865273ac44255907c",
+}
+
+
+@pytest.mark.parametrize("command", ["map", "det", "series"])
+@pytest.mark.parametrize("system", ["ishii", "lv_divfree", "nambu_inhomogeneous"])
+def test_kahan_text_output_bytes_are_pinned(capsys, system, command):
+    argv = ["--format", "text", "kahan", command, "--system", system, "--seed", "0"]
+    if command == "series":
+        argv += ["--order", "5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == KAHAN_TEXT_STDOUT_SHA256[(system, command)]
+
+
 # SHA-256 of the stdout of `check conditions` for every corpus system,
 # `check conjecture` and `corpus run`, taken from the code before the span
 # solve, the cond1 check and the 3 x 3 adjugate had one definition each;
