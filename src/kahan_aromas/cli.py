@@ -65,7 +65,7 @@ def _load_field(args) -> QuadraticVectorField:
             raise ValueError(f"malformed field JSON: {exc}") from exc
     if args.system:
         params = None
-        if args.params:
+        if args.params is not None:
             try:
                 params = json.loads(args.params, parse_int=_json_int)
             except json.JSONDecodeError as exc:
@@ -98,12 +98,10 @@ def _emit(args, payload: dict, text_renderer=None, latex_renderer=None) -> None:
     print(render(payload) if render else json.dumps(payload, indent=2))
 
 
-def render_series(gamma: dict) -> str:
-    """Human form of a density given by gamma coordinates (sigma folded in)."""
-    entries = []
-    for key in gamma:
-        mset = parse_multiset(_multiset_part(key))
-        entries.append((mset.order, key, Rat(gamma[key]) / mset.sigma()))
+def render_series(gamma) -> str:
+    """Human form of a density given by (basis element, gamma coordinate)
+    pairs (sigma folded in)."""
+    entries = [(el.multiset.order, el.key, Rat(c) / el.multiset.sigma()) for el, c in gamma]
     entries.sort(key=lambda e: e[:2])
     pieces = []
     for order, key, value in entries:
@@ -128,20 +126,6 @@ def render_series(gamma: dict) -> str:
     for sign, term in pieces[1:]:
         out += f" {sign} {term}"
     return out
-
-
-def _is_plain(key: str) -> bool:
-    """A multiset key ("1" or "Ck(...)"), not an augmented "label*..." key."""
-    return key == "1" or key.startswith("C")
-
-
-def _multiset_part(key: str) -> str:
-    # augmented keys look like "label*Ck(...)"; the multiset part starts at C
-    return key if _is_plain(key) else key[key.find("*") + 1 :]
-
-
-def _poly_text(data) -> str:
-    return str(Polynomial.from_json(data)) if data else "0"
 
 
 def _polynomial(data, nvars: int, what: str) -> Polynomial:
@@ -213,8 +197,7 @@ def cmd_kahan(args) -> int:
             args,
             payload,
             text_renderer=lambda p: "\n".join(
-                f"Phi_{i+1} = ({_poly_text(num)}) / ({_poly_text(p['denominator'])})"
-                for i, num in enumerate(p["numerators"])
+                f"Phi_{i+1} = ({num}) / ({kmap.den})" for i, num in enumerate(kmap.numerators)
             ),
         )
     elif args.kahan_cmd == "det":
@@ -223,7 +206,7 @@ def cmd_kahan(args) -> int:
         _emit(
             args,
             payload,
-            text_renderer=lambda p: f"det DPhi = ({_poly_text(p['num'])}) / ({_poly_text(p['den'])})",
+            text_renderer=lambda p: f"det DPhi = ({dj.num}) / ({dj.den})",
         )
     else:
         _check_order(args.order, args.order_cap)
@@ -236,8 +219,7 @@ def cmd_kahan(args) -> int:
             args,
             payload,
             text_renderer=lambda p: "\n".join(
-                f"h^{k}: (" + ", ".join(_poly_text(c) for c in vec) + ")"
-                for k, vec in enumerate(p["coefficients"])
+                f"h^{k}: (" + ", ".join(map(str, vec)) + ")" for k, vec in enumerate(coeffs)
             ),
         )
     return 0
@@ -335,18 +317,18 @@ def _load_augmenters(path: str, nvars: int):
 
 
 def solver_report(sol) -> dict:
+    elements = {el.key: el for basis in sol.bases.values() for el in basis.elements}
     solutions = []
     for gamma, density, parity in zip(sol.gammas, sol.densities, sol.parities):
-        plain = {k: format_rat(v) for k, v in sorted(gamma.items()) if _is_plain(k)}
-        aug = {k: format_rat(v) for k, v in sorted(gamma.items()) if not _is_plain(k)}
+        entries = [(elements[k], v) for k, v in sorted(gamma.items())]
         solutions.append(
             {
-                "gamma": plain,
-                "augmenter_coeffs": aug,
+                "gamma": {el.key: format_rat(v) for el, v in entries if el.label is None},
+                "augmenter_coeffs": {el.key: format_rat(v) for el, v in entries if el.label is not None},
                 "polynomial": density.to_json(),
                 "parity": parity,
                 "verified": True,
-                "series": render_series(gamma),
+                "series": render_series(entries),
             }
         )
     integrals = []
@@ -366,7 +348,7 @@ def solver_report(sol) -> dict:
         "parity": sol.parity,
         "seed": sol.seed,
         "method": sol.method,
-        "basis": [el.key for basis in sol.bases.values() for el in basis.elements],
+        "basis": list(elements),
         "dropped": [key for basis in sol.bases.values() for key in basis.dropped],
         "solutions": solutions,
         "first_integrals": integrals,

@@ -90,12 +90,11 @@ def _kahan_tree_coeff(tree: RootedTree) -> Rat:
     return Rat(1, 2 ** (tree.order - 1)) if tree.is_tall() else ZERO
 
 
-def kahan_coeff(forest: Forest | RootedTree) -> Rat:
+def kahan_coeff(forest: Forest) -> Rat:
     """Kahan's B-series coefficients: b(tall tree) = 2^(1-|tau|), else 0;
     extended multiplicatively to forests with b(empty) = 1."""
-    trees = (forest,) if isinstance(forest, RootedTree) else forest.trees
     out = ONE
-    for tree in trees:
+    for tree in forest.trees:
         out = out * _kahan_tree_coeff(tree)
     return out
 
@@ -153,13 +152,11 @@ def _aroma_cuts(aroma: Aroma) -> list[tuple[Forest, Aroma]]:
     ]
 
 
-def coproduct_comodule(alpha) -> dict[tuple[Forest, AromaMultiset], int]:
+def coproduct_comodule(alpha: AromaMultiset) -> dict[tuple[Forest, AromaMultiset], int]:
     """Comodule coproduct: cut non-cycle edges; detached trees (x) what remains.
 
     Extends to multisets componentwise (forests concatenate, aromas multiply).
     """
-    if isinstance(alpha, Aroma):
-        alpha = AromaMultiset((alpha,))
     out = {(EMPTY_FOREST, UNIT): 1}
     for aroma in alpha.aromas:
         cuts = _aroma_cuts(aroma)

@@ -646,7 +646,7 @@ SYSTEMS: dict[str, SystemSpec] = {spec.name: spec for spec in (
         canonical_hamiltonian,
         lambda rng: {
             "J": [[0, 1], [-1, 0]],
-            "H": random_cubic_polynomial(rng, 2).to_json(),
+            "H": random_cubic_polynomial(rng, 2),
         },
         '{"J": skew matrix, "H": polynomial JSON in n+2 vars}',
         _golden_canonical_hamiltonian,

@@ -136,12 +136,6 @@ class QuadraticVectorField:
 
     # -- calculus ---------------------------------------------------------
 
-    def partial(self, i: int, indices: tuple[int, ...]) -> Polynomial:
-        """d^m f_i / dx_{indices}; indices is a sorted tuple.  Every partial
-        of order above two of a quadratic field is zero."""
-        D, parts, _ = self._cleared()
-        return _from_ints(self.nvars, parts.get((i, indices), {}), 1, D)
-
     def divergence(self) -> Polynomial:
         """div f = sum_i d f_i / dx_i, which is F(loop)."""
         return self.aroma_function(LOOP)

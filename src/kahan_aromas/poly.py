@@ -377,7 +377,7 @@ class Polynomial:
         return [[list(e), format_rat(c)] for e, c in self.sorted_terms()]
 
     @staticmethod
-    def from_json(data, nvars: int | None = None) -> "Polynomial":
+    def from_json(data, nvars: int) -> "Polynomial":
         seq = (list, tuple)
         if not isinstance(data, seq) or not all(
             isinstance(t, seq)
@@ -390,10 +390,6 @@ class Polynomial:
                 "polynomial JSON must be a list of [exponents, coefficient] pairs"
                 f" with integer exponents, got {safe_repr(data)}"
             )
-        if nvars is None:
-            if not data:
-                raise ValueError("cannot infer variable count from an empty polynomial")
-            nvars = len(data[0][0])
         terms = {}
         for exps, coeff in data:
             if len(exps) != nvars:
@@ -833,13 +829,11 @@ def rf_substitute(
     return _from_ints(n, ints, 1, lcm_pairs * common**c_max)
 
 
-def series_in_h(r: RationalFunction | Polynomial, order: int) -> list[Polynomial]:
+def series_in_h(r: RationalFunction, order: int) -> list[Polynomial]:
     """Taylor coefficients in h about h=0 (exact), c_0 .. c_order.
 
     Precondition: the denominator does not vanish identically at h=0.
     """
-    if isinstance(r, Polynomial):
-        r = RationalFunction(r)
     num_layers = r.num.h_coefficients()
     den_layers = r.den.h_coefficients()
     d0 = den_layers.get(0)

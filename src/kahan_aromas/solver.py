@@ -53,7 +53,6 @@ from .graphs import (
     LOOP_WITH_TAIL,
     TWO_CYCLE,
     enumerate_multisets,
-    parse_multiset,
 )
 from .linalg import P, _column_coordinates, _echelon_nullspace, _fold
 from .linalg import complement, in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
@@ -71,9 +70,14 @@ class SolverError(RuntimeError):
 
 @dataclass
 class BasisElement:
-    key: str  # multiset encoding, or "label*encoding" for augmented elements
     multiset: AromaMultiset
     poly: Polynomial  # F(multiset) * augmenter, fully expanded
+    label: str | None = None  # the augmenter's label; None for a plain multiset
+
+    @property
+    def key(self) -> str:
+        """The multiset encoding, or "label*encoding" for an augmented element."""
+        return self.multiset.encoding if self.label is None else f"{self.label}*{self.multiset.encoding}"
 
 
 @dataclass
@@ -134,26 +138,19 @@ def build_basis(
     check_augmenters(augmenters, field.dim)
     multisets = sector_multisets(max_order, parity)
     plain = [field.aroma_function(m) for m in multisets]
-    candidates = [(m.encoding, m, p) for m, p in zip(multisets, plain)]
+    candidates = [BasisElement(m, p) for m, p in zip(multisets, plain)]
     for label, aug in augmenters:
-        candidates.extend(
-            (f"{label}*{m.encoding}", m, p * aug)
-            for m, p in zip(multisets, plain)
-        )
+        candidates.extend(BasisElement(m, p * aug, str(label)) for m, p in zip(multisets, plain))
     # integer terms: independence does not depend on the content; a zero
     # candidate is never a pivot, so only the others are eliminated
-    nonzero = [i for i, (_, _, p) in enumerate(candidates) if not p.is_zero()]
-    monomials = sorted({k for _, _, p in candidates for k in p.terms})
-    rows = [[candidates[i][2].terms.get(mk, 0) for i in nonzero] for mk in monomials]
+    nonzero = [i for i, el in enumerate(candidates) if not el.poly.is_zero()]
+    monomials = sorted({k for el in candidates for k in el.poly.terms})
+    rows = [[candidates[i].poly.terms.get(mk, 0) for i in nonzero] for mk in monomials]
     kept = {nonzero[c] for c in pivot_columns(rows, len(nonzero))}
-    elements: list[BasisElement] = []
-    dropped: list[str] = []
-    for i, (key, mset, poly) in enumerate(candidates):
-        if i in kept:
-            elements.append(BasisElement(key, mset, poly))
-        else:
-            dropped.append(key)
-    return Basis(elements, dropped)
+    return Basis(
+        [el for i, el in enumerate(candidates) if i in kept],
+        [el.key for i, el in enumerate(candidates) if i not in kept],
+    )
 
 
 def _coefficient_rows(polys: list[Polynomial]) -> list[list[int]]:
@@ -299,9 +296,7 @@ def _solve_sector(field: QuadraticVectorField, basis: Basis, seed: int):
         still = 0  # draws in a row that left the rank as it was (exact rows: none)
         for _ in range(S):
             still = 0 if add(_sample_point(rng, kmap, modular)[1]) else still + 1
-            if len(echelon) == K:
-                return [], "sampled"
-            if still == _STILL_DRAWS:
+            if len(echelon) == K or still == _STILL_DRAWS:
                 break
         method = "sampled"
         while True:
@@ -638,7 +633,9 @@ def conjecture_check(field: QuadraticVectorField, seed: int = 0) -> ConjectureRe
     found = _find_constrained_density(sol, target_h2)
     report.density_found = found is not None
     if found is not None:
-        report.order4_support = sorted(k for k in found[0] if parse_multiset(k).order == 4)
+        report.order4_support = sorted(
+            el.key for el in sol.bases["even"].elements if el.multiset.order == 4 and el.key in found[0]
+        )
     report.solution_dimension = len(sol.densities)
     return report
 

@@ -6,8 +6,10 @@ permutations, never by the package's canonical forms, and admissible cuts
 are read off every subset of tree vertices, never by the package's
 recursion over hanging trees.  Aromatic functions are summed over every
 index assignment of the aroma's vertices, never by the package's
-contraction.  Linear algebra is Gauss-Jordan elimination in
-`Fraction` arithmetic, never the package's fraction-free kernel.  Density
+contraction, and each partial of the field is differentiated from its
+component polynomial, never read off the package's cleared partials.
+Linear algebra is Gauss-Jordan elimination in `Fraction` arithmetic, never
+the package's fraction-free kernel.  Density
 verification expands the symbolic defect before it looks at any point,
 never the package's refute-at-points-first order, and Darboux solutions
 are read off the fully expanded symbolic system, never off sampled points.
@@ -232,6 +234,15 @@ def contains_self_loop(mset) -> bool:
     return any(a.cycle_len == 1 for a in mset.aromas)
 
 
+def component_partial(field, i: int, indices) -> Polynomial:
+    """d^m f_i / dx_{indices}, differentiated from the component polynomial
+    f_i in `Polynomial` arithmetic."""
+    p = field.components[i]
+    for j in indices:
+        p = p.partial_derivative(j)
+    return p
+
+
 def elementary_differential(field, tree: RootedTree) -> list[Polynomial]:
     """The B-series elementary differential F(tree) by its recursion in
     `Polynomial` arithmetic: component i sums, over the index j_r of each
@@ -241,7 +252,7 @@ def elementary_differential(field, tree: RootedTree) -> list[Polynomial]:
     for i in range(field.dim):
         total = Polynomial.zero(field.nvars)
         for js in product(range(field.dim), repeat=len(kids)):
-            term = field.partial(i, tuple(sorted(js)))
+            term = component_partial(field, i, js)
             for kid, j in zip(kids, js):
                 term = term * kid[j]
             total = total + term
@@ -258,7 +269,7 @@ def aroma_by_assignments(field, aroma):
     for assignment in product(range(field.dim), repeat=len(preds)):
         term = Polynomial.const(nv, 1)
         for v, pv in enumerate(preds):
-            factor = field.partial(assignment[v], tuple(sorted(assignment[u] for u in pv)))
+            factor = component_partial(field, assignment[v], [assignment[u] for u in pv])
             term = term * factor
             if term.is_zero():
                 break
@@ -435,7 +446,7 @@ def residual_row_by_polynomials(step, polys) -> list:
 
 def jacobian(field) -> list[list[Polynomial]]:
     """f'(x): the entry (i, j) is d f_i / dx_j."""
-    return [[field.partial(i, (j,)) for j in range(field.dim)] for i in range(field.dim)]
+    return [[component_partial(field, i, (j,)) for j in range(field.dim)] for i in range(field.dim)]
 
 
 def kahan_step_by_solve(field, xs, h):
@@ -535,7 +546,7 @@ def monomial_basis(n: int) -> Basis:
     for k in (0, 2, 4):
         for m in product(range(k + 1), repeat=n):
             if sum(m) <= k:
-                elements.append(BasisElement(f"h^{k}*x^{m}", UNIT, Polynomial.monomial(n + 2, [*m, k, 0])))
+                elements.append(BasisElement(UNIT, Polynomial.monomial(n + 2, [*m, k, 0]), f"h^{k}*x^{m}"))
     return Basis(elements, [])
 
 

@@ -16,10 +16,10 @@ import kahan_aromas.corpus as corpus_mod
 import kahan_aromas.solver as solver_mod
 from kahan_aromas.cli import main, render_series
 from kahan_aromas.corpus import SYSTEMS, get_system, ishii_invariants, lv_divfree
-from kahan_aromas.graphs import TWO_CYCLE, enumerate_aromas
+from kahan_aromas.graphs import TWO_CYCLE, enumerate_aromas, parse_multiset
 from kahan_aromas.poly import Polynomial, pack_exponents
 from kahan_aromas.rationals import Rat, format_rat
-from kahan_aromas.solver import verify_density
+from kahan_aromas.solver import BasisElement, verify_density
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +57,8 @@ def test_aromas_sigma(capsys):
     assert code == 0 and json.loads(out)["sigma"] == 3
     code, _, err = run_cli(capsys, "aromas", "sigma", "C2(")
     assert code == 2 and "input error" in err
+    code, out, _ = run_cli(capsys, "aromas", "sigma", "[][]")  # a forest of two leaves
+    assert code == 0 and json.loads(out) == {"encoding": "[][]", "sigma": 2, "order": 2}
 
 
 def test_aromas_sigma_of_a_deep_tree(capsys):
@@ -360,9 +362,13 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch):
 
 
 def test_render_series_shapes():
-    assert render_series({"1": Rat(1), "C2(;)": Rat(-1, 4)}) == "1 - (1/8) h^2 F(C2(;))"
-    assert render_series({}) == "0"
-    assert render_series({"C1()": Rat(1)}) == "h F(C1())"
+    def el(encoding, label=None):
+        return BasisElement(parse_multiset(encoding), Polynomial.zero(5), label)
+
+    assert render_series([(el("1"), Rat(1)), (el("C2(;)"), Rat(-1, 4))]) == "1 - (1/8) h^2 F(C2(;))"
+    assert render_series([]) == "0"
+    assert render_series([(el("C1()"), Rat(1))]) == "h F(C1())"
+    assert render_series([(el("C2(;)", "I0"), Rat(1, 2)), (el("1", "I0"), Rat(-1))]) == "-F(I0*1) + (1/4) h^2 F(I0*C2(;))"
 
 
 def test_missing_field_source(capsys):
@@ -721,6 +727,13 @@ def test_params_with_a_field_file_are_refused(capsys, tmp_path):
         assert err == "input error: --params needs --system: a field file takes no parameters\n"
 
 
+def test_empty_params_are_refused(capsys):
+    # an empty --params is malformed JSON like any other, not "no parameters"
+    code, out, err = run_cli(capsys, "check", "conditions", "--system", "lv", "--params", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: malformed --params JSON: ")
+
+
 # SHA-256 of the concatenated stdout of `field eval --system NAME --seed 0
 # --aroma A` over every aroma A of order 1..5, unfiltered (the indegree-3
 # aromas print zero), taken while each aroma's contraction still ran on
@@ -1028,7 +1041,7 @@ def test_field_json_reads_a_constant_past_the_int_digit_limit(capsys, tmp_path):
     code, out, err = run_cli(capsys, "kahan", "map", "--field", str(path))
     assert code == 0 and err == ""
     # the h term of the first numerator is h f_1(0)
-    numerator = Polynomial.from_json(json.loads(out)["numerators"][0])
+    numerator = Polynomial.from_json(json.loads(out)["numerators"][0], 5)
     assert numerator.coefficient(pack_exponents([0, 0, 0, 1, 0])) == value
 
 
@@ -1037,7 +1050,7 @@ def test_system_params_read_an_integer_past_the_int_digit_limit(capsys):
     code, out, err = run_cli(capsys, "kahan", "map", "--system", "lv", "--params", '{"alpha": %s}' % ("7" * 5001))
     assert code == 0 and err == ""
     kmap = get_system("lv", {"alpha": format_rat(7 * (10**5001 - 1) // 9)}).kahan_map()
-    assert [Polynomial.from_json(p) for p in json.loads(out)["numerators"]] == kmap.numerators
+    assert [Polynomial.from_json(p, kmap.nvars) for p in json.loads(out)["numerators"]] == kmap.numerators
 
 
 def test_darboux_verify_a_density_in_u_exits_two(capsys, tmp_path):

@@ -98,14 +98,14 @@ def test_coproduct_counit_laws():
 
 def test_coproduct_comodule_worked_examples():
     assert coproduct_comodule(UNIT) == {(EMPTY_FOREST, UNIT): Rat(1)}
-    cop = coproduct_comodule(TAILED_TWO_CYCLE)
+    cop = coproduct_comodule(_ms(TAILED_TWO_CYCLE))
     dot = Forest((LEAF,))
     assert cop == {
         (EMPTY_FOREST, _ms(TAILED_TWO_CYCLE)): Rat(1),
         (dot, _ms(TWO_CYCLE)): Rat(1),
     }
     # bare cycles have no cuttable edges
-    assert coproduct_comodule(THREE_CYCLE) == {
+    assert coproduct_comodule(_ms(THREE_CYCLE)) == {
         (EMPTY_FOREST, _ms(THREE_CYCLE)): Rat(1)
     }
 
@@ -139,9 +139,9 @@ def test_recursive_cuts_match_vertex_subsets():
 
 
 def test_kahan_coefficients():
-    assert kahan_coeff(LEAF) == 1
-    assert kahan_coeff(tall_tree(3)) == Rat(1, 4)
-    assert kahan_coeff(parse_any("[[][]]")) == 0
+    assert kahan_coeff(Forest((LEAF,))) == 1
+    assert kahan_coeff(Forest((tall_tree(3),))) == Rat(1, 4)
+    assert kahan_coeff(Forest((parse_any("[[][]]"),))) == 0
     assert kahan_coeff(EMPTY_FOREST) == 1
     assert kahan_coeff(parse_forest("[][[]]")) == Rat(1, 2)
 
@@ -296,3 +296,19 @@ def test_series_evaluate_at_point():
     at_point, divergence = PolynomialBatch([full, f.divergence()]).evaluate(ev)
     # B = 1 + 2 h F(C1()) / sigma(C1()), and F(C1()) is the divergence
     assert at_point == 1 + 2 * hval * divergence
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: CoefficientFunctional({_ms(THREE_CYCLE): 1}, 2),
+            "truncation_order below the maximal supported order",
+        ),
+    ],
+    ids=["truncation-below-support"],
+)
+def test_coalgebra_input_errors(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

@@ -5,9 +5,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import kahan_aromas.corpus as corpus_mod
 from kahan_aromas.corpus import (
     _adjugate,
     SYSTEMS,
+    divfree_homogeneous_r3,
     dressing_chain,
     get_system,
     golden_suite,
@@ -191,3 +193,43 @@ def test_adjugate_times_matrix_is_det_times_identity(rows, coeffs, singular):
 
     assert mul(adj, M) == scaled_eye
     assert mul(M, adj) == scaled_eye
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: divfree_homogeneous_r3([[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0] * 3] * 3, [[0] * 3] * 3),
+            "matrices violate the divergence-free constraint",
+        ),
+    ],
+    ids=["divergence-free-constraint"],
+)
+def test_corpus_input_errors(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_divfree_r3_suite_checks_the_conjectured_density(monkeypatch):
+    # the forms of lv_divfree meet the hypothesis, so the suite checks for
+    # the conjectured density instead of reporting the draw
+    h = Rat(1, 2)
+    forms = {
+        "A": [[0, h, -h], [h, 0, 0], [-h, 0, 0]],
+        "B": [[0, -h, 0], [-h, 0, h], [0, h, 0]],
+        "C": [[0, 0, h], [0, 0, -h], [h, -h, 0]],
+    }
+    monkeypatch.setattr(corpus_mod, "random_divfree_homogeneous_r3_params", lambda rng: forms)
+    checks = golden_suite("divfree_homogeneous_r3", seed=0)
+    assert [(c.name, c.passed) for c in checks] == [("divergence vanishes", True), ("conjectured density found", True)]
+
+
+def test_nambu_homogeneous_suite_rerolls_a_degenerate_draw(monkeypatch):
+    # a zero first draw is the zero field, whose F(2-cycle) vanishes
+    zero = [[0] * 3 for _ in range(3)]
+    draws = iter([zero, zero])
+    monkeypatch.setattr(corpus_mod, "random_symmetric", lambda rng, original=random_symmetric: next(draws, None) or original(rng))
+    checks = golden_suite("nambu_homogeneous", seed=0)
+    assert checks[0].name == "re-rolled degenerate draw"
+    assert all(c.passed for c in checks)

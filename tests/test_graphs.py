@@ -22,6 +22,7 @@ from kahan_aromas.graphs import (
     enumerate_multisets,
     enumerate_trees,
     parse_any,
+    parse_aroma,
     parse_multiset,
     tall_tree,
 )
@@ -244,3 +245,19 @@ def test_structure_shapes():
     indegrees = sorted(len(p) for p in preds)
     assert indegrees == [0, 1, 2]
     assert LOOP_WITH_TAIL.max_indegree() == 2
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Aroma(2, (Forest(),)), "one decoration forest per cycle vertex required"),
+        (lambda: enumerate_forests(-1), "forest order must be nonnegative"),
+        (lambda: tall_tree(0), "tree order must be at least 1"),
+        (lambda: parse_aroma("[]"), "aroma encoding must start with 'C': '[]'"),
+    ],
+    ids=["decoration-count", "negative-forest-order", "tall-tree-zero", "aroma-without-C"],
+)
+def test_graph_input_errors(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message

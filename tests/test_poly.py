@@ -330,14 +330,6 @@ def test_series_in_h_geometric():
     assert series_in_h(r2, 1) == [xx, xx**2]
 
 
-def test_series_in_h_polynomial_input():
-    nv = 3
-    h = Polynomial.variable(nv, 1)
-    y = Polynomial.variable(nv, 0)
-    p = Polynomial.const(nv, 1) + h**2 * y
-    assert series_in_h(p, 2) == [Polynomial.const(nv, 1), Polynomial.zero(nv), y]
-
-
 def test_series_in_h_rejects_vanishing_denominator():
     nv = 3
     h = Polynomial.variable(nv, 1)
@@ -378,15 +370,15 @@ def test_polynomial_json_roundtrip():
     p = x(0) ** 2 * Rat(3, 4) - x(1) * Rat(1, 2) + const(5)
     data = p.to_json()
     assert all(isinstance(c, str) for _, c in data)
-    assert Polynomial.from_json(data) == p
+    assert Polynomial.from_json(data, NV) == p
     assert Polynomial.from_json([], nvars=NV).is_zero()
     # ints keep their meaning; a JSON float or bool has no exact rational one
-    assert Polynomial.from_json([[[1, 0, 0, 0], 3], [[0, 0, 0, 0], "-1/2"]]) == (
+    assert Polynomial.from_json([[[1, 0, 0, 0], 3], [[0, 0, 0, 0], "-1/2"]], NV) == (
         x(0) * Rat(3) - const(1) * Rat(1, 2)
     )
     for bad in (0.1, 2.0, True, False, None):
         with pytest.raises(ValueError, match="neither an integer nor a rational string"):
-            Polynomial.from_json([[[1, 0, 0, 0], bad]])
+            Polynomial.from_json([[[1, 0, 0, 0], bad]], NV)
 
 
 def test_mixed_variable_universes_rejected():
@@ -596,3 +588,26 @@ def test_rational_function_equality_when_neither_denominator_divides():
     r = RationalFunction(x1 * x3, x2 * x3)
     assert r == RationalFunction(x1 * h, x2 * h)
     assert not r == RationalFunction(x1 * x1, x2 * h)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: pack_exponents([-1]), ValueError, "exponent -1 out of packable range"),
+        (lambda: Polynomial.variable(3, 3), ValueError, "variable index 3 out of range for nvars=3"),
+        (lambda: x(0) ** -1, ValueError, "negative powers are not polynomials"),
+        (lambda: divexact(x(0), Polynomial.zero(NV)), ZeroDivisionError, "division by the zero polynomial"),
+        (lambda: RationalFunction(x(0), Polynomial.zero(NV)), ZeroDivisionError, "rational function with zero denominator"),
+        (
+            lambda: rf_substitute(x(0), [x(0)], const(1), 1),
+            ValueError,
+            "substitution map arity does not match the x-variable count",
+        ),
+        (lambda: PointEvaluator(NV, [1, 2]), ValueError, "point arity does not match variable count"),
+    ],
+    ids=["exponent-range", "variable-index", "negative-power", "divide-by-zero", "zero-denominator", "substitution-arity", "point-arity"],
+)
+def test_poly_input_errors(build, error, message):
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value) == message

@@ -49,6 +49,7 @@ from kahan_aromas.rationals import ONE, Rat, ZERO, format_rat
 from kahan_aromas.solver import (
     SolverError,
     _coefficient_rows,
+    _find_constrained_density,
     _order4_proportional_pairs,
     _refute_or_confirm,
     _solve_sector,
@@ -1306,3 +1307,54 @@ def test_parameter_independent_rejects_a_bad_parity_before_any_solve(monkeypatch
     with pytest.raises(ValueError, match="parity must be even, odd, or both"):
         parameter_independent_solve([lv_divfree(), lv_divfree()], 2, 2, parity="evn")
     assert solved == []
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: gamma_space(solve_darboux(lv_divfree(), 2, "even"), ["1"]),
+            "gamma key C2(;) not covered by the coordinates",
+        ),
+        (lambda: parameter_independent_solve([lv_divfree()], 2, 2), "family list shorter than the instance count"),
+    ],
+    ids=["gamma-key-outside-coordinates", "family-shorter-than-instances"],
+)
+def test_solver_input_errors(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_constrained_density_outside_the_span_is_none():
+    # every density of lv_divfree has an h^2 part quadratic in x, so none
+    # has the h^2 part x1
+    f = lv_divfree()
+    sol = solve_darboux(f, 4, parity="even", seed=0)
+    assert _find_constrained_density(sol, Polynomial.variable(f.nvars, 0)) is None
+
+
+def test_conjecture_support_is_read_off_the_basis():
+    # a homogeneous Nambu field's density carries an order-4 term
+    rng = random.Random(0)
+    f = nambu_homogeneous(random_symmetric(rng), random_symmetric(rng))
+    report = conjecture_check(f, seed=0)
+    assert (report.density_found, report.order4_support) == (True, ["C2(;)*C2(;)"])
+
+
+@pytest.mark.parametrize("error", [ValueError("refused"), SolverError("no point")])
+def test_solver_report_when_first_integrals_raise(monkeypatch, error):
+    import kahan_aromas.cli as cli_mod
+
+    rng = random.Random(3)
+    f = nambu_homogeneous(random_symmetric(rng), random_symmetric(rng))
+    sol = solve_darboux(f, 4, parity="even", seed=3)
+    assert len(sol.densities) == 2
+
+    def refuse(densities, seed=0):
+        raise error
+
+    monkeypatch.setattr(cli_mod, "first_integrals", refuse)
+    report = cli_mod.solver_report(sol)
+    assert (report["first_integrals"], report["independence_count"]) == ([], 0)
+    assert len(report["solutions"]) == 2
