@@ -23,7 +23,7 @@ from .coalgebra import eta, q_row
 from .fields import QuadraticVectorField
 from .graphs import enumerate_aromas, enumerate_multisets, parse_any, parse_multiset
 from .poly import Polynomial
-from .rationals import Rat, format_rat, parse_rat, safe_repr
+from .rationals import Rat, format_rat, parse_rat
 from .solver import (
     SolverError,
     conjecture_check,
@@ -42,11 +42,22 @@ def _json_int(text: str) -> int:
     return int(text) if len(text) < 600 else parse_rat(text).numerator
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object read from outside; a key given twice is refused, where
+    `json` alone would keep its last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def _load_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh, parse_int=_json_int)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh, parse_int=_json_int, object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -61,14 +72,14 @@ def _load_field(args) -> QuadraticVectorField:
             raise ValueError("malformed field JSON: the top level must be an object")
         try:
             return QuadraticVectorField.from_json(data)
-        except (ValueError, TypeError, KeyError) as exc:
+        except (ValueError, TypeError) as exc:
             raise ValueError(f"malformed field JSON: {exc}") from exc
     if args.system:
         params = None
         if args.params is not None:
             try:
-                params = json.loads(args.params, parse_int=_json_int)
-            except json.JSONDecodeError as exc:
+                params = json.loads(args.params, parse_int=_json_int, object_pairs_hook=_unique_keys)
+            except ValueError as exc:
                 raise ValueError(f"malformed --params JSON: {exc}") from exc
         return corpus.get_system(args.system, params, seed=args.seed)
     raise ValueError("a field source is required (--field F.json or --system NAME)")
@@ -133,7 +144,7 @@ def _polynomial(data, nvars: int, what: str) -> Polynomial:
     refused as `malformed <what>: ...`."""
     try:
         return Polynomial.from_json(data, nvars)
-    except (ValueError, TypeError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"malformed {what}: {exc}") from exc
 
 
@@ -292,23 +303,15 @@ def cmd_hopf_newton(args) -> int:
 
 
 def _load_augmenters(path: str, nvars: int):
-    """Labelled augmenters from a JSON object {label: polynomial} or a list of
-    [label, polynomial] pairs, each label a string and each polynomial a
-    nonzero one over the field's nvars variables (x, h, u); `build_basis`
-    checks the labels' text and that no polynomial involves h or u."""
+    """Labelled augmenters, in label order, from a JSON object {label:
+    polynomial}, each polynomial a nonzero one over the field's nvars
+    variables (x, h, u); `build_basis` checks the labels' text and that no
+    polynomial involves h or u."""
     data = _load_json(path)
-    if isinstance(data, dict):
-        items = sorted(data.items())
-    elif isinstance(data, list) and all(
-        isinstance(item, list) and len(item) == 2 for item in data
-    ):
-        items = data
-    else:
-        raise ValueError("augmenter JSON must be an object or a list of [label, polynomial] pairs")
+    if not isinstance(data, dict):
+        raise ValueError("augmenter JSON must be an object")
     out = []
-    for label, poly_json in items:
-        if not isinstance(label, str):
-            raise ValueError(f"augmenter label {safe_repr(label)} is not a string")
+    for label, poly_json in sorted(data.items()):
         p = _polynomial(poly_json, nvars, f"augmenter {label!r}")
         if p.is_zero():
             raise ValueError(f"augmenter {label!r} is the zero polynomial")
@@ -388,10 +391,7 @@ def cmd_darboux_solve(args) -> int:
 
 def cmd_darboux_verify(args) -> int:
     field = _load_field(args)
-    data = _load_json(args.density)
-    if isinstance(data, dict):
-        data = data.get("terms", data.get("polynomial"))
-    P = _polynomial(data, field.nvars, "density JSON")
+    P = _polynomial(_load_json(args.density), field.nvars, "density JSON")
     result = verify_density(field, P, seed=args.seed)
     payload = {"verified": result.verified}
     if result.witness:
@@ -464,7 +464,9 @@ def _add_field_source(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="kahan-aromas",
         description="preserved measures and first integrals of Kahan maps in the span of aromatic functions",
@@ -550,16 +552,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argparse tree, built once per process: parsing leaves it as it was."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     """Run one command; a SolverError exits 1 with its message, a
     ValueError exits 2 with `input error: <message>`."""
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SolverError as exc:

@@ -42,16 +42,6 @@ def _c(value):
     return Polynomial.const(NV3, value)
 
 
-def _rat(value):
-    """An exact rational from a "p/q" string, an integer or a rational; a
-    float or a bool has no exact meaning here and is refused."""
-    if isinstance(value, str):
-        return parse_rat(value)
-    if isinstance(value, bool) or not isinstance(value, (int, Rat)):
-        raise ValueError(f"expected an integer or a rational string 'p/q', got {safe_repr(value)}")
-    return Rat(value)
-
-
 def _rat_matrix(rows, name, size=3):
     """A size x size parameter matrix of exact rationals; size None admits
     any square one."""
@@ -61,13 +51,13 @@ def _rat_matrix(rows, name, size=3):
     if not ok or len(rows) != n or any(len(r) != n for r in rows):
         shape = "a square" if size is None else f"a {size} x {size}"
         raise ValueError(f"parameter {name!r} must be {shape} matrix, got {safe_repr(rows)}")
-    return [[_rat(v) for v in row] for row in rows]
+    return [[parse_rat(v) for v in row] for row in rows]
 
 
 def _rat_vector(vec, name):
     if not isinstance(vec, (list, tuple)) or len(vec) != 3:
         raise ValueError(f"parameter {name!r} must be a vector of length 3, got {safe_repr(vec)}")
-    return [_rat(v) for v in vec]
+    return [parse_rat(v) for v in vec]
 
 
 def _quadratic_form_poly(A):
@@ -106,7 +96,7 @@ def _gradient(p: Polynomial, n: int):
 
 def lv(alpha=1, beta=1, gamma=1) -> QuadraticVectorField:
     """Generalized Lotka-Volterra: (x(bz-gy), y(-az+gx), z(ay-bx))."""
-    a, b, g = _rat(alpha), _rat(beta), _rat(gamma)
+    a, b, g = parse_rat(alpha), parse_rat(beta), parse_rat(gamma)
     comps = [
         _x(0) * (_x(2) * b - _x(1) * g),
         _x(1) * (_x(2) * (-a) + _x(0) * g),
@@ -126,7 +116,7 @@ def lv_special() -> QuadraticVectorField:
 
 
 def dressing_chain(a=0, b=0, c=0) -> QuadraticVectorField:
-    av, bv, cv = _rat(a), _rat(b), _rat(c)
+    av, bv, cv = parse_rat(a), parse_rat(b), parse_rat(c)
     comps = [
         -_x(1) ** 2 + _x(2) ** 2 + _c(cv - bv),
         _x(0) ** 2 - _x(2) ** 2 + _c(av - cv),
@@ -167,7 +157,7 @@ def _ishii_coefficients(b2, b3, c1, c2, c3):
 
 def ishii(b2, b3, c1, c2, c3, k) -> QuadraticVectorField:
     """The generalized Ishii system with the volume-preserving coupling."""
-    b2, b3, c1, c2, c3, k = map(_rat, (b2, b3, c1, c2, c3, k))
+    b2, b3, c1, c2, c3, k = map(parse_rat, (b2, b3, c1, c2, c3, k))
     A1, A2, _ = _ishii_coefficients(b2, b3, c1, c2, c3)
     a11 = k * A2 * c3
     a12 = -k * (A1 * c3 + A2 * b3)
@@ -183,7 +173,7 @@ def ishii(b2, b3, c1, c2, c3, k) -> QuadraticVectorField:
 def ishii_invariants(b2, b3, c1, c2, c3, k):
     """(H1_tilde, g2_target): the modified invariant and the density it
     determines, g2 = 2 A3^2 + 4 k (A1 c3 - A2 b3)^2 H1_tilde (h^4-graded)."""
-    b2, b3, c1, c2, c3, k = map(_rat, (b2, b3, c1, c2, c3, k))
+    b2, b3, c1, c2, c3, k = map(parse_rat, (b2, b3, c1, c2, c3, k))
     A1, A2, A3 = _ishii_coefficients(b2, b3, c1, c2, c3)
     h = Polynomial.variable(NV3, 3)
     lin1 = _x(0) * c3 - _x(1) * b3

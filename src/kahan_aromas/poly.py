@@ -395,12 +395,7 @@ class Polynomial:
             if len(exps) != nvars:
                 raise ValueError("exponent vector arity mismatch in polynomial JSON")
             key = pack_exponents(exps)
-            if isinstance(coeff, bool) or not isinstance(coeff, (int, str)):
-                # a JSON number such as 0.1 has no exact rational meaning
-                raise ValueError(
-                    f"coefficient {safe_repr(coeff)} is neither an integer nor a rational string 'p/q'"
-                )
-            c = parse_rat(coeff) if isinstance(coeff, str) else Rat(coeff)
+            c = parse_rat(coeff)
             if c != 0:
                 terms[key] = terms.get(key, ZERO) + c
         return Polynomial(nvars, terms)

@@ -18,20 +18,21 @@ ONE = Rat(1)
 _P_OR_P_Q = re.compile(r"\s*([-+]?)([0-9]+)(?:/([0-9]+))?\s*")
 
 
-def parse_rat(text: str) -> Rat:
-    """Parse "p" or "p/q" of any length (spaces tolerated); any other string
-    keeps `Fraction`'s syntax, and a string it refuses or a zero denominator
-    raises ValueError."""
-    if not isinstance(text, str):
-        raise ValueError(f"expected a rational string 'p' or 'p/q', got {safe_repr(text)}")
-    m = _P_OR_P_Q.fullmatch(text)
+def parse_rat(value) -> Rat:
+    """The exact value of an int (not a bool), a rational, or a "p" / "p/q"
+    string of any length (spaces around it tolerated): the one reader of an
+    exact value from outside.  Anything else, and a zero denominator, raises
+    ValueError."""
+    if isinstance(value, Rat) or (isinstance(value, int) and not isinstance(value, bool)):
+        return Rat(value)
+    m = _P_OR_P_Q.fullmatch(value) if isinstance(value, str) else None
+    if m is None:
+        raise ValueError(f"expected an integer or a rational string 'p/q', got {safe_repr(value)}")
+    sign, p, q = m.groups()
     try:
-        if m is None:
-            return Rat(text.strip())
-        sign, p, q = m.groups()
         return Rat(-_integer(p) if sign == "-" else _integer(p), _integer(q or "1"))
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator in {value!r}") from None
 
 
 def _integer(digits: str) -> int:

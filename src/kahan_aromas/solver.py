@@ -165,8 +165,6 @@ def _coefficient_rows(polys: list[Polynomial]) -> list[list[int]]:
 
 @dataclass
 class KernelRelations:
-    field: QuadraticVectorField
-    max_order: int
     multisets: list[AromaMultiset]
     relations: list[list[Rat]]  # each: coefficients c with sum c_k F(alpha_k) = 0
 
@@ -182,7 +180,7 @@ def kernel_relations(field: QuadraticVectorField, max_order: int) -> KernelRelat
     """
     multisets = enumerate_multisets(max_order)
     rows = _coefficient_rows([field.aroma_function(m) for m in multisets])
-    return KernelRelations(field, max_order, multisets, nullspace(rows, len(multisets)))
+    return KernelRelations(multisets, nullspace(rows, len(multisets)))
 
 
 @dataclass
@@ -194,7 +192,6 @@ class DarbouxSolution:
     gammas: list[dict[str, Rat]]
     densities: list[Polynomial]
     parities: list[str]  # per solution: its sector, even | odd
-    verified: bool
     seed: int
     method: str
 
@@ -358,7 +355,6 @@ def solve_darboux(
         gammas=gammas,
         densities=densities,
         parities=parities,
-        verified=True,
         seed=seed,
         method="refined" if "refined" in methods else "sampled",
     )
@@ -642,7 +638,7 @@ def conjecture_check(field: QuadraticVectorField, seed: int = 0) -> ConjectureRe
 
 def _order4_proportional_pairs(field):
     """Detected exact proportionalities F(a) = c F(b) among order-4 multisets."""
-    order4 = [m for m in enumerate_multisets(4, QUADRATIC_MAX_INDEGREE) if m.order == 4]
+    order4 = [m for m in sector_multisets(4, "even") if m.order == 4]
     polys = [(m.encoding, field.aroma_function(m)) for m in order4]
     pairs = []
     for (enc_a, pa), (enc_b, pb) in itertools.combinations(polys, 2):

@@ -343,22 +343,19 @@ def _call(capsys, argv):
     return code, out.out, out.err
 
 
-def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+def test_parser_is_built_once_and_reused(capsys):
     import kahan_aromas.cli as cli_mod
 
     # each call on a parser of its own
     separate = []
     for argv in _MIXED_CALLS:
-        cli_mod._parser.cache_clear()
+        cli_mod.build_parser.cache_clear()
         separate.append(_call(capsys, argv))
-    built = []
-    real_build = cli_mod.build_parser
-    monkeypatch.setattr(cli_mod, "build_parser", lambda: built.append(1) or real_build())
-    cli_mod._parser.cache_clear()
+    cli_mod.build_parser.cache_clear()
     # consecutive calls on one parser, forwards and backwards
     assert [_call(capsys, argv) for argv in _MIXED_CALLS] == separate
     assert [_call(capsys, argv) for argv in reversed(_MIXED_CALLS)] == separate[::-1]
-    assert len(built) == 1
+    assert cli_mod.build_parser.cache_info().misses == 1
 
 
 def test_render_series_shapes():
@@ -442,13 +439,11 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
             None,
             "zero denominator",
         ),
-        ({**_LV, "quadratic": [[1, 1, 2, 1]]}, None, None, "rational string"),
         (_LV, [[[0, 0, 0, 0, 0], "1/0"]], None, "zero denominator"),
         (_LV, [[[0, 0, 0, 0, 0], float("inf")]], None, "malformed density JSON"),
         (_LV, None, {"a": [[[1, 0, 0, 0, 0], "1/0"]]}, "zero denominator"),
         ([_LV], None, None, "must be an object"),
-        (_LV, None, [["a"]], "[label, polynomial] pairs"),
-        (_LV, None, [1, 2], "[label, polynomial] pairs"),
+        (_LV, None, [["a", [[[1, 0, 0, 0, 0], "1"]]]], "input error: augmenter JSON must be an object\n"),
         (_LV, None, {"a": [[[1, 0, 0, 1, 0], "1"]]}, "must not involve h or u"),
         (_LV, None, {"a": [[[1, 0, 0, 0, 1], "1"]]}, "must not involve h or u"),
         (_LV, None, {"a": [[[1, 0, 0], "1"]]}, "arity"),
@@ -459,12 +454,6 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         (_LV, None, {"Cx": [[[1, 0, 0, 0, 0], "1"]]}, "label 'Cx' must not start with 'C'"),
         (_LV, None, {"I*0": [[[1, 0, 0, 0, 0], "1"]]}, "label 'I*0' must not start with 'C' or contain '*'"),
         (_LV, None, {"C2(;)": [[[1, 0, 0, 0, 0], "1"]]}, "label 'C2(;)' must not start with 'C'"),
-        (
-            _LV,
-            None,
-            [["a", [[[1, 0, 0, 0, 0], "1"]]], ["a", [[[0, 1, 0, 0, 0], "1"]]]],
-            "label 'a' is used twice",
-        ),
         (
             ("darboux", "solve", "--system", "ishii", "--params", '{"k": 0}', "--order", "2"),
             None,
@@ -501,6 +490,12 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
             None,
             None,
             "system 'lv': expected an integer or a rational string 'p/q', got True",
+        ),
+        (
+            ("check", "conditions", "--system", "lv", "--params", '{"alpha": "1e3", "beta": "1", "gamma": "1"}'),
+            None,
+            None,
+            "input error: system 'lv': expected an integer or a rational string 'p/q', got '1e3'; schema: ",
         ),
         (
             _kahan_map("nambu_homogeneous", {"A": [[1]], "B": [[1]]}),
@@ -600,20 +595,12 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         ),
         (("aromas", "enumerate", "--order", "0"), None, None, "input error: aroma enumeration needs order >= 1"),
         (_LV, [], None, "input error: a density must be a nonzero polynomial"),
-        (_LV, {"terms": []}, None, "input error: a density must be a nonzero polynomial"),
         (
             _LV,
-            {"terms": _LONG_INT},
+            _LONG_INT,
             None,
             "input error: malformed density JSON: polynomial JSON must be a list of [exponents,"
             " coefficient] pairs with integer exponents, got an integer of 5000 digits\n",
-        ),
-        (
-            {**_LV, "linear": [[1, 1, _LONG_INT]]},
-            None,
-            None,
-            "input error: malformed field JSON: expected a rational string 'p' or 'p/q',"
-            " got an integer of 5000 digits\n",
         ),
         (
             {**_LV, "linear": [[_LONG_INT, 1, "1"]]},
@@ -621,14 +608,6 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
             None,
             "input error: malformed field JSON: index an integer of 5000 digits out of range for dimension 3\n",
         ),
-        (
-            _LV,
-            None,
-            [[_LONG_INT, [[[1, 0, 0, 0, 0], "1"]]]],
-            "input error: augmenter label an integer of 5000 digits is not a string\n",
-        ),
-        (_LV, None, [[3, [[[1, 0, 0, 0, 0], "1"]]]], "input error: augmenter label 3 is not a string\n"),
-        (_LV, None, [[True, [[[1, 0, 0, 0, 0], "1"]]]], "input error: augmenter label True is not a string\n"),
         (
             _kahan_map("nambu_homogeneous", {"A": [[_LONG_INT]], "B": _EYE3}),
             None,
@@ -638,13 +617,11 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
     ],
     ids=[
         "field-zero-denominator",
-        "field-coefficient-not-a-string",
         "density-zero-denominator",
         "density-infinite-coefficient",
         "augmenter-zero-denominator",
         "field-not-an-object",
-        "augmenter-not-a-pair",
-        "augmenter-not-a-list-of-pairs",
+        "augmenter-a-list",
         "augmenter-with-h",
         "augmenter-with-u",
         "augmenter-wrong-arity",
@@ -655,7 +632,6 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         "augmenter-label-starts-with-c",
         "augmenter-label-with-star",
         "augmenter-label-is-a-multiset",
-        "augmenter-label-twice",
         "system-missing-parameter",
         "system-unknown-parameter",
         "system-parameters-not-an-object",
@@ -663,6 +639,7 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         "unknown-suite",
         "system-float-parameter",
         "system-bool-parameter",
+        "system-parameter-with-an-exponent",
         "nambu-homogeneous-1x1-matrices",
         "nambu-homogeneous-2x2-second-matrix",
         "nambu-inhomogeneous-1x1-matrix",
@@ -685,13 +662,8 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         "negative-order",
         "aromas-of-order-zero",
         "density-empty-list",
-        "density-no-terms",
         "density-a-long-integer",
-        "field-coefficient-a-long-integer",
         "field-index-a-long-integer",
-        "augmenter-label-a-long-integer",
-        "augmenter-label-an-integer",
-        "augmenter-label-a-bool",
         "system-matrix-holding-a-long-integer",
     ],
 )
@@ -725,6 +697,29 @@ def test_params_with_a_field_file_are_refused(capsys, tmp_path):
         code, out, err = run_cli(capsys, "check", "conditions", "--field", str(field_file), "--params", params)
         assert (code, out) == (2, "")
         assert err == "input error: --params needs --system: a field file takes no parameters\n"
+
+
+@pytest.mark.parametrize(
+    "argv, text, key",
+    [
+        (("kahan", "map", "--field"), '{"dim": 1, "quadratic": [[1, 1, 1, "1"]], "quadratic": []}', "quadratic"),
+        (
+            ("darboux", "solve", "--system", "lv_divfree", "--order", "4", "--parity", "even", "--augment"),
+            '{"I0": [[[1, 0, 0, 0, 0], "1"]], "I0": [[[0, 1, 0, 0, 0], "1"]]}',
+            "I0",
+        ),
+        (("kahan", "map", "--system", "lv", "--params"), '{"alpha": "1", "beta": "1", "gamma": "1", "alpha": "2"}', "alpha"),
+    ],
+    ids=["field", "augmenter", "params"],
+)
+def test_a_key_given_twice_exits_two(capsys, tmp_path, argv, text, key):
+    # json alone keeps the last value: the field once read as the zero
+    # field, and the augmenters as the second I0 alone
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, text if argv[-1] == "--params" else str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and err.endswith(f": duplicate key {key!r}\n")
 
 
 def test_empty_params_are_refused(capsys):
@@ -1006,7 +1001,7 @@ def test_darboux_verify_of_a_high_degree_density_prints_its_witness(capsys, tmp_
     # x1^1000 once overflowed the stack of the monomial cache, and the
     # residual of x1^900 has more digits than str() writes for an int
     path = tmp_path / "density.json"
-    path.write_text(json.dumps({"terms": [[[degree, 0, 0, 0, 0], "1"]]}))
+    path.write_text(json.dumps([[[degree, 0, 0, 0, 0], "1"]]))
     code, out, err = run_cli(capsys, "darboux", "verify", "--system", "lv_divfree", "--density", str(path))
     assert code == 1 and err == ""
     witness = json.loads(out)["witness"]
@@ -1045,6 +1040,20 @@ def test_field_json_reads_a_constant_past_the_int_digit_limit(capsys, tmp_path):
     assert numerator.coefficient(pack_exponents([0, 0, 0, 1, 0])) == value
 
 
+@pytest.mark.parametrize("coefficient", [3, _LONG_INT], ids=["small", "5000-digits"])
+def test_field_json_reads_an_integer_coefficient_as_its_string(capsys, tmp_path, coefficient):
+    # a field file's coefficient is read like a polynomial file's and a
+    # --params value: a JSON integer or a "p/q" string
+    outputs = []
+    for value in (coefficient, "7" * 5000 if coefficient == _LONG_INT else str(coefficient)):
+        path = tmp_path / "field.json"
+        path.write_text(_dumps({**_LV, "linear": [[1, 1, value]]}))
+        code, out, err = run_cli(capsys, "kahan", "map", "--field", str(path))
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_system_params_read_an_integer_past_the_int_digit_limit(capsys):
     # a JSON integer this long once raised a traceback
     code, out, err = run_cli(capsys, "kahan", "map", "--system", "lv", "--params", '{"alpha": %s}' % ("7" * 5001))
@@ -1057,7 +1066,7 @@ def test_darboux_verify_a_density_in_u_exits_two(capsys, tmp_path):
     # every drawn point has u = 0, so no step could refute u; before, the
     # defect was expanded and the search for a witness failed with exit 1
     path = tmp_path / "density.json"
-    path.write_text(json.dumps({"terms": [[[0, 0, 0, 0, 1], "1"]]}))
+    path.write_text(json.dumps([[[0, 0, 0, 0, 1], "1"]]))
     code, out, err = run_cli(capsys, "darboux", "verify", "--system", "lv_divfree", "--density", str(path))
     assert code == 2 and out == ""
     assert err == "input error: a density must not involve u\n"

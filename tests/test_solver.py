@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -116,11 +117,17 @@ def test_build_basis_rejects_h_in_augmenter():
 
 def test_build_basis_rejects_labels_that_break_the_keys():
     # "C2(;)*C2(;)" would name both a plain multiset and an augmented element
+    # and a label given twice would key two elements alike
     f = lv_divfree()
-    x1 = Polynomial.variable(5, 0)
-    for labels in (["C2(;)"], ["Cx"], ["I*0"], ["a", "a"]):
-        with pytest.raises(ValueError, match="label"):
-            build_basis(f, 4, augmenters=[(label, x1) for label in labels], parity="even")
+    x1, x2 = Polynomial.variable(5, 0), Polynomial.variable(5, 1)
+    for augmenters, message in (
+        ([("C2(;)", x1)], "label 'C2(;)' must not start with 'C' or contain '*'"),
+        ([("Cx", x1)], "label 'Cx' must not start with 'C' or contain '*'"),
+        ([("I*0", x1)], "label 'I*0' must not start with 'C' or contain '*'"),
+        ([("a", x1), ("a", x2)], "label 'a' is used twice"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_basis(f, 4, augmenters=augmenters, parity="even")
     keys = [el.key for el in build_basis(f, 4, [("I0", x1)], "even").elements]
     assert len(keys) == len(set(keys))
 
