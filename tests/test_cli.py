@@ -443,6 +443,8 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         (_LV, [[[0, 0, 0, 0, 0], float("inf")]], None, "malformed density JSON"),
         (_LV, None, {"a": [[[1, 0, 0, 0, 0], "1/0"]]}, "zero denominator"),
         ([_LV], None, None, "must be an object"),
+        (_LV, None, [["a"]], "input error: augmenter JSON must be an object\n"),
+        (_LV, None, [1, 2], "input error: augmenter JSON must be an object\n"),
         (_LV, None, [["a", [[[1, 0, 0, 0, 0], "1"]]]], "input error: augmenter JSON must be an object\n"),
         (_LV, None, {"a": [[[1, 0, 0, 1, 0], "1"]]}, "must not involve h or u"),
         (_LV, None, {"a": [[[1, 0, 0, 0, 1], "1"]]}, "must not involve h or u"),
@@ -454,6 +456,12 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         (_LV, None, {"Cx": [[[1, 0, 0, 0, 0], "1"]]}, "label 'Cx' must not start with 'C'"),
         (_LV, None, {"I*0": [[[1, 0, 0, 0, 0], "1"]]}, "label 'I*0' must not start with 'C' or contain '*'"),
         (_LV, None, {"C2(;)": [[[1, 0, 0, 0, 0], "1"]]}, "label 'C2(;)' must not start with 'C'"),
+        (
+            _LV,
+            None,
+            '{"a": [[[1, 0, 0, 0, 0], "1"]], "a": [[[0, 1, 0, 0, 0], "1"]]}',
+            ": duplicate key 'a'\n",
+        ),
         (
             ("darboux", "solve", "--system", "ishii", "--params", '{"k": 0}', "--order", "2"),
             None,
@@ -621,6 +629,8 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         "density-infinite-coefficient",
         "augmenter-zero-denominator",
         "field-not-an-object",
+        "augmenter-not-a-pair",
+        "augmenter-not-a-list-of-pairs",
         "augmenter-a-list",
         "augmenter-with-h",
         "augmenter-with-u",
@@ -632,6 +642,7 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         "augmenter-label-starts-with-c",
         "augmenter-label-with-star",
         "augmenter-label-is-a-multiset",
+        "augmenter-label-twice",
         "system-missing-parameter",
         "system-unknown-parameter",
         "system-parameters-not-an-object",
@@ -681,7 +692,8 @@ def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, me
         argv = ["darboux", "solve", "--field", str(field_file), "--order", "2"]
         if augment is not None:
             aug_file = tmp_path / "aug.json"
-            aug_file.write_text(_dumps(augment))
+            # a string is the file's text, for what json.dumps cannot write
+            aug_file.write_text(augment if isinstance(augment, str) else _dumps(augment))
             argv += ["--augment", str(aug_file)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
