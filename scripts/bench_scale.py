@@ -46,12 +46,13 @@ def dense_field(fields):
     """A quadratic field on R^3 with all 30 coefficients nonzero."""
     rng = random.Random(8)
     nonzero = lambda: rng.choice([-2, -1, 1, 2])
-    return fields.QuadraticVectorField(
-        3,
-        {(i, j, k): nonzero() for i in range(3) for j in range(3) for k in range(j, 3)},
-        {(i, j): nonzero() for i in range(3) for j in range(3)},
-        {i: nonzero() for i in range(3)},
-    )
+    r = range(1, 4)
+    return fields.QuadraticVectorField.from_json({
+        "dim": 3,
+        "quadratic": [[i, j, k, nonzero()] for i in r for j in r for k in range(j, 4)],
+        "linear": [[i, j, nonzero()] for i in r for j in r],
+        "constant": [[i, nonzero()] for i in r],
+    })
 
 
 # name -> (field builder taking the package, order)

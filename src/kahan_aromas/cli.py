@@ -72,7 +72,7 @@ def _load_field(args) -> QuadraticVectorField:
             raise ValueError("malformed field JSON: the top level must be an object")
         try:
             return QuadraticVectorField.from_json(data)
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"malformed field JSON: {exc}") from exc
     if args.system:
         params = None

@@ -102,7 +102,7 @@ def lv(alpha=1, beta=1, gamma=1) -> QuadraticVectorField:
         _x(1) * (_x(2) * (-a) + _x(0) * g),
         _x(2) * (_x(1) * a - _x(0) * b),
     ]
-    return QuadraticVectorField.from_polynomials(comps)
+    return QuadraticVectorField(comps)
 
 
 def lv_divfree() -> QuadraticVectorField:
@@ -122,7 +122,7 @@ def dressing_chain(a=0, b=0, c=0) -> QuadraticVectorField:
         _x(0) ** 2 - _x(2) ** 2 + _c(av - cv),
         -_x(0) ** 2 + _x(1) ** 2 + _c(bv - av),
     ]
-    return QuadraticVectorField.from_polynomials(comps)
+    return QuadraticVectorField(comps)
 
 
 def nambu_homogeneous(A, B) -> QuadraticVectorField:
@@ -132,7 +132,7 @@ def nambu_homogeneous(A, B) -> QuadraticVectorField:
     _require_symmetric(B, "B")
     gH = _gradient(_quadratic_form_poly(A), 3)
     gK = _gradient(_quadratic_form_poly(B), 3)
-    return QuadraticVectorField.from_polynomials(_cross(gH, gK))
+    return QuadraticVectorField(_cross(gH, gK))
 
 
 def nambu_inhomogeneous(H, hvec, K, kvec) -> QuadraticVectorField:
@@ -147,7 +147,7 @@ def nambu_inhomogeneous(H, hvec, K, kvec) -> QuadraticVectorField:
     pK = _quadratic_form_poly(K) + sum(
         (_x(i) * kvec[i] for i in range(3)), Polynomial.zero(NV3)
     )
-    return QuadraticVectorField.from_polynomials(_cross(_gradient(pH, 3), _gradient(pK, 3)))
+    return QuadraticVectorField(_cross(_gradient(pH, 3), _gradient(pK, 3)))
 
 
 def _ishii_coefficients(b2, b3, c1, c2, c3):
@@ -167,7 +167,7 @@ def ishii(b2, b3, c1, c2, c3, k) -> QuadraticVectorField:
         _x(0) * c1 + _x(1) * c2 + _x(2) * c3,
         _x(0) ** 2 * a11 + _x(0) * _x(1) * a12 + _x(1) ** 2 * a22,
     ]
-    return QuadraticVectorField.from_polynomials(comps)
+    return QuadraticVectorField(comps)
 
 
 def ishii_invariants(b2, b3, c1, c2, c3, k):
@@ -192,15 +192,13 @@ def divfree_homogeneous_r3(A, B, C) -> QuadraticVectorField:
         if A[0][j] + B[1][j] + C[2][j] != 0:
             raise ValueError("matrices violate the divergence-free constraint")
     comps = [_quadratic_form_poly(M) for M in (A, B, C)]
-    return QuadraticVectorField.from_polynomials(comps)
+    return QuadraticVectorField(comps)
 
 
 def canonical_hamiltonian(J, H) -> QuadraticVectorField:
-    """f = J grad H for constant skew J and cubic H (polynomial or JSON)."""
+    """f = J grad H for constant skew J and cubic H given as polynomial JSON."""
     J = _rat_matrix(J, "J", size=None)
-    if not isinstance(H, Polynomial):
-        H = Polynomial.from_json(H, len(J) + 2)
-    return hamiltonian_field(J, H)
+    return hamiltonian_field(J, Polynomial.from_json(H, len(J) + 2))
 
 
 def _require_symmetric(M, name):
@@ -232,14 +230,14 @@ def random_vector(rng, n=3):
 
 
 def random_quadratic_field(rng, n) -> QuadraticVectorField:
-    quad, lin, const = {}, {}, {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(j, n):
-                quad[(i, j, k)] = rand_small(rng)
-            lin[(i, j)] = rand_small(rng)
-        const[i] = rand_small(rng)
-    return QuadraticVectorField(n, quad, lin, const)
+    """A dense quadratic field on R^n with small random coefficients."""
+    quad, lin, const = [], [], []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            quad += [[i, j, k, rand_small(rng)] for k in range(j, n + 1)]
+            lin.append([i, j, rand_small(rng)])
+        const.append([i, rand_small(rng)])
+    return QuadraticVectorField.from_json({"dim": n, "quadratic": quad, "linear": lin, "constant": const})
 
 
 def random_cubic_polynomial(rng, n) -> Polynomial:
@@ -636,7 +634,7 @@ SYSTEMS: dict[str, SystemSpec] = {spec.name: spec for spec in (
         canonical_hamiltonian,
         lambda rng: {
             "J": [[0, 1], [-1, 0]],
-            "H": random_cubic_polynomial(rng, 2),
+            "H": random_cubic_polynomial(rng, 2).to_json(),
         },
         '{"J": skew matrix, "H": polynomial JSON in n+2 vars}',
         _golden_canonical_hamiltonian,

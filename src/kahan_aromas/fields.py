@@ -1,10 +1,10 @@
 """Quadratic vector fields, aromatic functions, and the Kahan map.
 
-The field f on R^n is stored as its component polynomials f_1 .. f_n, each
-of degree <= 2 in x and free of h and u.  Field JSON lists the terms by
-degree, 1-based: an entry [i, j, k, v] of "quadratic" (j <= k) is the term
-v x_j x_k of f_i, [i, j, v] of "linear" is v x_j and [i, v] of "constant"
-is v.
+The field f on R^n is its component polynomials f_1 .. f_n, each of degree
+<= 2 in x and free of h and u.  Field JSON lists the terms by degree,
+1-based: an entry [i, j, k, v] of "quadratic" (j <= k) is the term v x_j x_k
+of f_i, [i, j, v] of "linear" is v x_j and [i, v] of "constant" is v; no
+other key is read.
 
 The aromatic function F sends an aroma (or multiset) graph to a scalar
 polynomial by Einstein summation: vertex v with predecessors p1..pm
@@ -75,64 +75,34 @@ from .poly import (
 )
 from .rationals import Rat, ZERO, format_rat, parse_rat, safe_repr
 
+_KINDS = ("constant", "linear", "quadratic")  # a field JSON entry of kind k names k indices after i
+
 
 class QuadraticVectorField:
-    """Exact quadratic vector field on R^dim (immutable after construction)."""
+    """Exact quadratic vector field on R^n, immutable after construction:
+    its n >= 1 component polynomials f_1 .. f_n in x_1 .. x_n, h, u, kept as
+    given once each is checked free of h and u and of degree <= 2 in x.
+    `from_json` is the one reader of field JSON."""
 
-    def __init__(self, dim: int, quadratic=None, linear=None, constant=None):
-        """From 0-based coefficient dicts: quadratic[(i, j, k)] is the
-        coefficient of x_j x_k in f_i, linear[(i, j)] that of x_j and
-        constant[i] the constant term; (i, j, k) and (i, k, j) name one
-        monomial, and entries naming one monomial add up."""
-        if type(dim) is not int:
-            raise ValueError(f"dimension {dim!r} is not an integer")
-        if dim < 1:
+    def __init__(self, components):
+        components = list(components)
+        if not components:
             raise ValueError("dimension must be at least 1")
-        self.dim = dim
-        self.nvars = dim + 2
-        terms: list[dict] = [{} for _ in range(dim)]  # per component: packed key -> coefficient
-
-        def add(i, js, v):
-            self._check_index(i, *js)
-            exps = [0] * self.nvars
-            for j in js:
-                exps[j] += 1
-            key = pack_exponents(exps)
-            terms[i][key] = terms[i].get(key, ZERO) + Rat(v)
-
-        for (i, j, k), v in dict(quadratic or {}).items():
-            add(i, (j, k), v)
-        for (i, j), v in dict(linear or {}).items():
-            add(i, (j,), v)
-        for i, v in dict(constant or {}).items():
-            add(i, (), v)
-        self.components = [Polynomial(self.nvars, t) for t in terms]  # f_1 .. f_n
+        self.dim = n = len(components)
+        self.nvars = n + 2
+        for p in components:
+            if p.nvars != self.nvars:
+                raise ValueError("component polynomial has the wrong variable universe")
+            if p.degree_in(n) or p.degree_in(n + 1):
+                raise ValueError("vector field components must not involve h or u")
+            if p.x_degree() > 2:
+                raise ValueError("vector field is not quadratic")
+        self.components = components  # f_1 .. f_n
         self._kahan_map: KahanMap | None = None
         self._cleared_parts: tuple[int, dict, dict] | None = None
         self._elementary: dict[str, tuple] = {}
         self._cycle_matrices: dict[str, tuple] = {}
         self._aroma_cache: dict[str, Polynomial] = {}
-
-    def _check_index(self, *idx):
-        for i in idx:
-            if type(i) is not int:
-                raise ValueError(f"index {i!r} is not an integer")
-            if not 0 <= i < self.dim:
-                raise ValueError(f"index {safe_repr(i)} out of range for dimension {self.dim}")
-
-    @staticmethod
-    def from_polynomials(polys: list[Polynomial]) -> "QuadraticVectorField":
-        """The field with these components, checked and kept as given."""
-        field = QuadraticVectorField(len(polys))
-        for p in polys:
-            if p.nvars != field.nvars:
-                raise ValueError("component polynomial has the wrong variable universe")
-            if p.degree_in(field.dim) or p.degree_in(field.dim + 1):
-                raise ValueError("vector field components must not involve h or u")
-            if p.x_degree() > 2:
-                raise ValueError("vector field is not quadratic")
-        field.components = list(polys)
-        return field
 
     # -- calculus ---------------------------------------------------------
 
@@ -347,32 +317,40 @@ class QuadraticVectorField:
         for i, p in enumerate(self.components):
             for exps, v in p.sorted_terms():
                 js = [j + 1 for j in range(self.dim) for _ in range(exps[j])]
-                kind = ("constant", "linear", "quadratic")[len(js)]
-                entries[kind].append([i + 1, *js, format_rat(v)])
+                entries[_KINDS[len(js)]].append([i + 1, *js, format_rat(v)])
         # the 1-based indices of one entry kind are unique, so they decide the order
         return {"dim": self.dim, **{kind: sorted(rows) for kind, rows in entries.items()}}
 
     @staticmethod
     def from_json(data: dict) -> "QuadraticVectorField":
+        """The field of a field JSON object, the one reader of its entries:
+        an entry [i, j.., v] of kind `_KINDS[k]` names k indices j after i,
+        1-based and in order, and entries naming one monomial add up."""
+        if unknown := [key for key in data if key != "dim" and key not in _KINDS]:
+            known = "'dim', 'quadratic', 'linear' and 'constant'"
+            raise ValueError(f"unknown key {safe_repr(unknown[0])}; a field has only {known}")
         dim = data.get("dim")
         if type(dim) is not int or dim < 1:
             raise ValueError("field JSON needs a positive integer 'dim'")
-        quadratic, linear, constant = {}, {}, {}
-        for entry in data.get("quadratic", []):
-            i, j, k, v = entry
-            key = _zero_based(entry, i, j, k)
-            if j > k:
-                raise ValueError(f"quadratic entry {safe_repr(entry)} violates j <= k")
-            quadratic[key] = quadratic.get(key, ZERO) + parse_rat(v)
-        for entry in data.get("linear", []):
-            i, j, v = entry
-            key = _zero_based(entry, i, j)
-            linear[key] = linear.get(key, ZERO) + parse_rat(v)
-        for entry in data.get("constant", []):
-            i, v = entry
-            (key,) = _zero_based(entry, i)
-            constant[key] = constant.get(key, ZERO) + parse_rat(v)
-        return QuadraticVectorField(dim, quadratic, linear, constant)
+        terms: list[dict] = [{} for _ in range(dim)]  # per component: packed key -> coefficient
+        for k, kind in enumerate(_KINDS):
+            section = data.get(kind, [])
+            if type(section) is not list:
+                raise ValueError(f"field section {kind!r} is not a list: {safe_repr(section)}")
+            for entry in section:
+                if type(entry) is not list or len(entry) != k + 2:
+                    raise ValueError(f"{kind} entry {safe_repr(entry)} must be a list of {k + 2} items")
+                *idx, v = entry
+                if any(type(j) is not int for j in idx):
+                    raise ValueError(f"field entry {safe_repr(entry)} has an index that is not an integer")
+                if outside := [j for j in idx if not 1 <= j <= dim]:
+                    raise ValueError(f"index {safe_repr(outside[0])} out of range for dimension {dim}")
+                if k == 2 and idx[1] > idx[2]:
+                    raise ValueError(f"quadratic entry {safe_repr(entry)} violates j <= k")
+                comp = terms[idx[0] - 1]
+                key = sum(pack_exponents([0] * (j - 1) + [1]) for j in idx[1:])  # keys add as monomials multiply
+                comp[key] = comp.get(key, ZERO) + parse_rat(v)
+        return QuadraticVectorField([Polynomial(dim + 2, t) for t in terms])
 
     def __repr__(self):
         return f"QuadraticVectorField(dim={self.dim}, f={[str(p) for p in self.components]})"
@@ -395,14 +373,6 @@ def _combination(nvars: int, polys: list[Polynomial], coeffs) -> Polynomial:
         if c != 0:
             out = out + p * c
     return out
-
-
-def _zero_based(entry, *indices) -> tuple[int, ...]:
-    """The 1-based indices of a field JSON entry, 0-based; a float, a bool or
-    a string index is refused."""
-    if any(type(i) is not int for i in indices):
-        raise ValueError(f"field entry {safe_repr(entry)} has an index that is not an integer")
-    return tuple(i - 1 for i in indices)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +565,7 @@ def affine_pullback(field: QuadraticVectorField, A, v=None) -> QuadraticVectorFi
         sum((substituted[j] * Ainv[i][j] for j in range(n)), Polynomial.zero(nv))
         for i in range(n)
     ]
-    return QuadraticVectorField.from_polynomials(new_components)
+    return QuadraticVectorField(new_components)
 
 
 def hamiltonian_field(J, H: Polynomial) -> QuadraticVectorField:
@@ -614,7 +584,7 @@ def hamiltonian_field(J, H: Polynomial) -> QuadraticVectorField:
     comps = [
         sum((grad[j] * J[i][j] for j in range(n)), Polynomial.zero(n + 2)) for i in range(n)
     ]
-    return QuadraticVectorField.from_polynomials(comps)
+    return QuadraticVectorField(comps)
 
 
 def modified_hamiltonian(field: QuadraticVectorField, H: Polynomial) -> RationalFunction:

@@ -32,7 +32,7 @@ def parse_rat(value) -> Rat:
     try:
         return Rat(-_integer(p) if sign == "-" else _integer(p), _integer(q or "1"))
     except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
+        raise ValueError(f"zero denominator in {safe_repr(value)}") from None
 
 
 def _integer(digits: str) -> int:
@@ -58,14 +58,16 @@ def _decimal(n: int) -> str:
 
 
 def safe_repr(value) -> str:
-    """repr(value) for a message; an int past the interpreter's digit limit,
-    whose repr raises, shows as its digit count."""
+    """repr(value) for a message, cut to its first 80 characters and its
+    length when longer; an int past the interpreter's digit limit, whose
+    repr raises, shows as its digit count."""
     try:
-        return repr(value)
+        text = repr(value)
     except ValueError:
         if isinstance(value, int):
             return f"an integer of {len(_decimal(abs(value)))} digits"
         return f"a {type(value).__name__} holding an integer too long to print"
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
 def format_rat(value) -> str:

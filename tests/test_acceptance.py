@@ -111,7 +111,7 @@ def test_acceptance_03_girard_newton():
         nv = d + 2
         A = [[Rat(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d)] for _ in range(d)]
         f = QuadraticVectorField(
-            d, linear={(i, j): A[i][j] for i in range(d) for j in range(d)}
+            [sum((Polynomial.variable(nv, j) * A[i][j] for j in range(d)), Polynomial.zero(nv)) for i in range(d)]
         )
         h = Polynomial.variable(nv, d)
         u = Polynomial.variable(nv, d + 1)

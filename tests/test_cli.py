@@ -570,6 +570,13 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         ({**_LV, "linear": [[True, 1, "1"]]}, None, None, "has an index that is not an integer"),
         ({**_LV, "dim": True}, None, None, "needs a positive integer 'dim'"),
         (
+            {"dim": 1, "quadratc": [[1, 1, 1, "1"]]},
+            None,
+            None,
+            "input error: malformed field JSON: unknown key 'quadratc';"
+            " a field has only 'dim', 'quadratic', 'linear' and 'constant'\n",
+        ),
+        (
             ("field", "eval", "--system", "lv", "--aroma", f"C1({_DEEP_TREE})"),
             None,
             None,
@@ -622,6 +629,21 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
             None,
             "parameter 'A' must be a 3 x 3 matrix, got a list holding an integer too long to print;",
         ),
+        # a refused value is echoed as its first 80 characters and its length
+        (
+            _LV,
+            [[[0, 0, 0, 0, 0], "x" * 200_000]],
+            None,
+            "input error: malformed density JSON: expected an integer or a rational string 'p/q', got '"
+            + "x" * 79
+            + "... (200002 characters)\n",
+        ),
+        (
+            _LV,
+            [[[0, 0, 0, 0, 0], "1/" + "0" * 199_998]],
+            None,
+            "input error: malformed density JSON: zero denominator in '1/" + "0" * 77 + "... (200002 characters)\n",
+        ),
     ],
     ids=[
         "field-zero-denominator",
@@ -664,6 +686,7 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         "field-float-index",
         "field-bool-index",
         "field-bool-dim",
+        "field-unknown-key",
         "aroma-above-the-order-cap",
         "newton-zero-dim",
         "newton-negative-dim",
@@ -676,6 +699,8 @@ _DEEP_TREE = "[" * 1500 + "]" * 1500
         "density-a-long-integer",
         "field-index-a-long-integer",
         "system-matrix-holding-a-long-integer",
+        "density-a-long-coefficient",
+        "density-a-long-zero-denominator",
     ],
 )
 def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, message):
@@ -697,7 +722,7 @@ def test_malformed_input_exits_two(capsys, tmp_path, field, density, augment, me
             argv += ["--augment", str(aug_file)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("input error: ") and message in err
+    assert err.startswith("input error: ") and message in err and len(err) < 1024
 
 
 def test_params_with_a_field_file_are_refused(capsys, tmp_path):
@@ -1131,7 +1156,7 @@ def test_discover_measures_refuses_a_malformed_field_file(tmp_path):
     path.write_text(json.dumps({"dim": 2, "quadratic": 5}))
     done = _run_script("discover_measures.py", "--field", str(path))
     assert (done.returncode, done.stdout) == (2, b"")
-    assert done.stderr == b"input error: malformed field JSON: 'int' object is not iterable\n"
+    assert done.stderr == b"input error: malformed field JSON: field section 'quadratic' is not a list: 5\n"
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

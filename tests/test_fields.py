@@ -5,8 +5,10 @@ determinant formula, affine equivariance, the kernel classes) are the
 contracts everything downstream relies on.
 """
 
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import random
 import weakref
@@ -14,6 +16,7 @@ from itertools import combinations_with_replacement
 from math import prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kahan_aromas.corpus import (
     SYSTEMS,
@@ -64,7 +67,8 @@ from kahan_aromas.poly import (
     rf_substitute,
     unpack_exponents,
 )
-from kahan_aromas.rationals import Rat
+from kahan_aromas.cli import main
+from kahan_aromas.rationals import Rat, format_rat, parse_rat
 from kahan_aromas.solver import parameter_independent_solve, solve_darboux
 from oracles import (
     aroma_by_assignments,
@@ -93,13 +97,11 @@ def test_component_extraction_and_convention():
     )
     x1, x2 = X(0, 4), X(1, 4)
     assert f.components == [x1 * x2 * 3 + x2 * 5, x2**2 * 2 - Rat(1, 2)]
-    # a j > k key of the dict constructor is the same monomial
-    swapped = QuadraticVectorField(2, quadratic={(0, 1, 0): 3, (1, 1, 1): 2}, linear={(0, 1): 5}, constant={1: Rat(-1, 2)})
-    assert swapped.to_json() == f.to_json()
 
 
-# SHA-256 of json.dumps(to_json()) on the dict-constructor path, taken while
-# the field still kept coefficient tensors next to its polynomials
+# SHA-256 of json.dumps(to_json()), taken on the 0-based dict constructor while
+# the field still kept coefficient tensors next to its polynomials; the cases
+# now give the same terms to from_json
 DICT_CONSTRUCTOR_JSON_SHA256 = {
     "random-n1": "97d8ad0de84d59ea51322cc60b67e80753c52fbbe1ff83cde0ec82fa2e6ec29d",
     "random-n2": "c33eae159779705e23464d61e9508c71d768db52b3b171a0b876d2591dfc7eb3",
@@ -111,16 +113,17 @@ DICT_CONSTRUCTOR_JSON_SHA256 = {
 }
 DICT_CONSTRUCTOR_CASES = {
     **{f"random-n{n}": lambda n=n: random_quadratic_field(random.Random(200 + n), n) for n in range(1, 5)},
-    # (0, 0, 1) and (0, 1, 0) name one monomial and add up
-    "duplicate": lambda: QuadraticVectorField(
-        2, quadratic={(0, 0, 1): 2, (0, 1, 0): "1/3", (1, 1, 1): Rat(-1, 2)}, linear={(1, 0): 1}, constant={0: 4}
+    # two entries name x1 x2 in f_1 and add up
+    "duplicate": lambda: QuadraticVectorField.from_json(
+        {"dim": 2, "quadratic": [[1, 1, 2, 2], [1, 1, 2, "1/3"], [2, 2, 2, "-1/2"]], "linear": [[2, 1, 1]], "constant": [[1, 4]]}
     ),
-    "swapped": lambda: QuadraticVectorField(
-        3, quadratic={(2, 2, 0): 5, (0, 1, 0): -3}, linear={(2, 1): Rat(7, 3)}
+    # the dict constructor's keys (2, 2, 0) and (0, 1, 0) named j > k
+    "swapped": lambda: QuadraticVectorField.from_json(
+        {"dim": 3, "quadratic": [[3, 1, 3, 5], [1, 1, 2, -3]], "linear": [[3, 2, "7/3"]]}
     ),
     # the x1 x2 entries cancel; zero entries are dropped
-    "cancelling": lambda: QuadraticVectorField(
-        2, quadratic={(0, 0, 1): 1, (0, 1, 0): -1, (1, 1, 1): 3}, linear={(0, 0): 0}, constant={1: 0}
+    "cancelling": lambda: QuadraticVectorField.from_json(
+        {"dim": 2, "quadratic": [[1, 1, 2, 1], [1, 1, 2, -1], [2, 2, 2, 3]], "linear": [[1, 1, 0]], "constant": [[2, 0]]}
     ),
 }
 
@@ -131,16 +134,101 @@ def test_dict_constructor_json_is_pinned(case):
     assert hashlib.sha256(text.encode()).hexdigest() == DICT_CONSTRUCTOR_JSON_SHA256[case]
 
 
-def test_from_polynomials_roundtrip():
+def test_components_roundtrip():
     f = lv_special()
-    again = QuadraticVectorField.from_polynomials(f.components)
-    assert again.to_json() == f.to_json()
+    again = QuadraticVectorField(f.components)
+    assert again.components == f.components and again.to_json() == f.to_json()
 
 
-def test_from_polynomials_rejects_cubic():
-    nv = 3
-    with pytest.raises(ValueError):
-        QuadraticVectorField.from_polynomials([Polynomial.variable(nv, 0) ** 3])
+def test_components_of_degree_three_are_refused():
+    with pytest.raises(ValueError, match="vector field is not quadratic"):
+        QuadraticVectorField([X(0, 3) ** 3])
+
+
+_KINDS = ("constant", "linear", "quadratic")  # an entry of kind k names k indices after i
+_VALUES = st.fractions(max_denominator=30).map(format_rat) | st.integers(-(10**30), 10**30)
+
+
+@st.composite
+def field_json(draw, dims=st.integers(1, 3)):
+    """A valid field JSON object: random 1-based entries with j <= k, some
+    naming one monomial more than once, and sections empty or left out."""
+    dim = draw(dims)
+    data = {"dim": dim}
+    index = st.integers(1, dim)
+    for k, kind in enumerate(_KINDS):
+        rows = draw(st.lists(st.tuples(index, st.lists(index, min_size=k, max_size=k), _VALUES), max_size=6))
+        if rows or draw(st.booleans()):
+            data[kind] = [[i, *sorted(js), v] for i, js, v in rows]
+    return data
+
+
+@given(field_json())
+def test_field_json_reads_each_entry_as_its_monomial(data):
+    nv = data["dim"] + 2
+    expected = [Polynomial.zero(nv)] * data["dim"]
+    for kind in _KINDS:
+        for i, *js, v in data.get(kind, []):
+            exps = [0] * nv
+            for j in js:
+                exps[j - 1] += 1
+            expected[i - 1] = expected[i - 1] + Polynomial.monomial(nv, exps, parse_rat(v))
+    f = QuadraticVectorField.from_json(data)
+    assert f.components == expected
+    assert QuadraticVectorField.from_json(f.to_json()).components == f.components
+
+
+# each holds a long value, whose echo the message must cut
+_NOT_INDICES = st.sampled_from([1.0, "1", True, None, [1], "1" * 3000])
+_NOT_VALUES = st.sampled_from(["1/0", "x" * 3000, "1" * 3000 + "/0", 0.5, None, True, [1]])
+_NOT_LISTS = st.sampled_from([5, "1, 1, 1", {"1": 1}, None, 1.5, True, "x" * 3000])
+
+
+@st.composite
+def malformed_field_json(draw):
+    """A valid field JSON object with one fault put in: an entry of the wrong
+    arity, an index that is not an integer or is out of range, a quadratic
+    entry with j > k, a value that is not exact, an entry or a section that
+    is not a list, an unknown key, or a dim that is not a positive integer."""
+    data = draw(field_json(dims=st.integers(2, 3)))
+    dim = data["dim"]
+    fault = draw(st.sampled_from(["arity", "index", "range", "order", "value", "entry", "section", "key", "dim"]))
+    k = draw(st.integers(0, 2))
+    entry = [*draw(st.lists(st.integers(1, dim), min_size=k + 1, max_size=k + 1)), "1"]
+    entry[1:-1] = sorted(entry[1:-1])
+    if fault == "arity":
+        entry = draw(st.sampled_from([entry[:-2] + entry[-1:], entry + ["1"]]))
+    elif fault == "index":
+        entry[draw(st.integers(0, k))] = draw(_NOT_INDICES)
+    elif fault == "range":
+        entry[draw(st.integers(0, k))] = draw(st.sampled_from([0, -1, dim + 1, 10**40]))
+    elif fault == "order":
+        k, entry = 2, [1, 2, 1, "1"]
+    elif fault == "value":
+        entry[-1] = draw(_NOT_VALUES)
+    elif fault == "entry":
+        entry = draw(_NOT_LISTS)
+    if fault == "section":
+        data[_KINDS[k]] = draw(_NOT_LISTS)
+    elif fault == "key":
+        data[draw(st.text(min_size=1).filter(lambda key: key not in ("dim", *_KINDS)) | st.just("k" * 3000))] = []
+    elif fault == "dim":
+        data["dim"] = draw(st.sampled_from([0, -2, True, 2.0, "2", None, "2" * 3000]))
+    else:
+        section = data.setdefault(_KINDS[k], [])
+        section.insert(draw(st.integers(0, len(section))), entry)
+    return data
+
+
+@given(malformed_field_json())
+def test_a_malformed_field_file_exits_two_with_a_bounded_message(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("field") / "field.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["kahan", "map", "--field", str(path)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("input error: malformed field JSON: ") and len(err.getvalue()) < 1024
 
 
 def test_field_json_roundtrip_and_validation():
@@ -155,9 +243,9 @@ def test_field_json_roundtrip_and_validation():
 
 def test_field_refuses_a_non_integer_dim():
     # True would be read as dimension 1
-    for dim in (True, 2.0, "2"):
-        with pytest.raises(ValueError, match="not an integer"):
-            QuadraticVectorField(dim)
+    for dim in (True, 2.0, "2", None):
+        with pytest.raises(ValueError, match="needs a positive integer 'dim'"):
+            QuadraticVectorField.from_json({"dim": dim})
 
 
 def _jacobian_trace(f) -> Polynomial:
@@ -167,7 +255,7 @@ def _jacobian_trace(f) -> Polynomial:
 
 
 def test_jacobian_divergence_examples():
-    zero = QuadraticVectorField(2)
+    zero = QuadraticVectorField([Polynomial.zero(4)] * 2)
     assert zero.divergence().is_zero()
     assert all(p.is_zero() for row in jacobian(zero) for p in row)
     assert lv_special().divergence() == (X(1) - X(0)) * 2
@@ -185,7 +273,7 @@ def test_aroma_function_basics():
 
 def test_tailed_two_cycle_has_three_factor_terms():
     # F on the tailed 2-cycle is sum f^i_j f^j_{ik} f^k; cross-check on 1-D x^2
-    f = QuadraticVectorField(1, quadratic={(0, 0, 0): 1})
+    f = QuadraticVectorField([X(0, 3) ** 2])
     x = Polynomial.variable(3, 0)
     assert f.aroma_function(TAILED_TWO_CYCLE) == (x * 2) * 2 * x**2
 
@@ -197,9 +285,10 @@ def _coprime_contents_field() -> QuadraticVectorField:
     rng = random.Random(31)
     contents = [Rat(1, 2), Rat(1, 3), Rat(5, 7)]
     big = lambda i: contents[i] * (rng.randrange(1, 1 << 40) * rng.choice([-1, 1]))
-    quad = {(i, j, k): big(i) for i in range(3) for j in range(3) for k in range(j, 3)}
-    lin = {(i, j): big(i) for i in range(3) for j in range(3)}
-    f = QuadraticVectorField(3, quad, lin, {i: big(i) for i in range(3)})
+    quad = [[i, j, k, big(i - 1)] for i in (1, 2, 3) for j in (1, 2, 3) for k in range(j, 4)]
+    lin = [[i, j, big(i - 1)] for i in (1, 2, 3) for j in (1, 2, 3)]
+    const = [[i, big(i - 1)] for i in (1, 2, 3)]
+    f = QuadraticVectorField.from_json({"dim": 3, "quadratic": quad, "linear": lin, "constant": const})
     assert [p.content.denominator for p in f.components] == [2, 3, 7]
     return f
 
@@ -209,9 +298,10 @@ def _zero_component_field() -> QuadraticVectorField:
     component is zero."""
     rng = random.Random(32)
     small = lambda: Rat(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
-    quad = {(i, j, k): small() for i in (0, 2) for j in range(3) for k in range(j, 3)}
-    lin = {(i, j): small() for i in (0, 2) for j in range(3)}
-    f = QuadraticVectorField(3, quad, lin, {0: small(), 2: small()})
+    quad = [[i, j, k, small()] for i in (1, 3) for j in (1, 2, 3) for k in range(j, 4)]
+    lin = [[i, j, small()] for i in (1, 3) for j in (1, 2, 3)]
+    const = [[i, small()] for i in (1, 3)]
+    f = QuadraticVectorField.from_json({"dim": 3, "quadratic": quad, "linear": lin, "constant": const})
     assert f.components[1].is_zero()
     return f
 
@@ -331,7 +421,7 @@ def test_family_chain_products_are_pinned(monkeypatch):
 
 
 def test_one_dimensional_degeneracy():
-    f = QuadraticVectorField(1, quadratic={(0, 0, 0): 1})
+    f = QuadraticVectorField([X(0, 3) ** 2])
     fp2 = (Polynomial.variable(3, 0) * 2) ** 2
     assert f.aroma_function(AromaMultiset((LOOP, LOOP))) == fp2
     assert f.aroma_function(TWO_CYCLE) == fp2
@@ -380,13 +470,13 @@ def test_elementary_differentials():
     ]
     assert chain2 == expect
     # cherry on 1-D x^2: f''(f, f) = 2 x^4
-    g = QuadraticVectorField(1, quadratic={(0, 0, 0): 1})
+    g = QuadraticVectorField([X(0, 3) ** 2])
     cherry = parse_any("[[][]]")
     assert elementary_differential(g, cherry) == [Polynomial.variable(3, 0) ** 4 * 2]
 
 
 def test_kahan_map_zero_field():
-    f = QuadraticVectorField(2)
+    f = QuadraticVectorField([Polynomial.zero(4)] * 2)
     m = KahanMap(f)
     assert m.numerators == [X(0, 4), X(1, 4)]
     assert m.den == Polynomial.const(4, 1)
@@ -394,7 +484,7 @@ def test_kahan_map_zero_field():
 
 
 def test_kahan_map_one_dimensional():
-    f = QuadraticVectorField(1, quadratic={(0, 0, 0): 1})
+    f = QuadraticVectorField([X(0, 3) ** 2])
     m = KahanMap(f)
     x, h = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
     one = Polynomial.const(3, 1)
@@ -406,7 +496,7 @@ def test_kahan_map_one_dimensional():
 def test_kahan_map_linear_field_oracle():
     # 1-D linear lambda x: x' = (1 + h lambda/2)/(1 - h lambda/2) x
     lam = Rat(3, 2)
-    f = QuadraticVectorField(1, linear={(0, 0): lam})
+    f = QuadraticVectorField([X(0, 3) * lam])
     m = KahanMap(f)
     x, h = Polynomial.variable(3, 0), Polynomial.variable(3, 1)
     one = Polynomial.const(3, 1)
@@ -416,7 +506,7 @@ def test_kahan_map_linear_field_oracle():
 
 def _map_cases():
     """Every corpus system at seed 0, dense random fields for n = 1..4, and
-    the coprime-content, zero-component and from_polynomials fields."""
+    the coprime-content, zero-component and affine-pullback fields."""
     cases = {name: (lambda name=name: get_system(name, seed=0)) for name in SYSTEMS}
     cases.update({f"dense-{n}": (lambda n=n: random_quadratic_field(random.Random(300 + n), n)) for n in range(1, 5)})
     cases.update({case: build for case, (build, _) in CONTRACTION_CASES.items() if not case[0].isdigit()})
@@ -619,7 +709,7 @@ def test_affine_pullback_identity_and_scaling():
     f = lv_special()
     eye = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert affine_pullback(f, eye).to_json() == f.to_json()
-    g = QuadraticVectorField(1, quadratic={(0, 0, 0): 1})
+    g = QuadraticVectorField([X(0, 3) ** 2])
     scaled = affine_pullback(g, [[2]])
     assert scaled.components[0] == Polynomial.variable(3, 0) ** 2 * 2
     with pytest.raises(ValueError):
@@ -716,7 +806,7 @@ def test_apply_point_matches_symbolic_map():
             _, image = m.apply_point(PointEvaluator(f.nvars, xs + [h, Rat(0)]))
             assert image == kahan_step_by_solve(f, xs, h)
     # on det(M) = 0 there is no step: 1 - h x vanishes at x = h = 1 for x' = x^2
-    g = QuadraticVectorField(1, quadratic={(0, 0, 0): 1})
+    g = QuadraticVectorField([X(0, 3) ** 2])
     at_pole = PointEvaluator(g.nvars, [Rat(1), Rat(1), Rat(0)])
     assert KahanMap(g).apply_point(at_pole) == (0, None)
     assert kahan_step_by_solve(g, [Rat(1)], Rat(1)) is None
@@ -767,14 +857,17 @@ def test_tree_bounds_cover_the_vectors(name):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: QuadraticVectorField(0), "dimension must be at least 1"),
-        (lambda: QuadraticVectorField(2, linear={(0, 1.0): 1}), "index 1.0 is not an integer"),
+        (lambda: QuadraticVectorField([]), "dimension must be at least 1"),
         (
-            lambda: QuadraticVectorField.from_polynomials([Polynomial.variable(5, 0)]),
+            lambda: QuadraticVectorField.from_json({"dim": 2, "linear": [[1, 2.0, 1]]}),
+            "field entry [1, 2.0, 1] has an index that is not an integer",
+        ),
+        (
+            lambda: QuadraticVectorField([Polynomial.variable(5, 0)]),
             "component polynomial has the wrong variable universe",
         ),
         (
-            lambda: QuadraticVectorField.from_polynomials([Polynomial.variable(3, 1)]),
+            lambda: QuadraticVectorField([Polynomial.variable(3, 1)]),
             "vector field components must not involve h or u",
         ),
         (

@@ -20,7 +20,7 @@ from kahan_aromas.poly import (
     series_in_h,
     unpack_exponents,
 )
-from kahan_aromas.rationals import Rat, format_rat, parse_rat
+from kahan_aromas.rationals import Rat, format_rat, parse_rat, safe_repr
 from oracles import evaluate_term_by_term, rf_substitute_term_by_term
 
 NV = 4  # two x-variables plus h, u
@@ -584,6 +584,14 @@ def test_parse_rat_reads_only_integers_and_p_over_q():
     for bad in ["1e1000000", "1.5", "1_000", "0x10", "inf", "", "+-1", "abc", "1 /2", True, 0.5, None]:
         with pytest.raises(ValueError, match=f"^expected an integer or a rational string 'p/q', got {re.escape(repr(bad))}$"):
             parse_rat(bad)
+
+
+def test_safe_repr_cuts_a_long_repr_to_its_first_80_characters():
+    assert safe_repr("x" * 78) == repr("x" * 78)  # 80 characters with its quotes
+    assert safe_repr("x" * 79) == repr("x" * 79)[:80] + "... (81 characters)"
+    assert safe_repr(7**10_000) == f"an integer of {len(format_rat(7**10_000))} digits"
+    with pytest.raises(ValueError, match=r"^zero denominator in '1/0{77}\.\.\. \(10003 characters\)$"):
+        parse_rat("1/" + "0" * 9999)
 
 
 def test_rational_function_equality_when_neither_denominator_divides():

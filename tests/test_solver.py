@@ -86,14 +86,14 @@ def X(i, nv=5):
 
 
 def test_build_basis_zero_field():
-    f = QuadraticVectorField(2)
+    f = QuadraticVectorField([Polynomial.zero(4)] * 2)
     basis = build_basis(f, 3)
     assert [e.key for e in basis.elements] == ["1"]
     assert "C1()" in basis.dropped
 
 
 def test_build_basis_one_dimensional_degeneracy():
-    f = QuadraticVectorField(1, quadratic={(0, 0, 0): 1})
+    f = QuadraticVectorField([X(0, 3) ** 2])
     basis = build_basis(f, 2)
     keys = [e.key for e in basis.elements]
     # F(loop loop) = F(2-cycle) = (f')^2: exactly one of the two survives,
@@ -188,7 +188,7 @@ def test_contains_refuses_a_vector_of_the_wrong_length():
 
 
 def test_solve_zero_field_everything_solves():
-    f = QuadraticVectorField(2)
+    f = QuadraticVectorField([Polynomial.zero(4)] * 2)
     sol = solve_darboux(f, 2, parity="both")
     # Phi = id and det DPhi = 1: the whole (one-element) basis solves
     assert len(sol.densities) == 1
@@ -554,11 +554,11 @@ def test_first_integrals_lv_special():
 def test_necessary_conditions_reports():
     rep = necessary_conditions(lv_divfree())
     assert rep.div_free and rep.cond1.holds and rep.cond1.alpha == 0
-    f = QuadraticVectorField(1, quadratic={(0, 0, 0): Rat(1, 2)})  # div f = x
+    f = QuadraticVectorField([X(0, 3) ** 2 * Rat(1, 2)])  # div f = x
     rep2 = necessary_conditions(f)
     assert not rep2.div_free
     # 1-D x^2: F(loop-with-tail) = 2x^2 != 4x^2 = F(loop^2)
-    g = QuadraticVectorField(1, quadratic={(0, 0, 0): 1})
+    g = QuadraticVectorField([X(0, 3) ** 2])
     assert not necessary_conditions(g).fcond2
 
 
@@ -756,7 +756,7 @@ def test_parameter_independent_with_no_common_kernel():
 def test_parameter_independent_with_an_instance_without_density():
     # a linear field with trace 2 has det DPhi != 1 and no density at all, but
     # a kernel of F large enough to hold the Nambu instances' density
-    linear = QuadraticVectorField(3, {}, {(0, 0): 1, (1, 1): 2, (2, 2): -1, (0, 1): 1}, {})
+    linear = QuadraticVectorField([X(0) + X(1), X(1) * 2, -X(2)])
     assert solve_darboux(linear, 4, parity="even", seed=2).gammas == []
     fields = [get_system("nambu_homogeneous", seed=s) for s in range(2)] + [linear]
     pis, _ = assert_matches_pairwise_intersection(fields, 4, 0)
@@ -808,7 +808,7 @@ def test_conjecture_requires_applicable_field():
     with pytest.raises(ValueError):
         conjecture_check(lv_special())  # not divergence-free
     with pytest.raises(ValueError):
-        conjecture_check(QuadraticVectorField(2))  # wrong dimension
+        conjecture_check(QuadraticVectorField([Polynomial.zero(4)] * 2))  # wrong dimension
 
 
 def test_conjecture_lv_divfree():
@@ -820,7 +820,7 @@ def test_conjecture_lv_divfree():
 
 def test_conjecture_degenerate_both_zero():
     # f = (y^2, 0, 0): homogeneous, divergence-free, F(tailed-2-cycle) = 0
-    f = QuadraticVectorField(3, quadratic={(0, 1, 1): 1})
+    f = QuadraticVectorField([X(1) ** 2, Polynomial.zero(5), Polynomial.zero(5)])
     rep = conjecture_check(f)
     assert rep.tailed_two_cycle_zero
     assert rep.hypothesis_holds  # both sides vanish
@@ -912,13 +912,14 @@ def _discovery_draws(monkeypatch, f, order, sector, seed=0):
 def _dense_random_field():
     """A quadratic field on R^3 with all 30 coefficients nonzero."""
     rng = random.Random(8)
-    nonzero = lambda: Rat(rng.choice([-2, -1, 1, 2]))
-    return QuadraticVectorField(
-        3,
-        {(i, j, k): nonzero() for i in range(3) for j in range(3) for k in range(j, 3)},
-        {(i, j): nonzero() for i in range(3) for j in range(3)},
-        {i: nonzero() for i in range(3)},
-    )
+    nonzero = lambda: rng.choice([-2, -1, 1, 2])
+    r = range(1, 4)
+    return QuadraticVectorField.from_json({
+        "dim": 3,
+        "quadratic": [[i, j, k, nonzero()] for i in r for j in r for k in range(j, 4)],
+        "linear": [[i, j, nonzero()] for i in r for j in r],
+        "constant": [[i, nonzero()] for i in r],
+    })
 
 
 def test_sector_without_density_stops_at_full_rank(monkeypatch):
@@ -1124,7 +1125,7 @@ def test_coefficient_denominator_p_takes_the_exact_path(monkeypatch):
     import kahan_aromas.solver as solver_mod
 
     f = lv_divfree()
-    g = QuadraticVectorField.from_polynomials([c * Rat(1, P) for c in f.components])
+    g = QuadraticVectorField([c * Rat(1, P) for c in f.components])
     expected = solve_darboux(f, 4, parity="both", seed=0)
     folded = _counting(monkeypatch, solver_mod, "_fold")
     exact = _counting(monkeypatch, solver_mod, "nullspace")
@@ -1147,7 +1148,7 @@ def test_scaling_a_field_keeps_its_gamma_space(monkeypatch, name, c):
     import kahan_aromas.solver as solver_mod
 
     f = get_system(name, seed=0)
-    g = QuadraticVectorField.from_polynomials([p * c for p in f.components])
+    g = QuadraticVectorField([p * c for p in f.components])
     expected = solve_darboux(f, 4, parity="even", seed=0)
     folded = _counting(monkeypatch, solver_mod, "_fold")
     exact = _counting(monkeypatch, solver_mod, "nullspace")
