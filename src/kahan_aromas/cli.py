@@ -23,7 +23,7 @@ from .coalgebra import eta, q_row
 from .fields import QuadraticVectorField
 from .graphs import enumerate_aromas, enumerate_multisets, parse_any, parse_multiset
 from .poly import Polynomial
-from .rationals import Rat, format_rat, parse_rat
+from .rationals import Rat, format_rat, parse_rat, safe_repr
 from .solver import (
     SolverError,
     conjecture_check,
@@ -48,7 +48,7 @@ def _unique_keys(pairs) -> dict:
     out = {}
     for key, value in pairs:
         if key in out:
-            raise ValueError(f"duplicate key {key!r}")
+            raise ValueError(f"duplicate key {safe_repr(key)}")
         out[key] = value
     return out
 
@@ -312,9 +312,9 @@ def _load_augmenters(path: str, nvars: int):
         raise ValueError("augmenter JSON must be an object")
     out = []
     for label, poly_json in sorted(data.items()):
-        p = _polynomial(poly_json, nvars, f"augmenter {label!r}")
+        p = _polynomial(poly_json, nvars, f"augmenter {safe_repr(label)}")
         if p.is_zero():
-            raise ValueError(f"augmenter {label!r} is the zero polynomial")
+            raise ValueError(f"augmenter {safe_repr(label)} is the zero polynomial")
         out.append((label, p))
     return out
 

@@ -85,17 +85,12 @@ def counit(truncation_order: int = 0) -> CoefficientFunctional:
     return CoefficientFunctional({UNIT: ONE}, truncation_order)
 
 
-@lru_cache(maxsize=None)
-def _kahan_tree_coeff(tree: RootedTree) -> Rat:
-    return Rat(1, 2 ** (tree.order - 1)) if tree.is_tall() else ZERO
-
-
 def kahan_coeff(forest: Forest) -> Rat:
     """Kahan's B-series coefficients: b(tall tree) = 2^(1-|tau|), else 0;
     extended multiplicatively to forests with b(empty) = 1."""
     out = ONE
     for tree in forest.trees:
-        out = out * _kahan_tree_coeff(tree)
+        out = out * (Rat(1, 2 ** (tree.order - 1)) if tree.is_tall() else ZERO)
     return out
 
 

@@ -644,7 +644,7 @@ SYSTEMS: dict[str, SystemSpec] = {spec.name: spec for spec in (
 
 def get_system(name: str, params: dict | None = None, seed: int = 0) -> QuadraticVectorField:
     if name not in SYSTEMS:
-        raise ValueError(f"unknown system {name!r}; known: {sorted(SYSTEMS)}")
+        raise ValueError(f"unknown system {safe_repr(name)}; known: {sorted(SYSTEMS)}")
     spec = SYSTEMS[name]
     if params is None:
         if spec.random_params is None:
@@ -656,9 +656,7 @@ def get_system(name: str, params: dict | None = None, seed: int = 0) -> Quadrati
     names = inspect.signature(spec.build).parameters
     unknown = sorted(set(params) - set(names))
     if unknown:
-        raise ValueError(
-            f"system {name!r} takes no parameter {', '.join(map(repr, unknown))}; schema: {spec.schema}"
-        )
+        raise ValueError(f"system {name!r} takes no parameter {safe_repr(unknown[0])}; schema: {spec.schema}")
     missing = [k for k, p in names.items() if p.default is p.empty and k not in params]
     if missing:
         raise ValueError(f"system {name!r} needs parameter {missing[0]!r}; schema: {spec.schema}")
@@ -670,5 +668,5 @@ def get_system(name: str, params: dict | None = None, seed: int = 0) -> Quadrati
 
 def golden_suite(name: str, seed: int = 0) -> list[GoldenCheck]:
     if name not in SYSTEMS:
-        raise ValueError(f"no golden suite for {name!r}; known: {sorted(SYSTEMS)}")
+        raise ValueError(f"no golden suite for {safe_repr(name)}; known: {sorted(SYSTEMS)}")
     return SYSTEMS[name].golden(seed)

@@ -118,7 +118,8 @@ class QuadraticVectorField:
 
     def kahan_map(self) -> "KahanMap":
         """The field's Kahan map, built once: every caller shares its
-        substitution cache."""
+        polynomials and point batches.  Its `subs_cache` holds the power
+        products of its last substitution only."""
         if self._kahan_map is None:
             self._kahan_map = KahanMap(self)
         return self._kahan_map
@@ -484,7 +485,8 @@ class KahanMap:
         return [list(layer) for layer in zip(*per_component)]
 
     def substitute(self, p: Polynomial, clear_power: int) -> Polynomial:
-        """den**clear_power * p(Phi_h(x)) with the map's shared cache."""
+        """den**clear_power * p(Phi_h(x)), its power products left in
+        `subs_cache`."""
         return rf_substitute(p, self.numerators, self.den, clear_power, self.subs_cache)
 
     def apply_point(self, point):

@@ -22,6 +22,8 @@ from functools import lru_cache
 from itertools import groupby
 from math import factorial, prod
 
+from .rationals import safe_repr
+
 
 def _sigma(parts) -> int:
     """Symmetry factor of a sorted tuple of parts: a class of m equal parts,
@@ -104,9 +106,11 @@ class Aroma(_Encoded):
         decs = tuple(decorations) or tuple(EMPTY_FOREST for _ in range(cycle_len))
         if len(decs) != cycle_len:
             raise ValueError("one decoration forest per cycle vertex required")
-        # canonical rotation: lexicographically minimal encoding sequence
-        seqs = [decs[i:] + decs[:i] for i in range(cycle_len)]
-        decs = min(seqs, key=lambda s: tuple(f.encoding for f in s))
+        # canonical rotation: lexicographically minimal encoding sequence,
+        # one rotation held at a time
+        encs = tuple(f.encoding for f in decs)
+        start = min(range(cycle_len), key=lambda i: encs[i:] + encs[:i])
+        decs = decs[start:] + decs[:start]
         self.cycle_len = cycle_len
         self.decorations = decs
         self.encoding = f"C{cycle_len}(" + ";".join(f.encoding for f in decs) + ")"
@@ -289,31 +293,31 @@ def parse_forest(text: str) -> Forest:
             kids = stack.pop()
             stack[-1].append(RootedTree(kids))
         elif len(stack) == 1:
-            raise ValueError(f"expected '[' at position {pos} in {text!r}")
+            raise ValueError(f"expected '[' at position {pos} in {safe_repr(text)}")
         else:
-            raise ValueError(f"unbalanced brackets in {text!r}")
+            raise ValueError(f"unbalanced brackets in {safe_repr(text)}")
     if len(stack) > 1:
-        raise ValueError(f"unbalanced brackets in {text!r}")
+        raise ValueError(f"unbalanced brackets in {safe_repr(text)}")
     return Forest(stack[0])
 
 
 def parse_aroma(text: str) -> Aroma:
     text = text.strip()
     if not text.startswith("C"):
-        raise ValueError(f"aroma encoding must start with 'C': {text!r}")
+        raise ValueError(f"aroma encoding must start with 'C': {safe_repr(text)}")
     open_paren = text.find("(")
     if open_paren < 0:
-        raise ValueError(f"aroma encoding needs '(' after the cycle length: {text!r}")
+        raise ValueError(f"aroma encoding needs '(' after the cycle length: {safe_repr(text)}")
     length = text[1:open_paren]
     if not (length.isascii() and length.isdigit()):
-        raise ValueError(f"aroma cycle length must be a positive integer: {text!r}")
+        raise ValueError(f"aroma cycle length must be a positive integer: {safe_repr(text)}")
     k = int(length)
     if not text.endswith(")"):
-        raise ValueError(f"aroma encoding must end with ')': {text!r}")
+        raise ValueError(f"aroma encoding must end with ')': {safe_repr(text)}")
     body = text[open_paren + 1 : -1]
     parts = body.split(";") if body or k == 1 else []
     if len(parts) != k:
-        raise ValueError(f"aroma {text!r} must carry exactly {k} forests")
+        raise ValueError(f"aroma {safe_repr(text)} must carry exactly {k} forests")
     return Aroma(k, tuple(parse_forest(p) for p in parts))
 
 

@@ -518,20 +518,16 @@ def _as_rf(value, nvars: int) -> RationalFunction:
 
 class _Packed:
     """One polynomial packed for the substitution kernel: `terms` maps a key
-    to an int of balanced base-2^bits digits (see `rf_substitute`).  In the
+    to an int of balanced base-2^B digits (see `rf_substitute`).  In the
     h layout (xn false) a key is an (x, u)-monomial and the digits are its
     h-coefficients; in the x_n layout (xn true) a key is an
-    (x_1..x_{n-1}, u)-monomial and digit p carries x_n^p.  The entry of a
-    cache's key 0 also records the map, (numerators, denominator), whose
-    power products the cache holds."""
+    (x_1..x_{n-1}, u)-monomial and digit p carries x_n^p."""
 
-    __slots__ = ("terms", "bits", "xn", "source")
+    __slots__ = ("terms", "xn")
 
-    def __init__(self, terms: dict, bits: int, xn: bool, source=None):
+    def __init__(self, terms: dict, xn: bool):
         self.terms = terms
-        self.bits = bits
         self.xn = xn
-        self.source = source
 
 
 def _h_range(terms: dict, nx: int) -> tuple[int, int]:
@@ -611,15 +607,13 @@ def _divisor_chain(key: int, cache: dict) -> tuple:
     return got, reversed(chain)
 
 
-def _power_product(
-    xkey: int, cache: dict, packed_nums: list[dict], bits: int, xn: bool, nvars: int
-) -> dict:
+def _power_product(xkey: int, cache: dict, packed_nums: list[dict], xn: bool, nvars: int) -> dict:
     """The packed N'^a for the x-key a (see `_divisor_chain`)."""
     got, chain = _divisor_chain(xkey, cache)
     got = got.terms
     for key, i in chain:
         got = _mul_terms(got, packed_nums[i], nvars)
-        cache[key] = _Packed(got, bits, xn)
+        cache[key] = _Packed(got, xn)
     return got
 
 
@@ -647,10 +641,10 @@ def rf_substitute(
     pass through.  All polynomials share the denominator's variable
     universe, and each clear power is at least the x-degree of its
     polynomial, so the result is a polynomial (ValueError otherwise).  A
-    cache dict may be shared across calls; it keeps the packed power
-    products of one map, each a `_Packed` whose `terms` maps a key to an
-    int, and a call with another map empties it first.  The power products
-    do not depend on c, so pairs of different clear powers share them.
+    given cache dict is emptied first and then holds this call's packed
+    power products, each a `_Packed` whose `terms` maps a key to an int;
+    no call reads another's.  The power products do not depend on c, so
+    pairs of different clear powers share them.
 
     The kernel.  With the contents of the numerators and of the denominator
     over their one lcm L, N'_i = L N_i and D' = L den are integer
@@ -680,9 +674,7 @@ def rf_substitute(
     plus the multiplier's.  A span of 1, as on a homogeneous field, puts
     every h-degree at the x-degree plus the offset, so the x_n layout moves
     x_n, the last x-variable, from the key into the int, digit p carrying
-    x_n^p, and leaves h implied; a wider span keeps the h layout.  A cached
-    power product is reused only for the same map, in the same layout and
-    at a width at least B; otherwise the cache is emptied.
+    x_n^p, and leaves h implied; a wider span keeps the h layout.
 
     The digit width.  No coefficient of a product exceeds the product of
     its factors' l1-norms, so no coefficient of the integer result
@@ -715,6 +707,7 @@ def rf_substitute(
             )
     if cache is None:
         cache = {}
+    cache.clear()
     c_max = max((c for _, _, c in pairs), default=0)
     factors = list(numerators) + [denominator]
     common = math.lcm(*(f.content.denominator for f in factors))
@@ -736,7 +729,6 @@ def rf_substitute(
     off_den = ranges[-1][0]
     # the largest digit index of any N'^a D'^(c - |a|), per unit of c
     step = max([hi - off_num for _, hi in ranges[:-1]] + [ranges[-1][1] - off_den])
-    weights: dict[tuple, int] = {}  # (x-key a, c) -> prod_i |N'_i|^a_i |D'|^(c - |a|)
     bound = 0
     work = []
     for (m, q, c), s in zip(pairs, pair_scales):
@@ -749,14 +741,9 @@ def rf_substitute(
         entries = []
         for k, v in q.terms.items():
             xkey = k & x_mask
-            w = weights.get((xkey, c))
-            if w is None:
-                exps = unpack_exponents(xkey, nx)
-                w = norms[-1] ** (c - sum(exps))
-                for norm, e in zip(norms, exps):
-                    w *= norm**e
-                weights[(xkey, c)] = w
-            inner += abs(v) * w
+            exps = unpack_exponents(xkey, nx)
+            # |q_a| prod_i |N'_i|^a_i |D'|^(c - |a|)
+            inner += abs(v) * math.prod(map(pow, norms, exps)) * norms[-1] ** (c - sum(exps))
             e = (k >> hshift) & _MASK
             d = _x_degree_of(xkey, nx)
             entries.append((xkey, k - xkey - (e << hshift), e + d * off_num + (c - d) * off_den, v))
@@ -776,13 +763,7 @@ def rf_substitute(
     total_offset = min(w[4] + w[5] for w in work)
     xn = max(w[6] for w in work) == total_offset and nx > 0  # a span of one digit
     bits = bound.bit_length() + 1
-    source = (tuple(numerators), denominator)
-    held = cache.get(0)
-    if held is not None and held.source == source and held.xn == xn and held.bits >= bits:
-        bits = held.bits
-    else:
-        cache.clear()
-        cache[0] = _Packed({0: 1}, bits, xn, source)
+    cache[0] = _Packed({0: 1}, xn)
 
     packed_nums = [_pack(f.terms, nx, bits, off_num, xn, s) for f, s in zip(numerators, scales)]
     packed_den = _pack(denominator.terms, nx, bits, off_den, xn, scales[-1])
@@ -804,7 +785,7 @@ def rf_substitute(
                 acc = peeled.setdefault(i, {})
             else:
                 acc = by_degree.setdefault(degree, {})
-            _mul_add(acc, row, _power_product(xkey, cache, packed_nums, bits, xn, n), n)
+            _mul_add(acc, row, _power_product(xkey, cache, packed_nums, xn, n), n)
         if peeled:
             bucket = by_degree.setdefault(top, {})
             for i, u in peeled.items():

@@ -57,7 +57,7 @@ from .graphs import (
 from .linalg import P, _column_coordinates, _echelon_nullspace, _fold
 from .linalg import complement, in_span, intersect_rowspaces, nullspace, pivot_columns, rank, rref
 from .poly import PointEvaluator, Polynomial, PolynomialBatch, RationalFunction
-from .rationals import ONE, Rat, ZERO, _random_pair
+from .rationals import ONE, Rat, ZERO, _random_pair, safe_repr
 
 QUADRATIC_MAX_INDEGREE = 2
 SAMPLE_ATTEMPTS = 100  # random points tried by each randomized search
@@ -112,13 +112,13 @@ def check_augmenters(augmenters, dim: int) -> None:
         label = str(label)
         if label.startswith("C") or "*" in label:
             raise ValueError(
-                f"augmenter label {label!r} must not start with 'C' or contain '*'"
+                f"augmenter label {safe_repr(label)} must not start with 'C' or contain '*'"
             )
         if label in labels:
-            raise ValueError(f"augmenter label {label!r} is used twice")
+            raise ValueError(f"augmenter label {safe_repr(label)} is used twice")
         labels.add(label)
         if p.degree_in(dim) or p.degree_in(dim + 1):
-            raise ValueError(f"augmenter {label!r} must not involve h or u")
+            raise ValueError(f"augmenter {safe_repr(label)} must not involve h or u")
 
 
 def build_basis(

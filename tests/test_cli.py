@@ -1,7 +1,10 @@
 """CLI behavior: schemas, determinism, exit codes, round trips."""
 
+import contextlib
 import hashlib
 import importlib.util
+import inspect
+import io
 import json
 import os
 import random
@@ -11,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import kahan_aromas.corpus as corpus_mod
 import kahan_aromas.solver as solver_mod
@@ -757,6 +761,98 @@ def test_a_key_given_twice_exits_two(capsys, tmp_path, argv, text, key):
     code, out, err = run_cli(capsys, *argv, text if argv[-1] == "--params" else str(path))
     assert (code, out) == (2, "")
     assert err.startswith("input error: ") and err.endswith(f": duplicate key {key!r}\n")
+
+
+_LONG = "b" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (
+            ("darboux", "solve", "--system", "lv_divfree", "--order", "2", "--augment"),
+            json.dumps({"a" * 200_000: []}),
+        ),
+        (("kahan", "map", "--system", "lv", "--params", json.dumps({_LONG: 1})), None),
+        (("kahan", "map", "--system", _LONG), None),
+        (("aromas", "sigma", "C" + _LONG), None),
+        (("kahan", "map", "--field"), f'{{"{_LONG}": 1, "{_LONG}": 1}}'),
+    ],
+    ids=["augmenter-label", "params-key", "system-name", "aroma-encoding", "duplicate-key"],
+)
+def test_a_refused_long_value_is_echoed_cut(capsys, tmp_path, argv, text):
+    # each message once held the whole value, 100,000 characters or more
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = (*argv, str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and len(err.encode()) < 1024
+
+
+# JSON values of every kind, the long ones among them cut in an echo
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()
+    | st.fractions(max_denominator=30).map(format_rat)
+    | st.text(max_size=4)
+    | st.sampled_from(["1/0", "x" * 3000, "1" * 3000, "1" * 3000 + "/7"])
+)
+_ANY_JSON = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8
+)
+_VALUES = st.integers(-(10**40), 10**40) | st.fractions(max_denominator=30).map(format_rat)
+# a term over lv_divfree's variables x1 x2 x3 h u, or one with a part malformed
+_TERMS = (
+    st.tuples(st.lists(st.integers(0, 2), min_size=3, max_size=3), st.sampled_from([[0, 0], [1, 0], [0, 1]]), _VALUES)
+    .map(lambda t: [t[0] + t[1], t[2]])
+    | st.tuples(st.lists(st.integers(-1, 2) | st.sampled_from([1023, 1024, 10**40]) | _SCALARS, max_size=6), _SCALARS).map(list)
+    | _ANY_JSON
+)
+_POLY_JSON = st.lists(_TERMS, max_size=4)
+_LABELS = st.text(max_size=4) | st.sampled_from(["C2(;)", "a*b", "I0", "a" * 3000])
+_MATRICES = st.lists(st.lists(_SCALARS, min_size=3, max_size=3), min_size=3, max_size=3)
+_PARAM_NAMES = sorted({name for spec in SYSTEMS.values() for name in inspect.signature(spec.build).parameters})
+
+
+def _main_with_bounded_stderr(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2)
+    assert len(err.getvalue().encode()) < 1024
+
+
+@given(_POLY_JSON | _ANY_JSON)
+def test_any_density_file_exits_with_a_code_and_a_bounded_message(tmp_path_factory, density):
+    path = tmp_path_factory.mktemp("density") / "density.json"
+    path.write_text(json.dumps(density))
+    _main_with_bounded_stderr(["darboux", "verify", "--system", "lv_divfree", "--density", str(path)])
+
+
+@given(st.dictionaries(_LABELS, _POLY_JSON | _ANY_JSON, max_size=3) | _ANY_JSON)
+def test_any_augmenter_file_exits_with_a_code_and_a_bounded_message(tmp_path_factory, augmenters):
+    path = tmp_path_factory.mktemp("augment") / "augment.json"
+    path.write_text(json.dumps(augmenters))
+    _main_with_bounded_stderr(["darboux", "solve", "--system", "lv_divfree", "--order", "2", "--augment", str(path)])
+
+
+@given(
+    st.sampled_from(sorted(SYSTEMS)),
+    st.dictionaries(
+        st.sampled_from(_PARAM_NAMES) | st.text(max_size=4) | st.just("k" * 3000),
+        _SCALARS | _MATRICES | st.lists(_SCALARS, min_size=3, max_size=3) | _POLY_JSON,
+        max_size=6,
+    )
+    | _ANY_JSON,
+)
+def test_any_params_exit_with_a_code_and_a_bounded_message(system, params):
+    # the "=" form hands the reader any JSON text: argparse takes a separate
+    # value that starts with "-", such as -1e+16, for a missing one
+    _main_with_bounded_stderr(["kahan", "map", "--system", system, f"--params={json.dumps(params)}"])
 
 
 def test_empty_params_are_refused(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -237,6 +238,20 @@ def test_aroma_rotation_canonicalization_idempotent(order):
         for r in range(a.cycle_len):
             rotated = a.decorations[r:] + a.decorations[:r]
             assert Aroma(a.cycle_len, rotated) == a
+
+
+def test_a_long_cycle_is_canonicalized_one_rotation_at_a_time():
+    # all 4,000 rotations held at once are 16 M references, about 128 MB
+    k = 4000
+    text = f"C{k}(" + ";".join(["[]"] + [""] * (k - 1)) + ")"
+    tracemalloc.start()
+    try:
+        aroma = parse_aroma(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert aroma.encoding == f"C{k}(" + ";" * (k - 1) + "[])"
+    assert peak < 4_000_000
 
 
 def test_structure_shapes():

@@ -158,7 +158,7 @@ def kernel_polys(draw, max_terms=4, max_exp=2):
 def test_packed_kernel_matches_term_by_term_oracle(p, nums, den, extra, m, q):
     c = max(p.x_degree(), q.x_degree()) + extra
     assert rf_substitute(p, nums, den, c) == rf_substitute_term_by_term(p, nums, den, c)
-    # a sum of multiplied substitutions, sharing one cache with the call before
+    # a sum of multiplied substitutions, on a cache that the call before filled
     cache = {}
     rf_substitute(q, nums, den, c, cache)
     want = m * rf_substitute_term_by_term(p, nums, den, c) - rf_substitute_term_by_term(q, nums, den, c)
@@ -198,7 +198,7 @@ def test_x_n_layout_matches_term_by_term_oracle(data, nx, wd, wp, wm, extra):
     mixed = q * (Polynomial.const(nv, 1) + Polynomial.variable(nv, nx))  # two weights
     c = max(p.x_degree(), q.x_degree()) + extra
     cache = {}
-    # the x_n and h layouts alternate over one cache
+    # the x_n and h layouts alternate, each call refilling the one cache
     for poly, xn in ((p, True), (mixed, False), (q, True), (mixed, False)):
         assert rf_substitute(poly, nums, den, c, cache) == rf_substitute_term_by_term(poly, nums, den, c)
         assert cache[0].xn is xn
@@ -244,7 +244,8 @@ def test_top_degree_split_matches_term_by_term_oracle(data, xn, tops, extra):
         nums = [data.draw(kernel_polys(max_terms=3)) for _ in range(2)]
         weight = lambda: None
     cache = {}
-    # one cache across calls of rising, then falling top degree, 0 and 1 included
+    # calls of rising, then falling top degree, 0 and 1 included, each
+    # refilling the one cache
     for top in (0, 1, 2, 4, 3, 1, 0):
         q = data.draw(top_degree_polys(top, weight()))
         c = top + extra
@@ -289,21 +290,33 @@ def test_pairs_of_different_clear_powers_match_term_by_term_oracle(data, xn, top
         m1, m2 = (data.draw(kernel_polys(max_terms=2).filter(lambda m: not m.is_zero())) for _ in range(2))
     want = m1 * rf_substitute_term_by_term(p1, nums, den, c1) + m2 * rf_substitute_term_by_term(p2, nums, den, c2)
     cache = {}
-    # the second call reads the power products that the first one cached
+    # the second call replaces the power products that the first one cached
     for pairs in ([(m1, p1, c1), (m2, p2, c2)], [(m2, p2, c2), (m1, p1, c1)]):
         assert rf_substitute(pairs, nums, den, cache=cache) == want
         assert cache[0].xn is xn or max(c1, c2) == 0
 
 
-def test_one_cache_shared_by_two_maps_empties_between_them():
+def test_one_cache_passed_to_two_maps_in_turn_holds_each_calls_own_products():
     # power products of x2 under the first map are no power products under
     # the second, whose numerators share that x-key and layout
     x1, x2, one = x(0), x(1), const(1)
     cache = {}
     assert rf_substitute(x2**5, [x1, x2], one, 5, cache) == x2**5
     assert rf_substitute(x2**3, [x1 * x2, x2**2], one, 3, cache) == x2**6
-    assert rf_substitute(x2**3, [x1 * x2, x2**2], one, 3, cache) == x2**6  # from the cache
+    assert rf_substitute(x2**3, [x1 * x2, x2**2], one, 3, cache) == x2**6  # the same call again
     assert rf_substitute(x2**5, [x1, x2], one, 5, cache) == x2**5
+
+
+def test_a_substitution_leaves_only_its_own_power_products_in_the_cache():
+    # x2^5 builds x2^1..x2^4 (its top degree is peeled); x2^2 under the
+    # same map then needs x2^1 only, and none of the first call's products
+    x1, x2, one = x(0), x(1), const(1)
+    cache = {}
+    assert rf_substitute(x2**5, [x1, x2], one, 5, cache) == x2**5
+    assert max(_cache_x_degrees(cache)) == 4
+    assert rf_substitute(x2**2, [x1, x2], one, 2, cache) == x2**2
+    assert _cache_x_degrees(cache) == {0, 1}
+    assert rf_substitute(x2 - x2, [x1, x2], one, 2, cache).is_zero() and not cache  # no work, no products
 
 
 @given(polys(), polys(), polys())
