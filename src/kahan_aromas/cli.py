@@ -23,7 +23,7 @@ from .coalgebra import eta, q_row
 from .fields import QuadraticVectorField
 from .graphs import enumerate_aromas, enumerate_multisets, parse_any, parse_multiset
 from .poly import Polynomial
-from .rationals import Rat, format_rat, parse_rat, safe_repr
+from .rationals import Rat, _cut, format_rat, parse_rat, safe_repr
 from .solver import (
     SolverError,
     conjecture_check,
@@ -179,13 +179,12 @@ def cmd_aromas_sigma(args) -> int:
 
 
 def cmd_field_eval(args) -> int:
-    field = _load_field(args)
     try:
         target = parse_multiset(args.aroma)
     except ValueError as exc:
         raise ValueError(f"bad aroma encoding: {exc}") from exc
     _check_order(target.order, args.order_cap)
-    poly = field.aroma_function(target)
+    poly = _load_field(args).aroma_function(target)
     payload = {
         "aroma": target.encoding,
         "sigma": target.sigma(),
@@ -197,8 +196,9 @@ def cmd_field_eval(args) -> int:
 
 
 def cmd_kahan(args) -> int:
-    field = _load_field(args)
-    kmap = field.kahan_map()
+    if args.kahan_cmd == "series":
+        _check_order(args.order, args.order_cap)
+    kmap = _load_field(args).kahan_map()
     if args.kahan_cmd == "map":
         payload = {
             "numerators": [p.to_json() for p in kmap.numerators],
@@ -220,7 +220,6 @@ def cmd_kahan(args) -> int:
             text_renderer=lambda p: f"det DPhi = ({dj.num}) / ({dj.den})",
         )
     else:
-        _check_order(args.order, args.order_cap)
         coeffs = kmap.series(args.order)
         payload = {
             "order": args.order,
@@ -464,10 +463,17 @@ def _add_field_source(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad argument is an input error like any other: `main` reports it."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree, built once per process: parsing leaves it as it was."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kahan-aromas",
         description="preserved measures and first integrals of Kahan maps in the span of aromatic functions",
     )
@@ -553,16 +559,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; a SolverError exits 1 with its message, a
-    ValueError exits 2 with `input error: <message>`."""
-    args = build_parser().parse_args(argv)
+    """Run one command; a SolverError exits 1 with its message, a ValueError
+    (a bad argument too) exits 2 with `input error: <message>`, cut at 200."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SolverError as exc:
         print(exc, file=sys.stderr)
         return 1
     except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+        print(f"input error: {_cut(str(exc), 200)}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # pragma: no cover
         return 0

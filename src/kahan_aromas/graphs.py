@@ -117,13 +117,10 @@ class Aroma(_Encoded):
         self.order = cycle_len + sum(f.order for f in decs)
 
     def sigma(self) -> int:
-        encs = tuple(f.encoding for f in self.decorations)
-        rotations = sum(
-            1
-            for r in range(self.cycle_len)
-            if encs[r:] + encs[:r] == encs
-        )
-        return rotations * prod(f.sigma() for f in self.decorations)
+        # k over the least period (a divisor of k) rotations fix the cycle
+        k, encs = self.cycle_len, tuple(f.encoding for f in self.decorations)
+        period = next(p for p in range(1, k + 1) if k % p == 0 and encs[p:] + encs[:p] == encs)
+        return k // period * prod(f.sigma() for f in self.decorations)
 
     def is_bare_cycle(self) -> bool:
         return all(not f.trees for f in self.decorations)

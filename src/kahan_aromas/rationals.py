@@ -67,7 +67,11 @@ def safe_repr(value) -> str:
         if isinstance(value, int):
             return f"an integer of {len(_decimal(abs(value)))} digits"
         return f"a {type(value).__name__} holding an integer too long to print"
-    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+    return _cut(text, 80)
+
+
+def _cut(text: str, bound: int) -> str:
+    return text if len(text) <= bound else f"{text[:bound]}... ({len(text)} characters)"
 
 
 def format_rat(value) -> str:

@@ -6,16 +6,15 @@ import importlib.util
 import inspect
 import io
 import json
-import os
 import random
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kahan_aromas.cli as cli_mod
 import kahan_aromas.corpus as corpus_mod
 import kahan_aromas.solver as solver_mod
 from kahan_aromas.cli import main, render_series
@@ -339,17 +338,12 @@ _MIXED_CALLS = [
 
 
 def _call(capsys, argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+    code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
 
 
 def test_parser_is_built_once_and_reused(capsys):
-    import kahan_aromas.cli as cli_mod
-
     # each call on a parser of its own
     separate = []
     for argv in _MIXED_CALLS:
@@ -360,6 +354,46 @@ def test_parser_is_built_once_and_reused(capsys):
     assert [_call(capsys, argv) for argv in _MIXED_CALLS] == separate
     assert [_call(capsys, argv) for argv in reversed(_MIXED_CALLS)] == separate[::-1]
     assert cli_mod.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "argv, fragments",
+    [
+        (["aromas", "enumerate", "--order", "1" * 100_000], ["--order", " characters)\n"]),
+        (["darboux", "solve", "--system", "lv", "--order", "2", "--parity", "x" * 100_000], ["--parity", " characters)\n"]),
+        (["aromas"], ["aromas_cmd"]),
+        (["kahan", "map", "--system", "lv", "--params", "-1e+16"], ["--params"]),
+        (["nope"], ["'nope'", "aromas", "field", "kahan", "hopf", "darboux", "check", "corpus"]),
+    ],
+    ids=["long-order", "long-parity", "no-subcommand", "option-like-params", "unknown-command"],
+)
+def test_a_bad_argument_exits_two_through_main(capsys, argv, fragments):
+    # a bad argument is an input error like any other: exit 2 and one
+    # bounded line, with no usage dump, and main returns rather than exits
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and len(err.encode()) < 1024
+    assert all(fragment in err for fragment in fragments)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and "darboux" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["kahan", "series", "--system", "lv", "--order", "7"], ["field", "eval", "--system", "lv", "--aroma", "C7(;;;;;;)"]],
+    ids=["kahan-series", "field-eval"],
+)
+def test_the_order_is_checked_before_the_field_is_read(capsys, monkeypatch, argv):
+    # refuse the order first: reading a large field and building its Kahan
+    # map takes seconds (a second on a field of dimension 150)
+    monkeypatch.setattr(cli_mod, "_load_field", lambda args: pytest.fail("the field was read"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "input error: order 7 exceeds the cap 6; pass --order-cap 7 to override\n"
 
 
 def test_render_series_shapes():
@@ -1203,56 +1237,6 @@ def test_darboux_verify_a_density_in_u_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, "darboux", "verify", "--system", "lv_divfree", "--density", str(path))
     assert code == 2 and out == ""
     assert err == "input error: a density must not involve u\n"
-
-
-# SHA-256 of the stdout of each example script run with these arguments,
-# taken before the solver chose its multisets in one place; run_corpus.py's
-# is that of its stdout before its timing lines moved to stderr, without
-# them.  The nambu_inhomogeneous order-6 run, the paper's headline case,
-# was pinned while discovery still drew its rows in batches.
-SCRIPT_STDOUT_SHA256 = {
-    ("run_corpus.py",): "588a9ea6e19fbda380a4001680c845d6a7a27074c4e14933dfd2dfadb5fc853c",
-    ("reproduce_tables.py",): "e3f13ade44cb98b4c90e0af32cb0ea01edfc4391da61ac469a76abe44b00eaac",
-    ("discover_measures.py", "--system", "lv_divfree", "--order", "4"): (
-        "a8ba0a8dfb5cbdfc0307df6bab1eaa54a7452d9ca2decf768e6ae23ce74e6d4f"
-    ),
-    ("discover_measures.py", "--system", "nambu_inhomogeneous", "--order", "6", "--parity", "even"): (
-        "efbe623a6dc7f95a024b15e67aa0d4ad83a09cbc3cd0ac8918aaad60701ccbbf"
-    ),
-}
-
-
-def _run_script(name, *args):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, str(root / "scripts" / name), *args], capture_output=True, env=env)
-
-
-# a run that picks a parity sector adds its system to the script's name
-@pytest.mark.parametrize(
-    "script", sorted(SCRIPT_STDOUT_SHA256), ids=lambda s: f"{s[0]}-{s[2]}" if "--parity" in s else s[0]
-)
-def test_example_script_output_is_pinned(script):
-    done = _run_script(*script)
-    assert done.returncode == 0
-    assert hashlib.sha256(done.stdout).hexdigest() == SCRIPT_STDOUT_SHA256[script]
-
-
-def test_run_corpus_refuses_an_unknown_suite():
-    # an unknown suite name is an input error with exit 2, not a traceback
-    done = _run_script("run_corpus.py", "nope")
-    assert (done.returncode, done.stdout) == (2, b"")
-    assert done.stderr == f"input error: no golden suite for 'nope'; known: {sorted(SYSTEMS)}\n".encode()
-
-
-def test_discover_measures_refuses_a_malformed_field_file(tmp_path):
-    # the script reads --field through the CLI's reader, so a malformed file
-    # is an input error with exit 2, not a traceback
-    path = tmp_path / "field.json"
-    path.write_text(json.dumps({"dim": 2, "quadratic": 5}))
-    done = _run_script("discover_measures.py", "--field", str(path))
-    assert (done.returncode, done.stdout) == (2, b"")
-    assert done.stderr == b"input error: malformed field JSON: field section 'quadratic' is not a list: 5\n"
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")

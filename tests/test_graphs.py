@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -252,6 +253,20 @@ def test_a_long_cycle_is_canonicalized_one_rotation_at_a_time():
         tracemalloc.stop()
     assert aroma.encoding == f"C{k}(" + ";" * (k - 1) + "[])"
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["bare", "one-tail"])
+def test_sigma_of_a_long_cycle_reads_its_least_period(tail):
+    # comparing all k rotations would take about as long as building the
+    # canonical rotation; a ratio of the two does not depend on the host
+    k = 8000
+    text = f"C{k}(" + ";".join(["[]" if tail else ""] + [""] * (k - 1)) + ")"
+    start = time.perf_counter()
+    aroma = parse_aroma(text)
+    built = time.perf_counter() - start
+    start = time.perf_counter()
+    assert aroma.sigma() == (1 if tail else k)
+    assert time.perf_counter() - start < built / 4
 
 
 def test_structure_shapes():
