@@ -8,7 +8,7 @@ functions and verifies them symbolically.
 """
 
 from .rationals import Rat, format_rat, parse_rat
-from .poly import Polynomial, RationalFunction, rf_substitute, series_in_h
+from .poly import Polynomial, RationalFunction, rf_substitute
 from .linalg import nullspace, rank, rref
 from .graphs import (
     Aroma,

@@ -198,6 +198,19 @@ def cmd_field_eval(args) -> int:
 def cmd_kahan(args) -> int:
     if args.kahan_cmd == "series":
         _check_order(args.order, args.order_cap)
+        coeffs = _load_field(args).kahan_series(args.order)
+        payload = {
+            "order": args.order,
+            "coefficients": [[p.to_json() for p in vec] for vec in coeffs],
+        }
+        _emit(
+            args,
+            payload,
+            text_renderer=lambda p: "\n".join(
+                f"h^{k}: (" + ", ".join(map(str, vec)) + ")" for k, vec in enumerate(coeffs)
+            ),
+        )
+        return 0
     kmap = _load_field(args).kahan_map()
     if args.kahan_cmd == "map":
         payload = {
@@ -211,26 +224,13 @@ def cmd_kahan(args) -> int:
                 f"Phi_{i+1} = ({num}) / ({kmap.den})" for i, num in enumerate(kmap.numerators)
             ),
         )
-    elif args.kahan_cmd == "det":
+    else:
         dj = kmap.det_jacobian()
         payload = {"num": dj.num.to_json(), "den": dj.den.to_json()}
         _emit(
             args,
             payload,
             text_renderer=lambda p: f"det DPhi = ({dj.num}) / ({dj.den})",
-        )
-    else:
-        coeffs = kmap.series(args.order)
-        payload = {
-            "order": args.order,
-            "coefficients": [[p.to_json() for p in vec] for vec in coeffs],
-        }
-        _emit(
-            args,
-            payload,
-            text_renderer=lambda p: "\n".join(
-                f"h^{k}: (" + ", ".join(map(str, vec)) + ")" for k, vec in enumerate(coeffs)
-            ),
         )
     return 0
 

@@ -55,7 +55,7 @@ import math
 from functools import reduce
 from itertools import combinations_with_replacement, product
 
-from .graphs import LOOP, Aroma, AromaMultiset, RootedTree
+from .graphs import LOOP, Aroma, AromaMultiset, RootedTree, tall_tree
 from .linalg import P, invert_rational_matrix
 from .poly import (
     PointEvaluator,
@@ -71,7 +71,6 @@ from .poly import (
     _packed_add,
     pack_exponents,
     rf_substitute,
-    series_in_h,
 )
 from .rationals import Rat, ZERO, format_rat, parse_rat, safe_repr
 
@@ -123,6 +122,20 @@ class QuadraticVectorField:
         if self._kahan_map is None:
             self._kahan_map = KahanMap(self)
         return self._kahan_map
+
+    def kahan_series(self, order: int) -> list[list[Polynomial]]:
+        """The h-expansion of the Kahan map through h^order, Kahan's B-series
+        (b = 2^(1-|t|) on tall trees t, 0 on every other tree, as in
+        `coalgebra.kahan_coeff`): x at h^0 and 2^(1-k) F(tall tree of k
+        vertices) = 2^(1-k) (f')^(k-1) f at h^k, read off the tree memo."""
+        if order < 0:
+            raise ValueError("order must be nonnegative")
+        n, nv, D = self.dim, self.nvars, self._cleared()[0]
+        out = [[Polynomial.variable(nv, i) for i in range(n)]]
+        for k in range(1, order + 1):
+            vec = self._tree_vector(tall_tree(k))[0]  # D^k F(tall tree)
+            out.append([_from_ints(nv, p, 1, 2 ** (k - 1) * D**k) for p in vec])
+        return out
 
     # -- aromatic functions ------------------------------------------------
 
@@ -405,9 +418,9 @@ class KahanMap:
     Phi_h(x)_i = numerators[i] / den  with  M = I - (h/2) f'(x),
     den = det(M) and, by Cramer's rule,
     numerators[i] = x_i * den + h * det(M with column i replaced by f(x)).
-    den at h = 0 equals 1.  Point steps (`step`), the h-series and the
-    modified Hamiltonian all read these polynomials, a step through two
-    batches compiled with the map: den with the numerators, and N_{h/2}.
+    den at h = 0 equals 1.  Point steps (`step`) and the modified
+    Hamiltonian read these polynomials, a step through two batches
+    compiled with the map: den with the numerators, and N_{h/2}.
 
     They are built in integers from the field's cleared partials (D the
     lcm of the components' content denominators): A = 2D M = 2D I - h (D f')
@@ -475,15 +488,6 @@ class KahanMap:
         self._n_plus_batch = PolynomialBatch([self.n_plus])
         self.subs_cache: dict = {}
 
-    def series(self, order: int) -> list[list[Polynomial]]:
-        """h-expansion of Phi_h: the coefficient vectors of h^0 .. h^order."""
-        if order < 0:
-            raise ValueError("order must be nonnegative")
-        per_component = [
-            series_in_h(RationalFunction(num, self.den), order) for num in self.numerators
-        ]
-        return [list(layer) for layer in zip(*per_component)]
-
     def substitute(self, p: Polynomial, clear_power: int) -> Polynomial:
         """den**clear_power * p(Phi_h(x)), its power products left in
         `subs_cache`."""
@@ -531,12 +535,6 @@ class KahanMap:
         D = max(P.x_degree() - 1, self.dim)
         pairs = [(Polynomial.const(self.nvars, 1), P, D + 1), (-P, self.n_plus, D)]
         return rf_substitute(pairs, self.numerators, self.den, cache=self.subs_cache)
-
-    def darboux_defect_series(self, P: Polynomial, order: int) -> list[Polynomial]:
-        """h-expansion of N_{-h/2} P(Phi) - P N_{h/2}(Phi) through h^order."""
-        D = max(P.x_degree() - 1, self.dim)
-        cleared = self.darboux_defect_cleared(P)
-        return series_in_h(RationalFunction(cleared, self.den**D), order)
 
     def det_jacobian(self) -> RationalFunction:
         """det DPhi_h = det(I + (h/2) f'(Phi_h(x))) / det(I - (h/2) f'(x))."""

@@ -35,6 +35,23 @@ def _sigma(parts) -> int:
     return s
 
 
+def _least_rotation(seq) -> tuple[int, int]:
+    """(start, period): seq rotated to start is its least rotation (Booth,
+    Inf. Process. Lett. 1980), and period its least period, both from one
+    linear pass of Duval's Lyndon factorization of seq + seq (J. Algorithms
+    1983).  The last factor begun before len(seq) starts the least rotation,
+    which is that Lyndon factor repeated, so its length is the period."""
+    n, s, i = len(seq), tuple(seq) * 2, 0
+    while i < n:
+        start, k, j = i, i, i + 1
+        while j < 2 * n and ((same := s[k] == s[j]) or s[k] < s[j]):
+            k = k + 1 if same else i
+            j += 1
+        while i <= k:
+            i += j - k
+    return start, j - k
+
+
 class _Encoded:
     """Identity by canonical encoding: equal encodings, isomorphic graphs."""
 
@@ -98,7 +115,7 @@ EMPTY_FOREST = Forest(())
 
 
 class Aroma(_Encoded):
-    __slots__ = ("cycle_len", "decorations")
+    __slots__ = ("cycle_len", "decorations", "_period")
 
     def __init__(self, cycle_len: int, decorations=()):
         if cycle_len < 1:
@@ -106,10 +123,8 @@ class Aroma(_Encoded):
         decs = tuple(decorations) or tuple(EMPTY_FOREST for _ in range(cycle_len))
         if len(decs) != cycle_len:
             raise ValueError("one decoration forest per cycle vertex required")
-        # canonical rotation: lexicographically minimal encoding sequence,
-        # one rotation held at a time
-        encs = tuple(f.encoding for f in decs)
-        start = min(range(cycle_len), key=lambda i: encs[i:] + encs[:i])
+        # canonical rotation: lexicographically minimal encoding sequence
+        start, self._period = _least_rotation([f.encoding for f in decs])
         decs = decs[start:] + decs[:start]
         self.cycle_len = cycle_len
         self.decorations = decs
@@ -118,9 +133,7 @@ class Aroma(_Encoded):
 
     def sigma(self) -> int:
         # k over the least period (a divisor of k) rotations fix the cycle
-        k, encs = self.cycle_len, tuple(f.encoding for f in self.decorations)
-        period = next(p for p in range(1, k + 1) if k % p == 0 and encs[p:] + encs[:p] == encs)
-        return k // period * prod(f.sigma() for f in self.decorations)
+        return self.cycle_len // self._period * prod(f.sigma() for f in self.decorations)
 
     def is_bare_cycle(self) -> bool:
         return all(not f.trees for f in self.decorations)

@@ -805,28 +805,6 @@ def rf_substitute(
     return _from_ints(n, ints, 1, lcm_pairs * common**c_max)
 
 
-def series_in_h(r: RationalFunction, order: int) -> list[Polynomial]:
-    """Taylor coefficients in h about h=0 (exact), c_0 .. c_order.
-
-    Precondition: the denominator does not vanish identically at h=0.
-    """
-    num_layers = r.num.h_coefficients()
-    den_layers = r.den.h_coefficients()
-    d0 = den_layers.get(0)
-    if d0 is None or d0.is_zero():
-        raise ZeroDivisionError("denominator vanishes identically at h = 0")
-    coeffs: list[Polynomial] = []
-    n = r.nvars
-    for k in range(order + 1):
-        acc = num_layers.get(k, Polynomial.zero(n))
-        for j in range(k):
-            dl = den_layers.get(k - j)
-            if dl is not None:
-                acc = acc - coeffs[j] * dl
-        coeffs.append(divexact(acc, d0))
-    return coeffs
-
-
 class PointEvaluator:
     """One rational point over a common denominator, x_i = a_i / d: the
     point, d and the integer numerators a_i, which a `PolynomialBatch`

@@ -17,7 +17,9 @@ The Kahan map is rebuilt from its other definitions, never from the
 package's numerators over den: a point step solves the linear system
 (I - (h/2) f'(x)) k = f(x) by `Fraction` elimination, the h-series is the
 closed form 2^(1-k) (f')^(k-1) f, and det DPhi differentiates the map
-entrywise.  Substitution into the map expands term by term in `Polynomial`
+entrywise.  The h-series of a quotient is the Taylor division of its
+numerator by its denominator, never a read of the package's tree vectors.
+Substitution into the map expands term by term in `Polynomial`
 arithmetic, never by the package's packed kernel.  A value at a point is
 summed term by term in `Fraction`s, never read off the package's monomial
 cache or its batched integer pass, and a discovery row takes one such
@@ -42,7 +44,7 @@ from kahan_aromas.corpus import rand_small
 from kahan_aromas.fields import KahanMap, _combination, _weighted_polys
 from kahan_aromas.graphs import UNIT, Aroma, Forest, RootedTree
 from kahan_aromas.linalg import complement, intersect_rowspaces, nullspace, pivot_columns, rank
-from kahan_aromas.poly import Polynomial, RationalFunction
+from kahan_aromas.poly import Polynomial, RationalFunction, divexact
 from kahan_aromas.rationals import ONE, ZERO, _random_pair
 from kahan_aromas.solver import (
     SAMPLE_ATTEMPTS,
@@ -483,6 +485,24 @@ def kahan_series_closed_form(field, order: int) -> list[list[Polynomial]]:
             for i in range(n)
         ]
     return out
+
+
+def h_series(num: Polynomial, den: Polynomial, order: int) -> list[Polynomial]:
+    """The Taylor coefficients c_0 .. c_order of num / den in h about h = 0,
+    exact: c_k = (num_k - sum_{j<k} c_j den_{k-j}) / den_0, with p_k the
+    h^k layer of p; den_0 must not be the zero polynomial."""
+    num_layers, den_layers = num.h_coefficients(), den.h_coefficients()
+    d0 = den_layers.get(0)
+    if d0 is None:
+        raise ZeroDivisionError("denominator vanishes identically at h = 0")
+    coeffs: list[Polynomial] = []
+    for k in range(order + 1):
+        acc = num_layers.get(k, Polynomial.zero(num.nvars))
+        for j in range(k):
+            if (layer := den_layers.get(k - j)) is not None:
+                acc = acc - coeffs[j] * layer
+        coeffs.append(divexact(acc, d0))
+    return coeffs
 
 
 def poly_mat_det(mat: list[list[Polynomial]]) -> Polynomial:

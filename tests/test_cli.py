@@ -16,6 +16,7 @@ from hypothesis import given, strategies as st
 
 import kahan_aromas.cli as cli_mod
 import kahan_aromas.corpus as corpus_mod
+import kahan_aromas.fields as fields_mod
 import kahan_aromas.solver as solver_mod
 from kahan_aromas.cli import main, render_series
 from kahan_aromas.corpus import SYSTEMS, get_system, ishii_invariants, lv_divfree
@@ -956,6 +957,16 @@ KAHAN_STDOUT_SHA256 = {
     ("nambu_inhomogeneous", "map"): "8ae7becc0edd4d4f0affe347cba5a27454bb98499dd1ed2d18040efd78f738ff",
     ("nambu_inhomogeneous", "series"): "1c5b039dd1d69f921790cee477ca59da5b257ec64bbb519a5972c01c57fbe6c0",
 }
+
+
+def test_kahan_series_builds_no_kahan_map(capsys, monkeypatch):
+    # the series is read off the field's tall-tree vectors, not the map
+    monkeypatch.setattr(fields_mod.KahanMap, "__init__", lambda self, field: pytest.fail("a Kahan map was built"))
+    code, out, err = run_cli(capsys, "kahan", "series", "--system", "nambu_inhomogeneous", "--order", "4")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)["coefficients"]) == 5
+    with pytest.raises(pytest.fail.Exception, match="a Kahan map was built"):
+        main(["kahan", "map", "--system", "nambu_inhomogeneous"])
 
 
 @pytest.mark.parametrize("command", ["map", "det", "series"])

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 from math import prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from kahan_aromas.corpus import (
     SYSTEMS,
@@ -26,6 +26,7 @@ from kahan_aromas.corpus import (
     divfree_homogeneous_r3,
     random_quadratic_field,
     random_cubic_polynomial,
+    rand_small,
     random_vector,
     dressing_chain,
     get_system,
@@ -75,6 +76,7 @@ from oracles import (
     contains_self_loop,
     darboux_defect_term_by_term,
     elementary_differential,
+    h_series,
     jacobian,
     kahan_map_by_cramer,
     kahan_series_closed_form,
@@ -690,19 +692,57 @@ def test_kahan_series_matches_map_expansion():
     rng = random.Random(37)
     for n in (1, 2, 3):
         f = random_quadratic_field(rng, n)
-        assert KahanMap(f).series(4) == kahan_series_closed_form(f, 4)
+        assert f.kahan_series(4) == kahan_series_closed_form(f, 4)
     with pytest.raises(ValueError):
-        KahanMap(f).series(-1)
+        f.kahan_series(-1)
 
 
 def test_kahan_series_tall_tree_coefficients():
     f = lv_special()
-    series = KahanMap(f).series(3)
+    series = f.kahan_series(3)
     assert series[0] == [X(0), X(1), X(2)]
     assert series[1] == f.components
     # h^3 coefficient is b(tall-3) F(tall-3) = (1/4)(f')^2 f
     ed = elementary_differential(f, tall_tree(3))
     assert series[3] == [p * Rat(1, 4) for p in ed]
+
+
+def test_kahan_series_is_the_maps_rational_form_through_its_order():
+    # den * sum_{k <= order} c_k h^k - numerators[i] = O(h^(order + 1)): the
+    # B-series off the tall-tree vectors against the Cramer numerators over
+    # det M, with no closed form of the Jacobian in between
+    rng = random.Random(41)
+    for n in (1, 2, 3, 4):
+        f = random_quadratic_field(rng, n)
+        kmap, h = KahanMap(f), Polynomial.variable(f.nvars, n)
+        for order in range(6):
+            series = f.kahan_series(order)
+            assert len(series) == order + 1
+            for i, num in enumerate(kmap.numerators):
+                partial = sum((vec[i] * h**k for k, vec in enumerate(series)), Polynomial.zero(f.nvars))
+                residual = kmap.den * partial - num
+                assert min(residual.h_coefficients(), default=order + 1) > order, (n, order, i)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.integers(0, 2))
+def test_the_defect_and_its_cleared_form_share_their_lowest_h_layer(seed, n, m):
+    # den(h = 0) = 1, so 1 / den^D is a unit power series and the lowest
+    # nonzero h-layer of the defect is the cleared defect's, coefficient
+    # included: a failed verification can read it with no series at all;
+    # the factor h^m moves that layer up
+    rng = random.Random(seed)
+    f = random_quadratic_field(rng, n)
+    h = Polynomial.variable(f.nvars, n)
+    P = (random_cubic_polynomial(rng, n) + h * rand_small(rng)) * h**m
+    kmap, D = f.kahan_map(), max(P.x_degree() - 1, n)
+    cleared = kmap.darboux_defect_cleared(P)
+    layers = cleared.h_coefficients()
+    assume(layers)
+    low = min(layers)
+    assert low > m
+    series = h_series(cleared, kmap.den**D, low)
+    assert all(c.is_zero() for c in series[:low])
+    assert series[low] == layers[low]
 
 
 def test_affine_pullback_identity_and_scaling():

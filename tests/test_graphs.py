@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kahan_aromas.graphs import (
+    _least_rotation,
     Aroma,
     AromaMultiset,
     Forest,
@@ -253,6 +254,53 @@ def test_a_long_cycle_is_canonicalized_one_rotation_at_a_time():
         tracemalloc.stop()
     assert aroma.encoding == f"C{k}(" + ";" * (k - 1) + "[])"
     assert peak < 4_000_000
+
+
+@given(st.lists(st.sampled_from(["", "[]", "[[]]"]), min_size=1, max_size=8), st.integers(1, 3))
+def test_least_rotation_and_period_match_every_rotation(word, repeats):
+    seq = word * repeats
+    start, period = _least_rotation(seq)
+    k = len(seq)
+    assert seq[start:] + seq[:start] == min(seq[i:] + seq[:i] for i in range(k))
+    assert period == min(p for p in range(1, k + 1) if k % p == 0 and seq[p:] + seq[:p] == seq)
+
+
+class _Counted:
+    """A sequence element that counts the comparisons made of it."""
+
+    count = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        _Counted.count += 1
+        return self.value == other.value
+
+    def __lt__(self, other):
+        _Counted.count += 1
+        return self.value < other.value
+
+    __hash__ = None
+
+
+@pytest.mark.parametrize(
+    "word, repeats, expected",
+    [
+        (["[]"] + [""] * 15999, 1, (1, 16000)),
+        (["a"] + ["b"] * 15999, 1, (0, 16000)),
+        (["b", "a", "a", "b", "a"], 3200, (1, 5)),
+    ],
+    ids=["one-tail", "one-head", "periodic"],
+)
+def test_least_rotation_is_linear_in_element_comparisons(word, repeats, expected):
+    # comparing each of the k = 16,000 rotations with the least so far
+    # makes on the order of k^2 comparisons on these; a count does not
+    # depend on the host
+    seq = [_Counted(v) for v in word] * repeats
+    _Counted.count = 0
+    assert _least_rotation(seq) == expected
+    assert _Counted.count <= 4 * len(seq)
 
 
 @pytest.mark.parametrize("tail", [False, True], ids=["bare", "one-tail"])
