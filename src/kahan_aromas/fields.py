@@ -52,8 +52,9 @@ J. Phys. A 2013).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import reduce
-from itertools import combinations_with_replacement, product
+from itertools import product
 
 from .graphs import LOOP, Aroma, AromaMultiset, RootedTree, tall_tree
 from .linalg import P, invert_rational_matrix
@@ -144,7 +145,7 @@ class QuadraticVectorField:
         content denominators, parts[(i, indices)] the int dict of
         D d^m f_i / dx_indices, for each sorted index tuple of length m <= 2
         whose partial is nonzero, and degrees[(i, indices)] its largest
-        degree per variable.  The partials differentiate the int dicts."""
+        degree per variable.  Only the nonzero int dicts are differentiated."""
         if self._cleared_parts is None:
             D = math.lcm(*(p.content.denominator for p in self.components))
             parts = {}
@@ -153,10 +154,10 @@ class QuadraticVectorField:
                     s = (p.content * D).numerator  # D clears every content
                     parts[(i, ())] = {k: s * v for k, v in p.terms.items()}
             for m in (1, 2):
-                for i in range(self.dim):
-                    for idx in combinations_with_replacement(range(self.dim), m):
-                        if out := _derivative(parts.get((i, idx[:-1]), {}), idx[-1]):
-                            parts[(i, idx)] = out
+                for (i, idx), d in [(key, d) for key, d in parts.items() if len(key[1]) == m - 1]:
+                    for j in range(idx[-1] if idx else 0, self.dim):
+                        if out := _derivative(d, j):
+                            parts[(i, idx + (j,))] = out
             degrees = {key: _degrees(d, self.dim) for key, d in parts.items()}
             self._cleared_parts = D, parts, degrees
         return self._cleared_parts
@@ -164,22 +165,20 @@ class QuadraticVectorField:
     def _contract(self, lead: tuple[int, ...], vecs) -> list[dict]:
         """Component i is the sum over js of D d f_i / dx_{lead + js} *
         prod_r vecs[r][js[r]], an int dict with no zero values.  All n
-        components are filled in one pass: each product of the vectors'
-        components is formed once and serves every i whose partial is
-        nonzero."""
+        components are filled in one pass over the vectors' nonzero
+        components: each of their products is formed once and serves every
+        i whose partial is nonzero."""
         n, nv, parts = self.dim, self.nvars, self._cleared()[1]
         if not vecs:
             return [parts.get((i, lead), {}) for i in range(n)]
         out: list[dict] = [{} for _ in range(n)]
-        for js in product(range(n), repeat=len(vecs)):
+        for js in product(*([j for j, c in enumerate(vec) if c] for vec in vecs)):
             idx = tuple(sorted(lead + js))
             coeffs = [(i, parts[(i, idx)]) for i in range(n) if (i, idx) in parts]
             if not coeffs:
                 continue
             term = vecs[0][js[0]]
             for vec, j in zip(vecs[1:], js[1:]):
-                if not term:
-                    break
                 term = _mul_terms(term, vec[j], nv)
             for i, part in coeffs:
                 _mul_add(out[i], part, term, nv)
@@ -194,9 +193,9 @@ class QuadraticVectorField:
         partials vanish), and its subtrees are not evaluated.  The subtrees
         not yet memoized are walked children first with an explicit stack.
         The walk takes each vertex's bound when it pops the vertex, the
-        largest over its contracted products of the partial's degree plus
-        the children's, and checks it against the packable degree, so every
-        bound is checked before any vector is multiplied."""
+        largest over its contracted products (of nonzero components) of the
+        partial's degree plus the children's, and checks it against the
+        packable degree, so every bound is checked before any multiplication."""
         n, memo, partial_degrees = self.dim, self._elementary, self._cleared()[2]
         todo: list[RootedTree] = []  # children before parents
         bounds: dict[str, list | None] = {}  # walked trees; None until popped
@@ -216,11 +215,12 @@ class QuadraticVectorField:
                 continue
             encs = [c.encoding for c in t.children]
             kids = [bounds[e] if e in bounds else memo[e][1] for e in encs]
-            for a, js in product(range(n), product(range(n), repeat=len(kids))):
+            present = [[j for j, b in enumerate(kid) if b is not None] for kid in kids]
+            for a, js in product(range(n), product(*present)):
                 d = partial_degrees.get((a, tuple(sorted(js))))
-                degs = [kid[j] for kid, j in zip(kids, js)]
-                if d is None or None in degs:
+                if d is None:
                     continue
+                degs = [kid[j] for kid, j in zip(kids, js)]
                 got = [sum(col) for col in zip(d, *degs)]
                 _check_packable(self.nvars, got)
                 out[a] = got if out[a] is None else list(map(max, out[a], got))
@@ -425,9 +425,9 @@ class KahanMap:
     They are built in integers from the field's cleared partials (D the
     lcm of the components' content denominators): A = 2D M = 2D I - h (D f')
     is a matrix of int dicts, so det(A) = (2D)^n den, and the column
-    replaced by f becomes 2 (D f).  det(A) expands by Laplace and each
-    replaced determinant along its replaced column, all from one memo of
-    minors, and each polynomial is built once, over (2D)^n.
+    replaced by f becomes 2 (D f).  The n + 1 determinants are the maximal
+    minors of [A | 2h (D f)], from one forward pass of minors row by row
+    (Gentleman & Johnson, ACM TOMS 1976), each polynomial built over (2D)^n.
 
     The map keeps no reference to its field: the field caches its map, and
     the pair would be a reference cycle that keeps the substitution cache
@@ -438,51 +438,37 @@ class KahanMap:
         self.dim, self.nvars = n, nv = field.dim, field.nvars
         D, parts, _ = field._cleared()
         hkey = pack_exponents([0] * n + [1])
-        # A = 2D M = 2D I - h (D f'), and 2 (D f) for the replaced column
-        A = [
-            [{k + hkey: -v for k, v in parts.get((i, (j,)), {}).items()} for j in range(n)]
-            for i in range(n)
-        ]
-        for i in range(n):
-            A[i][i][0] = 2 * D
-        rhs = [{k: 2 * v for k, v in parts.get((i, ()), {}).items()} for i in range(n)]
-        minors: dict = {}
-
-        def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> dict:
-            """det A[rows][cols] by Laplace along its first row, memoized."""
-            if not rows:
-                return {0: 1}
-            got = minors.get((rows, cols))
-            if got is None:
-                acc: dict = {}
-                for pos, j in enumerate(cols):
-                    entry = A[rows[0]][j]
-                    if entry:
-                        sub = minor(rows[1:], cols[:pos] + cols[pos + 1 :])
-                        if pos % 2:
-                            entry = {k: -v for k, v in entry.items()}
-                        _mul_add(acc, entry, sub, nv)
-                got = minors[(rows, cols)] = {k: v for k, v in acc.items() if v}
-            return got
-
-        everything = tuple(range(n))
-        det_a = minor(everything, everything)
+        # the rows of [A | 2h (D f)] as column -> int dict, zero entries left out
+        rows = [{i: {0: 2 * D}} for i in range(n)]
+        for (i, idx), d in parts.items():
+            if len(idx) < 2:
+                entry = rows[i].setdefault(idx[0] if idx else n, {})
+                entry.update({k + hkey: -v if idx else 2 * v for k, v in d.items()})
+        # pass r: the nonzero minors of rows 0..r by column set, by Laplace
+        # along row r, the entry at position p of the set signed (-1)^(r+p)
+        level = {(): {0: 1}}
+        for r, row in enumerate(rows):
+            entries = [(j, e, {k: -v for k, v in e.items()}) for j, e in sorted(row.items())]
+            nxt: dict = {}
+            for cols, sub in level.items():
+                for j, e, neg in entries:
+                    p = bisect_left(cols, j)
+                    if cols[p : p + 1] != (j,):
+                        acc = nxt.setdefault(cols[:p] + (j,) + cols[p:], {})
+                        _mul_add(acc, neg if (r + p) % 2 else e, sub, nv)
+            level = {cols: m for cols, acc in nxt.items() if (m := {k: v for k, v in acc.items() if v})}
+        det_a = level[tuple(range(n))]  # nonzero: (2D)^n at h = 0
         scale = (2 * D) ** n  # det A = scale det M
         self.den = _from_ints(nv, det_a, 1, scale)
         self.numerators = []
         for i in range(n):
             # x_i det A + h det(A with column i replaced by 2 D f), the
-            # latter expanded along that column
-            others = everything[:i] + everything[i + 1 :]
-            xkey = pack_exponents([0] * i + [1])
+            # latter the minor without column i, its last column moved to i
+            xkey, sign = pack_exponents([0] * i + [1]), (-1) ** (n - 1 - i)
             acc = {k + xkey: v for k, v in det_a.items()}
-            for r in range(n):
-                if rhs[r]:
-                    cof = minor(everything[:r] + everything[r + 1 :], others)
-                    sign = 1 if (r + i) % 2 == 0 else -1
-                    _mul_add(acc, {k + hkey: sign * v for k, v in rhs[r].items()}, cof, nv)
-            acc = {k: v for k, v in acc.items() if v}
-            self.numerators.append(_from_ints(nv, acc, 1, scale))
+            for k, v in level.get(tuple(j for j in range(n + 1) if j != i), {}).items():
+                acc[k] = acc.get(k, 0) + sign * v
+            self.numerators.append(_from_ints(nv, {k: v for k, v in acc.items() if v}, 1, scale))
         self.n_plus = self.den.subs_h_negated()  # N_{h/2} = det(I + (h/2) f'(x))
         self._point_batch = PolynomialBatch([self.den] + self.numerators)
         self._n_plus_batch = PolynomialBatch([self.n_plus])

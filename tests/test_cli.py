@@ -1283,3 +1283,30 @@ def test_bench_scale_labels_only_a_tree_that_is_its_own_checkout(tmp_path):
 
     (repo / "tracked.txt").write_text("two\n")
     assert bench.commit_of(repo) == head + "+dirty"
+
+
+@pytest.mark.parametrize("command", [("kahan", "det"), ("kahan", "map"), ("check", "conditions")])
+def test_a_wide_zero_field_costs_what_its_entries_write(capsys, monkeypatch, tmp_path, command):
+    # the zero field on R^400 writes no entry, so its partials and products
+    # stay within 10 dim calls; a cost set by dim alone (a partial per
+    # index tuple, dim^3 of them) fails here at once instead of running on
+    import kahan_aromas.fields as fields_mod
+
+    dim = 400
+
+    def bounded(name):
+        real, calls = getattr(fields_mod, name), [0]
+
+        def counted(*args):
+            calls[0] += 1
+            assert calls[0] <= 10 * dim, f"{name} called more than {10 * dim} times"
+            return real(*args)
+
+        return counted
+
+    for name in ("_derivative", "_mul_add"):
+        monkeypatch.setattr(fields_mod, name, bounded(name))
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dim": dim}))
+    code, _, err = run_cli(capsys, *command, "--field", str(path))
+    assert (code, err) == (0, "")

@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import random
+import sys
 import weakref
 from itertools import combinations_with_replacement
 from math import prod
@@ -506,11 +507,22 @@ def test_kahan_map_linear_field_oracle():
     assert RationalFunction(m.numerators[0], m.den) == expected
 
 
+def _sparse_field_r6() -> QuadraticVectorField:
+    """The cyclic linear field f_i = x_(i+1) on R^6 (indices mod 6) plus two
+    quadratic and two constant entries, so the rows of [A | 2h Df] have
+    gaps and their minors meet both signs of each Laplace step."""
+    cyclic = [[i, i % 6 + 1, "1"] for i in range(1, 7)]
+    quad, const = [[1, 2, 4, "3"], [4, 6, 6, "-1/2"]], [[2, "5"], [5, "-2/3"]]
+    return QuadraticVectorField.from_json({"dim": 6, "linear": cyclic, "quadratic": quad, "constant": const})
+
+
 def _map_cases():
-    """Every corpus system at seed 0, dense random fields for n = 1..4, and
-    the coprime-content, zero-component and affine-pullback fields."""
+    """Every corpus system at seed 0, dense random fields for n = 1..5, a
+    sparse field on R^6, and the coprime-content, zero-component and
+    affine-pullback fields."""
     cases = {name: (lambda name=name: get_system(name, seed=0)) for name in SYSTEMS}
-    cases.update({f"dense-{n}": (lambda n=n: random_quadratic_field(random.Random(300 + n), n)) for n in range(1, 5)})
+    cases.update({f"dense-{n}": (lambda n=n: random_quadratic_field(random.Random(300 + n), n)) for n in range(1, 6)})
+    cases["sparse-6"] = _sparse_field_r6
     cases.update({case: build for case, (build, _) in CONTRACTION_CASES.items() if not case[0].isdigit()})
     return cases
 
@@ -542,6 +554,65 @@ def test_cleared_parts_match_polynomial_partials(case):
                     want[(i, idx)] = {k: scaled.numerator * v for k, v in p.terms.items()}
     assert parts == want
     assert set(degrees) == set(parts)
+
+
+def test_cleared_differentiates_only_nonzero_partials(monkeypatch):
+    # one call per component and index tuple would make 113,400 calls on
+    # the zero field on R^60, which has no partial at all
+    import kahan_aromas.fields as fields_mod
+
+    real, calls = fields_mod._derivative, []
+
+    def derivative(ints, index):
+        calls.append(bool(ints))
+        return real(ints, index)
+
+    monkeypatch.setattr(fields_mod, "_derivative", derivative)
+    QuadraticVectorField([Polynomial.zero(62)] * 60)._cleared()
+    assert calls == []
+    lv_divfree()._cleared()
+    assert calls and all(calls)
+
+
+def test_kahan_map_of_a_wide_field_takes_no_frame_per_row():
+    # with the stack limit a fixed margin above the current depth, the map
+    # of the zero field on R^(margin + 100) builds: its minors come from a
+    # loop over the rows, not from a recursion one frame per row
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    margin, limit = 60, sys.getrecursionlimit()
+    n = margin + 100
+    f = QuadraticVectorField([Polynomial.zero(n + 2)] * n)
+    sys.setrecursionlimit(depth + margin)
+    try:
+        kmap = KahanMap(f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert kmap.den == Polynomial.const(n + 2, 1)
+    assert kmap.numerators == [Polynomial.variable(n + 2, i) for i in range(n)]
+
+
+def test_kahan_map_multiplies_no_zero_entry(monkeypatch):
+    # the rows of [A | 2h Df] keep their nonzero entries alone, so the pass
+    # of minors makes one product per row on the zero field on R^60 (A is
+    # 2I) and 7 on (y^2, 0, 0) on R^3; a zero entry filled back in is one
+    # more call, a product with nothing
+    import kahan_aromas.fields as fields_mod
+
+    real, products = fields_mod._mul_add, [0]
+
+    def mul_add(acc, a, b, nvars):
+        products[0] += 1
+        real(acc, a, b, nvars)
+
+    monkeypatch.setattr(fields_mod, "_mul_add", mul_add)
+    zero = QuadraticVectorField([Polynomial.zero(62)] * 60)
+    y_squared = QuadraticVectorField([X(1) ** 2, Polynomial.zero(5), Polynomial.zero(5)])
+    for field, want in [(zero, 60), (y_squared, 7)]:
+        products[0] = 0
+        KahanMap(field)
+        assert products[0] == want
 
 
 def test_denominator_is_one_at_h_zero():
