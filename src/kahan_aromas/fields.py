@@ -14,18 +14,19 @@ off it, so the sum is evaluated by contraction instead of over the n^V
 assignments:
 
 - each hanging tree is its elementary differential, a vector;
-- cycle vertex i with trees t1..tm becomes the n x n polynomial matrix
+- cycle vertex i with trees t1..tm becomes the polynomial matrix
   M_i[a][b] = sum_js d^(m+1) f^a / dx_b dx_j1 ... dx_jm * prod_r F(t_r)^{j_r};
 - F(aroma) = tr(M_{k-1} ... M_1 M_0), the cycle edge running i -> i+1.
 
 A bare cycle of length k therefore gives tr(J^k).  The trace is invariant
-under rotation of the cycle, so it is contracted as tr(M_h C): M_h is the
-matrix of the largest stored degree bound, and C the product of the other
-k - 1 in cyclic order from h + 1.  The heaviest factor then meets only the
-n^2 trace products, never an n^3 chain product.  A loop (k = 1) is summed
-straight to its trace, sum_a M[a][a], without building M.  A vertex's n
-components are contracted in one pass, each product of child components
-formed once for all of them.
+under rotation of the cycle, so it is contracted as tr(M_h C), M_h the
+matrix of the most terms and C the product of the other k - 1 in cyclic
+order from h + 1: the heaviest factor meets no chain product.  A loop
+(k = 1) is summed straight to its trace without building M.  Vectors are
+sparse (index -> nonzero int dict), matrices sparse rows (row -> vector),
+and the partials grouped by index tuple, so every contraction, product and
+trace visits nonzero entries only, each product of child components formed
+once for all the components of a vertex.
 
 The contraction runs in integers.  With D the lcm of the components'
 content denominators, every partial of D f is an integer term dict (packed
@@ -135,59 +136,58 @@ class QuadraticVectorField:
         out = [[Polynomial.variable(nv, i) for i in range(n)]]
         for k in range(1, order + 1):
             vec = self._tree_vector(tall_tree(k))[0]  # D^k F(tall tree)
-            out.append([_from_ints(nv, p, 1, 2 ** (k - 1) * D**k) for p in vec])
+            out.append([_from_ints(nv, vec.get(i, {}), 1, 2 ** (k - 1) * D**k) for i in range(n)])
         return out
 
     # -- aromatic functions ------------------------------------------------
 
     def _cleared(self) -> tuple[int, dict, dict]:
         """(D, parts, degrees), built once: D is the lcm of the components'
-        content denominators, parts[(i, indices)] the int dict of
-        D d^m f_i / dx_indices, for each sorted index tuple of length m <= 2
-        whose partial is nonzero, and degrees[(i, indices)] its largest
-        degree per variable.  Only the nonzero int dicts are differentiated."""
+        content denominators, parts[idx][i] the int dict of D d^m f_i / dx_idx
+        for each sorted index tuple idx of length m <= 2 and each i whose
+        partial is nonzero, and degrees[idx][i] its largest degree per
+        variable.  Only the nonzero int dicts are differentiated."""
         if self._cleared_parts is None:
             D = math.lcm(*(p.content.denominator for p in self.components))
-            parts = {}
+            parts: dict = {}
             for i, p in enumerate(self.components):
                 if p.terms:
                     s = (p.content * D).numerator  # D clears every content
-                    parts[(i, ())] = {k: s * v for k, v in p.terms.items()}
+                    parts.setdefault((), {})[i] = {k: s * v for k, v in p.terms.items()}
             for m in (1, 2):
-                for (i, idx), d in [(key, d) for key, d in parts.items() if len(key[1]) == m - 1]:
-                    for j in range(idx[-1] if idx else 0, self.dim):
-                        if out := _derivative(d, j):
-                            parts[(i, idx + (j,))] = out
-            degrees = {key: _degrees(d, self.dim) for key, d in parts.items()}
+                for idx, row in [(idx, row) for idx, row in parts.items() if len(idx) == m - 1]:
+                    for i, d in row.items():
+                        for j in range(idx[-1] if idx else 0, self.dim):
+                            if out := _derivative(d, j):
+                                parts.setdefault(idx + (j,), {})[i] = out
+            degrees = {idx: {i: _degrees(d, self.dim) for i, d in row.items()} for idx, row in parts.items()}
             self._cleared_parts = D, parts, degrees
         return self._cleared_parts
 
-    def _contract(self, lead: tuple[int, ...], vecs) -> list[dict]:
-        """Component i is the sum over js of D d f_i / dx_{lead + js} *
-        prod_r vecs[r][js[r]], an int dict with no zero values.  All n
-        components are filled in one pass over the vectors' nonzero
+    def _contract(self, lead: tuple[int, ...], vecs) -> dict:
+        """The vector sum over js of D d f / dx_{lead + js} * prod_r
+        vecs[r][js[r]], filled in one pass over the vectors' nonzero
         components: each of their products is formed once and serves every
-        i whose partial is nonzero."""
-        n, nv, parts = self.dim, self.nvars, self._cleared()[1]
+        component i whose partial is nonzero."""
+        nv, parts = self.nvars, self._cleared()[1]
         if not vecs:
-            return [parts.get((i, lead), {}) for i in range(n)]
-        out: list[dict] = [{} for _ in range(n)]
-        for js in product(*([j for j, c in enumerate(vec) if c] for vec in vecs)):
-            idx = tuple(sorted(lead + js))
-            coeffs = [(i, parts[(i, idx)]) for i in range(n) if (i, idx) in parts]
-            if not coeffs:
+            return parts.get(lead, {})
+        out: dict = {}
+        for js in product(*vecs):
+            row = parts.get(tuple(sorted(lead + js)))
+            if row is None:
                 continue
             term = vecs[0][js[0]]
             for vec, j in zip(vecs[1:], js[1:]):
                 term = _mul_terms(term, vec[j], nv)
-            for i, part in coeffs:
-                _mul_add(out[i], part, term, nv)
-        return [{k: v for k, v in acc.items() if v} for acc in out]
+            for i, part in row.items():
+                _mul_add(out.setdefault(i, {}), part, term, nv)
+        return {i: m for i, acc in sorted(out.items()) if (m := {k: v for k, v in acc.items() if v})}
 
-    def _tree_vector(self, tree: RootedTree) -> tuple[list[dict], list]:
+    def _tree_vector(self, tree: RootedTree) -> tuple[dict, dict]:
         """(vector, bound), memoized per field by tree encoding: the vector
-        is D^|tree| F(tree) as int dicts, and bound[a] the largest degree per
-        variable that component a can have, or None when it is zero.
+        is D^|tree| F(tree), and bound[a] the largest degree per variable
+        that component a can have, for every a the vector can hold.
 
         A vertex with more than two children gives the zero vector (its
         partials vanish), and its subtrees are not evaluated.  The subtrees
@@ -196,9 +196,9 @@ class QuadraticVectorField:
         largest over its contracted products (of nonzero components) of the
         partial's degree plus the children's, and checks it against the
         packable degree, so every bound is checked before any multiplication."""
-        n, memo, partial_degrees = self.dim, self._elementary, self._cleared()[2]
+        memo, partial_degrees = self._elementary, self._cleared()[2]
         todo: list[RootedTree] = []  # children before parents
-        bounds: dict[str, list | None] = {}  # walked trees; None until popped
+        bounds: dict[str, dict | None] = {}  # walked trees; None until popped
         stack = [(tree, False)]
         while stack:
             t, expanded = stack.pop()
@@ -210,66 +210,60 @@ class QuadraticVectorField:
                         stack.extend((c, False) for c in t.children)
                 continue
             todo.append(t)
-            out = bounds[t.encoding] = [None] * n
+            out = bounds[t.encoding] = {}
             if len(t.children) > 2:
                 continue
-            encs = [c.encoding for c in t.children]
-            kids = [bounds[e] if e in bounds else memo[e][1] for e in encs]
-            present = [[j for j, b in enumerate(kid) if b is not None] for kid in kids]
-            for a, js in product(range(n), product(*present)):
-                d = partial_degrees.get((a, tuple(sorted(js))))
-                if d is None:
-                    continue
+            kids = [bounds[e] if e in bounds else memo[e][1] for e in (c.encoding for c in t.children)]
+            for js in product(*kids):
                 degs = [kid[j] for kid, j in zip(kids, js)]
-                got = [sum(col) for col in zip(d, *degs)]
-                _check_packable(self.nvars, got)
-                out[a] = got if out[a] is None else list(map(max, out[a], got))
+                for a, d in partial_degrees.get(tuple(sorted(js)), {}).items():
+                    got = [sum(col) for col in zip(d, *degs)]
+                    _check_packable(self.nvars, got)
+                    out[a] = list(map(max, out[a], got)) if a in out else got
         for t in todo:
-            if len(t.children) > 2:
-                vec = [{}] * n
-            else:
-                vec = self._contract((), [memo[c.encoding][0] for c in t.children])
+            vec = self._contract((), [memo[c.encoding][0] for c in t.children]) if len(t.children) <= 2 else {}
             memo[t.encoding] = vec, bounds[t.encoding]
         return memo[tree.encoding]
 
-    def _cycle_matrix(self, forest) -> tuple[list[list[dict]] | None, list[int] | None]:
+    def _cycle_matrix(self, forest) -> tuple[dict, list[int] | None]:
         """(M, bound), memoized per field by forest encoding.  M[a][b] is
         the int dict of the cycle vertex with index a, fed by b along the
         cycle and by the forest's trees, contracted over the trees' indices;
         it carries D^(1 + the forest's order).  bound is the largest degree
-        of M's entries per variable, or None when every entry is zero (as
-        when the trees and the cycle edge make more than two partials)."""
+        of M's entries per variable, or None when M has none (as when the
+        trees and the cycle edge make more than two partials)."""
         got = self._cycle_matrices.get(forest.encoding)
         if got is None:
-            n, mat, bound = self.dim, None, None
-            if len(forest.trees) <= 1:
-                vecs = [self._tree_vector(t)[0] for t in forest.trees]
-                mat = [list(row) for row in zip(*(self._contract((b,), vecs) for b in range(n)))]
-                degs = [_degrees(p, n) for row in mat for p in row if p]
-                if degs:
-                    bound = [max(col) for col in zip(*degs)]
-            got = self._cycle_matrices[forest.encoding] = (mat, bound)
+            n, mat = self.dim, {}
+            vecs = [self._tree_vector(t)[0] for t in forest.trees] if len(forest.trees) <= 1 else None
+            for b in range(n) if vecs is not None else ():
+                for a, p in self._contract((b,), vecs).items():
+                    mat.setdefault(a, {})[b] = p
+            degs = [_degrees(p, n) for row in mat.values() for p in row.values()]
+            got = self._cycle_matrices[forest.encoding] = (mat, [max(col) for col in zip(*degs)] or None)
         return got
 
     def _loop(self, forest) -> dict:
-        """tr M as an int dict, M the matrix of a loop's vertex carrying the
-        forest, summed straight from the partials without building M.  With
-        no tree it is sum_a D d f_a / dx_a.  With one tree t it is sum_j g_j
-        F(t)^j, g_j = sum_a D d^2 f_a / dx_a dx_j a constant, so each product
-        has the degrees of t's vector, checked with its bound.  More trees
-        make every partial vanish."""
+        """tr M as an int dict (zeros left in), M the matrix of a loop's
+        vertex carrying the forest, summed straight from the partials without
+        building M.  With no tree it is sum_a D d f_a / dx_a.  With one tree t
+        it is sum_j g_j F(t)^j, g_j = sum_a D d^2 f_a / dx_a dx_j a constant,
+        so each product has the degrees of t's vector, checked with its
+        bound.  More trees make every partial vanish."""
         n, nv, parts = self.dim, self.nvars, self._cleared()[1]
         acc: dict = {}
         if not forest.trees:
             for a in range(n):
-                _packed_add(acc, parts.get((a, (a,)), {}))
+                _packed_add(acc, parts.get((a,), {}).get(a, {}))
         elif len(forest.trees) == 1:
-            vec = self._tree_vector(forest.trees[0])[0]
-            for j in range(n):
-                g = sum(parts.get((a, tuple(sorted((a, j)))), {}).get(0, 0) for a in range(n))
-                if g:
-                    _mul_add(acc, {0: g}, vec[j], nv)
-        return {k: v for k, v in acc.items() if v}
+            g: dict = {}  # parts[(a, j) sorted][a] adds to g_j
+            for idx, row in parts.items():
+                for a, j in {idx, idx[::-1]} if len(idx) == 2 else ():
+                    g[j] = g.get(j, 0) + row.get(a, {}).get(0, 0)
+            for j, c in self._tree_vector(forest.trees[0])[0].items():
+                if g.get(j):
+                    _mul_add(acc, {0: g[j]}, c, nv)
+        return acc
 
     def _aroma(self, aroma: Aroma) -> Polynomial:
         """tr(M_{k-1} ... M_1 M_0) / D^|aroma|: cycle vertex i is fed by
@@ -279,14 +273,14 @@ class QuadraticVectorField:
         the most terms over its entries (the first such), and
         C = M_{h-1} ... M_0 M_{k-1} ... M_{h+1} is the product of the others
         in cyclic order from h + 1, so the heaviest factor enters only the
-        n^2 trace products and no n^3 chain product (the trace is invariant
-        under rotation of the cycle).  A loop (k = 1) is summed straight to
-        its trace (`_loop`).
+        trace products of its nonzero entries and no chain product (the
+        trace is invariant under rotation of the cycle).  A loop (k = 1) is
+        summed straight to its trace (`_loop`).
 
         Per variable, the product's degree is at most the sum of the
         matrices' stored bounds, which is checked against the packable
         degree before any matrix is multiplied."""
-        n, nv, k = self.dim, self.nvars, aroma.cycle_len
+        nv, k = self.nvars, aroma.cycle_len
         if k == 1:
             acc = self._loop(aroma.decorations[0])
         else:
@@ -294,16 +288,15 @@ class QuadraticVectorField:
             if any(bound is None for _, bound in mats):
                 return Polynomial.zero(nv)
             _check_packable(nv, map(sum, zip(*(bound for _, bound in mats))))
-            h = max(range(k), key=lambda i: sum(len(p) for row in mats[i][0] for p in row))
-            heavy = mats[h][0]
+            h = max(range(k), key=lambda i: sum(len(p) for row in mats[i][0].values() for p in row.values()))
             chain = [mats[(h - 1 - r) % k][0] for r in range(k - 1)]
             rest = reduce(lambda a, b: _mat_mul(a, b, nv), chain)
             acc = {}
-            for a in range(n):
-                for b in range(n):
-                    _mul_add(acc, heavy[a][b], rest[b][a], nv)
-            acc = {key: v for key, v in acc.items() if v}
-        return _from_ints(nv, acc, 1, self._cleared()[0] ** aroma.order)
+            for a, row in mats[h][0].items():
+                for b, p in row.items():
+                    if q := rest.get(b, {}).get(a):
+                        _mul_add(acc, p, q, nv)
+        return _from_ints(nv, {key: v for key, v in acc.items() if v}, 1, self._cleared()[0] ** aroma.order)
 
     def aroma_function(self, arg) -> Polynomial:
         """F(arg) for an aroma or aroma multiset, memoized by encoding.  An
@@ -393,18 +386,17 @@ def _combination(nvars: int, polys: list[Polynomial], coeffs) -> Polynomial:
 # polynomial matrices
 
 
-def _mat_mul(a: list[list[dict]], b: list[list[dict]], nvars: int) -> list[list[dict]]:
-    """The product of two square matrices of int dicts."""
-    n = len(a)
-    out = []
-    for row in a:
-        out_row = []
-        for j in range(n):
-            acc: dict = {}
-            for m in range(n):
-                _mul_add(acc, row[m], b[m][j], nvars)
-            out_row.append({k: v for k, v in acc.items() if v})
-        out.append(out_row)
+def _mat_mul(a: dict, b: dict, nvars: int) -> dict:
+    """The product of two sparse matrices of int dicts, from their nonzero
+    entries only."""
+    out = {}
+    for i, row in a.items():
+        acc: dict = {}
+        for m, x in row.items():
+            for j, y in b.get(m, {}).items():
+                _mul_add(acc.setdefault(j, {}), x, y, nvars)
+        if got := {j: t for j, s in sorted(acc.items()) if (t := {k: v for k, v in s.items() if v})}:
+            out[i] = got
     return out
 
 
@@ -440,8 +432,8 @@ class KahanMap:
         hkey = pack_exponents([0] * n + [1])
         # the rows of [A | 2h (D f)] as column -> int dict, zero entries left out
         rows = [{i: {0: 2 * D}} for i in range(n)]
-        for (i, idx), d in parts.items():
-            if len(idx) < 2:
+        for idx, row in parts.items():
+            for i, d in row.items() if len(idx) < 2 else ():
                 entry = rows[i].setdefault(idx[0] if idx else n, {})
                 entry.update({k + hkey: -v if idx else 2 * v for k, v in d.items()})
         # pass r: the nonzero minors of rows 0..r by column set, by Laplace

@@ -1310,3 +1310,23 @@ def test_a_wide_zero_field_costs_what_its_entries_write(capsys, monkeypatch, tmp
     path.write_text(json.dumps({"dim": dim}))
     code, _, err = run_cli(capsys, *command, "--field", str(path))
     assert (code, err) == (0, "")
+
+
+def test_a_sparse_wide_field_multiplies_only_its_nonzero_entries(capsys, monkeypatch, tmp_path):
+    # the cyclic linear field f_i = x_(i+1) on R^400: each cycle matrix has
+    # one entry per row, so its products and traces stay within 10 dim
+    # `_mul_add` calls; a walk over all dim^3 entry pairs of a chain fails here
+    import kahan_aromas.fields as fields_mod
+
+    dim, real, calls = 400, fields_mod._mul_add, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        assert calls[0] <= 10 * dim, f"_mul_add called more than {10 * dim} times"
+        return real(*args)
+
+    monkeypatch.setattr(fields_mod, "_mul_add", counted)
+    path = tmp_path / "cyclic.json"
+    path.write_text(json.dumps({"dim": dim, "linear": [[i, i % dim + 1, "1"] for i in range(1, dim + 1)]}))
+    code, _, err = run_cli(capsys, "check", "conditions", "--field", str(path))
+    assert (code, err) == (0, "")
